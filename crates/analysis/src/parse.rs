@@ -226,7 +226,8 @@ fn find_matching_brace(tokens: &[Token], open: usize) -> usize {
 
 /// The owner type of an `impl`/`trait` header starting at `i` (the keyword
 /// token): the last path identifier outside `<…>`/`(…)` before the block
-/// opens, taken after `for` when one is present, stopping at `where`.
+/// opens, taken after `for` when one is present, stopping at `where` and at
+/// the lone `:` that opens a trait's supertrait list.
 fn parse_owner(tokens: &[Token], i: usize, body_start: usize) -> Option<String> {
     let mut angle = 0i32;
     let mut paren = 0i32;
@@ -246,6 +247,13 @@ fn parse_owner(tokens: &[Token], i: usize, body_start: usize) -> Option<String> 
                 }
                 "(" => paren += 1,
                 ")" => paren -= 1,
+                ":" if angle == 0
+                    && paren == 0
+                    && !punct(tokens, j - 1, ":")
+                    && !punct(tokens, j + 1, ":") =>
+                {
+                    break
+                }
                 _ => {}
             },
             TokenKind::Ident if angle == 0 && paren == 0 => match t.text.as_str() {
@@ -742,7 +750,7 @@ mod tests {
             "fn free() {}\n\
              impl Foo { fn m(&self) {} }\n\
              impl<T: Clone> Bar for Baz<T> { fn n(&self) {} }\n\
-             trait Qux { fn d(&self) { self.n(); } fn sig(&self); }\n",
+             trait Qux: a::Send + Sync { fn d(&self) { self.n(); } fn sig(&self); }\n",
         );
         let names: Vec<String> = p.fns.iter().map(|f| f.qualified()).collect();
         assert_eq!(names, ["free", "Foo::m", "Baz::n", "Qux::d", "Qux::sig"]);

@@ -83,7 +83,8 @@ pub fn run() -> (Vec<JsonRecord>, f64) {
     let mut cold_secs = f64::INFINITY;
     let mut deployed = None;
     for _ in 0..REPS {
-        let (built, secs) = timed(|| ShardedIndex::zm(pts.clone(), &cfg, &ctx.elsi));
+        let router = GridRouter::new(rows, cols);
+        let (built, secs) = timed(|| ShardedIndex::zm(pts.clone(), router, &cfg, &ctx.elsi));
         cold_secs = cold_secs.min(secs);
         deployed = Some(built);
     }

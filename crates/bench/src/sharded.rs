@@ -24,7 +24,10 @@ use crate::harness::*;
 use crate::json::{usize_array, JsonRecord};
 use elsi_data::{gen, Dataset};
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
-use elsi_serve::{canonical_point_key, shard_occupancy, Router, ShardedConfig, ShardedIndex};
+use elsi_serve::{
+    canonical_point_key, shard_occupancy, GridRouter, LearnedRouter, Router, ShardedConfig,
+    ShardedIndex,
+};
 use elsi_spatial::{Point, Rect};
 
 /// kNN k of the batched workload (paper's kNN experiments use 25).
@@ -47,7 +50,7 @@ struct Measured {
 fn drive(
     label: String,
     build_secs: f64,
-    idx: &(impl SpatialIndex + Sync),
+    idx: &impl SpatialIndex,
     wl: &Workload,
     point_batch: &[Point],
 ) -> Measured {
@@ -93,7 +96,9 @@ pub fn run(grids: &[(usize, usize)]) -> Vec<JsonRecord> {
 
     for &(rows, cols) in grids {
         let cfg = ShardedConfig::grid(rows, cols);
-        let (sharded, build_secs) = timed(|| ShardedIndex::zm(wl.pts.clone(), &cfg, &ctx.elsi));
+        let router = GridRouter::new(rows, cols);
+        let (sharded, build_secs) =
+            timed(|| ShardedIndex::zm(wl.pts.clone(), router, &cfg, &ctx.elsi));
         measured.push(drive(
             format!("sharded-{rows}x{cols}/ZM"),
             build_secs,
@@ -237,7 +242,8 @@ pub fn run_routing() -> Vec<JsonRecord> {
         let knn = gen::knn_queries(&pts, 64, 8);
         let mono = ZmIndex::build(pts.clone(), &zm_cfg, &ctx.elsi.builder());
 
-        let (grid, build_secs) = timed(|| ShardedIndex::zm(pts.clone(), &cfg, &ctx.elsi));
+        let router = GridRouter::new(rows, cols);
+        let (grid, build_secs) = timed(|| ShardedIndex::zm(pts.clone(), router, &cfg, &ctx.elsi));
         measured.push(drive_routing(
             format!("{}/grid-{rows}x{cols}/ZM", ds.name()),
             build_secs,
@@ -249,8 +255,10 @@ pub fn run_routing() -> Vec<JsonRecord> {
             &knn,
         ));
 
-        let (learned, build_secs) =
-            timed(|| ShardedIndex::zm_learned(pts.clone(), &cfg, &ctx.elsi));
+        let (learned, build_secs) = timed(|| {
+            let router = LearnedRouter::fit_sampled(&pts, rows, cols);
+            ShardedIndex::zm(pts.clone(), router, &cfg, &ctx.elsi)
+        });
         measured.push(drive_routing(
             format!("{}/learned-{rows}x{cols}/ZM", ds.name()),
             build_secs,

@@ -37,7 +37,7 @@ use elsi_indices::{
     RsmiConfig, RsmiIndex, SpatialIndex, ZmConfig, ZmIndex,
 };
 use elsi_serve::{
-    read_manifest, zm_codec, GridRouter, LearnedRouter, Router, ShardedConfig, ShardedIndex,
+    read_manifest, zm_codec, GridRouter, LearnedRouter, PersistRouter, ShardedConfig, ShardedIndex,
     MANIFEST_NAME,
 };
 use elsi_spatial::{KeyMapper, MappedData, MortonMapper, Point, Rect};
@@ -528,9 +528,9 @@ fn load_points(path: &str) -> Result<Vec<Point>, String> {
     }
 }
 
-/// All workspace indices are `Send + Sync` (PR 1), so the CLI's boxes are
-/// too — which lets the same `build_kind` serve as a shard builder.
-type BoxedIndex = Box<dyn SpatialIndex + Send + Sync>;
+/// `SpatialIndex: Send + Sync`, so the same `build_kind` serves as a shard
+/// builder.
+type BoxedIndex = Box<dyn SpatialIndex>;
 
 fn build_index(
     pts: Vec<Point>,
@@ -595,21 +595,31 @@ fn build_kind(pts: Vec<Point>, index: IndexChoice, b: &dyn ModelBuilder) -> Boxe
     }
 }
 
+/// The routing policy is boxed so grid and learned deployments share one
+/// type — and a serving directory reopens as whichever kind it persisted.
+fn boxed_router(
+    router: RouterChoice,
+    pts: &[Point],
+    rows: usize,
+    cols: usize,
+) -> Box<dyn PersistRouter> {
+    match router {
+        RouterChoice::Grid => Box::new(GridRouter::new(rows, cols)),
+        RouterChoice::Learned => Box::new(LearnedRouter::fit_sampled(pts, rows, cols)),
+    }
+}
+
 /// An R×C sharded deployment over the CLI's boxed indices: every shard is
 /// a full ELSI update lifecycle around one `build_kind` index (queries in
-/// the CLI are one-shot, so the rebuild policy is `Never`). The routing
-/// policy is boxed so grid and learned deployments share one type.
+/// the CLI are one-shot, so the rebuild policy is `Never`).
 fn build_sharded(
     pts: Vec<Point>,
     index: IndexChoice,
     rows: usize,
     cols: usize,
     router: RouterChoice,
-) -> ShardedIndex<BoxedIndex, Box<dyn Router>> {
-    let routing: Box<dyn Router> = match router {
-        RouterChoice::Grid => Box::new(GridRouter::new(rows, cols)),
-        RouterChoice::Learned => Box::new(LearnedRouter::fit_sampled(&pts, rows, cols)),
-    };
+) -> ShardedIndex<BoxedIndex, Box<dyn PersistRouter>> {
+    let routing = boxed_router(router, &pts, rows, cols);
     let elsi = Elsi::new(ElsiConfig::scaled_for(pts.len()));
     let builder = elsi.fixed_builder(Method::Rs);
     let builder = Arc::new(if index == IndexChoice::Lisa {
@@ -627,69 +637,21 @@ fn build_sharded(
 }
 
 /// The durable serving deployment behind `save`/`load`/`--persist`: ZM
-/// shards (the index kind with an exact state codec, so recovery decodes
-/// rather than retrains) under either persistable router, behind one enum
-/// so the commands share code (`elsi-serve`'s persistence is generic over
-/// the concrete router type).
-enum ZmDeployment {
-    /// Uniform grid routing.
-    Grid(ShardedIndex<ZmIndex, GridRouter>),
-    /// Learned equi-mass routing.
-    Learned(ShardedIndex<ZmIndex, LearnedRouter>),
+/// shards, the index kind with an exact state codec, so recovery decodes
+/// rather than retrains.
+fn build_zm(
+    pts: Vec<Point>,
+    cfg: &ShardedConfig,
+    router: RouterChoice,
+    elsi: &Elsi,
+) -> ShardedIndex<ZmIndex, Box<dyn PersistRouter>> {
+    let routing = boxed_router(router, &pts, cfg.rows, cfg.cols);
+    ShardedIndex::zm(pts, routing, cfg, elsi)
 }
 
-impl ZmDeployment {
-    fn build(pts: Vec<Point>, cfg: &ShardedConfig, router: RouterChoice, elsi: &Elsi) -> Self {
-        match router {
-            RouterChoice::Grid => Self::Grid(ShardedIndex::zm(pts, cfg, elsi)),
-            RouterChoice::Learned => Self::Learned(ShardedIndex::zm_learned(pts, cfg, elsi)),
-        }
-    }
-
-    /// Recovers from a serving directory, dispatching on the manifest's
-    /// router kind.
-    fn open(dir: &Path, elsi: &Elsi) -> Result<Self, String> {
-        let manifest = read_manifest(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        match manifest.router_kind.as_str() {
-            "grid" => Ok(Self::Grid(
-                ShardedIndex::open_zm(dir, elsi).map_err(|e| e.to_string())?,
-            )),
-            "learned" => Ok(Self::Learned(
-                ShardedIndex::open_zm_learned(dir, elsi).map_err(|e| e.to_string())?,
-            )),
-            other => Err(format!("{}: unknown router kind {other:?}", dir.display())),
-        }
-    }
-
-    /// Persists the next generation and rotates the shard journals.
-    fn save(&mut self, dir: &Path) -> Result<u64, String> {
-        match self {
-            Self::Grid(s) => s.save(dir, &zm_codec()),
-            Self::Learned(s) => s.save(dir, &zm_codec()),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn as_index(&self) -> &dyn SpatialIndex {
-        match self {
-            Self::Grid(s) => s,
-            Self::Learned(s) => s,
-        }
-    }
-
-    fn par_apply_updates(&mut self, updates: &[stream::Update]) -> usize {
-        match self {
-            Self::Grid(s) => s.par_apply_updates(updates),
-            Self::Learned(s) => s.par_apply_updates(updates),
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            Self::Grid(s) => s.num_shards(),
-            Self::Learned(s) => s.num_shards(),
-        }
-    }
+/// Recovers a [`build_zm`] deployment from its serving directory.
+fn open_zm(dir: &Path) -> Result<ShardedIndex<ZmIndex, Box<dyn PersistRouter>>, String> {
+    ShardedIndex::open_zm(dir, &Elsi::new(ElsiConfig::default())).map_err(|e| e.to_string())
 }
 
 /// Renders one query answer (shared by the monolith and sharded paths).
@@ -826,7 +788,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 let mut dep = if dir.join(MANIFEST_NAME).exists() {
                     let manifest = read_manifest(dir).map_err(|e| format!("{dir_str}: {e}"))?;
                     let t0 = Instant::now();
-                    let dep = ZmDeployment::open(dir, &Elsi::new(ElsiConfig::default()))?;
+                    let dep = open_zm(dir)?;
                     let _ = writeln!(
                         out,
                         "recovered generation {} from {dir_str} in {:?}",
@@ -839,8 +801,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     let mut cfg = ShardedConfig::grid(rows, cols);
                     cfg.seed = seed;
                     let elsi = Elsi::new(ElsiConfig::scaled_for(base_len));
-                    let mut dep = ZmDeployment::build(pts, &cfg, router, &elsi);
-                    let g = dep.save(dir)?;
+                    let mut dep = build_zm(pts, &cfg, router, &elsi);
+                    let g = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
                     let _ = writeln!(
                         out,
                         "persisted generation {g} to {dir_str} ({rows}x{cols} ZM shards, {} router)",
@@ -856,7 +818,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 let secs = t0.elapsed().as_secs_f64();
                 // Checkpoint: the new generation's snapshots absorb the
                 // tail just journaled into the per-shard WALs.
-                let generation = dep.save(dir)?;
+                let generation = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
                 let _ = writeln!(
                     out,
                     "ingested {} updates (journaled per shard, checkpointed as generation {generation})",
@@ -869,11 +831,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     stream.len() as f64 / secs.max(1e-12)
                 );
                 let _ = writeln!(out, "shard rebuilds:      {rebuilds}");
-                let _ = writeln!(
-                    out,
-                    "live points:         {} (from {base_len})",
-                    dep.as_index().len()
-                );
+                let _ = writeln!(out, "live points:         {} (from {base_len})", dep.len());
                 return Ok(out);
             }
             match shards {
@@ -962,7 +920,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 let dep = if dir.join(MANIFEST_NAME).exists() {
                     let manifest = read_manifest(dir).map_err(|e| format!("{dir_str}: {e}"))?;
                     let t0 = Instant::now();
-                    let dep = ZmDeployment::open(dir, &Elsi::new(ElsiConfig::default()))?;
+                    let dep = open_zm(dir)?;
                     let _ = writeln!(
                         out,
                         "recovered generation {} from {dir_str} ({} shards, {} router) in {:?}",
@@ -976,9 +934,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     let pts = load_points(&input)?;
                     let (rows, cols) = shards.unwrap_or((2, 2));
                     let elsi = Elsi::new(ElsiConfig::scaled_for(pts.len()));
-                    let mut dep =
-                        ZmDeployment::build(pts, &ShardedConfig::grid(rows, cols), router, &elsi);
-                    let generation = dep.save(dir)?;
+                    let mut dep = build_zm(pts, &ShardedConfig::grid(rows, cols), router, &elsi);
+                    let generation = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
                     let _ = writeln!(
                         out,
                         "persisted generation {generation} to {dir_str} ({rows}x{cols} ZM shards, {} router)",
@@ -986,7 +943,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     );
                     dep
                 };
-                render_query(dep.as_index(), query, &mut out);
+                render_query(&dep, query, &mut out);
                 return Ok(out);
             }
             let pts = load_points(&input)?;
@@ -1020,10 +977,12 @@ pub fn run(cmd: Command) -> Result<String, String> {
             cfg.seed = seed;
             let elsi = Elsi::new(ElsiConfig::scaled_for(n));
             let t0 = Instant::now();
-            let mut dep = ZmDeployment::build(pts, &cfg, router, &elsi);
+            let mut dep = build_zm(pts, &cfg, router, &elsi);
             let build = t0.elapsed();
             let t1 = Instant::now();
-            let generation = dep.save(Path::new(&dir))?;
+            let generation = dep
+                .save(Path::new(&dir), &zm_codec())
+                .map_err(|e| e.to_string())?;
             let save_time = t1.elapsed();
             let _ = writeln!(
                 out,
@@ -1039,7 +998,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             let path = Path::new(&dir);
             let manifest = read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
             let t0 = Instant::now();
-            let dep = ZmDeployment::open(path, &Elsi::new(ElsiConfig::default()))?;
+            let dep = open_zm(path)?;
             let took = t0.elapsed();
             let _ = writeln!(
                 out,
@@ -1048,7 +1007,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             );
             let _ = writeln!(out, "router:              {}", manifest.router_kind);
             let _ = writeln!(out, "shards:              {}", dep.num_shards());
-            let _ = writeln!(out, "live points:         {}", dep.as_index().len());
+            let _ = writeln!(out, "live points:         {}", dep.len());
             let _ = writeln!(out, "recovery time:       {took:?}");
         }
     }

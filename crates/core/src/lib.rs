@@ -71,8 +71,7 @@ pub use rebuild::{RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSampl
 pub use scorer::{AltSelector, MethodCosts, MethodScorer, RandomSelector, ScorerSample};
 pub use sync::lock_unpoisoned;
 pub use update::{
-    ingest_batch_sequential, BatchIngest, BatchOutcome, DeltaOverlay, DriftTracker, RebuildFn,
-    Update, UpdateOutcome, UpdateProcessor,
+    BatchOutcome, DeltaOverlay, DriftTracker, RebuildFn, Update, UpdateOutcome, UpdateProcessor,
 };
 
 use std::sync::Arc;

@@ -25,7 +25,7 @@
 
 use crate::rebuild::RebuildPolicy;
 use crate::update::{
-    BatchIngest, DeltaOverlay, DriftTracker, LifecycleCounters, RebuildFn, Update, UpdateProcessor,
+    DeltaOverlay, DriftTracker, LifecycleCounters, RebuildFn, Update, UpdateProcessor,
 };
 use elsi_indices::persist::{decode_points, encode_points};
 use elsi_indices::SpatialIndex;
@@ -300,10 +300,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     ///
     /// Must run *before* a WAL is attached: replaying into a journaling
     /// processor would re-append every record it reads.
-    pub fn replay_wal(&mut self, replay: &WalReplay) -> Result<usize, StoreError>
-    where
-        I: BatchIngest,
-    {
+    pub fn replay_wal(&mut self, replay: &WalReplay) -> Result<usize, StoreError> {
         if self.wal_attached() {
             return Err(StoreError::Unsupported {
                 what: "replaying a WAL into a processor that is already journaling".to_string(),
@@ -333,7 +330,7 @@ pub fn recover<I, C>(
     codec: &C,
 ) -> Result<UpdateProcessor<I>, StoreError>
 where
-    I: SpatialIndex + BatchIngest,
+    I: SpatialIndex,
     C: IndexCodec<I>,
 {
     let mut proc = UpdateProcessor::open_snapshot(snapshot_path, rebuild_fn, policy, codec)?;
@@ -366,7 +363,7 @@ mod tests {
         Box::new(|pts| GridIndex::build(pts, &GridConfig { block_size: 20 }))
     }
 
-    /// Batch-capable processor target: grid behind a delta overlay.
+    /// Bulk-merging processor target: grid behind a delta overlay.
     fn overlay_grid_rebuild() -> RebuildFn<DeltaOverlay<GridIndex>> {
         Box::new(|pts| DeltaOverlay::new(GridIndex::build(pts, &GridConfig { block_size: 20 })))
     }

@@ -328,12 +328,6 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
             .filter(|p| !self.deleted.contains(&p.id))
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         // Base hits land through the base's own scan kernels; tombstone
         // filtering preserves their order, so the merged result matches
@@ -353,12 +347,6 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
                 .filter(|p| w.contains(p))
                 .copied(),
         );
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -430,53 +418,9 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
     fn depth(&self) -> usize {
         self.base.depth() + 1
     }
-}
 
-/// Bulk update ingestion: applying a whole `&[Update]` batch at once,
-/// bit-identically to folding the updates one at a time.
-///
-/// [`UpdateProcessor::apply_batch`] requires its wrapped index to implement
-/// this so it can learn which operations took effect without routing them
-/// individually. [`DeltaOverlay`] implements it with the sorted bulk merge
-/// of [`DeltaOverlay::apply_batch`]; [`ingest_batch_sequential`] is the
-/// fallback for indices with built-in (per-op) update procedures.
-pub trait BatchIngest: SpatialIndex {
-    /// Applies `updates` in arrival order. Returns one "took effect" flag
-    /// per operation, exactly matching what sequential
-    /// [`SpatialIndex::insert`] / [`SpatialIndex::delete`] calls would have
-    /// reported: `true` for every insert, `true` for a delete that dropped
-    /// a live copy.
-    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool>;
-}
-
-impl<I: SpatialIndex> BatchIngest for DeltaOverlay<I> {
     fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
         self.apply_batch(updates)
-    }
-}
-
-/// The per-op reference path [`BatchIngest`] implementations must match:
-/// routes every update through the index's own insert/delete procedures.
-/// Usable as the `ingest_batch` body for any index without a bulk merge.
-pub fn ingest_batch_sequential<I: SpatialIndex + ?Sized>(
-    index: &mut I,
-    updates: &[Update],
-) -> Vec<bool> {
-    updates
-        .iter()
-        .map(|u| match *u {
-            Update::Insert(p) => {
-                index.insert(p);
-                true
-            }
-            Update::Delete(p) => index.delete(p),
-        })
-        .collect()
-}
-
-impl<T: BatchIngest + ?Sized> BatchIngest for Box<T> {
-    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
-        (**self).ingest_batch(updates)
     }
 }
 
@@ -914,7 +858,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     }
 
     /// Applies a whole update batch: one bulk merge into the index
-    /// ([`BatchIngest::ingest_batch`]), one pass over the batch to update
+    /// ([`SpatialIndex::ingest_batch`]), one pass over the batch to update
     /// the live set and the drift sketch, and **one** rebuild-policy
     /// consultation at the end of the batch (when the effective-update
     /// counter has crossed `f_u`) instead of one every `f_u` single
@@ -929,10 +873,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// deferred to the batch end, so rebuild decisions see the whole
     /// batch's drift at once (`DESIGN.md` §10 states the exact equivalence
     /// claim; `tests/properties.rs` pins it).
-    pub fn apply_batch(&mut self, updates: &[Update]) -> BatchOutcome
-    where
-        I: BatchIngest,
-    {
+    pub fn apply_batch(&mut self, updates: &[Update]) -> BatchOutcome {
         self.log_updates(updates);
         let flags = self.index.ingest_batch(updates);
         let mut applied = 0usize;
@@ -1047,16 +988,8 @@ impl<I: SpatialIndex> SpatialIndex for UpdateProcessor<I> {
         self.index.point_query(q)
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        self.index.window_query(w)
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         self.index.window_query_into(w, scratch, out);
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        self.index.knn_query(q, k)
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {

@@ -230,12 +230,6 @@ impl SpatialIndex for FloodIndex {
             .copied()
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if self.columns.is_empty() {
@@ -268,12 +262,6 @@ impl SpatialIndex for FloodIndex {
                     .copied(),
             );
         }
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {

@@ -251,21 +251,9 @@ impl SpatialIndex for KdbIndex {
         self.root.find(q)
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.root.window_into(w, &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, _scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         self.root.window_into(w, out);
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::with_capacity(k);
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     /// Best-first search over node MINDISTs; leaf pages stream through the

@@ -44,8 +44,5 @@ pub use model::{
 pub use rsmi::{RsmiConfig, RsmiIndex};
 pub use rstar::{RStarConfig, RStarIndex};
 pub use timing::{timed, timed_secs};
-pub use traits::{
-    knn_by_expanding_window, par_knn_queries_of, par_point_queries_of, par_window_queries_of,
-    SpatialIndex,
-};
+pub use traits::SpatialIndex;
 pub use zm::{ZmConfig, ZmIndex, ZmStateCodec};

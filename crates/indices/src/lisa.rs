@@ -18,10 +18,7 @@
 //! the `elsi` crate masks them out for LISA.
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{
-    knn_by_expanding_window_into, par_knn_queries_of, par_point_queries_of, par_window_queries_of,
-    SpatialIndex,
-};
+use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
 use elsi_spatial::{scan, BlockStore, KeyMapper, LisaMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashSet};
@@ -228,12 +225,6 @@ impl SpatialIndex for LisaIndex {
         None
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if self.n_live == 0 {
@@ -292,12 +283,6 @@ impl SpatialIndex for LisaIndex {
         }
     }
 
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
             self.window_query_into(w, s, buf)
@@ -351,18 +336,6 @@ impl SpatialIndex for LisaIndex {
 
     fn depth(&self) -> usize {
         2
-    }
-
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        par_point_queries_of(self, queries)
-    }
-
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        par_window_queries_of(self, windows)
-    }
-
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        par_knn_queries_of(self, queries, k)
     }
 }
 

@@ -16,10 +16,7 @@
 //! data pages to store points inserted into each index model").
 
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{
-    knn_by_expanding_window_into, par_knn_queries_of, par_point_queries_of, par_window_queries_of,
-    SpatialIndex,
-};
+use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
 use elsi_ml::kmeans;
 use elsi_spatial::{scan, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
@@ -221,12 +218,6 @@ impl SpatialIndex for MlIndex {
             .copied()
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         let corners = [
@@ -249,12 +240,6 @@ impl SpatialIndex for MlIndex {
                 );
             }
         }
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -296,18 +281,6 @@ impl SpatialIndex for MlIndex {
 
     fn depth(&self) -> usize {
         2
-    }
-
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        par_point_queries_of(self, queries)
-    }
-
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        par_window_queries_of(self, windows)
-    }
-
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        par_knn_queries_of(self, queries, k)
     }
 }
 

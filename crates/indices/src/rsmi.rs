@@ -19,10 +19,7 @@
 //! capacity, which is exactly the unbalanced deepening of Figure 1.
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{
-    knn_by_expanding_window_into, par_knn_queries_of, par_point_queries_of, par_window_queries_of,
-    SpatialIndex,
-};
+use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
 use elsi_spatial::{scan, Block, HilbertMapper, KeyMapper, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -496,21 +493,9 @@ impl SpatialIndex for RsmiIndex {
         self.point_query_node(&self.root, q)
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         self.window_query_node(&self.root, w, scratch, out);
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -543,18 +528,6 @@ impl SpatialIndex for RsmiIndex {
 
     fn depth(&self) -> usize {
         self.root.depth()
-    }
-
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        par_point_queries_of(self, queries)
-    }
-
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        par_window_queries_of(self, windows)
-    }
-
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        par_knn_queries_of(self, queries, k)
     }
 }
 

@@ -8,7 +8,7 @@
 //! reinsertion is omitted (RR* replaces it with better split/choose
 //! heuristics). Queries reuse the exact shared R-tree algorithms.
 
-use crate::rtree::{knn_best_first, knn_best_first_into, RNode};
+use crate::rtree::{knn_best_first_into, RNode};
 use crate::traits::SpatialIndex;
 use elsi_spatial::{Point, Rect, ScanScratch};
 
@@ -221,19 +221,9 @@ impl SpatialIndex for RStarIndex {
         self.root.find(q)
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.root.window_into(w, &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, _scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         self.root.window_into(w, out);
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        knn_best_first(&self.root, q, k)
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {

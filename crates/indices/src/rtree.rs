@@ -154,18 +154,9 @@ impl Ord for HeapEntry<'_> {
     }
 }
 
-/// Exact best-first kNN search (Hjaltason & Samet) over node MINDISTs.
-///
-/// Convenience wrapper that allocates fresh scratch; hot paths should call
-/// [`knn_best_first_into`] with a reused [`ScanScratch`].
-pub(crate) fn knn_best_first(root: &RNode, q: Point, k: usize) -> Vec<Point> {
-    let mut out = Vec::with_capacity(k);
-    knn_best_first_into(root, q, k, &mut ScanScratch::new(), &mut out);
-    out
-}
-
-/// Exact best-first kNN over node MINDISTs, streaming leaf pages through the
-/// branchless [`elsi_spatial::scan::knn_scan`] kernel into the scratch heap.
+/// Exact best-first kNN search (Hjaltason & Samet) over node MINDISTs,
+/// streaming leaf pages through the branchless
+/// [`elsi_spatial::scan::knn_scan`] kernel into the scratch heap.
 ///
 /// Results land in `out` (cleared first) in the canonical `(dist², id)`
 /// order. Pruning compares MINDIST against the heap's current k-th best
@@ -212,6 +203,12 @@ pub(crate) fn knn_best_first_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn knn_best_first(root: &RNode, q: Point, k: usize) -> Vec<Point> {
+        let mut out = Vec::new();
+        knn_best_first_into(root, q, k, &mut ScanScratch::new(), &mut out);
+        out
+    }
 
     fn grid_tree(side: usize, leaf: usize) -> (Vec<Point>, RNode) {
         let pts: Vec<Point> = (0..side * side)

@@ -1,11 +1,30 @@
-//! The common query interface of all eight spatial indices.
+//! The common query interface of all spatial indices.
 
+use elsi_data::stream::Update;
 use elsi_spatial::{canonical_knn_cmp, Point, Rect, ScanScratch};
+use rayon::prelude::*;
 
 /// Point, window and kNN queries plus updates: the operations the paper
 /// evaluates (§VII-G, §VII-H). All indices — learned and traditional —
 /// implement this trait so the harness can sweep them uniformly.
-pub trait SpatialIndex {
+///
+/// An index **implements** three query methods —
+/// [`point_query`](SpatialIndex::point_query),
+/// [`window_query_into`](SpatialIndex::window_query_into) and
+/// [`knn_query_into`](SpatialIndex::knn_query_into) — plus `len`,
+/// `insert`, `delete` and `name`. The other five query methods are
+/// **provided** here, once, on top of those three and must not be
+/// overridden: the allocating [`window_query`](SpatialIndex::window_query)
+/// / [`knn_query`](SpatialIndex::knn_query) and the thread-parallel
+/// [`par_point_queries`](SpatialIndex::par_point_queries) /
+/// [`par_window_queries`](SpatialIndex::par_window_queries) /
+/// [`par_knn_queries`](SpatialIndex::par_knn_queries). Every index
+/// therefore batches, chunks and allocates identically, so comparisons
+/// between indices are like for like.
+///
+/// `Send + Sync` is a supertrait contract (as on `ModelBuilder`): the
+/// batch methods share `&self` across rayon workers.
+pub trait SpatialIndex: Send + Sync {
     /// Number of indexed points (including buffered inserts, excluding
     /// deleted points).
     fn len(&self) -> usize;
@@ -19,37 +38,20 @@ pub trait SpatialIndex {
     /// it. Paper point queries look up indexed points by location.
     fn point_query(&self, q: Point) -> Option<Point>;
 
-    /// All stored points inside `w`. Learned indices may return approximate
-    /// results (RSMI by design, LISA under FFN shard prediction); the
-    /// traditional indices and ML-Index are exact.
-    fn window_query(&self, w: &Rect) -> Vec<Point>;
+    /// All stored points inside `w`, written into a caller-provided buffer
+    /// and reusing `scratch` across calls: `out` is cleared and refilled,
+    /// and steady-state queries perform no allocations once both buffers
+    /// have grown to their high-water marks. Learned indices may return
+    /// approximate results (RSMI by design, LISA under FFN shard
+    /// prediction); the traditional indices and ML-Index are exact.
+    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>);
 
-    /// The `k` nearest stored points to `q`, sorted by distance. May be
-    /// approximate for the indices whose window queries are approximate.
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point>;
-
-    /// [`SpatialIndex::window_query`] into a caller-provided buffer,
-    /// reusing `scratch` across calls: `out` is cleared and refilled, and
-    /// steady-state queries perform no allocations once both buffers have
-    /// grown to their high-water marks.
-    ///
-    /// The default wraps `window_query` (for implementors outside the SoA
-    /// substrate); the eight paper indices override it with the branchless
-    /// kernel path and implement `window_query` on top.
-    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.window_query(w));
-    }
-
-    /// [`SpatialIndex::knn_query`] into a caller-provided buffer, reusing
-    /// `scratch` (hit buffer + bounded best-k heap) across calls; `out` is
-    /// cleared and refilled in canonical `(dist², id)` order.
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.knn_query(q, k));
-    }
+    /// The `k` nearest stored points to `q`, written into a caller-provided
+    /// buffer and reusing `scratch` (hit buffer + bounded best-k heap)
+    /// across calls; `out` is cleared and refilled in canonical
+    /// `(dist², id)` order. May be approximate for the indices whose window
+    /// queries are approximate.
+    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>);
 
     /// Inserts a point.
     ///
@@ -72,49 +74,95 @@ pub trait SpatialIndex {
         1
     }
 
-    /// The concrete index behind the trait object, for consumers that
-    /// need a type-specific capability (the persistence layer downcasts
-    /// `Box<dyn SpatialIndex>` to attach an index-state codec). Defaults
-    /// to `None`; indices with such capabilities override it with
-    /// `Some(self)`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
-    /// Answers a batch of point queries, one result per query, in query
-    /// order.
+    /// Applies `updates` in arrival order. Returns one "took effect" flag
+    /// per operation: `true` for every insert, `true` for a delete that
+    /// dropped a live copy.
     ///
-    /// The default runs sequentially so every implementor (including
-    /// non-`Sync` wrappers) gets the API; `Sync` indices override it with
-    /// [`par_point_queries_of`] to fan the batch out across threads.
+    /// The default folds the batch through [`SpatialIndex::insert`] /
+    /// [`SpatialIndex::delete`]; an index with a bulk merge may override
+    /// it, and must then report exactly the flags (and reach exactly the
+    /// state) this fold would.
+    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
+        updates
+            .iter()
+            .map(|u| match *u {
+                Update::Insert(p) => {
+                    self.insert(p);
+                    true
+                }
+                Update::Delete(p) => self.delete(p),
+            })
+            .collect()
+    }
+
+    /// Provided: [`SpatialIndex::window_query_into`] with fresh buffers.
+    // lint:serving_root
+    fn window_query(&self, w: &Rect) -> Vec<Point> {
+        let mut out = Vec::new();
+        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
+        out
+    }
+
+    /// Provided: [`SpatialIndex::knn_query_into`] with fresh buffers.
+    // lint:serving_root
+    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
+        let mut out = Vec::new();
+        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
+        out
+    }
+
+    /// Provided: a batch of point queries fanned out across the rayon
+    /// pool, one result per query, in query order regardless of the
+    /// thread count.
+    // lint:serving_root
     fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        queries.iter().map(|&q| self.point_query(q)).collect()
+        queries.par_iter().map(|&q| self.point_query(q)).collect()
     }
 
-    /// Answers a batch of window queries, one result vector per window, in
-    /// query order. Default sequential; `Sync` indices override it with
-    /// [`par_window_queries_of`].
+    /// Provided: a batch of window queries fanned out across the rayon
+    /// pool, one result vector per window, in query order. Each worker
+    /// range reuses one [`ScanScratch`], so per-query allocations are
+    /// limited to the result vectors themselves.
+    // lint:serving_root
     fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        windows.iter().map(|w| self.window_query(w)).collect()
+        let per_range: Vec<Vec<Vec<Point>>> = scratch_chunks(windows.len())
+            .par_iter()
+            .map(|&(lo, hi)| {
+                let mut scratch = ScanScratch::new();
+                windows[lo..hi]
+                    .iter()
+                    .map(|w| {
+                        let mut out = Vec::new();
+                        self.window_query_into(w, &mut scratch, &mut out);
+                        out
+                    })
+                    .collect()
+            })
+            .collect();
+        per_range.into_iter().flatten().collect()
     }
 
-    /// Answers a batch of kNN queries (all with the same `k`), one result
-    /// vector per query point, in query order. Default sequential; `Sync`
-    /// indices override it with [`par_knn_queries_of`].
+    /// Provided: a batch of kNN queries (all with the same `k`) fanned out
+    /// like [`SpatialIndex::par_window_queries`], one result vector per
+    /// query point, in query order.
+    // lint:serving_root
     fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        queries.iter().map(|&q| self.knn_query(q, k)).collect()
+        let per_range: Vec<Vec<Vec<Point>>> = scratch_chunks(queries.len())
+            .par_iter()
+            .map(|&(lo, hi)| {
+                let mut scratch = ScanScratch::new();
+                queries[lo..hi]
+                    .iter()
+                    .map(|&q| {
+                        let mut out = Vec::new();
+                        self.knn_query_into(q, k, &mut scratch, &mut out);
+                        out
+                    })
+                    .collect()
+            })
+            .collect();
+        per_range.into_iter().flatten().collect()
     }
-}
-
-/// Thread-parallel batch point queries over any `Sync` index: the shared
-/// implementation behind the per-index `par_point_queries` overrides.
-/// Results come back in query order regardless of the thread count.
-pub fn par_point_queries_of<I: SpatialIndex + Sync + ?Sized>(
-    index: &I,
-    queries: &[Point],
-) -> Vec<Option<Point>> {
-    use rayon::prelude::*;
-    queries.par_iter().map(|&q| index.point_query(q)).collect()
 }
 
 /// Contiguous query ranges for scratch-sharing workers: a few chunks per
@@ -127,60 +175,6 @@ fn scratch_chunks(n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Thread-parallel batch window queries over any `Sync` index (see
-/// [`par_point_queries_of`]). Each worker range reuses one
-/// [`ScanScratch`], so per-query allocations are limited to the result
-/// vectors themselves.
-pub fn par_window_queries_of<I: SpatialIndex + Sync + ?Sized>(
-    index: &I,
-    windows: &[Rect],
-) -> Vec<Vec<Point>> {
-    use rayon::prelude::*;
-    let ranges = scratch_chunks(windows.len());
-    let per_range: Vec<Vec<Vec<Point>>> = ranges
-        .par_iter()
-        .map(|&(lo, hi)| {
-            let mut scratch = ScanScratch::new();
-            windows[lo..hi]
-                .iter()
-                .map(|w| {
-                    let mut out = Vec::new();
-                    index.window_query_into(w, &mut scratch, &mut out);
-                    out
-                })
-                .collect()
-        })
-        .collect();
-    per_range.into_iter().flatten().collect()
-}
-
-/// Thread-parallel batch kNN queries over any `Sync` index (see
-/// [`par_point_queries_of`]). Results come back in query order regardless
-/// of the thread count; each worker range reuses one [`ScanScratch`].
-pub fn par_knn_queries_of<I: SpatialIndex + Sync + ?Sized>(
-    index: &I,
-    queries: &[Point],
-    k: usize,
-) -> Vec<Vec<Point>> {
-    use rayon::prelude::*;
-    let ranges = scratch_chunks(queries.len());
-    let per_range: Vec<Vec<Vec<Point>>> = ranges
-        .par_iter()
-        .map(|&(lo, hi)| {
-            let mut scratch = ScanScratch::new();
-            queries[lo..hi]
-                .iter()
-                .map(|&q| {
-                    let mut out = Vec::new();
-                    index.knn_query_into(q, k, &mut scratch, &mut out);
-                    out
-                })
-                .collect()
-        })
-        .collect();
-    per_range.into_iter().flatten().collect()
-}
-
 impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn len(&self) -> usize {
         (**self).len()
@@ -188,11 +182,11 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn point_query(&self, q: Point) -> Option<Point> {
         (**self).point_query(q)
     }
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        (**self).window_query(w)
+    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+        (**self).window_query_into(w, scratch, out)
     }
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        (**self).knn_query(q, k)
+    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+        (**self).knn_query_into(q, k, scratch, out)
     }
     fn insert(&mut self, p: Point) {
         (**self).insert(p)
@@ -206,23 +200,8 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn depth(&self) -> usize {
         (**self).depth()
     }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        (**self).as_any()
-    }
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        (**self).par_point_queries(queries)
-    }
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        (**self).par_window_queries(windows)
-    }
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        (**self).par_knn_queries(queries, k)
-    }
-    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        (**self).window_query_into(w, scratch, out)
-    }
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        (**self).knn_query_into(q, k, scratch, out)
+    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
+        (**self).ingest_batch(updates)
     }
 }
 
@@ -234,24 +213,10 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 /// point can be outside the window, so the result is exact *if* the window
 /// query is exact (and inherits its recall otherwise, matching the paper's
 /// observation that learned indices use window queries as the kNN basis).
-pub fn knn_by_expanding_window<F>(q: Point, k: usize, n: usize, mut window_fn: F) -> Vec<Point>
-where
-    F: FnMut(&Rect) -> Vec<Point>,
-{
-    let mut scratch = ScanScratch::new();
-    let mut out = Vec::new();
-    knn_by_expanding_window_into(q, k, n, &mut scratch, &mut out, |w, _, buf| {
-        buf.clear();
-        buf.extend(window_fn(w));
-    });
-    out
-}
-
-/// Allocation-amortised twin of [`knn_by_expanding_window`]: the window
-/// results accumulate in `out` (doubling the side until `k` results lie
-/// within the safe radius), which is then sorted canonically and truncated
-/// in place. `window_into` must *replace* the contents of its output
-/// buffer, matching the [`SpatialIndex::window_query_into`] contract.
+///
+/// The window results accumulate in `out`, which is then sorted canonically
+/// and truncated in place. `window_into` must *replace* the contents of its
+/// output buffer, matching the [`SpatialIndex::window_query_into`] contract.
 ///
 /// Results come back in canonical `(dist², id)` order, so every
 /// expanding-window kNN producer breaks distance ties identically.
@@ -304,6 +269,16 @@ mod tests {
         pts
     }
 
+    /// Expanding-window kNN over an exact linear-scan window query.
+    fn expanding_knn(data: &[Point], q: Point, k: usize, n: usize) -> Vec<Point> {
+        let mut out = Vec::new();
+        knn_by_expanding_window_into(q, k, n, &mut ScanScratch::new(), &mut out, |w, _, buf| {
+            buf.clear();
+            buf.extend(data.iter().filter(|p| w.contains(p)));
+        });
+        out
+    }
+
     #[test]
     fn expanding_window_matches_brute_force() {
         let data: Vec<Point> = (0..400)
@@ -316,13 +291,7 @@ mod tests {
             })
             .collect();
         let q = Point::at(0.52, 0.48);
-        let exact_window = |w: &Rect| {
-            data.iter()
-                .filter(|p| w.contains(p))
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        let got = knn_by_expanding_window(q, 10, data.len(), exact_window);
+        let got = expanding_knn(&data, q, 10, data.len());
         let want = brute_knn(&data, q, 10);
         assert_eq!(got.len(), 10);
         for (g, w) in got.iter().zip(&want) {
@@ -333,20 +302,13 @@ mod tests {
     #[test]
     fn knn_with_k_larger_than_n() {
         let data = [Point::new(0, 0.5, 0.5), Point::new(1, 0.6, 0.6)];
-        let exact_window = |w: &Rect| {
-            data.iter()
-                .filter(|p| w.contains(p))
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        let got = knn_by_expanding_window(Point::at(0.1, 0.1), 5, data.len(), exact_window);
+        let got = expanding_knn(&data, Point::at(0.1, 0.1), 5, data.len());
         assert_eq!(got.len(), 2);
     }
 
     #[test]
     fn knn_zero_k() {
-        let got = knn_by_expanding_window(Point::at(0.5, 0.5), 0, 100, |_| vec![]);
-        assert!(got.is_empty());
+        assert!(expanding_knn(&[], Point::at(0.5, 0.5), 0, 100).is_empty());
     }
 
     #[test]
@@ -355,13 +317,7 @@ mod tests {
             .map(|i| Point::new(i, (i % 10) as f64 / 10.0, (i / 10) as f64 / 10.0))
             .collect();
         let q = Point::at(0.0, 0.0);
-        let exact_window = |w: &Rect| {
-            data.iter()
-                .filter(|p| w.contains(p))
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        let got = knn_by_expanding_window(q, 3, data.len(), exact_window);
+        let got = expanding_knn(&data, q, 3, data.len());
         let want = brute_knn(&data, q, 3);
         assert_eq!(got.len(), 3);
         assert!((q.dist(&got[2]) - q.dist(&want[2])).abs() < 1e-12);

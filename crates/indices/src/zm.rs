@@ -14,10 +14,7 @@
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{decode_points, decode_rank_model, encode_points, encode_rank_model};
-use crate::traits::{
-    knn_by_expanding_window_into, par_knn_queries_of, par_point_queries_of, par_window_queries_of,
-    SpatialIndex,
-};
+use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
 use elsi_spatial::{scan, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, StoreError};
 use rayon::prelude::*;
@@ -357,12 +354,6 @@ impl SpatialIndex for ZmIndex {
             .copied()
     }
 
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if !self.data.is_empty() {
@@ -390,12 +381,6 @@ impl SpatialIndex for ZmIndex {
                 .filter(|p| w.contains(p) && self.live(p))
                 .copied(),
         );
-    }
-
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -432,22 +417,6 @@ impl SpatialIndex for ZmIndex {
 
     fn depth(&self) -> usize {
         2
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        par_point_queries_of(self, queries)
-    }
-
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        par_window_queries_of(self, windows)
-    }
-
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        par_knn_queries_of(self, queries, k)
     }
 }
 
@@ -680,11 +649,5 @@ mod tests {
         let bytes = IndexCodec::encode(&codec, &idx).expect("ZM always has a fast path");
         let back = IndexCodec::decode(&codec, &bytes).unwrap();
         assert_eq!(back.point_query(pts[3]), idx.point_query(pts[3]));
-        // The trait object is reachable back out through `as_any`.
-        let boxed: Box<dyn SpatialIndex + Send + Sync> = Box::new(idx);
-        assert!(boxed
-            .as_any()
-            .and_then(|a| a.downcast_ref::<ZmIndex>())
-            .is_some());
     }
 }

@@ -43,11 +43,12 @@
 //! ```no_run
 //! use elsi::{Elsi, ElsiConfig};
 //! use elsi_indices::SpatialIndex;
-//! use elsi_serve::{ShardedConfig, ShardedIndex};
+//! use elsi_serve::{GridRouter, ShardedConfig, ShardedIndex};
 //!
 //! let points = elsi_data::gen::osm1_like(100_000, 42);
 //! let elsi = Elsi::new(ElsiConfig::default());
-//! let sharded = ShardedIndex::zm(points, &ShardedConfig::grid(2, 2), &elsi);
+//! let sharded =
+//!     ShardedIndex::zm(points, GridRouter::new(2, 2), &ShardedConfig::default(), &elsi);
 //! let hits = sharded.knn_query(elsi_spatial::Point::at(0.5, 0.5), 10);
 //! assert_eq!(hits.len(), 10);
 //! ```

@@ -155,6 +155,22 @@ impl PersistRouter for LearnedRouter {
     }
 }
 
+/// A boxed router restores from *any* persisted state, dispatching on the
+/// closed [`RouterState`] enum — the type to open a serving directory with
+/// when the router kind is only known at runtime.
+impl PersistRouter for Box<dyn PersistRouter> {
+    fn state(&self) -> RouterState {
+        (**self).state()
+    }
+
+    fn from_state(state: &RouterState) -> Option<Self> {
+        Some(match state {
+            RouterState::Grid { .. } => Box::new(GridRouter::from_state(state)?),
+            RouterState::Learned { .. } => Box::new(LearnedRouter::from_state(state)?),
+        })
+    }
+}
+
 /// Encodes a router state for the `SEC_ROUTER` snapshot section.
 pub fn encode_router_state(state: &RouterState) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -375,7 +391,7 @@ fn prune_stale(dir: &Path, keep: u64) {
 
 impl<I, R> ShardedIndex<I, R>
 where
-    I: SpatialIndex + Send + Sync,
+    I: SpatialIndex,
     R: PersistRouter,
 {
     /// Persists the deployment into `dir` as the next generation and
@@ -556,21 +572,13 @@ pub fn zm_codec() -> OverlayCodec<ZmStateCodec> {
     OverlayCodec::new(ZmStateCodec)
 }
 
-impl ShardedIndex<ZmIndex, GridRouter> {
-    /// Reopens a [`ShardedIndex::zm`] deployment saved with [`zm_codec`].
-    /// `elsi` only builds on later policy-triggered rebuilds — recovery
-    /// itself decodes the persisted shard state.
+impl<R: PersistRouter> ShardedIndex<ZmIndex, R> {
+    /// Reopens a [`ShardedIndex::zm`] deployment saved with [`zm_codec`];
+    /// the router (learned cuts included) comes back exactly, with no
+    /// refit. `elsi` only builds on later policy-triggered rebuilds —
+    /// recovery itself decodes the persisted shard state.
     // lint:serving_root
     pub fn open_zm(dir: &Path, elsi: &Elsi) -> Result<Self, StoreError> {
-        Self::open(dir, zm_shard_builder(elsi), zm_policy, &zm_codec())
-    }
-}
-
-impl ShardedIndex<ZmIndex, LearnedRouter> {
-    /// Reopens a [`ShardedIndex::zm_learned`] deployment saved with
-    /// [`zm_codec`]; the learned cuts come back exactly, with no refit.
-    // lint:serving_root
-    pub fn open_zm_learned(dir: &Path, elsi: &Elsi) -> Result<Self, StoreError> {
         Self::open(dir, zm_shard_builder(elsi), zm_policy, &zm_codec())
     }
 }
@@ -609,9 +617,13 @@ mod tests {
     }
 
     fn grid_deployment(points: Vec<Point>) -> ShardedIndex<GridIndex, GridRouter> {
-        ShardedIndex::build_grid(points, &ShardedConfig::grid(2, 2), grid_builder(), |_s| {
-            RebuildPolicy::Never
-        })
+        ShardedIndex::build(
+            points,
+            GridRouter::new(2, 2),
+            &ShardedConfig::grid(2, 2),
+            grid_builder(),
+            |_s| RebuildPolicy::Never,
+        )
     }
 
     #[test]
@@ -649,13 +661,18 @@ mod tests {
     fn zm_deployment_round_trips_exactly_without_retraining() {
         let d = dir("zm_rt");
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        let mut idx = ShardedIndex::zm(pts(800), &ShardedConfig::grid(2, 2), &elsi);
+        let mut idx = ShardedIndex::zm(
+            pts(800),
+            GridRouter::new(2, 2),
+            &ShardedConfig::default(),
+            &elsi,
+        );
         for p in pts(60) {
             idx.insert_routed(Point::new(20_000 + p.id, p.y, p.x));
         }
         idx.save(&d, &zm_codec()).unwrap();
 
-        let re = ShardedIndex::open_zm(&d, &elsi).unwrap();
+        let re = ShardedIndex::<_, GridRouter>::open_zm(&d, &elsi).unwrap();
         // The encoded-index fast path restores exact state: the stats
         // (including delta sizes) and raw query results all match.
         assert_eq!(re.shard_stats(), idx.shard_stats());
@@ -669,11 +686,18 @@ mod tests {
     fn learned_router_cuts_survive_the_round_trip() {
         let d = dir("learned_rt");
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        let mut idx = ShardedIndex::zm_learned(pts(2_000), &ShardedConfig::grid(2, 3), &elsi);
+        let points = pts(2_000);
+        let router = LearnedRouter::fit_sampled(&points, 2, 3);
+        let mut idx = ShardedIndex::zm(points, router, &ShardedConfig::default(), &elsi);
         idx.save(&d, &zm_codec()).unwrap();
-        let re = ShardedIndex::open_zm_learned(&d, &elsi).unwrap();
+        let re = ShardedIndex::<_, LearnedRouter>::open_zm(&d, &elsi).unwrap();
         // PartialEq over the cut vectors: bit-exact, no refit drift.
         assert_eq!(re.router(), idx.router());
+        let boxed = ShardedIndex::<_, Box<dyn PersistRouter>>::open_zm(&d, &elsi);
+        assert_eq!(
+            boxed.map(|b| b.router().state()).ok(),
+            Some(idx.router().state())
+        );
         let w = Rect::new(0.25, 0.0, 0.8, 0.55);
         assert_eq!(re.window_query(&w), idx.window_query(&w));
     }
@@ -745,13 +769,24 @@ mod tests {
     fn opening_with_the_wrong_router_type_is_a_manifest_error() {
         let d = dir("wrong_router");
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        let mut idx = ShardedIndex::zm(pts(300), &ShardedConfig::default(), &elsi);
+        let mut idx = ShardedIndex::zm(
+            pts(300),
+            GridRouter::new(2, 2),
+            &ShardedConfig::default(),
+            &elsi,
+        );
         idx.save(&d, &zm_codec()).unwrap();
-        let err = match ShardedIndex::open_zm_learned(&d, &elsi) {
+        let err = match ShardedIndex::<_, LearnedRouter>::open_zm(&d, &elsi) {
             Err(e) => e,
             Ok(_) => panic!("opening a grid directory as learned must fail"),
         };
         assert!(matches!(err, StoreError::Manifest { .. }), "{err}");
+        // The boxed router restores whichever kind the directory holds.
+        let boxed = ShardedIndex::<_, Box<dyn PersistRouter>>::open_zm(&d, &elsi);
+        assert_eq!(
+            boxed.map(|b| b.router().state()).ok(),
+            Some(idx.router().state())
+        );
     }
 
     #[test]

@@ -16,16 +16,14 @@ use std::sync::Arc;
 
 use elsi::{DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateOutcome, UpdateProcessor};
 use elsi_data::stream::Update;
-use elsi_indices::{
-    par_knn_queries_of, par_point_queries_of, par_window_queries_of, SpatialIndex, ZmConfig,
-    ZmIndex,
-};
+use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
 use elsi_spatial::{KnnEntry, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
-use crate::router::{GridRouter, LearnedRouter, Router};
+use crate::router::{GridRouter, Router};
 
-/// Shape and seeding of a sharded deployment.
+/// Shape and seeding of a sharded deployment. [`ShardedIndex::build`] takes
+/// its shape from the router and reads only `f_u` and `seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
     /// Grid rows.
@@ -133,7 +131,7 @@ impl Ord for HeapDist {
 /// (`par_*_queries` fan out over a shared `&self`) rather than from shared
 /// mutable state. Coordinates are expected in the unit square, the
 /// workspace-wide data space convention.
-pub struct ShardedIndex<I: SpatialIndex + Send + Sync, R: Router = GridRouter> {
+pub struct ShardedIndex<I: SpatialIndex, R: Router = GridRouter> {
     pub(crate) router: R,
     pub(crate) shards: Vec<UpdateProcessor<DeltaOverlay<I>>>,
     /// Per-shard check frequency, echoed into the serving-directory
@@ -144,70 +142,20 @@ pub struct ShardedIndex<I: SpatialIndex + Send + Sync, R: Router = GridRouter> {
     pub(crate) seed: u64,
 }
 
-impl<I: SpatialIndex + Send + Sync> ShardedIndex<I, GridRouter> {
-    /// Builds a grid-routed deployment (see [`ShardedIndex::build`]).
-    pub fn build_grid<B, P>(
-        points: Vec<Point>,
-        cfg: &ShardedConfig,
-        shard_builder: B,
-        policy: P,
-    ) -> Self
-    where
-        B: Fn(&ShardContext, Vec<Point>) -> I + Send + Sync + 'static,
-        P: Fn(usize) -> RebuildPolicy,
-    {
-        Self::build(
-            points,
-            GridRouter::new(cfg.rows, cfg.cols),
-            cfg,
-            shard_builder,
-            policy,
-        )
-    }
-}
-
-impl<I: SpatialIndex + Send + Sync> ShardedIndex<I, LearnedRouter> {
-    /// Builds a deployment routed by a [`LearnedRouter`] fitted to the
-    /// build points themselves (via [`LearnedRouter::fit_sampled`], a
-    /// deterministic stride subsample), so shard boundaries sit at
-    /// equi-mass quantiles of the actual data. See [`ShardedIndex::build`]
-    /// for the builder/policy contract.
-    pub fn build_learned<B, P>(
-        points: Vec<Point>,
-        cfg: &ShardedConfig,
-        shard_builder: B,
-        policy: P,
-    ) -> Self
-    where
-        B: Fn(&ShardContext, Vec<Point>) -> I + Send + Sync + 'static,
-        P: Fn(usize) -> RebuildPolicy,
-    {
-        let router = LearnedRouter::fit_sampled(&points, cfg.rows, cfg.cols);
-        Self::build(points, router, cfg, shard_builder, policy)
-    }
-}
-
-impl ShardedIndex<ZmIndex, GridRouter> {
+impl<R: Router> ShardedIndex<ZmIndex, R> {
     /// The workhorse deployment: ZM-F shards built through a shared ELSI
     /// build processor, with the threshold rebuild policy of the update
-    /// experiments (`max_drift` 0.15, `max_ratio` 10.0) on every shard.
-    pub fn zm(points: Vec<Point>, cfg: &ShardedConfig, elsi: &Elsi) -> Self {
-        Self::build_grid(points, cfg, zm_shard_builder(elsi), zm_policy)
+    /// experiments (`max_drift` 0.15, `max_ratio` 10.0) on every shard,
+    /// behind whichever `router` the caller hands over (see
+    /// [`ShardedIndex::build`]).
+    pub fn zm(points: Vec<Point>, router: R, cfg: &ShardedConfig, elsi: &Elsi) -> Self {
+        Self::build(points, router, cfg, zm_shard_builder(elsi), zm_policy)
     }
 }
 
-impl ShardedIndex<ZmIndex, LearnedRouter> {
-    /// [`ShardedIndex::zm`] behind a fitted [`LearnedRouter`] instead of
-    /// the uniform grid: same shards, same rebuild policy, equi-mass
-    /// boundaries.
-    pub fn zm_learned(points: Vec<Point>, cfg: &ShardedConfig, elsi: &Elsi) -> Self {
-        Self::build_learned(points, cfg, zm_shard_builder(elsi), zm_policy)
-    }
-}
-
-/// The shared ZM-F shard builder of [`ShardedIndex::zm`] /
-/// [`ShardedIndex::zm_learned`]: every shard builds through one ELSI
-/// build processor.
+/// The shared ZM-F shard builder of [`ShardedIndex::zm`] and
+/// `ShardedIndex::open_zm`: every shard builds through one ELSI build
+/// processor.
 pub(crate) fn zm_shard_builder(
     elsi: &Elsi,
 ) -> impl Fn(&ShardContext, Vec<Point>) -> ZmIndex + Send + Sync + 'static {
@@ -226,7 +174,7 @@ pub(crate) fn zm_policy(_shard: usize) -> RebuildPolicy {
     }
 }
 
-impl<I: SpatialIndex + Send + Sync, R: Router> ShardedIndex<I, R> {
+impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
     /// Partitions `points` by `router` ownership and builds every shard in
     /// parallel on the rayon pool.
     ///
@@ -374,6 +322,37 @@ impl<I: SpatialIndex + Send + Sync, R: Router> ShardedIndex<I, R> {
             .collect();
         self.rebuilds() - before
     }
+}
+
+impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
+    /// Sum of per-shard live sizes — O(shards), each read O(1).
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.live_len()).sum()
+    }
+
+    /// Routed to the single owning shard in O(1).
+    // lint:serving_root
+    fn point_query(&self, q: Point) -> Option<Point> {
+        self.shards.get(self.router.shard_of(q))?.point_query(q)
+    }
+
+    /// Gathered from the overlapping shards, in canonical
+    /// ([`canonical_point_key`]) order — equal result sets are
+    /// bit-identical regardless of the shard layout.
+    // lint:serving_root
+    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+        out.clear();
+        let mut buf = scratch.stage_take();
+        for s in self.router.shards_for_window(w) {
+            let Some(shard) = self.shards.get(s) else {
+                continue;
+            };
+            shard.window_query_into(w, scratch, &mut buf);
+            out.extend_from_slice(&buf);
+        }
+        scratch.stage_put(buf);
+        out.sort_by_key(canonical_point_key);
+    }
 
     /// Exact cross-shard kNN merge; see `DESIGN.md` §9 for the proof
     /// sketch. Results come back in canonical order
@@ -389,18 +368,13 @@ impl<I: SpatialIndex + Send + Sync, R: Router> ShardedIndex<I, R> {
     /// inherits from the shard index's own query exactness (approximate
     /// window queries — RSMI, LISA — give approximate merges, same as the
     /// monolith).
-    fn knn_merged(&self, q: Point, k: usize) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.knn_merged_into(q, k, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
-    /// [`ShardedIndex::knn_merged`] with caller-provided scratch: per-shard
-    /// results stream through each shard's own scan kernels, the final
-    /// candidate set runs through the scratch's bounded best-k heap, and the
-    /// staging buffer is pooled across queries — steady state allocates only
-    /// the node frontier.
-    fn knn_merged_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    ///
+    /// Per-shard results stream through each shard's own scan kernels, the
+    /// final candidate set runs through the scratch's bounded best-k heap,
+    /// and the staging buffer is pooled across queries — steady state
+    /// allocates only the node frontier.
+    // lint:serving_root
+    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if k == 0 || self.shards.is_empty() {
             return;
@@ -466,52 +440,6 @@ impl<I: SpatialIndex + Send + Sync, R: Router> ShardedIndex<I, R> {
         out.clear();
         out.extend(ranked.iter().map(|e| e.point()));
     }
-}
-
-impl<I: SpatialIndex + Send + Sync, R: Router> SpatialIndex for ShardedIndex<I, R> {
-    /// Sum of per-shard live sizes — O(shards), each read O(1).
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.live_len()).sum()
-    }
-
-    /// Routed to the single owning shard in O(1).
-    // lint:serving_root
-    fn point_query(&self, q: Point) -> Option<Point> {
-        self.shards.get(self.router.shard_of(q))?.point_query(q)
-    }
-
-    /// Gathered from the overlapping shards, in canonical
-    /// ([`canonical_point_key`]) order — equal result sets are
-    /// bit-identical regardless of the shard layout.
-    // lint:serving_root
-    fn window_query(&self, w: &Rect) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_into(w, &mut ScanScratch::new(), &mut out);
-        out
-    }
-
-    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        out.clear();
-        let mut buf = scratch.stage_take();
-        for s in self.router.shards_for_window(w) {
-            let Some(shard) = self.shards.get(s) else {
-                continue;
-            };
-            shard.window_query_into(w, scratch, &mut buf);
-            out.extend_from_slice(&buf);
-        }
-        scratch.stage_put(buf);
-        out.sort_by_key(canonical_point_key);
-    }
-
-    // lint:serving_root
-    fn knn_query(&self, q: Point, k: usize) -> Vec<Point> {
-        self.knn_merged(q, k)
-    }
-
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        self.knn_merged_into(q, k, scratch, out);
-    }
 
     fn insert(&mut self, p: Point) {
         self.insert_routed(p);
@@ -533,21 +461,6 @@ impl<I: SpatialIndex + Send + Sync, R: Router> SpatialIndex for ShardedIndex<I, 
     fn depth(&self) -> usize {
         1 + self.shards.iter().map(|s| s.depth()).max().unwrap_or(0)
     }
-
-    // lint:serving_root
-    fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        par_point_queries_of(self, queries)
-    }
-
-    // lint:serving_root
-    fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        par_window_queries_of(self, windows)
-    }
-
-    // lint:serving_root
-    fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        par_knn_queries_of(self, queries, k)
-    }
 }
 
 #[cfg(test)]
@@ -557,8 +470,9 @@ mod tests {
     use elsi_indices::{GridConfig, GridIndex};
 
     fn grid_sharded(points: Vec<Point>, rows: usize, cols: usize) -> ShardedIndex<GridIndex> {
-        ShardedIndex::build_grid(
+        ShardedIndex::build(
             points,
+            GridRouter::new(rows, cols),
             &ShardedConfig::grid(rows, cols),
             |_ctx, pts| GridIndex::build(pts, &GridConfig { block_size: 16 }),
             |_s| RebuildPolicy::Never,

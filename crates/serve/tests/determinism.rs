@@ -5,7 +5,7 @@
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{Router, ShardStats, ShardedConfig, ShardedIndex};
+use elsi_serve::{GridRouter, LearnedRouter, Router, ShardStats, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 
 type Fingerprint = (
@@ -44,11 +44,12 @@ fn serve_lifecycle() -> (Fingerprint, Fingerprint) {
     let points = elsi_data::gen::osm1_like(2_000, 33);
     let grid = {
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        ShardedIndex::zm(points.clone(), &cfg, &elsi)
+        ShardedIndex::zm(points.clone(), GridRouter::new(2, 2), &cfg, &elsi)
     };
     let learned = {
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        ShardedIndex::zm_learned(points, &cfg, &elsi)
+        let router = LearnedRouter::fit_sampled(&points, 2, 2);
+        ShardedIndex::zm(points, router, &cfg, &elsi)
     };
     (lifecycle(grid), lifecycle(learned))
 }
@@ -86,7 +87,12 @@ fn rebuilt_shards_stay_deterministic() {
     let run = || {
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let points = elsi_data::gen::uniform(1_000, 9);
-        let mut sharded = ShardedIndex::zm(points, &ShardedConfig::grid(2, 2), &elsi);
+        let mut sharded = ShardedIndex::zm(
+            points,
+            GridRouter::new(2, 2),
+            &ShardedConfig::default(),
+            &elsi,
+        );
         let hotspot: Vec<Update> = (0..800)
             .map(|i| {
                 let t = i as f64 / 800.0;

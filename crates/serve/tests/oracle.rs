@@ -9,7 +9,7 @@
 
 use elsi::RebuildPolicy;
 use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
-use elsi_serve::{canonical_knn_cmp, canonical_point_key, ShardedConfig, ShardedIndex};
+use elsi_serve::{canonical_knn_cmp, canonical_point_key, GridRouter, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 use proptest::prelude::*;
 
@@ -31,8 +31,9 @@ fn assemble(continuous: &[(f64, f64)], snapped: &[(u32, u32)], id_modulus: u64) 
 }
 
 fn sharded_of(points: Vec<Point>, rows: usize, cols: usize) -> ShardedIndex<GridIndex> {
-    ShardedIndex::build_grid(
+    ShardedIndex::build(
         points,
+        GridRouter::new(rows, cols),
         &ShardedConfig::grid(rows, cols),
         |_ctx, pts| GridIndex::build(pts, &GridConfig { block_size: 8 }),
         |_s| RebuildPolicy::Never,

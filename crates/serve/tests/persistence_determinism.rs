@@ -11,7 +11,9 @@
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::stream::churn;
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{zm_codec, ShardStats, ShardedConfig, ShardedIndex};
+use elsi_serve::{
+    zm_codec, GridRouter, LearnedRouter, PersistRouter, ShardStats, ShardedConfig, ShardedIndex,
+};
 use elsi_spatial::{Point, Rect};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -59,69 +61,60 @@ fn fingerprint<R: elsi_serve::Router>(idx: &ShardedIndex<ZmIndex, R>) -> Fingerp
     )
 }
 
-/// Builds a deployment, saves it, journals a churn wave through the saved
-/// generation's WALs, and returns the directory image plus the live
-/// (dirty) fingerprint. `open` then recovers it for the caller.
-macro_rules! lifecycle {
-    ($ctor:ident, $open:ident, $tag:literal, $threads:expr) => {{
-        let dir = dir_for($tag, $threads);
-        std::fs::remove_dir_all(&dir).ok();
-        let elsi = Elsi::new(ElsiConfig::fast_test());
-        let points = elsi_data::gen::osm1_like(2_000, 33);
-        let updates = churn(&points, 400, 0.7, 7);
-        let mut deployed = ShardedIndex::$ctor(points, &ShardedConfig::grid(2, 2), &elsi);
-        deployed.save(&dir, &zm_codec()).unwrap();
-        deployed.par_apply_updates(&updates);
-        let live = fingerprint(&deployed);
-        drop(deployed); // crash: the checkpoint is never rewritten
-        let image = dir_bytes(&dir);
-        let recovered = ShardedIndex::<ZmIndex, _>::$open(&dir, &elsi).unwrap();
-        let opened = fingerprint(&recovered);
-        std::fs::remove_dir_all(&dir).ok();
-        (image, live, opened)
-    }};
+/// Builds a deployment behind the router `fit` returns, saves it, journals
+/// a churn wave through the saved generation's WALs, crashes and recovers
+/// it. Returns the directory image plus the live (dirty) and recovered
+/// fingerprints.
+fn lifecycle<R: PersistRouter>(
+    fit: fn(&[Point]) -> R,
+    tag: &str,
+    threads: usize,
+) -> (BTreeMap<String, Vec<u8>>, Fingerprint, Fingerprint) {
+    let dir = dir_for(tag, threads);
+    std::fs::remove_dir_all(&dir).ok();
+    let elsi = Elsi::new(ElsiConfig::fast_test());
+    let points = elsi_data::gen::osm1_like(2_000, 33);
+    let updates = churn(&points, 400, 0.7, 7);
+    let router = fit(&points);
+    let mut deployed = ShardedIndex::zm(points, router, &ShardedConfig::default(), &elsi);
+    deployed.save(&dir, &zm_codec()).unwrap();
+    deployed.par_apply_updates(&updates);
+    let live = fingerprint(&deployed);
+    drop(deployed); // crash: the checkpoint is never rewritten
+    let image = dir_bytes(&dir);
+    let recovered = ShardedIndex::<ZmIndex, R>::open_zm(&dir, &elsi).unwrap();
+    let opened = fingerprint(&recovered);
+    std::fs::remove_dir_all(&dir).ok();
+    (image, live, opened)
+}
+
+fn assert_thread_count_invariant<R: PersistRouter>(fit: fn(&[Point]) -> R, tag: &str) {
+    set_threads(1);
+    let (ref_image, ref_live, ref_opened) = lifecycle(fit, tag, 1);
+    assert_eq!(ref_opened, ref_live, "recovery lost the journaled churn");
+    for threads in &THREADS[1..] {
+        set_threads(*threads);
+        let (image, live, opened) = lifecycle(fit, tag, *threads);
+        for (name, bytes) in &ref_image {
+            assert_eq!(
+                Some(bytes),
+                image.get(name),
+                "{name} differs at {threads} threads"
+            );
+        }
+        assert_eq!(image.len(), ref_image.len(), "file set differs");
+        assert_eq!(live, ref_live, "live state diverged at {threads} threads");
+        assert_eq!(opened, ref_opened, "recovery diverged at {threads} threads");
+    }
+    set_threads(0);
 }
 
 #[test]
 fn grid_router_save_and_recovery_are_thread_count_invariant() {
-    set_threads(1);
-    let (ref_image, ref_live, ref_opened) = lifecycle!(zm, open_zm, "grid", 1);
-    assert_eq!(ref_opened, ref_live, "recovery lost the journaled churn");
-    for threads in &THREADS[1..] {
-        set_threads(*threads);
-        let (image, live, opened) = lifecycle!(zm, open_zm, "grid", *threads);
-        for (name, bytes) in &ref_image {
-            assert_eq!(
-                Some(bytes),
-                image.get(name),
-                "{name} differs at {threads} threads"
-            );
-        }
-        assert_eq!(image.len(), ref_image.len(), "file set differs");
-        assert_eq!(live, ref_live, "live state diverged at {threads} threads");
-        assert_eq!(opened, ref_opened, "recovery diverged at {threads} threads");
-    }
-    set_threads(0);
+    assert_thread_count_invariant(|_| GridRouter::new(2, 2), "grid");
 }
 
 #[test]
 fn learned_router_save_and_recovery_are_thread_count_invariant() {
-    set_threads(1);
-    let (ref_image, ref_live, ref_opened) = lifecycle!(zm_learned, open_zm_learned, "learned", 1);
-    assert_eq!(ref_opened, ref_live, "recovery lost the journaled churn");
-    for threads in &THREADS[1..] {
-        set_threads(*threads);
-        let (image, live, opened) = lifecycle!(zm_learned, open_zm_learned, "learned", *threads);
-        for (name, bytes) in &ref_image {
-            assert_eq!(
-                Some(bytes),
-                image.get(name),
-                "{name} differs at {threads} threads"
-            );
-        }
-        assert_eq!(image.len(), ref_image.len(), "file set differs");
-        assert_eq!(live, ref_live, "live state diverged at {threads} threads");
-        assert_eq!(opened, ref_opened, "recovery diverged at {threads} threads");
-    }
-    set_threads(0);
+    assert_thread_count_invariant(|pts| LearnedRouter::fit_sampled(pts, 2, 2), "learned");
 }

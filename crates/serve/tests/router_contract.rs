@@ -10,7 +10,7 @@
 
 use elsi::RebuildPolicy;
 use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
-use elsi_serve::{LearnedRouter, Router, ShardedConfig, ShardedIndex};
+use elsi_serve::{GridRouter, LearnedRouter, Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 use proptest::prelude::*;
 
@@ -136,10 +136,12 @@ proptest! {
     ) {
         let points = assemble(&continuous, &snapped, id_modulus);
         let cfg = ShardedConfig::grid(rows, cols);
-        let grid = ShardedIndex::build_grid(
-            points.clone(), &cfg, grid_index_builder(), |_s| RebuildPolicy::Never);
-        let learned = ShardedIndex::build_learned(
-            points.clone(), &cfg, grid_index_builder(), |_s| RebuildPolicy::Never);
+        let grid = ShardedIndex::build(
+            points.clone(), GridRouter::new(rows, cols), &cfg, grid_index_builder(),
+            |_s| RebuildPolicy::Never);
+        let learned = ShardedIndex::build(
+            points.clone(), LearnedRouter::fit_sampled(&points, rows, cols), &cfg,
+            grid_index_builder(), |_s| RebuildPolicy::Never);
 
         // Windows and kNN are canonically ordered, so equal sets are
         // bit-identical regardless of how points were sharded.

@@ -45,8 +45,8 @@ fn main() {
     // Serve through the learned deployment: per-shard ZM indices behind
     // the fitted CDF router, with the usual exact cross-shard queries.
     let elsi = Elsi::new(ElsiConfig::scaled_for(n));
-    let cfg = ShardedConfig::grid(ROWS, COLS);
-    let (sharded, build) = timed(|| ShardedIndex::zm_learned(pts.clone(), &cfg, &elsi));
+    let (sharded, build) =
+        timed(|| ShardedIndex::zm(pts.clone(), learned, &ShardedConfig::default(), &elsi));
     println!(
         "\nBuilt learned-routed deployment in {build:?} ({} shards)",
         sharded.router().num_shards()

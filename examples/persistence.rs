@@ -21,8 +21,8 @@ fn main() {
     // Build: 2x2 learned-routed ZM shards over clustered data.
     let elsi = Elsi::new(ElsiConfig::default());
     let points = elsi_data::gen::nyc_like(60_000, 42);
-    let cfg = ShardedConfig::grid(2, 2);
-    let mut deployed = ShardedIndex::zm_learned(points.clone(), &cfg, &elsi);
+    let router = LearnedRouter::fit_sampled(&points, 2, 2);
+    let mut deployed = ShardedIndex::zm(points.clone(), router, &ShardedConfig::default(), &elsi);
     println!("built   {} points across 4 shards", deployed.len());
 
     // Checkpoint: writes generation 1 (router + per-shard snapshots),
@@ -46,8 +46,7 @@ fn main() {
 
     // Recover: manifest -> router state (exact cuts, no refit) -> one
     // parallel snapshot+WAL recovery per shard -> journaling resumes.
-    let recovered =
-        ShardedIndex::<ZmIndex, LearnedRouter>::open_zm_learned(&dir, &elsi).expect("open");
+    let recovered = ShardedIndex::<ZmIndex, LearnedRouter>::open_zm(&dir, &elsi).expect("open");
     let after = recovered.window_query(&window);
     assert_eq!(before, after, "recovery lost journaled updates");
     println!(

@@ -220,13 +220,13 @@ fn random_builder_is_schedule_independent() {
         .unwrap();
 }
 
-/// Builds all eight index structures over `pts` and hands each to `f`,
-/// together with whether its window queries are exact (RSMI and LISA are
-/// approximate by design, paper §VII-G2).
-fn for_all_eight_indices(pts: &[Point], mut f: impl FnMut(&str, bool, &dyn SpatialIndex)) {
+/// Builds all nine index structures — the paper's eight plus Flood — over
+/// `pts` and hands each to `f`, together with whether its window queries
+/// are exact (RSMI and LISA are approximate by design, paper §VII-G2).
+fn for_all_nine_indices(pts: &[Point], mut f: impl FnMut(&str, bool, &dyn SpatialIndex)) {
     use elsi_indices::{
-        GridConfig, GridIndex, HrrConfig, HrrIndex, KdbConfig, KdbIndex, LisaConfig, LisaIndex,
-        MlConfig, MlIndex, RStarConfig, RStarIndex, RsmiConfig, RsmiIndex,
+        FloodConfig, FloodIndex, GridConfig, GridIndex, HrrConfig, HrrIndex, KdbConfig, KdbIndex,
+        LisaConfig, LisaIndex, MlConfig, MlIndex, RStarConfig, RStarIndex, RsmiConfig, RsmiIndex,
     };
     let elsi = Elsi::new(ElsiConfig::fast_test());
     f(
@@ -305,6 +305,11 @@ fn for_all_eight_indices(pts: &[Point], mut f: impl FnMut(&str, bool, &dyn Spati
             &elsi.builder().for_lisa(),
         ),
     );
+    f(
+        "Flood",
+        true,
+        &FloodIndex::build(pts.to_vec(), &FloodConfig { columns: 8 }, &elsi.builder()),
+    );
 }
 
 /// Everything a query hands back, reduced to bits: id plus the raw
@@ -323,21 +328,27 @@ type QueryFp = (
     Vec<Vec<PointBits>>,
 );
 
-/// Runs one shared point/window/kNN workload through all eight indices and
-/// captures the results bit-for-bit in returned order. Any scheduling
-/// dependence in the batched query fan-out or the scan kernels shows up as
-/// a fingerprint mismatch across thread counts.
-fn query_fingerprints_all_eight() -> Vec<QueryFp> {
+/// The shared query workload: data, point probes, windows and kNN centres.
+fn query_workload() -> (Vec<Point>, Vec<Point>, [Rect; 3], Vec<Point>) {
     let pts = Dataset::Skewed.generate(1500, 23);
-    let probes: Vec<Point> = pts.iter().step_by(11).copied().collect();
+    let probes = pts.iter().step_by(11).copied().collect();
     let windows = [
         Rect::new(0.05, 0.05, 0.35, 0.3),
         Rect::new(0.4, 0.1, 0.9, 0.55),
         Rect::unit(),
     ];
-    let knn_qs: Vec<Point> = pts.iter().step_by(97).copied().collect();
+    let knn_qs = pts.iter().step_by(97).copied().collect();
+    (pts, probes, windows, knn_qs)
+}
+
+/// Runs one shared point/window/kNN workload through all nine indices and
+/// captures the results bit-for-bit in returned order. Any scheduling
+/// dependence in the batched query fan-out or the scan kernels shows up as
+/// a fingerprint mismatch across thread counts.
+fn query_fingerprints_all_nine() -> Vec<QueryFp> {
+    let (pts, probes, windows, knn_qs) = query_workload();
     let mut out: Vec<QueryFp> = Vec::new();
-    for_all_eight_indices(&pts, |name, _exact, idx| {
+    for_all_nine_indices(&pts, |name, _exact, idx| {
         let point_fp = idx
             .par_point_queries(&probes)
             .iter()
@@ -364,14 +375,74 @@ fn queries_are_bit_identical_across_thread_counts() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build_global();
-    let single = query_fingerprints_all_eight();
+    let single = query_fingerprints_all_nine();
     for threads in [2, 8] {
         let _ = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global();
-        let multi = query_fingerprints_all_eight();
+        let multi = query_fingerprints_all_nine();
         assert_eq!(single, multi, "query divergence at {threads} threads");
     }
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(0)
+        .build_global();
+}
+
+#[test]
+fn batched_queries_equal_one_at_a_time_answers() {
+    // The provided `par_*` methods must return, element for element, what
+    // the single-query methods return — for every index and for the update
+    // wrappers, whatever the thread count.
+    use elsi::{DeltaOverlay, RebuildPolicy, Update, UpdateProcessor};
+    use elsi_indices::{GridConfig, GridIndex, PwlBuilder};
+    let (pts, probes, windows, knn_qs) = query_workload();
+    let check = |name: &str, idx: &dyn SpatialIndex| {
+        let point_want: Vec<_> = probes.iter().map(|&q| idx.point_query(q)).collect();
+        let window_want: Vec<_> = windows.iter().map(|w| idx.window_query(w)).collect();
+        let knn_want: Vec<_> = knn_qs.iter().map(|&q| idx.knn_query(q, 7)).collect();
+        for threads in [1, 2, 8] {
+            let _ = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global();
+            let at = format!("{name} at {threads} threads");
+            assert_eq!(idx.par_point_queries(&probes), point_want, "{at}");
+            assert_eq!(idx.par_window_queries(&windows), window_want, "{at}");
+            assert_eq!(idx.par_knn_queries(&knn_qs, 7), knn_want, "{at}");
+        }
+    };
+    for_all_nine_indices(&pts, |name, _exact, idx| check(name, idx));
+
+    // Wrappers with a dirty delta: tombstoned base points, fresh inserts.
+    let updates: Vec<Update> = pts
+        .iter()
+        .step_by(13)
+        .map(|p| Update::Delete(*p))
+        .chain(
+            pts.iter()
+                .step_by(17)
+                .map(|p| Update::Insert(Point::new(1_000_000 + p.id, p.y, p.x))),
+        )
+        .collect();
+    let mut overlay = DeltaOverlay::new(GridIndex::build(
+        pts.clone(),
+        &GridConfig { block_size: 64 },
+    ));
+    overlay.apply_batch(&updates);
+    check("DeltaOverlay<Grid>", &overlay);
+    let mut processor = UpdateProcessor::new(
+        pts.clone(),
+        Box::new(|p| {
+            DeltaOverlay::new(ZmIndex::build(
+                p,
+                &ZmConfig { fanout: 4 },
+                &PwlBuilder::default(),
+            ))
+        }),
+        RebuildPolicy::Never,
+        64,
+    );
+    processor.apply_batch(&updates);
+    check("UpdateProcessor<DeltaOverlay<ZM>>", &processor);
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(0)
         .build_global();
@@ -386,7 +457,7 @@ fn window_oracle_and_canonical_knn_order_hold_for_every_index() {
         Rect::unit(),
     ];
     let knn_qs: Vec<Point> = pts.iter().step_by(131).copied().collect();
-    for_all_eight_indices(&pts, |name, exact, idx| {
+    for_all_nine_indices(&pts, |name, exact, idx| {
         for w in &windows {
             let got = idx.window_query(w);
             assert!(

@@ -237,7 +237,16 @@ proptest! {
         let mut bulk = build();
         let bulk_flags = bulk.apply_batch(&batch);
         let mut seq = build();
-        let seq_flags = elsi::ingest_batch_sequential(&mut seq, &batch);
+        let seq_flags: Vec<bool> = batch
+            .iter()
+            .map(|u| match *u {
+                elsi::Update::Insert(p) => {
+                    seq.insert(p);
+                    true
+                }
+                elsi::Update::Delete(p) => seq.delete(p),
+            })
+            .collect();
 
         prop_assert_eq!(bulk_flags, seq_flags);
         prop_assert_eq!(bulk.len(), seq.len());

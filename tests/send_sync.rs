@@ -52,7 +52,7 @@ fn update_wrappers_are_send_sync() {
     assert_send_sync::<DeltaOverlay<ZmIndex>>();
     assert_send_sync::<UpdateProcessor<GridIndex>>();
     // Boxed dynamic indices as used by the CLI and harness.
-    assert_send_sync::<Box<dyn SpatialIndex + Send + Sync>>();
+    assert_send_sync::<Box<dyn SpatialIndex>>();
 }
 
 #[test]
