@@ -147,10 +147,10 @@ impl Policy {
             // as panic sites are removed; never up.
             panic_budgets: vec![
                 ("crates/analysis/".into(), 3),
-                ("crates/bench/".into(), 9),
+                ("crates/bench/".into(), 2),
                 ("crates/cli/".into(), 18),
                 ("crates/core/".into(), 28),
-                ("crates/data/".into(), 9),
+                ("crates/data/".into(), 8),
                 ("crates/indices/".into(), 31),
                 ("crates/ml/".into(), 2),
                 ("crates/serve/".into(), 29),
@@ -165,7 +165,7 @@ impl Policy {
             // residue is almost entirely `[]`-indexing in slice kernels
             // and exhaustive fault-matrix unit tests. Ratchets down, never
             // up.
-            panic_path_ceiling: 272,
+            panic_path_ceiling: 271,
         }
     }
 

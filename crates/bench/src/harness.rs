@@ -1,25 +1,31 @@
-//! Shared experiment machinery: the index zoo, scale knobs, timing and
-//! table printing.
+//! Shared experiment machinery: scale knobs, the index zoo, the three
+//! measure functions every figure's query latency goes through, and table
+//! printing.
 
+use crate::stats::{median_of_sorted, sorted};
 use elsi::{Elsi, ElsiBuilder, ElsiConfig, Method};
 use elsi_data::{gen, Dataset};
 use elsi_indices::*;
-use elsi_spatial::{Point, Rect};
+use elsi_spatial::{Point, Rect, ScanScratch};
+use std::hint::black_box;
 
-/// Base cardinality standing in for the paper's 100M-point OSM1.
-pub fn base_n() -> usize {
-    std::env::var("ELSI_BENCH_N")
+fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(30_000)
+        .unwrap_or(default)
 }
 
-/// Training epochs used for every model (paper: 500 on GPU).
+/// Base cardinality standing in for the paper's 100M-point OSM1
+/// (`ELSI_BENCH_N`, default 30,000).
+pub fn base_n() -> usize {
+    env_usize("ELSI_BENCH_N", 30_000)
+}
+
+/// Training epochs used for every model (`ELSI_BENCH_EPOCHS`, default 50;
+/// paper: 500 on GPU).
 pub fn bench_epochs() -> usize {
-    std::env::var("ELSI_BENCH_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50)
+    env_usize("ELSI_BENCH_EPOCHS", 50)
 }
 
 /// Applies the `ELSI_THREADS` knob to the global rayon pool (unset or `0`
@@ -27,26 +33,23 @@ pub fn bench_epochs() -> usize {
 /// Parallel and sequential builds produce identical indices (per-partition
 /// seeding), so the knob only moves wall-clock time.
 pub fn configure_threads() -> usize {
-    let n: usize = std::env::var("ELSI_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
     rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
+        .num_threads(env_usize("ELSI_THREADS", 0))
         .build_global()
         .expect("global thread pool");
     rayon::current_num_threads()
 }
 
 /// The ELSI configuration used across the experiments, scaled to `n`.
-pub fn bench_config(n: usize) -> ElsiConfig {
+pub fn bench_config(n: usize, epochs: usize) -> ElsiConfig {
     let mut cfg = ElsiConfig::scaled_for(n);
-    cfg.train.epochs = bench_epochs();
+    cfg.train.epochs = epochs;
     cfg
 }
 
-/// Times a closure, returning its output and the elapsed seconds.
-/// (Delegates to the workspace's sanctioned timing module.)
+/// Times a closure, returning its output and the elapsed seconds: the
+/// one-shot clock for work that cannot be repeated (a build, an insertion
+/// batch). (Delegates to the workspace's sanctioned timing module.)
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     elsi_indices::timing::timed_secs(f)
 }
@@ -99,14 +102,6 @@ impl IndexKind {
         ]
     }
 
-    /// Whether this is a learned (ELSI-compatible) index.
-    pub fn is_learned(&self) -> bool {
-        matches!(
-            self,
-            IndexKind::Zm | IndexKind::Ml | IndexKind::Rsmi | IndexKind::Lisa
-        )
-    }
-
     /// Base display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -146,10 +141,16 @@ impl BuilderKind {
             BuilderKind::Random(_) => format!("{}(Rand)", kind.name()),
         }
     }
+
+    /// Whether this builder cannot drive `kind`: CL and RL synthesise
+    /// points, which LISA's grid cells cannot take (paper §VII-A).
+    pub fn inapplicable_to(&self, kind: IndexKind) -> bool {
+        kind == IndexKind::Lisa && matches!(self, BuilderKind::Fixed(m) if m.synthesises_points())
+    }
 }
 
 /// Shared experiment context: the ELSI system (MR pool + optional scorer)
-/// and the scaled configuration.
+/// and the cardinality its configuration is scaled for.
 pub struct BenchCtx {
     /// The ELSI system.
     pub elsi: Elsi,
@@ -159,22 +160,26 @@ pub struct BenchCtx {
 
 impl BenchCtx {
     /// Context without a trained scorer (fixed-method experiments).
-    pub fn new(n: usize) -> Self {
-        let threads = configure_threads();
-        eprintln!("[prep] rayon threads: {threads} (override with ELSI_THREADS)");
+    pub fn new(n: usize, epochs: usize) -> Self {
         Self {
-            elsi: Elsi::new(bench_config(n)),
+            elsi: Elsi::new(bench_config(n, epochs)),
             n,
         }
     }
 
-    /// Context with the scorer prepared on a small measurement pass.
-    pub fn with_scorer(n: usize) -> Self {
-        let mut ctx = Self::new(n);
-        let sizes = [n / 20, n / 5, n].map(|s| s.max(200));
+    /// Trains the method scorer on a small measurement pass.
+    pub fn prepare_scorer(&mut self) {
+        let sizes = [self.n / 20, self.n / 5, self.n].map(|s| s.max(200));
         eprintln!("[prep] training method scorer on {sizes:?} x 5 skews…");
-        ctx.elsi.prepare_scorer(&sizes, &[1, 3, 6, 12, 26], 11);
-        ctx
+        self.elsi.prepare_scorer(&sizes, &[1, 3, 6, 12, 26], 11);
+    }
+
+    /// This context at another cost-balance λ (shares pool and scorer).
+    pub fn with_lambda(&self, lambda: f64) -> Self {
+        Self {
+            elsi: self.elsi.with_lambda(lambda),
+            n: self.n,
+        }
     }
 
     /// Materialises a model builder.
@@ -219,10 +224,7 @@ impl BenchCtx {
             }
             IndexKind::Zm => {
                 let builder = self.builder(kind, b);
-                let cfg = ZmConfig {
-                    fanout: (n / 12_500).clamp(4, 16),
-                };
-                let (idx, t) = timed(|| ZmIndex::build(pts, &cfg, &builder));
+                let (idx, t) = timed(|| ZmIndex::build(pts, &zm_config(n), &builder));
                 (Box::new(idx), t)
             }
             IndexKind::Ml => {
@@ -258,88 +260,101 @@ impl BenchCtx {
     }
 }
 
-/// Average point-query latency in µs: queries every stored point, sampled
-/// down to at most `max_queries` (the paper queries every indexed point).
-pub fn point_query_micros(idx: &dyn SpatialIndex, pts: &[Point], max_queries: usize) -> f64 {
-    let step = (pts.len() / max_queries.max(1)).max(1);
-    let (found, secs) = timed(|| {
-        let mut found = 0usize;
-        for p in pts.iter().step_by(step) {
-            if idx.point_query(*p).is_some() {
-                found += 1;
-            }
-        }
-        found
-    });
-    let q = pts.len().div_ceil(step);
-    std::hint::black_box(found);
-    secs * 1e6 / q as f64
+/// The ZM configuration of the experiments at cardinality `n`.
+pub fn zm_config(n: usize) -> ZmConfig {
+    ZmConfig {
+        fanout: (n / 12_500).clamp(4, 16),
+    }
 }
 
-/// Window-query stats: average latency (µs) and recall over the workload.
-pub fn window_query_stats(idx: &dyn SpatialIndex, pts: &[Point], windows: &[Rect]) -> (f64, f64) {
-    let (results, secs) = timed(|| {
-        let mut results = Vec::with_capacity(windows.len());
-        for w in windows {
-            results.push(idx.window_query(w).len());
+/// Timed passes per measurement, after one discarded warm-up pass.
+const REPEATS: usize = 5;
+
+/// Median µs per query of [`REPEATS`] passes over a workload of `queries`
+/// queries, the first (warm-up) pass discarded; `NaN` with no queries.
+fn p50_micros(queries: usize, mut pass: impl FnMut()) -> f64 {
+    if queries == 0 {
+        return f64::NAN;
+    }
+    pass();
+    let samples = (0..REPEATS)
+        .map(|_| timed(&mut pass).1 * 1e6 / queries as f64)
+        .collect();
+    median_of_sorted(&sorted(samples))
+}
+
+fn ratio_or_one(got: usize, want: usize) -> f64 {
+    if want == 0 {
+        1.0
+    } else {
+        got as f64 / want as f64
+    }
+}
+
+/// Point-query latency (p50 µs): queries every stored point, sampled down
+/// to at most `max_queries` (the paper queries every indexed point).
+pub fn point_query_micros(idx: &dyn SpatialIndex, pts: &[Point], max_queries: usize) -> f64 {
+    let step = (pts.len() / max_queries.max(1)).max(1);
+    p50_micros(pts.len().div_ceil(step), || {
+        for p in pts.iter().step_by(step) {
+            black_box(idx.point_query(*p));
         }
-        results
+    })
+}
+
+/// Window-query stats: latency (p50 µs) and recall over the workload.
+pub fn window_query_stats(idx: &dyn SpatialIndex, pts: &[Point], windows: &[Rect]) -> (f64, f64) {
+    let mut scratch = ScanScratch::new();
+    let mut out = Vec::new();
+    let mut found = vec![0usize; windows.len()];
+    let micros = p50_micros(windows.len(), || {
+        for (w, n) in windows.iter().zip(&mut found) {
+            idx.window_query_into(w, &mut scratch, &mut out);
+            *n = out.len();
+        }
     });
-    let micros = secs * 1e6 / windows.len() as f64;
 
     let mut got = 0usize;
     let mut want = 0usize;
-    for (w, &r) in windows.iter().zip(&results) {
+    for (w, &n) in windows.iter().zip(&found) {
         let truth = pts.iter().filter(|p| w.contains(p)).count();
         want += truth;
-        got += r.min(truth);
+        got += n.min(truth);
     }
-    (
-        micros,
-        if want == 0 {
-            1.0
-        } else {
-            got as f64 / want as f64
-        },
-    )
+    (micros, ratio_or_one(got, want))
 }
 
-/// kNN stats: average latency (µs) and recall at `k` over the workload.
+/// kNN stats: latency (p50 µs) and recall at `k` over the workload.
 pub fn knn_query_stats(
     idx: &dyn SpatialIndex,
     pts: &[Point],
     queries: &[Point],
     k: usize,
 ) -> (f64, f64) {
-    let (answers, secs) = timed(|| {
-        let mut answers = Vec::with_capacity(queries.len());
-        for q in queries {
-            answers.push(idx.knn_query(*q, k));
+    let mut scratch = ScanScratch::new();
+    let mut answers = vec![Vec::new(); queries.len()];
+    let micros = p50_micros(queries.len(), || {
+        for (q, out) in queries.iter().zip(&mut answers) {
+            idx.knn_query_into(*q, k, &mut scratch, out);
         }
-        answers
     });
-    let micros = secs * 1e6 / queries.len() as f64;
 
+    let want = k.min(pts.len());
     let mut hit = 0usize;
-    let mut total = 0usize;
-    for (q, ans) in queries.iter().zip(&answers) {
-        let mut d: Vec<f64> = pts.iter().map(|p| q.dist2(p)).collect();
-        d.sort_by(|a, b| a.total_cmp(b));
-        let radius = d[(k - 1).min(d.len() - 1)].sqrt() + 1e-12;
-        total += k.min(pts.len());
-        hit += ans.iter().filter(|p| q.dist(p) <= radius).count().min(k);
+    if let Some(kth) = want.checked_sub(1) {
+        let mut d2 = Vec::with_capacity(pts.len());
+        for (q, ans) in queries.iter().zip(&answers) {
+            d2.clear();
+            d2.extend(pts.iter().map(|p| q.dist2(p)));
+            let (_, kth_d2, _) = d2.select_nth_unstable_by(kth, f64::total_cmp);
+            let radius = kth_d2.sqrt() + 1e-12;
+            hit += ans.iter().filter(|p| q.dist(p) <= radius).count().min(want);
+        }
     }
-    (
-        micros,
-        if total == 0 {
-            1.0
-        } else {
-            hit as f64 / total as f64
-        },
-    )
+    (micros, ratio_or_one(hit, want * queries.len()))
 }
 
-/// Generates the standard workloads for one data set.
+/// The standard workloads for one data set.
 pub struct Workload {
     /// The data points.
     pub pts: Vec<Point>,
@@ -350,10 +365,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds the workload for a data set at the harness scale.
-    pub fn new(ds: Dataset, base: usize, window_area: f64) -> Self {
+    /// Builds the workload for a data set at the harness scale, with
+    /// windows of the paper's default 0.01 % of the data space.
+    pub fn new(ds: Dataset, base: usize) -> Self {
         let pts = ds.generate_scaled(base, 42);
-        let windows = gen::window_queries(&pts, 200, window_area, 7);
+        let windows = gen::window_queries(&pts, 200, 1e-4, 7);
         let knn = gen::knn_queries(&pts, 100, 8);
         Self { pts, windows, knn }
     }
@@ -393,5 +409,68 @@ pub fn fmt_secs(s: f64) -> String {
         format!("{s:.2}")
     } else {
         format!("{:.1}ms", s * 1e3)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn grid_of(pts: &[Point]) -> GridIndex {
+        GridIndex::build(pts.to_vec(), &GridConfig::default())
+    }
+
+    #[test]
+    fn measure_functions_are_total_on_empty_inputs() {
+        let pts = gen::uniform(50, 1);
+        let idx = grid_of(&pts);
+        let empty = grid_of(&[]);
+
+        assert!(point_query_micros(&empty, &[], 10).is_nan());
+        assert!(point_query_micros(&idx, &pts, 0) >= 0.0);
+
+        let (us, recall) = window_query_stats(&idx, &pts, &[]);
+        assert!(us.is_nan());
+        assert_eq!(recall, 1.0);
+
+        let (us, recall) = knn_query_stats(&idx, &pts, &[], 5);
+        assert!(us.is_nan());
+        assert_eq!(recall, 1.0);
+        // k == 0 and an empty data set used to underflow `d[k - 1]`.
+        let (us, recall) = knn_query_stats(&idx, &pts, &pts[..1], 0);
+        assert!(us >= 0.0);
+        assert_eq!(recall, 1.0);
+        let (us, recall) = knn_query_stats(&empty, &[], &pts[..1], 3);
+        assert!(us >= 0.0);
+        assert_eq!(recall, 1.0);
+    }
+
+    #[test]
+    fn measure_functions_on_single_inputs_report_exact_recall() {
+        let pts = gen::uniform(1, 1);
+        let idx = grid_of(&pts);
+        assert!(point_query_micros(&idx, &pts, 1) >= 0.0);
+
+        let everything = [Rect::unit()];
+        let (us, recall) = window_query_stats(&idx, &pts, &everything);
+        assert!(us >= 0.0);
+        assert_eq!(recall, 1.0);
+
+        // k above the cardinality: the one stored point is the full answer.
+        let (us, recall) = knn_query_stats(&idx, &pts, &pts, 3);
+        assert!(us >= 0.0);
+        assert_eq!(recall, 1.0);
+    }
+
+    #[test]
+    fn recall_counts_missing_answers() {
+        // An index over half the points answers for the full set.
+        let pts = gen::uniform(200, 3);
+        let half = grid_of(&pts[..100]);
+        let everything = [Rect::unit()];
+        let (_, recall) = window_query_stats(&half, &pts, &everything);
+        assert_eq!(recall, 0.5);
+        let (_, recall) = knn_query_stats(&half, &pts, &pts[150..160], 200);
+        assert_eq!(recall, 0.5);
     }
 }

@@ -1,9 +1,11 @@
 //! Shared machinery for the update experiments (Figs. 15 and 16) and the
 //! rebuild-predictor training pass (§VII-B2).
 
-use crate::harness::{point_query_micros, timed, BenchCtx, BuilderKind, IndexKind};
+use crate::harness::{
+    point_query_micros, timed, window_query_stats, BenchCtx, BuilderKind, IndexKind,
+};
 use elsi::{
-    DriftTracker, Method, RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSample,
+    DriftTracker, Elsi, Method, RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSample,
     UpdateProcessor,
 };
 use elsi_data::{gen, Dataset};
@@ -112,19 +114,15 @@ pub fn run_insertions(
     let n0 = initial.len();
     let stream = insert_stream((n0 as f64 * INSERT_RATIOS[9]).ceil() as usize + 1, 77);
 
-    // The rebuild closure rebuilds the same index kind through ELSI.
-    let ctx_n = ctx.n;
-    let elsi_cfg = ctx.elsi.config().clone();
-    let mr = ctx.elsi.mr_pool();
-    let builder_for_rebuild = builder.clone();
+    // Rebuilds go through the build processor with the same method choice
+    // as the initial build, reusing the prepared MR pool (the scorer is not
+    // needed for fixed-method rebuilds).
+    let rebuild_ctx = BenchCtx {
+        elsi: Elsi::with_pool(ctx.elsi.config().clone(), ctx.elsi.mr_pool()),
+        n: ctx.n,
+    };
     let rebuild = move |pts: Vec<Point>| -> Box<dyn SpatialIndex> {
-        // Rebuilds go through the build processor with the same method
-        // choice as the initial build.
-        let tmp = BenchCtx {
-            elsi: rebuild_elsi(&elsi_cfg, &mr),
-            n: ctx_n,
-        };
-        tmp.build(kind, &builder_for_rebuild, pts).0
+        rebuild_ctx.build(kind, &builder, pts).0
     };
 
     let mut proc = UpdateProcessor::new(initial.clone(), Box::new(rebuild), policy, n0 / 16);
@@ -144,29 +142,9 @@ pub fn run_insertions(
         });
         live.extend_from_slice(batch);
 
-        let probes: Vec<Point> = live
-            .iter()
-            .step_by((live.len() / 512).max(1))
-            .copied()
-            .collect();
-        let point_micros = point_query_micros(proc.index().as_ref(), &probes, probes.len());
-
-        let (stats, w_secs) = timed(|| {
-            let mut got = 0usize;
-            for w in windows {
-                got += proc
-                    .index()
-                    .window_query(w)
-                    .iter()
-                    .filter(|p| w.contains(p))
-                    .count();
-            }
-            got
-        });
-        let want: usize = windows
-            .iter()
-            .map(|w| live.iter().filter(|p| w.contains(p)).count())
-            .sum();
+        let point_micros = point_query_micros(proc.index().as_ref(), &live, 512);
+        let (window_micros, window_recall) =
+            window_query_stats(proc.index().as_ref(), &live, windows);
 
         steps.push(UpdateStep {
             ratio,
@@ -176,24 +154,49 @@ pub fn run_insertions(
                 insert_secs * 1e6 / batch.len() as f64
             },
             point_micros,
-            window_micros: w_secs * 1e6 / windows.len().max(1) as f64,
-            window_recall: if want == 0 {
-                1.0
-            } else {
-                (stats.min(want)) as f64 / want as f64
-            },
+            window_micros,
+            window_recall,
             rebuilds: proc.rebuilds(),
         });
     }
     steps
 }
 
-fn rebuild_elsi(cfg: &elsi::ElsiConfig, mr: &std::sync::Arc<elsi::MrPool>) -> elsi::Elsi {
-    // Reuse the prepared MR pool; the scorer is not needed for fixed-method
-    // rebuilds.
-    elsi::Elsi::with_pool(cfg.clone(), std::sync::Arc::clone(mr))
-}
+/// The seven variants of the §VII-H experiment, in the figures' column
+/// order: `-F` never rebuilds, `-R` rebuilds when the learned predictor
+/// fires, RR* is the traditional reference.
+pub const VARIANTS: [(&str, IndexKind, bool); 7] = [
+    ("ML-F", IndexKind::Ml, false),
+    ("ML-R", IndexKind::Ml, true),
+    ("RSMI-F", IndexKind::Rsmi, false),
+    ("RSMI-R", IndexKind::Rsmi, true),
+    ("LISA-F", IndexKind::Lisa, false),
+    ("LISA-R", IndexKind::Lisa, true),
+    ("RR*", IndexKind::Rstar, false),
+];
 
-/// Convenience: `UpdateOutcome` statistics are accessible on the processor;
-/// this re-export keeps bin code tidy.
-pub use elsi::UpdateOutcome as Outcome;
+/// Runs the whole §VII-H experiment at base cardinality `n`: the initial
+/// set is 10% of OSM1, insertions come from Skewed, one [`UpdateStep`]
+/// series per entry of [`VARIANTS`]. Figs. 15 and 16 both read this.
+pub fn run_all_variants(n: usize, epochs: usize) -> Vec<Vec<UpdateStep>> {
+    let initial = Dataset::Osm1.generate(n / 10, 42);
+    let windows = gen::window_queries(&initial, 60, 1e-4, 7);
+    let ctx = BenchCtx::new(n / 10, epochs);
+    VARIANTS
+        .iter()
+        .map(|&(label, kind, rebuilds)| {
+            eprintln!("[updates] {label} …");
+            let policy = if rebuilds {
+                RebuildPolicy::Learned(train_rebuild_predictor(&ctx, (n / 20).max(500)))
+            } else {
+                RebuildPolicy::Never
+            };
+            let builder = if kind == IndexKind::Rstar {
+                BuilderKind::Og
+            } else {
+                BuilderKind::Fixed(Method::Rs)
+            };
+            run_insertions(&ctx, kind, builder, policy, initial.clone(), &windows)
+        })
+        .collect()
+}

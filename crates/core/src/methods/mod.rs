@@ -117,17 +117,6 @@ pub enum Reduction {
     Pretrained(Ffn),
 }
 
-impl Reduction {
-    /// Size of the training set (0 for a pretrained model: MR runs no
-    /// online training).
-    pub fn training_size(&self) -> usize {
-        match self {
-            Reduction::TrainingSet(keys) => keys.len(),
-            Reduction::Pretrained(_) => 0,
-        }
-    }
-}
-
 /// Runs a building method over one sorted partition, producing its
 /// reduction. `mr_pool` supplies the pre-trained models for [`Method::Mr`].
 pub fn reduce(

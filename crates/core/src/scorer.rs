@@ -199,11 +199,10 @@ fn measure_cell(
 /// Grid cells are independent — each generates its own data set from a
 /// per-cell seed — so they are fanned out on the rayon pool. The map is
 /// order-preserving, so the output order (skews outer, sizes inner, methods
-/// innermost) is identical to the serial reference
-/// [`measure_method_costs_serial`], and so are all cost-feature fields
-/// (`method`, `n`, `dist_u`, `err_span`). Only the `build_secs` /
-/// `query_micros` timing fields can differ: they are honest wall-clock
-/// readings taken on whichever worker ran the cell, and on an
+/// innermost) is identical to a serial loop over the same cells, and so are
+/// all cost-feature fields (`method`, `n`, `dist_u`, `err_span`). Only the
+/// `build_secs` / `query_micros` timing fields can differ: they are honest
+/// wall-clock readings taken on whichever worker ran the cell, and on an
 /// oversubscribed pool concurrent cells contend for cores. Scorer
 /// *decisions* are unaffected in practice because method build-cost ratios
 /// are orders of magnitude apart (pinned by the serial-vs-parallel
@@ -226,27 +225,6 @@ pub fn measure_method_costs(
         .map(|cell| measure_cell(cell, methods, cfg, mr_pool, seed))
         .collect();
     per_cell.into_iter().flatten().collect()
-}
-
-/// Serial reference for [`measure_method_costs`]: same cells, same seeds,
-/// same output order, measured one cell at a time on the calling thread.
-/// Used by the equivalence tests and for timing-sensitive calibration runs
-/// where cells must not contend with each other.
-pub fn measure_method_costs_serial(
-    sizes: &[usize],
-    skews: &[i32],
-    methods: &[Method],
-    cfg: &ElsiConfig,
-    mr_pool: &MrPool,
-    seed: u64,
-) -> Vec<MethodCosts> {
-    let mut out = Vec::new();
-    for (di, &s) in skews.iter().enumerate() {
-        for (si, &n) in sizes.iter().enumerate() {
-            out.extend(measure_cell((di, si, s, n), methods, cfg, mr_pool, seed));
-        }
-    }
-    out
 }
 
 /// Builds one rank model with a fixed method; returns it and the wall time.
@@ -638,6 +616,25 @@ mod tests {
         for _ in 0..30 {
             assert!(allowed.contains(&r.select(&allowed)));
         }
+    }
+
+    /// Serial reference for [`measure_method_costs`]: same cells, same
+    /// seeds, same output order, one cell at a time on the calling thread.
+    fn measure_method_costs_serial(
+        sizes: &[usize],
+        skews: &[i32],
+        methods: &[Method],
+        cfg: &ElsiConfig,
+        mr_pool: &MrPool,
+        seed: u64,
+    ) -> Vec<MethodCosts> {
+        let mut out = Vec::new();
+        for (di, &s) in skews.iter().enumerate() {
+            for (si, &n) in sizes.iter().enumerate() {
+                out.extend(measure_cell((di, si, s, n), methods, cfg, mr_pool, seed));
+            }
+        }
+        out
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! over `D_S` only, binary-searching each value's rank in `D` — an
 //! `O(n_S log n)` algorithm that this module implements verbatim, plus the
 //! `dist(D_U, D)` distance-from-uniform feature used by the method scorer
-//! and a bounded-size CDF sketch for the update processor's drift tracking.
+//! and the bin count of the update processor's bounded drift sketch.
 
 /// KS distance between a reduced key set and the full key set, both sorted
 /// ascending, using the paper's `O(n_S log n)` one-sided scan: for the
@@ -116,83 +116,9 @@ pub fn emd_1d(a: &[f64], b: &[f64]) -> f64 {
     emd
 }
 
-/// A fixed-resolution empirical CDF over keys in `[0,1]`.
-///
-/// When an index is (re)built, ELSI stores the CDF of `D` and tracks the
-/// drift `dist(D', D)` as updates arrive (paper §IV-B2). Storing the full
-/// `O(n)` CDF vector is wasteful at scale; a bounded sketch with a few
-/// thousand bins measures the same sup-distance to within `1/bins`.
-#[derive(Debug, Clone)]
-pub struct CdfSketch {
-    /// Cumulative counts per bin (last entry = total).
-    cum: Vec<u64>,
-}
-
-/// Default sketch resolution: sup-distance error ≤ 1/4096.
+/// Default resolution of a bounded CDF sketch (the update processor's
+/// `DriftTracker`): sup-distance error ≤ 1/4096.
 pub const DEFAULT_SKETCH_BINS: usize = 4096;
-
-impl CdfSketch {
-    /// Builds a sketch with `bins` cells from (not necessarily sorted) keys.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0`.
-    pub fn build(keys: impl IntoIterator<Item = f64>, bins: usize) -> Self {
-        assert!(bins > 0, "sketch needs at least one bin");
-        let mut counts = vec![0u64; bins];
-        for k in keys {
-            let b = ((k.clamp(0.0, 1.0) * bins as f64) as usize).min(bins - 1);
-            counts[b] += 1;
-        }
-        let mut cum = counts;
-        for i in 1..cum.len() {
-            cum[i] += cum[i - 1];
-        }
-        Self { cum }
-    }
-
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// Total number of keys sketched.
-    pub fn total(&self) -> u64 {
-        *self.cum.last().expect("non-empty sketch")
-    }
-
-    /// CDF value at the right edge of bin `b`.
-    pub fn cdf_at_bin(&self, b: usize) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.cum[b.min(self.cum.len() - 1)] as f64 / t as f64
-        }
-    }
-
-    /// Sup-distance between two sketches of equal resolution.
-    ///
-    /// # Panics
-    /// Panics if the resolutions differ.
-    pub fn dist(&self, other: &CdfSketch) -> f64 {
-        assert_eq!(self.bins(), other.bins(), "sketch resolutions differ");
-        let (ta, tb) = (self.total(), other.total());
-        if ta == 0 || tb == 0 {
-            return 1.0;
-        }
-        let mut worst = 0.0f64;
-        for (a, b) in self.cum.iter().zip(&other.cum) {
-            let d = (*a as f64 / ta as f64 - *b as f64 / tb as f64).abs();
-            worst = worst.max(d);
-        }
-        worst
-    }
-
-    /// Similarity (`1 − dist`) between two sketches.
-    pub fn sim(&self, other: &CdfSketch) -> f64 {
-        1.0 - self.dist(other)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -282,44 +208,5 @@ mod tests {
         let ks = ks_distance(&a, &b);
         assert!(emd <= ks + 1e-9, "emd {emd} vs ks {ks}");
         assert!(emd > 0.0);
-    }
-
-    #[test]
-    fn sketch_matches_exact_distance() {
-        let a: Vec<f64> = (0..5000).map(|i| (i as f64 / 4999.0).powi(2)).collect();
-        let b: Vec<f64> = (0..5000).map(|i| i as f64 / 4999.0).collect();
-        let exact = ks_distance(&a, &b);
-        let sa = CdfSketch::build(a.iter().copied(), 4096);
-        let sb = CdfSketch::build(b.iter().copied(), 4096);
-        assert!(
-            (sa.dist(&sb) - exact).abs() < 0.01,
-            "sketch {} exact {exact}",
-            sa.dist(&sb)
-        );
-    }
-
-    #[test]
-    fn sketch_self_distance_zero() {
-        let keys: Vec<f64> = (0..100).map(|i| i as f64 / 99.0).collect();
-        let s = CdfSketch::build(keys.iter().copied(), 64);
-        assert_eq!(s.dist(&s), 0.0);
-        assert_eq!(s.sim(&s), 1.0);
-        assert_eq!(s.total(), 100);
-    }
-
-    #[test]
-    fn empty_sketch_max_distance() {
-        let s0 = CdfSketch::build(std::iter::empty(), 16);
-        let s1 = CdfSketch::build([0.5], 16);
-        assert_eq!(s0.dist(&s1), 1.0);
-        assert_eq!(s0.cdf_at_bin(15), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sketch resolutions differ")]
-    fn mismatched_sketches_panic() {
-        let a = CdfSketch::build([0.5], 16);
-        let b = CdfSketch::build([0.5], 32);
-        a.dist(&b);
     }
 }

@@ -76,8 +76,8 @@ impl<R: Router + ?Sized> Router for Box<R> {
 }
 
 /// Per-shard ownership counts of `points` under `router` — the
-/// load-balance diagnostic behind the routing experiment
-/// (`elsi-bench --bin sharded`): a balanced router keeps
+/// load-balance diagnostic behind the perf ledger's
+/// `serve.occupancy_max_mean` cell: a balanced router keeps
 /// `max(count) / mean(count)` near 1 regardless of data skew.
 pub fn shard_occupancy<R: Router + ?Sized>(router: &R, points: &[Point]) -> Vec<usize> {
     let mut counts = vec![0usize; router.num_shards()];

@@ -1,11 +1,10 @@
 //! The workspace's one hand-rolled JSON implementation.
 //!
-//! The workspace is dependency-free by design (no serde), and before this
-//! module existed two crates each carried their own partial JSON code:
-//! `elsi-bench` a writer for `results/BENCH_*.json` and `analysis` a
-//! writer plus a subset parser for its ratchet baseline. Both now consume
-//! this module, as does the serving-directory manifest — one value model
-//! ([`Json`]), one escaper ([`esc`]), one parser ([`Json::parse`]).
+//! The workspace is dependency-free by design (no serde). Everything that
+//! reads or writes JSON consumes this module — the figure runner's and the
+//! perf ledger's `results/**/BENCH_*.json`, the analyzer's ratchet
+//! baseline, the serving-directory manifest — one value model ([`Json`]),
+//! one escaper ([`esc`]), one parser ([`Json::parse`]).
 //!
 //! Numbers are `f64`, as in JSON itself; integers round-trip exactly up
 //! to 2⁵³, and [`Json::as_usize`] enforces integrality on read. Values

@@ -1,41 +1,8 @@
-#!/bin/bash
-# Regenerates every table/figure of the paper into results/, then the
-# systems experiments (batch ingestion, sharded serving + routing, crash
-# recovery). Any experiment exiting non-zero aborts the run.
-# Scale: ELSI_BENCH_N (default 30000) stands in for the paper's 100M OSM1.
+#!/bin/sh
+# Regenerates every table/figure of the paper into results/ with the one
+# figure runner; a failing figure fails the run. Progress goes to stderr.
+# Scale: ELSI_BENCH_N (default 30000) stands in for the paper's 100M OSM1,
+# ELSI_BENCH_EPOCHS (default 50) for its 500 training epochs.
 set -eu
-export ELSI_BENCH_N=${ELSI_BENCH_N:-30000}
-export ELSI_BENCH_EPOCHS=${ELSI_BENCH_EPOCHS:-50}
 cd "$(dirname "$0")"
-for bin in fig06_selector fig07_pareto table1_cost table2_ablation \
-           fig08_build fig09_build_lambda fig10_point fig11_point_lambda \
-           fig12_window fig13_window_sweep fig14_knn fig15_updates \
-           fig16_window_updates; do
-  echo "=== running $bin (N=$ELSI_BENCH_N, epochs=$ELSI_BENCH_EPOCHS)"
-  cargo run --release -q -p elsi-bench --bin "$bin" >"results/$bin.txt" 2>"results/$bin.log"
-done
-
-echo "=== running ingest (N=$ELSI_BENCH_N)"
-cargo run --release -q -p elsi-bench --bin ingest -- \
-  --json results/BENCH_ingest.json >"results/ingest.txt" 2>"results/ingest.log"
-
-echo "=== running sharded (N=$ELSI_BENCH_N)"
-cargo run --release -q -p elsi-bench --bin sharded -- \
-  --json results/BENCH_sharded.json >"results/sharded.txt" 2>"results/sharded.log"
-
-echo "=== running sharded --routing-only (N=$ELSI_BENCH_N)"
-cargo run --release -q -p elsi-bench --bin sharded -- \
-  --json results/BENCH_routing.json --routing-only \
-  >"results/routing.txt" 2>"results/routing.log"
-
-# The >=5x snapshot-open acceptance bar holds at the paper scale stand-in
-# (ELSI_BENCH_N=100000); at smaller N fixed per-open costs dominate, so
-# the bar only applies when running at least that scale.
-min_speedup=1.0
-if [ "$ELSI_BENCH_N" -ge 100000 ]; then min_speedup=5.0; fi
-echo "=== running recovery (N=$ELSI_BENCH_N, min speedup ${min_speedup}x)"
-cargo run --release -q -p elsi-bench --bin recovery -- \
-  --json results/BENCH_recovery.json --min-speedup "$min_speedup" \
-  >"results/recovery.txt" 2>"results/recovery.log"
-
-echo "all experiments done"
+cargo run --release -q -p elsi-bench -- all --json results/BENCH_figures.json >results/figures.txt
