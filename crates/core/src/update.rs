@@ -350,9 +350,9 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        // Merge base kNN with the delta, growing the over-fetch until k
-        // live base candidates are found (tombstones may blanket the
-        // nearest neighbourhood) or the base index is exhausted.
+        // Base kNN first, growing the over-fetch until k live base
+        // candidates are found (tombstones may blanket the nearest
+        // neighbourhood) or the base index is exhausted.
         out.clear();
         if k == 0 {
             return;
@@ -368,14 +368,35 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
             }
             overfetch = (overfetch * 2).max(k + 1);
         }
-        out.extend(self.inserted.values().copied());
-        // Canonical (dist², id, coordinate-bits) total order: distance ties
-        // break by identity rather than by insertion order, so the overlay
-        // returns the same vector as the sharded cross-shard merge (which
-        // sorts with the same comparator) on tied distances.
-        out.sort_unstable_by(|a, b| canonical_knn_cmp(q, a, b));
-        out.dedup_by_key(|p| p.id);
         out.truncate(k);
+        // Only delta points inside the ball of the base's k-th candidate
+        // can enter the answer (the whole delta while the base holds fewer
+        // than k), and they all have Morton codes between the ball box
+        // corners' codes (Z-order dominance, as in the window path).
+        let r2 = match out.last() {
+            Some(kth) if out.len() == k => q.dist2(kth),
+            _ => f64::INFINITY,
+        };
+        let ball = Rect::ball_box(q, r2);
+        let lo = (morton_of(ball.lo_x, ball.lo_y), 0u64);
+        let hi = (morton_of(ball.hi_x, ball.hi_y), u64::MAX);
+        let base_len = out.len();
+        out.extend(
+            self.inserted_by_key
+                .range(lo..=hi)
+                .map(|(_, p)| p)
+                .filter(|p| q.dist2(p) <= r2)
+                .copied(),
+        );
+        // The base run is already canonical and a live id is never in
+        // both layers (an insert tombstones the base copy), so with no
+        // delta point in the ball the answer is the base run as it stands;
+        // otherwise the canonical (dist², id, coordinate-bits) order
+        // settles ties by identity, exactly as the cross-shard merge does.
+        if out.len() > base_len {
+            out.sort_unstable_by(|a, b| canonical_knn_cmp(q, a, b));
+            out.truncate(k);
+        }
     }
 
     fn insert(&mut self, p: Point) {

@@ -21,7 +21,9 @@
 //! locate covers every stored point.
 
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
+use crate::traits::{
+    knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, Soa, SpatialIndex,
+};
 use elsi_spatial::{scan, KeyMapper, Point, Rect, ScanScratch};
 use std::collections::HashSet;
 
@@ -50,6 +52,21 @@ struct Column {
     model: RankModel,
     /// Inserted points, scanned at query time.
     overflow: Vec<Point>,
+}
+
+impl Column {
+    /// The SoA columns, as the scan kernels take them.
+    fn soa(&self) -> Soa<'_> {
+        (&self.xs, &self.ys, &self.ids)
+    }
+
+    /// The rank run `[lo, hi)` of the y-extent of `w`, located through
+    /// the column's model.
+    fn y_run(&self, w: &Rect) -> (usize, usize) {
+        let lo = locate_lower(&self.ys, self.model.search_range(w.lo_y), w.lo_y);
+        let hi = locate_lower(&self.ys, self.model.search_range(w.hi_y), w.hi_y.next_up());
+        (lo, hi)
+    }
 }
 
 /// The Flood index (2-D).
@@ -239,8 +256,7 @@ impl SpatialIndex for FloodIndex {
         let last = locate_column(&self.bounds, w.hi_x);
         for col in self.columns.get(first..=last).unwrap_or(&[]) {
             if !col.points.is_empty() {
-                let lo = locate_lower(&col.ys, col.model.search_range(w.lo_y), w.lo_y);
-                let hi = locate_lower(&col.ys, col.model.search_range(w.hi_y), w.hi_y.next_up());
+                let (lo, hi) = col.y_run(w);
                 let (sx, sy, si) = scan::soa_span(&col.xs, &col.ys, &col.ids, lo, hi);
                 let m = scan::range_scan_into(sx, sy, si, w, scratch.hits_slot(sx.len()));
                 if self.deleted.is_empty() {
@@ -265,9 +281,39 @@ impl SpatialIndex for FloodIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        let k = k.min(self.len());
+        let home = locate_column(&self.bounds, q.x);
+        knn_seeded_into(
+            q,
+            k,
+            scratch,
+            out,
+            |heap| {
+                // `k` ranks either side of the query's own y-rank in its
+                // column, plus the overflow pages.
+                let mut run = (0, 0);
+                if let Some(col) = self.columns.get(home) {
+                    let pos = locate_lower(&col.ys, col.model.search_range(q.y), q.y);
+                    run = (pos.saturating_sub(k), pos + k);
+                    knn_offer_span(q, col.soa(), run, &self.deleted, heap);
+                }
+                for col in &self.columns {
+                    knn_offer_points(q, &col.overflow, &self.deleted, heap);
+                }
+                run
+            },
+            |run, ball, heap| {
+                // The ball box's y-run in every column it reaches, minus
+                // the seeded run of the home column.
+                let first = locate_column(&self.bounds, ball.lo_x);
+                let last = locate_column(&self.bounds, ball.hi_x);
+                for (c, col) in self.columns.iter().enumerate().take(last + 1).skip(first) {
+                    let ranks = col.y_run(ball);
+                    let seeded = if c == home { run } else { (0, 0) };
+                    knn_offer_around(q, col.soa(), ranks, seeded, &self.deleted, heap);
+                }
+            },
+        );
     }
 
     fn insert(&mut self, p: Point) {

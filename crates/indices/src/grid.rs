@@ -8,8 +8,8 @@
 //! exactly the procedure the paper blames for Grid's slow build on the
 //! heavily skewed NYC data (dense cells accumulate many blocks).
 
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
-use elsi_spatial::{Block, Point, Rect, ScanScratch, UniformGrid, DEFAULT_BLOCK_SIZE};
+use crate::traits::{knn_seeded_into, SpatialIndex};
+use elsi_spatial::{Block, KnnHeap, Point, Rect, ScanScratch, UniformGrid, DEFAULT_BLOCK_SIZE};
 
 /// Grid configuration.
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +79,22 @@ impl GridIndex {
             }
         }
     }
+
+    /// Offers the blocks of cell `(ix, iy)` that can still beat the heap's
+    /// k-th distance (strict MBR pruning, so ties survive).
+    fn knn_offer_cell(&self, q: Point, (ix, iy): (usize, usize), heap: &mut KnnHeap) {
+        let blocks = self.cells.get(self.grid.index_of(ix, iy));
+        for b in blocks.into_iter().flatten() {
+            if b.mbr().min_dist2(&q) <= heap.worst_dist2() {
+                b.knn_into(q.x, q.y, heap);
+            }
+        }
+    }
+}
+
+/// The cells `lo..=hi` (per axis) of a grid, row by row.
+fn cells_between(lo: (usize, usize), hi: (usize, usize)) -> impl Iterator<Item = (usize, usize)> {
+    (lo.1..=hi.1).flat_map(move |iy| (lo.0..=hi.0).map(move |ix| (ix, iy)))
 }
 
 impl SpatialIndex for GridIndex {
@@ -110,9 +126,40 @@ impl SpatialIndex for GridIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        let (cx, cy) = self.grid.cell_of(q);
+        // Chebyshev cell distance from the query's cell.
+        let ring_of = |(ix, iy): (usize, usize)| ix.abs_diff(cx).max(iy.abs_diff(cy));
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        knn_seeded_into(
+            q,
+            k.min(self.n),
+            scratch,
+            out,
+            |heap| {
+                // The query's cell, then square rings of cells around it
+                // until `k` points are held.
+                let mut ring = 0;
+                loop {
+                    let lo = (cx.saturating_sub(ring), cy.saturating_sub(ring));
+                    let hi = ((cx + ring).min(nx - 1), (cy + ring).min(ny - 1));
+                    for cell in cells_between(lo, hi).filter(|&c| ring_of(c) == ring) {
+                        self.knn_offer_cell(q, cell, heap);
+                    }
+                    if heap.len() == heap.bound() || ring >= nx.max(ny) {
+                        return ring;
+                    }
+                    ring += 1;
+                }
+            },
+            |seeded, ball, heap| {
+                // The ball box's cells outside the seeded rings.
+                let lo = self.grid.cell_of(Point::at(ball.lo_x, ball.lo_y));
+                let hi = self.grid.cell_of(Point::at(ball.hi_x, ball.hi_y));
+                for cell in cells_between(lo, hi).filter(|&c| ring_of(c) > seeded) {
+                    self.knn_offer_cell(q, cell, heap);
+                }
+            },
+        );
     }
 
     fn insert(&mut self, p: Point) {

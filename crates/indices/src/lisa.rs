@@ -11,15 +11,19 @@
 //! function is an FFN rather than LISA's original piecewise-linear function;
 //! this "breaks the monotonicity of its shard prediction functions, which
 //! impacts the accuracy of window queries" — window queries are therefore
-//! approximate, while point queries stay exact via shard-level error bounds.
+//! approximate, while point queries stay exact via shard-level error bounds
+//! and kNN via the data pages' MBRs (the model only chooses where the
+//! search starts).
 //!
 //! Because the grid is built from `D` itself, building methods that
 //! synthesise points not in `D` (CL, RL) are inapplicable (paper §VII-A);
 //! the `elsi` crate masks them out for LISA.
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
-use elsi_spatial::{scan, BlockStore, KeyMapper, LisaMapper, MappedData, Point, Rect, ScanScratch};
+use crate::traits::{knn_offer_span, knn_seeded_into, SpatialIndex};
+use elsi_spatial::{
+    scan, BlockStore, KeyMapper, KnnHeap, LisaMapper, MappedData, Point, Rect, ScanScratch,
+};
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
@@ -181,6 +185,26 @@ impl LisaIndex {
     fn live(&self, p: &Point) -> bool {
         !self.deleted.contains(&p.id)
     }
+
+    /// Offers the pages of shard `s` that can still beat the heap's k-th
+    /// distance (strict MBR pruning, so ties survive).
+    fn knn_offer_shard(&self, q: Point, s: usize, heap: &mut KnnHeap) {
+        let Some(shard) = self.shards.get(s) else {
+            return;
+        };
+        for (b, mbr) in shard.mbrs().iter().enumerate() {
+            if mbr.min_dist2(&q) <= heap.worst_dist2() {
+                let v = shard.view(b);
+                knn_offer_span(q, (v.xs, v.ys, v.ids), (0, v.len()), &self.deleted, heap);
+            }
+        }
+    }
+
+    /// MINDIST from `q` to the nearest page of shard `s`.
+    fn shard_min_dist2(&self, q: Point, s: usize) -> f64 {
+        let pages = self.shards.get(s).into_iter().flat_map(BlockStore::mbrs);
+        pages.map(|m| m.min_dist2(&q)).fold(f64::INFINITY, f64::min)
+    }
 }
 
 #[inline]
@@ -284,9 +308,48 @@ impl SpatialIndex for LisaIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        // Data pages keep their MBRs, so the sweep prunes on those rather
+        // than on the shard prediction of the (approximate) window query:
+        // kNN is exact here even though windows are not.
+        let last = self.shards.len().saturating_sub(1);
+        knn_seeded_into(
+            q,
+            k.min(self.n_live),
+            scratch,
+            out,
+            |heap| {
+                // Of the shards the model's error bounds allow for the
+                // query's key, the one with a page nearest the query; then
+                // its neighbours in key order until `k` points are held.
+                let (lo, hi) = self.shard_range(self.mapper.key(q));
+                let mut home = (lo, f64::INFINITY);
+                for s in lo..=hi {
+                    let d2 = self.shard_min_dist2(q, s);
+                    if d2 < home.1 {
+                        home = (s, d2);
+                    }
+                }
+                let (home, _) = home;
+                let (mut lo, mut hi) = (home, home);
+                self.knn_offer_shard(q, home, heap);
+                while heap.len() < heap.bound() && (lo > 0 || hi < last) {
+                    if lo > 0 {
+                        lo -= 1;
+                        self.knn_offer_shard(q, lo, heap);
+                    }
+                    if hi < last {
+                        hi += 1;
+                        self.knn_offer_shard(q, hi, heap);
+                    }
+                }
+                (lo, hi)
+            },
+            |(lo, hi), _ball, heap| {
+                for s in (0..lo).chain(hi + 1..=last) {
+                    self.knn_offer_shard(q, s, heap);
+                }
+            },
+        );
     }
 
     fn insert(&mut self, p: Point) {

@@ -16,7 +16,7 @@
 //! data pages to store points inserted into each index model").
 
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
+use crate::traits::{knn_offer_around, knn_offer_points, knn_seeded_into, SpatialIndex};
 use elsi_ml::kmeans;
 use elsi_spatial::{scan, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
@@ -145,20 +145,27 @@ impl MlIndex {
         !self.deleted.contains(&p.id)
     }
 
-    /// Scans the key range `[key_lo, key_hi]` of partition `i` into `out`
-    /// through the branchless window kernel, filtering by `w` and liveness.
-    fn scan_partition_range(
-        &self,
-        i: usize,
-        key_lo: f64,
-        key_hi: f64,
-        w: &Rect,
-        scratch: &mut ScanScratch,
-        out: &mut Vec<Point>,
-    ) {
+    /// The key range of pivot `i`'s annulus around `w`: every point of the
+    /// partition inside `w` has its pivot distance between the window's
+    /// minimum and maximum distance to the pivot.
+    fn pivot_key_range(&self, i: usize, pivot: &Point, w: &Rect) -> (f64, f64) {
+        let corners = [
+            Point::at(w.lo_x, w.lo_y),
+            Point::at(w.lo_x, w.hi_y),
+            Point::at(w.hi_x, w.lo_y),
+            Point::at(w.hi_x, w.hi_y),
+        ];
+        let d_min = w.min_dist2(pivot).sqrt();
+        let d_max = corners.iter().map(|c| pivot.dist(c)).fold(0.0f64, f64::max);
+        (self.mapper.key_of(i, d_min), self.mapper.key_of(i, d_max))
+    }
+
+    /// The global rank run `[lo, hi)` of the keys `[key_lo, key_hi]` of
+    /// partition `i`, located through the partition's model.
+    fn partition_ranks(&self, i: usize, (key_lo, key_hi): (f64, f64)) -> (usize, usize) {
         let part = match self.partitions.get(i) {
             Some(part) if part.len > 0 => part,
-            _ => return,
+            _ => return (0, 0),
         };
         let keys = self
             .data
@@ -167,21 +174,7 @@ impl MlIndex {
             .unwrap_or(&[]);
         let lo = locate_lower(keys, part.model.search_range(key_lo), key_lo);
         let hi = locate_lower(keys, part.model.search_range(key_hi), key_hi.next_up());
-        let (xs, ys, ids) = self
-            .data
-            .soa_range((part.offset + lo) as isize, (part.offset + hi) as isize);
-        let m = scan::range_scan_into(xs, ys, ids, w, scratch.hits_slot(xs.len()));
-        if self.deleted.is_empty() {
-            out.extend_from_slice(scratch.hits_upto(m));
-        } else {
-            out.extend(
-                scratch
-                    .hits_upto(m)
-                    .iter()
-                    .filter(|p| self.live(p))
-                    .copied(),
-            );
-        }
+        (part.offset + lo, part.offset + hi)
     }
 }
 
@@ -220,18 +213,16 @@ impl SpatialIndex for MlIndex {
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
-        let corners = [
-            Point::at(w.lo_x, w.lo_y),
-            Point::at(w.lo_x, w.hi_y),
-            Point::at(w.hi_x, w.lo_y),
-            Point::at(w.hi_x, w.hi_y),
-        ];
         for (i, pivot) in self.mapper.pivots().iter().enumerate() {
-            let d_min = w.min_dist2(pivot).sqrt();
-            let d_max = corners.iter().map(|c| pivot.dist(c)).fold(0.0f64, f64::max);
-            let key_lo = self.mapper.key_of(i, d_min);
-            let key_hi = self.mapper.key_of(i, d_max);
-            self.scan_partition_range(i, key_lo, key_hi, w, scratch, out);
+            let (lo, hi) = self.partition_ranks(i, self.pivot_key_range(i, pivot, w));
+            let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
+            let m = scan::range_scan_into(xs, ys, ids, w, scratch.hits_slot(xs.len()));
+            let hits = scratch.hits_upto(m);
+            if self.deleted.is_empty() {
+                out.extend_from_slice(hits);
+            } else {
+                out.extend(hits.iter().filter(|p| self.live(p)).copied());
+            }
             if let Some(ovf) = self.overflow.get(i) {
                 out.extend(
                     ovf.iter()
@@ -243,9 +234,55 @@ impl SpatialIndex for MlIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        let k = k.min(self.len());
+        let cols = (self.data.xs(), self.data.ys(), self.data.ids());
+        knn_seeded_into(
+            q,
+            k,
+            scratch,
+            out,
+            |heap| {
+                // iDistance orders a partition by distance from its pivot,
+                // so the ranks around the query's key are a *ring* through
+                // the query, not its neighbourhood. Widen the ring (ranks
+                // are offered once: each round adds the two rims) until it
+                // is as thick as the k-th distance found in it — it then
+                // holds every point of the partition that close, since
+                // |d(p, c) − d(q, c)| ≤ d(p, q) — or the partition is spent.
+                for ovf in &self.overflow {
+                    knn_offer_points(q, ovf, &self.deleted, heap);
+                }
+                let (home, d) = self.mapper.nearest_pivot(q);
+                let (Some(pivot), Some(part)) =
+                    (self.mapper.pivots().get(home), self.partitions.get(home))
+                else {
+                    return (0, 0);
+                };
+                let (p_lo, p_hi) = (part.offset, part.offset + part.len);
+                let key = self.mapper.key_of(home, d);
+                let pos = self.partition_ranks(home, (key, key)).0.clamp(p_lo, p_hi);
+                let rim = |rank: usize| (pivot.dist(&self.data.get(rank)) - d).abs();
+                let (mut run, mut reach) = ((pos, pos), k);
+                loop {
+                    let wider = (pos.saturating_sub(reach).max(p_lo), (pos + reach).min(p_hi));
+                    knn_offer_around(q, cols, wider, run, &self.deleted, heap);
+                    run = wider;
+                    let r = heap.worst_dist2().sqrt();
+                    if (run.0 == p_lo || rim(run.0) >= r) && (run.1 == p_hi || rim(run.1 - 1) >= r)
+                    {
+                        return run;
+                    }
+                    reach *= 2;
+                }
+            },
+            |run, ball, heap| {
+                // Every pivot's annulus around the ball box, minus the run.
+                for (i, pivot) in self.mapper.pivots().iter().enumerate() {
+                    let ranks = self.partition_ranks(i, self.pivot_key_range(i, pivot, ball));
+                    knn_offer_around(q, cols, ranks, run, &self.deleted, heap);
+                }
+            },
+        );
     }
 
     fn insert(&mut self, p: Point) {

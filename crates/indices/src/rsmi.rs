@@ -8,10 +8,13 @@
 //! bounds); a leaf's model predicts the rank within the leaf. All models go
 //! through the pluggable [`ModelBuilder`] — the ELSI seam.
 //!
-//! Window and kNN queries are approximate *by original design* (paper
-//! §VII-G2): a leaf scans the rank range spanned by probe points of the
-//! query window, which can miss points whose Hilbert values fall outside
-//! that range. Point queries are exact.
+//! Window queries are approximate *by original design* (paper §VII-G2): a
+//! leaf scans the rank range spanned by probe points of the query window,
+//! which can miss points whose Hilbert values fall outside that range.
+//! Point queries are exact, and so is kNN here: it seeds at the subtree
+//! the models route the query to and then sweeps the leaves by MBR, not by
+//! predicted rank range (the original answers kNN over windows and
+//! inherits their recall).
 //!
 //! Insertions use RSMI's built-in local procedure (paper §VII-H and Fig. 1):
 //! a new point is routed to its leaf and buffered; an overflowing leaf is
@@ -19,8 +22,8 @@
 //! capacity, which is exactly the unbalanced deepening of Figure 1.
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
-use elsi_spatial::{scan, Block, HilbertMapper, KeyMapper, Point, Rect, ScanScratch};
+use crate::traits::{knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex};
+use elsi_spatial::{scan, Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -262,14 +265,19 @@ fn build_node(
             .collect()
     };
 
-    // Routing error bounds over this node's own points.
+    // Routing error bounds over this node's own points: the child a rank
+    // was sliced into above against the child its key routes to.
     let mut route_lo = 0i64;
     let mut route_hi = 0i64;
-    for (i, &k) in keys.iter().enumerate() {
-        let predicted = route_child(&model, k, n, f) as i64;
-        let actual = ((i * f) / n).min(f - 1) as i64;
-        route_lo = route_lo.min(actual - predicted);
-        route_hi = route_hi.max(actual - predicted);
+    for actual in 0..f {
+        for &k in keys
+            .get(actual * n / f..(actual + 1) * n / f)
+            .unwrap_or(&[])
+        {
+            let err = actual as i64 - route_child(&model, k, n, f) as i64;
+            route_lo = route_lo.min(err);
+            route_hi = route_hi.max(err);
+        }
     }
 
     Node::Internal {
@@ -442,6 +450,64 @@ impl RsmiIndex {
         }
     }
 
+    /// The subtree to seed a `k`-NN at `q` from: at every level, of the
+    /// children the model's routing error bounds allow for the query's key
+    /// (the ones a point query would probe), the one whose MBR is nearest —
+    /// descending only while the subtree still holds `k` points.
+    fn seed_node(&self, q: Point, k: usize) -> &Node {
+        let mut node = &self.root;
+        while let Node::Internal {
+            model,
+            bounds,
+            n_route,
+            children,
+            route_lo,
+            route_hi,
+            ..
+        } = node
+        {
+            let c = route_child(model, local_key(q, bounds), *n_route, children.len()) as i64;
+            let last = children.len() as i64 - 1;
+            let lo = (c + route_lo).clamp(0, last) as usize;
+            let hi = (c + route_hi).clamp(0, last) as usize;
+            let nearest = children
+                .get(lo..=hi)
+                .unwrap_or(&[])
+                .iter()
+                .filter(|child| child.n() >= k)
+                .min_by(|a, b| a.mbr().min_dist2(&q).total_cmp(&b.mbr().min_dist2(&q)));
+            match nearest {
+                Some(child) => node = child,
+                None => break,
+            }
+        }
+        node
+    }
+
+    /// Offers the live points under `node` — skipping the `seeded` subtree
+    /// and every subtree whose MBR cannot beat the heap's k-th distance
+    /// (strict, so ties survive).
+    fn knn_offer_node(&self, node: &Node, q: Point, seeded: Option<&Node>, heap: &mut KnnHeap) {
+        let is_seeded = seeded.is_some_and(|s| std::ptr::eq(s, node));
+        if is_seeded || node.n() == 0 || node.mbr().min_dist2(&q) > heap.worst_dist2() {
+            return;
+        }
+        match node {
+            Node::Leaf {
+                block, overflow, ..
+            } => {
+                let cols = (block.xs(), block.ys(), block.ids());
+                knn_offer_span(q, cols, (0, block.len()), &self.deleted, heap);
+                knn_offer_points(q, overflow, &self.deleted, heap);
+            }
+            Node::Internal { children, .. } => {
+                for child in children {
+                    self.knn_offer_node(child, q, seeded, heap);
+                }
+            }
+        }
+    }
+
     fn insert_into(node: &mut Node, p: Point, cfg: &RsmiConfig, builder: &dyn ModelBuilder) {
         match node {
             Node::Leaf {
@@ -499,9 +565,22 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        // Leaf pages keep their MBRs, so the sweep prunes on those rather
+        // than on the rank ranges of the (approximate) window query: kNN
+        // is exact here even though windows are not.
+        let k = k.min(self.len());
+        knn_seeded_into(
+            q,
+            k,
+            scratch,
+            out,
+            |heap| {
+                let node = self.seed_node(q, k);
+                self.knn_offer_node(node, q, None, heap);
+                node
+            },
+            |node, _ball, heap| self.knn_offer_node(&self.root, q, Some(node), heap),
+        );
     }
 
     fn insert(&mut self, p: Point) {
@@ -554,6 +633,25 @@ mod tests {
         assert!(idx.depth() >= 2, "600 points with capacity 128 must split");
         for p in &pts {
             assert_eq!(idx.point_query(*p).expect("found").id, p.id);
+        }
+    }
+
+    #[test]
+    fn routing_bounds_cover_uneven_child_slices() {
+        // `fanout` does not divide these sizes, so child slices differ in
+        // length by one: the routing error bounds must be taken against
+        // the slices as cut, or the ranks next to a cut are lost.
+        let cfg = RsmiConfig {
+            leaf_capacity: 4,
+            fanout: 4,
+            ..RsmiConfig::default()
+        };
+        for n in [10, 23, 38, 51, 89] {
+            let pts = skewed(n, 3, n as u64);
+            let idx = RsmiIndex::build(pts.clone(), &cfg, &crate::model::PwlBuilder::default());
+            for p in &pts {
+                assert_eq!(idx.point_query(*p).map(|f| f.id), Some(p.id), "n={n}");
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! The common query interface of all spatial indices.
 
 use elsi_data::stream::Update;
-use elsi_spatial::{canonical_knn_cmp, Point, Rect, ScanScratch};
+use elsi_spatial::{scan, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
+use std::collections::HashSet;
 
 /// Point, window and kNN queries plus updates: the operations the paper
 /// evaluates (§VII-G, §VII-H). All indices — learned and traditional —
@@ -49,8 +50,9 @@ pub trait SpatialIndex: Send + Sync {
     /// The `k` nearest stored points to `q`, written into a caller-provided
     /// buffer and reusing `scratch` (hit buffer + bounded best-k heap)
     /// across calls; `out` is cleared and refilled in canonical
-    /// `(dist², id)` order. May be approximate for the indices whose window
-    /// queries are approximate.
+    /// `(dist², id)` order. Exact for every index of this crate — RSMI and
+    /// LISA included: their kNN prunes on page MBRs, not on the predictions
+    /// that make their window queries approximate.
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>);
 
     /// Inserts a point.
@@ -205,121 +207,211 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     }
 }
 
-/// Shared kNN fallback: expanding window search over any window-query
-/// implementation.
+/// The one kNN driver of the learned and grid-shaped indices: **seed, then
+/// sweep**, through one bounded best-k heap.
 ///
-/// Starts from a window sized to expect ~`k` points and doubles the side
-/// until `k` results lie within `side / 2` of `q` — at that point no closer
-/// point can be outside the window, so the result is exact *if* the window
-/// query is exact (and inherits its recall otherwise, matching the paper's
-/// observation that learned indices use window queries as the kNN basis).
+/// 1. `scratch.heap_for(k)` sizes the heap.
+/// 2. `seed` offers the live points around the query's *model-predicted
+///    position* — a few ranks either side of it, the predicted leaf, the
+///    insert buffer — and returns a token naming what it offered.
+/// 3. `r² = heap.worst_dist2()` bounds the answer: no true neighbour is
+///    farther than the k-th seeded point (`∞` while fewer than `k` live
+///    points were seeded).
+/// 4. `sweep` receives the token, the padded ball box
+///    ([`Rect::ball_box`]; the whole plane when `r² = ∞`) and the *same,
+///    warm* heap. It must offer every live point whose leaf can reach
+///    into the box and that the seed did **not** already offer — the heap
+///    keeps one slot per offer, so a point offered twice would be
+///    returned twice. It may prune harder than the box as the heap
+///    tightens (`mbr.min_dist2(q) > heap.worst_dist2()`, strict, so ties
+///    at the k-th distance survive).
+/// 5. `heap.finish()` writes the canonical `(dist², id)` order into `out`.
 ///
-/// The window results accumulate in `out`, which is then sorted canonically
-/// and truncated in place. `window_into` must *replace* the contents of its
-/// output buffer, matching the [`SpatialIndex::window_query_into`] contract.
+/// No hit vector is materialised, nothing is sorted but the final `k`, and
+/// no point is visited twice. The answer is exact whenever the sweep's
+/// leaf enumeration is, whatever the quality of the seed: a poor seed only
+/// widens the box.
 ///
-/// Results come back in canonical `(dist², id)` order, so every
-/// expanding-window kNN producer breaks distance ties identically.
-pub fn knn_by_expanding_window_into<F>(
+/// Not a `lint:hot_path` root: sizing the heap and `extend`ing the
+/// caller's `out` are allocation facts to the analyzer (both amortise to
+/// nothing once the buffers reach their high-water marks); the scans the
+/// closures run go through the `knn_scan` root.
+pub fn knn_seeded_into<T>(
     q: Point,
     k: usize,
-    n: usize,
     scratch: &mut ScanScratch,
     out: &mut Vec<Point>,
-    mut window_into: F,
-) where
-    F: FnMut(&Rect, &mut ScanScratch, &mut Vec<Point>),
-{
+    seed: impl FnOnce(&mut KnnHeap) -> T,
+    sweep: impl FnOnce(T, &Rect, &mut KnnHeap),
+) {
     out.clear();
-    if k == 0 || n == 0 {
+    if k == 0 {
         return;
     }
-    // Expected-density start: a window that would hold ~4k uniform points.
-    let mut side = ((4 * k) as f64 / n as f64).sqrt().clamp(1e-4, 2.0);
-    loop {
-        let w = Rect::new(
-            q.x - side / 2.0,
-            q.y - side / 2.0,
-            q.x + side / 2.0,
-            q.y + side / 2.0,
-        );
-        window_into(&w, scratch, out);
-        out.sort_unstable_by(|a, b| canonical_knn_cmp(q, a, b));
-        out.truncate(k);
-        let safe_radius = side / 2.0;
-        if out.len() == k && q.dist(&out[k - 1]) <= safe_radius {
-            return;
+    let heap = scratch.heap_for(k);
+    let seeded = seed(heap);
+    let ball = Rect::ball_box(q, heap.worst_dist2());
+    sweep(seeded, &ball, heap);
+    out.extend(heap.finish().iter().map(KnnEntry::point));
+}
+
+/// Three parallel SoA columns, as the scan kernels take them.
+pub(crate) type Soa<'a> = (&'a [f64], &'a [f64], &'a [u64]);
+
+/// Offers the live points of ranks `lo..hi` of `cols` to `heap` (a span
+/// past the columns' end is clipped, an inverted one is empty): the
+/// branch-free kernel when nothing is tombstoned, a filtered per-point
+/// loop otherwise.
+pub(crate) fn knn_offer_span(
+    q: Point,
+    cols: Soa<'_>,
+    (lo, hi): (usize, usize),
+    deleted: &HashSet<u64>,
+    heap: &mut KnnHeap,
+) {
+    let (xs, ys, ids) = scan::soa_span(cols.0, cols.1, cols.2, lo, hi.min(cols.2.len()));
+    if deleted.is_empty() {
+        scan::knn_scan(q.x, q.y, xs, ys, ids, heap);
+        return;
+    }
+    for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
+        if !deleted.contains(&id) {
+            heap.offer_point(q, Point { id, x, y });
         }
-        if side >= 2.0 {
-            // Window covers the whole unit square: return what exists.
-            return;
+    }
+}
+
+/// The sweep half of a rank-run seed: offers the live points of ranks
+/// `lo..hi` that lie outside the already-offered run `seeded`.
+pub(crate) fn knn_offer_around(
+    q: Point,
+    cols: Soa<'_>,
+    (lo, hi): (usize, usize),
+    (s_lo, s_hi): (usize, usize),
+    deleted: &HashSet<u64>,
+    heap: &mut KnnHeap,
+) {
+    knn_offer_span(q, cols, (lo, s_lo.min(hi)), deleted, heap);
+    knn_offer_span(q, cols, (s_hi.max(lo), hi), deleted, heap);
+}
+
+/// Offers the live points of an insert buffer.
+pub(crate) fn knn_offer_points(
+    q: Point,
+    points: &[Point],
+    deleted: &HashSet<u64>,
+    heap: &mut KnnHeap,
+) {
+    for p in points {
+        if !deleted.contains(&p.id) {
+            heap.offer_point(q, *p);
         }
-        side = (side * 2.0).min(2.0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsi_spatial::canonical_knn_cmp;
 
     fn brute_knn(data: &[Point], q: Point, k: usize) -> Vec<Point> {
         let mut pts = data.to_vec();
-        pts.sort_by(|a, b| q.dist2(a).total_cmp(&q.dist2(b)));
+        pts.sort_by(|a, b| canonical_knn_cmp(q, a, b));
         pts.truncate(k);
         pts
     }
 
-    /// Expanding-window kNN over an exact linear-scan window query.
-    fn expanding_knn(data: &[Point], q: Point, k: usize, n: usize) -> Vec<Point> {
+    /// Seeded kNN over a linear scan: the seed is the first `seed_len`
+    /// points wherever they lie, the sweep filters the rest by the ball box.
+    fn seeded_knn(data: &[Point], q: Point, k: usize, seed_len: usize) -> Vec<Point> {
         let mut out = Vec::new();
-        knn_by_expanding_window_into(q, k, n, &mut ScanScratch::new(), &mut out, |w, _, buf| {
-            buf.clear();
-            buf.extend(data.iter().filter(|p| w.contains(p)));
-        });
+        let (head, tail) = data.split_at(seed_len.min(data.len()));
+        knn_seeded_into(
+            q,
+            k,
+            &mut ScanScratch::new(),
+            &mut out,
+            |heap| head.iter().for_each(|p| heap.offer_point(q, *p)),
+            |(), ball, heap| {
+                for p in tail.iter().filter(|p| ball.contains(p)) {
+                    heap.offer_point(q, *p);
+                }
+            },
+        );
         out
     }
 
-    #[test]
-    fn expanding_window_matches_brute_force() {
-        let data: Vec<Point> = (0..400)
+    fn lattice(side: u64, step: f64, origin: f64) -> Vec<Point> {
+        (0..side * side)
             .map(|i| {
                 Point::new(
                     i,
-                    (i % 20) as f64 / 20.0 + 0.01,
-                    (i / 20) as f64 / 20.0 + 0.01,
+                    (i % side) as f64 * step + origin,
+                    (i / side) as f64 * step + origin,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn seeded_knn_matches_brute_force() {
+        let data = lattice(20, 0.05, 0.01);
         let q = Point::at(0.52, 0.48);
-        let got = expanding_knn(&data, q, 10, data.len());
-        let want = brute_knn(&data, q, 10);
-        assert_eq!(got.len(), 10);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((q.dist(g) - q.dist(w)).abs() < 1e-12, "distance mismatch");
+        // A short seed (r² = ∞), an exactly-k seed and a long one.
+        for seed_len in [0, 3, 10, 200] {
+            assert_eq!(
+                seeded_knn(&data, q, 10, seed_len),
+                brute_knn(&data, q, 10),
+                "seed {seed_len}"
+            );
         }
     }
 
     #[test]
     fn knn_with_k_larger_than_n() {
         let data = [Point::new(0, 0.5, 0.5), Point::new(1, 0.6, 0.6)];
-        let got = expanding_knn(&data, Point::at(0.1, 0.1), 5, data.len());
-        assert_eq!(got.len(), 2);
+        let q = Point::at(0.1, 0.1);
+        assert_eq!(seeded_knn(&data, q, 5, 1), brute_knn(&data, q, 5));
     }
 
     #[test]
     fn knn_zero_k() {
-        assert!(expanding_knn(&[], Point::at(0.5, 0.5), 0, 100).is_empty());
+        assert!(seeded_knn(&lattice(3, 0.1, 0.0), Point::at(0.5, 0.5), 0, 4).is_empty());
+        assert!(seeded_knn(&[], Point::at(0.5, 0.5), 3, 0).is_empty());
     }
 
     #[test]
     fn knn_near_corner() {
-        let data: Vec<Point> = (0..100)
-            .map(|i| Point::new(i, (i % 10) as f64 / 10.0, (i / 10) as f64 / 10.0))
-            .collect();
+        // Lattice distances tie in pairs around the corner: the canonical
+        // order must settle them the way the oracle does.
+        let data = lattice(10, 0.1, 0.0);
         let q = Point::at(0.0, 0.0);
-        let got = expanding_knn(&data, q, 3, data.len());
-        let want = brute_knn(&data, q, 3);
-        assert_eq!(got.len(), 3);
-        assert!((q.dist(&got[2]) - q.dist(&want[2])).abs() < 1e-12);
+        assert_eq!(seeded_knn(&data, q, 3, 50), brute_knn(&data, q, 3));
+    }
+
+    #[test]
+    fn tombstones_are_filtered_on_every_door() {
+        let data = lattice(6, 0.1, 0.05);
+        let (xs, ys, ids): (Vec<f64>, Vec<f64>, Vec<u64>) = (
+            data.iter().map(|p| p.x).collect(),
+            data.iter().map(|p| p.y).collect(),
+            data.iter().map(|p| p.id).collect(),
+        );
+        let q = Point::at(0.3, 0.3);
+        let deleted: HashSet<u64> = brute_knn(&data, q, 4).iter().map(|p| p.id).collect();
+        let live: Vec<Point> = data
+            .iter()
+            .filter(|p| !deleted.contains(&p.id))
+            .copied()
+            .collect();
+        let mut scratch = ScanScratch::new();
+        let heap = scratch.heap_for(5);
+        // Ranks 0..30 around the seeded run 10..20, the run itself, and
+        // the tail through the AoS door: every point exactly once.
+        knn_offer_around(q, (&xs, &ys, &ids), (0, 30), (10, 20), &deleted, heap);
+        knn_offer_span(q, (&xs, &ys, &ids), (10, 20), &deleted, heap);
+        knn_offer_points(q, &data[30..], &deleted, heap);
+        let got: Vec<Point> = heap.finish().iter().map(KnnEntry::point).collect();
+        assert_eq!(got, brute_knn(&live, q, 5));
     }
 }

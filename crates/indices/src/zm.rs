@@ -14,7 +14,9 @@
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{decode_points, decode_rank_model, encode_points, encode_rank_model};
-use crate::traits::{knn_by_expanding_window_into, SpatialIndex};
+use crate::traits::{
+    knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex,
+};
 use elsi_spatial::{scan, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, StoreError};
 use rayon::prelude::*;
@@ -217,6 +219,14 @@ impl ZmIndex {
         crate::model::locate_lower(self.data.keys(), self.search_range(key), key)
     }
 
+    /// The rank run `[lo, hi)` of the Z-range of `w`: every stored point
+    /// inside `w` has its Z-value between the window corners' Z-values.
+    fn z_range(&self, w: &Rect) -> (usize, usize) {
+        let z_lo = MortonMapper.key(Point::at(w.lo_x, w.lo_y));
+        let z_hi = MortonMapper.key(Point::at(w.hi_x, w.hi_y));
+        (self.locate_lower(z_lo), self.locate_lower(z_hi.next_up()))
+    }
+
     /// Per-model build statistics (root first, then the leaves).
     pub fn build_stats(&self) -> &[BuildStats] {
         &self.stats
@@ -357,10 +367,7 @@ impl SpatialIndex for ZmIndex {
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if !self.data.is_empty() {
-            let z_lo = MortonMapper.key(Point::at(w.lo_x, w.lo_y));
-            let z_hi = MortonMapper.key(Point::at(w.hi_x, w.hi_y));
-            let lo = self.locate_lower(z_lo);
-            let hi = self.locate_lower(z_hi.next_up());
+            let (lo, hi) = self.z_range(w);
             let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
             let m = scan::range_scan_into(xs, ys, ids, w, scratch.hits_slot(xs.len()));
             if self.deleted.is_empty() {
@@ -384,9 +391,27 @@ impl SpatialIndex for ZmIndex {
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_by_expanding_window_into(q, k, self.len().max(1), scratch, out, |w, s, buf| {
-            self.window_query_into(w, s, buf)
-        });
+        let k = k.min(self.len());
+        let cols = (self.data.xs(), self.data.ys(), self.data.ids());
+        knn_seeded_into(
+            q,
+            k,
+            scratch,
+            out,
+            |heap| {
+                // `k` ranks either side of the query's own position on the
+                // curve, plus the insert buffer.
+                let pos = self.locate_lower(MortonMapper.key(q));
+                let run = (pos.saturating_sub(k), pos + k);
+                knn_offer_span(q, cols, run, &self.deleted, heap);
+                knn_offer_points(q, &self.buffer, &self.deleted, heap);
+                run
+            },
+            |run, ball, heap| {
+                // The rest of the ball box's Z-range, either side of the run.
+                knn_offer_around(q, cols, self.z_range(ball), run, &self.deleted, heap);
+            },
+        );
     }
 
     fn insert(&mut self, p: Point) {

@@ -10,14 +10,12 @@
 //! never recomputes drift features and never takes a lock (`ShardedIndex`
 //! owns its shards; updates are `&mut self`).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use elsi::{DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateOutcome, UpdateProcessor};
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
-use elsi_spatial::{KnnEntry, Point, Rect, ScanScratch};
+use elsi_spatial::{Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
 use crate::router::{GridRouter, Router};
@@ -101,27 +99,6 @@ pub struct ShardStats {
 // `DeltaOverlay` kNN path can share them; re-exported here because the
 // serving layer is where cross-shard merges make them load-bearing.
 pub use elsi_spatial::{canonical_knn_cmp, canonical_point_key};
-
-/// Max-heap entry for the kNN threshold phase: squared distance under
-/// total order.
-struct HeapDist(f64);
-
-impl PartialEq for HeapDist {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for HeapDist {}
-impl PartialOrd for HeapDist {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapDist {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// An R×C-sharded serving deployment: one [`UpdateProcessor`] per shard,
 /// one [`Router`] in front.
@@ -354,25 +331,22 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
         out.sort_by_key(canonical_point_key);
     }
 
-    /// Exact cross-shard kNN merge; see `DESIGN.md` §9 for the proof
-    /// sketch. Results come back in canonical order
+    /// Exact cross-shard kNN merge in **one pass**; see `DESIGN.md` §9 for
+    /// the proof sketch. Results come back in canonical order
     /// ([`canonical_knn_cmp`]), so equal result sets are bit-identical.
     ///
-    /// Phase 1 visits shards in ascending MINDIST order, pushing each
-    /// shard's local top-k distances through a size-k max-heap and
-    /// stopping as soon as the next shard's rectangle cannot beat the
-    /// current k-th distance — that yields a radius `r` with at least `k`
-    /// points inside (when `k` points exist at all). Phase 2 gathers the
-    /// closed ball of radius `r` from every non-prunable shard via window
-    /// queries, keeps ties, sorts canonically and truncates. Exactness
-    /// inherits from the shard index's own query exactness (approximate
-    /// window queries — RSMI, LISA — give approximate merges, same as the
-    /// monolith).
+    /// Shards are visited in ascending MINDIST order and each one's local
+    /// top-k — already canonical — is merged into the running top-k, which
+    /// keeps the *points*, not just their distances. The pass stops at the
+    /// first shard whose rectangle is strictly farther than the current
+    /// k-th distance (strict, so a tie on the far side of a boundary is
+    /// still merged and settled by id). The canonical top-k of the union
+    /// of local top-ks is the global answer, so no shard is asked twice.
+    /// Exactness inherits from the shard index's own kNN.
     ///
-    /// Per-shard results stream through each shard's own scan kernels, the
-    /// final candidate set runs through the scratch's bounded best-k heap,
-    /// and the staging buffer is pooled across queries — steady state
-    /// allocates only the node frontier.
+    /// Per-shard results stream through each shard's own scan kernels and
+    /// the staging and merge buffers are pooled in the scratch — steady
+    /// state allocates only the per-query shard `order` vector.
     // lint:serving_root
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
@@ -385,60 +359,17 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
         let mut buf = scratch.stage_take();
-        let mut heap: BinaryHeap<HeapDist> = BinaryHeap::new();
         for &(min_d2, s) in &order {
-            if heap.len() == k && heap.peek().is_some_and(|kth| min_d2 > kth.0) {
+            if out.len() == k && out.last().is_some_and(|kth| min_d2 > q.dist2(kth)) {
                 break;
             }
             let Some(shard) = self.shards.get(s) else {
                 continue;
             };
             shard.knn_query_into(q, k, scratch, &mut buf);
-            for p in &buf {
-                let d2 = q.dist2(p);
-                if heap.len() < k {
-                    heap.push(HeapDist(d2));
-                } else if heap.peek().is_some_and(|kth| d2 < kth.0) {
-                    heap.pop();
-                    heap.push(HeapDist(d2));
-                }
-            }
-        }
-        // r² = the k-th smallest candidate distance; ∞ when fewer than k
-        // points exist in total (then the "ball" is the whole plane and
-        // every shard is gathered).
-        let r2 = match heap.peek() {
-            Some(kth) if heap.len() == k => kth.0,
-            _ => f64::INFINITY,
-        };
-        let r = r2.sqrt();
-        let ball = Rect::new(q.x - r, q.y - r, q.x + r, q.y + r);
-        // Gather the closed ball into `out`, then distil the k best through
-        // the bounded heap — same result as the canonical sort + truncate
-        // (the heap admits and orders with the same comparator).
-        for &(min_d2, s) in &order {
-            if min_d2 > r2 {
-                break;
-            }
-            let Some(shard) = self.shards.get(s) else {
-                continue;
-            };
-            shard.window_query_into(&ball, scratch, &mut buf);
-            out.extend(buf.iter().filter(|p| q.dist2(p) <= r2));
+            merge_canonical(q, k, out, &buf, scratch);
         }
         scratch.stage_put(buf);
-        let best = scratch.heap_for(k);
-        for p in out.iter() {
-            best.offer(KnnEntry {
-                dist2: q.dist2(p),
-                id: p.id,
-                x: p.x,
-                y: p.y,
-            });
-        }
-        let ranked = best.finish();
-        out.clear();
-        out.extend(ranked.iter().map(|e| e.point()));
     }
 
     fn insert(&mut self, p: Point) {
@@ -461,6 +392,31 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     fn depth(&self) -> usize {
         1 + self.shards.iter().map(|s| s.depth()).max().unwrap_or(0)
     }
+}
+
+/// Merges the canonical run `run` into the canonical run `out`, keeping
+/// the `k` best: a linear two-way merge through the scratch's hit buffer.
+fn merge_canonical(
+    q: Point,
+    k: usize,
+    out: &mut Vec<Point>,
+    run: &[Point],
+    scratch: &mut ScanScratch,
+) {
+    let m = k.min(out.len() + run.len());
+    let (mut a, mut b) = (out.iter().peekable(), run.iter().peekable());
+    for slot in scratch.hits_slot(m).iter_mut() {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if canonical_knn_cmp(q, x, y).is_le() => a.next(),
+            (Some(_), None) => a.next(),
+            _ => b.next(),
+        };
+        if let Some(&p) = next {
+            *slot = p;
+        }
+    }
+    out.clear();
+    out.extend_from_slice(scratch.hits_upto(m));
 }
 
 #[cfg(test)]

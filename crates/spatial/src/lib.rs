@@ -45,7 +45,5 @@ pub use mapping::{HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonM
 pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key};
 pub use partition::{quadtree_partition, QuadLeaf, UniformGrid};
 pub use point::{Point, Rect};
-pub use scan::{
-    contains_scan, knn_scan, knn_select_into, range_scan_into, KnnEntry, KnnHeap, ScanScratch,
-};
+pub use scan::{contains_scan, knn_scan, range_scan_into, KnnEntry, KnnHeap, ScanScratch};
 pub use sorted::MappedData;

@@ -242,6 +242,29 @@ impl Rect {
         Point::at((self.lo_x + self.hi_x) / 2.0, (self.lo_y + self.hi_y) / 2.0)
     }
 
+    /// The padded bounding box of the closed ball `{p : dist²(q, p) ≤ r2}`
+    /// — the one `r²` → box conversion of the kNN paths.
+    ///
+    /// Every point whose *computed* [`Point::dist2`] to `q` is `≤ r2` lies
+    /// inside, ties at exactly `r2` included. `r2.sqrt()` and the squares
+    /// inside `dist2` each round once, so the radius is padded outward by
+    /// a few ulps (plus `√MIN_POSITIVE`, below which a coordinate
+    /// difference squares to zero); the edges `q ± r` may then round
+    /// freely, because rounding is monotone and the points' coordinates
+    /// are themselves floats. Nothing is clamped: `r2 = ∞` gives the whole
+    /// plane.
+    #[inline]
+    pub fn ball_box(q: Point, r2: f64) -> Self {
+        let r = r2.sqrt();
+        let r = r + r * (4.0 * f64::EPSILON) + f64::MIN_POSITIVE.sqrt();
+        Self {
+            lo_x: q.x - r,
+            lo_y: q.y - r,
+            hi_x: q.x + r,
+            hi_y: q.y + r,
+        }
+    }
+
     /// Squared minimum distance from `p` to the rectangle (zero if inside).
     /// This is the standard MINDIST bound used by best-first kNN search.
     #[inline]
@@ -358,6 +381,59 @@ mod tests {
         assert_eq!(r.min_dist2(&Point::at(0.5, 0.5)), 0.0);
         assert_eq!(r.min_dist2(&Point::at(2.0, 0.5)), 1.0);
         assert_eq!(r.min_dist2(&Point::at(2.0, 2.0)), 2.0);
+    }
+
+    /// `n` representable steps from `v` (towards +∞ for positive `n`).
+    fn step(v: f64, n: i32) -> f64 {
+        (0..n.abs()).fold(v, |v, _| if n > 0 { v.next_up() } else { v.next_down() })
+    }
+
+    #[test]
+    fn ball_box_holds_every_point_within_r2() {
+        let centres = [
+            Point::at(0.5, 0.5),
+            Point::at(0.1, 0.9),
+            Point::at(0.0, 1.0),
+            Point::at(-0.3, 1.7),
+            Point::at(0.333_333_333_333, 0.718_281_828),
+        ];
+        let radii = [0.0, 1e-300, 1e-12, 3e-5, 0.01, 0.137, 0.5, 2.0];
+        let mut on_the_rim = 0;
+        for q in centres {
+            for r in radii {
+                // r² as the heap reports it: the computed dist² of a point
+                // at distance r along a diagonal, an axis, or in between.
+                for (ux, uy) in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6)] {
+                    let r2 = q.dist2(&Point::at(q.x + r * ux, q.y + r * uy));
+                    let ball = Rect::ball_box(q, r2);
+                    // Candidates ±2 ulps around each edge of the unpadded
+                    // box, the other coordinate on the centre line.
+                    let e = r2.sqrt();
+                    for n in -2..=2 {
+                        for p in [
+                            Point::at(step(q.x - e, n), q.y),
+                            Point::at(step(q.x + e, n), q.y),
+                            Point::at(q.x, step(q.y - e, n)),
+                            Point::at(q.x, step(q.y + e, n)),
+                        ] {
+                            if q.dist2(&p) <= r2 {
+                                on_the_rim += 1;
+                                assert!(ball.contains(&p), "q={q:?} r2={r2:e} lost {p:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            on_the_rim > 500,
+            "the sweep must reach the rim: {on_the_rim}"
+        );
+        // Nothing is clamped, and an infinite radius is the whole plane.
+        let all = Rect::ball_box(Point::at(0.5, 0.5), f64::INFINITY);
+        assert!(all.contains(&Point::at(-1e300, 1e300)));
+        // Coordinate differences too small to square still tie at zero.
+        assert!(Rect::ball_box(Point::at(0.0, 0.0), 0.0).contains(&Point::at(1e-170, -1e-170)));
     }
 
     #[test]

@@ -303,6 +303,20 @@ impl KnnHeap {
         }
     }
 
+    /// Offers the point `p` at its squared distance from `q` — the
+    /// per-point door for candidates that are not in SoA columns (insert
+    /// buffers, tombstone-filtered pages). `Point::dist2` rounds exactly
+    /// like the [`knn_scan`] lanes, so both doors rank a point identically.
+    #[inline]
+    pub fn offer_point(&mut self, q: Point, p: Point) {
+        self.offer(KnnEntry {
+            dist2: q.dist2(&p),
+            id: p.id,
+            x: p.x,
+            y: p.y,
+        });
+    }
+
     /// Whether entry `a` sorts strictly before entry `b` (canonical order);
     /// out-of-range positions never swap.
     #[inline]
@@ -359,29 +373,6 @@ impl KnnHeap {
         });
         held
     }
-}
-
-/// Selects the `k` canonically-best candidates of `cands` around `q` into
-/// `out` (appended in canonical order) via the scratch heap: the shared
-/// merge step of the delta overlay and the sharded serving layer.
-pub fn knn_select_into(
-    q: Point,
-    cands: &[Point],
-    k: usize,
-    heap: &mut KnnHeap,
-    out: &mut Vec<Point>,
-) {
-    heap.reset(k);
-    for p in cands {
-        let (dx, dy) = (p.x - q.x, p.y - q.y);
-        heap.offer(KnnEntry {
-            dist2: dx * dx + dy * dy,
-            id: p.id,
-            x: p.x,
-            y: p.y,
-        });
-    }
-    out.extend(heap.finish().iter().map(KnnEntry::point));
 }
 
 /// First *live* stored point with exactly the coordinates `(x, y)`:
@@ -697,22 +688,6 @@ mod tests {
         assert_eq!(heap.len(), 2);
         assert!(!heap.is_empty());
         assert_eq!(heap.bound(), 2);
-    }
-
-    #[test]
-    fn knn_select_into_appends_canonical_order() {
-        let q = Point::at(0.0, 0.0);
-        let cands = [
-            Point::new(5, 0.0, 1.0),
-            Point::new(2, 1.0, 0.0),
-            Point::new(9, 0.1, 0.0),
-        ];
-        let mut heap = KnnHeap::default();
-        let mut out = vec![Point::new(42, 0.0, 0.0)];
-        knn_select_into(q, &cands, 2, &mut heap, &mut out);
-        assert_eq!(out.len(), 3, "appends after existing content");
-        assert_eq!(out[1].id, 9);
-        assert_eq!(out[2].id, 2, "distance tie broken by id");
     }
 
     #[test]
