@@ -19,7 +19,7 @@ use crate::config::ElsiConfig;
 use crate::methods::{reduce, Method, MrPool, Reduction};
 use elsi_data::{dist_from_uniform, gen};
 use elsi_indices::{
-    build_on_training_set, locate_lower, timed, timed_secs, BuildInput, BuiltModel,
+    build_on_training_set, equal_key_run, timed, timed_secs, BuildInput, BuiltModel,
 };
 use elsi_ml::{
     train_regression, DecisionTree, Ffn, ForestConfig, RandomForest, TrainConfig, TreeConfig,
@@ -273,7 +273,11 @@ pub fn build_with_method(
     (built, build_secs)
 }
 
-/// Average predict-and-scan point lookup time over sampled keys, in µs.
+/// Average point-lookup time over sampled stored keys, in µs: predict,
+/// then the bounded key search of the error-bounded range — the operation
+/// the model-backed indices run before their leaf scan
+/// ([`equal_key_run`]), so `C_Q`'s ground truth grows with the error span
+/// exactly as the product's lookup does.
 fn measure_query_micros(built: &BuiltModel, data: &MappedData, queries: usize) -> f64 {
     let n = data.len();
     if n == 0 {
@@ -282,10 +286,9 @@ fn measure_query_micros(built: &BuiltModel, data: &MappedData, queries: usize) -
     let step = (n / queries.max(1)).max(1);
     let (found, secs) = timed_secs(|| {
         let mut found = 0usize;
-        for i in (0..n).step_by(step) {
-            let key = data.keys()[i];
-            let pos = locate_lower(data.keys(), built.model.search_range(key), key);
-            if pos < n {
+        for &key in data.keys().iter().step_by(step) {
+            let (lo, hi) = equal_key_run(data.keys(), built.model.search_range(key), key);
+            if lo < hi {
                 found += 1;
             }
         }

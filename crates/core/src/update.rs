@@ -245,7 +245,7 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
                             true
                         } else if tombstoned {
                             false
-                        } else if self.base.point_query(p).is_some() {
+                        } else if in_base && self.base.point_query(p).is_some() {
                             tombstoned = true;
                             true
                         } else {
@@ -424,11 +424,16 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         if self.deleted.contains(&p.id) {
             return false;
         }
-        if self.base.point_query(p).is_some() {
-            self.deleted.insert(p.id);
-            true
-        } else {
-            false
+        // Only an id the base holds can be tombstoned (`deleted ⊆ base_ids`):
+        // the probe matches coordinates, and a foreign id that merely shares
+        // a base point's location deletes nothing. The probe usually returns
+        // the point itself, which settles membership without a set lookup.
+        match self.base.point_query(p) {
+            Some(found) if found.id == p.id || self.base_ids.contains(&p.id) => {
+                self.deleted.insert(p.id);
+                true
+            }
+            _ => false,
         }
     }
 

@@ -20,7 +20,7 @@
 //! sort keys themselves, so error-bounded predict-and-scan plus a validated
 //! locate covers every stored point.
 
-use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::model::{equal_key_run, locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{
     knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, Soa, SpatialIndex,
 };
@@ -58,6 +58,15 @@ impl Column {
     /// The SoA columns, as the scan kernels take them.
     fn soa(&self) -> Soa<'_> {
         (&self.xs, &self.ys, &self.ids)
+    }
+
+    /// First stored (not overflow) point at `q`'s coordinates whose id
+    /// passes `live`: predict, search the error-bounded range of the y-key
+    /// column, and scan only the equal-y run (`DESIGN.md` §12).
+    fn find_stored(&self, q: Point, live: impl Fn(u64) -> bool) -> Option<Point> {
+        let (lo, hi) = equal_key_run(&self.ys, self.model.search_range(q.y), q.y);
+        let (xs, ys, ids) = scan::soa_span(&self.xs, &self.ys, &self.ids, lo, hi);
+        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
     }
 
     /// The rank run `[lo, hi)` of the y-extent of `w`, located through
@@ -229,17 +238,9 @@ impl SpatialIndex for FloodIndex {
             return None;
         }
         let col = self.columns.get(locate_column(&self.bounds, q.x))?;
-        if !col.points.is_empty() {
-            let (lo, hi) = col.model.search_range(q.y);
-            let lo = lo.min(col.points.len());
-            let hi = hi.min(col.points.len());
-            let (xs, ys, ids) = scan::soa_span(&col.xs, &col.ys, &col.ids, lo, hi);
-            // Kernel finds coordinate matches; step past tombstoned ids.
-            let hit =
-                scan::contains_scan_live(xs, ys, ids, q.x, q.y, |id| !self.deleted.contains(&id));
-            if hit.is_some() {
-                return hit;
-            }
+        let hit = col.find_stored(q, |id| !self.deleted.contains(&id));
+        if hit.is_some() {
+            return hit;
         }
         col.overflow
             .iter()
@@ -330,23 +331,27 @@ impl SpatialIndex for FloodIndex {
 
     fn delete(&mut self, p: Point) -> bool {
         let c = locate_column(&self.bounds, p.x);
-        if let Some(col) = self.columns.get_mut(c) {
-            if let Some(pos) = col
-                .overflow
-                .iter()
-                .position(|b| b.id == p.id && b.x == p.x && b.y == p.y)
-            {
-                col.overflow.swap_remove(pos);
-                return true;
-            }
+        let Some(col) = self.columns.get_mut(c) else {
+            return false;
+        };
+        if let Some(pos) = col
+            .overflow
+            .iter()
+            .position(|b| b.id == p.id && b.x == p.x && b.y == p.y)
+        {
+            col.overflow.swap_remove(pos);
+            return true;
         }
-        if self.point_query(p).is_some() {
+        // The stored copy of this very point — same coordinates *and* id —
+        // not whichever live point shares its location.
+        let found = col
+            .find_stored(p, |id| id == p.id && !self.deleted.contains(&id))
+            .is_some();
+        if found {
             self.deleted.insert(p.id);
             self.n_live -= 1;
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn name(&self) -> &'static str {

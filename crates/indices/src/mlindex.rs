@@ -15,7 +15,7 @@
 //! Inserts go to per-pivot overflow pages (paper §VII-H: "ML uses extra
 //! data pages to store points inserted into each index model").
 
-use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::model::{equal_key_run, locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_offer_around, knn_offer_points, knn_seeded_into, SpatialIndex};
 use elsi_ml::kmeans;
 use elsi_spatial::{scan, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
@@ -145,6 +145,30 @@ impl MlIndex {
         !self.deleted.contains(&p.id)
     }
 
+    /// First stored (not overflow) point at `q`'s coordinates whose id
+    /// passes `live`, given `q`'s nearest pivot `i` at distance `d`:
+    /// predict, search the partition's error-bounded range by key, and scan
+    /// only the equal-key run (`DESIGN.md` §12).
+    fn find_stored(
+        &self,
+        q: Point,
+        (i, d): (usize, f64),
+        live: impl Fn(u64) -> bool,
+    ) -> Option<Point> {
+        let part = self.partitions.get(i)?;
+        let key = self.mapper.key_of(i, d);
+        let keys = self
+            .data
+            .keys()
+            .get(part.offset..part.offset + part.len)
+            .unwrap_or(&[]);
+        let (lo, hi) = equal_key_run(keys, part.model.search_range(key), key);
+        let (xs, ys, ids) = self
+            .data
+            .soa_range((part.offset + lo) as isize, (part.offset + hi) as isize);
+        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
+    }
+
     /// The key range of pivot `i`'s annulus around `w`: every point of the
     /// partition inside `w` has its pivot distance between the window's
     /// minimum and maximum distance to the pivot.
@@ -185,22 +209,9 @@ impl SpatialIndex for MlIndex {
 
     fn point_query(&self, q: Point) -> Option<Point> {
         let (i, d) = self.mapper.nearest_pivot(q);
-        let key = self.mapper.key_of(i, d);
-        if let Some(part) = self.partitions.get(i) {
-            if part.len > 0 {
-                let (lo, hi) = part.model.search_range(key);
-                let (xs, ys, ids) = self.data.soa_range(
-                    (part.offset + lo.min(part.len)) as isize,
-                    (part.offset + hi.min(part.len)) as isize,
-                );
-                // Kernel finds coordinate matches; step past tombstoned ids.
-                let hit = scan::contains_scan_live(xs, ys, ids, q.x, q.y, |id| {
-                    !self.deleted.contains(&id)
-                });
-                if hit.is_some() {
-                    return hit;
-                }
-            }
+        let hit = self.find_stored(q, (i, d), |id| !self.deleted.contains(&id));
+        if hit.is_some() {
+            return hit;
         }
         self.overflow
             .get(i)
@@ -294,7 +305,7 @@ impl SpatialIndex for MlIndex {
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        let (i, _) = self.mapper.nearest_pivot(p);
+        let (i, d) = self.mapper.nearest_pivot(p);
         if let Some(ovf) = self.overflow.get_mut(i) {
             if let Some(pos) = ovf
                 .iter()
@@ -304,12 +315,15 @@ impl SpatialIndex for MlIndex {
                 return true;
             }
         }
-        if self.point_query(p).is_some() {
+        // The stored copy of this very point — same coordinates *and* id —
+        // not whichever live point shares its location.
+        let found = self
+            .find_stored(p, (i, d), |id| id == p.id && !self.deleted.contains(&id))
+            .is_some();
+        if found {
             self.deleted.insert(p.id);
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn name(&self) -> &'static str {

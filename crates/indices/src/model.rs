@@ -218,6 +218,37 @@ pub fn locate_lower(keys: &[f64], hint: (usize, usize), key: f64) -> usize {
     keys.partition_point(|&k| k < key)
 }
 
+/// The rank run `[lo, hi)` of stored keys *equal* to `key` inside the
+/// model's guaranteed range `hint = (lo, hi)`: the point-lookup counterpart
+/// of [`locate_lower`], and the only way the model-backed indices reach
+/// their leaf scan.
+///
+/// Two bounded `partition_point`s over `keys[hint]` — `O(log span)` key
+/// comparisons where handing the whole span to the coordinate scan costs
+/// `O(span)`. Stored points with the query's coordinates have the query's
+/// key, equal keys are contiguous in the sorted column, and the error bounds
+/// cover the rank of every one of them, so the run holds exactly the span's
+/// candidates, in the same order (`DESIGN.md` §12).
+///
+/// Unlike [`locate_lower`] there is no global fallback: the hint brackets
+/// every *stored* key by construction, so a key found only outside it
+/// belongs to no stored point the model vouches for, and the run is empty.
+/// A hint past the column's end is clipped, an inverted one is empty, and a
+/// NaN key compares equal to nothing.
+// lint:hot_path
+#[inline]
+pub fn equal_key_run(keys: &[f64], hint: (usize, usize), key: f64) -> (usize, usize) {
+    let n = keys.len();
+    let (lo, hi) = (hint.0.min(n), hint.1.min(n));
+    let span = keys.get(lo..hi).unwrap_or(&[]);
+    let first = span.partition_point(|&k| k < key);
+    let run = span
+        .get(first..)
+        .unwrap_or(&[])
+        .partition_point(|&k| k <= key);
+    (lo + first, lo + first + run)
+}
+
 /// Build-cost decomposition of one model build (Table I's columns).
 #[derive(Debug, Clone)]
 pub struct BuildStats {
@@ -580,6 +611,66 @@ mod tests {
             1,
             "must escape a bad hint"
         );
+    }
+
+    #[test]
+    fn equal_key_run_finds_the_run_inside_the_hint() {
+        let keys = vec![0.1, 0.2, 0.5, 0.5, 0.5, 0.7, 0.9];
+        // The whole run, from a hint that brackets it loosely or exactly.
+        assert_eq!(equal_key_run(&keys, (0, 7), 0.5), (2, 5));
+        assert_eq!(equal_key_run(&keys, (2, 5), 0.5), (2, 5));
+        assert_eq!(equal_key_run(&keys, (1, 6), 0.2), (1, 2));
+        // A hint that cuts the run returns the part inside it.
+        assert_eq!(equal_key_run(&keys, (3, 7), 0.5), (3, 5));
+        assert_eq!(equal_key_run(&keys, (0, 4), 0.5), (2, 4));
+        // Absent key between stored ones: empty run at its lower bound.
+        assert_eq!(equal_key_run(&keys, (0, 7), 0.6), (5, 5));
+    }
+
+    #[test]
+    fn equal_key_run_edge_hints_and_keys() {
+        let keys = vec![0.1, 0.2, 0.5, 0.5, 0.5, 0.7, 0.9];
+        // Empty and inverted hints.
+        assert_eq!(equal_key_run(&keys, (3, 3), 0.5), (3, 3));
+        assert_eq!(equal_key_run(&keys, (5, 2), 0.5), (5, 5));
+        // Key below / above every key in the span.
+        assert_eq!(equal_key_run(&keys, (2, 6), 0.0), (2, 2));
+        assert_eq!(equal_key_run(&keys, (2, 6), 1.0), (6, 6));
+        // Hint clipped at the column's end, or wholly past it.
+        assert_eq!(equal_key_run(&keys, (5, 10_000), 0.9), (6, 7));
+        assert_eq!(equal_key_run(&keys, (9, 12), 0.9), (7, 7));
+        // Key stored, but only outside the hint: an empty run, never a
+        // global search.
+        assert_eq!(equal_key_run(&keys, (0, 2), 0.5), (2, 2));
+        assert_eq!(equal_key_run(&keys, (5, 7), 0.5), (5, 5));
+        // NaN equals nothing; an empty column has no runs.
+        let (lo, hi) = equal_key_run(&keys, (0, 7), f64::NAN);
+        assert_eq!(lo, hi);
+        assert_eq!(equal_key_run(&[], (0, 4), 0.5), (0, 0));
+        // All-equal keys: the run is the hint.
+        let same = vec![0.25; 9];
+        assert_eq!(equal_key_run(&same, (0, 9), 0.25), (0, 9));
+        assert_eq!(equal_key_run(&same, (3, 6), 0.25), (3, 6));
+        assert_eq!(equal_key_run(&same, (0, 9), 0.3), (9, 9));
+    }
+
+    #[test]
+    fn equal_key_run_brackets_every_stored_key_of_a_built_model() {
+        // Duplicated keys under a trained model: every rank lies inside the
+        // run its own search range yields.
+        let keys: Vec<f64> = (0..600).map(|i| (i / 7) as f64 / 100.0).collect();
+        let pts = points_for(&keys);
+        let built = OgBuilder::with_epochs(60).build_model(&BuildInput {
+            points: &pts,
+            keys: &keys,
+            mapper: &MortonMapper,
+            seed: 5,
+        });
+        for (i, &k) in keys.iter().enumerate() {
+            let (lo, hi) = equal_key_run(&keys, built.model.search_range(k), k);
+            assert!(lo <= i && i < hi, "rank {i} outside [{lo},{hi})");
+            assert!(keys[lo..hi].iter().all(|&s| s == k));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! locally rebuilt — growing into a deeper subtree when it has outgrown its
 //! capacity, which is exactly the unbalanced deepening of Figure 1.
 
-use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::model::{equal_key_run, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex};
 use elsi_spatial::{scan, Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
@@ -311,30 +311,32 @@ fn route_child(model: &RankModel, key: f64, n: usize, fanout: usize) -> usize {
 }
 
 impl RsmiIndex {
-    fn point_query_node<'a>(&'a self, node: &'a Node, q: Point) -> Option<Point> {
+    /// First point at `q`'s coordinates under `node` whose id passes
+    /// `live`. A leaf predicts, searches its error-bounded range by key and
+    /// scans only the equal-key run (`DESIGN.md` §12), then its overflow
+    /// page; an internal node probes the children its routing error bounds
+    /// allow, skipping those whose MBR cannot hold `q` (MBRs grow with every
+    /// insert, so they cover each subtree's points).
+    fn find_in_node(&self, node: &Node, q: Point, live: &impl Fn(u64) -> bool) -> Option<Point> {
         match node {
             Node::Leaf {
                 model,
                 bounds,
                 block,
+                keys,
                 overflow,
                 ..
             } => {
                 let key = local_key(q, bounds);
-                let (lo, hi) = model.search_range(key);
-                let lo = lo.min(block.len());
-                let hi = hi.min(block.len());
+                let (lo, hi) = equal_key_run(keys, model.search_range(key), key);
                 let (xs, ys, ids) = scan::soa_span(block.xs(), block.ys(), block.ids(), lo, hi);
-                // Kernel finds coordinate matches; step past tombstoned ids.
-                let hit = scan::contains_scan_live(xs, ys, ids, q.x, q.y, |id| {
-                    !self.deleted.contains(&id)
-                });
+                let hit = scan::contains_scan_live(xs, ys, ids, q.x, q.y, live);
                 if hit.is_some() {
                     return hit;
                 }
                 overflow
                     .iter()
-                    .find(|p| p.x == q.x && p.y == q.y && self.live(p))
+                    .find(|p| p.x == q.x && p.y == q.y && live(p.id))
                     .copied()
             }
             Node::Internal {
@@ -350,12 +352,12 @@ impl RsmiIndex {
                 let c = route_child(model, key, *n_route, children.len()) as i64;
                 let lo = (c + route_lo).clamp(0, children.len() as i64 - 1) as usize;
                 let hi = (c + route_hi).clamp(0, children.len() as i64 - 1) as usize;
-                for child in children.get(lo..=hi).unwrap_or(&[]) {
-                    if let Some(found) = self.point_query_node(child, q) {
-                        return Some(found);
-                    }
-                }
-                None
+                children
+                    .get(lo..=hi)
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter(|child| child.mbr().contains(&q))
+                    .find_map(|child| self.find_in_node(child, q, live))
             }
         }
     }
@@ -373,8 +375,8 @@ impl RsmiIndex {
                 bounds,
                 mbr,
                 block,
-                keys,
                 overflow,
+                ..
             } => {
                 if block.is_empty() && overflow.is_empty() {
                     return;
@@ -419,7 +421,6 @@ impl RsmiIndex {
                     }
                     (lo.min(block.len()), hi.min(block.len()))
                 };
-                let _ = keys;
                 let (sx, sy, si) = scan::soa_span(block.xs(), block.ys(), block.ids(), lo, hi);
                 let m = scan::range_scan_into(sx, sy, si, w, scratch.hits_slot(sx.len()));
                 if self.deleted.is_empty() {
@@ -556,7 +557,7 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
-        self.point_query_node(&self.root, q)
+        self.find_in_node(&self.root, q, &|id| !self.deleted.contains(&id))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -593,12 +594,14 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        if self.point_query(p).is_some() {
+        // The stored copy of this very point — same coordinates *and* id —
+        // not whichever live point shares its location.
+        let live = |id| id == p.id && !self.deleted.contains(&id);
+        let found = self.find_in_node(&self.root, p, &live).is_some();
+        if found {
             self.deleted.insert(p.id);
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,7 @@
 //! The common query interface of all spatial indices.
 
 use elsi_data::stream::Update;
+use elsi_spatial::curve::morton_of;
 use elsi_spatial::{scan, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -113,58 +114,117 @@ pub trait SpatialIndex: Send + Sync {
         out
     }
 
-    /// Provided: a batch of point queries fanned out across the rayon
-    /// pool, one result per query, in query order regardless of the
-    /// thread count.
+    /// Provided: a batch of point queries, one result per query, in query
+    /// order regardless of the thread count. Batches under a thousand
+    /// lookups run inline; longer ones are answered in Z-order across the
+    /// rayon pool (`DESIGN.md` §9).
     // lint:serving_root
     fn par_point_queries(&self, queries: &[Point]) -> Vec<Option<Point>> {
-        queries.par_iter().map(|&q| self.point_query(q)).collect()
+        batch_in_z_order(
+            queries,
+            POINT_BATCH_CROSSOVER,
+            |q| *q,
+            |&q, _| self.point_query(q),
+        )
     }
 
-    /// Provided: a batch of window queries fanned out across the rayon
-    /// pool, one result vector per window, in query order. Each worker
-    /// range reuses one [`ScanScratch`], so per-query allocations are
-    /// limited to the result vectors themselves.
+    /// Provided: a batch of window queries, one result vector per window,
+    /// in query order; batched like [`SpatialIndex::par_point_queries`]
+    /// (by window centre, from 256 windows up). Each worker range reuses
+    /// one [`ScanScratch`], so per-query allocations are limited to the
+    /// result vectors themselves.
     // lint:serving_root
     fn par_window_queries(&self, windows: &[Rect]) -> Vec<Vec<Point>> {
-        let per_range: Vec<Vec<Vec<Point>>> = scratch_chunks(windows.len())
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut scratch = ScanScratch::new();
-                windows[lo..hi]
-                    .iter()
-                    .map(|w| {
-                        let mut out = Vec::new();
-                        self.window_query_into(w, &mut scratch, &mut out);
-                        out
-                    })
-                    .collect()
-            })
-            .collect();
-        per_range.into_iter().flatten().collect()
+        batch_in_z_order(windows, SCAN_BATCH_CROSSOVER, Rect::center, |w, scratch| {
+            let mut out = Vec::new();
+            self.window_query_into(w, scratch, &mut out);
+            out
+        })
     }
 
-    /// Provided: a batch of kNN queries (all with the same `k`) fanned out
+    /// Provided: a batch of kNN queries (all with the same `k`) batched
     /// like [`SpatialIndex::par_window_queries`], one result vector per
     /// query point, in query order.
     // lint:serving_root
     fn par_knn_queries(&self, queries: &[Point], k: usize) -> Vec<Vec<Point>> {
-        let per_range: Vec<Vec<Vec<Point>>> = scratch_chunks(queries.len())
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut scratch = ScanScratch::new();
-                queries[lo..hi]
-                    .iter()
-                    .map(|&q| {
-                        let mut out = Vec::new();
-                        self.knn_query_into(q, k, &mut scratch, &mut out);
-                        out
-                    })
-                    .collect()
-            })
-            .collect();
-        per_range.into_iter().flatten().collect()
+        batch_in_z_order(
+            queries,
+            SCAN_BATCH_CROSSOVER,
+            |q| *q,
+            |&q, scratch| {
+                let mut out = Vec::new();
+                self.knn_query_into(q, k, scratch, &mut out);
+                out
+            },
+        )
     }
+}
+
+/// Point-lookup batches shorter than this run inline on the caller's
+/// thread, in caller order. The rayon stand-in spawns and joins OS threads
+/// on every call — about 100 µs per `par_*` call on the ledger's two-core
+/// host (`batch64_p50_us` was ≈ 357 µs for the three calls of a 64-query
+/// batch whose queries take ≈ 45 µs in a loop) — and a cold lookup costs
+/// under a microsecond, so sorting and fanning out only pays from about a
+/// thousand lookups up (measured table in `DESIGN.md` §9).
+const POINT_BATCH_CROSSOVER: usize = 1024;
+
+/// The same crossover for window and kNN batches, whose small queries cost
+/// some four lookups each.
+const SCAN_BATCH_CROSSOVER: usize = 256;
+
+/// The one body of the `par_*` family: answers every query of a batch and
+/// returns the answers in caller order.
+///
+/// Below `crossover` the batch runs inline, one [`ScanScratch`] for all of
+/// it. From there up the queries are sorted by the Morton code of their
+/// `centre` (ties by position, so the order is a pure function of the
+/// batch), split into contiguous chunks of that order across the rayon
+/// pool, answered chunk by chunk — every index, and every shard behind a
+/// router, sees neighbouring queries back to back and finds their pages
+/// already in cache — and scattered back to the caller's positions. An
+/// answer depends on its query alone, so the result is the sequential
+/// loop's for every thread count.
+fn batch_in_z_order<Q: Sync, A: Default + Send>(
+    queries: &[Q],
+    crossover: usize,
+    centre: impl Fn(&Q) -> Point,
+    answer: impl Fn(&Q, &mut ScanScratch) -> A + Sync,
+) -> Vec<A> {
+    if queries.len() < crossover {
+        let mut scratch = ScanScratch::new();
+        return queries.iter().map(|q| answer(q, &mut scratch)).collect();
+    }
+    let mut order: Vec<(u64, usize)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let c = centre(q);
+            (morton_of(c.x, c.y), i)
+        })
+        .collect();
+    order.sort_unstable();
+    let per_chunk: Vec<Vec<A>> = scratch_chunks(order.len())
+        .par_iter()
+        .map(|&(lo, hi)| {
+            let mut scratch = ScanScratch::new();
+            order
+                .get(lo..hi)
+                .unwrap_or(&[])
+                .iter()
+                .filter_map(|&(_, i)| queries.get(i))
+                .map(|q| answer(q, &mut scratch))
+                .collect()
+        })
+        .collect();
+    let mut out: Vec<A> = Vec::new();
+    out.resize_with(queries.len(), A::default);
+    for (a, &(_, i)) in per_chunk.into_iter().flatten().zip(&order) {
+        if let Some(slot) = out.get_mut(i) {
+            *slot = a;
+        }
+    }
+    out
 }
 
 /// Contiguous query ranges for scratch-sharing workers: a few chunks per
@@ -387,6 +447,63 @@ mod tests {
         let data = lattice(10, 0.1, 0.0);
         let q = Point::at(0.0, 0.0);
         assert_eq!(seeded_knn(&data, q, 3, 50), brute_knn(&data, q, 3));
+    }
+
+    #[test]
+    fn batches_either_side_of_both_crossovers_equal_the_sequential_loop() {
+        use crate::{GridConfig, GridIndex, PwlBuilder, ZmConfig, ZmIndex};
+        let data = elsi_data::gen::skewed(1500, 3, 9);
+        let grid = GridIndex::build(data.clone(), &GridConfig { block_size: 32 });
+        let zm = ZmIndex::build(
+            data.clone(),
+            &ZmConfig { fanout: 4 },
+            &PwlBuilder::default(),
+        );
+        // Three orders of one query stream: as drawn (a stride through the
+        // data, repeating once past its length, every fifth query absent),
+        // presorted along the Z-curve, and one query repeated throughout.
+        let drawn = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|i| match (data[i * 7 % data.len()], i % 5) {
+                    (p, 0) => Point::at(p.y, p.x),
+                    (p, _) => p,
+                })
+                .collect()
+        };
+        let orders = |n: usize| -> [Vec<Point>; 3] {
+            let mut presorted = drawn(n);
+            presorted.sort_by_key(|p| morton_of(p.x, p.y));
+            [drawn(n), presorted, vec![data[3]; n]]
+        };
+        for threads in [1, 2, 8] {
+            let _ = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global();
+            for idx in [&grid as &dyn SpatialIndex, &zm] {
+                let at = format!("{} at {threads} threads", idx.name());
+                let c = POINT_BATCH_CROSSOVER;
+                for n in [0, 1, c - 1, c, c + 1, 2 * c + 77] {
+                    for qs in orders(n) {
+                        let want: Vec<_> = qs.iter().map(|&q| idx.point_query(q)).collect();
+                        assert_eq!(idx.par_point_queries(&qs), want, "{at}, {n} lookups");
+                    }
+                }
+                let c = SCAN_BATCH_CROSSOVER;
+                for n in [0, 1, c - 1, c, c + 1, 2 * c + 77] {
+                    for qs in orders(n) {
+                        let ws: Vec<Rect> =
+                            qs.iter().map(|&q| Rect::window_around(q, 0.02)).collect();
+                        let want: Vec<_> = ws.iter().map(|w| idx.window_query(w)).collect();
+                        assert_eq!(idx.par_window_queries(&ws), want, "{at}, {n} windows");
+                        let want: Vec<_> = qs.iter().map(|&q| idx.knn_query(q, 3)).collect();
+                        assert_eq!(idx.par_knn_queries(&qs, 3), want, "{at}, {n} kNN");
+                    }
+                }
+            }
+        }
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global();
     }
 
     #[test]

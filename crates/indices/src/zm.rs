@@ -12,7 +12,7 @@
 //! queries are exact too, via the Z-range property (all points in a window
 //! have Z-values between the window corners' Z-values).
 
-use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::model::{equal_key_run, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{decode_points, decode_rank_model, encode_points, encode_rank_model};
 use crate::traits::{
     knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex,
@@ -244,6 +244,16 @@ impl ZmIndex {
         !self.deleted.contains(&p.id)
     }
 
+    /// First stored (not buffered) point at `q`'s coordinates whose id
+    /// passes `live`: predict, search the error-bounded range by key, and
+    /// scan only the equal-key run (`DESIGN.md` §12).
+    fn find_stored(&self, q: Point, live: impl Fn(u64) -> bool) -> Option<Point> {
+        let key = MortonMapper.key(q);
+        let (lo, hi) = equal_key_run(self.data.keys(), self.search_range(key), key);
+        let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
+        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
+    }
+
     /// Serialises the built state — sorted columns, trained rank models,
     /// composed error bounds, buffered inserts and tombstones — so
     /// [`ZmIndex::decode_state`] can reconstruct the index without
@@ -350,11 +360,7 @@ impl SpatialIndex for ZmIndex {
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
-        let key = MortonMapper.key(q);
-        let (lo, hi) = self.search_range(key);
-        let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
-        // Kernel finds coordinate matches; step past tombstoned ids.
-        let hit = scan::contains_scan_live(xs, ys, ids, q.x, q.y, |id| !self.deleted.contains(&id));
+        let hit = self.find_stored(q, |id| !self.deleted.contains(&id));
         if hit.is_some() {
             return hit;
         }
@@ -428,12 +434,15 @@ impl SpatialIndex for ZmIndex {
             self.buffer.swap_remove(pos);
             return true;
         }
-        if self.point_query(p).is_some() {
+        // The stored copy of this very point — same coordinates *and* id —
+        // not whichever live point shares its location.
+        let found = self
+            .find_stored(p, |id| id == p.id && !self.deleted.contains(&id))
+            .is_some();
+        if found {
             self.deleted.insert(p.id);
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn name(&self) -> &'static str {

@@ -683,6 +683,47 @@ mod tests {
     }
 
     #[test]
+    fn a_stray_delete_neither_removes_a_point_nor_bricks_the_checkpoint() -> Result<(), StoreError>
+    {
+        // A delete whose id the deployment never held, at a stored point's
+        // coordinates: it used to tombstone the foreign id (the base probe
+        // matched coordinates only), and the next checkpoint then failed to
+        // open with "delta parts violate overlay invariants".
+        let elsi = Elsi::new(ElsiConfig::fast_test());
+        let points = pts(3_000);
+        let ghost = |p: &Point| Point::new(999_999, p.x, p.y);
+        let mut oracle = points.clone();
+        oracle.sort_by_key(elsi_spatial::canonical_point_key);
+        // One at a time, and through the batched door.
+        for (tag, batched) in [("ghost_one", false), ("ghost_batch", true)] {
+            let d = dir(tag);
+            let mut idx = ShardedIndex::zm(
+                points.clone(),
+                GridRouter::new(4, 4),
+                &ShardedConfig::grid(4, 4),
+                &elsi,
+            );
+            if batched {
+                let strays: Vec<Update> = points
+                    .iter()
+                    .step_by(500)
+                    .map(|p| Update::Delete(ghost(p)))
+                    .collect();
+                idx.par_apply_updates(&strays);
+            } else {
+                idx.delete_routed(ghost(&points[10]));
+            }
+            assert_eq!(idx.len(), points.len(), "{tag}");
+            idx.save(&d, &zm_codec())?;
+            let re = ShardedIndex::<_, GridRouter>::open_zm(&d, &elsi)?;
+            assert_eq!(re.len(), points.len(), "{tag}");
+            assert_eq!(re.window_query(&Rect::unit()), oracle, "{tag}");
+            assert_eq!(re.point_query(points[10]), Some(points[10]), "{tag}");
+        }
+        Ok(())
+    }
+
+    #[test]
     fn learned_router_cuts_survive_the_round_trip() {
         let d = dir("learned_rt");
         let elsi = Elsi::new(ElsiConfig::fast_test());

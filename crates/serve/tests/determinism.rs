@@ -114,3 +114,54 @@ fn rebuilt_shards_stay_deterministic() {
     assert!(a.0 >= 1, "hotspot must trigger at least one shard rebuild");
     assert_eq!(a, run());
 }
+
+#[test]
+fn large_batches_on_a_dirty_deployment_equal_one_at_a_time_answers() {
+    // Batches long enough to be answered in Z-order on the pool (1024
+    // lookups, 256 windows or kNN centres: `DESIGN.md` §9) rather than
+    // inline: every shard sees its queries back to back, the caller still
+    // gets them in its own order, at every thread count.
+    let elsi = Elsi::new(ElsiConfig::fast_test());
+    let points = elsi_data::gen::skewed(3_000, 4, 21);
+    let router = LearnedRouter::fit_sampled(&points, 2, 3);
+    let mut sharded = ShardedIndex::zm(points.clone(), router, &ShardedConfig::grid(2, 3), &elsi);
+    let mut updates: Vec<Update> = elsi_data::stream::skewed_insertions(400, 8);
+    updates.extend(points.iter().step_by(9).map(|p| Update::Delete(*p)));
+    sharded.par_apply_updates(&updates);
+
+    // Data order is not Z-order; the stride wraps, so queries repeat.
+    let cycled = |n: usize| points.iter().cycle().step_by(11).take(n).copied();
+    let probes: Vec<Point> = cycled(1_300).collect();
+    let windows: Vec<Rect> = cycled(300).map(|c| Rect::window_around(c, 0.01)).collect();
+    let knn_qs: Vec<Point> = cycled(300).map(|c| Point::at(c.y, c.x)).collect();
+    let point_want: Vec<_> = probes.iter().map(|&q| sharded.point_query(q)).collect();
+    let window_want: Vec<_> = windows.iter().map(|w| sharded.window_query(w)).collect();
+    let knn_want: Vec<_> = knn_qs.iter().map(|&q| sharded.knn_query(q, 5)).collect();
+    assert!(
+        point_want.iter().any(Option::is_none),
+        "deleted points must miss"
+    );
+    for threads in [1, 2, 8] {
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global();
+        assert_eq!(
+            sharded.par_point_queries(&probes),
+            point_want,
+            "{threads} threads"
+        );
+        assert_eq!(
+            sharded.par_window_queries(&windows),
+            window_want,
+            "{threads} threads"
+        );
+        assert_eq!(
+            sharded.par_knn_queries(&knn_qs, 5),
+            knn_want,
+            "{threads} threads"
+        );
+    }
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(0)
+        .build_global();
+}

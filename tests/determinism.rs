@@ -396,18 +396,31 @@ fn batched_queries_equal_one_at_a_time_answers() {
     use elsi::{DeltaOverlay, RebuildPolicy, Update, UpdateProcessor};
     use elsi_indices::{GridConfig, GridIndex, PwlBuilder};
     let (pts, probes, windows, knn_qs) = query_workload();
+    // The same again in batches long enough to leave the inline path and be
+    // answered in Z-order on the pool (1024 lookups, 256 windows or kNN
+    // centres: `DESIGN.md` §9) — in data order, which is not Z-order, and
+    // with repeats.
+    let cycled = |n: usize| pts.iter().cycle().step_by(7).take(n).copied();
+    let many_probes: Vec<Point> = cycled(1100).collect();
+    let many_windows: Vec<Rect> = cycled(300).map(|c| Rect::window_around(c, 0.02)).collect();
+    let many_knn_qs: Vec<Point> = cycled(300).map(|c| Point::at(c.y, c.x)).collect();
     let check = |name: &str, idx: &dyn SpatialIndex| {
-        let point_want: Vec<_> = probes.iter().map(|&q| idx.point_query(q)).collect();
-        let window_want: Vec<_> = windows.iter().map(|w| idx.window_query(w)).collect();
-        let knn_want: Vec<_> = knn_qs.iter().map(|&q| idx.knn_query(q, 7)).collect();
-        for threads in [1, 2, 8] {
-            let _ = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build_global();
-            let at = format!("{name} at {threads} threads");
-            assert_eq!(idx.par_point_queries(&probes), point_want, "{at}");
-            assert_eq!(idx.par_window_queries(&windows), window_want, "{at}");
-            assert_eq!(idx.par_knn_queries(&knn_qs, 7), knn_want, "{at}");
+        for (probes, windows, knn_qs) in [
+            (&probes[..], &windows[..], &knn_qs[..]),
+            (&many_probes[..], &many_windows[..], &many_knn_qs[..]),
+        ] {
+            let point_want: Vec<_> = probes.iter().map(|&q| idx.point_query(q)).collect();
+            let window_want: Vec<_> = windows.iter().map(|w| idx.window_query(w)).collect();
+            let knn_want: Vec<_> = knn_qs.iter().map(|&q| idx.knn_query(q, 7)).collect();
+            for threads in [1, 2, 8] {
+                let _ = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build_global();
+                let at = format!("{name} at {threads} threads, {} lookups", probes.len());
+                assert_eq!(idx.par_point_queries(probes), point_want, "{at}");
+                assert_eq!(idx.par_window_queries(windows), window_want, "{at}");
+                assert_eq!(idx.par_knn_queries(knn_qs, 7), knn_want, "{at}");
+            }
         }
     };
     for_all_nine_indices(&pts, |name, _exact, idx| check(name, idx));
