@@ -654,6 +654,23 @@ fn open_zm(dir: &Path) -> Result<ShardedIndex<ZmIndex, Box<dyn PersistRouter>>, 
     ShardedIndex::open_zm(dir, &Elsi::new(ElsiConfig::default())).map_err(|e| e.to_string())
 }
 
+/// The chunk loop of every `elsi ingest` mode: applies `stream` through
+/// `apply` in `chunk`-sized batches and returns the `batch size` /
+/// `throughput` lines of the report.
+fn ingest_chunks(
+    stream: &[stream::Update],
+    chunk: usize,
+    apply: impl FnMut(&[stream::Update]),
+) -> String {
+    let t0 = Instant::now();
+    stream.chunks(chunk).for_each(apply);
+    let secs = t0.elapsed().as_secs_f64();
+    format!(
+        "batch size:          {chunk}\nthroughput:          {:.0} updates/s\n",
+        stream.len() as f64 / secs.max(1e-12)
+    )
+}
+
 /// Renders one query answer (shared by the monolith and sharded paths).
 fn render_query(idx: &dyn SpatialIndex, query: QuerySpec, out: &mut String) {
     match query {
@@ -810,12 +827,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     );
                     dep
                 };
-                let t0 = Instant::now();
                 let mut rebuilds = 0usize;
-                for c in stream.chunks(chunk) {
-                    rebuilds += dep.par_apply_updates(c);
-                }
-                let secs = t0.elapsed().as_secs_f64();
+                let rate = ingest_chunks(&stream, chunk, |c| rebuilds += dep.par_apply_updates(c));
                 // Checkpoint: the new generation's snapshots absorb the
                 // tail just journaled into the per-shard WALs.
                 let generation = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
@@ -824,12 +837,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     "ingested {} updates (journaled per shard, checkpointed as generation {generation})",
                     stream.len()
                 );
-                let _ = writeln!(out, "batch size:          {chunk}");
-                let _ = writeln!(
-                    out,
-                    "throughput:          {:.0} updates/s",
-                    stream.len() as f64 / secs.max(1e-12)
-                );
+                out.push_str(&rate);
                 let _ = writeln!(out, "shard rebuilds:      {rebuilds}");
                 let _ = writeln!(out, "live points:         {} (from {base_len})", dep.len());
                 return Ok(out);
@@ -837,12 +845,9 @@ pub fn run(cmd: Command) -> Result<String, String> {
             match shards {
                 Some((rows, cols)) => {
                     let mut sharded = build_sharded(pts, index, rows, cols, router);
-                    let t0 = Instant::now();
                     let mut rebuilds = 0usize;
-                    for c in stream.chunks(chunk) {
-                        rebuilds += sharded.par_apply_updates(c);
-                    }
-                    let secs = t0.elapsed().as_secs_f64();
+                    let rate =
+                        ingest_chunks(&stream, chunk, |c| rebuilds += sharded.par_apply_updates(c));
                     let _ = writeln!(
                         out,
                         "ingested {} updates through {rows}x{cols} shards ({} kind, {} router)",
@@ -850,12 +855,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         index.name(),
                         router.name()
                     );
-                    let _ = writeln!(out, "batch size:          {chunk}");
-                    let _ = writeln!(
-                        out,
-                        "throughput:          {:.0} updates/s",
-                        stream.len() as f64 / secs.max(1e-12)
-                    );
+                    out.push_str(&rate);
                     let _ = writeln!(out, "shard rebuilds:      {rebuilds}");
                     let _ = writeln!(
                         out,
@@ -875,26 +875,19 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         DeltaOverlay::new(build_kind(p, index, builder.as_ref()))
                     });
                     let mut proc = UpdateProcessor::new(pts, rebuild, RebuildPolicy::Never, 1024);
-                    let t0 = Instant::now();
                     let (mut applied, mut ignored) = (0usize, 0usize);
-                    for c in stream.chunks(chunk) {
+                    let rate = ingest_chunks(&stream, chunk, |c| {
                         let o = proc.apply_batch(c);
                         applied += o.applied;
                         ignored += o.ignored;
-                    }
-                    let secs = t0.elapsed().as_secs_f64();
+                    });
                     let _ = writeln!(
                         out,
                         "ingested {} updates into a {} monolith",
                         stream.len(),
                         index.name()
                     );
-                    let _ = writeln!(out, "batch size:          {chunk}");
-                    let _ = writeln!(
-                        out,
-                        "throughput:          {:.0} updates/s",
-                        stream.len() as f64 / secs.max(1e-12)
-                    );
+                    out.push_str(&rate);
                     let _ = writeln!(out, "applied / ignored:   {applied} / {ignored}");
                     let _ = writeln!(out, "live points:         {} (from {base_len})", proc.len());
                 }

@@ -55,7 +55,9 @@
 pub mod build;
 pub mod config;
 pub mod cost;
+mod drift;
 pub mod methods;
+mod overlay;
 pub mod persist;
 pub mod rebuild;
 pub mod scorer;

@@ -15,13 +15,13 @@
 //!   rebuilds from the live points through the rebuild callback — the
 //!   same deterministic path as [`UpdateProcessor::rebuild`].
 //!
-//! The WAL records update *batches*: every [`UpdateProcessor::insert`],
-//! [`UpdateProcessor::delete`] and [`UpdateProcessor::apply_batch`] call
-//! appends one record before mutating, and replaying records in order
-//! through `apply_batch` reproduces the post-crash state bit-identically
-//! (singleton batches are proptest-pinned equivalent to the sequential
-//! path, including the policy cadence). [`recover`] composes the pieces:
-//! newest snapshot, WAL tail replay, fresh journaling.
+//! The WAL records update *batches*: every [`UpdateProcessor::apply_batch`]
+//! call — [`UpdateProcessor::insert`] and [`UpdateProcessor::delete`] are
+//! singleton calls of it — appends one record before mutating, and
+//! replaying the records in order through the same `apply_batch` reproduces
+//! the post-crash state bit-identically, rebuild cadence included: replay
+//! is the write path run again. [`recover`] composes the pieces: newest
+//! snapshot, WAL tail replay, fresh journaling.
 
 use crate::rebuild::RebuildPolicy;
 use crate::update::{

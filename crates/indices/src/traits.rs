@@ -81,10 +81,9 @@ pub trait SpatialIndex: Send + Sync {
     /// per operation: `true` for every insert, `true` for a delete that
     /// dropped a live copy.
     ///
-    /// The default folds the batch through [`SpatialIndex::insert`] /
-    /// [`SpatialIndex::delete`]; an index with a bulk merge may override
-    /// it, and must then report exactly the flags (and reach exactly the
-    /// state) this fold would.
+    /// Provided: the fold of the batch through [`SpatialIndex::insert`] /
+    /// [`SpatialIndex::delete`], overridden by no index — an update has
+    /// one meaning per index, whether it arrives alone or in a batch.
     fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
         updates
             .iter()

@@ -12,7 +12,9 @@
 
 use std::sync::Arc;
 
-use elsi::{DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateOutcome, UpdateProcessor};
+use elsi::{
+    BatchOutcome, DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateOutcome, UpdateProcessor,
+};
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
 use elsi_spatial::{Point, Rect, ScanScratch};
@@ -246,34 +248,34 @@ impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
         self.shards.iter().map(|s| s.rebuilds()).sum()
     }
 
+    /// The one per-op body: routes `u` to its owning shard as a singleton
+    /// [`UpdateProcessor::apply_batch`].
+    fn route(&mut self, u: Update) -> Option<BatchOutcome> {
+        let s = self.router.shard_of(u.point());
+        Some(self.shards.get_mut(s)?.apply_batch(&[u]))
+    }
+
     /// Routes one insert to its owning shard; `Rebuilt` if it tripped that
     /// shard's rebuild policy.
     // lint:serving_root
     pub fn insert_routed(&mut self, p: Point) -> UpdateOutcome {
-        let s = self.router.shard_of(p);
-        match self.shards.get_mut(s) {
-            Some(shard) => shard.insert(p),
-            None => UpdateOutcome::Applied,
-        }
+        self.route(Update::Insert(p))
+            .map_or(UpdateOutcome::Applied, UpdateOutcome::from)
     }
 
     /// Routes one delete to its owning shard.
     // lint:serving_root
     pub fn delete_routed(&mut self, p: Point) -> UpdateOutcome {
-        let s = self.router.shard_of(p);
-        match self.shards.get_mut(s) {
-            Some(shard) => shard.delete(p),
-            None => UpdateOutcome::Applied,
-        }
+        self.route(Update::Delete(p))
+            .map_or(UpdateOutcome::Applied, UpdateOutcome::from)
     }
 
     /// Applies a batch of updates, fanning the per-shard sub-batches out
     /// on the rayon pool (shard-local arrival order is preserved, so the
-    /// outcome is independent of the thread count). Each shard takes the
-    /// bulk ingestion path (`UpdateProcessor::apply_batch`): one ordered
-    /// splice into its delta maps and one rebuild-policy consultation per
-    /// sub-batch, instead of per-update checks. Returns the number of
-    /// shard rebuilds the batch triggered.
+    /// outcome is independent of the thread count). Each shard folds its
+    /// sub-batch through `UpdateProcessor::apply_batch`: one WAL record and
+    /// one rebuild-policy consultation per shard and call. Returns the
+    /// number of shard rebuilds the batch triggered.
     // lint:serving_root
     pub fn par_apply_updates(&mut self, updates: &[Update]) -> usize {
         let before = self.rebuilds();
@@ -373,15 +375,12 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     }
 
     fn insert(&mut self, p: Point) {
-        self.insert_routed(p);
+        self.route(Update::Insert(p));
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        let s = self.router.shard_of(p);
-        match self.shards.get_mut(s) {
-            Some(shard) => SpatialIndex::delete(shard, p),
-            None => false,
-        }
+        self.route(Update::Delete(p))
+            .is_some_and(|out| out.applied == 1)
     }
 
     fn name(&self) -> &'static str {

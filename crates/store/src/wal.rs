@@ -23,8 +23,8 @@
 //!
 //! Replay idempotence is the caller's contract: each record is one update
 //! batch, and replaying batches in order through the processor's
-//! `apply_batch` reproduces the exact post-append state (the batch path
-//! is proptest-pinned bit-identical to sequential application).
+//! `apply_batch` reproduces the exact post-append state (every record
+//! was written by one such call, so replay is the write path run again).
 
 use crate::crc::crc32;
 use crate::error::StoreError;

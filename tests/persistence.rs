@@ -117,6 +117,14 @@ fn every_exact_index_kind_round_trips_with_a_pending_delta() {
         };
         Box::new(move |p| DeltaOverlay::new(MlIndex::build(p, &cfg, b.as_ref())))
     };
+    // Flood has no state codec, and needs none: no deployment persists it
+    // (`--persist` serves ZM only), and the seeded rebuild every kind takes
+    // here (`NoCodec`) restores it bit for bit.
+    let flood = || -> RebuildFn<Overlay<FloodIndex>> {
+        let b = Arc::new(elsi.builder());
+        let cfg = FloodConfig { columns: 8 };
+        Box::new(move |p| DeltaOverlay::new(FloodIndex::build(p, &cfg, b.as_ref())))
+    };
 
     macro_rules! check {
         ($name:literal, $mk:expr) => {{
@@ -131,6 +139,7 @@ fn every_exact_index_kind_round_trips_with_a_pending_delta() {
     check!("rstar", rstar);
     check!("zm", zm);
     check!("ml", ml);
+    check!("flood", flood);
 }
 
 #[test]

@@ -11,12 +11,13 @@ use elsi_indices::{
 };
 use elsi_ml::TrainConfig;
 use elsi_spatial::curve::{hilbert, morton};
-use elsi_spatial::{quadtree_partition, Point, Rect};
+use elsi_spatial::{canonical_point_key, quadtree_partition, Point, Rect};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Snaps a raw unit-square coordinate so the boundary values 0.0 and 1.0
-/// occur regularly — the batch-equivalence oracles should exercise points
+/// occur regularly — the batch-ingestion oracles should exercise points
 /// on shard/grid edges, not just the interior.
 fn snap(v: f64) -> f64 {
     if v < 0.03 {
@@ -25,6 +26,91 @@ fn snap(v: f64) -> f64 {
         1.0
     } else {
         v
+    }
+}
+
+/// Base points `0..n` of the batch-ingestion oracles.
+fn base_points(raw: &[(f64, f64)]) -> Vec<Point> {
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(x, y))| Point::new(i as u64, x, y))
+        .collect()
+}
+
+/// A window result in canonical order.
+fn canonical(mut pts: Vec<Point>) -> Vec<Point> {
+    pts.sort_by_key(canonical_point_key);
+    pts
+}
+
+/// The id-keyed model of a [`elsi::DeltaOverlay`]: one live copy per id,
+/// the last write wins; a delete of a buffered copy is id-only and leaves
+/// a base copy of that id dead (no resurrection); a delete of an untouched
+/// base copy needs its exact coordinates.
+struct OverlayModel {
+    base_ids: BTreeSet<u64>,
+    live: BTreeMap<u64, Point>,
+    /// Ids whose live copy is buffered in the delta.
+    buffered: BTreeSet<u64>,
+}
+
+impl OverlayModel {
+    fn new(base: &[Point]) -> Self {
+        Self {
+            base_ids: base.iter().map(|p| p.id).collect(),
+            live: base.iter().map(|p| (p.id, *p)).collect(),
+            buffered: BTreeSet::new(),
+        }
+    }
+
+    fn apply(&mut self, u: elsi::Update) -> bool {
+        match u {
+            elsi::Update::Insert(p) => {
+                self.live.insert(p.id, p);
+                self.buffered.insert(p.id);
+                true
+            }
+            elsi::Update::Delete(p) => {
+                let hit = self.buffered.remove(&p.id)
+                    || self
+                        .live
+                        .get(&p.id)
+                        .is_some_and(|b| b.x == p.x && b.y == p.y);
+                if hit {
+                    self.live.remove(&p.id);
+                }
+                hit
+            }
+        }
+    }
+
+    /// Turns raw `(kind, id, x, y)` draws into a stream and applies it:
+    /// kinds 0–1 insert at the (snapped) drawn coordinates, kind 2 deletes
+    /// the id at its live coordinates when it has any, kind 3 at the drawn
+    /// — stale — ones. Returns the stream and the flag of each op.
+    fn drive(&mut self, ops: &[(u8, u64, f64, f64)]) -> (Vec<elsi::Update>, Vec<bool>) {
+        ops.iter()
+            .map(|&(kind, id, x, y)| {
+                let drawn = Point::new(id, snap(x), snap(y));
+                let u = match kind {
+                    0 | 1 => elsi::Update::Insert(drawn),
+                    2 => elsi::Update::Delete(*self.live.get(&id).unwrap_or(&drawn)),
+                    _ => elsi::Update::Delete(drawn),
+                };
+                (u, self.apply(u))
+            })
+            .unzip()
+    }
+
+    /// Buffered copies plus tombstones: base ids whose base copy is no
+    /// longer the live one.
+    fn delta_len(&self) -> usize {
+        let untouched = |id: &u64| self.live.contains_key(id) && !self.buffered.contains(id);
+        self.buffered.len() + self.base_ids.iter().filter(|id| !untouched(id)).count()
+    }
+
+    fn canonical_live(&self) -> Vec<Point> {
+        canonical(self.live.values().copied().collect())
     }
 }
 
@@ -145,7 +231,6 @@ proptest! {
         // base ids, so overwrites of base points (id collisions) are
         // exercised: the overlay must keep exactly one live copy per id,
         // with the last write winning.
-        use std::collections::BTreeMap;
         let points: Vec<Point> = base_pts
             .iter()
             .enumerate()
@@ -208,113 +293,67 @@ proptest! {
     #[test]
     fn overlay_batch_ingestion_is_bit_identical_to_sequential(
         base_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..60),
-        ops in prop::collection::vec(
-            (any::<bool>(), 0u64..30, 0.0f64..1.0, 0.0f64..1.0), 0..120
-        )
+        ops in prop::collection::vec((0u8..4, 0u64..90, 0.0f64..1.0, 0.0f64..1.0), 0..120)
     ) {
-        // The tentpole equivalence oracle: `DeltaOverlay::apply_batch` must
-        // be indistinguishable from folding the same updates one at a time
-        // — per-op outcome flags, live size, delta size and the full
-        // canonical window result, under random interleavings of inserts,
+        // `DeltaOverlay::apply_batch` against the id-keyed model: per-op
+        // outcome flags, live size, delta size, the canonical unit-window
+        // result and point probes, under random interleavings of inserts,
         // overwrites (duplicate ids in the same batch, ids colliding with
-        // base points) and deletes, including boundary coordinates.
-        let points: Vec<Point> = base_pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| Point::new(i as u64, x, y))
-            .collect();
-        let batch: Vec<elsi::Update> = ops
-            .iter()
-            .map(|&(is_insert, id, x, y)| {
-                let p = Point::new(id, snap(x), snap(y));
-                if is_insert { elsi::Update::Insert(p) } else { elsi::Update::Delete(p) }
-            })
-            .collect();
-        let build = || elsi::DeltaOverlay::new(
-            GridIndex::build(points.clone(), &GridConfig { block_size: 16 })
+        // base points), exact and stale-coordinate deletes, including
+        // boundary coordinates.
+        let points = base_points(&base_pts);
+        let mut model = OverlayModel::new(&points);
+        let (batch, want_flags) = model.drive(&ops);
+        let mut overlay = elsi::DeltaOverlay::new(
+            GridIndex::build(points, &GridConfig { block_size: 16 })
         );
 
-        let mut bulk = build();
-        let bulk_flags = bulk.apply_batch(&batch);
-        let mut seq = build();
-        let seq_flags: Vec<bool> = batch
-            .iter()
-            .map(|u| match *u {
-                elsi::Update::Insert(p) => {
-                    seq.insert(p);
-                    true
-                }
-                elsi::Update::Delete(p) => seq.delete(p),
-            })
-            .collect();
-
-        prop_assert_eq!(bulk_flags, seq_flags);
-        prop_assert_eq!(bulk.len(), seq.len());
-        prop_assert_eq!(bulk.delta_len(), seq.delta_len());
-        prop_assert_eq!(bulk.window_query(&Rect::unit()), seq.window_query(&Rect::unit()));
-        // Random-probe agreement on point queries (delete/insert of the
-        // same id inside one batch must resolve identically).
-        for &(_, id, x, y) in ops.iter().take(20) {
-            let p = Point::new(id, snap(x), snap(y));
-            prop_assert_eq!(bulk.point_query(p), seq.point_query(p));
+        prop_assert_eq!(overlay.apply_batch(&batch), want_flags);
+        prop_assert_eq!(overlay.len(), model.live.len());
+        prop_assert_eq!(overlay.delta_len(), model.delta_len());
+        prop_assert_eq!(canonical(overlay.window_query(&Rect::unit())), model.canonical_live());
+        // Every op's coordinates answer with the live copy stored there, if
+        // any (delete/insert of one id inside a batch resolve by arrival).
+        for u in batch.iter().take(20) {
+            let want = model.live.values().find(|p| p.x == u.point().x && p.y == u.point().y);
+            prop_assert_eq!(overlay.point_query(u.point()), want.copied());
         }
     }
 
     #[test]
     fn processor_batch_ingestion_matches_sequential_under_never(
         base_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50),
-        ops in prop::collection::vec(
-            (any::<bool>(), 0u64..25, 0.0f64..1.0, 0.0f64..1.0), 0..100
-        ),
+        ops in prop::collection::vec((0u8..4, 0u64..75, 0.0f64..1.0, 0.0f64..1.0), 0..100),
         chunk in 1usize..17
     ) {
-        // At the lifecycle level (live set, drift sketch, counters) the
-        // batch path must match per-op application exactly when the policy
-        // never fires, for every chunking of the stream.
-        let points: Vec<Point> = base_pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| Point::new(i as u64, x, y))
-            .collect();
-        let stream: Vec<elsi::Update> = ops
-            .iter()
-            .map(|&(is_insert, id, x, y)| {
-                let p = Point::new(id, snap(x), snap(y));
-                if is_insert { elsi::Update::Insert(p) } else { elsi::Update::Delete(p) }
-            })
-            .collect();
-        let make = || {
-            let pts = points.clone();
-            let rebuild: elsi::RebuildFn<elsi::DeltaOverlay<GridIndex>> = Box::new(|p| {
-                elsi::DeltaOverlay::new(GridIndex::build(p, &GridConfig { block_size: 16 }))
-            });
-            elsi::UpdateProcessor::new(pts, rebuild, elsi::RebuildPolicy::Never, 8)
-        };
+        // At the lifecycle level (live set, counters) every chunking of the
+        // stream — singletons through the per-op doors included — must land
+        // on the model's state when the policy never fires.
+        let points = base_points(&base_pts);
+        let mut model = OverlayModel::new(&points);
+        let (stream, want_flags) = model.drive(&ops);
+        let want_applied = want_flags.iter().filter(|&&f| f).count();
+        let rebuild: elsi::RebuildFn<elsi::DeltaOverlay<GridIndex>> = Box::new(|p| {
+            elsi::DeltaOverlay::new(GridIndex::build(p, &GridConfig { block_size: 16 }))
+        });
+        let mut proc = elsi::UpdateProcessor::new(points, rebuild, elsi::RebuildPolicy::Never, 8);
 
-        let mut batched = make();
         let mut applied = 0usize;
         for c in stream.chunks(chunk) {
-            applied += batched.apply_batch(c).applied;
-        }
-        let mut seq = make();
-        let mut seq_applied = 0usize;
-        for &u in &stream {
-            match u {
-                elsi::Update::Insert(p) => {
-                    seq.insert(p);
-                    seq_applied += 1;
+            applied += match *c {
+                [elsi::Update::Insert(p)] => {
+                    proc.insert(p);
+                    1
                 }
-                elsi::Update::Delete(p) => {
-                    if SpatialIndex::delete(&mut seq, p) {
-                        seq_applied += 1;
-                    }
-                }
-            }
+                [elsi::Update::Delete(p)] => usize::from(SpatialIndex::delete(&mut proc, p)),
+                _ => proc.apply_batch(c).applied,
+            };
         }
-        prop_assert_eq!(applied, seq_applied);
-        prop_assert_eq!(batched.len(), seq.len());
-        prop_assert_eq!(batched.pending_updates(), seq.pending_updates());
-        prop_assert_eq!(batched.window_query(&Rect::unit()), seq.window_query(&Rect::unit()));
+        prop_assert_eq!(applied, want_applied);
+        prop_assert_eq!(proc.len(), model.live.len());
+        prop_assert_eq!(proc.pending_updates(), want_applied);
+        prop_assert_eq!(proc.live_points(), model.live.values().copied().collect::<Vec<_>>());
+        prop_assert_eq!(canonical(proc.window_query(&Rect::unit())), model.canonical_live());
     }
 
     #[test]
