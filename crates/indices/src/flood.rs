@@ -20,11 +20,10 @@
 //! sort keys themselves, so error-bounded predict-and-scan plus a validated
 //! locate covers every stored point.
 
-use crate::model::{equal_key_run, locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{
-    knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, Soa, SpatialIndex,
-};
-use elsi_spatial::{scan, KeyMapper, Point, Rect, ScanScratch};
+use crate::leaf::{Delta, Leaf};
+use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::traits::{knn_seeded_into, SpatialIndex};
+use elsi_spatial::{KeyMapper, Point, Rect, ScanScratch};
 use std::collections::HashSet;
 
 /// Flood configuration.
@@ -42,31 +41,22 @@ impl Default for FloodConfig {
 }
 
 struct Column {
-    /// Points sorted by y.
-    points: Vec<Point>,
-    /// SoA mirrors of `points` (same y-sorted order) for the scan kernels;
-    /// `ys` doubles as the sort-key array the models predict over.
+    /// The column's points sorted by y, as SoA columns; `ys` doubles as
+    /// the sort-key array the model predicts over.
     xs: Vec<f64>,
     ys: Vec<f64>,
     ids: Vec<u64>,
     model: RankModel,
-    /// Inserted points, scanned at query time.
-    overflow: Vec<Point>,
 }
 
 impl Column {
-    /// The SoA columns, as the scan kernels take them.
-    fn soa(&self) -> Soa<'_> {
-        (&self.xs, &self.ys, &self.ids)
-    }
-
-    /// First stored (not overflow) point at `q`'s coordinates whose id
-    /// passes `live`: predict, search the error-bounded range of the y-key
-    /// column, and scan only the equal-y run (`DESIGN.md` §12).
-    fn find_stored(&self, q: Point, live: impl Fn(u64) -> bool) -> Option<Point> {
-        let (lo, hi) = equal_key_run(&self.ys, self.model.search_range(q.y), q.y);
-        let (xs, ys, ids) = scan::soa_span(&self.xs, &self.ys, &self.ids, lo, hi);
-        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
+    /// The column as a sorted page keyed by y.
+    fn leaf<'a>(&'a self, deleted: &'a HashSet<u64>) -> Leaf<'a> {
+        Leaf {
+            keys: &self.ys,
+            cols: (&self.xs, &self.ys, &self.ids),
+            deleted,
+        }
     }
 
     /// The rank run `[lo, hi)` of the y-extent of `w`, located through
@@ -83,8 +73,9 @@ pub struct FloodIndex {
     /// Column boundaries over x (`len == columns + 1`, sentinel-bounded).
     bounds: Vec<f64>,
     columns: Vec<Column>,
-    deleted: HashSet<u64>,
-    n_live: usize,
+    /// Per-column overflow pages for inserts, and tombstones.
+    delta: Delta,
+    n_stored: usize,
     stats: Vec<BuildStats>,
 }
 
@@ -144,20 +135,18 @@ impl FloodIndex {
             });
             stats.push(built.stats);
             columns.push(Column {
-                points: pts,
                 xs,
                 ys,
                 ids,
                 model: built.model,
-                overflow: Vec::new(),
             });
         }
 
         Self {
             bounds,
             columns,
-            deleted: HashSet::new(),
-            n_live: n,
+            delta: Delta::new(vec![Vec::new(); c], HashSet::new()),
+            n_stored: n,
             stats,
         }
     }
@@ -215,8 +204,12 @@ impl FloodIndex {
         &self.stats
     }
 
-    fn live(&self, p: &Point) -> bool {
-        !self.deleted.contains(&p.id)
+    /// First live stored (not overflow) point at `q`'s coordinates in
+    /// column `c`, with id `only` when given.
+    fn find_stored(&self, c: usize, q: Point, only: Option<u64>) -> Option<Point> {
+        let col = self.columns.get(c)?;
+        col.leaf(self.delta.tombstones())
+            .find(col.model.search_range(q.y), q.y, q, only)
     }
 }
 
@@ -230,60 +223,30 @@ fn locate_column(bounds: &[f64], x: f64) -> usize {
 
 impl SpatialIndex for FloodIndex {
     fn len(&self) -> usize {
-        self.n_live + self.columns.iter().map(|c| c.overflow.len()).sum::<usize>()
+        self.delta.len(self.n_stored)
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
-        if self.columns.is_empty() {
-            return None;
-        }
-        let col = self.columns.get(locate_column(&self.bounds, q.x))?;
-        let hit = col.find_stored(q, |id| !self.deleted.contains(&id));
-        if hit.is_some() {
-            return hit;
-        }
-        col.overflow
-            .iter()
-            .find(|p| p.x == q.x && p.y == q.y && self.live(p))
-            .copied()
+        let c = locate_column(&self.bounds, q.x);
+        let stored = self.find_stored(c, q, None);
+        stored.or_else(|| self.delta.find(c, q))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
-        if self.columns.is_empty() {
-            return;
-        }
         let first = locate_column(&self.bounds, w.lo_x);
         let last = locate_column(&self.bounds, w.hi_x);
-        for col in self.columns.get(first..=last).unwrap_or(&[]) {
-            if !col.points.is_empty() {
-                let (lo, hi) = col.y_run(w);
-                let (sx, sy, si) = scan::soa_span(&col.xs, &col.ys, &col.ids, lo, hi);
-                let m = scan::range_scan_into(sx, sy, si, w, scratch.hits_slot(sx.len()));
-                if self.deleted.is_empty() {
-                    out.extend_from_slice(scratch.hits_upto(m));
-                } else {
-                    out.extend(
-                        scratch
-                            .hits_upto(m)
-                            .iter()
-                            .filter(|p| self.live(p))
-                            .copied(),
-                    );
-                }
-            }
-            out.extend(
-                col.overflow
-                    .iter()
-                    .filter(|p| w.contains(p) && self.live(p))
-                    .copied(),
-            );
+        for (c, col) in self.columns.iter().enumerate().take(last + 1).skip(first) {
+            col.leaf(self.delta.tombstones())
+                .window_into(col.y_run(w), w, scratch, out);
+            self.delta.window_into(c, w, out);
         }
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         let k = k.min(self.len());
         let home = locate_column(&self.bounds, q.x);
+        let deleted = self.delta.tombstones();
         knn_seeded_into(
             q,
             k,
@@ -296,11 +259,9 @@ impl SpatialIndex for FloodIndex {
                 if let Some(col) = self.columns.get(home) {
                     let pos = locate_lower(&col.ys, col.model.search_range(q.y), q.y);
                     run = (pos.saturating_sub(k), pos + k);
-                    knn_offer_span(q, col.soa(), run, &self.deleted, heap);
+                    col.leaf(deleted).knn_offer_span(q, run, heap);
                 }
-                for col in &self.columns {
-                    knn_offer_points(q, &col.overflow, &self.deleted, heap);
-                }
+                self.delta.knn_offer(q, heap);
                 run
             },
             |run, ball, heap| {
@@ -309,49 +270,24 @@ impl SpatialIndex for FloodIndex {
                 let first = locate_column(&self.bounds, ball.lo_x);
                 let last = locate_column(&self.bounds, ball.hi_x);
                 for (c, col) in self.columns.iter().enumerate().take(last + 1).skip(first) {
-                    let ranks = col.y_run(ball);
                     let seeded = if c == home { run } else { (0, 0) };
-                    knn_offer_around(q, col.soa(), ranks, seeded, &self.deleted, heap);
+                    col.leaf(deleted)
+                        .knn_offer_around(q, col.y_run(ball), seeded, heap);
                 }
             },
         );
     }
 
     fn insert(&mut self, p: Point) {
-        // Inserted points are expected to carry fresh ids (re-inserting a
-        // tombstoned id resurrects the tombstoned base point as well).
-        if self.deleted.remove(&p.id) {
-            self.n_live += 1;
-        }
-        let c = locate_column(&self.bounds, p.x);
-        if let Some(col) = self.columns.get_mut(c) {
-            col.overflow.push(p);
-        }
+        self.delta.insert(locate_column(&self.bounds, p.x), p);
     }
 
     fn delete(&mut self, p: Point) -> bool {
         let c = locate_column(&self.bounds, p.x);
-        let Some(col) = self.columns.get_mut(c) else {
-            return false;
-        };
-        if let Some(pos) = col
-            .overflow
-            .iter()
-            .position(|b| b.id == p.id && b.x == p.x && b.y == p.y)
-        {
-            col.overflow.swap_remove(pos);
-            return true;
+        self.delta.remove(c, p) || {
+            let stored = self.find_stored(c, p, Some(p.id));
+            self.delta.bury(stored)
         }
-        // The stored copy of this very point — same coordinates *and* id —
-        // not whichever live point shares its location.
-        let found = col
-            .find_stored(p, |id| id == p.id && !self.deleted.contains(&id))
-            .is_some();
-        if found {
-            self.deleted.insert(p.id);
-            self.n_live -= 1;
-        }
-        found
     }
 
     fn name(&self) -> &'static str {

@@ -1,0 +1,243 @@
+//! The leaf under the learned indices, and the update kit beside it.
+//!
+//! The models of a learned index narrow a query to a rank span of one
+//! sorted page; what happens inside the span is the same whatever the
+//! index. [`Leaf`] is that page, borrowed, with one body per query kind.
+//! What differs (ZM's two-stage routing, ML's annuli, Flood's columns,
+//! RSMI's probes) stays in the index and only produces the span.
+//! [`Delta`] is the update side ZM, ML-Index and Flood share.
+
+use crate::model::equal_key_run;
+use elsi_spatial::{scan, KnnHeap, MappedData, Point, Rect, ScanScratch};
+use std::collections::HashSet;
+
+/// Three parallel SoA columns, as the scan kernels take them.
+pub(crate) type Soa<'a> = (&'a [f64], &'a [f64], &'a [u64]);
+
+/// The liveness test of a stored id: not tombstoned and — when a delete
+/// asks for one identity — that very id.
+pub(crate) fn live(deleted: &HashSet<u64>, only: Option<u64>) -> impl Fn(u64) -> bool + '_ {
+    move |id| only.is_none_or(|o| o == id) && !deleted.contains(&id)
+}
+
+/// One sorted page of a learned index, borrowed for a query.
+pub(crate) struct Leaf<'a> {
+    /// The sorted key column the page's model predicts over.
+    pub keys: &'a [f64],
+    /// The page's points, in the rank order of `keys`.
+    pub cols: Soa<'a>,
+    /// Ids of the owning index's tombstoned stored points.
+    pub deleted: &'a HashSet<u64>,
+}
+
+impl<'a> Leaf<'a> {
+    /// The whole of `data` as one page, under `delta`'s tombstones.
+    #[inline]
+    pub(crate) fn over(data: &'a MappedData, delta: &'a Delta) -> Self {
+        Leaf {
+            keys: data.keys(),
+            cols: (data.xs(), data.ys(), data.ids()),
+            deleted: &delta.deleted,
+        }
+    }
+
+    /// The columns of ranks `lo..hi`: a span past the page's end is
+    /// clipped, an inverted or wholly outside one is empty.
+    #[inline]
+    fn span(&self, (lo, hi): (usize, usize)) -> Soa<'_> {
+        let (xs, ys, ids) = self.cols;
+        scan::soa_span(xs, ys, ids, lo, hi.min(ids.len()))
+    }
+
+    /// First live stored point at `q`'s coordinates (with id `only`, when
+    /// given): search the model's error-bounded range `hint` by `key`,
+    /// then scan only the equal-key run (`DESIGN.md` §12).
+    // lint:hot_path
+    #[inline]
+    pub(crate) fn find(
+        &self,
+        hint: (usize, usize),
+        key: f64,
+        q: Point,
+        only: Option<u64>,
+    ) -> Option<Point> {
+        let (xs, ys, ids) = self.span(equal_key_run(self.keys, hint, key));
+        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live(self.deleted, only))
+    }
+
+    /// Appends the live points of ranks `span` inside `w` to `out`, in rank
+    /// order; tombstoned hits are compacted away in the scratch buffer.
+    // lint:hot_path
+    pub(crate) fn window_into(
+        &self,
+        span: (usize, usize),
+        w: &Rect,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
+        let (xs, ys, ids) = self.span(span);
+        let hits = scratch.hits_slot(xs.len());
+        let mut m = scan::range_scan_into(xs, ys, ids, w, hits);
+        if !self.deleted.is_empty() {
+            let mut kept = 0;
+            for i in 0..m {
+                if hits.get(i).is_some_and(|p| !self.deleted.contains(&p.id)) {
+                    hits.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            m = kept;
+        }
+        out.extend_from_slice(hits.get(..m).unwrap_or(&[]));
+    }
+
+    /// Offers the live points of ranks `span` to `heap`: the branch-free
+    /// kernel when nothing is tombstoned, a filtered loop otherwise.
+    pub(crate) fn knn_offer_span(&self, q: Point, span: (usize, usize), heap: &mut KnnHeap) {
+        let (xs, ys, ids) = self.span(span);
+        if self.deleted.is_empty() {
+            scan::knn_scan(q.x, q.y, xs, ys, ids, heap);
+            return;
+        }
+        for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
+            if !self.deleted.contains(&id) {
+                heap.offer_point(q, Point { id, x, y });
+            }
+        }
+    }
+
+    /// The sweep half of a rank-run seed: offers the live points of ranks
+    /// `lo..hi` that lie outside the already-offered run `seeded`.
+    pub(crate) fn knn_offer_around(
+        &self,
+        q: Point,
+        (lo, hi): (usize, usize),
+        (s_lo, s_hi): (usize, usize),
+        heap: &mut KnnHeap,
+    ) {
+        self.knn_offer_span(q, (lo, s_lo.min(hi)), heap);
+        self.knn_offer_span(q, (s_hi.max(lo), hi), heap);
+    }
+}
+
+/// Overflow pages and tombstones: the built-in update procedure of ZM (one
+/// page), ML-Index (one per pivot) and Flood (one per column).
+///
+/// A delete removes an overflow copy physically, else tombstones the id of
+/// the stored copy — of that very point, coordinates *and* id. Overflow
+/// points are therefore live by construction and never tested against the
+/// tombstones, so a re-inserted id cannot resurrect its deleted stored copy.
+pub(crate) struct Delta {
+    pages: Vec<Vec<Point>>,
+    deleted: HashSet<u64>,
+}
+
+impl Delta {
+    /// A delta of the given overflow pages and tombstones.
+    pub(crate) fn new(pages: Vec<Vec<Point>>, deleted: HashSet<u64>) -> Self {
+        Self { pages, deleted }
+    }
+
+    /// Overflow page `page`, in arrival order (empty when out of range).
+    pub(crate) fn page(&self, page: usize) -> &[Point] {
+        self.pages.get(page).map_or(&[], Vec::as_slice)
+    }
+
+    /// Ids of the tombstoned stored points.
+    pub(crate) fn tombstones(&self) -> &HashSet<u64> {
+        &self.deleted
+    }
+
+    /// Live points of an index holding `stored` stored ones.
+    pub(crate) fn len(&self, stored: usize) -> usize {
+        stored + self.pages.iter().map(Vec::len).sum::<usize>() - self.deleted.len()
+    }
+
+    /// Appends `p` to overflow page `page`.
+    pub(crate) fn insert(&mut self, page: usize, p: Point) {
+        if let Some(page) = self.pages.get_mut(page) {
+            page.push(p);
+        }
+    }
+
+    /// The overflow half of a delete: removes the copy of `p` from `page`.
+    pub(crate) fn remove(&mut self, page: usize, p: Point) -> bool {
+        let Some(page) = self.pages.get_mut(page) else {
+            return false;
+        };
+        let at = page
+            .iter()
+            .position(|b| b.id == p.id && b.x == p.x && b.y == p.y);
+        at.map(|at| page.swap_remove(at)).is_some()
+    }
+
+    /// The stored half of a delete: tombstones the copy the index's own
+    /// [`Leaf::find`] returned for the deleted point, if it found one.
+    pub(crate) fn bury(&mut self, stored: Option<Point>) -> bool {
+        stored.is_some_and(|p| self.deleted.insert(p.id))
+    }
+
+    /// First point of `page` at `q`'s coordinates.
+    pub(crate) fn find(&self, page: usize, q: Point) -> Option<Point> {
+        let page = self.page(page).iter();
+        page.copied().find(|p| p.x == q.x && p.y == q.y)
+    }
+
+    /// Appends the points of `page` inside `w` to `out`.
+    pub(crate) fn window_into(&self, page: usize, w: &Rect, out: &mut Vec<Point>) {
+        out.extend(self.page(page).iter().filter(|p| w.contains(p)));
+    }
+
+    /// Offers every overflow point to `heap`.
+    pub(crate) fn knn_offer(&self, q: Point, heap: &mut KnnHeap) {
+        for p in self.pages.iter().flatten() {
+            heap.offer_point(q, *p);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spans_outside_the_page_scan_nothing() {
+        // Eight points on a diagonal, keyed by rank; every one is inside
+        // the window, at the query's distance or findable by key.
+        let xs: Vec<f64> = (0..8).map(|i| f64::from(i) / 8.0).collect();
+        let ids: Vec<u64> = (0..8).collect();
+        for deleted in [HashSet::new(), HashSet::from([3])] {
+            let leaf = Leaf {
+                keys: &xs,
+                cols: (&xs, &xs, &ids),
+                deleted: &deleted,
+            };
+            let q = Point::at(0.5, 0.5);
+            let mut scratch = ScanScratch::new();
+            // Inverted, empty at the end, wholly past the end, inverted
+            // past the end.
+            for span in [(5, 2), (8, 8), (9, 20), (usize::MAX, 0)] {
+                assert_eq!(leaf.find(span, 0.5, q, None), None, "{span:?}");
+                let mut out = Vec::new();
+                leaf.window_into(span, &Rect::unit(), &mut scratch, &mut out);
+                assert!(out.is_empty(), "{span:?}");
+                let heap = scratch.heap_for(3);
+                leaf.knn_offer_span(q, span, heap);
+                leaf.knn_offer_around(q, span, (0, 0), heap);
+                assert!(heap.finish().is_empty(), "{span:?}");
+            }
+            // A span reaching past the end is clipped to the page.
+            let tail = 8 - 6 - usize::from(deleted.contains(&7));
+            assert_eq!(
+                leaf.find((4, 99), 0.5, q, None),
+                Some(Point::new(4, 0.5, 0.5))
+            );
+            let mut out = Vec::new();
+            leaf.window_into((6, 99), &Rect::unit(), &mut scratch, &mut out);
+            assert_eq!(out.len(), tail);
+            let heap = scratch.heap_for(8);
+            leaf.knn_offer_span(q, (6, usize::MAX), heap);
+            assert_eq!(heap.finish().len(), tail);
+        }
+    }
+}

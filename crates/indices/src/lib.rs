@@ -20,6 +20,7 @@ pub mod flood;
 pub mod grid;
 pub mod hrr;
 pub mod kdb;
+pub(crate) mod leaf;
 pub mod lisa;
 pub mod mlindex;
 pub mod model;

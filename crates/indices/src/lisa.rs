@@ -20,12 +20,12 @@
 //! the `elsi` crate masks them out for LISA.
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_offer_span, knn_seeded_into, SpatialIndex};
+use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_spatial::{
     scan, BlockStore, KeyMapper, KnnHeap, LisaMapper, MappedData, Point, Rect, ScanScratch,
 };
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// LISA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +57,6 @@ pub struct LisaIndex {
     shard_hi: i64,
     shards: Vec<BlockStore>,
     shard_size: usize,
-    deleted: HashSet<u64>,
     n_live: usize,
     stats: Vec<BuildStats>,
 }
@@ -129,7 +128,6 @@ impl LisaIndex {
             shard_hi,
             shards,
             shard_size: cfg.shard_size,
-            deleted: HashSet::new(),
             n_live: n,
             stats,
         }
@@ -146,7 +144,6 @@ impl LisaIndex {
             shard_hi: 0,
             shards: vec![BlockStore::new(cfg.block_size.max(1))],
             shard_size: cfg.shard_size.max(1),
-            deleted: HashSet::new(),
             n_live: 0,
             stats: Vec::new(),
         }
@@ -182,10 +179,6 @@ impl LisaIndex {
         (lo, hi)
     }
 
-    fn live(&self, p: &Point) -> bool {
-        !self.deleted.contains(&p.id)
-    }
-
     /// Offers the pages of shard `s` that can still beat the heap's k-th
     /// distance (strict MBR pruning, so ties survive).
     fn knn_offer_shard(&self, q: Point, s: usize, heap: &mut KnnHeap) {
@@ -195,7 +188,7 @@ impl LisaIndex {
         for (b, mbr) in shard.mbrs().iter().enumerate() {
             if mbr.min_dist2(&q) <= heap.worst_dist2() {
                 let v = shard.view(b);
-                knn_offer_span(q, (v.xs, v.ys, v.ids), (0, v.len()), &self.deleted, heap);
+                scan::knn_scan(q.x, q.y, v.xs, v.ys, v.ids, heap);
             }
         }
     }
@@ -232,24 +225,15 @@ impl SpatialIndex for LisaIndex {
                 if !block.mbr.contains(&q) {
                     continue;
                 }
-                // The kernel finds the first coordinate match; step past
-                // tombstoned ids (same coords, deleted point) if needed.
-                let mut base = 0usize;
-                while let Some(i) =
-                    scan::contains_scan(&block.xs[base..], &block.ys[base..], q.x, q.y)
-                {
-                    let p = block.point(base + i);
-                    if self.live(&p) {
-                        return Some(p);
-                    }
-                    base += i + 1;
+                if let Some(i) = scan::contains_scan(block.xs, block.ys, q.x, q.y) {
+                    return Some(block.point(i));
                 }
             }
         }
         None
     }
 
-    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn window_query_into(&self, w: &Rect, _scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if self.n_live == 0 {
             return;
@@ -277,33 +261,10 @@ impl SpatialIndex for LisaIndex {
                 candidates.extend(lo..=hi);
             }
         }
-        if self.deleted.is_empty() {
-            // No tombstones: the kernels compress-store straight into `out`.
-            for s in candidates {
-                self.shards[s].window_scan(w, out);
-            }
-            return;
-        }
-        // Tombstones present: stage block scans in the scratch hit buffer,
-        // then copy the live survivors.
+        // LISA deletes physically, so every stored point is live and the
+        // kernels compress-store straight into `out`.
         for s in candidates {
-            for block in self.shards[s].views() {
-                if block.is_empty() || !w.intersects(&block.mbr) {
-                    continue;
-                }
-                let m = scan::range_scan_into(
-                    block.xs,
-                    block.ys,
-                    block.ids,
-                    w,
-                    scratch.hits_slot(block.len()),
-                );
-                for p in &scratch.hits()[..m] {
-                    if self.live(p) {
-                        out.push(*p);
-                    }
-                }
-            }
+            self.shards[s].window_scan(w, out);
         }
     }
 
@@ -353,7 +314,6 @@ impl SpatialIndex for LisaIndex {
     }
 
     fn insert(&mut self, p: Point) {
-        self.deleted.remove(&p.id);
         let key = self.mapper.key(p);
         let s = self
             .predicted_shard(key)

@@ -15,10 +15,11 @@
 //! Inserts go to per-pivot overflow pages (paper §VII-H: "ML uses extra
 //! data pages to store points inserted into each index model").
 
-use crate::model::{equal_key_run, locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_offer_around, knn_offer_points, knn_seeded_into, SpatialIndex};
+use crate::leaf::{Delta, Leaf};
+use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_ml::kmeans;
-use elsi_spatial::{scan, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
+use elsi_spatial::{IDistanceMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -58,9 +59,8 @@ pub struct MlIndex {
     mapper: IDistanceMapper,
     data: MappedData,
     partitions: Vec<Partition>,
-    /// Per-pivot overflow pages for inserts.
-    overflow: Vec<Vec<Point>>,
-    deleted: HashSet<u64>,
+    /// Per-pivot overflow pages for inserts, and tombstones.
+    delta: Delta,
     stats: Vec<BuildStats>,
 }
 
@@ -110,8 +110,7 @@ impl MlIndex {
             mapper,
             data,
             partitions,
-            overflow: vec![Vec::new(); k],
-            deleted: HashSet::new(),
+            delta: Delta::new(vec![Vec::new(); k], HashSet::new()),
             stats,
         }
     }
@@ -141,32 +140,17 @@ impl MlIndex {
         &self.stats
     }
 
-    fn live(&self, p: &Point) -> bool {
-        !self.deleted.contains(&p.id)
-    }
-
-    /// First stored (not overflow) point at `q`'s coordinates whose id
-    /// passes `live`, given `q`'s nearest pivot `i` at distance `d`:
-    /// predict, search the partition's error-bounded range by key, and scan
-    /// only the equal-key run (`DESIGN.md` §12).
-    fn find_stored(
-        &self,
-        q: Point,
-        (i, d): (usize, f64),
-        live: impl Fn(u64) -> bool,
-    ) -> Option<Point> {
+    /// First live stored (not overflow) point at `q`'s coordinates, with id
+    /// `only` when given, in the partition of `q`'s nearest pivot `i` at
+    /// distance `d`. The partition model's range is partition-local and
+    /// clamped to the partition, so shifting it by the partition's offset
+    /// searches the same keys.
+    fn find_stored(&self, q: Point, (i, d): (usize, f64), only: Option<u64>) -> Option<Point> {
         let part = self.partitions.get(i)?;
         let key = self.mapper.key_of(i, d);
-        let keys = self
-            .data
-            .keys()
-            .get(part.offset..part.offset + part.len)
-            .unwrap_or(&[]);
-        let (lo, hi) = equal_key_run(keys, part.model.search_range(key), key);
-        let (xs, ys, ids) = self
-            .data
-            .soa_range((part.offset + lo) as isize, (part.offset + hi) as isize);
-        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
+        let (lo, hi) = part.model.search_range(key);
+        let hint = (part.offset + lo, part.offset + hi);
+        Leaf::over(&self.data, &self.delta).find(hint, key, q, only)
     }
 
     /// The key range of pivot `i`'s annulus around `w`: every point of the
@@ -204,49 +188,28 @@ impl MlIndex {
 
 impl SpatialIndex for MlIndex {
     fn len(&self) -> usize {
-        self.data.len() + self.overflow.iter().map(Vec::len).sum::<usize>() - self.deleted.len()
+        self.delta.len(self.data.len())
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
         let (i, d) = self.mapper.nearest_pivot(q);
-        let hit = self.find_stored(q, (i, d), |id| !self.deleted.contains(&id));
-        if hit.is_some() {
-            return hit;
-        }
-        self.overflow
-            .get(i)
-            .and_then(|ovf| {
-                ovf.iter()
-                    .find(|p| p.x == q.x && p.y == q.y && self.live(p))
-            })
-            .copied()
+        let stored = self.find_stored(q, (i, d), None);
+        stored.or_else(|| self.delta.find(i, q))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
+        let leaf = Leaf::over(&self.data, &self.delta);
         for (i, pivot) in self.mapper.pivots().iter().enumerate() {
-            let (lo, hi) = self.partition_ranks(i, self.pivot_key_range(i, pivot, w));
-            let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
-            let m = scan::range_scan_into(xs, ys, ids, w, scratch.hits_slot(xs.len()));
-            let hits = scratch.hits_upto(m);
-            if self.deleted.is_empty() {
-                out.extend_from_slice(hits);
-            } else {
-                out.extend(hits.iter().filter(|p| self.live(p)).copied());
-            }
-            if let Some(ovf) = self.overflow.get(i) {
-                out.extend(
-                    ovf.iter()
-                        .filter(|p| w.contains(p) && self.live(p))
-                        .copied(),
-                );
-            }
+            let ranks = self.partition_ranks(i, self.pivot_key_range(i, pivot, w));
+            leaf.window_into(ranks, w, scratch, out);
+            self.delta.window_into(i, w, out);
         }
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         let k = k.min(self.len());
-        let cols = (self.data.xs(), self.data.ys(), self.data.ids());
+        let leaf = Leaf::over(&self.data, &self.delta);
         knn_seeded_into(
             q,
             k,
@@ -260,9 +223,7 @@ impl SpatialIndex for MlIndex {
                 // is as thick as the k-th distance found in it — it then
                 // holds every point of the partition that close, since
                 // |d(p, c) − d(q, c)| ≤ d(p, q) — or the partition is spent.
-                for ovf in &self.overflow {
-                    knn_offer_points(q, ovf, &self.deleted, heap);
-                }
+                self.delta.knn_offer(q, heap);
                 let (home, d) = self.mapper.nearest_pivot(q);
                 let (Some(pivot), Some(part)) =
                     (self.mapper.pivots().get(home), self.partitions.get(home))
@@ -276,7 +237,7 @@ impl SpatialIndex for MlIndex {
                 let (mut run, mut reach) = ((pos, pos), k);
                 loop {
                     let wider = (pos.saturating_sub(reach).max(p_lo), (pos + reach).min(p_hi));
-                    knn_offer_around(q, cols, wider, run, &self.deleted, heap);
+                    leaf.knn_offer_around(q, wider, run, heap);
                     run = wider;
                     let r = heap.worst_dist2().sqrt();
                     if (run.0 == p_lo || rim(run.0) >= r) && (run.1 == p_hi || rim(run.1 - 1) >= r)
@@ -290,40 +251,23 @@ impl SpatialIndex for MlIndex {
                 // Every pivot's annulus around the ball box, minus the run.
                 for (i, pivot) in self.mapper.pivots().iter().enumerate() {
                     let ranks = self.partition_ranks(i, self.pivot_key_range(i, pivot, ball));
-                    knn_offer_around(q, cols, ranks, run, &self.deleted, heap);
+                    leaf.knn_offer_around(q, ranks, run, heap);
                 }
             },
         );
     }
 
     fn insert(&mut self, p: Point) {
-        self.deleted.remove(&p.id);
         let (i, _) = self.mapper.nearest_pivot(p);
-        if let Some(ovf) = self.overflow.get_mut(i) {
-            ovf.push(p);
-        }
+        self.delta.insert(i, p);
     }
 
     fn delete(&mut self, p: Point) -> bool {
         let (i, d) = self.mapper.nearest_pivot(p);
-        if let Some(ovf) = self.overflow.get_mut(i) {
-            if let Some(pos) = ovf
-                .iter()
-                .position(|b| b.id == p.id && b.x == p.x && b.y == p.y)
-            {
-                ovf.swap_remove(pos);
-                return true;
-            }
+        self.delta.remove(i, p) || {
+            let stored = self.find_stored(p, (i, d), Some(p.id));
+            self.delta.bury(stored)
         }
-        // The stored copy of this very point — same coordinates *and* id —
-        // not whichever live point shares its location.
-        let found = self
-            .find_stored(p, (i, d), |id| id == p.id && !self.deleted.contains(&id))
-            .is_some();
-        if found {
-            self.deleted.insert(p.id);
-        }
-        found
     }
 
     fn name(&self) -> &'static str {

@@ -2,8 +2,7 @@
 //!
 //! The byte-level vocabulary comes from `elsi_store` ([`ByteWriter`] /
 //! [`ByteReader`]: little-endian, bounds-checked, allocation-safe on
-//! corrupt lengths); this module speaks it for the spatial substrate
-//! (point columns, rectangles, [`Block`] / [`BlockStore`] pages) and the
+//! corrupt lengths); this module speaks it for point columns and the
 //! learned-model layer ([`RankModel`] over FFN or PWL rank functions).
 //! Index snapshot codecs such as [`crate::zm::ZmStateCodec`] compose
 //! these helpers into whole-index encodings.
@@ -16,7 +15,7 @@
 
 use crate::model::{RankFn, RankModel};
 use elsi_ml::{Ffn, PwlModel};
-use elsi_spatial::{Block, BlockStore, Point, Rect};
+use elsi_spatial::Point;
 use elsi_store::{ByteReader, ByteWriter, StoreError};
 
 /// Appends a point set as three parallel columns (ids, xs, ys).
@@ -58,92 +57,6 @@ pub fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<Point>, StoreError> {
         p.y = f64::from_bits(le_u64(c));
     }
     Ok(points)
-}
-
-/// Appends a rectangle as four coordinate bit patterns.
-pub fn encode_rect(w: &mut ByteWriter, rect: &Rect) {
-    w.put_f64(rect.lo_x);
-    w.put_f64(rect.lo_y);
-    w.put_f64(rect.hi_x);
-    w.put_f64(rect.hi_y);
-}
-
-/// Reads a rectangle written by [`encode_rect`].
-pub fn decode_rect(r: &mut ByteReader<'_>) -> Result<Rect, StoreError> {
-    Ok(Rect {
-        lo_x: r.get_f64()?,
-        lo_y: r.get_f64()?,
-        hi_x: r.get_f64()?,
-        hi_y: r.get_f64()?,
-    })
-}
-
-/// Appends one data page: its three columns and its maintained MBR.
-pub fn encode_block(w: &mut ByteWriter, block: &Block) {
-    w.put_usize(block.len());
-    for &id in block.ids() {
-        w.put_u64(id);
-    }
-    for &x in block.xs() {
-        w.put_f64(x);
-    }
-    for &y in block.ys() {
-        w.put_f64(y);
-    }
-    encode_rect(w, &block.mbr());
-}
-
-/// Reads a data page written by [`encode_block`]. The stored MBR is kept
-/// as-is (it is part of the durable state), not recomputed.
-pub fn decode_block(r: &mut ByteReader<'_>) -> Result<Block, StoreError> {
-    let n = r.get_len(24)?;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.get_u64()?);
-    }
-    let mut xs = Vec::with_capacity(n);
-    for _ in 0..n {
-        xs.push(r.get_f64()?);
-    }
-    let mut ys = Vec::with_capacity(n);
-    for _ in 0..n {
-        ys.push(r.get_f64()?);
-    }
-    let mbr = decode_rect(r)?;
-    Block::from_raw_parts(xs, ys, ids, mbr)
-        .ok_or_else(|| StoreError::corrupt("block", "column lengths disagree"))
-}
-
-/// Appends a whole [`BlockStore`]: shared columns, offset table, per-block
-/// MBRs and the block capacity.
-pub fn encode_block_store(w: &mut ByteWriter, store: &BlockStore) {
-    w.put_usize(store.capacity());
-    w.put_u64s(store.ids());
-    w.put_f64s(store.xs());
-    w.put_f64s(store.ys());
-    w.put_usizes(store.offsets());
-    w.put_usize(store.mbrs().len());
-    for mbr in store.mbrs() {
-        encode_rect(w, mbr);
-    }
-}
-
-/// Reads a [`BlockStore`] written by [`encode_block_store`], re-validating
-/// the structural invariants (parallel columns, monotone spanning offsets,
-/// one MBR per block).
-pub fn decode_block_store(r: &mut ByteReader<'_>) -> Result<BlockStore, StoreError> {
-    let capacity = r.get_usize()?;
-    let ids = r.get_u64s()?;
-    let xs = r.get_f64s()?;
-    let ys = r.get_f64s()?;
-    let offsets = r.get_usizes()?;
-    let n_mbrs = r.get_len(32)?;
-    let mut mbrs = Vec::with_capacity(n_mbrs);
-    for _ in 0..n_mbrs {
-        mbrs.push(decode_rect(r)?);
-    }
-    BlockStore::from_raw_parts(xs, ys, ids, offsets, mbrs, capacity)
-        .ok_or_else(|| StoreError::corrupt("block store", "structural invariants violated"))
 }
 
 const RANK_FN_FFN: u8 = 0;
@@ -222,10 +135,10 @@ fn decode_ffn(sizes: &[usize], flat: &[f64]) -> Result<Ffn, StoreError> {
         return Err(StoreError::corrupt("ffn", "impossible layer sizes"));
     }
     let mut expected = 0usize;
-    for pair in sizes.windows(2) {
-        let grown = pair[0]
+    for (fan_in, &fan_out) in sizes.iter().zip(sizes.iter().skip(1)) {
+        let grown = fan_in
             .checked_add(1)
-            .and_then(|fi| fi.checked_mul(pair[1]))
+            .and_then(|fi| fi.checked_mul(fan_out))
             .and_then(|layer| expected.checked_add(layer));
         expected = grown.ok_or_else(|| StoreError::corrupt("ffn", "parameter count overflow"))?;
     }
@@ -293,49 +206,6 @@ mod tests {
                 decode_all(&bytes[..cut], decode_points).is_err(),
                 "cut {cut} decoded"
             );
-        }
-    }
-
-    #[test]
-    fn block_and_store_round_trip() {
-        let b = Block::from_points(pts(42));
-        let mut w = ByteWriter::new();
-        encode_block(&mut w, &b);
-        let got = decode_all(w.as_slice(), decode_block).unwrap();
-        assert_eq!(got.to_points(), b.to_points());
-        assert_eq!(got.mbr(), b.mbr());
-
-        let s = BlockStore::bulk_load(&pts(230), 100);
-        let mut w = ByteWriter::new();
-        encode_block_store(&mut w, &s);
-        let got = decode_all(w.as_slice(), decode_block_store).unwrap();
-        assert_eq!(got.num_blocks(), s.num_blocks());
-        assert_eq!(got.capacity(), s.capacity());
-        assert_eq!(
-            got.iter_points().collect::<Vec<_>>(),
-            s.iter_points().collect::<Vec<_>>()
-        );
-        for b in 0..s.num_blocks() {
-            assert_eq!(got.view(b).mbr, s.view(b).mbr);
-        }
-    }
-
-    #[test]
-    fn corrupt_block_store_offsets_surface_as_corrupt() {
-        let s = BlockStore::bulk_load(&pts(100), 50);
-        let mut w = ByteWriter::new();
-        w.put_usize(s.capacity());
-        w.put_u64s(s.ids());
-        w.put_f64s(s.xs());
-        w.put_f64s(s.ys());
-        w.put_usizes(&[0, 60, 50, 100]); // non-monotone offsets
-        w.put_usize(s.mbrs().len());
-        for mbr in s.mbrs() {
-            encode_rect(&mut w, mbr);
-        }
-        match decode_all(w.as_slice(), decode_block_store) {
-            Err(StoreError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

@@ -21,9 +21,10 @@
 //! locally rebuilt — growing into a deeper subtree when it has outgrown its
 //! capacity, which is exactly the unbalanced deepening of Figure 1.
 
-use crate::model::{equal_key_run, BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::traits::{knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex};
-use elsi_spatial::{scan, Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch};
+use crate::leaf::{live, Leaf};
+use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::traits::{knn_seeded_into, SpatialIndex};
+use elsi_spatial::{Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -163,8 +164,14 @@ impl RsmiIndex {
         self.root.count_models()
     }
 
-    fn live(&self, p: &Point) -> bool {
-        !self.deleted.contains(&p.id)
+    /// The stored page of a leaf node: `keys[i]` is the local Hilbert key
+    /// of `block.point(i)`.
+    fn leaf<'a>(&'a self, block: &'a Block, keys: &'a [f64]) -> Leaf<'a> {
+        Leaf {
+            keys,
+            cols: (block.xs(), block.ys(), block.ids()),
+            deleted: &self.deleted,
+        }
     }
 }
 
@@ -311,13 +318,12 @@ fn route_child(model: &RankModel, key: f64, n: usize, fanout: usize) -> usize {
 }
 
 impl RsmiIndex {
-    /// First point at `q`'s coordinates under `node` whose id passes
-    /// `live`. A leaf predicts, searches its error-bounded range by key and
-    /// scans only the equal-key run (`DESIGN.md` §12), then its overflow
-    /// page; an internal node probes the children its routing error bounds
-    /// allow, skipping those whose MBR cannot hold `q` (MBRs grow with every
-    /// insert, so they cover each subtree's points).
-    fn find_in_node(&self, node: &Node, q: Point, live: &impl Fn(u64) -> bool) -> Option<Point> {
+    /// First live point at `q`'s coordinates under `node`, with id `only`
+    /// when given. A leaf searches its stored page ([`Leaf::find`]), then
+    /// its overflow page; an internal node probes the children its routing
+    /// error bounds allow, skipping those whose MBR cannot hold `q` (MBRs
+    /// grow with every insert, so they cover each subtree's points).
+    fn find_in_node(&self, node: &Node, q: Point, only: Option<u64>) -> Option<Point> {
         match node {
             Node::Leaf {
                 model,
@@ -328,16 +334,12 @@ impl RsmiIndex {
                 ..
             } => {
                 let key = local_key(q, bounds);
-                let (lo, hi) = equal_key_run(keys, model.search_range(key), key);
-                let (xs, ys, ids) = scan::soa_span(block.xs(), block.ys(), block.ids(), lo, hi);
-                let hit = scan::contains_scan_live(xs, ys, ids, q.x, q.y, live);
-                if hit.is_some() {
-                    return hit;
-                }
-                overflow
-                    .iter()
-                    .find(|p| p.x == q.x && p.y == q.y && live(p.id))
-                    .copied()
+                let stored = self
+                    .leaf(block, keys)
+                    .find(model.search_range(key), key, q, only);
+                let is_live = live(&self.deleted, only);
+                let at_q = |p: &&Point| p.x == q.x && p.y == q.y && is_live(p.id);
+                stored.or_else(|| overflow.iter().find(at_q).copied())
             }
             Node::Internal {
                 model,
@@ -357,7 +359,7 @@ impl RsmiIndex {
                     .unwrap_or(&[])
                     .iter()
                     .filter(|child| child.mbr().contains(&q))
-                    .find_map(|child| self.find_in_node(child, q, live))
+                    .find_map(|child| self.find_in_node(child, q, only))
             }
         }
     }
@@ -375,8 +377,8 @@ impl RsmiIndex {
                 bounds,
                 mbr,
                 block,
+                keys,
                 overflow,
-                ..
             } => {
                 if block.is_empty() && overflow.is_empty() {
                     return;
@@ -421,25 +423,10 @@ impl RsmiIndex {
                     }
                     (lo.min(block.len()), hi.min(block.len()))
                 };
-                let (sx, sy, si) = scan::soa_span(block.xs(), block.ys(), block.ids(), lo, hi);
-                let m = scan::range_scan_into(sx, sy, si, w, scratch.hits_slot(sx.len()));
-                if self.deleted.is_empty() {
-                    out.extend_from_slice(scratch.hits_upto(m));
-                } else {
-                    out.extend(
-                        scratch
-                            .hits_upto(m)
-                            .iter()
-                            .filter(|p| self.live(p))
-                            .copied(),
-                    );
-                }
-                out.extend(
-                    overflow
-                        .iter()
-                        .filter(|p| w.contains(p) && self.live(p))
-                        .copied(),
-                );
+                self.leaf(block, keys)
+                    .window_into((lo, hi), w, scratch, out);
+                let is_live = live(&self.deleted, None);
+                out.extend(overflow.iter().filter(|p| w.contains(p) && is_live(p.id)));
             }
             Node::Internal { children, .. } => {
                 for child in children {
@@ -497,9 +484,13 @@ impl RsmiIndex {
             Node::Leaf {
                 block, overflow, ..
             } => {
-                let cols = (block.xs(), block.ys(), block.ids());
-                knn_offer_span(q, cols, (0, block.len()), &self.deleted, heap);
-                knn_offer_points(q, overflow, &self.deleted, heap);
+                // The whole page: no key is searched, so none is lent.
+                self.leaf(block, &[])
+                    .knn_offer_span(q, (0, block.len()), heap);
+                let is_live = live(&self.deleted, None);
+                for p in overflow.iter().filter(|p| is_live(p.id)) {
+                    heap.offer_point(q, *p);
+                }
             }
             Node::Internal { children, .. } => {
                 for child in children {
@@ -557,7 +548,7 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
-        self.find_in_node(&self.root, q, &|id| !self.deleted.contains(&id))
+        self.find_in_node(&self.root, q, None)
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -594,14 +585,8 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        // The stored copy of this very point — same coordinates *and* id —
-        // not whichever live point shares its location.
-        let live = |id| id == p.id && !self.deleted.contains(&id);
-        let found = self.find_in_node(&self.root, p, &live).is_some();
-        if found {
-            self.deleted.insert(p.id);
-        }
-        found
+        let found = self.find_in_node(&self.root, p, Some(p.id));
+        found.is_some_and(|stored| self.deleted.insert(stored.id))
     }
 
     fn name(&self) -> &'static str {

@@ -2,9 +2,8 @@
 
 use elsi_data::stream::Update;
 use elsi_spatial::curve::morton_of;
-use elsi_spatial::{scan, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
+use elsi_spatial::{KnnEntry, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
-use std::collections::HashSet;
 
 /// Point, window and kNN queries plus updates: the operations the paper
 /// evaluates (§VII-G, §VII-H). All indices — learned and traditional —
@@ -60,8 +59,10 @@ pub trait SpatialIndex: Send + Sync {
     ///
     /// Point ids are expected to be unique across the index's lifetime.
     /// Re-inserting an id that was previously deleted additionally
-    /// un-tombstones the old stored point in the learned indices (both
-    /// copies become visible and count toward [`SpatialIndex::len`]).
+    /// un-tombstones the old stored point in RSMI, whose local rebuilds
+    /// merge inserts into the stored pages (both copies become visible and
+    /// count toward [`SpatialIndex::len`]); every other index keeps the
+    /// old copy deleted.
     fn insert(&mut self, p: Point);
 
     /// Deletes the stored point with the coordinates and id of `p`;
@@ -314,60 +315,6 @@ pub fn knn_seeded_into<T>(
     out.extend(heap.finish().iter().map(KnnEntry::point));
 }
 
-/// Three parallel SoA columns, as the scan kernels take them.
-pub(crate) type Soa<'a> = (&'a [f64], &'a [f64], &'a [u64]);
-
-/// Offers the live points of ranks `lo..hi` of `cols` to `heap` (a span
-/// past the columns' end is clipped, an inverted one is empty): the
-/// branch-free kernel when nothing is tombstoned, a filtered per-point
-/// loop otherwise.
-pub(crate) fn knn_offer_span(
-    q: Point,
-    cols: Soa<'_>,
-    (lo, hi): (usize, usize),
-    deleted: &HashSet<u64>,
-    heap: &mut KnnHeap,
-) {
-    let (xs, ys, ids) = scan::soa_span(cols.0, cols.1, cols.2, lo, hi.min(cols.2.len()));
-    if deleted.is_empty() {
-        scan::knn_scan(q.x, q.y, xs, ys, ids, heap);
-        return;
-    }
-    for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
-        if !deleted.contains(&id) {
-            heap.offer_point(q, Point { id, x, y });
-        }
-    }
-}
-
-/// The sweep half of a rank-run seed: offers the live points of ranks
-/// `lo..hi` that lie outside the already-offered run `seeded`.
-pub(crate) fn knn_offer_around(
-    q: Point,
-    cols: Soa<'_>,
-    (lo, hi): (usize, usize),
-    (s_lo, s_hi): (usize, usize),
-    deleted: &HashSet<u64>,
-    heap: &mut KnnHeap,
-) {
-    knn_offer_span(q, cols, (lo, s_lo.min(hi)), deleted, heap);
-    knn_offer_span(q, cols, (s_hi.max(lo), hi), deleted, heap);
-}
-
-/// Offers the live points of an insert buffer.
-pub(crate) fn knn_offer_points(
-    q: Point,
-    points: &[Point],
-    deleted: &HashSet<u64>,
-    heap: &mut KnnHeap,
-) {
-    for p in points {
-        if !deleted.contains(&p.id) {
-            heap.offer_point(q, *p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,27 +454,76 @@ mod tests {
 
     #[test]
     fn tombstones_are_filtered_on_every_door() {
+        use crate::leaf::{Delta, Leaf, Soa};
+        // Ranks 0..30 stored (keyed by rank), the tail on an overflow page.
         let data = lattice(6, 0.1, 0.05);
+        let (stored, tail) = data.split_at(30);
         let (xs, ys, ids): (Vec<f64>, Vec<f64>, Vec<u64>) = (
-            data.iter().map(|p| p.x).collect(),
-            data.iter().map(|p| p.y).collect(),
-            data.iter().map(|p| p.id).collect(),
+            stored.iter().map(|p| p.x).collect(),
+            stored.iter().map(|p| p.y).collect(),
+            stored.iter().map(|p| p.id).collect(),
         );
+        let keys: Vec<f64> = (0..30).map(f64::from).collect();
+        let cols = (&xs[..], &ys[..], &ids[..]);
+        fn page<'a>(keys: &'a [f64], cols: Soa<'a>, delta: &'a Delta) -> Leaf<'a> {
+            let deleted = delta.tombstones();
+            Leaf {
+                keys,
+                cols,
+                deleted,
+            }
+        }
+        let mut delta = Delta::new(vec![Vec::new()], Default::default());
+        tail.iter().for_each(|p| delta.insert(0, *p));
+
+        // Tombstone the four stored points nearest the query, take one
+        // overflow point out, and re-insert a tombstoned id elsewhere.
         let q = Point::at(0.3, 0.3);
-        let deleted: HashSet<u64> = brute_knn(&data, q, 4).iter().map(|p| p.id).collect();
+        let gone = brute_knn(&data, q, 4);
+        for p in &gone {
+            assert!(!delta.remove(0, *p), "{p:?} is stored, not buffered");
+            let hit = page(&keys, cols, &delta).find((0, 30), p.id as f64, *p, Some(p.id));
+            assert!(delta.bury(hit), "{p:?}");
+            let again = page(&keys, cols, &delta).find((0, 30), p.id as f64, *p, Some(p.id));
+            assert!(!delta.bury(again), "{p:?} tombstoned twice");
+        }
+        assert!(delta.remove(0, data[35]) && !delta.remove(0, data[35]));
+        let back = Point::new(gone[0].id, 0.31, 0.29);
+        delta.insert(0, back);
         let live: Vec<Point> = data
             .iter()
-            .filter(|p| !deleted.contains(&p.id))
+            .filter(|p| !gone.contains(p) && **p != data[35])
+            .chain([&back])
             .copied()
             .collect();
+        assert_eq!(delta.len(30), live.len());
+        let leaf = page(&keys, cols, &delta);
+
+        // kNN: ranks 0..30 around the seeded run 10..20, the run itself,
+        // and the overflow page — every live point exactly once.
         let mut scratch = ScanScratch::new();
         let heap = scratch.heap_for(5);
-        // Ranks 0..30 around the seeded run 10..20, the run itself, and
-        // the tail through the AoS door: every point exactly once.
-        knn_offer_around(q, (&xs, &ys, &ids), (0, 30), (10, 20), &deleted, heap);
-        knn_offer_span(q, (&xs, &ys, &ids), (10, 20), &deleted, heap);
-        knn_offer_points(q, &data[30..], &deleted, heap);
+        leaf.knn_offer_around(q, (0, 30), (10, 20), heap);
+        leaf.knn_offer_span(q, (10, 20), heap);
+        delta.knn_offer(q, heap);
         let got: Vec<Point> = heap.finish().iter().map(KnnEntry::point).collect();
         assert_eq!(got, brute_knn(&live, q, 5));
+
+        // Window: stored hits in rank order, then the page in arrival order.
+        let w = Rect::new(0.2, 0.2, 0.6, 0.6);
+        let mut got = Vec::new();
+        leaf.window_into((0, 30), &w, &mut scratch, &mut got);
+        delta.window_into(0, &w, &mut got);
+        let want: Vec<Point> = live.iter().filter(|p| w.contains(p)).copied().collect();
+        assert_eq!(got, want);
+
+        // Point: a tombstoned stored point is gone, its re-inserted id is
+        // found where it was put, everything live is found once.
+        for p in &data {
+            let found = leaf.find((0, 30), p.id as f64, *p, None);
+            let found = found.or_else(|| delta.find(0, *p));
+            assert_eq!(found, live.contains(p).then_some(*p), "{p:?}");
+        }
+        assert_eq!(delta.find(0, back), Some(back));
     }
 }

@@ -12,12 +12,11 @@
 //! queries are exact too, via the Z-range property (all points in a window
 //! have Z-values between the window corners' Z-values).
 
-use crate::model::{equal_key_run, BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::leaf::{Delta, Leaf};
+use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{decode_points, decode_rank_model, encode_points, encode_rank_model};
-use crate::traits::{
-    knn_offer_around, knn_offer_points, knn_offer_span, knn_seeded_into, SpatialIndex,
-};
-use elsi_spatial::{scan, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
+use crate::traits::{knn_seeded_into, SpatialIndex};
+use elsi_spatial::{KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, StoreError};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -35,7 +34,7 @@ impl Default for ZmConfig {
     }
 }
 
-struct Leaf {
+struct LeafModel {
     model: RankModel,
     /// Global rank of the leaf's first point.
     offset: usize,
@@ -55,11 +54,10 @@ struct Leaf {
 pub struct ZmIndex {
     data: MappedData,
     root: RankModel,
-    leaves: Vec<Leaf>,
-    /// Buffered inserts, scanned at query time.
-    buffer: Vec<Point>,
-    /// Tombstoned point ids.
-    deleted: HashSet<u64>,
+    leaves: Vec<LeafModel>,
+    /// ZM's own insert buffer and tombstones — shadowed by the overlay in
+    /// serving, kept because Fig. 15 measures the indices' built-in inserts.
+    delta: Delta,
     stats: Vec<BuildStats>,
 }
 
@@ -76,8 +74,7 @@ impl ZmIndex {
                 data,
                 root: RankModel::empty(0),
                 leaves: Vec::new(),
-                buffer: Vec::new(),
-                deleted: HashSet::new(),
+                delta: Delta::new(vec![Vec::new()], HashSet::new()),
                 stats,
             };
         }
@@ -113,7 +110,7 @@ impl ZmIndex {
         let mut leaves = Vec::with_capacity(s);
         for (built, lo) in built_leaves {
             stats.push(built.stats);
-            leaves.push(Leaf {
+            leaves.push(LeafModel {
                 model: built.model,
                 offset: lo,
                 err_lo: 0,
@@ -125,8 +122,7 @@ impl ZmIndex {
             data,
             root,
             leaves,
-            buffer: Vec::new(),
-            deleted: HashSet::new(),
+            delta: Delta::new(vec![Vec::new()], HashSet::new()),
             stats,
         };
         zm.compute_composed_bounds();
@@ -240,18 +236,11 @@ impl ZmIndex {
             .sum()
     }
 
-    fn live(&self, p: &Point) -> bool {
-        !self.deleted.contains(&p.id)
-    }
-
-    /// First stored (not buffered) point at `q`'s coordinates whose id
-    /// passes `live`: predict, search the error-bounded range by key, and
-    /// scan only the equal-key run (`DESIGN.md` §12).
-    fn find_stored(&self, q: Point, live: impl Fn(u64) -> bool) -> Option<Point> {
+    /// First live stored (not buffered) point at `q`'s coordinates, with
+    /// id `only` when given.
+    fn find_stored(&self, q: Point, only: Option<u64>) -> Option<Point> {
         let key = MortonMapper.key(q);
-        let (lo, hi) = equal_key_run(self.data.keys(), self.search_range(key), key);
-        let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
-        scan::contains_scan_live(xs, ys, ids, q.x, q.y, live)
+        Leaf::over(&self.data, &self.delta).find(self.search_range(key), key, q, only)
     }
 
     /// Serialises the built state — sorted columns, trained rank models,
@@ -274,8 +263,8 @@ impl ZmIndex {
             w.put_i64(leaf.err_lo);
             w.put_i64(leaf.err_hi);
         }
-        encode_points(&mut w, &self.buffer);
-        let mut deleted: Vec<u64> = self.deleted.iter().copied().collect();
+        encode_points(&mut w, self.delta.page(0));
+        let mut deleted: Vec<u64> = self.delta.tombstones().iter().copied().collect();
         deleted.sort_unstable();
         w.put_u64s(&deleted);
         w.into_vec()
@@ -303,7 +292,7 @@ impl ZmIndex {
                 "key column length disagrees with point columns",
             ));
         }
-        if !keys.windows(2).all(|w| w[0] <= w[1]) {
+        if !keys.is_sorted() {
             return Err(StoreError::corrupt("zm state", "keys are not sorted"));
         }
         let data = MappedData::from_sorted_pairs(points, keys);
@@ -315,7 +304,7 @@ impl ZmIndex {
             let offset = r.get_usize()?;
             let err_lo = r.get_i64()?;
             let err_hi = r.get_i64()?;
-            leaves.push(Leaf {
+            leaves.push(LeafModel {
                 model,
                 offset,
                 err_lo,
@@ -323,14 +312,13 @@ impl ZmIndex {
             });
         }
         let buffer = decode_points(&mut r)?;
-        let deleted: HashSet<u64> = r.get_u64s()?.into_iter().collect();
+        let deleted = r.get_u64s()?.into_iter().collect();
         r.expect_end()?;
         Ok(Self {
             data,
             root,
             leaves,
-            buffer,
-            deleted,
+            delta: Delta::new(vec![buffer], deleted),
             stats: Vec::new(),
         })
     }
@@ -356,49 +344,23 @@ impl IndexCodec<ZmIndex> for ZmStateCodec {
 
 impl SpatialIndex for ZmIndex {
     fn len(&self) -> usize {
-        self.data.len() + self.buffer.len() - self.deleted.len()
+        self.delta.len(self.data.len())
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
-        let hit = self.find_stored(q, |id| !self.deleted.contains(&id));
-        if hit.is_some() {
-            return hit;
-        }
-        self.buffer
-            .iter()
-            .find(|p| p.x == q.x && p.y == q.y && self.live(p))
-            .copied()
+        let stored = self.find_stored(q, None);
+        stored.or_else(|| self.delta.find(0, q))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
-        if !self.data.is_empty() {
-            let (lo, hi) = self.z_range(w);
-            let (xs, ys, ids) = self.data.soa_range(lo as isize, hi as isize);
-            let m = scan::range_scan_into(xs, ys, ids, w, scratch.hits_slot(xs.len()));
-            if self.deleted.is_empty() {
-                out.extend_from_slice(scratch.hits_upto(m));
-            } else {
-                out.extend(
-                    scratch
-                        .hits_upto(m)
-                        .iter()
-                        .filter(|p| self.live(p))
-                        .copied(),
-                );
-            }
-        }
-        out.extend(
-            self.buffer
-                .iter()
-                .filter(|p| w.contains(p) && self.live(p))
-                .copied(),
-        );
+        Leaf::over(&self.data, &self.delta).window_into(self.z_range(w), w, scratch, out);
+        self.delta.window_into(0, w, out);
     }
 
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         let k = k.min(self.len());
-        let cols = (self.data.xs(), self.data.ys(), self.data.ids());
+        let leaf = Leaf::over(&self.data, &self.delta);
         knn_seeded_into(
             q,
             k,
@@ -409,40 +371,24 @@ impl SpatialIndex for ZmIndex {
                 // curve, plus the insert buffer.
                 let pos = self.locate_lower(MortonMapper.key(q));
                 let run = (pos.saturating_sub(k), pos + k);
-                knn_offer_span(q, cols, run, &self.deleted, heap);
-                knn_offer_points(q, &self.buffer, &self.deleted, heap);
+                leaf.knn_offer_span(q, run, heap);
+                self.delta.knn_offer(q, heap);
                 run
             },
-            |run, ball, heap| {
-                // The rest of the ball box's Z-range, either side of the run.
-                knn_offer_around(q, cols, self.z_range(ball), run, &self.deleted, heap);
-            },
+            // The rest of the ball box's Z-range, either side of the run.
+            |run, ball, heap| leaf.knn_offer_around(q, self.z_range(ball), run, heap),
         );
     }
 
     fn insert(&mut self, p: Point) {
-        self.deleted.remove(&p.id);
-        self.buffer.push(p);
+        self.delta.insert(0, p);
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        if let Some(pos) = self
-            .buffer
-            .iter()
-            .position(|b| b.id == p.id && b.x == p.x && b.y == p.y)
-        {
-            self.buffer.swap_remove(pos);
-            return true;
+        self.delta.remove(0, p) || {
+            let stored = self.find_stored(p, Some(p.id));
+            self.delta.bury(stored)
         }
-        // The stored copy of this very point — same coordinates *and* id —
-        // not whichever live point shares its location.
-        let found = self
-            .find_stored(p, |id| id == p.id && !self.deleted.contains(&id))
-            .is_some();
-        if found {
-            self.deleted.insert(p.id);
-        }
-        found
     }
 
     fn name(&self) -> &'static str {

@@ -63,17 +63,6 @@ impl Block {
         Self { xs, ys, ids, mbr }
     }
 
-    /// Rebuilds a block from its raw structure-of-arrays parts — the
-    /// persistence decode path, which must not recompute the MBR (the
-    /// stored one is part of the durable state). Returns `None` when the
-    /// arrays disagree in length; codecs turn that into their own error.
-    pub fn from_raw_parts(xs: Vec<f64>, ys: Vec<f64>, ids: Vec<u64>, mbr: Rect) -> Option<Self> {
-        if xs.len() != ys.len() || xs.len() != ids.len() {
-            return None;
-        }
-        Some(Self { xs, ys, ids, mbr })
-    }
-
     /// The x coordinates, one per stored point.
     #[inline]
     pub fn xs(&self) -> &[f64] {
@@ -146,16 +135,6 @@ impl Block {
         self.xs.push(p.x);
         self.ys.push(p.y);
         self.ids.push(p.id);
-    }
-
-    /// Removes the point with the given id; returns whether it was found.
-    pub fn remove(&mut self, id: u64) -> bool {
-        if let Some(pos) = self.ids.iter().position(|&i| i == id) {
-            self.remove_at(pos);
-            true
-        } else {
-            false
-        }
     }
 
     /// Removes the point matching `p` exactly (id *and* coordinates) —
@@ -335,40 +314,6 @@ impl BlockStore {
         s
     }
 
-    /// Rebuilds a store from its raw parts — the persistence decode path.
-    /// Validates the structural invariants (parallel arrays of one length,
-    /// a monotone offset table spanning them exactly, one MBR per block, a
-    /// positive capacity) and returns `None` when any is violated; codecs
-    /// turn that into their own error type.
-    pub fn from_raw_parts(
-        xs: Vec<f64>,
-        ys: Vec<f64>,
-        ids: Vec<u64>,
-        offsets: Vec<usize>,
-        mbrs: Vec<Rect>,
-        capacity: usize,
-    ) -> Option<Self> {
-        let n = ids.len();
-        let well_formed = capacity > 0
-            && xs.len() == n
-            && ys.len() == n
-            && offsets.len() == mbrs.len() + 1
-            && offsets.first() == Some(&0)
-            && offsets.last() == Some(&n)
-            && offsets.windows(2).all(|w| w[0] <= w[1]);
-        if !well_formed {
-            return None;
-        }
-        Some(Self {
-            xs,
-            ys,
-            ids,
-            offsets,
-            mbrs,
-            capacity,
-        })
-    }
-
     /// The shared x-coordinate column (all blocks, in block order).
     #[inline]
     pub fn xs(&self) -> &[f64] {
@@ -387,23 +332,10 @@ impl BlockStore {
         &self.ids
     }
 
-    /// The offset table: `num_blocks() + 1` monotone positions into the
-    /// point columns; block `b` spans `offsets()[b] .. offsets()[b + 1]`.
-    #[inline]
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
     /// The maintained MBR of each block.
     #[inline]
     pub fn mbrs(&self) -> &[Rect] {
         &self.mbrs
-    }
-
-    /// Block capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total number of stored points.
@@ -449,13 +381,6 @@ impl BlockStore {
     /// Iterates the blocks as SoA views, in order.
     pub fn views(&self) -> impl Iterator<Item = BlockView<'_>> {
         (0..self.num_blocks()).map(|b| self.view(b))
-    }
-
-    /// The block that a bulk-loaded rank falls into. Only meaningful while
-    /// no splits have occurred since [`BlockStore::bulk_load`].
-    #[inline]
-    pub fn block_of_rank(&self, rank: usize) -> usize {
-        (rank / self.capacity).min(self.num_blocks().saturating_sub(1))
     }
 
     /// Appends a point to block `idx`, splitting the block in half (by the
@@ -516,29 +441,10 @@ impl BlockStore {
         1
     }
 
-    /// Removes the point with id `id` from block `idx` (or its neighbours,
-    /// to tolerate split-shifted ranks). Returns whether it was found.
-    pub fn remove_near(&mut self, idx: usize, id: u64, slack: usize) -> bool {
-        if self.mbrs.is_empty() {
-            return false;
-        }
-        let idx = idx.min(self.num_blocks() - 1);
-        let lo = idx.saturating_sub(slack);
-        let hi = (idx + slack + 1).min(self.num_blocks());
-        for b in lo..hi {
-            let (blo, bhi) = self.block_span(b);
-            let (_, _, bids) = scan::soa_span(&self.xs, &self.ys, &self.ids, blo, bhi);
-            if let Some(i) = bids.iter().position(|&s| s == id) {
-                self.remove_pos(b, blo + i);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Like [`BlockStore::remove_near`], but requires the stored point to
-    /// match `p` exactly (id *and* coordinates) — the delete contract of
-    /// the spatial indices.
+    /// Removes the stored point matching `p` exactly (id *and* coordinates
+    /// — the delete contract of the spatial indices) from block `idx` or
+    /// its `slack` neighbours either side, to tolerate split-shifted ranks.
+    /// Returns whether it was found.
     pub fn remove_point_near(&mut self, idx: usize, p: &Point, slack: usize) -> bool {
         if self.mbrs.is_empty() {
             return false;
@@ -572,7 +478,7 @@ impl BlockStore {
         for off in self.offsets.iter_mut().skip(b + 1) {
             *off -= 1;
         }
-        // Same interior fast path as `Block::remove`: an interior point
+        // Same interior fast path as `Block::remove_exact`: an interior point
         // cannot define an MBR edge.
         let stale = match self.mbrs.get(b) {
             Some(m) => !m.strictly_inside(x, y),
@@ -629,9 +535,6 @@ mod tests {
         assert_eq!(s.len(), 250);
         assert_eq!(s.view(0).len(), 100);
         assert_eq!(s.view(2).len(), 50);
-        assert_eq!(s.block_of_rank(0), 0);
-        assert_eq!(s.block_of_rank(150), 1);
-        assert_eq!(s.block_of_rank(999), 2); // clamped
     }
 
     #[test]
@@ -641,9 +544,9 @@ mod tests {
         b.push(Point::new(1, 0.25, 0.25));
         b.push(Point::new(2, 0.75, 0.5));
         assert_eq!(b.mbr(), Rect::new(0.25, 0.25, 0.75, 0.5));
-        assert!(b.remove(1));
+        assert!(b.remove_exact(&Point::new(1, 0.25, 0.25)));
         assert_eq!(b.mbr(), Rect::new(0.75, 0.5, 0.75, 0.5));
-        assert!(!b.remove(42));
+        assert!(!b.remove_exact(&Point::new(42, 0.75, 0.5)));
     }
 
     #[test]
@@ -657,7 +560,7 @@ mod tests {
             Point::new(5, 0.5, 0.5),
         ]);
         let before = b.mbr();
-        assert!(b.remove(5));
+        assert!(b.remove_exact(&Point::new(5, 0.5, 0.5)));
         assert_eq!(b.mbr(), before, "interior removal leaves the MBR alone");
         assert_eq!(b.len(), 4);
     }
@@ -669,7 +572,10 @@ mod tests {
             Point::new(2, 1.0, 0.5),
             Point::new(3, 0.5, 0.5),
         ]);
-        assert!(b.remove(2), "boundary point (defines hi_x)");
+        assert!(
+            b.remove_exact(&Point::new(2, 1.0, 0.5)),
+            "boundary point (defines hi_x)"
+        );
         assert_eq!(b.mbr(), Rect::new(0.0, 0.5, 0.5, 0.5), "MBR shrank");
         // A point on an edge but not a corner still triggers recompute.
         let mut c = Block::from_points(vec![
@@ -678,7 +584,7 @@ mod tests {
             Point::new(3, 0.0, 0.5),
         ]);
         let before = c.mbr();
-        assert!(c.remove(3));
+        assert!(c.remove_exact(&Point::new(3, 0.0, 0.5)));
         assert_eq!(c.mbr(), before, "recompute reproduces the same MBR");
     }
 
@@ -691,9 +597,15 @@ mod tests {
         ];
         let mut s = BlockStore::bulk_load(&corner_and_center, 10);
         let before = s.view(0).mbr;
-        assert!(s.remove_near(0, 3, 0), "interior point");
+        assert!(
+            s.remove_point_near(0, &corner_and_center[2], 0),
+            "interior point"
+        );
         assert_eq!(s.view(0).mbr, before);
-        assert!(s.remove_near(0, 2, 0), "boundary point");
+        assert!(
+            s.remove_point_near(0, &corner_and_center[1], 0),
+            "boundary point"
+        );
         assert_eq!(s.view(0).mbr, Rect::new(0.0, 0.0, 0.0, 0.0));
     }
 
@@ -764,9 +676,10 @@ mod tests {
     fn remove_near_searches_neighbours() {
         let mut s = BlockStore::bulk_load(&pts(300), 100);
         // Point 150 lives in block 1; search with a wrong hint but slack.
-        assert!(s.remove_near(0, 150, 1));
+        let p = pts(300)[150];
+        assert!(s.remove_point_near(0, &p, 1));
         assert_eq!(s.len(), 299);
-        assert!(!s.remove_near(0, 150, 2), "already removed");
+        assert!(!s.remove_point_near(0, &p, 2), "already removed");
     }
 
     #[test]
@@ -795,64 +708,5 @@ mod tests {
         let s = BlockStore::bulk_load(&pts(120), 50);
         let got: Vec<Point> = s.iter_points().collect();
         assert_eq!(got, pts(120));
-    }
-
-    #[test]
-    fn block_raw_parts_round_trip() {
-        let b = Block::from_points(pts(7));
-        let rebuilt =
-            Block::from_raw_parts(b.xs().to_vec(), b.ys().to_vec(), b.ids().to_vec(), b.mbr())
-                .unwrap();
-        assert_eq!(rebuilt.to_points(), b.to_points());
-        assert_eq!(rebuilt.mbr(), b.mbr());
-        assert!(Block::from_raw_parts(vec![0.1], vec![], vec![1], Rect::unit()).is_none());
-    }
-
-    #[test]
-    fn store_raw_parts_round_trip_and_validation() {
-        let s = BlockStore::bulk_load(&pts(130), 50);
-        let rebuilt = BlockStore::from_raw_parts(
-            s.xs().to_vec(),
-            s.ys().to_vec(),
-            s.ids().to_vec(),
-            s.offsets().to_vec(),
-            s.mbrs().to_vec(),
-            s.capacity(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.num_blocks(), s.num_blocks());
-        let got: Vec<Point> = rebuilt.iter_points().collect();
-        assert_eq!(got, pts(130));
-        for b in 0..s.num_blocks() {
-            assert_eq!(rebuilt.view(b).mbr, s.view(b).mbr);
-        }
-
-        let bad_offsets = BlockStore::from_raw_parts(
-            s.xs().to_vec(),
-            s.ys().to_vec(),
-            s.ids().to_vec(),
-            vec![0, 60, 50, 130], // non-monotone
-            s.mbrs().to_vec(),
-            50,
-        );
-        assert!(bad_offsets.is_none());
-        let bad_span = BlockStore::from_raw_parts(
-            s.xs().to_vec(),
-            s.ys().to_vec(),
-            s.ids().to_vec(),
-            vec![0, 50, 100, 129], // does not span the columns
-            s.mbrs().to_vec(),
-            50,
-        );
-        assert!(bad_span.is_none());
-        let zero_capacity = BlockStore::from_raw_parts(
-            s.xs().to_vec(),
-            s.ys().to_vec(),
-            s.ids().to_vec(),
-            s.offsets().to_vec(),
-            s.mbrs().to_vec(),
-            0,
-        );
-        assert!(zero_capacity.is_none());
     }
 }

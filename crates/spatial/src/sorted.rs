@@ -50,7 +50,7 @@ impl MappedData {
     /// Panics (debug builds) if the keys are not sorted.
     pub fn from_sorted_pairs(points: Vec<Point>, keys: Vec<f64>) -> Self {
         assert_eq!(points.len(), keys.len());
-        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
+        debug_assert!(keys.is_sorted(), "keys must be sorted");
         Self::with_soa(points, keys)
     }
 

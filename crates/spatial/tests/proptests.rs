@@ -116,7 +116,7 @@ proptest! {
             pts.iter().enumerate().map(|(i, &(x, y))| Point::new(i as u64, x, y)).collect();
         let mut b = elsi_spatial::Block::from_points(points.clone());
         let victim = victim % points.len();
-        prop_assert!(b.remove(victim as u64));
+        prop_assert!(b.remove_exact(&points[victim]));
         let survivors: Vec<Point> =
             points.iter().filter(|p| p.id != victim as u64).copied().collect();
         prop_assert_eq!(b.mbr(), Rect::mbr_of(&survivors));

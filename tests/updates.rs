@@ -102,40 +102,70 @@ fn delta_overlay_equivalent_to_rebuilt_ground_truth() {
 fn built_in_insertions_stay_queryable_across_indices() {
     let elsi = Elsi::new(ElsiConfig::fast_test());
     let pts = Dataset::Uniform.generate(800, 5);
-    let mut zm = ZmIndex::build(pts.clone(), &ZmConfig { fanout: 2 }, &elsi.builder());
-    let mut ml = MlIndex::build(
-        pts.clone(),
-        &MlConfig {
-            pivots: 4,
-            ..MlConfig::default()
-        },
-        &elsi.builder(),
-    );
-    let mut lisa = LisaIndex::build(
-        pts.clone(),
-        &LisaConfig {
-            grid: 8,
-            shard_size: 100,
-            block_size: 25,
-        },
-        &elsi.builder().for_lisa(),
-    );
-    let mut grid = GridIndex::build(pts.clone(), &GridConfig::default());
-    let mut rstar = RStarIndex::build(pts, &RStarConfig::default());
+    let mut sweep: Vec<Box<dyn SpatialIndex>> = vec![
+        Box::new(ZmIndex::build(
+            pts.clone(),
+            &ZmConfig { fanout: 2 },
+            &elsi.builder(),
+        )),
+        Box::new(MlIndex::build(
+            pts.clone(),
+            &MlConfig {
+                pivots: 4,
+                ..MlConfig::default()
+            },
+            &elsi.builder(),
+        )),
+        Box::new(FloodIndex::build(
+            pts.clone(),
+            &FloodConfig { columns: 4 },
+            &elsi.builder(),
+        )),
+        Box::new(LisaIndex::build(
+            pts.clone(),
+            &LisaConfig {
+                grid: 8,
+                shard_size: 100,
+                block_size: 25,
+            },
+            &elsi.builder().for_lisa(),
+        )),
+        Box::new(GridIndex::build(pts.clone(), &GridConfig::default())),
+        Box::new(RStarIndex::build(pts.clone(), &RStarConfig::default())),
+    ];
 
     let stream = Dataset::Nyc.generate(300, 9);
     for (i, mut p) in stream.into_iter().enumerate() {
         p.id = 70_000 + i as u64;
-        zm.insert(p);
-        ml.insert(p);
-        lisa.insert(p);
-        grid.insert(p);
-        rstar.insert(p);
-        assert!(zm.point_query(p).is_some(), "ZM lost insert {i}");
-        assert!(ml.point_query(p).is_some(), "ML lost insert {i}");
-        assert!(lisa.point_query(p).is_some(), "LISA lost insert {i}");
-        assert!(grid.point_query(p).is_some(), "Grid lost insert {i}");
-        assert!(rstar.point_query(p).is_some(), "RR* lost insert {i}");
+        for idx in &mut sweep {
+            idx.insert(p);
+            assert!(
+                idx.point_query(p).is_some(),
+                "{} lost insert {i}",
+                idx.name()
+            );
+        }
+    }
+
+    // Re-inserting a deleted id somewhere else must not resurrect the
+    // stored copy. (RSMI, absent from this sweep, merges its overflow into
+    // the stored page on a local rebuild; `SpatialIndex::insert` says so.)
+    let gone = pts[17];
+    let moved = Point::new(gone.id, 0.123, 0.987);
+    for idx in &mut sweep {
+        let (name, n) = (idx.name(), idx.len());
+        let copies = |found: Vec<Point>| found.iter().filter(|p| p.id == gone.id).count();
+        assert!(idx.delete(gone), "{name}");
+        idx.insert(moved);
+        assert_eq!(idx.len(), n, "{name}");
+        assert_eq!(idx.point_query(gone), None, "{name}");
+        assert_eq!(idx.point_query(moved), Some(moved), "{name}");
+        assert_eq!(copies(idx.window_query(&Rect::unit())), 1, "{name}");
+        assert_eq!(copies(idx.knn_query(gone, n)), 1, "{name}");
+        assert!(idx.delete(moved) && !idx.delete(gone), "{name}");
+        assert_eq!(idx.len(), n - 1, "{name}");
+        assert_eq!(copies(idx.window_query(&Rect::unit())), 0, "{name}");
+        assert_eq!(copies(idx.knn_query(gone, n)), 0, "{name}");
     }
 }
 
