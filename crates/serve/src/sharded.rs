@@ -17,7 +17,7 @@ use elsi::{
 };
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
-use elsi_spatial::{Point, Rect, ScanScratch};
+use elsi_spatial::{sort_canonical, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
 use crate::router::{GridRouter, Router};
@@ -318,6 +318,12 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     /// Gathered from the overlapping shards, in canonical
     /// ([`canonical_point_key`]) order — equal result sets are
     /// bit-identical regardless of the shard layout.
+    ///
+    /// Per-shard runs arrive in each shard's own order (Z-rank for ZM), so
+    /// they are concatenated and put in canonical order by
+    /// [`sort_canonical`], which ping-pongs through the staging buffer the
+    /// shard scans have finished with. In steady state the gather itself
+    /// allocates only the `Vec` `Router::shards_for_window` returns.
     // lint:serving_root
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
@@ -329,8 +335,8 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
             shard.window_query_into(w, scratch, &mut buf);
             out.extend_from_slice(&buf);
         }
+        sort_canonical(out, &mut buf);
         scratch.stage_put(buf);
-        out.sort_by_key(canonical_point_key);
     }
 
     /// Exact cross-shard kNN merge in **one pass**; see `DESIGN.md` §9 for
@@ -346,19 +352,20 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     /// of local top-ks is the global answer, so no shard is asked twice.
     /// Exactness inherits from the shard index's own kNN.
     ///
-    /// Per-shard results stream through each shard's own scan kernels and
-    /// the staging and merge buffers are pooled in the scratch — steady
-    /// state allocates only the per-query shard `order` vector.
+    /// Per-shard results stream through each shard's own scan kernels, and
+    /// the shard visit order, the staging run and the merge buffer are all
+    /// pooled in the scratch — in steady state the merge itself allocates
+    /// nothing.
     // lint:serving_root
     fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         if k == 0 || self.shards.is_empty() {
             return;
         }
-        let mut order: Vec<(f64, usize)> = (0..self.shards.len())
-            .map(|s| (self.router.shard_rect(s).min_dist2(&q), s))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let mut order = scratch.order_take();
+        order.clear();
+        order.extend((0..self.shards.len()).map(|s| (self.router.shard_rect(s).min_dist2(&q), s)));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
         let mut buf = scratch.stage_take();
         for &(min_d2, s) in &order {
@@ -372,6 +379,7 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
             merge_canonical(q, k, out, &buf, scratch);
         }
         scratch.stage_put(buf);
+        scratch.order_put(order);
     }
 
     fn insert(&mut self, p: Point) {

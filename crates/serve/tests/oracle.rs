@@ -9,7 +9,10 @@
 
 use elsi::RebuildPolicy;
 use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
-use elsi_serve::{canonical_knn_cmp, canonical_point_key, GridRouter, ShardedConfig, ShardedIndex};
+use elsi_serve::{
+    canonical_knn_cmp, canonical_point_key, GridRouter, LearnedRouter, Router, ShardedConfig,
+    ShardedIndex,
+};
 use elsi_spatial::{Point, Rect};
 use proptest::prelude::*;
 
@@ -31,10 +34,14 @@ fn assemble(continuous: &[(f64, f64)], snapped: &[(u32, u32)], id_modulus: u64) 
 }
 
 fn sharded_of(points: Vec<Point>, rows: usize, cols: usize) -> ShardedIndex<GridIndex> {
+    sharded_behind(points, GridRouter::new(rows, cols))
+}
+
+fn sharded_behind<R: Router>(points: Vec<Point>, router: R) -> ShardedIndex<GridIndex, R> {
     ShardedIndex::build(
         points,
-        GridRouter::new(rows, cols),
-        &ShardedConfig::grid(rows, cols),
+        router,
+        &ShardedConfig::default(),
         |_ctx, pts| GridIndex::build(pts, &GridConfig { block_size: 8 }),
         |_s| RebuildPolicy::Never,
     )
@@ -51,6 +58,46 @@ fn oracle_knn(points: &[Point], q: Point, k: usize) -> Vec<Point> {
     out.sort_by(|a, b| canonical_knn_cmp(q, a, b));
     out.truncate(k);
     out
+}
+
+/// Windows wide enough that the gather orders them by radix passes rather
+/// than by comparison (hundreds to thousands of hits), over every id shape
+/// that changes which digits vary — and ids folded so that equal ids with
+/// different coordinates meet across shards.
+#[test]
+fn wide_windows_come_back_in_canonical_order_under_both_routers() {
+    type IdMix = (&'static str, fn(u64) -> u64);
+    let id_mixes: [IdMix; 5] = [
+        ("dense", |i| i),
+        ("folded", |i| i % 97),
+        ("above 2^32", |i| (i << 32) | (i % 5)),
+        ("from the top", |i| u64::MAX - i),
+        ("all 64 bits", |i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    ];
+    let windows = [
+        Rect::unit(),
+        Rect::new(0.25, 0.125, 0.75, 0.5),
+        Rect::new(0.4, 0.0, 0.6, 1.0),
+        Rect::new(0.05, 0.55, 0.45, 0.95),
+    ];
+    for (name, id) in id_mixes {
+        let mut points = elsi_data::gen::uniform(10_000, 17);
+        for (i, p) in points.iter_mut().enumerate() {
+            p.id = id(i as u64);
+        }
+        let grid = sharded_behind(points.clone(), GridRouter::new(2, 2));
+        let learned = sharded_behind(points.clone(), LearnedRouter::fit(&points, 2, 3));
+        for w in &windows {
+            let want = oracle_window(&points, w);
+            assert!(want.len() > 1000, "{w:?} is not wide: {} hits", want.len());
+            assert_eq!(grid.window_query(w), want, "{name} ids, grid router, {w:?}");
+            assert_eq!(
+                learned.window_query(w),
+                want,
+                "{name} ids, learned router, {w:?}"
+            );
+        }
+    }
 }
 
 proptest! {

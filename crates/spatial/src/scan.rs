@@ -447,8 +447,9 @@ pub fn append_all(xs: &[f64], ys: &[f64], ids: &[u64], out: &mut Vec<Point>) {
     );
 }
 
-/// Reusable per-query buffers: a hit buffer for staged range scans and a
-/// bounded best-k heap for kNN scans.
+/// Reusable per-query buffers: a hit buffer for staged range scans, a
+/// bounded best-k heap for kNN scans, and the two buffers of a merge layer
+/// — a staging run of points and a visit order over its sub-indices.
 ///
 /// Lifecycle: construct once (or once per worker thread), then thread
 /// through `window_query_into` / `knn_query_into` calls. The buffers grow
@@ -459,6 +460,7 @@ pub struct ScanScratch {
     hits: Vec<Point>,
     heap: KnnHeap,
     stage: Vec<Point>,
+    order: Vec<(f64, usize)>,
 }
 
 impl ScanScratch {
@@ -527,6 +529,22 @@ impl ScanScratch {
     #[inline]
     pub fn stage_put(&mut self, buf: Vec<Point>) {
         self.stage = buf;
+    }
+
+    /// Moves the visit-order buffer out of the scratch: `(distance,
+    /// sub-index)` pairs a merge layer sorts to visit its sub-indices
+    /// nearest first, while they borrow the scratch. Pair with
+    /// [`ScanScratch::order_put`].
+    #[inline]
+    pub fn order_take(&mut self) -> Vec<(f64, usize)> {
+        std::mem::take(&mut self.order)
+    }
+
+    /// Returns a buffer taken with [`ScanScratch::order_take`] so its
+    /// capacity is reused by the next query.
+    #[inline]
+    pub fn order_put(&mut self, buf: Vec<(f64, usize)>) {
+        self.order = buf;
     }
 }
 

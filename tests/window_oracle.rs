@@ -148,7 +148,12 @@ fn check(idx: &dyn SpatialIndex, live: &[Point], ws: &[Rect]) {
     let approximate = matches!(idx.name(), "RSMI" | "LISA");
     let (mut got_total, mut want_total) = (0usize, 0usize);
     for w in ws {
-        let got = canonical(idx.window_query(w));
+        // The sharded gather promises canonical order and is held to it;
+        // a monolith's order is its own business.
+        let got = match idx.name() {
+            "Sharded" => idx.window_query(w),
+            _ => canonical(idx.window_query(w)),
+        };
         let want = oracle(live, w);
         if !approximate {
             assert_eq!(got, want, "{} {w:?} n={}", idx.name(), live.len());
