@@ -1,8 +1,7 @@
 //! The delta layer of the update processor (§IV-B2): [`DeltaOverlay`], the
-//! default update procedure for base indices without built-in updates.
-//! Inserted and deleted points live in ordered maps keyed by point id (the
-//! paper's "binary tree on the IDs of the updated points") and are merged
-//! into query results.
+//! default update procedure for base indices without built-in updates. The
+//! base index owns its points; the overlay holds only what changed, and
+//! merges it into query results.
 
 use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
@@ -22,9 +21,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// already holds tombstones the base copy, so the delta copy replaces it
 /// (an overwrite, possibly at new coordinates); deleting that delta copy
 /// afterwards leaves the tombstone in place, so the id is fully gone
-/// rather than resurrecting the base copy. The base index is snapshotted
-/// at wrap time to resolve id collisions, so the base must not be mutated
-/// behind the overlay's back, and points must lie in the unit square.
+/// rather than resurrecting the base copy. A delete of a delta copy is
+/// id-only; a delete of an untouched base copy must quote its id **and**
+/// its stored coordinates. The base's live points are enumerated once, at
+/// wrap time, so the base must not be mutated behind the overlay's back,
+/// and points must lie in the unit square.
 /// ```
 /// use elsi::DeltaOverlay;
 /// use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
@@ -48,27 +49,24 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 pub struct DeltaOverlay<I: SpatialIndex> {
     base: I,
-    /// Ids stored in the base index at wrap time, for collision handling.
-    base_ids: BTreeSet<u64>,
+    /// The base's live points at wrap time in canonical (ascending id)
+    /// order — derived from the base, never persisted. One binary search
+    /// answers whether the base holds an id and where it stored it.
+    base_by_id: Vec<Point>,
     inserted: BTreeMap<u64, Point>,
     /// Secondary order: (Morton code, id) → point.
     inserted_by_key: BTreeMap<(u64, u64), Point>,
-    /// Tombstoned base copies. Invariant: `deleted ⊆ base_ids`, and delta
-    /// points are never tombstoned — a delete drops them from `inserted`.
+    /// Tombstoned base copies: ids of `base_by_id`. Delta points are never
+    /// tombstoned — a delete drops them from `inserted`.
     deleted: BTreeSet<u64>,
 }
 
 impl<I: SpatialIndex> DeltaOverlay<I> {
     /// Wraps a freshly built base index.
     pub fn new(base: I) -> Self {
-        let base_ids = base
-            .window_query(&Rect::unit())
-            .iter()
-            .map(|p| p.id)
-            .collect();
         Self {
+            base_by_id: base.live_points(),
             base,
-            base_ids,
             inserted: BTreeMap::new(),
             inserted_by_key: BTreeMap::new(),
             deleted: BTreeSet::new(),
@@ -86,13 +84,6 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
         self.inserted.len() + self.deleted.len()
     }
 
-    /// Ids the base index held at wrap time (the collision-resolution
-    /// snapshot). Persisted verbatim by the overlay codec so a restored
-    /// overlay resolves id collisions exactly as the original did.
-    pub fn base_ids(&self) -> &BTreeSet<u64> {
-        &self.base_ids
-    }
-
     /// The buffered delta points, in ascending-id order.
     pub fn inserted_points(&self) -> impl Iterator<Item = &Point> {
         self.inserted.values()
@@ -103,48 +94,71 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
         &self.deleted
     }
 
-    /// Reassembles an overlay from persisted parts: the restored base,
-    /// the wrap-time id snapshot, the delta points (ascending id, one
-    /// copy per id) and the tombstone set. The Morton-ordered secondary
-    /// map is recomputed rather than persisted — it is a pure function of
-    /// the delta points.
+    /// Reassembles an overlay from persisted parts: the restored base, the
+    /// delta points (ascending id, one copy per id) and the tombstone set.
+    /// The id column and the Morton-ordered secondary map are recomputed
+    /// rather than persisted — pure functions of the base and the delta.
     ///
-    /// Returns `None` when the parts violate the overlay's invariants
-    /// (a duplicated delta id, or a tombstone for an id the base never
-    /// held) — the codec layer turns that into a clean corruption error.
-    pub fn from_restored(
-        base: I,
-        base_ids: BTreeSet<u64>,
-        inserted: Vec<Point>,
-        deleted: BTreeSet<u64>,
-    ) -> Option<Self> {
-        if !deleted.is_subset(&base_ids) {
+    /// Returns `None` when the parts violate the overlay's invariants (a
+    /// duplicated delta id, a tombstone for an id the base never held, or
+    /// a delta copy beside a live base copy of its id) — the codec layer
+    /// turns that into a clean corruption error.
+    pub fn from_restored(base: I, inserted: Vec<Point>, deleted: BTreeSet<u64>) -> Option<Self> {
+        let mut overlay = Self::new(base);
+        let held = |id: &u64| overlay.base_copies(*id).next().is_some();
+        if !deleted.iter().all(held) {
             return None;
         }
-        let by_id: BTreeMap<u64, Point> = inserted.iter().map(|p| (p.id, *p)).collect();
-        if by_id.len() != inserted.len() {
-            return None;
-        }
-        let inserted_by_key = by_id
-            .values()
-            .map(|p| ((morton_of(p.x, p.y), p.id), *p))
-            .collect();
-        Some(Self {
-            base,
-            base_ids,
-            inserted: by_id,
-            inserted_by_key,
-            deleted,
-        })
+        overlay.deleted = deleted;
+        // A delta point goes back in the way it came, and must retire
+        // nothing: no second copy of its id, no live base copy.
+        let clean = |p| overlay.apply(Update::Insert(p)).is_none();
+        inserted.into_iter().all(clean).then_some(overlay)
     }
 
-    /// Applies `updates` in arrival order — the provided
-    /// [`SpatialIndex::ingest_batch`] fold over [`SpatialIndex::insert`] /
-    /// [`SpatialIndex::delete`] — and returns one "took effect" flag per
-    /// operation (inserts always take effect; a delete of an id with no
-    /// live copy does not).
-    pub fn apply_batch(&mut self, updates: &[Update]) -> Vec<bool> {
+    /// Applies `updates` in arrival order — [`SpatialIndex::ingest_batch`]
+    /// — and returns, per operation, the live copy it retired (`None` for
+    /// a fresh insert and for a delete that found nothing).
+    pub fn apply_batch(&mut self, updates: &[Update]) -> Vec<Option<Point>> {
         self.ingest_batch(updates)
+    }
+
+    /// The base's copies of `id`: the equal-id run of the id column (one
+    /// point, unless the base was built from duplicate ids).
+    fn base_copies(&self, id: u64) -> impl Iterator<Item = &Point> {
+        let lo = self.base_by_id.partition_point(|b| b.id < id);
+        let from = self.base_by_id.iter().skip(lo);
+        from.take_while(move |b| b.id == id)
+    }
+
+    /// The one write body; returns the live copy `u` retired.
+    ///
+    /// An insert replaces the delta's copy of its id (whose base copy was
+    /// tombstoned when the id first entered the delta), else the base's, which
+    /// is tombstoned so the delta copy is the only live one. A delete drops
+    /// a delta copy by id alone — the tombstone of a base copy it had
+    /// overwritten stays, so the id is gone, not resurrected — and an
+    /// untouched base copy only when it quotes the coordinates the base
+    /// stored for that id: neither a foreign id at a stored location nor a
+    /// stored id at another point's location deletes anything.
+    fn apply(&mut self, u: Update) -> Option<Point> {
+        let key = |q: &Point| (morton_of(q.x, q.y), q.id);
+        let p = u.point();
+        let old = match u {
+            Update::Insert(_) => self.inserted.insert(p.id, p),
+            Update::Delete(_) => self.inserted.remove(&p.id),
+        };
+        if let Some(old) = &old {
+            self.inserted_by_key.remove(&key(old));
+        }
+        if u.is_insert() {
+            self.inserted_by_key.insert(key(&p), p);
+        }
+        old.or_else(|| {
+            let quoted = |b: &&Point| u.is_insert() || (b.x == p.x && b.y == p.y);
+            let copy = self.base_copies(p.id).find(quoted).copied()?;
+            self.deleted.insert(p.id).then_some(copy)
+        })
     }
 }
 
@@ -243,42 +257,22 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         }
     }
 
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        let untouched = |p: &&Point| !self.deleted.contains(&p.id);
+        out.extend(self.base_by_id.iter().filter(untouched));
+        out.extend(self.inserted.values());
+    }
+
     fn insert(&mut self, p: Point) {
-        // Last write wins: a base copy of this id is tombstoned so the
-        // delta copy is the only live one. (Previously the base copy
-        // stayed visible and `len` double-counted the id.)
-        if self.base_ids.contains(&p.id) {
-            self.deleted.insert(p.id);
-        }
-        if let Some(old) = self.inserted.insert(p.id, p) {
-            self.inserted_by_key
-                .remove(&(morton_of(old.x, old.y), old.id));
-        }
-        self.inserted_by_key.insert((morton_of(p.x, p.y), p.id), p);
+        self.apply(Update::Insert(p));
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        if let Some(old) = self.inserted.remove(&p.id) {
-            self.inserted_by_key
-                .remove(&(morton_of(old.x, old.y), old.id));
-            // If the delta copy had overwritten a base copy, the tombstone
-            // set at insert time stays: the id is gone, not resurrected.
-            return true;
-        }
-        if self.deleted.contains(&p.id) {
-            return false;
-        }
-        // Only an id the base holds can be tombstoned (`deleted ⊆ base_ids`):
-        // the probe matches coordinates, and a foreign id that merely shares
-        // a base point's location deletes nothing. The probe usually returns
-        // the point itself, which settles membership without a set lookup.
-        match self.base.point_query(p) {
-            Some(found) if found.id == p.id || self.base_ids.contains(&p.id) => {
-                self.deleted.insert(p.id);
-                true
-            }
-            _ => false,
-        }
+        self.apply(Update::Delete(p)).is_some()
+    }
+
+    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<Option<Point>> {
+        updates.iter().map(|&u| self.apply(u)).collect()
     }
 
     fn name(&self) -> &'static str {

@@ -7,13 +7,11 @@
 //!   cadence, pending-update and rebuild counts);
 //! * [`SEC_DRIFT`] — the CDF drift sketch, so recovery resumes rebuild
 //!   decisions exactly where the crash interrupted them;
-//! * [`SEC_POINTS`] — the live point set in ascending-id order (the same
-//!   sequence a rebuild feeds to the build processor);
-//! * [`SEC_INDEX`] — optionally, the built index state captured by an
-//!   [`IndexCodec`]. When present, recovery decodes it and skips model
-//!   training entirely; when absent (or the codec declines), recovery
-//!   rebuilds from the live points through the rebuild callback — the
-//!   same deterministic path as [`UpdateProcessor::rebuild`].
+//! * the live set, **once** — [`SEC_INDEX`], the built index state captured
+//!   by an [`IndexCodec`] (recovery decodes it and skips model training),
+//!   or, when the codec declines, [`SEC_POINTS`]: the index's
+//!   [`SpatialIndex::live_points`], which recovery feeds to the rebuild
+//!   callback — the same deterministic path as [`UpdateProcessor::rebuild`].
 //!
 //! The WAL records update *batches*: every [`UpdateProcessor::apply_batch`]
 //! call — [`UpdateProcessor::insert`] and [`UpdateProcessor::delete`] are
@@ -29,7 +27,7 @@ use crate::update::{
 };
 use elsi_indices::persist::{decode_points, encode_points};
 use elsi_indices::SpatialIndex;
-use elsi_spatial::Point;
+use elsi_spatial::{canonical_point_key, Point};
 use elsi_store::{
     read_wal, ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError, WalReplay,
     WalWriter,
@@ -41,16 +39,16 @@ use std::path::Path;
 pub const SEC_META: u32 = u32::from_le_bytes(*b"META");
 /// Snapshot section tag: the drift sketch.
 pub const SEC_DRIFT: u32 = u32::from_le_bytes(*b"DRFT");
-/// Snapshot section tag: the live point set.
+/// Snapshot section tag: the live point set, when there is no [`SEC_INDEX`].
 pub const SEC_POINTS: u32 = u32::from_le_bytes(*b"PNTS");
-/// Snapshot section tag: the encoded index blob (optional).
+/// Snapshot section tag: the encoded index blob (when the codec has one).
 pub const SEC_INDEX: u32 = u32::from_le_bytes(*b"INDX");
 
 /// Layout version of the meta section.
 pub const META_VERSION: u32 = 1;
 
 /// Layout version of the overlay state blob ([`OverlayCodec`]).
-pub const OVERLAY_STATE_VERSION: u32 = 1;
+pub const OVERLAY_STATE_VERSION: u32 = 2;
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -151,9 +149,8 @@ fn decode_drift(bytes: &[u8]) -> Result<DriftTracker, StoreError> {
 }
 
 /// [`IndexCodec`] for a [`DeltaOverlay`], layered over a codec for its
-/// base index: the base blob plus the overlay's three delta structures
-/// (wrap-time id snapshot, delta points, tombstones). The Morton-ordered
-/// secondary map is recomputed on decode, not persisted.
+/// base index: the base blob plus the delta (delta points, tombstones).
+/// Everything else is re-derived on decode from those two.
 ///
 /// With this, an `UpdateProcessor<DeltaOverlay<ZmIndex>>` snapshot
 /// restores the *exact* pre-crash state — base models untrained-for,
@@ -169,11 +166,6 @@ impl<C> OverlayCodec<C> {
     pub fn new(inner: C) -> Self {
         Self { inner }
     }
-
-    /// The base-index codec.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
 }
 
 impl<I, C> IndexCodec<DeltaOverlay<I>> for OverlayCodec<C>
@@ -186,8 +178,6 @@ where
         let mut w = ByteWriter::new();
         w.put_u32(OVERLAY_STATE_VERSION);
         w.put_bytes(&base);
-        let base_ids: Vec<u64> = overlay.base_ids().iter().copied().collect();
-        w.put_u64s(&base_ids);
         let inserted: Vec<Point> = overlay.inserted_points().copied().collect();
         encode_points(&mut w, &inserted);
         let deleted: Vec<u64> = overlay.deleted_ids().iter().copied().collect();
@@ -204,13 +194,11 @@ where
                 expected: OVERLAY_STATE_VERSION,
             });
         }
-        let base_blob = r.get_bytes()?;
-        let base = self.inner.decode(base_blob)?;
-        let base_ids: BTreeSet<u64> = r.get_u64s()?.into_iter().collect();
+        let base = self.inner.decode(r.get_bytes()?)?;
         let inserted = decode_points(&mut r)?;
         let deleted: BTreeSet<u64> = r.get_u64s()?.into_iter().collect();
         r.expect_end()?;
-        DeltaOverlay::from_restored(base, base_ids, inserted, deleted).ok_or_else(|| {
+        DeltaOverlay::from_restored(base, inserted, deleted).ok_or_else(|| {
             StoreError::corrupt("overlay state", "delta parts violate overlay invariants")
         })
     }
@@ -223,13 +211,15 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// shards into one directory sync.
     pub fn snapshot_writer<C: IndexCodec<I>>(&self, codec: &C) -> SnapshotWriter {
         let mut w = SnapshotWriter::new();
-        w.add_section(SEC_META, encode_meta(&self.persist_counters()));
+        w.add_section(SEC_META, encode_meta(self.persist_counters()));
         w.add_section(SEC_DRIFT, encode_drift(self.drift_tracker()));
-        let mut pw = ByteWriter::new();
-        encode_points(&mut pw, &self.live_points());
-        w.add_section(SEC_POINTS, pw.into_vec());
-        if let Some(blob) = codec.encode(self.index()) {
-            w.add_section(SEC_INDEX, blob);
+        match codec.encode(self.index()) {
+            Some(blob) => w.add_section(SEC_INDEX, blob),
+            None => {
+                let mut pw = ByteWriter::new();
+                encode_points(&mut pw, &self.index().live_points());
+                w.add_section(SEC_POINTS, pw.into_vec());
+            }
         }
         w
     }
@@ -248,7 +238,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
 
     /// Restores a processor from a verified snapshot. The index comes
     /// from the encoded blob when one is present (fast path — no
-    /// training), else from `rebuild_fn` over the live points (the
+    /// training), else from `rebuild_fn` over the points section (the
     /// deterministic rebuild path).
     pub fn from_snapshot<C: IndexCodec<I>>(
         snap: &Snapshot,
@@ -256,30 +246,25 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         policy: RebuildPolicy,
         codec: &C,
     ) -> Result<Self, StoreError> {
-        let missing =
-            |what: &str| StoreError::corrupt("snapshot", format!("missing {what} section"));
-        let counters = decode_meta(snap.section(SEC_META).ok_or_else(|| missing("meta"))?)?;
-        let drift = decode_drift(snap.section(SEC_DRIFT).ok_or_else(|| missing("drift"))?)?;
-        let mut r = ByteReader::new(
-            snap.section(SEC_POINTS).ok_or_else(|| missing("points"))?,
-            "live points",
-        );
-        let points = decode_points(&mut r)?;
-        r.expect_end()?;
-        if points.windows(2).any(|w| w[0].id >= w[1].id) {
-            return Err(StoreError::corrupt(
-                "live points",
-                "ids are not strictly ascending",
-            ));
-        }
+        let section = |tag, what: &str| {
+            let missing = || StoreError::corrupt("snapshot", format!("missing {what} section"));
+            snap.section(tag).ok_or_else(missing)
+        };
+        let counters = decode_meta(section(SEC_META, "meta")?)?;
+        let drift = decode_drift(section(SEC_DRIFT, "drift")?)?;
         let index = match snap.section(SEC_INDEX) {
             Some(blob) => codec.decode(blob)?,
-            None => rebuild_fn(points.clone()),
+            None => {
+                let mut r = ByteReader::new(section(SEC_POINTS, "index or points")?, "live points");
+                let points = decode_points(&mut r)?;
+                r.expect_end()?;
+                if !points.is_sorted_by_key(canonical_point_key) {
+                    return Err(StoreError::corrupt("live points", "not in canonical order"));
+                }
+                rebuild_fn(points)
+            }
         };
-        let points = points.into_iter().map(|p| (p.id, p)).collect();
-        Ok(Self::restore(
-            index, rebuild_fn, policy, points, drift, counters,
-        ))
+        Ok(Self::restore(index, rebuild_fn, policy, drift, counters))
     }
 
     /// Reads, verifies and restores a snapshot file.
@@ -449,6 +434,14 @@ mod tests {
         }
         let path = tmp("grid.snap");
         proc.save_snapshot(&path, &NoCodec).unwrap();
+        // The codec declined, so the points section is the live set.
+        let sections = Snapshot::read_file(&path).map(|snap| {
+            (
+                snap.section(SEC_POINTS).is_some(),
+                snap.section(SEC_INDEX).is_some(),
+            )
+        });
+        assert!(matches!(sections, Ok((true, false))));
         let opened =
             UpdateProcessor::open_snapshot(&path, grid_rebuild(), RebuildPolicy::Never, &NoCodec)
                 .unwrap();
@@ -474,6 +467,7 @@ mod tests {
         let snap_bytes = proc.snapshot_writer(&codec).to_bytes();
         let snap = Snapshot::from_bytes(&snap_bytes, &PathBuf::from("mem")).unwrap();
         assert!(snap.section(SEC_INDEX).is_some(), "fast path not taken");
+        assert!(snap.section(SEC_POINTS).is_none(), "points stored twice");
         let opened = UpdateProcessor::from_snapshot(
             &snap,
             zm_overlay_rebuild(),
@@ -617,10 +611,23 @@ mod tests {
         let image = proc.snapshot_writer(&NoCodec).to_bytes();
         // A snapshot missing its points section is corrupt, not a panic.
         let mut only_meta = SnapshotWriter::new();
-        only_meta.add_section(SEC_META, encode_meta(&proc.persist_counters()));
+        only_meta.add_section(SEC_META, encode_meta(proc.persist_counters()));
         let snap = Snapshot::from_bytes(&only_meta.to_bytes(), &PathBuf::from("mem")).unwrap();
         assert!(matches!(
             UpdateProcessor::from_snapshot(&snap, grid_rebuild(), RebuildPolicy::Never, &NoCodec),
+            Err(StoreError::Corrupt { .. })
+        ));
+        // So is one that carries the live set in neither form.
+        let mut no_live_set = SnapshotWriter::new();
+        no_live_set.add_section(SEC_META, encode_meta(proc.persist_counters()));
+        no_live_set.add_section(SEC_DRIFT, encode_drift(proc.drift_tracker()));
+        let opened =
+            Snapshot::from_bytes(&no_live_set.to_bytes(), &PathBuf::from("mem")).and_then(|snap| {
+                let never = RebuildPolicy::Never;
+                UpdateProcessor::from_snapshot(&snap, grid_rebuild(), never, &NoCodec)
+            });
+        assert!(matches!(
+            opened.map(|p| p.len()),
             Err(StoreError::Corrupt { .. })
         ));
         // Any truncation of the full image fails to parse at all.
@@ -630,9 +637,34 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_overlay_blob_is_a_typed_error() {
+        // The layout that carried the base-id list: refused by version,
+        // not misread as a delta.
+        let base = ZmIndex::build(
+            uniform(50, 81),
+            &ZmConfig { fanout: 4 },
+            &PwlBuilder { epsilon: 8 },
+        );
+        let mut w = ByteWriter::new();
+        w.put_u32(1);
+        w.put_bytes(&ZmStateCodec.encode(&base).unwrap_or_default());
+        w.put_u64s(&(0..50).collect::<Vec<u64>>());
+        encode_points(&mut w, &[]);
+        w.put_u64s(&[]);
+        let decoded = OverlayCodec::new(ZmStateCodec).decode(&w.into_vec());
+        assert!(matches!(
+            decoded.map(|o| o.len()),
+            Err(StoreError::BadVersion {
+                found: 1,
+                expected: 2
+            })
+        ));
+    }
+
+    #[test]
     fn drift_and_meta_sections_reject_damage() {
         let proc = UpdateProcessor::new(uniform(60, 71), grid_rebuild(), RebuildPolicy::Never, 4);
-        let meta = encode_meta(&proc.persist_counters());
+        let meta = encode_meta(proc.persist_counters());
         for cut in 0..meta.len() {
             assert!(decode_meta(&meta[..cut]).is_err());
         }

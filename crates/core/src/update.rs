@@ -6,11 +6,15 @@
 //! ([`DriftTracker`]), runs the rebuild predictor every `f_u` updates, and
 //! triggers full rebuilds through the build processor.
 //!
+//! The **index owns the live set** and the processor holds no points: a
+//! rebuild is fed [`SpatialIndex::live_points`], the live count is the
+//! index's `len`, and the sketch retires the keys the index reports retired.
+//!
 //! There is **one write path**: [`UpdateProcessor::apply_batch`] is the only
-//! body that journals, mutates the index, the live set and the drift sketch,
-//! counts, and consults the rebuild policy. It is one arrival-order fold —
-//! one WAL record and one policy consultation per call — and the per-op
-//! entry points are singleton batches of it (`DESIGN.md` §10).
+//! body that journals, mutates the index and the drift sketch, counts, and
+//! consults the rebuild policy. It is one arrival-order fold — one WAL
+//! record and one policy consultation per call — and the per-op entry
+//! points are singleton batches of it (`DESIGN.md` §10).
 
 use crate::rebuild::{RebuildFeatures, RebuildPolicy};
 use elsi_data::cdf::DEFAULT_SKETCH_BINS;
@@ -18,7 +22,6 @@ pub use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
 use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::{StoreError, WalWriter};
-use std::collections::BTreeMap;
 
 pub use crate::drift::DriftTracker;
 pub use crate::overlay::DeltaOverlay;
@@ -61,25 +64,15 @@ pub type RebuildFn<I> = Box<dyn Fn(Vec<Point>) -> I + Send + Sync>;
 
 /// The full ELSI update lifecycle around a base index.
 ///
-/// The processor owns the live point set (so it can hand it to the build
-/// processor on rebuild), tracks drift, and consults a [`RebuildPolicy`]
-/// every `f_u` updates.
+/// The processor journals updates, tracks drift, and consults a
+/// [`RebuildPolicy`] every `f_u` updates; a rebuild hands the index's own
+/// live points to the build processor.
 pub struct UpdateProcessor<I: SpatialIndex> {
     index: I,
     rebuild_fn: RebuildFn<I>,
     policy: RebuildPolicy,
-    /// Live point set, ordered by id so the rebuild input (and therefore
-    /// the rebuilt index) is reproducible across runs and thread counts —
-    /// a `HashMap` here would feed rebuilds in per-process random order.
-    points: BTreeMap<u64, Point>,
     drift: DriftTracker,
-    n_at_build: usize,
-    updates_since_check: usize,
-    /// Updates applied since the last (re)build — an O(1) counter so load
-    /// probes (e.g. a shard router) never have to recompute drift features.
-    updates_since_build: usize,
-    f_u: usize,
-    rebuilds: usize,
+    counters: LifecycleCounters,
     /// Attached write-ahead log: every mutation is appended (and flushed)
     /// here *before* it touches the index, so a crash can lose at most
     /// the in-flight operation. `None` = not journaling.
@@ -89,9 +82,12 @@ pub struct UpdateProcessor<I: SpatialIndex> {
 }
 
 /// The lifecycle counters a snapshot's meta section persists.
+#[derive(Default)]
 pub(crate) struct LifecycleCounters {
     pub n_at_build: usize,
     pub updates_since_check: usize,
+    /// Updates applied since the last (re)build — an O(1) counter so load
+    /// probes (e.g. a shard router) never have to recompute drift features.
     pub updates_since_build: usize,
     pub f_u: usize,
     pub rebuilds: usize,
@@ -106,74 +102,46 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         policy: RebuildPolicy,
         f_u: usize,
     ) -> Self {
-        let index = rebuild_fn(initial.clone());
         let drift = DriftTracker::new(
             initial.iter().map(|p| MortonMapper.key(*p)),
             DEFAULT_SKETCH_BINS.min(1024),
         );
-        let n_at_build = initial.len();
-        let points = initial.into_iter().map(|p| (p.id, p)).collect();
-        Self {
-            index,
-            rebuild_fn,
-            policy,
-            points,
-            drift,
-            n_at_build,
-            updates_since_check: 0,
-            updates_since_build: 0,
-            f_u: f_u.max(1),
-            rebuilds: 0,
-            wal: None,
-            wal_error: None,
-        }
+        let fresh = LifecycleCounters {
+            n_at_build: initial.len(),
+            f_u,
+            ..Default::default()
+        };
+        Self::restore(rebuild_fn(initial), rebuild_fn, policy, drift, fresh)
     }
 
-    /// Reassembles a processor from snapshot parts (`persist` module).
+    /// Assembles a processor from its parts — a fresh one's, or a
+    /// snapshot's (`persist` module).
     pub(crate) fn restore(
         index: I,
         rebuild_fn: RebuildFn<I>,
         policy: RebuildPolicy,
-        points: BTreeMap<u64, Point>,
         drift: DriftTracker,
-        c: LifecycleCounters,
+        mut counters: LifecycleCounters,
     ) -> Self {
+        counters.f_u = counters.f_u.max(1);
         Self {
             index,
             rebuild_fn,
             policy,
-            points,
             drift,
-            n_at_build: c.n_at_build,
-            updates_since_check: c.updates_since_check,
-            updates_since_build: c.updates_since_build,
-            f_u: c.f_u.max(1),
-            rebuilds: c.rebuilds,
+            counters,
             wal: None,
             wal_error: None,
         }
     }
 
-    pub(crate) fn persist_counters(&self) -> LifecycleCounters {
-        LifecycleCounters {
-            n_at_build: self.n_at_build,
-            updates_since_check: self.updates_since_check,
-            updates_since_build: self.updates_since_build,
-            f_u: self.f_u,
-            rebuilds: self.rebuilds,
-        }
+    pub(crate) fn persist_counters(&self) -> &LifecycleCounters {
+        &self.counters
     }
 
     /// The drift sketch (read-only; the snapshot writer persists it).
     pub fn drift_tracker(&self) -> &DriftTracker {
         &self.drift
-    }
-
-    /// The live point set in ascending-id order — the exact sequence a
-    /// rebuild (and therefore snapshot recovery without an index codec)
-    /// feeds to the build processor.
-    pub fn live_points(&self) -> Vec<Point> {
-        self.points.values().copied().collect()
     }
 
     /// The wrapped index.
@@ -183,17 +151,17 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
 
     /// Number of full rebuilds performed so far.
     pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+        self.counters.rebuilds
     }
 
-    /// Number of live points, in O(1) (no query against the index).
+    /// Number of live points: the index's own O(1) count.
     pub fn live_len(&self) -> usize {
-        self.points.len()
+        self.index.len()
     }
 
     /// Cardinality at the last (re)build.
     pub fn n_at_build(&self) -> usize {
-        self.n_at_build
+        self.counters.n_at_build
     }
 
     /// Updates applied since the last (re)build, in O(1).
@@ -203,7 +171,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// full feature read walks both CDF sketches (O(bins) per call), which
     /// is fine at the every-`f_u`-updates rebuild cadence but not per query.
     pub fn pending_updates(&self) -> usize {
-        self.updates_since_build
+        self.counters.updates_since_build
     }
 
     /// Current rebuild-decision features.
@@ -214,14 +182,15 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// accessors ([`UpdateProcessor::live_len`],
     /// [`UpdateProcessor::pending_updates`], [`UpdateProcessor::rebuilds`]).
     pub fn features(&self) -> RebuildFeatures {
+        let n = self.index.len();
         RebuildFeatures {
-            n: self.points.len(),
+            n,
             dist_u: self.drift.dist_from_uniform(),
             depth: self.index.depth(),
-            update_ratio: if self.n_at_build == 0 {
+            update_ratio: if self.counters.n_at_build == 0 {
                 0.0
             } else {
-                self.points.len() as f64 / self.n_at_build as f64 - 1.0
+                n as f64 / self.counters.n_at_build as f64 - 1.0
             },
             drift_sim: 1.0 - self.drift.dist(),
         }
@@ -286,9 +255,9 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     ///
     /// One call is one WAL record (appended before anything mutates), one
     /// fold of the batch through the index ([`SpatialIndex::ingest_batch`])
-    /// and, by the per-op outcome flags it returns, through the live set
-    /// and the drift sketch, and **one** rebuild-policy consultation at the
-    /// end, when the effective-update counter has crossed `f_u`. A check
+    /// and, by the retired copies it returns, through the drift sketch, and
+    /// **one** rebuild-policy consultation at the end, when the
+    /// effective-update counter has crossed `f_u`. A check
     /// that per-op application would have run mid-batch is thereby deferred
     /// to the batch end, so a rebuild decision sees the whole batch's drift
     /// at once (`DESIGN.md` §10).
@@ -301,32 +270,28 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// rebuild checks.
     pub fn apply_batch(&mut self, updates: &[Update]) -> BatchOutcome {
         self.log_updates(updates);
-        let flags = self.index.ingest_batch(updates);
+        let retired = self.index.ingest_batch(updates);
         let mut applied = 0usize;
-        for (&u, &took_effect) in updates.iter().zip(&flags) {
+        for (&u, &old) in updates.iter().zip(&retired) {
             // The sketch follows the live set, not the request: an
             // overwrite first retires the key of the copy it replaces, and
-            // a delete retires the key of the copy it dropped — deletes of
-            // delta points are id-only, so the request's own coordinates
-            // may be stale.
-            let (retired, added) = match u {
-                Update::Insert(p) => (self.points.insert(p.id, p), Some(p)),
-                Update::Delete(p) if took_effect => (self.points.remove(&p.id), None),
-                Update::Delete(_) => continue,
-            };
-            if let Some(old) = retired {
+            // a delete retires the key of the copy the index dropped —
+            // deletes of delta points are id-only, so the request's own
+            // coordinates may be stale.
+            if let Some(old) = old {
                 self.drift.remove(MortonMapper.key(old));
             }
-            if let Some(new) = added {
-                self.drift.add(MortonMapper.key(new));
+            if let Update::Insert(p) = u {
+                self.drift.add(MortonMapper.key(p));
             }
-            applied += 1;
+            // A delete that retired nothing is not an update.
+            applied += usize::from(u.is_insert() || old.is_some());
         }
-        self.updates_since_check += applied;
-        self.updates_since_build += applied;
+        self.counters.updates_since_check += applied;
+        self.counters.updates_since_build += applied;
         let mut rebuilt = false;
-        if self.updates_since_check >= self.f_u {
-            self.updates_since_check = 0;
+        if self.counters.updates_since_check >= self.counters.f_u {
+            self.counters.updates_since_check = 0;
             if self.policy.should_rebuild(&self.features()) {
                 self.rebuild();
                 rebuilt = true;
@@ -360,15 +325,16 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         (out.applied == 1, out.into())
     }
 
-    /// Forces a full rebuild through the build processor. The live set is
-    /// handed over in ascending-id order, so rebuilds are reproducible.
+    /// Forces a full rebuild through the build processor. The index's live
+    /// set is handed over in ascending-id order ([`SpatialIndex::live_points`]),
+    /// so rebuilds are reproducible.
     pub fn rebuild(&mut self) {
-        let pts: Vec<Point> = self.points.values().copied().collect();
-        self.n_at_build = pts.len();
+        let pts = self.index.live_points();
+        self.counters.n_at_build = pts.len();
         self.index = (self.rebuild_fn)(pts);
         self.drift.rebaseline();
-        self.rebuilds += 1;
-        self.updates_since_build = 0;
+        self.counters.rebuilds += 1;
+        self.counters.updates_since_build = 0;
     }
 }
 
@@ -389,14 +355,15 @@ impl<I: SpatialIndex> SpatialIndex for UpdateProcessor<I> {
         self.index.knn_query_into(q, k, scratch, out);
     }
 
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        self.index.live_points_into(out);
+    }
+
     fn insert(&mut self, p: Point) {
         UpdateProcessor::insert(self, p);
     }
 
     fn delete(&mut self, p: Point) -> bool {
-        // The wrapped index's own outcome, not a `points`-map guess: the
-        // live set tracks ids while index deletes also match coordinates,
-        // so the two can disagree (e.g. a delete at stale coordinates).
         self.delete_checked(p).0
     }
 
@@ -451,6 +418,41 @@ mod tests {
             .iter()
             .any(|p| p.id == 5));
         assert_eq!(overlay.delta_len(), 1);
+    }
+
+    #[test]
+    fn overlay_base_deletes_match_id_and_coordinates() {
+        // Regression: a delete of base id X quoting *another* stored
+        // point's coordinates used to tombstone X (the coordinate probe hit
+        // the other point, and X was a base id).
+        let pts = uniform(100, 2);
+        let mut overlay = DeltaOverlay::new(GridIndex::build(pts.clone(), &GridConfig::default()));
+        let crossed = Point::new(pts[3].id, pts[9].x, pts[9].y);
+        assert_eq!(overlay.apply_batch(&[Update::Delete(crossed)]), [None]);
+        assert!(!overlay.delete(crossed));
+        assert!(!overlay.delete(Point::new(pts[3].id, 0.123, 0.456)));
+        assert_eq!((overlay.len(), overlay.delta_len()), (100, 0));
+        assert_eq!(overlay.point_query(pts[3]), Some(pts[3]));
+        assert_eq!(overlay.point_query(pts[9]), Some(pts[9]));
+        assert_eq!(overlay.live_points(), pts);
+        assert!(overlay.delete(pts[3]) && !overlay.delete(pts[3]));
+
+        // A base built from duplicate ids: the whole equal-id run is
+        // searched for the copy the request quotes, not one binary-search hit.
+        let twins: Vec<Point> = (0..9u64)
+            .map(|i| Point::new(i / 3, 0.1 + 0.1 * i as f64, 0.5))
+            .collect();
+        for quoted in &twins {
+            let mut overlay = DeltaOverlay::new(GridIndex::build(
+                twins.clone(),
+                &GridConfig { block_size: 4 },
+            ));
+            assert_eq!(
+                overlay.apply_batch(&[Update::Delete(*quoted)]),
+                [Some(*quoted)]
+            );
+            assert!(!overlay.delete(Point::new(quoted.id, 0.95, 0.5)));
+        }
     }
 
     #[test]
@@ -543,8 +545,9 @@ mod tests {
 
     #[test]
     fn rebuild_input_order_is_id_sorted() {
-        // The live set is a BTreeMap: rebuilds see ascending ids no matter
-        // the insertion order, so rebuilt indices are reproducible.
+        // The rebuild input is the index's canonical enumeration: rebuilds
+        // see ascending ids no matter the insertion order or the index's
+        // own layout, so rebuilt indices are reproducible.
         let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let log = std::sync::Arc::clone(&seen);
         let rebuild: RebuildFn<GridIndex> = Box::new(move |pts| {
@@ -616,15 +619,15 @@ mod tests {
 
     #[test]
     fn trait_delete_reports_the_index_outcome() {
-        // Regression: the trait impl used to answer from the `points` map,
-        // which can disagree with the wrapped index (deletes match
-        // coordinates, the live set only ids).
+        // Regression: the trait impl used to answer from an id map beside
+        // the index, which disagreed with it (index deletes also match
+        // coordinates).
         let pts = uniform(80, 13);
         let mut proc =
             UpdateProcessor::new(pts.clone(), overlay_rebuild(), RebuildPolicy::Never, 64);
         // Wrong coordinates: the id is live but the index finds nothing.
         let stale = Point::new(pts[7].id, (pts[7].x + 0.43) % 1.0, (pts[7].y + 0.39) % 1.0);
-        assert!(proc.points.contains_key(&stale.id));
+        assert!(proc.live_points().iter().any(|p| p.id == stale.id));
         let via_trait = SpatialIndex::delete(&mut proc, stale);
         assert!(!via_trait, "trait delete must report the index outcome");
         assert!(proc.point_query(pts[7]).is_some(), "live copy untouched");
@@ -673,9 +676,21 @@ mod tests {
             Update::Delete(Point::new(55_555, 0.5, 0.5)), // no-op: unknown id
             Update::Insert(Point::new(5, 0.15, 0.85)), // resurrect id 5 in delta
         ];
+        // What each op retired: the base copy an overwrite buries, the
+        // delta copy a delete or a move drops, nothing for fresh inserts
+        // and no-op deletes.
         assert_eq!(
             overlay.apply_batch(&batch),
-            [true, true, true, true, true, false, false, true]
+            [
+                Some(pts[5]),
+                None,
+                Some(Point::new(5, 0.9, 0.1)),
+                Some(Point::new(1_000, 0.2, 0.2)),
+                Some(pts[7]),
+                None,
+                None,
+                None,
+            ]
         );
         // Ids 5 and 7 are tombstoned in the base; 5 and 1000 live in the delta.
         assert_eq!(overlay.len(), 60);

@@ -313,6 +313,11 @@ impl SpatialIndex for LisaIndex {
         );
     }
 
+    /// LISA deletes physically: what its pages store is what is live.
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        out.extend(self.shards.iter().flat_map(BlockStore::iter_points));
+    }
+
     fn insert(&mut self, p: Point) {
         let key = self.mapper.key(p);
         let s = self

@@ -500,6 +500,23 @@ impl RsmiIndex {
         }
     }
 
+    /// Appends the live points under `node`: every page and overflow
+    /// buffer, whole — no rank range is predicted, so nothing is missed.
+    fn live_under(&self, node: &Node, out: &mut Vec<Point>) {
+        match node {
+            Node::Leaf {
+                block, overflow, ..
+            } => {
+                let is_live = live(&self.deleted, None);
+                let all = block.iter().chain(overflow.iter().copied());
+                out.extend(all.filter(|p| is_live(p.id)));
+            }
+            Node::Internal { children, .. } => {
+                children.iter().for_each(|c| self.live_under(c, out));
+            }
+        }
+    }
+
     fn insert_into(node: &mut Node, p: Point, cfg: &RsmiConfig, builder: &dyn ModelBuilder) {
         match node {
             Node::Leaf {
@@ -573,6 +590,10 @@ impl SpatialIndex for RsmiIndex {
             },
             |node, _ball, heap| self.knn_offer_node(&self.root, q, Some(node), heap),
         );
+    }
+
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        self.live_under(&self.root, out);
     }
 
     fn insert(&mut self, p: Point) {

@@ -2,7 +2,7 @@
 
 use elsi_data::stream::Update;
 use elsi_spatial::curve::morton_of;
-use elsi_spatial::{KnnEntry, KnnHeap, Point, Rect, ScanScratch};
+use elsi_spatial::{sort_canonical, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
 /// Point, window and kNN queries plus updates: the operations the paper
@@ -78,22 +78,43 @@ pub trait SpatialIndex: Send + Sync {
         1
     }
 
-    /// Applies `updates` in arrival order. Returns one "took effect" flag
-    /// per operation: `true` for every insert, `true` for a delete that
-    /// dropped a live copy.
+    /// Appends every live point to `out`, in the index's own order — exact
+    /// for every index: it owns its live set, and whatever else needs the
+    /// points derives them from this.
+    ///
+    /// Provided as the unit-square window, the live set wherever windows are
+    /// exact; overridden where they are not (RSMI, LISA: walk the pages) and
+    /// by wrappers (walk the parts).
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        out.append(&mut self.window_query(&Rect::unit()));
+    }
+
+    /// Provided: the live set in canonical order (ascending id) — the
+    /// sequence a rebuild is fed, whatever order the points arrived in.
+    fn live_points(&self) -> Vec<Point> {
+        let mut out = Vec::new();
+        self.live_points_into(&mut out);
+        sort_canonical(&mut out, &mut Vec::new());
+        out
+    }
+
+    /// Applies `updates` in arrival order and returns, per operation, the live
+    /// copy it retired: the point a delete dropped (`None`: it found nothing
+    /// and took no effect) or an insert replaced (`None`: a fresh id).
     ///
     /// Provided: the fold of the batch through [`SpatialIndex::insert`] /
-    /// [`SpatialIndex::delete`], overridden by no index — an update has
-    /// one meaning per index, whether it arrives alone or in a batch.
-    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
+    /// [`SpatialIndex::delete`] — an update has one meaning per index,
+    /// whether it arrives alone or in a batch. Overridden only by
+    /// `DeltaOverlay`, whose inserts can replace a live copy of their id.
+    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<Option<Point>> {
         updates
             .iter()
             .map(|u| match *u {
                 Update::Insert(p) => {
                     self.insert(p);
-                    true
+                    None
                 }
-                Update::Delete(p) => self.delete(p),
+                Update::Delete(p) => self.delete(p).then_some(p),
             })
             .collect()
     }
@@ -262,7 +283,10 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn depth(&self) -> usize {
         (**self).depth()
     }
-    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<bool> {
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        (**self).live_points_into(out)
+    }
+    fn ingest_batch(&mut self, updates: &[Update]) -> Vec<Option<Point>> {
         (**self).ingest_batch(updates)
     }
 }

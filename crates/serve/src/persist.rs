@@ -683,6 +683,47 @@ mod tests {
     }
 
     #[test]
+    fn a_saved_zm_deployment_stores_each_point_once() -> Result<(), StoreError> {
+        // A shard file holds its points once, inside the ZM blob (24 B of
+        // point + the 8 B key), plus a constant: drift sketches, models,
+        // counters. Twice the points cost ≤ 34 B for each extra one.
+        let elsi = Elsi::new(ElsiConfig::fast_test());
+        let mut bytes = [0u64; 2];
+        for (slot, n) in bytes.iter_mut().zip([8_000, 16_000]) {
+            let d = dir(&format!("size_{n}"));
+            let cfg = ShardedConfig::default();
+            let mut idx = ShardedIndex::zm(pts(n), GridRouter::new(2, 2), &cfg, &elsi);
+            idx.save(&d, &zm_codec())?;
+            for s in 0..idx.num_shards() {
+                let snap = Snapshot::read_file(&d.join(shard_snap_file(1, s)))?;
+                assert!(snap.section(elsi::persist::SEC_INDEX).is_some());
+                assert!(
+                    snap.section(elsi::persist::SEC_POINTS).is_none(),
+                    "points stored twice"
+                );
+            }
+            let files = fs::read_dir(&d).map_err(|e| StoreError::io("read_dir", &d, e))?;
+            *slot = files
+                .flatten()
+                .filter_map(|f| f.metadata().ok())
+                .map(|m| m.len())
+                .sum();
+        }
+        let [small, large] = bytes;
+        assert!(
+            large - small <= 34 * 8_000,
+            "{} B per extra point",
+            (large - small) / 8_000
+        );
+        // Four 16 KB drift sketches and the models: 84 KB today.
+        assert!(
+            small <= 32 * 8_000 + 90_000,
+            "constant part grew: {small} B for 8k points"
+        );
+        Ok(())
+    }
+
+    #[test]
     fn a_stray_delete_neither_removes_a_point_nor_bricks_the_checkpoint() -> Result<(), StoreError>
     {
         // A delete whose id the deployment never held, at a stored point's

@@ -382,6 +382,11 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
         scratch.order_put(order);
     }
 
+    /// The shards' live sets, in shard order.
+    fn live_points_into(&self, out: &mut Vec<Point>) {
+        self.shards.iter().for_each(|s| s.live_points_into(out));
+    }
+
     fn insert(&mut self, p: Point) {
         self.route(Update::Insert(p));
     }

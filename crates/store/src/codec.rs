@@ -318,13 +318,12 @@ impl<'a> ByteReader<'a> {
 
 /// Pluggable encoder/decoder for a built index's internal state.
 ///
-/// A snapshot always carries the live point set, which is enough to
-/// recover any index by deterministic rebuild. A codec adds the fast
-/// path: [`IndexCodec::encode`] captures the built structure (trained
+/// A snapshot carries the live point set once. A codec is the fast path:
+/// [`IndexCodec::encode`] captures the built structure (points, trained
 /// models, sorted columns, error bounds) so [`IndexCodec::decode`] can
 /// reconstruct it without re-training. `encode` returning `None` means
-/// "no fast path for this index" — the snapshot falls back to the
-/// rebuild path and stays correct.
+/// "no fast path for this index" — the snapshot then stores the bare
+/// points, which is enough to recover any index by deterministic rebuild.
 pub trait IndexCodec<I>: Send + Sync {
     /// Encodes the built state of `index`, or `None` when this codec has
     /// no fast path for it.

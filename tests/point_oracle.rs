@@ -302,7 +302,11 @@ proptest! {
             live.push(p);
         }
         prop_assert_eq!(overlay.len(), live.len());
-        prop_assert!(overlay.deleted_ids().is_subset(overlay.base_ids()));
+        // Tombstones are ids of the overlay's id column: the base's own
+        // enumeration, which is the set it was built from.
+        let column: Vec<u64> = overlay.base().live_points().iter().map(|p| p.id).collect();
+        prop_assert_eq!(&column, &points.iter().map(|p| p.id).collect::<Vec<_>>());
+        prop_assert!(overlay.deleted_ids().iter().all(|id| column.binary_search(id).is_ok()));
         check_all(&overlay, &live, q, stack);
         for p in &gone {
             check_lookup(&overlay, &live, *p);

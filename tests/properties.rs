@@ -7,11 +7,13 @@
 
 use elsi_data::{cdf, sample};
 use elsi_indices::{
-    build_on_training_set, GridConfig, GridIndex, HrrConfig, HrrIndex, SpatialIndex,
+    build_on_training_set, GridConfig, GridIndex, HrrConfig, HrrIndex, PwlBuilder, SpatialIndex,
+    ZmConfig, ZmIndex, ZmStateCodec,
 };
 use elsi_ml::TrainConfig;
 use elsi_spatial::curve::{hilbert, morton};
-use elsi_spatial::{canonical_point_key, quadtree_partition, Point, Rect};
+use elsi_spatial::{canonical_point_key, quadtree_partition, KeyMapper, MortonMapper, Point, Rect};
+use elsi_store::{IndexCodec, NoCodec, Snapshot, StoreError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -63,12 +65,13 @@ impl OverlayModel {
         }
     }
 
-    fn apply(&mut self, u: elsi::Update) -> bool {
+    /// Applies `u` and returns the live copy it retired: the one an insert
+    /// replaced, the one a delete dropped.
+    fn apply(&mut self, u: elsi::Update) -> Option<Point> {
         match u {
             elsi::Update::Insert(p) => {
-                self.live.insert(p.id, p);
                 self.buffered.insert(p.id);
-                true
+                self.live.insert(p.id, p)
             }
             elsi::Update::Delete(p) => {
                 let hit = self.buffered.remove(&p.id)
@@ -76,19 +79,22 @@ impl OverlayModel {
                         .live
                         .get(&p.id)
                         .is_some_and(|b| b.x == p.x && b.y == p.y);
-                if hit {
-                    self.live.remove(&p.id);
-                }
-                hit
+                hit.then(|| self.live.remove(&p.id)).flatten()
             }
         }
+    }
+
+    /// A rebuild: the live set becomes the base, the delta is empty.
+    fn rebase(&mut self) {
+        self.base_ids = self.live.keys().copied().collect();
+        self.buffered.clear();
     }
 
     /// Turns raw `(kind, id, x, y)` draws into a stream and applies it:
     /// kinds 0–1 insert at the (snapped) drawn coordinates, kind 2 deletes
     /// the id at its live coordinates when it has any, kind 3 at the drawn
-    /// — stale — ones. Returns the stream and the flag of each op.
-    fn drive(&mut self, ops: &[(u8, u64, f64, f64)]) -> (Vec<elsi::Update>, Vec<bool>) {
+    /// — stale — ones. Returns the stream and the copy each op retired.
+    fn drive(&mut self, ops: &[(u8, u64, f64, f64)]) -> (Vec<elsi::Update>, Vec<Option<Point>>) {
         ops.iter()
             .map(|&(kind, id, x, y)| {
                 let drawn = Point::new(id, snap(x), snap(y));
@@ -112,6 +118,35 @@ impl OverlayModel {
     fn canonical_live(&self) -> Vec<Point> {
         canonical(self.live.values().copied().collect())
     }
+}
+
+/// Ops of a driven stream that took effect: every insert, and the deletes
+/// that retired a copy.
+fn effective(stream: &[elsi::Update], retired: &[Option<Point>]) -> usize {
+    let took = |(u, r): (&elsi::Update, &Option<Point>)| {
+        matches!(u, elsi::Update::Insert(_)) || r.is_some()
+    };
+    stream.iter().zip(retired).filter(|&ur| took(ur)).count()
+}
+
+type ZmShard = elsi::UpdateProcessor<elsi::DeltaOverlay<ZmIndex>>;
+
+fn zm_overlay_rebuild() -> elsi::RebuildFn<elsi::DeltaOverlay<ZmIndex>> {
+    Box::new(|p| {
+        let builder = PwlBuilder { epsilon: 8 };
+        elsi::DeltaOverlay::new(ZmIndex::build(p, &ZmConfig { fanout: 4 }, &builder))
+    })
+}
+
+/// Saves `proc` into an in-memory snapshot image and reopens it.
+fn reopen<C: IndexCodec<elsi::DeltaOverlay<ZmIndex>>>(
+    proc: &ZmShard,
+    codec: &C,
+) -> Result<ZmShard, StoreError> {
+    let image = proc.snapshot_writer(codec).to_bytes();
+    let snap = Snapshot::from_bytes(&image, std::path::Path::new("mem"))?;
+    let never = elsi::RebuildPolicy::Never;
+    elsi::UpdateProcessor::from_snapshot(&snap, zm_overlay_rebuild(), never, codec)
 }
 
 proptest! {
@@ -295,23 +330,24 @@ proptest! {
         base_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..60),
         ops in prop::collection::vec((0u8..4, 0u64..90, 0.0f64..1.0, 0.0f64..1.0), 0..120)
     ) {
-        // `DeltaOverlay::apply_batch` against the id-keyed model: per-op
-        // outcome flags, live size, delta size, the canonical unit-window
+        // `DeltaOverlay::apply_batch` against the id-keyed model: the copy
+        // each op retired, live size, delta size, the canonical unit-window
         // result and point probes, under random interleavings of inserts,
         // overwrites (duplicate ids in the same batch, ids colliding with
         // base points), exact and stale-coordinate deletes, including
         // boundary coordinates.
         let points = base_points(&base_pts);
         let mut model = OverlayModel::new(&points);
-        let (batch, want_flags) = model.drive(&ops);
+        let (batch, want_retired) = model.drive(&ops);
         let mut overlay = elsi::DeltaOverlay::new(
             GridIndex::build(points, &GridConfig { block_size: 16 })
         );
 
-        prop_assert_eq!(overlay.apply_batch(&batch), want_flags);
+        prop_assert_eq!(overlay.apply_batch(&batch), want_retired);
         prop_assert_eq!(overlay.len(), model.live.len());
         prop_assert_eq!(overlay.delta_len(), model.delta_len());
         prop_assert_eq!(canonical(overlay.window_query(&Rect::unit())), model.canonical_live());
+        prop_assert_eq!(overlay.live_points(), model.canonical_live());
         // Every op's coordinates answer with the live copy stored there, if
         // any (delete/insert of one id inside a batch resolve by arrival).
         for u in batch.iter().take(20) {
@@ -324,36 +360,69 @@ proptest! {
     fn processor_batch_ingestion_matches_sequential_under_never(
         base_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50),
         ops in prop::collection::vec((0u8..4, 0u64..75, 0.0f64..1.0, 0.0f64..1.0), 0..100),
-        chunk in 1usize..17
+        chunk in 1usize..17,
+        steps in prop::collection::vec(0u8..6, 1..8)
     ) {
-        // At the lifecycle level (live set, counters) every chunking of the
-        // stream — singletons through the per-op doors included — must land
-        // on the model's state when the policy never fires.
+        // At the lifecycle level (live set, counters, drift sketch) every
+        // chunking of the stream — singletons through the per-op doors
+        // included — must land on the model's state when the policy never
+        // fires. Between chunks the drawn `steps` force the states whose
+        // contents are derived from the index, not stored beside it: a
+        // rebuild and a save → reopen through the points section (both fold
+        // the delta into a fresh base), and a save → reopen through the
+        // index blob (the exact state, delta intact).
         let points = base_points(&base_pts);
         let mut model = OverlayModel::new(&points);
-        let (stream, want_flags) = model.drive(&ops);
-        let want_applied = want_flags.iter().filter(|&&f| f).count();
-        let rebuild: elsi::RebuildFn<elsi::DeltaOverlay<GridIndex>> = Box::new(|p| {
-            elsi::DeltaOverlay::new(GridIndex::build(p, &GridConfig { block_size: 16 }))
-        });
-        let mut proc = elsi::UpdateProcessor::new(points, rebuild, elsi::RebuildPolicy::Never, 8);
-
-        let mut applied = 0usize;
-        for c in stream.chunks(chunk) {
-            applied += match *c {
+        let mut proc =
+            elsi::UpdateProcessor::new(points, zm_overlay_rebuild(), elsi::RebuildPolicy::Never, 8);
+        let mut pending = 0usize;
+        for (i, c) in ops.chunks(chunk).enumerate() {
+            let (stream, retired) = model.drive(c);
+            let applied = match *stream.as_slice() {
                 [elsi::Update::Insert(p)] => {
                     proc.insert(p);
                     1
                 }
                 [elsi::Update::Delete(p)] => usize::from(SpatialIndex::delete(&mut proc, p)),
-                _ => proc.apply_batch(c).applied,
+                _ => proc.apply_batch(&stream).applied,
             };
+            prop_assert_eq!(applied, effective(&stream, &retired));
+            pending += applied;
+            match steps[i % steps.len()] {
+                3 => {
+                    proc.rebuild();
+                    model.rebase();
+                    pending = 0;
+                }
+                step @ 4..=5 => {
+                    let reopened = if step == 4 {
+                        model.rebase();
+                        reopen(&proc, &elsi::OverlayCodec::new(NoCodec))
+                    } else {
+                        reopen(&proc, &elsi::OverlayCodec::new(ZmStateCodec))
+                    };
+                    prop_assert!(reopened.is_ok(), "{:?}", reopened.as_ref().err());
+                    if let Ok(reopened) = reopened {
+                        proc = reopened;
+                    }
+                }
+                _ => {}
+            }
+
+            prop_assert_eq!(proc.len(), model.live.len());
+            prop_assert_eq!(proc.live_len(), model.live.len());
+            prop_assert_eq!(proc.pending_updates(), pending);
+            prop_assert_eq!(proc.index().delta_len(), model.delta_len());
+            prop_assert_eq!(proc.live_points(), model.live.values().copied().collect::<Vec<_>>());
+            prop_assert_eq!(canonical(proc.window_query(&Rect::unit())), model.canonical_live());
+            // The sketch follows the live set: its current histogram is the
+            // one a fresh sketch over the model's points would hold.
+            let keys = model.live.values().map(|p| MortonMapper.key(*p));
+            let (_, current, _, current_total) = proc.drift_tracker().parts();
+            let bins = current.len();
+            prop_assert_eq!(current_total, model.live.len() as f64);
+            prop_assert_eq!(current, elsi::DriftTracker::new(keys, bins).parts().1);
         }
-        prop_assert_eq!(applied, want_applied);
-        prop_assert_eq!(proc.len(), model.live.len());
-        prop_assert_eq!(proc.pending_updates(), want_applied);
-        prop_assert_eq!(proc.live_points(), model.live.values().copied().collect::<Vec<_>>());
-        prop_assert_eq!(canonical(proc.window_query(&Rect::unit())), model.canonical_live());
     }
 
     #[test]

@@ -72,6 +72,13 @@ fn delta_overlay_equivalent_to_rebuilt_ground_truth() {
         live.push(p);
     }
     for i in (0..400).step_by(7) {
+        // A base id at another stored point's coordinates deletes nothing.
+        let crossed = Point::new(pts[i].id, pts[i + 1].x, pts[i + 1].y);
+        assert!(
+            !overlay.delete(crossed),
+            "id {} at its neighbour's place",
+            crossed.id
+        );
         assert!(overlay.delete(pts[i]));
         live.retain(|p| p.id != pts[i].id);
     }
@@ -167,6 +174,100 @@ fn built_in_insertions_stay_queryable_across_indices() {
         assert_eq!(copies(idx.window_query(&Rect::unit())), 0, "{name}");
         assert_eq!(copies(idx.knn_query(gone, n)), 0, "{name}");
     }
+}
+
+#[test]
+fn live_points_enumerate_the_model_after_churn_for_all_nine() {
+    // `live_points()` is the live set itself, not a query: after inserts,
+    // deletes of stored and of inserted points and re-inserted deleted ids
+    // it equals the brute-force model exactly — RSMI and LISA included,
+    // whose *windows* only promise a recall floor.
+    let pts = Dataset::Uniform.generate(900, 6);
+    let b = PwlBuilder { epsilon: 8 };
+    let mut sweep: Vec<Box<dyn SpatialIndex>> = vec![
+        Box::new(GridIndex::build(
+            pts.clone(),
+            &GridConfig { block_size: 32 },
+        )),
+        Box::new(KdbIndex::build(
+            pts.clone(),
+            &KdbConfig { leaf_capacity: 32 },
+        )),
+        Box::new(HrrIndex::build(pts.clone(), &HrrConfig::default())),
+        Box::new(RStarIndex::build(pts.clone(), &RStarConfig::default())),
+        Box::new(ZmIndex::build(pts.clone(), &ZmConfig { fanout: 4 }, &b)),
+        Box::new(MlIndex::build(pts.clone(), &MlConfig::default(), &b)),
+        Box::new(FloodIndex::build(
+            pts.clone(),
+            &FloodConfig { columns: 8 },
+            &b,
+        )),
+        Box::new(RsmiIndex::build(
+            pts.clone(),
+            &RsmiConfig {
+                leaf_capacity: 64,
+                fanout: 4,
+                ..RsmiConfig::default()
+            },
+            &b,
+        )),
+        Box::new(LisaIndex::build(
+            pts.clone(),
+            &LisaConfig {
+                grid: 8,
+                shard_size: 100,
+                block_size: 25,
+            },
+            &b,
+        )),
+    ];
+    assert_eq!(sweep.len(), 9);
+
+    // Clustered inserts (RSMI leaves overflow and rebuild locally, LISA
+    // pages split), then deletes of every seventh stored and every fifth
+    // inserted point, then every third deleted stored id back elsewhere.
+    let inserts: Vec<Point> = Dataset::Skewed
+        .generate(400, 8)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Point::new(80_000 + i as u64, p.x * 0.3, p.y * 0.3))
+        .collect();
+    let gone: Vec<Point> = pts.iter().step_by(7).copied().collect();
+    let dropped: Vec<Point> = inserts.iter().step_by(5).copied().collect();
+    let moved: Vec<Point> = gone
+        .iter()
+        .step_by(3)
+        .map(|p| Point::new(p.id, 1.0 - p.x, 1.0 - p.y))
+        .collect();
+    for idx in &mut sweep {
+        let name = idx.name();
+        let mut model: Vec<Point> = pts.clone();
+        for &p in &inserts {
+            idx.insert(p);
+            model.push(p);
+        }
+        for p in gone.iter().chain(&dropped) {
+            assert!(idx.delete(*p), "{name}: {p}");
+            model.retain(|m| m != p);
+        }
+        assert_eq!(idx.live_points(), canonical(model.clone()), "{name}");
+        for (i, &p) in moved.iter().enumerate() {
+            idx.insert(p);
+            model.push(p);
+            // The documented exception (`SpatialIndex::insert`): RSMI
+            // un-tombstones the stored copy of a re-inserted id.
+            if name == "RSMI" {
+                model.push(gone[3 * i]);
+            }
+        }
+        assert_eq!(idx.len(), model.len(), "{name}");
+        assert_eq!(idx.live_points(), canonical(model), "{name}");
+    }
+}
+
+fn canonical(mut pts: Vec<Point>) -> Vec<Point> {
+    pts.sort_by_key(elsi_spatial::canonical_point_key);
+    pts
 }
 
 #[test]
