@@ -14,7 +14,7 @@ use elsi::scorer::{
 use elsi::{CostDecomposition, Elsi, ElsiConfig, Method, MethodCosts, MrPool};
 use elsi_data::{gen, Dataset};
 use elsi_indices::ZmIndex;
-use elsi_spatial::{MappedData, MortonMapper};
+use elsi_spatial::{sort_by_key, MortonMapper};
 use elsi_store::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -394,7 +394,7 @@ fn fig07(s: &mut Session) -> Vec<Record> {
 fn table1(s: &mut Session) -> Vec<Record> {
     let n = s.n;
     let pts = Dataset::Osm1.generate(n, 42);
-    let (_, prep_secs) = timed(|| MappedData::build(pts.clone(), &MortonMapper));
+    let (_, prep_secs) = timed(|| sort_by_key(pts.clone(), &MortonMapper));
     println!(
         "Data preparation (map + sort) on OSM1 ({n} points): {prep_secs:.3} s — shared by all methods"
     );

@@ -40,7 +40,7 @@ use elsi_serve::{
     read_manifest, zm_codec, GridRouter, LearnedRouter, PersistRouter, ShardedConfig, ShardedIndex,
     MANIFEST_NAME,
 };
-use elsi_spatial::{KeyMapper, MappedData, MortonMapper, Point, Rect};
+use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -1005,11 +1005,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Convenience for tests: a `MappedData` over CSV input.
-pub fn mapped_data_of(path: &str) -> Result<MappedData, String> {
-    Ok(MappedData::build(load_points(path)?, &MortonMapper))
 }
 
 #[cfg(test)]

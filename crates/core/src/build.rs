@@ -200,19 +200,21 @@ impl ModelBuilder for ElsiBuilder {
 mod tests {
     use super::*;
     use elsi_data::gen::skewed;
-    use elsi_spatial::{MappedData, MortonMapper};
+    use elsi_spatial::{sort_by_key, MortonMapper, Point};
 
-    fn setup() -> (MappedData, ElsiConfig, Arc<MrPool>) {
+    type Sorted = (Vec<Point>, Vec<f64>);
+
+    fn setup() -> (Sorted, ElsiConfig, Arc<MrPool>) {
         let cfg = ElsiConfig::fast_test();
         let pool = Arc::new(MrPool::generate(&cfg, 1));
-        let data = MappedData::build(skewed(3000, 4, 5), &MortonMapper);
+        let data = sort_by_key(skewed(3000, 4, 5), &MortonMapper);
         (data, cfg, pool)
     }
 
-    fn input_of(data: &MappedData) -> BuildInput<'_> {
+    fn input_of((sorted, sorted_keys): &Sorted) -> BuildInput<'_> {
         BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: sorted,
+            keys: sorted_keys,
             mapper: &MortonMapper,
             seed: 9,
         }
@@ -227,7 +229,7 @@ mod tests {
             assert_eq!(built.stats.method, m.name());
             // Algorithm 1's error bounds guarantee point-query correctness
             // regardless of the reduction method.
-            for (i, &k) in data.keys().iter().enumerate().step_by(97) {
+            for (i, &k) in data.1.iter().enumerate().step_by(97) {
                 let (lo, hi) = built.model.search_range(k);
                 assert!(lo <= i && i < hi, "{m}: rank {i} outside [{lo},{hi})");
             }
@@ -241,10 +243,10 @@ mod tests {
             let builder = ElsiBuilder::fixed(m, cfg.clone(), Arc::clone(&pool));
             let built = builder.build_model(&input_of(&data));
             assert!(
-                built.stats.training_set_size < data.len(),
+                built.stats.training_set_size < data.0.len(),
                 "{m}: trained on {} of {}",
                 built.stats.training_set_size,
-                data.len()
+                data.0.len()
             );
         }
         // MR reuses a model: no online training at all.

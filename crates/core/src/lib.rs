@@ -155,11 +155,6 @@ impl Elsi {
         costs
     }
 
-    /// Installs an externally trained scorer.
-    pub fn set_scorer(&mut self, scorer: MethodScorer) {
-        self.scorer = Some(Arc::new(scorer));
-    }
-
     /// The trained scorer, if preparation has run.
     pub fn scorer(&self) -> Option<Arc<MethodScorer>> {
         self.scorer.clone()

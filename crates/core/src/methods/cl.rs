@@ -32,19 +32,19 @@ pub fn centroids(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsi_spatial::{MappedData, MortonMapper};
+    use elsi_spatial::{sort_by_key, MortonMapper};
 
     #[test]
     fn centroid_keys_sorted_and_bounded() {
         let pts = elsi_data::gen::uniform(2000, 3);
-        let data = MappedData::build(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let cfg = ElsiConfig {
             clusters: 32,
             ..ElsiConfig::fast_test()
         };
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 0,
         };

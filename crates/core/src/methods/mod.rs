@@ -143,10 +143,10 @@ mod tests {
     use super::*;
     use elsi_data::gen::skewed;
     use elsi_data::ks_distance;
-    use elsi_spatial::{MappedData, MortonMapper};
+    use elsi_spatial::{sort_by_key, MortonMapper};
 
-    fn input_data(n: usize) -> MappedData {
-        MappedData::build(skewed(n, 4, 7), &MortonMapper)
+    fn input_data(n: usize) -> (Vec<elsi_spatial::Point>, Vec<f64>) {
+        sort_by_key(skewed(n, 4, 7), &MortonMapper)
     }
 
     #[test]
@@ -175,12 +175,12 @@ mod tests {
     /// approximate the input distribution reasonably.
     #[test]
     fn every_method_produces_distribution_preserving_sets() {
-        let data = input_data(4000);
+        let (sorted, sorted_keys) = input_data(4000);
         let cfg = ElsiConfig::fast_test();
         let mr_pool = MrPool::generate(&cfg, 1);
         let input = elsi_indices::BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 3,
         };
@@ -195,9 +195,9 @@ mod tests {
                         "{m}: key out of range"
                     );
                     if m != Method::Og {
-                        assert!(keys.len() < data.len(), "{m}: not reduced");
+                        assert!(keys.len() < sorted.len(), "{m}: not reduced");
                     }
-                    let d = ks_distance(&keys, data.keys());
+                    let d = ks_distance(&keys, &sorted_keys);
                     // Even the crudest reduction should stay well below the
                     // maximal distance; the good ones are far tighter.
                     assert!(d < 0.5, "{m}: KS distance {d}");
@@ -209,18 +209,18 @@ mod tests {
 
     #[test]
     fn proposed_methods_beat_random_sampling_on_skew() {
-        let data = input_data(6000);
+        let (sorted, sorted_keys) = input_data(6000);
         let cfg = ElsiConfig::fast_test();
         let mr_pool = MrPool::generate(&cfg, 1);
         let input = elsi_indices::BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 5,
         };
         let dist_of = |m: Method| -> f64 {
             match reduce(m, &input, &cfg, &mr_pool) {
-                Reduction::TrainingSet(keys) => ks_distance(&keys, data.keys()),
+                Reduction::TrainingSet(keys) => ks_distance(&keys, &sorted_keys),
                 Reduction::Pretrained(_) => unreachable!(),
             }
         };

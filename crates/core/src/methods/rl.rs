@@ -109,17 +109,17 @@ pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsi_spatial::{KeyMapper, MappedData, MortonMapper};
+    use elsi_spatial::{sort_by_key, KeyMapper, MortonMapper};
 
-    fn run_on(pts: Vec<elsi_spatial::Point>, cfg: &ElsiConfig) -> (Vec<f64>, MappedData) {
-        let data = MappedData::build(pts, &MortonMapper);
+    fn run_on(pts: Vec<elsi_spatial::Point>, cfg: &ElsiConfig) -> Vec<f64> {
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 1,
         };
-        (rl_set(&input, cfg), data)
+        rl_set(&input, cfg)
     }
 
     #[test]
@@ -129,7 +129,7 @@ mod tests {
             rl_steps: 150,
             ..ElsiConfig::fast_test()
         };
-        let (keys, _) = run_on(elsi_data::gen::uniform(2000, 1), &cfg);
+        let keys = run_on(elsi_data::gen::uniform(2000, 1), &cfg);
         assert!(!keys.is_empty());
         assert!(keys.len() <= 16, "at most η² points, got {}", keys.len());
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
@@ -146,16 +146,16 @@ mod tests {
             ..ElsiConfig::fast_test()
         };
         let pts = elsi_data::gen::skewed(4000, 4, 9);
-        let data = MappedData::build(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 2,
         };
         // Initial distance: every cell active.
         let grid = UniformGrid::square(6);
-        let bounds = Rect::mbr_of(data.points());
+        let bounds = Rect::mbr_of(&sorted);
         let mut all_cells: Vec<f64> = (0..grid.len())
             .map(|i| {
                 let (ix, iy) = grid.coords_of(i);
@@ -168,10 +168,10 @@ mod tests {
             })
             .collect();
         all_cells.sort_unstable_by(|a, b| a.total_cmp(b));
-        let initial = ks_distance(&all_cells, data.keys());
+        let initial = ks_distance(&all_cells, &sorted_keys);
 
         let keys = rl_set(&input, &cfg);
-        let final_d = ks_distance(&keys, data.keys());
+        let final_d = ks_distance(&keys, &sorted_keys);
         assert!(final_d < initial, "final {final_d} vs initial {initial}");
     }
 
@@ -182,8 +182,8 @@ mod tests {
             rl_steps: 100,
             ..ElsiConfig::fast_test()
         };
-        let (a, _) = run_on(elsi_data::gen::uniform(1000, 3), &cfg);
-        let (b, _) = run_on(elsi_data::gen::uniform(1000, 3), &cfg);
+        let a = run_on(elsi_data::gen::uniform(1000, 3), &cfg);
+        let b = run_on(elsi_data::gen::uniform(1000, 3), &cfg);
         assert_eq!(a, b);
     }
 

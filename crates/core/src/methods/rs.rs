@@ -36,35 +36,35 @@ pub fn representative_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> 
 mod tests {
     use super::*;
     use elsi_data::ks_distance;
-    use elsi_spatial::{MappedData, MortonMapper};
+    use elsi_spatial::{sort_by_key, MortonMapper};
 
     #[test]
     fn rs_tracks_distribution_closely() {
         let pts = elsi_data::gen::nyc_like(5000, 11);
-        let data = MappedData::build(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let cfg = ElsiConfig {
             beta: 64,
             ..ElsiConfig::fast_test()
         };
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 0,
         };
         let keys = representative_set(&input, &cfg);
-        assert!(keys.len() < data.len() / 4, "must reduce: {}", keys.len());
-        let d = ks_distance(&keys, data.keys());
+        assert!(keys.len() < sorted.len() / 4, "must reduce: {}", keys.len());
+        let d = ks_distance(&keys, &sorted_keys);
         assert!(d < 0.15, "KS distance {d}");
     }
 
     #[test]
     fn beta_controls_set_size() {
         let pts = elsi_data::gen::uniform(4000, 2);
-        let data = MappedData::build(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 0,
         };
@@ -88,19 +88,19 @@ mod tests {
     #[test]
     fn every_key_is_a_member_of_d() {
         let pts = elsi_data::gen::skewed(1000, 4, 5);
-        let data = MappedData::build(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
         let cfg = ElsiConfig {
             beta: 50,
             ..ElsiConfig::fast_test()
         };
         let input = BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &sorted,
+            keys: &sorted_keys,
             mapper: &MortonMapper,
             seed: 0,
         };
         for k in representative_set(&input, &cfg) {
-            assert!(data.keys().contains(&k), "RS must select points of D");
+            assert!(sorted_keys.contains(&k), "RS must select points of D");
         }
     }
 }

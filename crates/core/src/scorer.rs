@@ -24,7 +24,7 @@ use elsi_indices::{
 use elsi_ml::{
     train_regression, DecisionTree, Ffn, ForestConfig, RandomForest, TrainConfig, TreeConfig,
 };
-use elsi_spatial::{MappedData, MortonMapper, Point};
+use elsi_spatial::{sort_by_key, MortonMapper, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -173,13 +173,13 @@ fn measure_cell(
 ) -> Vec<MethodCosts> {
     let (di, si, s, n) = cell;
     let pts = skewed_dataset(n, s, seed ^ ((di * 131 + si) as u64));
-    let data = MappedData::build(pts, &MortonMapper);
-    let dist_u = dist_from_uniform(data.keys());
+    let (points, keys) = sort_by_key(pts, &MortonMapper);
+    let dist_u = dist_from_uniform(&keys);
     methods
         .iter()
         .map(|&m| {
-            let (built, build_secs) = build_with_method(m, &data, cfg, mr_pool, seed);
-            let query_micros = measure_query_micros(&built, &data, 512);
+            let (built, build_secs) = build_with_method(m, &points, &keys, cfg, mr_pool, seed);
+            let query_micros = measure_query_micros(&built, &keys, 512);
             MethodCosts {
                 method: m,
                 n,
@@ -227,26 +227,28 @@ pub fn measure_method_costs(
     per_cell.into_iter().flatten().collect()
 }
 
-/// Builds one rank model with a fixed method; returns it and the wall time.
+/// Builds one rank model over key-sorted `points` with a fixed method;
+/// returns it and the wall time.
 pub fn build_with_method(
     method: Method,
-    data: &MappedData,
+    points: &[Point],
+    keys: &[f64],
     cfg: &ElsiConfig,
     mr_pool: &MrPool,
     seed: u64,
 ) -> (BuiltModel, f64) {
     let input = BuildInput {
-        points: data.points(),
-        keys: data.keys(),
+        points,
+        keys,
         mapper: &MortonMapper,
         seed,
     };
     let (built, build_secs) = timed_secs(|| {
         let (reduction, reduce_time) = timed(|| reduce(method, &input, cfg, mr_pool));
         match reduction {
-            Reduction::TrainingSet(keys) => build_on_training_set(
-                &keys,
-                data.keys(),
+            Reduction::TrainingSet(set) => build_on_training_set(
+                &set,
+                keys,
                 cfg.hidden,
                 &cfg.train,
                 seed,
@@ -254,7 +256,7 @@ pub fn build_with_method(
                 reduce_time,
             ),
             Reduction::Pretrained(ffn) => {
-                let model = elsi_indices::RankModel::from_ffn(ffn, data.keys());
+                let model = elsi_indices::RankModel::from_ffn(ffn, keys);
                 let err_span = model.err_span();
                 BuiltModel {
                     model,
@@ -278,16 +280,16 @@ pub fn build_with_method(
 /// the model-backed indices run before their leaf scan
 /// ([`equal_key_run`]), so `C_Q`'s ground truth grows with the error span
 /// exactly as the product's lookup does.
-fn measure_query_micros(built: &BuiltModel, data: &MappedData, queries: usize) -> f64 {
-    let n = data.len();
+fn measure_query_micros(built: &BuiltModel, keys: &[f64], queries: usize) -> f64 {
+    let n = keys.len();
     if n == 0 {
         return 0.0;
     }
     let step = (n / queries.max(1)).max(1);
     let (found, secs) = timed_secs(|| {
         let mut found = 0usize;
-        for &key in data.keys().iter().step_by(step) {
-            let (lo, hi) = equal_key_run(data.keys(), built.model.search_range(key), key);
+        for &key in keys.iter().step_by(step) {
+            let (lo, hi) = equal_key_run(keys, built.model.search_range(key), key);
             if lo < hi {
                 found += 1;
             }

@@ -22,7 +22,7 @@
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_spatial::{
-    scan, BlockStore, KeyMapper, KnnHeap, LisaMapper, MappedData, Point, Rect, ScanScratch,
+    scan, sort_by_key, BlockStore, KeyMapper, KnnHeap, LisaMapper, Point, Rect, ScanScratch,
 };
 use rayon::prelude::*;
 use std::collections::BTreeSet;
@@ -73,13 +73,13 @@ impl LisaIndex {
         }
         assert!(cfg.grid > 0 && cfg.shard_size > 0 && cfg.block_size > 0);
         let mapper = LisaMapper::fit(&points, cfg.grid);
-        let data = MappedData::build(points, &mapper);
-        let n = data.len();
+        let (points, keys) = sort_by_key(points, &mapper);
+        let n = points.len();
         let num_shards = n.div_ceil(cfg.shard_size).max(1);
 
         let built = builder.build_model(&BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &points,
+            keys: &keys,
             mapper: &mapper,
             seed: 0x115A,
         });
@@ -97,7 +97,7 @@ impl LisaIndex {
                 let end = (start + chunk).min(n);
                 let mut lo = 0i64;
                 let mut hi = 0i64;
-                for (i, &k) in data.keys()[start..end].iter().enumerate() {
+                for (i, &k) in keys[start..end].iter().enumerate() {
                     let pred = shard_of_prediction(&model, k, cfg.shard_size, num_shards);
                     let actual = ((start + i) / cfg.shard_size) as i64;
                     lo = lo.min(actual - pred);
@@ -115,7 +115,7 @@ impl LisaIndex {
 
         // Bulk-load shard pages in parallel; shard order follows the chunk
         // order, independent of thread count.
-        let chunks: Vec<&[Point]> = data.points().chunks(cfg.shard_size).collect();
+        let chunks: Vec<&[Point]> = points.chunks(cfg.shard_size).collect();
         let shards: Vec<BlockStore> = chunks
             .into_par_iter()
             .map(|chunk| BlockStore::bulk_load(chunk, cfg.block_size))

@@ -19,7 +19,7 @@ use crate::leaf::{Delta, Leaf};
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_ml::kmeans;
-use elsi_spatial::{IDistanceMapper, MappedData, Point, Rect, ScanScratch};
+use elsi_spatial::{sort_by_key, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -70,8 +70,9 @@ impl MlIndex {
         assert!(cfg.pivots >= 1, "need at least one pivot");
         let mapper = Self::fit_pivots(&points, cfg);
         let k = mapper.pivots().len();
-        let data = MappedData::build(points, &mapper);
-        let n = data.len();
+        let (points, keys) = sort_by_key(points, &mapper);
+        let n = points.len();
+        let rank_of = |key: f64| keys.partition_point(|&k| k < key);
 
         // Per-pivot models train in parallel; each partition's seed is a
         // pure function of the pivot index, so the built index is identical
@@ -80,15 +81,15 @@ impl MlIndex {
             .into_par_iter()
             .map(|i| {
                 // Pivot i's keys live in [i/k, (i+1)/k) by the iDistance layout.
-                let lo = data.lower_bound(i as f64 / k as f64);
+                let lo = rank_of(i as f64 / k as f64);
                 let hi = if i + 1 == k {
                     n
                 } else {
-                    data.lower_bound((i + 1) as f64 / k as f64)
+                    rank_of((i + 1) as f64 / k as f64)
                 };
                 let built = builder.build_model(&BuildInput {
-                    points: data.points().get(lo..hi).unwrap_or(&[]),
-                    keys: data.keys().get(lo..hi).unwrap_or(&[]),
+                    points: points.get(lo..hi).unwrap_or(&[]),
+                    keys: keys.get(lo..hi).unwrap_or(&[]),
                     mapper: &mapper,
                     seed: 0x31 + i as u64,
                 });
@@ -108,7 +109,7 @@ impl MlIndex {
 
         Self {
             mapper,
-            data,
+            data: MappedData::from_sorted(&points, keys),
             partitions,
             delta: Delta::new(vec![Vec::new(); k], HashSet::new()),
             stats,
@@ -233,7 +234,10 @@ impl SpatialIndex for MlIndex {
                 let (p_lo, p_hi) = (part.offset, part.offset + part.len);
                 let key = self.mapper.key_of(home, d);
                 let pos = self.partition_ranks(home, (key, key)).0.clamp(p_lo, p_hi);
-                let rim = |rank: usize| (pivot.dist(&self.data.get(rank)) - d).abs();
+                let rim = |rank: usize| {
+                    let at = self.data.point(rank);
+                    at.map_or(f64::NAN, |p| (pivot.dist(&p) - d).abs())
+                };
                 let (mut run, mut reach) = ((pos, pos), k);
                 loop {
                     let wider = (pos.saturating_sub(reach).max(p_lo), (pos + reach).min(p_hi));

@@ -18,45 +18,69 @@ use elsi_ml::{Ffn, PwlModel};
 use elsi_spatial::Point;
 use elsi_store::{ByteReader, ByteWriter, StoreError};
 
-/// Appends a point set as three parallel columns (ids, xs, ys).
-pub fn encode_points(w: &mut ByteWriter, points: &[Point]) {
-    w.put_usize(points.len());
-    for p in points {
-        w.put_u64(p.id);
-    }
-    for p in points {
-        w.put_f64(p.x);
-    }
-    for p in points {
-        w.put_f64(p.y);
-    }
+/// Appends three parallel point columns as `n ‖ ids ‖ xs ‖ ys` — the one
+/// writer of the layout every stored point set uses.
+pub fn encode_columns(
+    w: &mut ByteWriter,
+    ids: impl ExactSizeIterator<Item = u64>,
+    xs: impl Iterator<Item = f64>,
+    ys: impl Iterator<Item = f64>,
+) {
+    w.put_usize(ids.len());
+    ids.for_each(|id| w.put_u64(id));
+    xs.for_each(|x| w.put_f64(x));
+    ys.for_each(|y| w.put_f64(y));
 }
 
-/// Reads a point set written by [`encode_points`]. Columns are decoded in
-/// bulk (`get_len` validated the total size up front, so each column is
-/// one raw cut plus a straight-line conversion loop) — this is the hot
-/// loop of snapshot restore, which decodes every shard's point columns.
-pub fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<Point>, StoreError> {
+/// Appends a point set in the [`encode_columns`] layout.
+pub fn encode_points(w: &mut ByteWriter, points: &[Point]) {
+    let (ids, xs, ys) = (
+        points.iter().map(|p| p.id),
+        points.iter().map(|p| p.x),
+        points.iter().map(|p| p.y),
+    );
+    encode_columns(w, ids, xs, ys);
+}
+
+/// Cuts the three raw columns of an [`encode_columns`] layout, as bit
+/// patterns — the one reader of the layout. `get_len` validates the total
+/// size up front, so each column is one raw cut plus a straight-line
+/// conversion loop: this is the hot loop of snapshot restore, which
+/// decodes every shard's point columns.
+fn cut_columns<'a>(
+    r: &mut ByteReader<'a>,
+) -> Result<[impl Iterator<Item = u64> + 'a; 3], StoreError> {
     let n = r.get_len(24)?;
-    let mut points = vec![Point::new(0, 0.0, 0.0); n];
-    let le_u64 = |c: &[u8]| {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(c);
-        u64::from_le_bytes(a)
+    let mut column = || {
+        let raw = r.get_raw(n * 8)?;
+        Ok(raw.chunks_exact(8).map(|c| {
+            let mut a = [0u8; 8];
+            a.copy_from_slice(c);
+            u64::from_le_bytes(a)
+        }))
     };
-    let ids = r.get_raw(n * 8)?;
-    for (p, c) in points.iter_mut().zip(ids.chunks_exact(8)) {
-        p.id = le_u64(c);
-    }
-    let xs = r.get_raw(n * 8)?;
-    for (p, c) in points.iter_mut().zip(xs.chunks_exact(8)) {
-        p.x = f64::from_bits(le_u64(c));
-    }
-    let ys = r.get_raw(n * 8)?;
-    for (p, c) in points.iter_mut().zip(ys.chunks_exact(8)) {
-        p.y = f64::from_bits(le_u64(c));
-    }
-    Ok(points)
+    Ok([column()?, column()?, column()?])
+}
+
+/// Decoded point columns: `(ids, xs, ys)`.
+type Columns = (Vec<u64>, Vec<f64>, Vec<f64>);
+
+/// Reads the `(ids, xs, ys)` columns written by [`encode_columns`].
+pub fn decode_columns(r: &mut ByteReader<'_>) -> Result<Columns, StoreError> {
+    let [ids, xs, ys] = cut_columns(r)?;
+    let (xs, ys) = (xs.map(f64::from_bits), ys.map(f64::from_bits));
+    Ok((ids.collect(), xs.collect(), ys.collect()))
+}
+
+/// Reads a point set written by [`encode_points`].
+pub fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<Point>, StoreError> {
+    let [ids, xs, ys] = cut_columns(r)?;
+    let points = ids.zip(xs).zip(ys).map(|((id, x), y)| Point {
+        id,
+        x: f64::from_bits(x),
+        y: f64::from_bits(y),
+    });
+    Ok(points.collect())
 }
 
 const RANK_FN_FFN: u8 = 0;
@@ -197,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_points_are_a_clean_error() {
+    fn truncated_points_are_a_clean_error() -> Result<(), StoreError> {
         let mut w = ByteWriter::new();
         encode_points(&mut w, &pts(10));
         let bytes = w.into_vec();
@@ -206,7 +230,18 @@ mod tests {
                 decode_all(&bytes[..cut], decode_points).is_err(),
                 "cut {cut} decoded"
             );
+            assert!(
+                decode_all(&bytes[..cut], decode_columns).is_err(),
+                "cut {cut} decoded as columns"
+            );
         }
+        // Whole, the two readers of the layout see the same points.
+        let (ids, xs, ys) = decode_all(&bytes, decode_columns)?;
+        let zipped: Vec<Point> = (0..ids.len())
+            .map(|i| Point::new(ids[i], xs[i], ys[i]))
+            .collect();
+        assert_eq!(decode_all(&bytes, decode_points)?, zipped);
+        Ok(())
     }
 
     fn built_model(builder: &dyn ModelBuilder, n: usize) -> RankModel {

@@ -24,7 +24,9 @@
 use crate::leaf::{live, Leaf};
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch};
+use elsi_spatial::{
+    sort_by_key, Block, HilbertMapper, KeyMapper, KnnHeap, Point, Rect, ScanScratch,
+};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -176,7 +178,7 @@ impl RsmiIndex {
 }
 
 fn build_node(
-    mut points: Vec<Point>,
+    points: Vec<Point>,
     bounds: Rect,
     cfg: &RsmiConfig,
     builder: &dyn ModelBuilder,
@@ -190,16 +192,10 @@ fn build_node(
         Rect::mbr_of(&points)
     };
     // Map and sort in the node's local rank space.
-    let mut keyed: Vec<(f64, Point)> = points
-        .drain(..)
-        .map(|p| (local_key(p, &bounds), p))
-        .collect();
-    keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    let keys: Vec<f64> = keyed.iter().map(|(k, _)| *k).collect();
-    let pts: Vec<Point> = keyed.into_iter().map(|(_, p)| p).collect();
+    let mapper = LocalHilbert { bounds };
+    let (pts, keys) = sort_by_key(points, &mapper);
     let n = pts.len();
 
-    let mapper = LocalHilbert { bounds };
     let built = builder.build_model(&BuildInput {
         points: &pts,
         keys: &keys,

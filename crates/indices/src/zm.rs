@@ -14,9 +14,12 @@
 
 use crate::leaf::{Delta, Leaf};
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
-use crate::persist::{decode_points, decode_rank_model, encode_points, encode_rank_model};
+use crate::persist::{
+    decode_columns, decode_points, decode_rank_model, encode_columns, encode_points,
+    encode_rank_model,
+};
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
+use elsi_spatial::{sort_by_key, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, StoreError};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -65,13 +68,13 @@ impl ZmIndex {
     /// Builds a ZM index over `points` using the given model builder.
     pub fn build(points: Vec<Point>, cfg: &ZmConfig, builder: &dyn ModelBuilder) -> Self {
         assert!(cfg.fanout >= 1, "fanout must be positive");
-        let data = MappedData::build(points, &MortonMapper);
-        let n = data.len();
+        let (points, keys) = sort_by_key(points, &MortonMapper);
+        let n = points.len();
         let mut stats = Vec::new();
 
         if n == 0 {
             return Self {
-                data,
+                data: MappedData::default(),
                 root: RankModel::empty(0),
                 leaves: Vec::new(),
                 delta: Delta::new(vec![Vec::new()], HashSet::new()),
@@ -81,8 +84,8 @@ impl ZmIndex {
 
         // Root model over the full key CDF.
         let root_built = builder.build_model(&BuildInput {
-            points: data.points(),
-            keys: data.keys(),
+            points: &points,
+            keys: &keys,
             mapper: &MortonMapper,
             seed: 0xD00,
         });
@@ -99,8 +102,8 @@ impl ZmIndex {
                 let lo = j * n / s;
                 let hi = (j + 1) * n / s;
                 let built = builder.build_model(&BuildInput {
-                    points: data.points().get(lo..hi).unwrap_or(&[]),
-                    keys: data.keys().get(lo..hi).unwrap_or(&[]),
+                    points: points.get(lo..hi).unwrap_or(&[]),
+                    keys: keys.get(lo..hi).unwrap_or(&[]),
                     mapper: &MortonMapper,
                     seed: 0xD01 + j as u64,
                 });
@@ -118,8 +121,9 @@ impl ZmIndex {
             });
         }
 
+        // The models are trained: only the columns are stored.
         let mut zm = Self {
-            data,
+            data: MappedData::from_sorted(&points, keys),
             root,
             leaves,
             delta: Delta::new(vec![Vec::new()], HashSet::new()),
@@ -253,8 +257,10 @@ impl ZmIndex {
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(ZM_STATE_VERSION);
-        encode_points(&mut w, self.data.points());
-        w.put_f64s(self.data.keys());
+        let data = &self.data;
+        let (ids, xs, ys) = (data.ids().iter(), data.xs().iter(), data.ys().iter());
+        encode_columns(&mut w, ids.copied(), xs.copied(), ys.copied());
+        w.put_f64s(data.keys());
         encode_rank_model(&mut w, &self.root);
         w.put_usize(self.leaves.len());
         for leaf in &self.leaves {
@@ -284,9 +290,9 @@ impl ZmIndex {
                 expected: ZM_STATE_VERSION,
             });
         }
-        let points = decode_points(&mut r)?;
+        let (ids, xs, ys) = decode_columns(&mut r)?;
         let keys = r.get_f64s()?;
-        if keys.len() != points.len() {
+        if keys.len() != ids.len() {
             return Err(StoreError::corrupt(
                 "zm state",
                 "key column length disagrees with point columns",
@@ -295,7 +301,7 @@ impl ZmIndex {
         if !keys.is_sorted() {
             return Err(StoreError::corrupt("zm state", "keys are not sorted"));
         }
-        let data = MappedData::from_sorted_pairs(points, keys);
+        let data = MappedData::from_columns(keys, xs, ys, ids);
         let root = decode_rank_model(&mut r)?;
         let n_leaves = r.get_len(1)?;
         let mut leaves = Vec::with_capacity(n_leaves);
@@ -310,6 +316,16 @@ impl ZmIndex {
                 err_lo,
                 err_hi,
             });
+        }
+        // `route` divides the ranks among the leaves: points need leaves.
+        if leaves.is_empty() != data.is_empty()
+            || !leaves.is_sorted_by_key(|leaf| leaf.offset)
+            || leaves.last().is_some_and(|leaf| leaf.offset > data.len())
+        {
+            return Err(StoreError::corrupt(
+                "zm state",
+                "leaf models disagree with the point columns",
+            ));
         }
         let buffer = decode_points(&mut r)?;
         let deleted = r.get_u64s()?.into_iter().collect();
@@ -590,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn damaged_state_is_a_clean_error() {
+    fn damaged_state_is_a_clean_error() -> Result<(), StoreError> {
         let (_, idx) = build_small(120);
         let clean = idx.encode_state();
         for cut in 0..clean.len().min(400) {
@@ -601,8 +617,8 @@ mod tests {
         }
         // Unsorted key column is caught even when lengths line up.
         let mut r = elsi_store::ByteReader::new(&clean, "probe");
-        r.get_u32().unwrap();
-        crate::persist::decode_points(&mut r).unwrap();
+        r.get_u32()?;
+        decode_points(&mut r)?;
         let keys_len_at = r.pos();
         let mut swapped = clean.clone();
         // Overwrite the first two keys with a descending pair.
@@ -613,6 +629,32 @@ mod tests {
             ZmIndex::decode_state(&swapped),
             Err(StoreError::Corrupt { .. })
         ));
+        // The model shape must agree with the columns: points need leaves,
+        // at ascending offsets inside the column.
+        r.get_f64s()?;
+        decode_rank_model(&mut r)?;
+        let count_at = r.pos();
+        let mut offset_at = Vec::new();
+        for _ in 0..r.get_usize()? {
+            decode_rank_model(&mut r)?;
+            offset_at.push(r.pos());
+            r.get_raw(24)?;
+        }
+        let leafless = [&clean[..count_at], &[0u8; 8][..], &clean[r.pos()..]].concat();
+        let mut descending = clean.clone();
+        descending[offset_at[1]..offset_at[1] + 8].copy_from_slice(&61u64.to_le_bytes());
+        let mut outside = clean.clone();
+        outside[offset_at[3]..offset_at[3] + 8].copy_from_slice(&121u64.to_le_bytes());
+        for (what, bad) in [
+            ("no leaves", leafless),
+            ("descending offsets", descending),
+            ("offset past the column", outside),
+        ] {
+            assert!(
+                matches!(ZmIndex::decode_state(&bad), Err(StoreError::Corrupt { .. })),
+                "{what} decoded"
+            );
+        }
         // Wrong layout version is refused up front.
         let mut versioned = clean.clone();
         versioned[0..4].copy_from_slice(&99u32.to_le_bytes());
@@ -620,6 +662,20 @@ mod tests {
             ZmIndex::decode_state(&versioned),
             Err(StoreError::BadVersion { found: 99, .. })
         ));
+        Ok(())
+    }
+
+    #[test]
+    fn stored_page_is_the_point_column_layout() {
+        // The blob opens with the sorted points in the one point-set
+        // layout, then their keys: a reordered or re-prefixed column fails.
+        let (pts, idx) = build_small(150);
+        let (sorted, keys) = sort_by_key(pts, &MortonMapper);
+        let mut w = ByteWriter::new();
+        w.put_u32(ZM_STATE_VERSION);
+        encode_points(&mut w, &sorted);
+        w.put_f64s(&keys);
+        assert_eq!(idx.encode_state()[..w.len()], *w.as_slice());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   computed (as KS distance between mapped-key CDFs, see `elsi-data`).
 //! * [`partition`] — the quadtree of the RS building method (Alg. 2) and
 //!   the uniform grid of the RL method's state.
-//! * [`sorted`] / [`block`] — the *sort* step: mapped-and-sorted storage
-//!   and the block (data page) layout the predict-and-scan queries hit.
+//! * [`sorted`] / [`block`] — the *sort* step ([`sort_by_key`]), the sorted
+//!   columns it is stored in and the block (data page) layout the
+//!   predict-and-scan queries hit.
 //! * [`order`] — total orderings for float keys: NaN-safe sort comparators
 //!   and the canonical `(dist², id)` kNN order every producer shares.
 //! * [`scan`] — branchless 4-wide SoA scan kernels (window, exact lookup,
@@ -46,4 +47,4 @@ pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key, sort_canonic
 pub use partition::{quadtree_partition, QuadLeaf, UniformGrid};
 pub use point::{Point, Rect};
 pub use scan::{contains_scan, knn_scan, range_scan_into, KnnEntry, KnnHeap, ScanScratch};
-pub use sorted::MappedData;
+pub use sorted::{sort_by_key, MappedData};

@@ -1,26 +1,32 @@
-//! Mapped-and-sorted data: the storage layout of the map-and-sort paradigm.
+//! Map-and-sort, and the columns the sorted points are stored in.
 //!
 //! Every base index first maps its points to 1-D keys and sorts them
-//! (Algorithm 1, lines 1–2). [`MappedData`] owns that sorted layout and is
-//! both the training input of ELSI's build processor and the storage array
-//! that predict-and-scan queries run over.
+//! (Algorithm 1, lines 1–2). [`sort_by_key`] is that step: its output is
+//! the training input of a build and lives only as long as the build.
+//! [`MappedData`] is what the build stores — the sorted key column and the
+//! coordinate columns that predict-and-scan queries run over.
 
 use crate::mapping::KeyMapper;
 use crate::point::Point;
 
-/// Points mapped to 1-D keys and sorted by key.
+/// Maps `points` with `mapper` and sorts them by key: the sorted points and
+/// their keys, `keys[i]` the key of `points[i]`. The rank of a point is its
+/// position in this order — the quantity an index model learns to predict.
+pub fn sort_by_key(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
+    let keys = mapper.keys(&points);
+    let mut pairs: Vec<(f64, Point)> = core::iter::zip(keys, points).collect();
+    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    pairs.into_iter().map(|(k, p)| (p, k)).unzip()
+}
+
+/// Key-sorted points in structure-of-arrays columns, so the predict-and-scan
+/// hot paths run the branchless kernels in [`crate::scan`] directly over
+/// contiguous coordinate slices.
 ///
-/// Invariant: `keys` is sorted ascending and `keys[i]` is the mapped key of
-/// `points[i]`. The rank of a point is its position in this order — the
-/// quantity an index model learns to predict.
-///
-/// Alongside the array-of-structs `points`, the same data is mirrored in
-/// structure-of-arrays columns (`xs`/`ys`/`ids`, same rank order) so the
-/// predict-and-scan hot paths can run the branchless kernels in
-/// [`crate::scan`] directly over contiguous coordinate slices.
+/// Invariant: the four columns are parallel, `keys` is sorted ascending and
+/// `keys[i]` is the mapped key of the point at rank `i`.
 #[derive(Debug, Clone, Default)]
 pub struct MappedData {
-    points: Vec<Point>,
     keys: Vec<f64>,
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -28,176 +34,127 @@ pub struct MappedData {
 }
 
 impl MappedData {
-    /// Maps `points` with `mapper` and sorts them by key.
-    pub fn build(points: Vec<Point>, mapper: &dyn KeyMapper) -> Self {
-        let keys = mapper.keys(&points);
-        Self::from_pairs(points, keys)
-    }
-
-    /// Builds from pre-computed `(point, key)` pairs (sorts them).
-    pub fn from_pairs(points: Vec<Point>, keys: Vec<f64>) -> Self {
-        assert_eq!(points.len(), keys.len());
-        let mut pairs: Vec<(f64, Point)> = core::iter::zip(keys, points).collect();
-        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let points = pairs.iter().map(|&(_, p)| p).collect();
-        let keys = pairs.iter().map(|&(k, _)| k).collect();
-        Self::with_soa(points, keys)
-    }
-
-    /// Builds from pairs already sorted by key.
-    ///
-    /// # Panics
-    /// Panics (debug builds) if the keys are not sorted.
-    pub fn from_sorted_pairs(points: Vec<Point>, keys: Vec<f64>) -> Self {
-        assert_eq!(points.len(), keys.len());
-        debug_assert!(keys.is_sorted(), "keys must be sorted");
-        Self::with_soa(points, keys)
-    }
-
-    /// Builds the SoA coordinate mirror from the sorted AoS points.
-    fn with_soa(points: Vec<Point>, keys: Vec<f64>) -> Self {
+    /// The columns of `points` and their `keys`, as [`sort_by_key`] returns
+    /// them.
+    pub fn from_sorted(points: &[Point], keys: Vec<f64>) -> Self {
         let xs = points.iter().map(|p| p.x).collect();
         let ys = points.iter().map(|p| p.y).collect();
         let ids = points.iter().map(|p| p.id).collect();
-        Self {
-            points,
-            keys,
-            xs,
-            ys,
-            ids,
-        }
+        Self::from_columns(keys, xs, ys, ids)
+    }
+
+    /// Adopts columns already in key order (a decoded snapshot).
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length, and (debug builds) if the
+    /// keys are not sorted.
+    pub fn from_columns(keys: Vec<f64>, xs: Vec<f64>, ys: Vec<f64>, ids: Vec<u64>) -> Self {
+        assert!(
+            keys.len() == ids.len() && xs.len() == ids.len() && ys.len() == ids.len(),
+            "columns must be parallel"
+        );
+        debug_assert!(keys.is_sorted(), "keys must be sorted");
+        Self { keys, xs, ys, ids }
     }
 
     /// Number of points.
     #[inline]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.ids.len()
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.ids.is_empty()
     }
 
-    /// The sorted points.
-    #[inline]
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-
-    /// The sorted keys; `keys()[i]` belongs to `points()[i]`.
+    /// The sorted keys; `keys()[i]` belongs to the point at rank `i`.
     #[inline]
     pub fn keys(&self) -> &[f64] {
         &self.keys
     }
 
-    /// X coordinates in rank order (SoA mirror of [`Self::points`]).
+    /// X coordinates in rank order.
     #[inline]
     pub fn xs(&self) -> &[f64] {
         &self.xs
     }
 
-    /// Y coordinates in rank order (SoA mirror of [`Self::points`]).
+    /// Y coordinates in rank order.
     #[inline]
     pub fn ys(&self) -> &[f64] {
         &self.ys
     }
 
-    /// Point ids in rank order (SoA mirror of [`Self::points`]).
+    /// Point ids in rank order.
     #[inline]
     pub fn ids(&self) -> &[u64] {
         &self.ids
     }
 
-    /// The SoA columns for ranks `[lo, hi)`, clamped to the valid range:
-    /// `(xs, ys, ids)` slices ready for the [`crate::scan`] kernels.
+    /// The point at rank `i`, if there is one.
     #[inline]
-    pub fn soa_range(&self, lo: isize, hi: isize) -> (&[f64], &[f64], &[u64]) {
-        let n = self.len() as isize;
-        let lo = lo.clamp(0, n) as usize;
-        let hi = hi.clamp(0, n) as usize;
-        crate::scan::soa_span(&self.xs, &self.ys, &self.ids, lo, hi)
-    }
-
-    /// Point at rank `i`. Out-of-range ranks yield a NaN-coordinate
-    /// sentinel.
-    #[inline]
-    pub fn get(&self, i: usize) -> Point {
-        debug_assert!(i < self.len());
-        match self.points.get(i) {
-            Some(&p) => p,
-            None => Point {
-                id: u64::MAX,
-                x: f64::NAN,
-                y: f64::NAN,
-            },
-        }
-    }
-
-    /// Rank of the first point whose key is `≥ key` (lower bound).
-    #[inline]
-    pub fn lower_bound(&self, key: f64) -> usize {
-        self.keys.partition_point(|&k| k < key)
-    }
-
-    /// Rank one past the last point whose key is `≤ key` (upper bound).
-    #[inline]
-    pub fn upper_bound(&self, key: f64) -> usize {
-        self.keys.partition_point(|&k| k <= key)
-    }
-
-    /// Fraction of points with key `< key`: the empirical CDF at `key`.
-    #[inline]
-    pub fn cdf(&self, key: f64) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.lower_bound(key) as f64 / self.len() as f64
-        }
-    }
-
-    /// The points with ranks in `[lo, hi)`, clamped to the valid range.
-    #[inline]
-    pub fn range(&self, lo: isize, hi: isize) -> &[Point] {
-        let n = self.len() as isize;
-        let lo = lo.clamp(0, n) as usize;
-        let hi = hi.clamp(0, n) as usize;
-        match self.points.get(lo..hi) {
-            Some(r) => r,
-            None => &[],
-        }
-    }
-
-    /// Consumes `self`, returning the sorted points and keys.
-    pub fn into_parts(self) -> (Vec<Point>, Vec<f64>) {
-        (self.points, self.keys)
+    pub fn point(&self, i: usize) -> Option<Point> {
+        Some(Point {
+            id: *self.ids.get(i)?,
+            x: *self.xs.get(i)?,
+            y: *self.ys.get(i)?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MortonMapper;
+    use crate::mapping::{HilbertMapper, IDistanceMapper, LisaMapper, MortonMapper};
 
-    fn sample() -> MappedData {
+    fn sample() -> (Vec<Point>, Vec<f64>) {
         let pts = vec![
             Point::new(0, 0.9, 0.9),
             Point::new(1, 0.1, 0.1),
             Point::new(2, 0.5, 0.5),
             Point::new(3, 0.2, 0.8),
         ];
-        MappedData::build(pts, &MortonMapper)
+        sort_by_key(pts, &MortonMapper)
     }
 
     #[test]
     fn build_sorts_by_key() {
-        let d = sample();
+        let (pts, keys) = sample();
+        let d = MappedData::from_sorted(&pts, keys);
         assert_eq!(d.len(), 4);
         assert!(d.keys().windows(2).all(|w| w[0] <= w[1]));
         // Lower-left point must come first in Z order.
-        assert_eq!(d.get(0).id, 1);
-        assert_eq!(d.get(d.len() - 1).id, 0);
+        assert_eq!(d.point(0).map(|p| p.id), Some(1));
+        assert_eq!(d.point(d.len() - 1).map(|p| p.id), Some(0));
+    }
+
+    #[test]
+    fn sort_by_key_orders_a_permutation_under_every_mapper() {
+        // A scatter with every point stacked three times (equal keys).
+        let mut input: Vec<Point> = (0..90u64)
+            .map(|i| {
+                let j = (i / 3) as f64;
+                Point::new(i, (j * 0.37).fract(), (j * 0.61).fract())
+            })
+            .collect();
+        input.reverse();
+        let lisa = LisaMapper::fit(&input, 4);
+        let idist = IDistanceMapper::new(vec![Point::at(0.2, 0.3), Point::at(0.8, 0.6)]);
+        let mappers: [&dyn KeyMapper; 4] = [&MortonMapper, &HilbertMapper, &lisa, &idist];
+        for mapper in mappers {
+            let (pts, keys) = sort_by_key(input.clone(), mapper);
+            assert!(keys.is_sorted());
+            assert_eq!(keys, mapper.keys(&pts), "keys[i] is the key of points[i]");
+            let mut ids: Vec<u64> = pts.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..90).collect::<Vec<u64>>());
+            assert!(pts.iter().all(|p| input.contains(p)));
+
+            let (pts, keys) = sort_by_key(Vec::new(), mapper);
+            assert!(pts.is_empty() && keys.is_empty());
+        }
     }
 
     #[test]
@@ -206,30 +163,27 @@ mod tests {
             .map(|i| Point::new(i, i as f64 / 10.0, 0.0))
             .collect();
         let keys: Vec<f64> = (0..10).map(|i| i as f64 / 10.0).collect();
-        let d = MappedData::from_sorted_pairs(pts, keys);
-        assert_eq!(d.lower_bound(0.35), 4);
-        assert_eq!(d.lower_bound(0.3), 3);
-        assert_eq!(d.upper_bound(0.3), 4);
-        assert_eq!(d.lower_bound(-1.0), 0);
-        assert_eq!(d.lower_bound(2.0), 10);
-        assert!((d.cdf(0.5) - 0.5).abs() < 1e-12);
-        assert_eq!(d.cdf(2.0), 1.0);
-    }
-
-    #[test]
-    fn range_clamps() {
-        let d = sample();
-        assert_eq!(d.range(-5, 2).len(), 2);
-        assert_eq!(d.range(2, 100).len(), 2);
-        assert_eq!(d.range(3, 1).len(), 0);
-        assert_eq!(d.range(-10, 100).len(), 4);
+        let d = MappedData::from_sorted(&pts, keys);
+        // The rank of a key is a search of the key column.
+        let lower_bound = |key: f64| d.keys().partition_point(|&k| k < key);
+        assert_eq!(lower_bound(0.35), 4);
+        assert_eq!(lower_bound(0.3), 3);
+        assert_eq!(lower_bound(-1.0), 0);
+        assert_eq!(lower_bound(2.0), 10);
+        // The columns hold the sorted points, rank for rank, and end there.
+        for (i, p) in pts.iter().enumerate() {
+            assert_eq!(d.point(i), Some(*p));
+            assert_eq!((d.ids()[i], d.xs()[i], d.ys()[i]), (p.id, p.x, p.y));
+        }
+        assert_eq!(d.point(10), None);
     }
 
     #[test]
     fn empty_data() {
         let d = MappedData::default();
         assert!(d.is_empty());
-        assert_eq!(d.cdf(0.5), 0.0);
-        assert_eq!(d.range(0, 10).len(), 0);
+        assert_eq!(d.len(), 0);
+        assert_eq!(d.point(0), None);
+        assert!(MappedData::from_sorted(&[], Vec::new()).is_empty());
     }
 }

@@ -7,12 +7,12 @@
 
 use elsi::{Elsi, ElsiConfig, Method, MrPool};
 use elsi_data::Dataset;
-use elsi_spatial::{MappedData, MortonMapper};
+use elsi_spatial::{sort_by_key, MortonMapper};
 use std::sync::Arc;
 
 fn main() {
     let n = 60_000;
-    let data = MappedData::build(Dataset::Osm1.generate(n, 5), &MortonMapper);
+    let (points, keys) = sort_by_key(Dataset::Osm1.generate(n, 5), &MortonMapper);
     println!("Sweeping build-method parameters over {n} OSM-like points\n");
     println!(
         "{:6} {:>14} {:>12} {:>12} {:>12}",
@@ -22,7 +22,7 @@ fn main() {
     let sweep = |mut cfg: ElsiConfig, m: Method, label: String| {
         cfg.seed = 3;
         let pool = MrPool::generate(&cfg, 1);
-        let (built, secs) = elsi::scorer::build_with_method(m, &data, &cfg, &pool, 3);
+        let (built, secs) = elsi::scorer::build_with_method(m, &points, &keys, &cfg, &pool, 3);
         println!(
             "{:6} {:>14} {:>12} {:>12.1} {:>12}",
             m.name(),
@@ -95,7 +95,7 @@ fn main() {
     let _ = Arc::clone(&scorer);
 
     println!("\nSelected method vs lambda (n = {n}, OSM-like skew):");
-    let dist_u = elsi_data::dist_from_uniform(data.keys());
+    let dist_u = elsi_data::dist_from_uniform(&keys);
     for lambda in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
         let m = scorer.select(n, dist_u, lambda, 1.0, &Method::pool());
         println!("  lambda = {lambda:.1} -> {m}");

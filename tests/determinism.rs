@@ -4,7 +4,7 @@
 use elsi::{Elsi, ElsiConfig, Method, Reduction};
 use elsi_data::Dataset;
 use elsi_indices::{BuildInput, ModelBuilder, SpatialIndex, ZmConfig, ZmIndex};
-use elsi_spatial::{MappedData, MortonMapper, Point, Rect};
+use elsi_spatial::{sort_by_key, MortonMapper, Point, Rect};
 
 #[test]
 fn datasets_are_reproducible() {
@@ -17,10 +17,10 @@ fn datasets_are_reproducible() {
 fn reductions_are_reproducible() {
     let cfg = ElsiConfig::fast_test();
     let pool = elsi::MrPool::generate(&cfg, 2);
-    let data = MappedData::build(Dataset::Skewed.generate(2000, 4), &MortonMapper);
+    let (points, keys) = sort_by_key(Dataset::Skewed.generate(2000, 4), &MortonMapper);
     let input = BuildInput {
-        points: data.points(),
-        keys: data.keys(),
+        points: &points,
+        keys: &keys,
         mapper: &MortonMapper,
         seed: 17,
     };
@@ -509,11 +509,11 @@ fn builder_method_choice_is_reproducible() {
     let make = || {
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let b = elsi.random_builder(99);
-        let data = MappedData::build(Dataset::Uniform.generate(500, 1), &MortonMapper);
+        let (points, keys) = sort_by_key(Dataset::Uniform.generate(500, 1), &MortonMapper);
         for _ in 0..5 {
             b.build_model(&BuildInput {
-                points: data.points(),
-                keys: data.keys(),
+                points: &points,
+                keys: &keys,
                 mapper: &MortonMapper,
                 seed: 0,
             });

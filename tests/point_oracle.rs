@@ -19,7 +19,7 @@
 
 use elsi::DeltaOverlay;
 use elsi_indices::*;
-use elsi_spatial::{MappedData, MortonMapper, Point};
+use elsi_spatial::{sort_by_key, MortonMapper, Point};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -152,13 +152,12 @@ fn check_all(idx: &dyn SpatialIndex, live: &[Point], q: (f64, f64), stack: (f64,
 /// the first live coordinate match of a scan over the *whole* sorted
 /// column in rank order, then the insert buffer in arrival order.
 fn whole_column_scan(
-    sorted: &MappedData,
+    sorted: &[Point],
     buffered: &[Point],
     deleted: &HashSet<u64>,
     q: Point,
 ) -> Option<Point> {
     sorted
-        .points()
         .iter()
         .chain(buffered)
         .find(|p| p.x == q.x && p.y == q.y && !deleted.contains(&p.id))
@@ -238,8 +237,8 @@ proptest! {
         let mut zm = ZmIndex::build(points.clone(), &ZmConfig { fanout: 4 }, &builder);
         let ml_cfg = MlConfig { pivots: 4, ..MlConfig::default() };
         let mut ml = MlIndex::build(points.clone(), &ml_cfg, &builder);
-        let by_z = MappedData::build(points.clone(), &MortonMapper);
-        let by_dist = MappedData::build(points.clone(), ml.mapper());
+        let (by_z, _) = sort_by_key(points.clone(), &MortonMapper);
+        let (by_dist, _) = sort_by_key(points.clone(), ml.mapper());
         let mut deleted = HashSet::new();
         let mut buffered = Vec::new();
         let lookups = |zm: &ZmIndex, ml: &MlIndex, deleted: &HashSet<u64>, buffered: &[Point]| {
