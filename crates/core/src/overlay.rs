@@ -207,33 +207,42 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         );
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         // Base kNN first, growing the over-fetch until k live base
         // candidates are found (tombstones may blanket the nearest
-        // neighbourhood) or the base index is exhausted.
+        // neighbourhood), the base index is exhausted, or it returned fewer
+        // than asked: it holds no more points inside the radius.
         out.clear();
         if k == 0 {
             return;
         }
         let mut overfetch = k + self.deleted.len().min(k);
         loop {
-            self.base.knn_query_into(q, overfetch, scratch, out);
+            self.base.knn_within_into(q, overfetch, r2, scratch, out);
+            let fetched = out.len();
             if !self.deleted.is_empty() {
                 out.retain(|p| !self.deleted.contains(&p.id));
             }
-            if out.len() >= k || overfetch >= self.base.len() {
+            if out.len() >= k || fetched < overfetch || overfetch >= self.base.len() {
                 break;
             }
             overfetch = (overfetch * 2).max(k + 1);
         }
         out.truncate(k);
         // Only delta points inside the ball of the base's k-th candidate
-        // can enter the answer (the whole delta while the base holds fewer
+        // can enter the answer (the ball of `r2` while the base holds fewer
         // than k), and they all have Morton codes between the ball box
         // corners' codes (Z-order dominance, as in the window path).
         let r2 = match out.last() {
             Some(kth) if out.len() == k => q.dist2(kth),
-            _ => f64::INFINITY,
+            _ => r2,
         };
         let ball = Rect::ball_box(q, r2);
         let lo = (morton_of(ball.lo_x, ball.lo_y), 0u64);

@@ -351,8 +351,15 @@ impl<I: SpatialIndex> SpatialIndex for UpdateProcessor<I> {
         self.index.window_query_into(w, scratch, out);
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        self.index.knn_query_into(q, k, scratch, out);
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
+        self.index.knn_within_into(q, k, r2, scratch, out);
     }
 
     fn live_points_into(&self, out: &mut Vec<Point>) {

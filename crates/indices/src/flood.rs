@@ -243,13 +243,21 @@ impl SpatialIndex for FloodIndex {
         }
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         let k = k.min(self.len());
         let home = locate_column(&self.bounds, q.x);
         let deleted = self.delta.tombstones();
         knn_seeded_into(
             q,
             k,
+            r2,
             scratch,
             out,
             |heap| {

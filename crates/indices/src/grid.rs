@@ -125,7 +125,14 @@ impl SpatialIndex for GridIndex {
         }
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         let (cx, cy) = self.grid.cell_of(q);
         // Chebyshev cell distance from the query's cell.
         let ring_of = |(ix, iy): (usize, usize)| ix.abs_diff(cx).max(iy.abs_diff(cy));
@@ -133,6 +140,7 @@ impl SpatialIndex for GridIndex {
         knn_seeded_into(
             q,
             k.min(self.n),
+            r2,
             scratch,
             out,
             |heap| {
@@ -145,7 +153,7 @@ impl SpatialIndex for GridIndex {
                     for cell in cells_between(lo, hi).filter(|&c| ring_of(c) == ring) {
                         self.knn_offer_cell(q, cell, heap);
                     }
-                    if heap.len() == heap.bound() || ring >= nx.max(ny) {
+                    if heap.len() == heap.k() || ring >= nx.max(ny) {
                         return ring;
                     }
                     ring += 1;

@@ -256,15 +256,24 @@ impl SpatialIndex for KdbIndex {
         self.root.window_into(w, out);
     }
 
-    /// Best-first search over node MINDISTs; leaf pages stream through the
-    /// branchless [`elsi_spatial::scan::knn_scan`] kernel into the scratch
-    /// heap, which admits and orders candidates canonically.
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    /// Best-first search over node MINDISTs, pruned from `r2` until k
+    /// points within it are held; leaf pages stream through the branchless
+    /// [`elsi_spatial::scan::knn_scan`] kernel into the scratch pool, which
+    /// admits and orders candidates canonically.
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         out.clear();
-        if k == 0 || self.n == 0 {
+        let k = k.min(self.n);
+        if k == 0 {
             return;
         }
-        let best = scratch.heap_for(k);
+        let best = scratch.heap_within(k, r2);
         let mut frontier = BinaryHeap::new();
         frontier.push(Entry {
             dist2: self.root.mbr().min_dist2(&q),
@@ -274,7 +283,8 @@ impl SpatialIndex for KdbIndex {
             // Strictly worse than the current k-th best: nothing in this
             // node (or any later frontier entry) can improve the result.
             // Ties keep exploring so canonical id order settles them.
-            if e.dist2 > best.worst_dist2() {
+            let bound = best.worst_dist2();
+            if e.dist2 > bound {
                 break;
             }
             match e.node {
@@ -283,7 +293,7 @@ impl SpatialIndex for KdbIndex {
                     for c in [left.as_ref(), right.as_ref()] {
                         if c.len() > 0 {
                             let d = c.mbr().min_dist2(&q);
-                            if d <= best.worst_dist2() {
+                            if d <= bound {
                                 frontier.push(Entry { dist2: d, node: c });
                             }
                         }

@@ -268,7 +268,14 @@ impl SpatialIndex for LisaIndex {
         }
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         // Data pages keep their MBRs, so the sweep prunes on those rather
         // than on the shard prediction of the (approximate) window query:
         // kNN is exact here even though windows are not.
@@ -276,6 +283,7 @@ impl SpatialIndex for LisaIndex {
         knn_seeded_into(
             q,
             k.min(self.n_live),
+            r2,
             scratch,
             out,
             |heap| {
@@ -293,7 +301,7 @@ impl SpatialIndex for LisaIndex {
                 let (home, _) = home;
                 let (mut lo, mut hi) = (home, home);
                 self.knn_offer_shard(q, home, heap);
-                while heap.len() < heap.bound() && (lo > 0 || hi < last) {
+                while heap.len() < heap.k() && (lo > 0 || hi < last) {
                     if lo > 0 {
                         lo -= 1;
                         self.knn_offer_shard(q, lo, heap);

@@ -208,12 +208,20 @@ impl SpatialIndex for MlIndex {
         }
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         let k = k.min(self.len());
         let leaf = Leaf::over(&self.data, &self.delta);
         knn_seeded_into(
             q,
             k,
+            r2,
             scratch,
             out,
             |heap| {

@@ -569,7 +569,14 @@ impl SpatialIndex for RsmiIndex {
         self.window_query_node(&self.root, w, scratch, out);
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         // Leaf pages keep their MBRs, so the sweep prunes on those rather
         // than on the rank ranges of the (approximate) window query: kNN
         // is exact here even though windows are not.
@@ -577,6 +584,7 @@ impl SpatialIndex for RsmiIndex {
         knn_seeded_into(
             q,
             k,
+            r2,
             scratch,
             out,
             |heap| {

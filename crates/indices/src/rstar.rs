@@ -226,8 +226,15 @@ impl SpatialIndex for RStarIndex {
         self.root.window_into(w, out);
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        knn_best_first_into(&self.root, q, k, scratch, out);
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
+        knn_best_first_into(&self.root, q, k, r2, scratch, out);
     }
 
     fn insert(&mut self, p: Point) {

@@ -156,31 +156,34 @@ impl Ord for HeapEntry<'_> {
 
 /// Exact best-first kNN search (Hjaltason & Samet) over node MINDISTs,
 /// streaming leaf pages through the branchless
-/// [`elsi_spatial::scan::knn_scan`] kernel into the scratch heap.
+/// [`elsi_spatial::scan::knn_scan`] kernel into the scratch pool.
 ///
 /// Results land in `out` (cleared first) in the canonical `(dist², id)`
-/// order. Pruning compares MINDIST against the heap's current k-th best
-/// *strictly*, so tied candidates are still visited and the canonical order
-/// settles ties exactly.
+/// order. Pruning compares MINDIST against the pool's current k-th best —
+/// `r2` until k points within it are held — *strictly*, so tied candidates
+/// are still visited and the canonical order settles ties exactly.
 pub(crate) fn knn_best_first_into(
     root: &RNode,
     q: Point,
     k: usize,
+    r2: f64,
     scratch: &mut ScanScratch,
     out: &mut Vec<Point>,
 ) {
     out.clear();
-    if k == 0 || root.len() == 0 {
+    let k = k.min(root.len());
+    if k == 0 {
         return;
     }
-    let best = scratch.heap_for(k);
+    let best = scratch.heap_within(k, r2);
     let mut frontier = BinaryHeap::new();
     frontier.push(HeapEntry {
         dist2: root.mbr().min_dist2(&q),
         node: root,
     });
     while let Some(entry) = frontier.pop() {
-        if entry.dist2 > best.worst_dist2() {
+        let bound = best.worst_dist2();
+        if entry.dist2 > bound {
             break;
         }
         match entry.node {
@@ -189,7 +192,7 @@ pub(crate) fn knn_best_first_into(
                 for c in children {
                     if c.len() > 0 {
                         let d = c.mbr().min_dist2(&q);
-                        if d <= best.worst_dist2() {
+                        if d <= bound {
                             frontier.push(HeapEntry { dist2: d, node: c });
                         }
                     }
@@ -206,7 +209,7 @@ mod tests {
 
     fn knn_best_first(root: &RNode, q: Point, k: usize) -> Vec<Point> {
         let mut out = Vec::new();
-        knn_best_first_into(root, q, k, &mut ScanScratch::new(), &mut out);
+        knn_best_first_into(root, q, k, f64::INFINITY, &mut ScanScratch::new(), &mut out);
         out
     }
 

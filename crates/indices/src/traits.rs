@@ -12,10 +12,11 @@ use rayon::prelude::*;
 /// An index **implements** three query methods —
 /// [`point_query`](SpatialIndex::point_query),
 /// [`window_query_into`](SpatialIndex::window_query_into) and
-/// [`knn_query_into`](SpatialIndex::knn_query_into) — plus `len`,
-/// `insert`, `delete` and `name`. The other five query methods are
+/// [`knn_within_into`](SpatialIndex::knn_within_into) — plus `len`,
+/// `insert`, `delete` and `name`. The other six query methods are
 /// **provided** here, once, on top of those three and must not be
-/// overridden: the allocating [`window_query`](SpatialIndex::window_query)
+/// overridden: [`knn_query_into`](SpatialIndex::knn_query_into) (no
+/// radius), the allocating [`window_query`](SpatialIndex::window_query)
 /// / [`knn_query`](SpatialIndex::knn_query) and the thread-parallel
 /// [`par_point_queries`](SpatialIndex::par_point_queries) /
 /// [`par_window_queries`](SpatialIndex::par_window_queries) /
@@ -47,13 +48,32 @@ pub trait SpatialIndex: Send + Sync {
     /// prediction); the traditional indices and ML-Index are exact.
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>);
 
-    /// The `k` nearest stored points to `q`, written into a caller-provided
-    /// buffer and reusing `scratch` (hit buffer + bounded best-k heap)
-    /// across calls; `out` is cleared and refilled in canonical
-    /// `(dist², id)` order. Exact for every index of this crate — RSMI and
-    /// LISA included: their kNN prunes on page MBRs, not on the predictions
-    /// that make their window queries approximate.
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>);
+    /// The `k` nearest stored points to `q` among those with
+    /// `dist²(q, p) ≤ r2`, written into a caller-provided buffer and
+    /// reusing `scratch` (hit buffer + kNN candidate pool) across calls;
+    /// `out` is cleared and refilled in canonical `(dist², id)` order.
+    /// Points at exactly `r2` are kept (the canonical order settles them);
+    /// `r2 = ∞` is plain kNN. Exact for every index of this crate — RSMI
+    /// and LISA included: their kNN prunes on page MBRs, not on the
+    /// predictions that make their window queries approximate.
+    ///
+    /// The radius is how a merge asks a part only for the points that
+    /// could still displace its running k-th (`ShardedIndex`, DESIGN §9).
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    );
+
+    /// Provided: the `k` nearest stored points to `q` —
+    /// [`SpatialIndex::knn_within_into`] with `r2 = ∞`.
+    // lint:serving_root
+    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+        self.knn_within_into(q, k, f64::INFINITY, scratch, out);
+    }
 
     /// Inserts a point.
     ///
@@ -268,8 +288,15 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         (**self).window_query_into(w, scratch, out)
     }
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        (**self).knn_query_into(q, k, scratch, out)
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
+        (**self).knn_within_into(q, k, r2, scratch, out)
     }
     fn insert(&mut self, p: Point) {
         (**self).insert(p)
@@ -292,21 +319,21 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 }
 
 /// The one kNN driver of the learned and grid-shaped indices: **seed, then
-/// sweep**, through one bounded best-k heap.
+/// sweep**, through one bounded candidate pool.
 ///
-/// 1. `scratch.heap_for(k)` sizes the heap.
+/// 1. `scratch.heap_within(k, r2)` sizes the pool, its bound at `r2`.
 /// 2. `seed` offers the live points around the query's *model-predicted
 ///    position* — a few ranks either side of it, the predicted leaf, the
 ///    insert buffer — and returns a token naming what it offered.
-/// 3. `r² = heap.worst_dist2()` bounds the answer: no true neighbour is
-///    farther than the k-th seeded point (`∞` while fewer than `k` live
-///    points were seeded).
+/// 3. `heap.worst_dist2()` bounds the answer: no true neighbour is
+///    farther than the k-th seeded point (`r2` while fewer than `k` points
+///    within it were seeded).
 /// 4. `sweep` receives the token, the padded ball box
-///    ([`Rect::ball_box`]; the whole plane when `r² = ∞`) and the *same,
-///    warm* heap. It must offer every live point whose leaf can reach
-///    into the box and that the seed did **not** already offer — the heap
-///    keeps one slot per offer, so a point offered twice would be
-///    returned twice. It may prune harder than the box as the heap
+///    ([`Rect::ball_box`]; the whole plane when the bound is `∞`) and the
+///    *same, warm* pool. It must offer every live point whose leaf can
+///    reach into the box and that the seed did **not** already offer — the
+///    pool keeps one slot per offer, so a point offered twice would be
+///    returned twice. It may prune harder than the box as the pool
 ///    tightens (`mbr.min_dist2(q) > heap.worst_dist2()`, strict, so ties
 ///    at the k-th distance survive).
 /// 5. `heap.finish()` writes the canonical `(dist², id)` order into `out`.
@@ -316,13 +343,14 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 /// leaf enumeration is, whatever the quality of the seed: a poor seed only
 /// widens the box.
 ///
-/// Not a `lint:hot_path` root: sizing the heap and `extend`ing the
+/// Not a `lint:hot_path` root: sizing the pool and `extend`ing the
 /// caller's `out` are allocation facts to the analyzer (both amortise to
 /// nothing once the buffers reach their high-water marks); the scans the
 /// closures run go through the `knn_scan` root.
 pub fn knn_seeded_into<T>(
     q: Point,
     k: usize,
+    r2: f64,
     scratch: &mut ScanScratch,
     out: &mut Vec<Point>,
     seed: impl FnOnce(&mut KnnHeap) -> T,
@@ -332,7 +360,7 @@ pub fn knn_seeded_into<T>(
     if k == 0 {
         return;
     }
-    let heap = scratch.heap_for(k);
+    let heap = scratch.heap_within(k, r2);
     let seeded = seed(heap);
     let ball = Rect::ball_box(q, heap.worst_dist2());
     sweep(seeded, &ball, heap);
@@ -359,6 +387,7 @@ mod tests {
         knn_seeded_into(
             q,
             k,
+            f64::INFINITY,
             &mut ScanScratch::new(),
             &mut out,
             |heap| head.iter().for_each(|p| heap.offer_point(q, *p)),

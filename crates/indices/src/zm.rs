@@ -374,12 +374,20 @@ impl SpatialIndex for ZmIndex {
         self.delta.window_into(0, w, out);
     }
 
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         let k = k.min(self.len());
         let leaf = Leaf::over(&self.data, &self.delta);
         knn_seeded_into(
             q,
             k,
+            r2,
             scratch,
             out,
             |heap| {

@@ -343,21 +343,30 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     /// the proof sketch. Results come back in canonical order
     /// ([`canonical_knn_cmp`]), so equal result sets are bit-identical.
     ///
-    /// Shards are visited in ascending MINDIST order and each one's local
-    /// top-k — already canonical — is merged into the running top-k, which
-    /// keeps the *points*, not just their distances. The pass stops at the
-    /// first shard whose rectangle is strictly farther than the current
-    /// k-th distance (strict, so a tie on the far side of a boundary is
-    /// still merged and settled by id). The canonical top-k of the union
-    /// of local top-ks is the global answer, so no shard is asked twice.
-    /// Exactness inherits from the shard index's own kNN.
+    /// Shards are visited in ascending MINDIST order. Each is asked only for
+    /// the points that could still displace the running top-k: its
+    /// canonical best k within `min(r2, running k-th distance)`, ties
+    /// included. Each such run is merged into the running top-k, which
+    /// keeps the *points*, not just their distances; the first run becomes
+    /// the running top-k as it is. The pass stops at the first shard whose
+    /// rectangle is strictly farther than that bound (strict, so a tie on
+    /// the far side of a boundary is still merged and settled by id). No
+    /// shard is asked twice. Exactness inherits from the shard index's own
+    /// kNN.
     ///
     /// Per-shard results stream through each shard's own scan kernels, and
     /// the shard visit order, the staging run and the merge buffer are all
     /// pooled in the scratch — in steady state the merge itself allocates
     /// nothing.
     // lint:serving_root
-    fn knn_query_into(&self, q: Point, k: usize, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+    fn knn_within_into(
+        &self,
+        q: Point,
+        k: usize,
+        r2: f64,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<Point>,
+    ) {
         out.clear();
         if k == 0 || self.shards.is_empty() {
             return;
@@ -369,14 +378,22 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
 
         let mut buf = scratch.stage_take();
         for &(min_d2, s) in &order {
-            if out.len() == k && out.last().is_some_and(|kth| min_d2 > q.dist2(kth)) {
+            let bound = match out.last() {
+                Some(kth) if out.len() == k => r2.min(q.dist2(kth)),
+                _ => r2,
+            };
+            if min_d2 > bound {
                 break;
             }
             let Some(shard) = self.shards.get(s) else {
                 continue;
             };
-            shard.knn_query_into(q, k, scratch, &mut buf);
-            merge_canonical(q, k, out, &buf, scratch);
+            if out.is_empty() {
+                shard.knn_within_into(q, k, bound, scratch, out);
+            } else {
+                shard.knn_within_into(q, k, bound, scratch, &mut buf);
+                merge_canonical(q, k, out, &buf, scratch);
+            }
         }
         scratch.stage_put(buf);
         scratch.order_put(order);
@@ -408,6 +425,7 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
 
 /// Merges the canonical run `run` into the canonical run `out`, keeping
 /// the `k` best: a linear two-way merge through the scratch's hit buffer.
+/// Each run's head distance is computed once per point, not per step.
 fn merge_canonical(
     q: Point,
     k: usize,
@@ -416,15 +434,29 @@ fn merge_canonical(
     scratch: &mut ScanScratch,
 ) {
     let m = k.min(out.len() + run.len());
-    let (mut a, mut b) = (out.iter().peekable(), run.iter().peekable());
+    let head = |run: &[Point], i: usize| run.get(i).map(|p| (q.dist2(p), *p));
+    let (mut i, mut j) = (0, 0);
+    let (mut a, mut b) = (head(out, 0), head(run, 0));
     for slot in scratch.hits_slot(m).iter_mut() {
-        let next = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if canonical_knn_cmp(q, x, y).is_le() => a.next(),
-            (Some(_), None) => a.next(),
-            _ => b.next(),
+        let from_out = match (a, b) {
+            (Some((da, pa)), Some((db, pb))) => da
+                .total_cmp(&db)
+                .then_with(|| canonical_point_key(&pa).cmp(&canonical_point_key(&pb)))
+                .is_le(),
+            (a, _) => a.is_some(),
         };
-        if let Some(&p) = next {
-            *slot = p;
+        if from_out {
+            if let Some((_, p)) = a {
+                *slot = p;
+            }
+            i += 1;
+            a = head(out, i);
+        } else {
+            if let Some((_, p)) = b {
+                *slot = p;
+            }
+            j += 1;
+            b = head(run, j);
         }
     }
     out.clear();

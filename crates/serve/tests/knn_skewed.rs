@@ -21,7 +21,10 @@ fn oracle_knn(live: &[Point], q: Point, k: usize) -> Vec<Point> {
 }
 
 /// Queries in the dense band, in the sparse bulk, on the corners and
-/// outside the unit square; `k` from one shard's worth to more than all.
+/// outside the unit square; `k` from one shard's worth to more than all —
+/// at 1 000, the benchmark's read-wide `k`, a third of the points and
+/// several shards' worth, each later shard asked within the running k-th
+/// distance.
 fn assert_matches(
     sharded: &impl SpatialIndex,
     monolith: &impl SpatialIndex,
@@ -38,7 +41,7 @@ fn assert_matches(
         Point::at(1.3, 1.1),
     ]);
     for q in queries {
-        for k in [1, 25, 400, live.len(), live.len() + 5] {
+        for k in [1, 25, 400, 1_000, live.len(), live.len() + 5] {
             let want = oracle_knn(live, q, k);
             assert_eq!(
                 sharded.knn_query(q, k),

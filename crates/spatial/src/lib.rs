@@ -24,7 +24,8 @@
 //! * [`order`] — total orderings for float keys: NaN-safe sort comparators
 //!   and the canonical `(dist², id)` kNN order every producer shares.
 //! * [`scan`] — branchless 4-wide SoA scan kernels (window, exact lookup,
-//!   bounded best-k) behind every predict-and-scan query hot path.
+//!   kNN candidates gathered into a bounded pool) behind every
+//!   predict-and-scan query hot path.
 //!
 //! This crate is dependency-free and deterministic; everything above it
 //! (`elsi-indices`, `elsi` itself) builds on these types.

@@ -18,9 +18,9 @@
 //! All three carry `// lint:hot_path` markers, so `cargo run -p analysis`
 //! proves the closure reachable from them allocation-free (see the
 //! `alloc_hot_path` rule in `crates/analysis`). Callers own the buffers:
-//! [`ScanScratch`] holds a reusable hit buffer and a bounded [`KnnHeap`];
-//! sizing them (the only allocating step, amortised across queries)
-//! happens outside the kernels.
+//! [`ScanScratch`] holds a reusable hit buffer and a bounded kNN candidate
+//! pool ([`KnnHeap`]); sizing them (the only allocating step, amortised
+//! across queries) happens outside the kernels.
 //!
 //! kNN results obey the canonical `(dist², id)` order of
 //! [`crate::order::canonical_knn_cmp`]: ascending squared distance, ties
@@ -29,6 +29,7 @@
 //! count produced them.
 
 use crate::point::{Point, Rect};
+use core::cmp::Ordering;
 
 /// Number of lanes the kernels process per unrolled iteration.
 const LANES: usize = 4;
@@ -117,20 +118,23 @@ pub fn contains_scan(xs: &[f64], ys: &[f64], x: f64, y: f64) -> Option<usize> {
     None
 }
 
-/// Offers every point of `(xs, ys, ids)` to the bounded best-k heap,
-/// accumulating squared distances to `(qx, qy)` — no square roots.
+/// Gathers every point of `(xs, ys, ids)` that can still enter the best k
+/// into the candidate pool, accumulating squared distances to `(qx, qy)` —
+/// no square roots.
 ///
 /// Two phases per 64-point stripe, mirroring [`range_scan_into`]: the
-/// distance pass evaluates every lane branch-free against a snapshot of
-/// the heap's current k-th-best distance, packing survivors into a `u64`
-/// bit mask; only surviving lanes reach [`KnnHeap::offer`] (which settles
-/// ties with the full canonical comparator). Once the heap is warm,
-/// pruned lanes — the vast majority in a multi-block scan — cost a couple
-/// of packed ALU ops and no branches. The heap must be sized first with
-/// [`KnnHeap::reset`] (reachable via [`ScanScratch::heap_for`]); empty
-/// and single-point slices take the same path through one short stripe.
+/// distance pass evaluates every lane branch-free against the pool's
+/// admission bound, packing survivors into a `u64` bit mask; the compress
+/// pass then stores the surviving lanes into the pool's free tail — one
+/// store per survivor, no comparison and no sift. Ordering waits for the
+/// pool to fill, when one selection keeps the best k and tightens the
+/// bound (see [`KnnHeap`]). Pruned lanes — the vast majority in a
+/// multi-block scan — cost a couple of packed ALU ops and no branches.
+/// The pool must be sized first with [`KnnHeap::reset`] (reachable via
+/// [`ScanScratch::heap_for`]); empty and single-point slices take the
+/// same path through one short stripe.
 // lint:hot_path
-// `!(d > wd)` is deliberate NaN handling (see the phase-1 comment), and
+// `!(d > bound)` is deliberate NaN handling (see the phase-1 comment), and
 // clippy's suggested `partial_cmp` is banned workspace-wide (float_order).
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mut KnnHeap) {
@@ -141,36 +145,41 @@ pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mu
         let hi = if n - base > STRIPE { base + STRIPE } else { n };
         let (sx, sy, si) = soa_span(xs, ys, ids, base, hi);
         // Phase 1, branch-free: a lane survives unless its distance is
-        // strictly worse than the current k-th best. `worst_dist2` only
-        // shrinks as candidates are admitted, so a snapshot taken at
-        // stripe entry is a conservative (never over-pruning) filter; the
-        // `!(d > wd)` form also keeps NaN distances flowing to the heap's
-        // canonical comparator instead of silently dropping them. The
-        // reduction compiles to packed compares plus a movemask — pruned
-        // lanes cost no branch and no heap call.
-        let wd = heap.worst_dist2();
+        // strictly worse than the admission bound — never below the exact
+        // k-th best, so the filter never over-prunes. The `!(d > bound)`
+        // form also keeps NaN distances flowing to the canonical
+        // comparator instead of silently dropping them. The reduction
+        // compiles to packed compares plus a movemask — pruned lanes cost
+        // no branch and no store.
+        let bound = heap.make_room();
         let mut bits: u64 = 0;
         for (j, (&x, &y)) in core::iter::zip(sx, sy).enumerate() {
             let (dx, dy) = (x - qx, y - qy);
             let d = dx * dx + dy * dy;
-            bits |= (!(d > wd) as u64) << j;
+            bits |= (!(d > bound) as u64) << j;
         }
-        // Phase 2: offer the surviving lanes only, in ascending position
-        // (admission order does not affect the result — the heap keeps
-        // the canonical best k whatever the arrival order).
+        // Phase 2: compress-store the surviving lanes into the free tail,
+        // which `make_room` left a whole stripe long (arrival order does
+        // not affect the result — selection is canonical).
+        let tail = heap.entries.get_mut(heap.filled..).unwrap_or_default();
+        let mut m = 0usize;
         while bits != 0 {
             let j = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if let (Some(&x), Some(&y), Some(&id)) = (sx.get(j), sy.get(j), si.get(j)) {
+            if let (Some(&x), Some(&y), Some(&id), Some(slot)) =
+                (sx.get(j), sy.get(j), si.get(j), tail.get_mut(m))
+            {
                 let (dx, dy) = (x - qx, y - qy);
-                heap.offer(KnnEntry {
+                *slot = KnnEntry {
                     dist2: dx * dx + dy * dy,
                     id,
                     x,
                     y,
-                });
+                };
+                m += 1;
             }
         }
+        heap.admitted(m);
         base = hi;
     }
 }
@@ -200,106 +209,122 @@ impl KnnEntry {
     }
 }
 
-/// `a` strictly before `b` in the canonical kNN order: ascending `dist²`
-/// (IEEE 754 total order), ties broken by `(id, x bits, y bits)` — the
-/// entry-level twin of [`crate::order::canonical_knn_cmp`].
+/// The canonical kNN order on entries: ascending `dist²` (IEEE 754 total
+/// order), ties broken by `(id, x bits, y bits)` — the entry-level twin of
+/// [`crate::order::canonical_knn_cmp`].
 #[inline]
-fn ent_before(a: &KnnEntry, b: &KnnEntry) -> bool {
-    match a.dist2.total_cmp(&b.dist2) {
-        core::cmp::Ordering::Less => true,
-        core::cmp::Ordering::Greater => false,
-        core::cmp::Ordering::Equal => {
-            (a.id, a.x.to_bits(), a.y.to_bits()) < (b.id, b.x.to_bits(), b.y.to_bits())
-        }
-    }
+fn ent_cmp(a: &KnnEntry, b: &KnnEntry) -> Ordering {
+    a.dist2.total_cmp(&b.dist2).then_with(|| {
+        (a.id, a.x.to_bits(), a.y.to_bits()).cmp(&(b.id, b.x.to_bits(), b.y.to_bits()))
+    })
 }
 
-/// A bounded best-k max-heap over [`KnnEntry`] in canonical kNN order.
+/// A bounded pool of kNN candidates; its best `k` in canonical kNN order
+/// is the answer.
 ///
-/// The root is the *worst* of the k best candidates seen so far, so
-/// admission is a single comparison against it. Storage is sized once by
-/// [`KnnHeap::reset`] and reused across scans; [`KnnHeap::offer`] (the
-/// kernel-side entry point) never allocates.
+/// Candidates are *gathered*, not sifted: admitting one is a store into
+/// the pool's free tail. The pool holds `2k` slots plus one 64-lane stripe,
+/// sized by [`KnnHeap::reset`]. When fewer than a stripe's worth are free,
+/// one `select_nth_unstable_by` on the canonical order keeps the best `k`
+/// and lowers the admission bound to the k-th's distance. A selection
+/// discards at least `k` candidates, so it costs amortised O(1) per
+/// admitted one, and [`KnnHeap::finish`] sorts only the final `k` — where
+/// a binary heap pays `O(log k)` comparisons and swaps on every admission.
+///
+/// The bound starts at the radius `r²` the pool was reset with (`∞` for a
+/// plain kNN) and only falls. A candidate is admitted unless its distance
+/// is strictly greater, so ties at the bound reach the canonical
+/// comparator. Nothing here allocates after `reset`.
 #[derive(Debug, Clone, Default)]
 pub struct KnnHeap {
+    /// `2k + STRIPE` slots; the candidates are `entries[..filled]`.
     entries: Vec<KnnEntry>,
     filled: usize,
     k: usize,
+    /// Admission bound: `r²`, then the k-th best distance as of the last
+    /// selection — never below the exact k-th best.
+    bound: f64,
+    /// `entries[..k]` are the canonical best `k`, the k-th last: true from
+    /// a selection until the next admission.
+    settled: bool,
 }
 
 impl KnnHeap {
-    /// An empty heap; size it with [`KnnHeap::reset`] before scanning.
+    /// An empty pool for the best `k` (no radius); resize it with
+    /// [`KnnHeap::reset`].
     pub fn with_bound(k: usize) -> Self {
         let mut h = Self::default();
-        h.reset(k);
+        h.reset(k, f64::INFINITY);
         h
     }
 
-    /// Clears the heap and (re)sizes its storage for `k` results. The only
-    /// allocating step of the kNN scan path; amortised across queries when
-    /// the heap is reused.
-    pub fn reset(&mut self, k: usize) {
+    /// Clears the pool and sizes it for the best `k` among candidates with
+    /// `dist² ≤ r2` (`f64::INFINITY`: no radius). The only allocating step
+    /// of the kNN scan path; amortised across queries when the pool is
+    /// reused.
+    pub fn reset(&mut self, k: usize, r2: f64) {
         let zero = KnnEntry {
             dist2: 0.0,
             id: 0,
             x: 0.0,
             y: 0.0,
         };
-        self.entries.resize(k, zero);
+        self.entries
+            .resize(k.saturating_mul(2).saturating_add(STRIPE), zero);
         self.filled = 0;
         self.k = k;
+        self.bound = r2;
+        self.settled = false;
     }
 
-    /// Number of candidates currently held (≤ k).
+    /// Number of candidates held toward the answer: `min(admitted, k)`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.filled
+        self.filled.min(self.k)
     }
 
-    /// Whether the heap holds no candidates.
+    /// Whether no candidate is held toward the answer.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.filled == 0
+        self.len() == 0
     }
 
-    /// The bound `k` the heap was last [`KnnHeap::reset`] with.
+    /// The `k` the pool was last [`KnnHeap::reset`] with.
     #[inline]
-    pub fn bound(&self) -> usize {
+    pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Squared distance of the current k-th best candidate, or infinity
-    /// while fewer than `k` candidates have been admitted. The expanding
-    /// search radius of best-first traversals.
-    #[inline]
-    pub fn worst_dist2(&self) -> f64 {
+    /// Squared distance of the current k-th best candidate — selecting
+    /// first if candidates arrived since the last selection — or the
+    /// radius (`∞` for a plain kNN) while fewer than `k` were admitted.
+    /// The search radius of seed-then-sweep and best-first traversals.
+    pub fn worst_dist2(&mut self) -> f64 {
         if self.filled < self.k {
-            return f64::INFINITY;
+            return self.bound;
         }
-        match self.entries.first() {
-            Some(root) => root.dist2,
-            // k == 0: the best zero candidates reject everything.
-            None => f64::NEG_INFINITY,
-        }
+        self.settle();
+        let kth = self
+            .k
+            .checked_sub(1)
+            .and_then(|last| self.entries.get(last));
+        // k == 0: the best zero candidates reject everything.
+        kth.map_or(f64::NEG_INFINITY, |kth| kth.dist2)
     }
 
-    /// Admits a candidate, evicting the current worst when full.
-    /// Allocation-free; reachable from the [`knn_scan`] hot path.
+    /// Admits a candidate unless it is strictly farther than the bound.
+    /// Allocation-free.
     #[inline]
     pub fn offer(&mut self, e: KnnEntry) {
-        if self.filled < self.k {
-            if let Some(slot) = self.entries.get_mut(self.filled) {
-                *slot = e;
-            }
-            self.filled += 1;
-            self.heap_sift_up(self.filled - 1);
-        } else if let Some(root) = self.entries.first() {
-            if ent_before(&e, root) {
-                if let Some(slot) = self.entries.first_mut() {
-                    *slot = e;
-                }
-                self.heap_sift_down();
-            }
+        if e.dist2 > self.bound {
+            return;
+        }
+        if self.filled == self.entries.len() {
+            self.settle();
+        }
+        if let Some(slot) = self.entries.get_mut(self.filled) {
+            *slot = e;
+            self.admitted(1);
         }
     }
 
@@ -317,60 +342,51 @@ impl KnnHeap {
         });
     }
 
-    /// Whether entry `a` sorts strictly before entry `b` (canonical order);
-    /// out-of-range positions never swap.
+    /// Leaves at least a stripe of free tail slots — selecting when fewer
+    /// are free — and returns the admission bound for the next stripe.
     #[inline]
-    fn ent_lt(&self, a: usize, b: usize) -> bool {
-        match (self.entries.get(a), self.entries.get(b)) {
-            (Some(ea), Some(eb)) => ent_before(ea, eb),
-            _ => false,
+    fn make_room(&mut self) -> f64 {
+        if self.entries.len().saturating_sub(self.filled) < STRIPE {
+            self.settle();
         }
+        self.bound
     }
 
-    fn heap_sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.ent_lt(parent, i) {
-                self.entries.swap(parent, i);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+    /// Counts `m` candidates just stored into the free tail.
+    #[inline]
+    fn admitted(&mut self, m: usize) {
+        self.filled += m;
+        self.settled &= m == 0;
     }
 
-    fn heap_sift_down(&mut self) {
-        let mut i = 0usize;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.filled && self.ent_lt(largest, l) {
-                largest = l;
-            }
-            if r < self.filled && self.ent_lt(largest, r) {
-                largest = r;
-            }
-            if largest == i {
-                return;
-            }
-            self.entries.swap(i, largest);
-            i = largest;
+    /// Moves the canonical best `k` into `entries[..k]`, the k-th last,
+    /// drops the rest and lowers the bound to the k-th's distance. A no-op
+    /// while fewer than `k` candidates are held and when nothing arrived
+    /// since the last selection.
+    fn settle(&mut self) {
+        let Some(last) = self.k.checked_sub(1) else {
+            self.filled = 0;
+            return;
+        };
+        if self.settled || self.filled <= last {
+            return;
         }
+        let held = self.entries.get_mut(..self.filled).unwrap_or_default();
+        let (_, kth, _) = held.select_nth_unstable_by(last, ent_cmp);
+        if kth.dist2 < self.bound {
+            self.bound = kth.dist2;
+        }
+        self.filled = self.k;
+        self.settled = true;
     }
 
-    /// Sorts the held candidates into ascending canonical order and
-    /// returns them. Call once per query, after all scans.
+    /// The best `k` candidates in ascending canonical order: one selection,
+    /// then a sort of `k` entries. Call once per query, after all scans.
     pub fn finish(&mut self) -> &[KnnEntry] {
-        let (held, _) = self.entries.split_at_mut(self.filled);
-        held.sort_unstable_by(|a, b| {
-            if ent_before(a, b) {
-                core::cmp::Ordering::Less
-            } else if ent_before(b, a) {
-                core::cmp::Ordering::Greater
-            } else {
-                core::cmp::Ordering::Equal
-            }
-        });
+        self.settle();
+        let kept = self.len();
+        let held = self.entries.get_mut(..kept).unwrap_or_default();
+        held.sort_unstable_by(ent_cmp);
         held
     }
 }
@@ -448,7 +464,7 @@ pub fn append_all(xs: &[f64], ys: &[f64], ids: &[u64], out: &mut Vec<Point>) {
 }
 
 /// Reusable per-query buffers: a hit buffer for staged range scans, a
-/// bounded best-k heap for kNN scans, and the two buffers of a merge layer
+/// bounded candidate pool for kNN scans, and the two buffers of a merge layer
 /// — a staging run of points and a visit order over its sub-indices.
 ///
 /// Lifecycle: construct once (or once per worker thread), then thread
@@ -502,13 +518,19 @@ impl ScanScratch {
         }
     }
 
-    /// The kNN heap, cleared and sized for `k` results.
+    /// The kNN candidate pool, cleared and sized for `k` results.
     pub fn heap_for(&mut self, k: usize) -> &mut KnnHeap {
-        self.heap.reset(k);
+        self.heap_within(k, f64::INFINITY)
+    }
+
+    /// The kNN candidate pool, cleared and sized for the best `k` with
+    /// `dist² ≤ r2`.
+    pub fn heap_within(&mut self, k: usize, r2: f64) -> &mut KnnHeap {
+        self.heap.reset(k, r2);
         &mut self.heap
     }
 
-    /// The kNN heap as last sized; use to keep accumulating across blocks.
+    /// The kNN pool as last sized; use to keep accumulating across blocks.
     #[inline]
     pub fn heap(&mut self) -> &mut KnnHeap {
         &mut self.heap
@@ -585,15 +607,7 @@ pub fn knn_scan_scalar(
             y,
         });
     }
-    out.sort_unstable_by(|a, b| {
-        if ent_before(a, b) {
-            core::cmp::Ordering::Less
-        } else if ent_before(b, a) {
-            core::cmp::Ordering::Greater
-        } else {
-            core::cmp::Ordering::Equal
-        }
-    });
+    out.sort_unstable_by(ent_cmp);
     out.truncate(k);
 }
 
@@ -652,16 +666,70 @@ mod tests {
         assert_eq!(contains_scan(&xs, &ys[..5], 0.5, 0.5), Some(3));
     }
 
+    /// The scalar reference under a radius: every candidate, canonically
+    /// sorted, those with `dist² ≤ r2` — NaN distances are never greater —
+    /// the first `k`.
+    fn scalar_within(xs: &[f64], ys: &[f64], ids: &[u64], k: usize, r2: f64) -> Vec<KnnEntry> {
+        let mut all = Vec::new();
+        knn_scan_scalar(0.4, 0.6, xs, ys, ids, xs.len(), &mut all);
+        all.retain(|e| e.dist2 <= r2 || e.dist2.is_nan());
+        all.truncate(k);
+        all
+    }
+
     #[test]
     fn knn_scan_matches_scalar_at_edge_lengths() {
+        // The lattice distances of `soa` tie, and 0.0961 is one of them.
         for n in EDGE_LENS {
             let (xs, ys, ids) = soa(n);
             for k in [0usize, 1, 3, 10] {
-                let mut heap = KnnHeap::with_bound(k);
-                knn_scan(0.4, 0.6, &xs, &ys, &ids, &mut heap);
-                let mut want = Vec::new();
-                knn_scan_scalar(0.4, 0.6, &xs, &ys, &ids, k, &mut want);
-                assert_eq!(heap.finish(), &want[..], "len {n} k {k}");
+                for r2 in [f64::INFINITY, 0.0, 0.0961, 0.05] {
+                    let mut heap = KnnHeap::default();
+                    heap.reset(k, r2);
+                    knn_scan(0.4, 0.6, &xs, &ys, &ids, &mut heap);
+                    let want = scalar_within(&xs, &ys, &ids, k, r2);
+                    assert_eq!(heap.finish(), &want[..], "len {n} k {k} r2 {r2}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_selects_across_stripes_blocks_and_doors() {
+        // 5 000 points in 40-point blocks, a tenth of them snapped onto a
+        // coarse lattice (ties) and two with NaN coordinates; every third
+        // block arrives through the per-point door instead of the kernel.
+        let n = 5_000;
+        let coord = |i: usize, m: usize| match i % 10 {
+            0 => ((i * m) % 7) as f64 / 8.0,
+            _ => ((i * m) % 4999) as f64 / 4999.0,
+        };
+        let mut xs: Vec<f64> = (0..n).map(|i| coord(i, 37)).collect();
+        let ys: Vec<f64> = (0..n).map(|i| coord(i, 53)).collect();
+        let ids: Vec<u64> = (0..n as u64).map(|i| i % 1_700).collect();
+        xs[17] = f64::NAN;
+        xs[4_000] = f64::NAN;
+        for k in [1usize, 63, 64, 65, 1_000, n - 1, n, n + 3] {
+            for r2 in [f64::INFINITY, 0.02] {
+                let mut heap = KnnHeap::default();
+                heap.reset(k, r2);
+                for (b, lo) in (0..n).step_by(40).enumerate() {
+                    let (bx, by, bi) = soa_span(&xs, &ys, &ids, lo, lo + 40);
+                    if b % 3 == 0 {
+                        for ((&x, &y), &id) in bx.iter().zip(by).zip(bi) {
+                            heap.offer_point(Point::at(0.4, 0.6), Point { id, x, y });
+                        }
+                    } else {
+                        knn_scan(0.4, 0.6, bx, by, bi, &mut heap);
+                    }
+                }
+                // NaN entries compare unequal to themselves: compare bits.
+                let bits = |es: &[KnnEntry]| -> Vec<(u64, u64, u64, u64)> {
+                    let b = |e: &KnnEntry| (e.dist2.to_bits(), e.id, e.x.to_bits(), e.y.to_bits());
+                    es.iter().map(b).collect()
+                };
+                let want = scalar_within(&xs, &ys, &ids, k, r2);
+                assert_eq!(bits(heap.finish()), bits(&want), "k {k} r2 {r2}");
             }
         }
     }
@@ -705,7 +773,22 @@ mod tests {
         assert_eq!(heap.worst_dist2(), 2.0, "worse entry evicted");
         assert_eq!(heap.len(), 2);
         assert!(!heap.is_empty());
-        assert_eq!(heap.bound(), 2);
+        assert_eq!(heap.k(), 2);
+
+        // Under a radius the bound starts there, and ties at it are kept.
+        heap.reset(2, 1.0);
+        assert_eq!(heap.worst_dist2(), 1.0, "the radius until k are held");
+        for (dist2, id) in [(4.0, 0), (1.0, 1), (0.25, 2), (1.0, 3)] {
+            heap.offer(KnnEntry {
+                dist2,
+                id,
+                x: dist2.sqrt(),
+                y: 0.0,
+            });
+        }
+        assert_eq!(heap.worst_dist2(), 1.0);
+        let ids: Vec<u64> = heap.finish().iter().map(|e| e.id).collect();
+        assert_eq!(ids, [2, 1], "4.0 refused, the tie settled by id");
     }
 
     #[test]

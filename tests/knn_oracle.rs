@@ -1,14 +1,19 @@
 //! kNN equals the brute-force oracle **bit for bit** — vector equality
 //! under the canonical `(dist², id, coordinate-bits)` order — for all nine
-//! indices, a dirty [`DeltaOverlay`] and an [`UpdateProcessor`].
+//! indices, a dirty [`DeltaOverlay`], an [`UpdateProcessor`] and a
+//! [`ShardedIndex`], with and without a radius (`knn_within_into`).
 //!
 //! The point sets aim at what a seed-then-sweep kNN can get wrong:
 //! clusters (a poor seed gives a wide ball box), coordinates snapped onto
 //! a coarse lattice (distances tie exactly), more than `k` points stacked
 //! on one coordinate (the whole seed run is ties), ids folded so distinct
-//! points share one, tombstones and buffered inserts, `k` around the live
-//! count (fewer than `k` points seeded: the `r² = ∞` sweep), and queries
-//! on corners and outside the unit square.
+//! points share one, tombstones and buffered inserts, tombstones over the
+//! whole neighbourhood of a query (the overlay over-fetches), `k` around
+//! the live count (fewer than `k` points seeded: the `r² = ∞` sweep), a
+//! fixed 20k-point case at `k` in the thousands (the candidate pool selects
+//! many times over), and queries on corners and outside the unit square.
+//! Every `k` is also asked under radii of zero, exactly a tied distance and
+//! between two distances.
 //!
 //! RSMI and LISA are held to equality as well: their kNN prunes on the
 //! MBRs of the data pages, not on the rank ranges their (approximate)
@@ -16,7 +21,8 @@
 
 use elsi::{DeltaOverlay, RebuildPolicy, UpdateProcessor};
 use elsi_indices::*;
-use elsi_spatial::{canonical_knn_cmp, Point};
+use elsi_serve::{GridRouter, ShardedConfig, ShardedIndex};
+use elsi_spatial::{canonical_knn_cmp, Point, ScanScratch};
 use proptest::prelude::*;
 
 /// Clustered + lattice-snapped + stacked points, ids folded by
@@ -45,11 +51,20 @@ fn assemble(
         .collect()
 }
 
-fn oracle_knn(live: &[Point], q: Point, k: usize) -> Vec<Point> {
-    let mut out = live.to_vec();
-    out.sort_by(|a, b| canonical_knn_cmp(q, a, b));
-    out.truncate(k);
-    out
+/// Three radii for `q`, given `live` in canonical order around it: zero,
+/// exactly a distance two points share (the first such from a third of the
+/// way out; a point's distance if none is shared), and between two
+/// distinct distances (their midpoint, from halfway out).
+fn radii(sorted: &[Point], q: Point) -> [f64; 3] {
+    let d: Vec<f64> = sorted.iter().map(|p| q.dist2(p)).collect();
+    let pairs = || d.windows(2).map(|w| (w[0], w[1]));
+    let from = |n: usize| pairs().skip(n).chain(pairs());
+    let tied = from(d.len() / 3).find(|(a, b)| a == b).map(|(a, _)| a);
+    let between = from(d.len() / 2)
+        .find(|(a, b)| a < b)
+        .map(|(a, b)| (a + b) / 2.0);
+    let at = d.get(d.len() / 3).copied().unwrap_or(0.5);
+    [0.0, tied.unwrap_or(at), between.unwrap_or(at)]
 }
 
 /// The drawn query plus the fixed hard ones: corners, the stack itself,
@@ -126,25 +141,76 @@ fn all_nine(points: &[Point]) -> Vec<Box<dyn SpatialIndex>> {
     ]
 }
 
-/// Every query × every `k` of one index against the oracle over `live`.
-fn check(
-    idx: &dyn SpatialIndex,
-    live: &[Point],
-    q: (f64, f64),
-    stack: (f64, f64, usize),
-    k: usize,
+/// A 2×2 grid deployment of ZM shards over `points`.
+fn sharded_2x2(points: &[Point]) -> ShardedIndex<ZmIndex> {
+    ShardedIndex::build(
+        points.to_vec(),
+        GridRouter::new(2, 2),
+        &ShardedConfig::grid(2, 2),
+        |_ctx, pts| ZmIndex::build(pts, &ZmConfig { fanout: 4 }, &PwlBuilder { epsilon: 4 }),
+        |_s| RebuildPolicy::Never,
+    )
+}
+
+/// Every query × every `k` × every radius of one index against the oracle
+/// over `live`: the canonical best `k` among the points with `dist² ≤ r²`.
+fn check(idx: &dyn SpatialIndex, live: &[Point], queries: &[Point], ks: &[usize]) {
+    let (mut scratch, mut got) = (ScanScratch::new(), Vec::new());
+    for &q in queries {
+        let mut sorted = live.to_vec();
+        sorted.sort_by(|a, b| canonical_knn_cmp(q, a, b));
+        let radii = radii(&sorted, q);
+        for &k in ks {
+            let at = format!("{} q={q:?} k={k} n={}", idx.name(), live.len());
+            assert_eq!(idx.knn_query(q, k), sorted[..k.min(live.len())], "{at}");
+            for r2 in radii {
+                idx.knn_within_into(q, k, r2, &mut scratch, &mut got);
+                let inside = sorted.iter().take_while(|p| q.dist2(p) <= r2).take(k);
+                assert_eq!(got, inside.copied().collect::<Vec<_>>(), "{at} r2={r2:e}");
+            }
+        }
+    }
+}
+
+/// A `DeltaOverlay` over ZM and an `UpdateProcessor` over Grid overlays
+/// (never rebuilding), both over `points`.
+fn overlay_and_processor(
+    points: &[Point],
+) -> (
+    DeltaOverlay<ZmIndex>,
+    UpdateProcessor<DeltaOverlay<GridIndex>>,
 ) {
-    for qp in queries(q, stack) {
-        for k in ks(k, live.len()) {
-            assert_eq!(
-                idx.knn_query(qp, k),
-                oracle_knn(live, qp, k),
-                "{} q={:?} k={} n={}",
-                idx.name(),
-                qp,
-                k,
-                live.len()
-            );
+    let builder = PwlBuilder { epsilon: 4 };
+    let overlay = DeltaOverlay::new(ZmIndex::build(
+        points.to_vec(),
+        &ZmConfig { fanout: 4 },
+        &builder,
+    ));
+    let processor = UpdateProcessor::new(
+        points.to_vec(),
+        Box::new(|pts| DeltaOverlay::new(GridIndex::build(pts, &GridConfig { block_size: 8 }))),
+        RebuildPolicy::Never,
+        16,
+    );
+    (overlay, processor)
+}
+
+/// Deletes, from `overlay` and `processor`, the live base copies nearest
+/// `q` until `n` are gone: tombstones over the whole neighbourhood.
+fn bury_neighbourhood(
+    overlay: &mut impl SpatialIndex,
+    processor: &mut impl SpatialIndex,
+    base_live: &mut Vec<Point>,
+    q: Point,
+    n: usize,
+) {
+    let mut near = base_live.clone();
+    near.sort_by(|a, b| canonical_knn_cmp(q, a, b));
+    for p in near.into_iter().take(n) {
+        // A folded id is tombstoned whole, so a namesake may be gone.
+        if base_live.iter().any(|b| b.id == p.id) {
+            assert!(overlay.delete(p) && processor.delete(p), "lost {p:?}");
+            base_live.retain(|b| b.id != p.id);
         }
     }
 }
@@ -162,9 +228,11 @@ proptest! {
         k in 1usize..30,
     ) {
         let points = assemble(&clustered, &snapped, stack, id_modulus);
+        let (qs, ks) = (queries(q, stack), ks(k, points.len()));
         for idx in all_nine(&points) {
-            check(idx.as_ref(), &points, q, stack, k);
+            check(idx.as_ref(), &points, &qs, &ks);
         }
+        check(&sharded_2x2(&points), &points, &qs, &ks);
     }
 
     #[test]
@@ -194,7 +262,9 @@ proptest! {
             })
             .collect();
         live.extend(&fresh);
-        for mut idx in all_nine(&points) {
+        let (qs, ks) = (queries(q, stack), ks(k, live.len()));
+        let sharded: Box<dyn SpatialIndex> = Box::new(sharded_2x2(&points));
+        for mut idx in all_nine(&points).into_iter().chain([sharded]) {
             for p in &gone {
                 prop_assert!(idx.delete(*p), "{} lost {:?}", idx.name(), p);
             }
@@ -202,7 +272,7 @@ proptest! {
                 idx.insert(*p);
             }
             prop_assert_eq!(idx.len(), live.len(), "{}", idx.name());
-            check(idx.as_ref(), &live, q, stack, k);
+            check(idx.as_ref(), &live, &qs, &ks);
         }
     }
 
@@ -222,15 +292,7 @@ proptest! {
         // insert replaces every live copy of its id, a delete of a base
         // copy tombstones the id.
         let points = assemble(&clustered, &snapped, stack, id_modulus);
-        let builder = PwlBuilder { epsilon: 4 };
-        let mut overlay =
-            DeltaOverlay::new(ZmIndex::build(points.clone(), &ZmConfig { fanout: 4 }, &builder));
-        let mut processor = UpdateProcessor::new(
-            points.clone(),
-            Box::new(|pts| DeltaOverlay::new(GridIndex::build(pts, &GridConfig { block_size: 8 }))),
-            RebuildPolicy::Never,
-            16,
-        );
+        let (mut overlay, mut processor) = overlay_and_processor(&points);
         let (mut base_live, mut delta): (Vec<Point>, Vec<Point>) = (points, Vec::new());
         for &(x, y, id, op) in &ops {
             let victim = match op {
@@ -257,8 +319,51 @@ proptest! {
                 delta.push(p);
             }
         }
+        bury_neighbourhood(&mut overlay, &mut processor, &mut base_live, Point::at(q.0, q.1), k);
         let live: Vec<Point> = base_live.iter().chain(&delta).copied().collect();
-        check(&overlay, &live, q, stack, k);
-        check(&processor, &live, q, stack, k);
+        let (qs, ks) = (queries(q, stack), ks(k, live.len()));
+        check(&overlay, &live, &qs, &ks);
+        check(&processor, &live, &qs, &ks);
     }
+}
+
+/// The fixed deep case: 20 000 points — three tight clusters, plus a tenth
+/// snapped onto the 9×9 lattice, some twenty-five to a node (ties by the
+/// hundred) — at `k` of 500, 1 000 and `n − 1`, where the candidate pool
+/// fills and selects many times per query and a shard's running k-th
+/// distance bounds its neighbours. Then a dirty overlay and processor
+/// whose tombstones cover the nearest 1 500 points of a cluster query.
+#[test]
+fn deep_k_matches_the_oracle_on_20k_points() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let clustered: Vec<(f64, f64)> = (0..18_000).map(|_| (unit(), unit())).collect();
+    let lattice = |u: f64| (u * 9.0) as u32 % 9;
+    let snapped: Vec<(u32, u32)> = (0..2_000)
+        .map(|_| (lattice(unit()), lattice(unit())))
+        .collect();
+    let points = assemble(&clustered, &snapped, (0.0, 0.0, 0), u64::MAX);
+    let n = points.len();
+    let qs = [
+        Point::at(0.5, 0.375),
+        Point::at(0.55, 0.5),
+        Point::at(0.0, 0.0),
+        Point::at(1.7, 1.2),
+    ];
+    let ks = [500, 1_000, n - 1];
+    for idx in all_nine(&points) {
+        check(idx.as_ref(), &points, &qs, &ks);
+    }
+    check(&sharded_2x2(&points), &points, &qs, &ks);
+
+    let (mut overlay, mut processor) = overlay_and_processor(&points);
+    let mut live = points;
+    bury_neighbourhood(&mut overlay, &mut processor, &mut live, qs[1], 1_500);
+    check(&overlay, &live, &qs, &ks);
+    check(&processor, &live, &qs, &ks);
 }
