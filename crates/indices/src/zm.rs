@@ -27,7 +27,7 @@ use std::collections::HashSet;
 /// ZM configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ZmConfig {
-    /// Number of second-stage models.
+    /// Number of second-stage models, at most one per point; 0 means one.
     pub fanout: usize,
 }
 
@@ -65,12 +65,12 @@ pub struct ZmIndex {
 }
 
 impl ZmIndex {
-    /// Builds a ZM index over `points` using the given model builder.
+    /// Builds a ZM index over `points` using the given model builder, with
+    /// `cfg.fanout` second-stage models but at most one per point (a
+    /// fanout of 0 builds one).
     pub fn build(points: Vec<Point>, cfg: &ZmConfig, builder: &dyn ModelBuilder) -> Self {
-        assert!(cfg.fanout >= 1, "fanout must be positive");
         let (points, keys) = sort_by_key(points, &MortonMapper);
         let n = points.len();
-        let mut stats = Vec::new();
 
         if n == 0 {
             return Self {
@@ -78,38 +78,44 @@ impl ZmIndex {
                 root: RankModel::empty(0),
                 leaves: Vec::new(),
                 delta: Delta::new(vec![Vec::new()], HashSet::new()),
-                stats,
+                stats: Vec::new(),
             };
         }
 
-        // Root model over the full key CDF.
-        let root_built = builder.build_model(&BuildInput {
-            points: &points,
-            keys: &keys,
-            mapper: &MortonMapper,
-            seed: 0xD00,
-        });
-        stats.push(root_built.stats);
-        let root = root_built.model;
-
-        // Second-stage models over contiguous rank slices, trained in
-        // parallel. Each leaf's seed is a pure function of its slice index,
-        // so the result is identical for every thread count.
+        // The root over the full key CDF, and the second-stage models over
+        // contiguous rank slices. The root only routes once trained, so no
+        // model reads another: all train in parallel, the root beside the
+        // leaves. Each seed is a pure function of the model's position, so
+        // the result is identical for every thread count.
         let s = cfg.fanout.min(n).max(1);
-        let built_leaves: Vec<_> = (0..s)
-            .into_par_iter()
-            .map(|j| {
-                let lo = j * n / s;
-                let hi = (j + 1) * n / s;
-                let built = builder.build_model(&BuildInput {
-                    points: points.get(lo..hi).unwrap_or(&[]),
-                    keys: keys.get(lo..hi).unwrap_or(&[]),
+        let (root_built, built_leaves) = rayon::join(
+            || {
+                builder.build_model(&BuildInput {
+                    points: &points,
+                    keys: &keys,
                     mapper: &MortonMapper,
-                    seed: 0xD01 + j as u64,
-                });
-                (built, lo)
-            })
-            .collect();
+                    seed: 0xD00,
+                })
+            },
+            || {
+                (0..s)
+                    .into_par_iter()
+                    .map(|j| {
+                        let lo = j * n / s;
+                        let hi = (j + 1) * n / s;
+                        let built = builder.build_model(&BuildInput {
+                            points: points.get(lo..hi).unwrap_or(&[]),
+                            keys: keys.get(lo..hi).unwrap_or(&[]),
+                            mapper: &MortonMapper,
+                            seed: 0xD01 + j as u64,
+                        });
+                        (built, lo)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        let root = root_built.model;
+        let mut stats = vec![root_built.stats];
         let mut leaves = Vec::with_capacity(s);
         for (built, lo) in built_leaves {
             stats.push(built.stats);
@@ -545,6 +551,23 @@ mod tests {
             assert!(idx.point_query(*p).is_some(), "lost {p}");
         }
         assert_eq!(idx.point_query(Point::at(0.31, 0.41)).unwrap().id, 999);
+    }
+
+    #[test]
+    fn fanout_zero_builds_one_leaf() {
+        let pts: Vec<Point> = (0..120)
+            .map(|i| Point::new(i, (i % 11) as f64 / 11.0, (i / 11) as f64 / 11.0))
+            .collect();
+        let idx = ZmIndex::build(
+            pts.clone(),
+            &ZmConfig { fanout: 0 },
+            &OgBuilder::with_epochs(40),
+        );
+        assert_eq!(idx.leaves.len(), 1);
+        assert_eq!(idx.build_stats().len(), 2, "root + one leaf");
+        for p in &pts {
+            assert_eq!(idx.point_query(*p).map(|q| q.id), Some(p.id));
+        }
     }
 
     #[test]

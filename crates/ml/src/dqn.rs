@@ -7,7 +7,7 @@
 //! discount factor is γ = 0.9 and the toggle-acceptance probability ζ = 0.8.
 
 use crate::adam::Adam;
-use crate::ffn::{Cache, Ffn, Gradients};
+use crate::ffn::{Batch, Ffn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,9 +113,9 @@ impl Default for DqnConfig {
 
 /// A deep Q-network agent over a discrete action space.
 ///
-/// All training scratch (forward caches for both networks, the gradient
-/// buffer, the output-error vector, the sampled-index buffer) lives on the
-/// agent, so [`Dqn::train_step`] performs zero allocations in steady state.
+/// All training scratch (the batch scratch of both networks, the
+/// sampled-index buffer) lives on the agent, so [`Dqn::train_step`]
+/// performs zero allocations in steady state.
 #[derive(Debug)]
 pub struct Dqn {
     online: Ffn,
@@ -125,10 +125,10 @@ pub struct Dqn {
     opt: Adam,
     rng: StdRng,
     train_steps: usize,
-    cache: Cache,
-    target_cache: Cache,
-    grads: Gradients,
-    d_out: Vec<f64>,
+    /// Backpropagation scratch of the online network.
+    batch: Batch,
+    /// Forward scratch of the target network.
+    target_batch: Batch,
     idx_buf: Vec<usize>,
 }
 
@@ -138,7 +138,8 @@ impl Dqn {
         let online = Ffn::new(&[state_dim, cfg.hidden, n_actions], seed);
         let target = online.clone();
         let opt = Adam::new(online.num_params(), cfg.lr);
-        let grads = online.zero_grads();
+        let batch = Batch::new(&online, cfg.batch_size);
+        let target_batch = Batch::new(&target, cfg.batch_size);
         Self {
             online,
             target,
@@ -147,10 +148,8 @@ impl Dqn {
             opt,
             rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             train_steps: 0,
-            cache: Cache::default(),
-            target_cache: Cache::default(),
-            grads,
-            d_out: vec![0.0; n_actions],
+            batch,
+            target_batch,
             idx_buf: Vec::with_capacity(cfg.batch_size),
         }
     }
@@ -183,9 +182,12 @@ impl Dqn {
     /// Runs one mini-batch TD-learning step; returns the batch TD loss, or
     /// `None` if the buffer is still empty.
     ///
-    /// Allocation-free in steady state: transitions are visited by sampled
-    /// index (no cloning), both forward passes reuse the agent's caches, and
-    /// the optimiser step is fused into the parameter vector.
+    /// One batch-major pass per network: the target network's forward pass
+    /// over the sampled next states, then [`Ffn::backprop`] of the online
+    /// network under the TD loss. Allocation-free in steady state:
+    /// transitions are visited by sampled index (no cloning), both passes
+    /// reuse the agent's scratch, and the optimiser step is fused into the
+    /// parameter vector.
     pub fn train_step(&mut self) -> Option<f64> {
         if self.buffer.is_empty() {
             return None;
@@ -199,31 +201,40 @@ impl Dqn {
             self.idx_buf.push(i);
         }
 
-        self.grads.reset();
+        let (buffer, sampled, gamma) = (&self.buffer, &self.idx_buf, self.cfg.gamma);
+        let transition = move |s: usize| buffer.get(sampled[s]);
+        self.target
+            .forward_batch(&mut self.target_batch, k, |s| &transition(s).next_state);
+        let next_q = &self.target_batch;
         let mut loss = 0.0;
-        for j in 0..k {
-            let t = self.buffer.get(self.idx_buf[j]);
-            // TD target: r + γ · max_a' Q_target(s', a').
-            let next_q = self
-                .target
-                .forward_cached_vec(&t.next_state, &mut self.target_cache);
-            let target = t.reward + self.cfg.gamma * max_of(next_q);
-            let q_a = self.online.forward_cached_vec(&t.state, &mut self.cache)[t.action];
-            let diff = q_a - target;
-            loss += diff * diff;
-            self.d_out.fill(0.0);
-            self.d_out[t.action] = 2.0 * diff / k as f64;
-            self.online
-                .backward(&mut self.cache, &self.d_out, &mut self.grads);
-        }
+        self.batch.zero_grads();
+        self.online.backprop(
+            &mut self.batch,
+            k,
+            |s| &transition(s).state,
+            |s, q, d_out| {
+                let t = transition(s);
+                // TD target: r + γ · max_a' Q_target(s', a').
+                let target = t.reward + gamma * max_of(next_q.output(s));
+                let diff = q[t.action] - target;
+                loss += diff * diff;
+                d_out.fill(0.0);
+                d_out[t.action] = 2.0 * diff / k as f64;
+            },
+        );
         self.opt
-            .step_params(&self.grads.flat, self.online.params_mut());
+            .step_params(self.batch.grads(), self.online.params_mut());
 
         self.train_steps += 1;
         if self.train_steps % self.cfg.target_sync == 0 {
             self.target.clone_params_from(&self.online);
         }
         Some(loss / k as f64)
+    }
+
+    /// The online Q-network, the one [`Dqn::train_step`] updates.
+    pub fn q_network(&self) -> &Ffn {
+        &self.online
     }
 
     /// Number of completed training steps.

@@ -39,7 +39,7 @@ pub mod tree;
 
 pub use adam::Adam;
 pub use dqn::{Dqn, DqnConfig, ReplayBuffer, Transition};
-pub use ffn::{Cache, Ffn, Gradients};
+pub use ffn::{Batch, Ffn};
 pub use forest::{ForestConfig, RandomForest};
 pub use kmeans::{kmeans, KMeansResult};
 pub use pwl::PwlModel;

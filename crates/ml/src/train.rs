@@ -6,10 +6,15 @@
 //! analysis — which is what makes shrinking `n` to `|D_S|` pay off.
 
 use crate::adam::Adam;
-use crate::ffn::{Cache, Ffn};
+use crate::ffn::{Batch, Ffn};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// Most samples one [`Ffn::backprop`] pass holds. A larger (or full)
+/// mini-batch runs as several passes into the same gradient sum, in sample
+/// order, so the scratch stays small whatever the batch size.
+const MAX_PASS_ROWS: usize = 256;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -78,9 +83,7 @@ pub fn train_regression(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig
     let mut opt = Adam::new(ffn.num_params(), cfg.lr);
     // All loop scratch is hoisted: the epoch/batch/sample loops below
     // allocate nothing (pinned by crates/ml/tests/alloc_free.rs).
-    let mut grads = ffn.zero_grads();
-    let mut cache = Cache::default();
-    let mut d_out = vec![0.0; out_dim];
+    let mut scratch = Batch::new(ffn, batch.min(MAX_PASS_ROWS));
 
     let mut final_mse = f64::INFINITY;
     let mut epochs_run = 0;
@@ -88,23 +91,23 @@ pub fn train_regression(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig
         order.shuffle(&mut rng);
         let mut epoch_se = 0.0;
         for chunk in order.chunks(batch) {
-            grads.reset();
-            for &i in chunk {
-                let x = &xs[i * in_dim..(i + 1) * in_dim];
-                let y = &ys[i * out_dim..(i + 1) * out_dim];
-                let pred = ffn.forward_cached_vec(x, &mut cache);
-                let mut se = 0.0;
-                for ((d, &p), &t) in d_out.iter_mut().zip(pred).zip(y) {
-                    let diff = p - t;
-                    se += diff * diff;
-                    // d(MSE)/d(pred): normalised by batch size so the
-                    // learning rate is batch-size independent.
-                    *d = 2.0 * diff / chunk.len() as f64;
-                }
-                epoch_se += se;
-                ffn.backward(&mut cache, &d_out, &mut grads);
+            scratch.zero_grads();
+            for pass in chunk.chunks(MAX_PASS_ROWS) {
+                let input = move |s: usize| &xs[pass[s] * in_dim..][..in_dim];
+                ffn.backprop(&mut scratch, pass.len(), input, |s, pred, d_out| {
+                    let y = &ys[pass[s] * out_dim..][..out_dim];
+                    let mut se = 0.0;
+                    for ((d, &p), &t) in d_out.iter_mut().zip(pred).zip(y) {
+                        let diff = p - t;
+                        se += diff * diff;
+                        // d(MSE)/d(pred): normalised by batch size so the
+                        // learning rate is batch-size independent.
+                        *d = 2.0 * diff / chunk.len() as f64;
+                    }
+                    epoch_se += se;
+                });
             }
-            opt.step_params(&grads.flat, ffn.params_mut());
+            opt.step_params(scratch.grads(), ffn.params_mut());
         }
         epochs_run += 1;
         final_mse = epoch_se / (n as f64 * out_dim as f64);

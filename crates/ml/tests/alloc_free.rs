@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use elsi_ml::ffn::{Cache, Ffn};
+use elsi_ml::ffn::{Batch, Ffn};
 use elsi_ml::train::{train_regression, TrainConfig};
 use elsi_ml::{Dqn, DqnConfig, Transition};
 
@@ -49,8 +49,11 @@ fn count_min(mut f: impl FnMut()) -> u64 {
 /// Minimum allocation count over several trials: the libtest harness runs a
 /// watchdog thread whose own occasional allocations bump the global counter,
 /// so a single reading can be high by a couple of counts. The minimum of a
-/// few trials is the trainer's true footprint (14 allocs for the hoisted
-/// scratch, independent of epoch count).
+/// few trials is the trainer's true footprint (12 allocs for the hoisted
+/// scratch of a `[1, 16, 1]` net — the shuffle order, two Adam moments,
+/// and the `Batch`: three slab lists holding one hidden-activation, two
+/// pre-activation and two delta slabs, plus the gradient accumulator —
+/// independent of epoch count).
 fn train_allocs(epochs: usize) -> u64 {
     let keys: Vec<f64> = (0..256).map(|i| (i as f64 / 255.0).powi(2)).collect();
     let ys: Vec<f64> = (0..256).map(|i| i as f64 / 255.0).collect();
@@ -71,8 +74,8 @@ fn train_allocs(epochs: usize) -> u64 {
 #[test]
 fn training_kernels_are_allocation_free_in_steady_state() {
     // --- train_regression: epochs beyond the first add zero allocations.
-    // (The first epoch pays for the hoisted scratch: grads, cache, d_out,
-    // Adam moments, shuffle order.)
+    // (The first epoch pays for the hoisted scratch: the batch slabs and
+    // gradient accumulator, Adam moments, shuffle order.)
     let two = train_allocs(2);
     let twelve = train_allocs(12);
     assert_eq!(
@@ -104,22 +107,25 @@ fn training_kernels_are_allocation_free_in_steady_state() {
     assert!(acc.is_finite());
     assert_eq!(allocs, 0, "predict_scalar allocated {allocs} times");
 
-    // --- warmed forward_cached_vec + backward loop.
+    // --- batch passes over a shaped scratch: forward and backprop.
     let ffn = Ffn::new(&[2, 8, 8, 2], 1);
-    let mut cache = Cache::default();
-    let mut grads = ffn.zero_grads();
-    let xin = [0.25, -0.5];
-    let d_out = [0.1, -0.2];
-    // Warm-up shapes the cache.
-    let _ = ffn.forward_cached_vec(&xin, &mut cache);
-    ffn.backward(&mut cache, &d_out, &mut grads);
+    let mut batch = Batch::new(&ffn, 16);
+    let xs: Vec<[f64; 2]> = (0..16).map(|i| [i as f64 / 16.0, -0.5]).collect();
     let allocs = count_min(|| {
-        for _ in 0..500 {
-            let _ = ffn.forward_cached_vec(&xin, &mut cache);
-            ffn.backward(&mut cache, &d_out, &mut grads);
+        for _ in 0..50 {
+            batch.zero_grads();
+            ffn.forward_batch(&mut batch, 16, |s| &xs[s]);
+            ffn.backprop(
+                &mut batch,
+                16,
+                |s| &xs[s],
+                |_, _, d_out| {
+                    d_out.copy_from_slice(&[0.1, -0.2]);
+                },
+            );
         }
     });
-    assert_eq!(allocs, 0, "forward/backward loop allocated {allocs} times");
+    assert_eq!(allocs, 0, "batch forward/backprop allocated {allocs} times");
 
     // --- DQN: once the replay buffer and scratch are warm, further
     // train_steps add zero allocations.
@@ -132,7 +138,7 @@ fn training_kernels_are_allocation_free_in_steady_state() {
             next_state: vec![(i + 1) as f64 / 64.0, 0.5],
         });
     }
-    // Warm-up: shapes both caches, the index buffer and the grad buffer.
+    // `Dqn::new` already shaped the scratch; one step warms the rest.
     let _ = agent.train_step();
     let allocs = count_min(|| {
         for _ in 0..50 {
