@@ -148,7 +148,7 @@ impl Policy {
             panic_budgets: vec![
                 ("crates/analysis/".into(), 3),
                 ("crates/bench/".into(), 2),
-                ("crates/cli/".into(), 18),
+                ("crates/cli/".into(), 0),
                 ("crates/core/".into(), 28),
                 ("crates/data/".into(), 8),
                 ("crates/indices/".into(), 26),
@@ -160,12 +160,12 @@ impl Policy {
                 ("tests/".into(), 22),
             ],
             // Measured by the panic_path pass over the serving roots
-            // (`ShardedIndex` queries/updates + CLI command dispatch, plus
-            // the §14 recovery entry points: save/open/recover). The
-            // residue is almost entirely `[]`-indexing in slice kernels
-            // and exhaustive fault-matrix unit tests. Ratchets down, never
-            // up.
-            panic_path_ceiling: 251,
+            // (`ShardedIndex` queries/updates, the CLI's parser and each
+            // command-table handler, plus the §14 recovery entry points:
+            // save/open/recover). The residue is almost entirely
+            // `[]`-indexing in slice kernels and exhaustive fault-matrix
+            // unit tests. Ratchets down, never up.
+            panic_path_ceiling: 240,
         }
     }
 

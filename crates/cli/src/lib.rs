@@ -1,164 +1,67 @@
 //! # elsi-cli
 //!
-//! A small command-line front end over the ELSI stack, the artifact a
-//! downstream user would actually run:
-//!
-//! ```text
-//! elsi generate <dataset> <n> <out.csv> [--seed S]
-//! elsi inspect <in.csv>
-//! elsi build <in.csv> [--index zm|ml|rsmi|lisa|flood] [--method rs|sp|cl|mr|rl|og|pwl|elsi]
-//! elsi query <in.csv> --point X,Y | --window LOX,LOY,HIX,HIY | --knn X,Y,K
-//! elsi save <in.csv> <dir> [--shards RxC] [--router grid|learned] [--seed S]
-//! elsi load <dir>
-//! ```
-//!
-//! Sharded serving (`--shards RxC`) accepts `--router grid|learned` to
-//! pick the shard-boundary policy: uniform grid cells, or equi-mass
-//! quantile cuts learned from the data's empirical CDFs (`elsi-serve`).
-//!
-//! Durability (`DESIGN.md` §14): `save` persists a ZM sharded deployment
-//! into a serving directory, `load` recovers one and reports what came
-//! back, and `--persist <dir>` on `query`/`ingest` serves from the
-//! directory when it exists (crash recovery: snapshots + journaled WAL
-//! tails) or builds from the CSV and persists on first use. The persisted
-//! paths are ZM-only — that is the index kind with an exact state codec,
-//! so recovery decodes shard state instead of retraining models.
-//!
-//! Command logic lives here so it is unit-testable; `main.rs` only parses
-//! `std::env::args` and prints.
+//! The `elsi` command line over the ELSI stack. Each command is one row of
+//! a command table (positionals, flags with their defaults, help with an
+//! example, handler); `elsi help` prints the grammar rendered from it.
+//! `save`, `load` and `--persist <dir>` serve ZM sharded deployments from
+//! a serving directory (`DESIGN.md` §14). The logic lives here so it is
+//! unit-testable; `main.rs` only passes `std::env::args` in and prints.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 use elsi::{DeltaOverlay, Elsi, ElsiConfig, Method, RebuildFn, RebuildPolicy, UpdateProcessor};
-use elsi_data::{dist_from_uniform, io, stream, Dataset};
+use elsi_data::stream::{self, Update};
+use elsi_data::{dist_from_uniform, io, Dataset};
 use elsi_indices::{
     FloodConfig, FloodIndex, LisaConfig, LisaIndex, MlConfig, MlIndex, ModelBuilder, PwlBuilder,
     RsmiConfig, RsmiIndex, SpatialIndex, ZmConfig, ZmIndex,
 };
 use elsi_serve::{
-    read_manifest, zm_codec, GridRouter, LearnedRouter, PersistRouter, ShardedConfig, ShardedIndex,
-    MANIFEST_NAME,
+    read_manifest, zm_codec, GridRouter, LearnedRouter, Manifest, PersistRouter, ShardedConfig,
+    ShardedIndex, MANIFEST_NAME,
 };
 use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use Unset::{Empty, Fill, Required};
 
-/// A parsed CLI invocation.
+/// A parsed invocation: the command it names and one slot per argument,
+/// holding the given value or the command's default. Slots the command
+/// does not take keep placeholders.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Generate a named data set to CSV.
-    Generate {
-        /// Which catalog data set.
-        dataset: Dataset,
-        /// Number of points.
-        n: usize,
-        /// Output path.
-        out: String,
-        /// Generator seed.
-        seed: u64,
-    },
-    /// Print statistics of a CSV point set.
-    Inspect {
-        /// Input path.
-        input: String,
-    },
-    /// Build an index and report build/query costs.
-    Build {
-        /// Input path.
-        input: String,
-        /// Base index kind.
-        index: IndexChoice,
-        /// Building method.
-        method: MethodChoice,
-    },
-    /// Ingest a churn update stream in batches and report throughput.
-    Ingest {
-        /// Input path (the base point set).
-        input: String,
-        /// Base index kind.
-        index: IndexChoice,
-        /// Number of stream updates to apply.
-        updates: usize,
-        /// Batch size (`0` = the whole stream in one batch).
-        batch: usize,
-        /// Route through an R×C sharded deployment (`--shards RxC`).
-        shards: Option<(usize, usize)>,
-        /// Shard-boundary policy for `--shards` (`--router grid|learned`).
-        router: RouterChoice,
-        /// Serve from (and checkpoint into) a durable serving directory
-        /// (`--persist <dir>`; ZM only).
-        persist: Option<String>,
-        /// Stream seed.
-        seed: u64,
-    },
-    /// Answer one query over a CSV point set.
-    Query {
-        /// Input path.
-        input: String,
-        /// Base index kind.
-        index: IndexChoice,
-        /// The query.
-        query: QuerySpec,
-        /// Serve through an R×C sharded deployment instead of a monolith
-        /// (`--shards RxC`; see `elsi-serve`).
-        shards: Option<(usize, usize)>,
-        /// Shard-boundary policy for `--shards` (`--router grid|learned`).
-        router: RouterChoice,
-        /// Serve from a durable serving directory, building and saving it
-        /// on first use (`--persist <dir>`; ZM only).
-        persist: Option<String>,
-    },
-    /// Build a ZM sharded deployment and persist it into a directory.
-    Save {
-        /// Input path (the base point set).
-        input: String,
-        /// Serving directory to write.
-        dir: String,
-        /// Deployment shape (`--shards RxC`).
-        shards: (usize, usize),
-        /// Shard-boundary policy (`--router grid|learned`).
-        router: RouterChoice,
-        /// Deployment root seed.
-        seed: u64,
-    },
-    /// Recover a persisted deployment and report what came back.
-    Load {
-        /// Serving directory to read.
-        dir: String,
-    },
+pub struct Command {
+    name: &'static str,
+    dataset: Dataset,
+    n: usize,
+    out: String,
+    input: String,
+    dir: String,
+    index: IndexChoice,
+    method: MethodChoice,
+    shards: Option<(usize, usize)>,
+    router: RouterChoice,
+    persist: Option<String>,
+    seed: u64,
+    updates: usize,
+    batch: usize,
+    query: Option<QuerySpec>,
 }
 
-/// Base index selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexChoice {
-    /// ZM: the Z-order model index (the workhorse).
+enum IndexChoice {
     Zm,
-    /// ML-Index: iDistance keys over pivot distances.
     Ml,
-    /// RSMI: the recursive spatial model index.
     Rsmi,
-    /// LISA: learned mapped-cell shards.
     Lisa,
-    /// Flood: a query-aware learned multi-dimensional index.
     Flood,
 }
 
 impl IndexChoice {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "zm" => Ok(Self::Zm),
-            "ml" => Ok(Self::Ml),
-            "rsmi" => Ok(Self::Rsmi),
-            "lisa" => Ok(Self::Lisa),
-            "flood" => Ok(Self::Flood),
-            other => Err(format!(
-                "unknown index {other:?} (expected zm|ml|rsmi|lisa|flood)"
-            )),
-        }
-    }
+    const ALL: [Self; 5] = [Self::Zm, Self::Ml, Self::Rsmi, Self::Lisa, Self::Flood];
 
     fn name(&self) -> &'static str {
         match self {
@@ -171,25 +74,16 @@ impl IndexChoice {
     }
 }
 
-/// Shard-routing policy selection (`--router`, only with `--shards`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouterChoice {
-    /// Uniform R×C grid cells (`elsi_serve::GridRouter`).
-    #[default]
+/// Shard boundaries: uniform grid cells, or equi-mass quantile cuts
+/// learned from the data's empirical CDFs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RouterChoice {
     Grid,
-    /// Equi-mass quantile cuts learned from the data's empirical CDFs
-    /// (`elsi_serve::LearnedRouter`) — balances shard load under skew.
     Learned,
 }
 
 impl RouterChoice {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "grid" => Ok(Self::Grid),
-            "learned" => Ok(Self::Learned),
-            other => Err(format!("unknown router {other:?} (expected grid|learned)")),
-        }
-    }
+    const ALL: [Self; 2] = [Self::Grid, Self::Learned];
 
     fn name(&self) -> &'static str {
         match self {
@@ -199,317 +93,383 @@ impl RouterChoice {
     }
 }
 
-/// Building-method selection.
+/// A fixed pool method (or OG / RSP), the ε-bounded piecewise-linear
+/// family, or the learned selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodChoice {
-    /// A fixed ELSI pool method (or OG / RSP).
+enum MethodChoice {
     Fixed(Method),
-    /// The ε-bounded piecewise-linear family.
     Pwl,
-    /// The learned selector (requires a quick preparation pass).
     Selector,
 }
 
-impl MethodChoice {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "sp" => Ok(Self::Fixed(Method::Sp)),
-            "rsp" => Ok(Self::Fixed(Method::Rsp)),
-            "cl" => Ok(Self::Fixed(Method::Cl)),
-            "mr" => Ok(Self::Fixed(Method::Mr)),
-            "rs" => Ok(Self::Fixed(Method::Rs)),
-            "rl" => Ok(Self::Fixed(Method::Rl)),
-            "og" => Ok(Self::Fixed(Method::Og)),
-            "pwl" => Ok(Self::Pwl),
-            "elsi" => Ok(Self::Selector),
-            other => Err(format!(
-                "unknown method {other:?} (expected sp|rsp|cl|mr|rs|rl|og|pwl|elsi)"
-            )),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum QuerySpec {
+    Point(Point),
+    Window(Rect),
+    Knn(Point, usize),
+}
+
+/// Every argument the CLI reads: five positionals and eleven flags, each
+/// spelled in [`Arg::spelling`] and parsed in [`Command::set`], once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    Dataset,
+    N,
+    Out,
+    Input,
+    Dir,
+    Index,
+    Method,
+    Shards,
+    Router,
+    Persist,
+    Seed,
+    Updates,
+    Batch,
+    Point,
+    Window,
+    Knn,
+}
+
+impl Arg {
+    /// The argument's name and the syntax of its value.
+    fn spelling(self) -> (&'static str, &'static str) {
+        match self {
+            Arg::Dataset => ("<dataset>", "a catalog data set"),
+            Arg::N => ("<n>", "a count"),
+            Arg::Out => ("<out.csv>", "a path"),
+            Arg::Input => ("<in.csv>", "a path"),
+            Arg::Dir => ("<dir>", "a path"),
+            Arg::Index => ("--index", "zm|ml|rsmi|lisa|flood"),
+            Arg::Method => ("--method", "sp|rsp|cl|mr|rs|rl|og|pwl|elsi"),
+            Arg::Shards => ("--shards", "RxC"),
+            Arg::Router => ("--router", "grid|learned"),
+            Arg::Persist => ("--persist", "DIR"),
+            Arg::Seed => ("--seed", "S"),
+            Arg::Updates => ("--updates", "N"),
+            Arg::Batch => ("--batch", "SIZE"),
+            Arg::Point => ("--point", "X,Y"),
+            Arg::Window => ("--window", "LOX,LOY,HIX,HIY"),
+            Arg::Knn => ("--knn", "X,Y,K"),
+        }
+    }
+
+    /// The slot the argument fills: the three query flags share one.
+    fn slot(self) -> Arg {
+        match self {
+            Arg::Window | Arg::Knn => Arg::Point,
+            arg => arg,
         }
     }
 }
 
-/// A single query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuerySpec {
-    /// Exact point lookup.
-    Point(Point),
-    /// Window query.
-    Window(Rect),
-    /// k-nearest-neighbour query.
-    Knn(Point, usize),
+/// What a command does when an invocation leaves one of its flags out.
+#[derive(Debug, Clone, Copy)]
+enum Unset {
+    /// Leave the slot empty.
+    Empty,
+    /// Parse this value into the slot, as if it had been given.
+    Fill(&'static str),
+    /// Refuse: one of the command's required flags must be given.
+    Required,
 }
 
-fn parse_dataset(s: &str) -> Result<Dataset, String> {
-    Dataset::all()
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(s))
-        .ok_or_else(|| {
-            let names: Vec<&str> = Dataset::all().iter().map(|d| d.name()).collect();
-            format!("unknown dataset {s:?} (expected one of {names:?})")
-        })
+/// One command: its grammar, one line of help, an example invocation
+/// (after `elsi <name>`; the tests parse each), and its handler.
+struct Row {
+    name: &'static str,
+    positionals: &'static [Arg],
+    flags: &'static [(Arg, Unset)],
+    help: &'static str,
+    example: &'static str,
+    run: fn(&Command) -> Result<String, String>,
 }
 
-fn parse_floats(s: &str, want: usize) -> Result<Vec<f64>, String> {
-    let vals: Result<Vec<f64>, _> = s.split(',').map(|v| v.trim().parse::<f64>()).collect();
-    let vals = vals.map_err(|e| format!("bad number in {s:?}: {e}"))?;
-    if vals.len() != want {
-        return Err(format!(
-            "expected {want} comma-separated numbers, got {}",
-            vals.len()
-        ));
+/// The commands, in the order the help lists them.
+static COMMANDS: [Row; 7] = [
+    Row {
+        name: "generate",
+        positionals: &[Arg::Dataset, Arg::N, Arg::Out],
+        flags: &[(Arg::Seed, Fill("42"))],
+        help: "write n points of a catalog data set to a CSV file",
+        example: "NYC 20000 nyc.csv --seed 3",
+        run: generate,
+    },
+    Row {
+        name: "inspect",
+        positionals: &[Arg::Input],
+        flags: &[],
+        help: "print a point set's size, extent, skew and suggested method",
+        example: "nyc.csv",
+        run: inspect,
+    },
+    Row {
+        name: "build",
+        positionals: &[Arg::Input],
+        flags: &[(Arg::Index, Fill("zm")), (Arg::Method, Fill("rs"))],
+        help: "build an index, then report its build time, lookup cost and exactness",
+        example: "nyc.csv --index lisa --method pwl",
+        run: build,
+    },
+    Row {
+        name: "ingest",
+        positionals: &[Arg::Input],
+        flags: &[
+            (Arg::Index, Fill("zm")),
+            (Arg::Updates, Fill("1000")),
+            (Arg::Batch, Fill("0")),
+            (Arg::Shards, Empty),
+            (Arg::Router, Fill("grid")),
+            (Arg::Persist, Empty),
+            (Arg::Seed, Fill("7")),
+        ],
+        help: "apply a churn stream in batches (0: one batch) and report throughput",
+        example: "nyc.csv --updates 5000 --batch 500 --shards 2x2",
+        run: ingest,
+    },
+    Row {
+        name: "query",
+        positionals: &[Arg::Input],
+        flags: &[
+            (Arg::Index, Fill("zm")),
+            (Arg::Shards, Empty),
+            (Arg::Router, Fill("grid")),
+            (Arg::Persist, Empty),
+            (Arg::Point, Required),
+            (Arg::Window, Required),
+            (Arg::Knn, Required),
+        ],
+        help: "answer one query from a monolith, RxC shards or a serving directory",
+        example: "nyc.csv --persist deploy --knn 0.5,0.5,25",
+        run: query,
+    },
+    Row {
+        name: "save",
+        positionals: &[Arg::Input, Arg::Dir],
+        flags: &[
+            (Arg::Shards, Fill("2x2")),
+            (Arg::Router, Fill("grid")),
+            (Arg::Seed, Fill("42")),
+        ],
+        help: "build a ZM sharded deployment and persist it into a serving directory",
+        example: "nyc.csv deploy --shards 2x3 --router learned",
+        run: save,
+    },
+    Row {
+        name: "load",
+        positionals: &[Arg::Dir],
+        flags: &[],
+        help: "recover a serving directory and report what came back",
+        example: "deploy",
+        run: load,
+    },
+];
+
+fn row(name: &str) -> Result<&'static Row, String> {
+    let row = COMMANDS.iter().find(|r| r.name == name);
+    row.ok_or_else(|| format!("unknown command {name:?}\n{}", usage()))
+}
+
+/// The grammar, rendered from the command table.
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for row in &COMMANDS {
+        let _ = write!(out, "\n  elsi {}", row.name);
+        for arg in row.positionals {
+            let _ = write!(out, " {}", arg.spelling().0);
+        }
+        // A command's required flags are alternatives: one of them is given.
+        let mut or = " ";
+        for &(arg, unset) in row.flags {
+            let (flag, syntax) = arg.spelling();
+            let _ = match unset {
+                Empty => write!(out, " [{flag} {syntax}]"),
+                Fill(value) => write!(out, " [{flag} {syntax}, default {value}]"),
+                Required => write!(out, "{}{flag} {syntax}", std::mem::replace(&mut or, " | ")),
+            };
+        }
+        let _ = write!(
+            out,
+            "\n      {}\n      e.g. elsi {} {}",
+            row.help, row.name, row.example
+        );
     }
-    Ok(vals)
-}
-
-fn parse_shards_spec(spec: &str) -> Result<(usize, usize), String> {
-    let (r, c) = spec
-        .split_once(['x', 'X'])
-        .ok_or_else(|| format!("--shards: bad grid {spec:?} (want RxC)"))?;
-    let parse = |v: &str, what: &str| {
-        v.trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--shards: bad {what} in {spec:?}"))
-    };
-    Ok((parse(r, "rows")?, parse(c, "cols")?))
+    out
 }
 
 /// Parses command-line arguments (without the program name).
 // lint:serving_root
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(usage)?;
-    match cmd.as_str() {
-        "generate" => {
-            let dataset = parse_dataset(it.next().ok_or("generate: missing dataset")?)?;
-            let n: usize = it
-                .next()
-                .ok_or("generate: missing n")?
-                .parse()
-                .map_err(|e| format!("bad n: {e}"))?;
-            let out = it.next().ok_or("generate: missing output path")?.clone();
-            let mut seed = 42u64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .ok_or("--seed needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad seed: {e}"))?;
-                    }
-                    other => return Err(format!("generate: unknown flag {other:?}")),
+    let (name, rest) = args.split_first().ok_or_else(usage)?;
+    if ["help", "--help", "-h"].contains(&name.as_str()) {
+        return Err(usage());
+    }
+    let row = row(name)?;
+    let mut cmd = Command::blank(row.name);
+    let mut rest = rest.iter();
+    for &arg in row.positionals {
+        let missing = || format!("{}: missing {}", row.name, arg.spelling().0);
+        cmd.set(arg, rest.next().ok_or_else(missing)?)?;
+    }
+    let mut given: Vec<Arg> = vec![];
+    while let Some(flag) = rest.next() {
+        let unknown = || format!("{}: unknown flag {flag:?}", row.name);
+        let mut flags = row.flags.iter().map(|&(arg, _)| arg);
+        let arg = flags.find(|a| a.spelling().0 == flag).ok_or_else(unknown)?;
+        if let Some(first) = given.iter().find(|g| g.slot() == arg.slot()) {
+            let (first, why) = (first.spelling().0, "one value per flag, one query per call");
+            let name = row.name;
+            return Err(format!(
+                "{name}: {flag} conflicts with the earlier {first} ({why})"
+            ));
+        }
+        let needs = || format!("{}: {flag} needs {}", row.name, arg.spelling().1);
+        cmd.set(arg, rest.next().ok_or_else(needs)?)?;
+        given.push(arg);
+    }
+    for &(arg, unset) in row.flags {
+        match unset {
+            _ if given.iter().any(|g| g.slot() == arg.slot()) => {}
+            Fill(value) => cmd.set(arg, value)?,
+            Required => {
+                let required = row.flags.iter().filter(|(_, u)| matches!(u, Required));
+                let one_of: Vec<&str> = required.map(|(a, _)| a.spelling().0).collect();
+                return Err(format!(
+                    "{}: one of {} is required",
+                    row.name,
+                    one_of.join("/")
+                ));
+            }
+            Empty => {}
+        }
+    }
+    if given.contains(&Arg::Router) && cmd.shards.is_none() && cmd.persist.is_none() {
+        return Err(format!(
+            "{}: --router requires --shards or --persist",
+            row.name
+        ));
+    }
+    Ok(cmd)
+}
+
+impl Command {
+    /// An invocation of `name` before its arguments are read. `seed` starts
+    /// as `ShardedConfig`'s root seed: `query --persist` builds with it.
+    fn blank(name: &'static str) -> Self {
+        Self {
+            name,
+            dataset: Dataset::Uniform,
+            n: 0,
+            out: String::new(),
+            input: String::new(),
+            dir: String::new(),
+            index: IndexChoice::Zm,
+            method: MethodChoice::Fixed(Method::Rs),
+            shards: None,
+            router: RouterChoice::Grid,
+            persist: None,
+            seed: ShardedConfig::default().seed,
+            updates: 0,
+            batch: 0,
+            query: None,
+        }
+    }
+
+    /// Parses `value` into `arg`'s slot; an error names the command and
+    /// the argument.
+    fn set(&mut self, arg: Arg, value: &str) -> Result<(), String> {
+        let (cmd, name) = (self.name, arg.spelling().0);
+        self.fill(arg, value)
+            .map_err(|why| format!("{cmd}: {name} {value:?}: {why}"))
+    }
+
+    fn fill(&mut self, arg: Arg, v: &str) -> Result<(), String> {
+        let expected = || format!("expected {}", arg.spelling().1);
+        match arg {
+            Arg::Dataset => {
+                let names = Dataset::all().map(|d| d.name());
+                let expected = || format!("expected one of {names:?}");
+                self.dataset = named(v, Dataset::all(), Dataset::name).ok_or_else(expected)?;
+            }
+            Arg::N => self.n = whole(v, 0)?,
+            Arg::Out => self.out = v.into(),
+            Arg::Input => self.input = v.into(),
+            Arg::Dir => self.dir = v.into(),
+            Arg::Index => {
+                self.index = named(v, IndexChoice::ALL, IndexChoice::name).ok_or_else(expected)?;
+            }
+            Arg::Method => {
+                self.method = match v.to_ascii_lowercase().as_str() {
+                    "pwl" => MethodChoice::Pwl,
+                    "elsi" => MethodChoice::Selector,
+                    _ => MethodChoice::Fixed(
+                        named(v, Method::all(), Method::name).ok_or_else(expected)?,
+                    ),
                 }
             }
-            Ok(Command::Generate {
-                dataset,
-                n,
-                out,
-                seed,
-            })
-        }
-        "inspect" => {
-            let input = it.next().ok_or("inspect: missing input path")?.clone();
-            Ok(Command::Inspect { input })
-        }
-        "build" => {
-            let input = it.next().ok_or("build: missing input path")?.clone();
-            let mut index = IndexChoice::Zm;
-            let mut method = MethodChoice::Fixed(Method::Rs);
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--index" => {
-                        index = IndexChoice::parse(it.next().ok_or("--index needs a value")?)?
-                    }
-                    "--method" => {
-                        method = MethodChoice::parse(it.next().ok_or("--method needs a value")?)?
-                    }
-                    other => return Err(format!("build: unknown flag {other:?}")),
+            Arg::Shards => {
+                let side = |s: &str| s.trim().parse::<usize>().ok().filter(|&n| n >= 1);
+                let grid = v
+                    .split_once(['x', 'X'])
+                    .and_then(|(r, c)| Some((side(r)?, side(c)?)));
+                self.shards = Some(grid.ok_or_else(expected)?);
+            }
+            Arg::Router => {
+                self.router =
+                    named(v, RouterChoice::ALL, RouterChoice::name).ok_or_else(expected)?;
+            }
+            Arg::Persist => self.persist = Some(v.into()),
+            Arg::Seed => self.seed = whole(v, 0)?,
+            Arg::Updates => self.updates = whole(v, 1)?,
+            Arg::Batch => self.batch = whole(v, 0)?,
+            Arg::Point => {
+                let [x, y] = floats(v)?;
+                self.query = Some(QuerySpec::Point(Point::at(x, y)));
+            }
+            Arg::Window => {
+                let [lo_x, lo_y, hi_x, hi_y] = floats(v)?;
+                self.query = Some(QuerySpec::Window(Rect::new(lo_x, lo_y, hi_x, hi_y)));
+            }
+            Arg::Knn => {
+                let [x, y, k] = floats(v)?;
+                if k < 1.0 || k.fract() != 0.0 {
+                    return Err("K must be a positive integer".into());
                 }
+                self.query = Some(QuerySpec::Knn(Point::at(x, y), k as usize));
             }
-            Ok(Command::Build {
-                input,
-                index,
-                method,
-            })
         }
-        "ingest" => {
-            let input = it.next().ok_or("ingest: missing input path")?.clone();
-            let mut index = IndexChoice::Zm;
-            let mut updates = 1000usize;
-            let mut batch = 0usize;
-            let mut shards = None;
-            let mut router = None;
-            let mut persist = None;
-            let mut seed = 7u64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--index" => {
-                        index = IndexChoice::parse(it.next().ok_or("--index needs a value")?)?
-                    }
-                    "--updates" => {
-                        updates = it
-                            .next()
-                            .ok_or("--updates needs a count")?
-                            .parse()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or("--updates: want a positive count")?;
-                    }
-                    "--batch" => {
-                        batch = it
-                            .next()
-                            .ok_or("--batch needs a size (0 = one batch)")?
-                            .parse()
-                            .map_err(|e| format!("bad batch size: {e}"))?;
-                    }
-                    "--shards" => {
-                        let spec = it.next().ok_or("--shards needs RxC (e.g. 2x2)")?;
-                        shards = Some(parse_shards_spec(spec)?);
-                    }
-                    "--router" => {
-                        router = Some(RouterChoice::parse(
-                            it.next().ok_or("--router needs grid|learned")?,
-                        )?);
-                    }
-                    "--persist" => {
-                        persist = Some(it.next().ok_or("--persist needs a directory")?.clone());
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .ok_or("--seed needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad seed: {e}"))?;
-                    }
-                    other => return Err(format!("ingest: unknown flag {other:?}")),
-                }
-            }
-            if router.is_some() && shards.is_none() && persist.is_none() {
-                return Err("ingest: --router requires --shards or --persist".into());
-            }
-            Ok(Command::Ingest {
-                input,
-                index,
-                updates,
-                batch,
-                shards,
-                router: router.unwrap_or_default(),
-                persist,
-                seed,
-            })
-        }
-        "query" => {
-            let input = it.next().ok_or("query: missing input path")?.clone();
-            let mut index = IndexChoice::Zm;
-            let mut query = None;
-            let mut shards = None;
-            let mut router = None;
-            let mut persist = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--index" => {
-                        index = IndexChoice::parse(it.next().ok_or("--index needs a value")?)?
-                    }
-                    "--shards" => {
-                        let spec = it.next().ok_or("--shards needs RxC (e.g. 2x2)")?;
-                        shards = Some(parse_shards_spec(spec)?);
-                    }
-                    "--router" => {
-                        router = Some(RouterChoice::parse(
-                            it.next().ok_or("--router needs grid|learned")?,
-                        )?);
-                    }
-                    "--point" => {
-                        let v = parse_floats(it.next().ok_or("--point needs X,Y")?, 2)?;
-                        query = Some(QuerySpec::Point(Point::at(v[0], v[1])));
-                    }
-                    "--window" => {
-                        let v =
-                            parse_floats(it.next().ok_or("--window needs LOX,LOY,HIX,HIY")?, 4)?;
-                        query = Some(QuerySpec::Window(Rect::new(v[0], v[1], v[2], v[3])));
-                    }
-                    "--knn" => {
-                        let v = parse_floats(it.next().ok_or("--knn needs X,Y,K")?, 3)?;
-                        if v[2] < 1.0 || v[2].fract() != 0.0 {
-                            return Err("--knn: K must be a positive integer".into());
-                        }
-                        query = Some(QuerySpec::Knn(Point::at(v[0], v[1]), v[2] as usize));
-                    }
-                    "--persist" => {
-                        persist = Some(it.next().ok_or("--persist needs a directory")?.clone());
-                    }
-                    other => return Err(format!("query: unknown flag {other:?}")),
-                }
-            }
-            let query = query.ok_or("query: one of --point/--window/--knn is required")?;
-            if router.is_some() && shards.is_none() && persist.is_none() {
-                return Err("query: --router requires --shards or --persist".into());
-            }
-            Ok(Command::Query {
-                input,
-                index,
-                query,
-                shards,
-                router: router.unwrap_or_default(),
-                persist,
-            })
-        }
-        "save" => {
-            let input = it.next().ok_or("save: missing input path")?.clone();
-            let dir = it.next().ok_or("save: missing serving directory")?.clone();
-            let mut shards = (2usize, 2usize);
-            let mut router = RouterChoice::default();
-            let mut seed = 42u64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--shards" => {
-                        let spec = it.next().ok_or("--shards needs RxC (e.g. 2x2)")?;
-                        shards = parse_shards_spec(spec)?;
-                    }
-                    "--router" => {
-                        router =
-                            RouterChoice::parse(it.next().ok_or("--router needs grid|learned")?)?;
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .ok_or("--seed needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad seed: {e}"))?;
-                    }
-                    other => return Err(format!("save: unknown flag {other:?}")),
-                }
-            }
-            Ok(Command::Save {
-                input,
-                dir,
-                shards,
-                router,
-                seed,
-            })
-        }
-        "load" => {
-            let dir = it.next().ok_or("load: missing serving directory")?.clone();
-            Ok(Command::Load { dir })
-        }
-        "help" | "--help" | "-h" => Err(usage()),
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        Ok(())
+    }
+
+    /// The deployment shape of `save` and `--persist`: `--shards`, else
+    /// 2×2 (`save`'s default).
+    fn grid(&self) -> (usize, usize) {
+        self.shards.unwrap_or((2, 2))
     }
 }
 
-fn usage() -> String {
-    "usage:\n  \
-     elsi generate <dataset> <n> <out.csv> [--seed S]\n  \
-     elsi inspect <in.csv>\n  \
-     elsi build <in.csv> [--index zm|ml|rsmi|lisa|flood] [--method sp|rsp|cl|mr|rs|rl|og|pwl|elsi]\n  \
-     elsi ingest <in.csv> [--index ...] [--updates N] [--batch SIZE] [--shards RxC] [--router grid|learned] [--persist DIR] [--seed S]\n  \
-     elsi query <in.csv> [--index ...] [--shards RxC] [--router grid|learned] [--persist DIR] --point X,Y | --window LOX,LOY,HIX,HIY | --knn X,Y,K\n  \
-     elsi save <in.csv> <dir> [--shards RxC] [--router grid|learned] [--seed S]\n  \
-     elsi load <dir>"
-        .to_string()
+/// The member of `all` called `value`, ignoring case.
+fn named<T>(value: &str, all: impl IntoIterator<Item = T>, name: fn(&T) -> &str) -> Option<T> {
+    all.into_iter()
+        .find(|t| name(t).eq_ignore_ascii_case(value))
+}
+
+fn whole<T: FromStr + PartialOrd + Display>(s: &str, min: T) -> Result<T, String> {
+    let n = s.trim().parse().ok().filter(|n| *n >= min);
+    n.ok_or_else(|| format!("expected a whole number ≥ {min}"))
+}
+
+/// `N` comma-separated finite numbers.
+fn floats<const N: usize>(s: &str) -> Result<[f64; N], String> {
+    let vals = s.split(',').map(|v| match v.trim().parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        Ok(x) => Err(format!("{x} is not a finite number")),
+        Err(e) => Err(format!("bad number {v:?}: {e}")),
+    });
+    let vals = vals.collect::<Result<Vec<f64>, String>>()?;
+    let got = vals.len();
+    vals.try_into()
+        .map_err(|_| format!("expected {N} comma-separated numbers, got {got}"))
 }
 
 fn load_points(path: &str) -> Result<Vec<Point>, String> {
@@ -528,82 +488,78 @@ fn load_points(path: &str) -> Result<Vec<Point>, String> {
     }
 }
 
+/// The method every serving path trains with.
+const RS: MethodChoice = MethodChoice::Fixed(Method::Rs);
+
 /// `SpatialIndex: Send + Sync`, so the same `build_kind` serves as a shard
 /// builder.
 type BoxedIndex = Box<dyn SpatialIndex>;
 
-fn build_index(
-    pts: Vec<Point>,
+/// The durable deployment of `save`, `load` and `--persist`: ZM has an
+/// exact state codec, so recovery decodes shards instead of retraining.
+/// The routing policy is boxed so grid and learned deployments share one
+/// type, and a serving directory reopens as whichever kind it persisted.
+type Zm = ShardedIndex<ZmIndex, Box<dyn PersistRouter>>;
+
+/// The model builder of `method` over `n` points, shareable across shards.
+fn model_builder(
+    n: usize,
     index: IndexChoice,
     method: MethodChoice,
-) -> Result<BoxedIndex, String> {
-    let n = pts.len();
+) -> Result<Arc<dyn ModelBuilder>, String> {
     let cfg = ElsiConfig::scaled_for(n);
-    let builder: Box<dyn ModelBuilder> = match method {
-        MethodChoice::Pwl => Box::new(PwlBuilder::default()),
-        MethodChoice::Fixed(m) => {
-            if index == IndexChoice::Lisa && m.synthesises_points() {
-                return Err(format!(
-                    "method {m} is inapplicable to LISA (synthesises points)"
-                ));
-            }
-            let elsi = Elsi::new(cfg.clone());
-            Box::new(elsi.fixed_builder(m))
+    Ok(match method {
+        MethodChoice::Pwl => Arc::new(PwlBuilder::default()),
+        MethodChoice::Fixed(m) if index == IndexChoice::Lisa && m.synthesises_points() => {
+            return Err(format!(
+                "method {m} is inapplicable to LISA (synthesises points)"
+            ));
         }
+        MethodChoice::Fixed(m) => Arc::new(Elsi::new(cfg).fixed_builder(m)),
         MethodChoice::Selector => {
-            let mut elsi = Elsi::new(cfg.clone());
+            let mut elsi = Elsi::new(cfg);
             eprintln!("preparing the method scorer (one-off)…");
             elsi.prepare_scorer(&[(n / 20).max(200), n], &[1, 4, 12], 7);
-            let b = if index == IndexChoice::Lisa {
-                elsi.builder().for_lisa()
+            let b = elsi.builder();
+            Arc::new(if index == IndexChoice::Lisa {
+                b.for_lisa()
             } else {
-                elsi.builder()
-            };
-            return Ok(build_kind(pts, index, &b));
+                b
+            })
         }
-    };
-    Ok(build_kind(pts, index, builder.as_ref()))
+    })
 }
 
 fn build_kind(pts: Vec<Point>, index: IndexChoice, b: &dyn ModelBuilder) -> BoxedIndex {
     let n = pts.len().max(1);
     match index {
-        IndexChoice::Zm => Box::new(ZmIndex::build(
-            pts,
-            &ZmConfig {
-                fanout: (n / 12_500).clamp(4, 16),
-            },
-            b,
-        )),
+        IndexChoice::Zm => {
+            let fanout = (n / 12_500).clamp(4, 16);
+            Box::new(ZmIndex::build(pts, &ZmConfig { fanout }, b))
+        }
         IndexChoice::Ml => Box::new(MlIndex::build(pts, &MlConfig::default(), b)),
         IndexChoice::Rsmi => Box::new(RsmiIndex::build(pts, &RsmiConfig::default(), b)),
-        IndexChoice::Lisa => Box::new(LisaIndex::build(
-            pts,
-            &LisaConfig {
-                shard_size: (n / 200).clamp(100, 1000),
+        IndexChoice::Lisa => {
+            let shard_size = (n / 200).clamp(100, 1000);
+            let cfg = LisaConfig {
+                shard_size,
                 ..LisaConfig::default()
-            },
-            b,
-        )),
-        IndexChoice::Flood => Box::new(FloodIndex::build(
-            pts,
-            &FloodConfig {
-                columns: (n / 2_000).clamp(4, 64),
-            },
-            b,
-        )),
+            };
+            Box::new(LisaIndex::build(pts, &cfg, b))
+        }
+        IndexChoice::Flood => {
+            let columns = (n / 2_000).clamp(4, 64);
+            Box::new(FloodIndex::build(pts, &FloodConfig { columns }, b))
+        }
     }
 }
 
-/// The routing policy is boxed so grid and learned deployments share one
-/// type — and a serving directory reopens as whichever kind it persisted.
 fn boxed_router(
-    router: RouterChoice,
+    a: &Command,
     pts: &[Point],
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
 ) -> Box<dyn PersistRouter> {
-    match router {
+    match a.router {
         RouterChoice::Grid => Box::new(GridRouter::new(rows, cols)),
         RouterChoice::Learned => Box::new(LearnedRouter::fit_sampled(pts, rows, cols)),
     }
@@ -614,397 +570,303 @@ fn boxed_router(
 /// the CLI are one-shot, so the rebuild policy is `Never`).
 fn build_sharded(
     pts: Vec<Point>,
-    index: IndexChoice,
-    rows: usize,
-    cols: usize,
-    router: RouterChoice,
-) -> ShardedIndex<BoxedIndex, Box<dyn PersistRouter>> {
-    let routing = boxed_router(router, &pts, rows, cols);
+    a: &Command,
+    (rows, cols): (usize, usize),
+) -> Result<ShardedIndex<BoxedIndex, Box<dyn PersistRouter>>, String> {
+    let routing = boxed_router(a, &pts, (rows, cols));
+    let (index, builder) = (a.index, model_builder(pts.len(), a.index, RS)?);
+    let shard = move |_: &_, pts| build_kind(pts, index, builder.as_ref());
+    let cfg = ShardedConfig::grid(rows, cols);
+    Ok(ShardedIndex::build(pts, routing, &cfg, shard, |_| {
+        RebuildPolicy::Never
+    }))
+}
+
+/// A ZM sharded deployment shaped by `--shards`, `--router` and `--seed`.
+fn build_zm(pts: Vec<Point>, a: &Command) -> Zm {
+    let (rows, cols) = a.grid();
     let elsi = Elsi::new(ElsiConfig::scaled_for(pts.len()));
-    let builder = elsi.fixed_builder(Method::Rs);
-    let builder = Arc::new(if index == IndexChoice::Lisa {
-        builder.for_lisa()
-    } else {
-        builder
-    });
-    ShardedIndex::build(
-        pts,
-        routing,
-        &ShardedConfig::grid(rows, cols),
-        move |_ctx, shard_pts| build_kind(shard_pts, index, builder.as_ref()),
-        |_shard| RebuildPolicy::Never,
-    )
+    let routing = boxed_router(a, &pts, (rows, cols));
+    let cfg = ShardedConfig {
+        seed: a.seed,
+        ..ShardedConfig::grid(rows, cols)
+    };
+    ShardedIndex::zm(pts, routing, &cfg, &elsi)
 }
 
-/// The durable serving deployment behind `save`/`load`/`--persist`: ZM
-/// shards, the index kind with an exact state codec, so recovery decodes
-/// rather than retrains.
-fn build_zm(
-    pts: Vec<Point>,
-    cfg: &ShardedConfig,
-    router: RouterChoice,
-    elsi: &Elsi,
-) -> ShardedIndex<ZmIndex, Box<dyn PersistRouter>> {
-    let routing = boxed_router(router, &pts, cfg.rows, cfg.cols);
-    ShardedIndex::zm(pts, routing, cfg, elsi)
+/// Opens the deployment saved in `dir`: its manifest, the deployment, and
+/// how long the open took.
+fn recover(dir: &str) -> Result<(Manifest, Zm, Duration), String> {
+    let manifest = read_manifest(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+    let t0 = Instant::now();
+    let elsi = Elsi::new(ElsiConfig::default());
+    let dep = ShardedIndex::open_zm(Path::new(dir), &elsi).map_err(|e| e.to_string())?;
+    Ok((manifest, dep, t0.elapsed()))
 }
 
-/// Recovers a [`build_zm`] deployment from its serving directory.
-fn open_zm(dir: &Path) -> Result<ShardedIndex<ZmIndex, Box<dyn PersistRouter>>, String> {
-    ShardedIndex::open_zm(dir, &Elsi::new(ElsiConfig::default())).map_err(|e| e.to_string())
+/// Saves `dep` into `dir` as its next generation.
+fn checkpoint(dep: &mut Zm, dir: &str) -> Result<u64, String> {
+    dep.save(Path::new(dir), &zm_codec())
+        .map_err(|e| e.to_string())
 }
 
-/// The chunk loop of every `elsi ingest` mode: applies `stream` through
-/// `apply` in `chunk`-sized batches and returns the `batch size` /
-/// `throughput` lines of the report.
-fn ingest_chunks(
-    stream: &[stream::Update],
-    chunk: usize,
-    apply: impl FnMut(&[stream::Update]),
-) -> String {
+/// The deployment `--persist <dir>` serves: recovered from `dir` when it
+/// holds one, else built from `points()` and saved there first. Reports
+/// which into `out`.
+fn open_or_build(
+    a: &Command,
+    dir: &str,
+    points: impl FnOnce() -> Result<Vec<Point>, String>,
+    out: &mut String,
+) -> Result<Zm, String> {
+    if a.index != IndexChoice::Zm {
+        let why = "serves ZM deployments only (the exact snapshot codec); use --index zm";
+        return Err(format!("{}: --persist {why}", a.name));
+    }
+    if Path::new(dir).join(MANIFEST_NAME).exists() {
+        let (manifest, dep, took) = recover(dir)?;
+        let (generation, router) = (manifest.generation, manifest.router_kind);
+        let shards = dep.num_shards();
+        let _ = writeln!(
+            out,
+            "recovered generation {generation} from {dir} ({shards} shards, {router} router) in {took:?}"
+        );
+        return Ok(dep);
+    }
+    let ((rows, cols), router) = (a.grid(), a.router.name());
+    let mut dep = build_zm(points()?, a);
+    let generation = checkpoint(&mut dep, dir)?;
+    let _ = writeln!(
+        out,
+        "persisted generation {generation} to {dir} ({rows}x{cols} ZM shards, {router} router)"
+    );
+    Ok(dep)
+}
+
+/// Applies `stream` through `apply` in `chunk`-sized batches and returns
+/// the `batch size` / `throughput` lines of the report.
+fn ingest_chunks(stream: &[Update], chunk: usize, apply: impl FnMut(&[Update])) -> String {
     let t0 = Instant::now();
     stream.chunks(chunk).for_each(apply);
-    let secs = t0.elapsed().as_secs_f64();
-    format!(
-        "batch size:          {chunk}\nthroughput:          {:.0} updates/s\n",
-        stream.len() as f64 / secs.max(1e-12)
-    )
+    let rate = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
+    format!("batch size:          {chunk}\nthroughput:          {rate:.0} updates/s\n")
 }
 
-/// Renders one query answer (shared by the monolith and sharded paths).
-fn render_query(idx: &dyn SpatialIndex, query: QuerySpec, out: &mut String) {
-    match query {
-        QuerySpec::Point(p) => match idx.point_query(p) {
-            Some(found) => {
-                let _ = writeln!(out, "found: {found}");
-            }
-            None => {
-                let _ = writeln!(out, "not found");
-            }
-        },
+/// [`ingest_chunks`] through a sharded deployment, with its rebuild tally.
+fn ingest_sharded<I: SpatialIndex>(
+    dep: &mut ShardedIndex<I, Box<dyn PersistRouter>>,
+    stream: &[Update],
+    chunk: usize,
+) -> String {
+    let mut rebuilds = 0usize;
+    let rate = ingest_chunks(stream, chunk, |c| rebuilds += dep.par_apply_updates(c));
+    format!("{rate}shard rebuilds:      {rebuilds}")
+}
+
+/// Renders one query answer (shared by every serving path).
+fn render_query(idx: &dyn SpatialIndex, query: QuerySpec) -> String {
+    let mut lines = match query {
+        QuerySpec::Point(p) => {
+            let found = idx.point_query(p);
+            vec![found.map_or("not found".into(), |found| format!("found: {found}"))]
+        }
         QuerySpec::Window(w) => {
             let hits = idx.window_query(&w);
-            let _ = writeln!(out, "{} points in window", hits.len());
-            for p in hits.iter().take(20) {
-                let _ = writeln!(out, "  {p}");
-            }
+            let mut lines = vec![format!("{} points in window", hits.len())];
+            lines.extend(hits.iter().take(20).map(|p| format!("  {p}")));
             if hits.len() > 20 {
-                let _ = writeln!(out, "  … and {} more", hits.len() - 20);
+                lines.push(format!("  … and {} more", hits.len() - 20));
             }
+            lines
         }
         QuerySpec::Knn(q, k) => {
             let hits = idx.knn_query(q, k);
-            let _ = writeln!(
-                out,
-                "{} nearest neighbours of ({}, {}):",
-                hits.len(),
-                q.x,
-                q.y
-            );
-            for p in &hits {
-                let _ = writeln!(out, "  {p}  dist {:.6}", q.dist(p));
-            }
+            let head = format!("{} nearest neighbours of ({}, {}):", hits.len(), q.x, q.y);
+            let each = hits.iter().map(|p| format!("  {p}  dist {:.6}", q.dist(p)));
+            [head].into_iter().chain(each).collect()
         }
-    }
+    };
+    lines.push(String::new());
+    lines.join("\n")
 }
 
 /// Executes a command, returning the text to print.
 // lint:serving_root
 pub fn run(cmd: Command) -> Result<String, String> {
+    (row(cmd.name)?.run)(&cmd)
+}
+
+// The handlers are reached through the command table, not by name, so
+// each is a serving root of its own.
+
+// lint:serving_root
+fn generate(a: &Command) -> Result<String, String> {
+    let pts = a.dataset.generate(a.n, a.seed);
+    io::write_points_csv(Path::new(&a.out), &pts).map_err(|e| e.to_string())?;
+    Ok(format!("wrote {} {} points to {}\n", a.n, a.dataset, a.out))
+}
+
+// lint:serving_root
+fn inspect(a: &Command) -> Result<String, String> {
+    let pts = load_points(&a.input)?;
+    let bbox = Rect::mbr_of(&pts);
+    let mut keys = MortonMapper.keys(&pts);
+    keys.sort_unstable_by(|a, b| a.total_cmp(b));
+    let dist_u = dist_from_uniform(&keys);
+    let method = if dist_u < 0.1 {
+        "SP (near-uniform)"
+    } else {
+        "RS (skewed)"
+    };
+    Ok(format!(
+        "points:              {}\n\
+         bounding box:        [{:.6}, {:.6}] x [{:.6}, {:.6}]\n\
+         dist(D_U, D):        {dist_u:.4} (Z-order keys vs uniform)\n\
+         suggested method:    {method}\n",
+        pts.len(),
+        bbox.lo_x,
+        bbox.hi_x,
+        bbox.lo_y,
+        bbox.hi_y
+    ))
+}
+
+// lint:serving_root
+fn build(a: &Command) -> Result<String, String> {
+    let pts = load_points(&a.input)?;
+    let n = pts.len();
+    let probes: Vec<Point> = pts.iter().step_by((n / 1000).max(1)).copied().collect();
+    let t0 = Instant::now();
+    let idx = build_kind(pts, a.index, model_builder(n, a.index, a.method)?.as_ref());
+    let build = t0.elapsed();
+    let t1 = Instant::now();
+    let found = probes
+        .iter()
+        .filter(|p| idx.point_query(**p).is_some())
+        .count();
+    let per = t1.elapsed().as_secs_f64() * 1e6 / probes.len() as f64;
+    Ok(format!(
+        "index:               {}\n\
+         points:              {n}\n\
+         build time:          {build:?}\n\
+         point query:         {per:.2} µs/query\n\
+         probes found:        {found}/{}\n\
+         structure depth:     {}\n",
+        a.index.name(),
+        probes.len(),
+        idx.depth()
+    ))
+}
+
+// lint:serving_root
+fn ingest(a: &Command) -> Result<String, String> {
+    let pts = load_points(&a.input)?;
+    let base_len = pts.len();
+    let stream = stream::churn(&pts, a.updates, 0.7, a.seed);
+    let chunk = if a.batch == 0 {
+        stream.len().max(1)
+    } else {
+        a.batch
+    };
+    let (kind, router) = (a.index.name(), a.router.name());
     let mut out = String::new();
-    match cmd {
-        Command::Generate {
-            dataset,
-            n,
-            out: path,
-            seed,
-        } => {
-            let pts = dataset.generate(n, seed);
-            io::write_points_csv(Path::new(&path), &pts).map_err(|e| e.to_string())?;
-            let _ = writeln!(out, "wrote {n} {dataset} points to {path}");
-        }
-        Command::Inspect { input } => {
-            let pts = load_points(&input)?;
-            let bbox = Rect::mbr_of(&pts);
-            let mut keys = MortonMapper.keys(&pts);
-            keys.sort_unstable_by(|a, b| a.total_cmp(b));
-            let dist_u = dist_from_uniform(&keys);
-            let _ = writeln!(out, "points:              {}", pts.len());
-            let _ = writeln!(
-                out,
-                "bounding box:        [{:.6}, {:.6}] x [{:.6}, {:.6}]",
-                bbox.lo_x, bbox.hi_x, bbox.lo_y, bbox.hi_y
-            );
-            let _ = writeln!(
-                out,
-                "dist(D_U, D):        {dist_u:.4} (Z-order keys vs uniform)"
-            );
-            let _ = writeln!(
-                out,
-                "suggested method:    {}",
-                if dist_u < 0.1 {
-                    "SP (near-uniform)"
-                } else {
-                    "RS (skewed)"
-                }
-            );
-        }
-        Command::Build {
-            input,
-            index,
-            method,
-        } => {
-            let pts = load_points(&input)?;
-            let n = pts.len();
-            let probes: Vec<Point> = pts.iter().step_by((n / 1000).max(1)).copied().collect();
-            let t0 = Instant::now();
-            let idx = build_index(pts, index, method)?;
-            let build = t0.elapsed();
-            let t1 = Instant::now();
-            let mut found = 0usize;
-            for p in &probes {
-                if idx.point_query(*p).is_some() {
-                    found += 1;
-                }
-            }
-            let per = t1.elapsed().as_secs_f64() * 1e6 / probes.len() as f64;
-            let _ = writeln!(out, "index:               {}", index.name());
-            let _ = writeln!(out, "points:              {n}");
-            let _ = writeln!(out, "build time:          {build:?}");
-            let _ = writeln!(out, "point query:         {per:.2} µs/query");
-            let _ = writeln!(out, "probes found:        {found}/{}", probes.len());
-            let _ = writeln!(out, "structure depth:     {}", idx.depth());
-        }
-        Command::Ingest {
-            input,
-            index,
-            updates,
-            batch,
-            shards,
-            router,
-            persist,
-            seed,
-        } => {
-            let pts = load_points(&input)?;
-            let base_len = pts.len();
-            let stream = stream::churn(&pts, updates, 0.7, seed);
-            let chunk = if batch == 0 {
-                stream.len().max(1)
-            } else {
-                batch
-            };
-            if let Some(dir_str) = persist {
-                if index != IndexChoice::Zm {
-                    return Err(
-                        "ingest: --persist serves ZM deployments only (the exact snapshot \
-                         codec); use --index zm"
-                            .into(),
-                    );
-                }
-                let dir = Path::new(&dir_str);
-                let mut dep = if dir.join(MANIFEST_NAME).exists() {
-                    let manifest = read_manifest(dir).map_err(|e| format!("{dir_str}: {e}"))?;
-                    let t0 = Instant::now();
-                    let dep = open_zm(dir)?;
-                    let _ = writeln!(
-                        out,
-                        "recovered generation {} from {dir_str} in {:?}",
-                        manifest.generation,
-                        t0.elapsed()
-                    );
-                    dep
-                } else {
-                    let (rows, cols) = shards.unwrap_or((2, 2));
-                    let mut cfg = ShardedConfig::grid(rows, cols);
-                    cfg.seed = seed;
-                    let elsi = Elsi::new(ElsiConfig::scaled_for(base_len));
-                    let mut dep = build_zm(pts, &cfg, router, &elsi);
-                    let g = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
-                    let _ = writeln!(
-                        out,
-                        "persisted generation {g} to {dir_str} ({rows}x{cols} ZM shards, {} router)",
-                        router.name()
-                    );
-                    dep
-                };
-                let mut rebuilds = 0usize;
-                let rate = ingest_chunks(&stream, chunk, |c| rebuilds += dep.par_apply_updates(c));
-                // Checkpoint: the new generation's snapshots absorb the
-                // tail just journaled into the per-shard WALs.
-                let generation = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
-                let _ = writeln!(
-                    out,
-                    "ingested {} updates (journaled per shard, checkpointed as generation {generation})",
-                    stream.len()
-                );
-                out.push_str(&rate);
-                let _ = writeln!(out, "shard rebuilds:      {rebuilds}");
-                let _ = writeln!(out, "live points:         {} (from {base_len})", dep.len());
-                return Ok(out);
-            }
-            match shards {
-                Some((rows, cols)) => {
-                    let mut sharded = build_sharded(pts, index, rows, cols, router);
-                    let mut rebuilds = 0usize;
-                    let rate =
-                        ingest_chunks(&stream, chunk, |c| rebuilds += sharded.par_apply_updates(c));
-                    let _ = writeln!(
-                        out,
-                        "ingested {} updates through {rows}x{cols} shards ({} kind, {} router)",
-                        stream.len(),
-                        index.name(),
-                        router.name()
-                    );
-                    out.push_str(&rate);
-                    let _ = writeln!(out, "shard rebuilds:      {rebuilds}");
-                    let _ = writeln!(
-                        out,
-                        "live points:         {} (from {base_len})",
-                        sharded.len()
-                    );
-                }
-                None => {
-                    let elsi = Elsi::new(ElsiConfig::scaled_for(base_len));
-                    let builder = elsi.fixed_builder(Method::Rs);
-                    let builder = Arc::new(if index == IndexChoice::Lisa {
-                        builder.for_lisa()
-                    } else {
-                        builder
-                    });
-                    let rebuild: RebuildFn<DeltaOverlay<BoxedIndex>> = Box::new(move |p| {
-                        DeltaOverlay::new(build_kind(p, index, builder.as_ref()))
-                    });
-                    let mut proc = UpdateProcessor::new(pts, rebuild, RebuildPolicy::Never, 1024);
-                    let (mut applied, mut ignored) = (0usize, 0usize);
-                    let rate = ingest_chunks(&stream, chunk, |c| {
-                        let o = proc.apply_batch(c);
-                        applied += o.applied;
-                        ignored += o.ignored;
-                    });
-                    let _ = writeln!(
-                        out,
-                        "ingested {} updates into a {} monolith",
-                        stream.len(),
-                        index.name()
-                    );
-                    out.push_str(&rate);
-                    let _ = writeln!(out, "applied / ignored:   {applied} / {ignored}");
-                    let _ = writeln!(out, "live points:         {} (from {base_len})", proc.len());
-                }
-            }
-        }
-        Command::Query {
-            input,
-            index,
-            query,
-            shards,
-            router,
-            persist,
-        } => {
-            if let Some(dir_str) = persist {
-                if index != IndexChoice::Zm {
-                    return Err(
-                        "query: --persist serves ZM deployments only (the exact snapshot \
-                         codec); use --index zm"
-                            .into(),
-                    );
-                }
-                let dir = Path::new(&dir_str);
-                let dep = if dir.join(MANIFEST_NAME).exists() {
-                    let manifest = read_manifest(dir).map_err(|e| format!("{dir_str}: {e}"))?;
-                    let t0 = Instant::now();
-                    let dep = open_zm(dir)?;
-                    let _ = writeln!(
-                        out,
-                        "recovered generation {} from {dir_str} ({} shards, {} router) in {:?}",
-                        manifest.generation,
-                        dep.num_shards(),
-                        manifest.router_kind,
-                        t0.elapsed()
-                    );
-                    dep
-                } else {
-                    let pts = load_points(&input)?;
-                    let (rows, cols) = shards.unwrap_or((2, 2));
-                    let elsi = Elsi::new(ElsiConfig::scaled_for(pts.len()));
-                    let mut dep = build_zm(pts, &ShardedConfig::grid(rows, cols), router, &elsi);
-                    let generation = dep.save(dir, &zm_codec()).map_err(|e| e.to_string())?;
-                    let _ = writeln!(
-                        out,
-                        "persisted generation {generation} to {dir_str} ({rows}x{cols} ZM shards, {} router)",
-                        router.name()
-                    );
-                    dep
-                };
-                render_query(&dep, query, &mut out);
-                return Ok(out);
-            }
-            let pts = load_points(&input)?;
-            match shards {
-                Some((rows, cols)) => {
-                    let sharded = build_sharded(pts, index, rows, cols, router);
-                    let _ = writeln!(
-                        out,
-                        "serving through {rows}x{cols} shards ({} kind, {} router)",
-                        index.name(),
-                        router.name()
-                    );
-                    render_query(&sharded, query, &mut out);
-                }
-                None => {
-                    let idx = build_index(pts, index, MethodChoice::Fixed(Method::Rs))?;
-                    render_query(idx.as_ref(), query, &mut out);
-                }
-            }
-        }
-        Command::Save {
-            input,
-            dir,
-            shards: (rows, cols),
-            router,
-            seed,
-        } => {
-            let pts = load_points(&input)?;
-            let n = pts.len();
-            let mut cfg = ShardedConfig::grid(rows, cols);
-            cfg.seed = seed;
-            let elsi = Elsi::new(ElsiConfig::scaled_for(n));
-            let t0 = Instant::now();
-            let mut dep = build_zm(pts, &cfg, router, &elsi);
-            let build = t0.elapsed();
-            let t1 = Instant::now();
-            let generation = dep
-                .save(Path::new(&dir), &zm_codec())
-                .map_err(|e| e.to_string())?;
-            let save_time = t1.elapsed();
-            let _ = writeln!(
-                out,
-                "persisted {n} points as {rows}x{cols} ZM shards ({} router)",
-                router.name()
-            );
-            let _ = writeln!(out, "directory:           {dir}");
-            let _ = writeln!(out, "generation:          {generation}");
-            let _ = writeln!(out, "build time:          {build:?}");
-            let _ = writeln!(out, "save time:           {save_time:?}");
-        }
-        Command::Load { dir } => {
-            let path = Path::new(&dir);
-            let manifest = read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
-            let t0 = Instant::now();
-            let dep = open_zm(path)?;
-            let took = t0.elapsed();
-            let _ = writeln!(
-                out,
-                "recovered generation {} from {dir}",
-                manifest.generation
-            );
-            let _ = writeln!(out, "router:              {}", manifest.router_kind);
-            let _ = writeln!(out, "shards:              {}", dep.num_shards());
-            let _ = writeln!(out, "live points:         {}", dep.len());
-            let _ = writeln!(out, "recovery time:       {took:?}");
-        }
-    }
+    let (how, tally, live) = if let Some(dir) = &a.persist {
+        let mut dep = open_or_build(a, dir, || Ok(pts), &mut out)?;
+        let tally = ingest_sharded(&mut dep, &stream, chunk);
+        // Checkpoint: the new generation's snapshots absorb the tail just
+        // journaled into the per-shard WALs.
+        let generation = checkpoint(&mut dep, dir)?;
+        let how = format!("(journaled per shard, checkpointed as generation {generation})");
+        (how, tally, dep.len())
+    } else if let Some((rows, cols)) = a.shards {
+        let mut dep = build_sharded(pts, a, (rows, cols))?;
+        let tally = ingest_sharded(&mut dep, &stream, chunk);
+        let how = format!("through {rows}x{cols} shards ({kind} kind, {router} router)");
+        (how, tally, dep.len())
+    } else {
+        let (index, builder) = (a.index, model_builder(base_len, a.index, RS)?);
+        let rebuild: RebuildFn<DeltaOverlay<BoxedIndex>> =
+            Box::new(move |p| DeltaOverlay::new(build_kind(p, index, builder.as_ref())));
+        let mut proc = UpdateProcessor::new(pts, rebuild, RebuildPolicy::Never, 1024);
+        let (mut applied, mut ignored) = (0usize, 0usize);
+        let rate = ingest_chunks(&stream, chunk, |c| {
+            let o = proc.apply_batch(c);
+            applied += o.applied;
+            ignored += o.ignored;
+        });
+        let tally = format!("{rate}applied / ignored:   {applied} / {ignored}");
+        (format!("into a {kind} monolith"), tally, proc.len())
+    };
+    let n = stream.len();
+    let _ = writeln!(
+        out,
+        "ingested {n} updates {how}\n{tally}\nlive points:         {live} (from {base_len})"
+    );
     Ok(out)
+}
+
+// lint:serving_root
+fn query(a: &Command) -> Result<String, String> {
+    let q = a.query.ok_or_else(usage)?;
+    let mut out = String::new();
+    let answer = if let Some(dir) = &a.persist {
+        render_query(
+            &open_or_build(a, dir, || load_points(&a.input), &mut out)?,
+            q,
+        )
+    } else if let Some((rows, cols)) = a.shards {
+        let dep = build_sharded(load_points(&a.input)?, a, (rows, cols))?;
+        let (kind, router) = (a.index.name(), a.router.name());
+        let _ = writeln!(
+            out,
+            "serving through {rows}x{cols} shards ({kind} kind, {router} router)"
+        );
+        render_query(&dep, q)
+    } else {
+        let pts = load_points(&a.input)?;
+        let builder = model_builder(pts.len(), a.index, RS)?;
+        render_query(build_kind(pts, a.index, builder.as_ref()).as_ref(), q)
+    };
+    Ok(out + &answer)
+}
+
+// lint:serving_root
+fn save(a: &Command) -> Result<String, String> {
+    let pts = load_points(&a.input)?;
+    let n = pts.len();
+    let (rows, cols) = a.grid();
+    let t0 = Instant::now();
+    let mut dep = build_zm(pts, a);
+    let build = t0.elapsed();
+    let t1 = Instant::now();
+    let generation = checkpoint(&mut dep, &a.dir)?;
+    Ok(format!(
+        "persisted {n} points as {rows}x{cols} ZM shards ({} router)\n\
+         directory:           {}\n\
+         generation:          {generation}\n\
+         build time:          {build:?}\n\
+         save time:           {:?}\n",
+        a.router.name(),
+        a.dir,
+        t1.elapsed()
+    ))
+}
+
+// lint:serving_root
+fn load(a: &Command) -> Result<String, String> {
+    let (manifest, dep, took) = recover(&a.dir)?;
+    Ok(format!(
+        "recovered generation {} from {}\n\
+         router:              {}\n\
+         shards:              {}\n\
+         live points:         {}\n\
+         recovery time:       {took:?}\n",
+        manifest.generation,
+        a.dir,
+        manifest.router_kind,
+        dep.num_shards(),
+        dep.len()
+    ))
 }
 
 #[cfg(test)]
@@ -1016,86 +878,59 @@ mod tests {
     }
 
     #[test]
-    fn parse_generate() {
-        let cmd = parse_args(&args("generate NYC 5000 /tmp/nyc.csv --seed 7")).unwrap();
+    fn parse_generate() -> Result<(), String> {
+        let cmd = parse_args(&args("generate NYC 5000 /tmp/nyc.csv --seed 7"))?;
         assert_eq!(
-            cmd,
-            Command::Generate {
-                dataset: Dataset::Nyc,
-                n: 5000,
-                out: "/tmp/nyc.csv".into(),
-                seed: 7
-            }
+            (cmd.name, cmd.dataset, cmd.n, cmd.out.as_str(), cmd.seed),
+            ("generate", Dataset::Nyc, 5000, "/tmp/nyc.csv", 7)
         );
         // Default seed.
-        let cmd = parse_args(&args("generate uniform 10 out.csv")).unwrap();
-        assert!(matches!(cmd, Command::Generate { seed: 42, .. }));
+        assert_eq!(parse_args(&args("generate uniform 10 out.csv"))?.seed, 42);
+        Ok(())
     }
 
     #[test]
-    fn parse_build_flags() {
-        let cmd = parse_args(&args("build in.csv --index lisa --method sp")).unwrap();
+    fn parse_build_flags() -> Result<(), String> {
+        let cmd = parse_args(&args("build in.csv --index lisa --method sp"))?;
         assert_eq!(
-            cmd,
-            Command::Build {
-                input: "in.csv".into(),
-                index: IndexChoice::Lisa,
-                method: MethodChoice::Fixed(Method::Sp)
-            }
+            (cmd.name, cmd.input.as_str(), cmd.index, cmd.method),
+            (
+                "build",
+                "in.csv",
+                IndexChoice::Lisa,
+                MethodChoice::Fixed(Method::Sp)
+            )
         );
-        let cmd = parse_args(&args("build in.csv --method pwl")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Build {
-                method: MethodChoice::Pwl,
-                ..
-            }
-        ));
+        let cmd = parse_args(&args("build in.csv --method pwl"))?;
+        assert_eq!(
+            (cmd.index, cmd.method),
+            (IndexChoice::Zm, MethodChoice::Pwl)
+        );
+        Ok(())
     }
 
     #[test]
-    fn parse_queries() {
-        let cmd = parse_args(&args("query in.csv --point 0.5,0.25")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                query: QuerySpec::Point(_),
-                ..
-            }
-        ));
-        let cmd = parse_args(&args("query in.csv --window 0.1,0.1,0.2,0.2")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                query: QuerySpec::Window(_),
-                ..
-            }
-        ));
-        let cmd = parse_args(&args("query in.csv --knn 0.5,0.5,25 --index rsmi")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                query: QuerySpec::Knn(_, 25),
-                index: IndexChoice::Rsmi,
-                shards: None,
-                ..
-            }
-        ));
+    fn parse_queries() -> Result<(), String> {
+        let cmd = parse_args(&args("query in.csv --point 0.5,0.25"))?;
+        assert_eq!(cmd.query, Some(QuerySpec::Point(Point::at(0.5, 0.25))));
+        let cmd = parse_args(&args("query in.csv --window 0.1,0.1,0.2,0.2"))?;
+        assert!(matches!(cmd.query, Some(QuerySpec::Window(_))));
+        let cmd = parse_args(&args("query in.csv --knn 0.5,0.5,25 --index rsmi"))?;
+        assert!(matches!(cmd.query, Some(QuerySpec::Knn(_, 25))));
+        assert_eq!((cmd.index, cmd.shards), (IndexChoice::Rsmi, None));
+        Ok(())
     }
 
     #[test]
     fn parse_shards() -> Result<(), String> {
         let cmd = parse_args(&args("query in.csv --shards 2x4 --point 0.5,0.5"))?;
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                shards: Some((2, 4)),
-                ..
-            }
-        ));
-        assert!(parse_args(&args("query in.csv --shards 2 --point 0.5,0.5")).is_err());
-        assert!(parse_args(&args("query in.csv --shards 0x2 --point 0.5,0.5")).is_err());
-        assert!(parse_args(&args("query in.csv --shards axb --point 0.5,0.5")).is_err());
+        assert_eq!(cmd.shards, Some((2, 4)));
+        for bad in ["2", "0x2", "axb"] {
+            let err = parse_args(&args(&format!(
+                "query in.csv --shards {bad} --point 0.5,0.5"
+            )));
+            assert!(err.is_err_and(|e| e.contains("--shards")), "{bad}");
+        }
         Ok(())
     }
 
@@ -1104,40 +939,26 @@ mod tests {
         let cmd = parse_args(&args(
             "query in.csv --shards 2x2 --router learned --point 0.5,0.5",
         ))?;
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                shards: Some((2, 2)),
-                router: RouterChoice::Learned,
-                ..
-            }
-        ));
+        assert_eq!(
+            (cmd.shards, cmd.router),
+            (Some((2, 2)), RouterChoice::Learned)
+        );
         // Default policy is the grid; explicit `grid` parses too.
         let cmd = parse_args(&args("query in.csv --shards 2x2 --point 0.5,0.5"))?;
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                router: RouterChoice::Grid,
-                ..
-            }
-        ));
+        assert_eq!(cmd.router, RouterChoice::Grid);
         let cmd = parse_args(&args(
             "ingest in.csv --shards 2x2 --router grid --updates 10",
         ))?;
-        assert!(matches!(
-            cmd,
-            Command::Ingest {
-                router: RouterChoice::Grid,
-                ..
-            }
-        ));
+        assert_eq!(cmd.router, RouterChoice::Grid);
         // --router without --shards, and unknown policies, are rejected.
-        assert!(parse_args(&args("query in.csv --router learned --point 0.5,0.5")).is_err());
-        assert!(parse_args(&args("ingest in.csv --router learned")).is_err());
-        assert!(parse_args(&args(
-            "query in.csv --shards 2x2 --router rr --point 0.5,0.5"
-        ))
-        .is_err());
+        for bad in [
+            "query in.csv --router learned --point 0.5,0.5",
+            "ingest in.csv --router learned",
+            "query in.csv --shards 2x2 --router rr --point 0.5,0.5",
+        ] {
+            let err = parse_args(&args(bad));
+            assert!(err.is_err_and(|e| e.contains("--router")), "{bad}");
+        }
         Ok(())
     }
 
@@ -1146,31 +967,21 @@ mod tests {
         let cmd = parse_args(&args(
             "ingest in.csv --updates 500 --batch 100 --shards 2x2 --seed 3",
         ))?;
-        assert_eq!(
-            cmd,
-            Command::Ingest {
-                input: "in.csv".into(),
-                index: IndexChoice::Zm,
-                updates: 500,
-                batch: 100,
-                shards: Some((2, 2)),
-                router: RouterChoice::Grid,
-                persist: None,
-                seed: 3
-            }
-        );
+        let want = Command {
+            input: "in.csv".into(),
+            updates: 500,
+            batch: 100,
+            shards: Some((2, 2)),
+            seed: 3,
+            ..Command::blank("ingest")
+        };
+        assert_eq!(cmd, want);
         // Defaults: whole stream in one batch, monolith, seed 7.
         let cmd = parse_args(&args("ingest in.csv"))?;
-        assert!(matches!(
-            cmd,
-            Command::Ingest {
-                updates: 1000,
-                batch: 0,
-                shards: None,
-                seed: 7,
-                ..
-            }
-        ));
+        assert_eq!(
+            (cmd.updates, cmd.batch, cmd.shards, cmd.seed),
+            (1000, 0, None, 7)
+        );
         assert!(parse_args(&args("ingest in.csv --updates 0")).is_err());
         assert!(parse_args(&args("ingest in.csv --bogus")).is_err());
         Ok(())
@@ -1178,7 +989,7 @@ mod tests {
 
     #[test]
     fn ingest_reports_throughput() -> Result<(), String> {
-        let path = temp_csv("ingest", Dataset::Uniform, 800);
+        let path = temp_csv("ingest", Dataset::Uniform, 800)?;
         let report = run(parse_args(&args(&format!(
             "ingest {path} --updates 400 --batch 100"
         )))?)?;
@@ -1196,87 +1007,123 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(parse_args(&args("frobnicate")).is_err());
-        assert!(parse_args(&args("generate mars 10 out.csv")).is_err());
-        assert!(parse_args(&args("build in.csv --index btree")).is_err());
-        assert!(parse_args(&args("query in.csv")).is_err());
-        assert!(parse_args(&args("query in.csv --knn 0.5,0.5,0")).is_err());
-        assert!(parse_args(&args("query in.csv --point 0.5")).is_err());
+        // Each failure names the command or the flag it is about.
+        for (bad, names) in [
+            ("frobnicate", "frobnicate"),
+            ("generate mars 10 out.csv", "<dataset>"),
+            ("build in.csv --index btree", "--index"),
+            ("query in.csv", "--point"),
+            ("query in.csv --knn 0.5,0.5,0", "--knn"),
+            ("query in.csv --point 0.5", "--point"),
+            // Non-finite numbers answer nothing meaningful.
+            ("query in.csv --knn nan,0.5,3", "--knn"),
+            ("query in.csv --knn 0.5,inf,2", "--knn"),
+            ("query in.csv --point NaN,0.5", "--point"),
+            ("query in.csv --window 0,0,-inf,1", "--window"),
+            // A repeated flag, or a second query, is not silently dropped.
+            ("query in.csv --point 0.1,0.1 --knn 0.5,0.5,2", "--knn"),
+            (
+                "query in.csv --index rsmi --index zm --point 0.5,0.5",
+                "--index",
+            ),
+            ("ingest in.csv --seed 1 --seed 2", "--seed"),
+            // Nothing trails the last flag.
+            ("inspect in.csv extra", "extra"),
+        ] {
+            let err = parse_args(&args(bad));
+            assert!(err.is_err_and(|e| e.contains(names)), "{bad}");
+        }
         assert!(parse_args(&[]).is_err());
     }
 
-    fn temp_csv(name: &str, ds: Dataset, n: usize) -> String {
+    #[test]
+    fn help_is_the_table() -> Result<(), String> {
+        let help = usage();
+        assert_eq!(parse_args(&args("help")), Err(help.clone()));
+        for row in &COMMANDS {
+            assert!(
+                help.contains(&format!("elsi {} ", row.name)),
+                "{}",
+                row.name
+            );
+            for (arg, _) in row.flags {
+                assert!(help.contains(arg.spelling().0), "{}", row.name);
+            }
+            let example = parse_args(&args(&format!("{} {}", row.name, row.example)))?;
+            assert_eq!(example.name, row.name);
+        }
+        Ok(())
+    }
+
+    fn temp_csv(name: &str, ds: Dataset, n: usize) -> Result<String, String> {
         let path =
             std::env::temp_dir().join(format!("elsi_cli_test_{}_{name}.csv", std::process::id()));
         let path = path.to_string_lossy().into_owned();
-        run(Command::Generate {
-            dataset: ds,
-            n,
-            out: path.clone(),
-            seed: 1,
-        })
-        .unwrap();
-        path
+        run(parse_args(&args(&format!(
+            "generate {ds} {n} {path} --seed 1"
+        )))?)?;
+        Ok(path)
     }
 
     #[test]
-    fn generate_inspect_roundtrip() {
-        let path = temp_csv("inspect", Dataset::Skewed, 2000);
-        let report = run(Command::Inspect {
-            input: path.clone(),
-        })
-        .unwrap();
+    fn generate_inspect_roundtrip() -> Result<(), String> {
+        let path = temp_csv("inspect", Dataset::Skewed, 2000)?;
+        let report = run(parse_args(&args(&format!("inspect {path}")))?)?;
         std::fs::remove_file(&path).ok();
         assert!(report.contains("points:              2000"), "{report}");
         assert!(report.contains("dist(D_U, D)"), "{report}");
         assert!(report.contains("RS (skewed)"), "{report}");
+        Ok(())
     }
 
     #[test]
-    fn build_reports_exact_probes() {
-        let path = temp_csv("build", Dataset::Uniform, 1500);
+    fn build_reports_exact_probes() -> Result<(), String> {
+        let path = temp_csv("build", Dataset::Uniform, 1500)?;
         for method in ["rs", "pwl"] {
-            let cmd =
-                parse_args(&args(&format!("build {path} --index zm --method {method}"))).unwrap();
-            let report = run(cmd).unwrap();
+            let cmd = parse_args(&args(&format!("build {path} --index zm --method {method}")))?;
+            let report = run(cmd)?;
             let want = "probes found:        1500/1500";
             assert!(report.contains(want), "method {method}: {report}");
         }
         std::fs::remove_file(&path).ok();
+        Ok(())
     }
 
     #[test]
-    fn flood_builds_and_probes() {
-        let path = temp_csv("flood", Dataset::Uniform, 1000);
-        let cmd = parse_args(&args(&format!("build {path} --index flood --method pwl"))).unwrap();
-        let report = run(cmd).unwrap();
+    fn flood_builds_and_probes() -> Result<(), String> {
+        let path = temp_csv("flood", Dataset::Uniform, 1000)?;
+        let cmd = parse_args(&args(&format!("build {path} --index flood --method pwl")))?;
+        let report = run(cmd)?;
         std::fs::remove_file(&path).ok();
         assert!(
             report.contains("probes found:        1000/1000"),
             "{report}"
         );
+        Ok(())
     }
 
     #[test]
-    fn lisa_rejects_synthesising_methods() {
-        let path = temp_csv("lisa", Dataset::Uniform, 500);
-        let cmd = parse_args(&args(&format!("build {path} --index lisa --method cl"))).unwrap();
-        let err = run(cmd).unwrap_err();
+    fn lisa_rejects_synthesising_methods() -> Result<(), String> {
+        let path = temp_csv("lisa", Dataset::Uniform, 500)?;
+        let cmd = parse_args(&args(&format!("build {path} --index lisa --method cl")))?;
+        let err = run(cmd).err();
         std::fs::remove_file(&path).ok();
-        assert!(err.contains("inapplicable"), "{err}");
+        assert!(err.is_some_and(|e| e.contains("inapplicable")));
+        Ok(())
     }
 
     #[test]
-    fn query_window_and_knn() {
-        let path = temp_csv("query", Dataset::Uniform, 1200);
-        let cmd = parse_args(&args(&format!("query {path} --window 0.2,0.2,0.4,0.4"))).unwrap();
-        let report = run(cmd).unwrap();
+    fn query_window_and_knn() -> Result<(), String> {
+        let path = temp_csv("query", Dataset::Uniform, 1200)?;
+        let cmd = parse_args(&args(&format!("query {path} --window 0.2,0.2,0.4,0.4")))?;
+        let report = run(cmd)?;
         assert!(report.contains("points in window"), "{report}");
 
-        let cmd = parse_args(&args(&format!("query {path} --knn 0.5,0.5,5"))).unwrap();
-        let report = run(cmd).unwrap();
+        let cmd = parse_args(&args(&format!("query {path} --knn 0.5,0.5,5")))?;
+        let report = run(cmd)?;
         std::fs::remove_file(&path).ok();
         assert!(report.contains("5 nearest neighbours"), "{report}");
+        Ok(())
     }
 
     #[test]
@@ -1284,33 +1131,26 @@ mod tests {
         let cmd = parse_args(&args(
             "save in.csv /tmp/deploy --shards 2x3 --router learned --seed 9",
         ))?;
-        assert_eq!(
-            cmd,
-            Command::Save {
-                input: "in.csv".into(),
-                dir: "/tmp/deploy".into(),
-                shards: (2, 3),
-                router: RouterChoice::Learned,
-                seed: 9
-            }
-        );
+        let want = Command {
+            input: "in.csv".into(),
+            dir: "/tmp/deploy".into(),
+            shards: Some((2, 3)),
+            router: RouterChoice::Learned,
+            seed: 9,
+            ..Command::blank("save")
+        };
+        assert_eq!(cmd, want);
         // Defaults.
         let cmd = parse_args(&args("save in.csv d"))?;
-        assert!(matches!(
-            cmd,
-            Command::Save {
-                shards: (2, 2),
-                router: RouterChoice::Grid,
-                seed: 42,
-                ..
-            }
-        ));
         assert_eq!(
-            parse_args(&args("load /tmp/deploy"))?,
-            Command::Load {
-                dir: "/tmp/deploy".into()
-            }
+            (cmd.shards, cmd.router, cmd.seed),
+            (Some((2, 2)), RouterChoice::Grid, 42)
         );
+        let want = Command {
+            dir: "/tmp/deploy".into(),
+            ..Command::blank("load")
+        };
+        assert_eq!(parse_args(&args("load /tmp/deploy"))?, want);
         assert!(parse_args(&args("save in.csv")).is_err());
         assert!(parse_args(&args("load")).is_err());
         Ok(())
@@ -1319,14 +1159,7 @@ mod tests {
     #[test]
     fn parse_persist_flag() -> Result<(), String> {
         let cmd = parse_args(&args("query in.csv --persist d --point 0.5,0.5"))?;
-        assert!(matches!(
-            cmd,
-            Command::Query {
-                persist: Some(_),
-                shards: None,
-                ..
-            }
-        ));
+        assert_eq!((cmd.persist.as_deref(), cmd.shards), (Some("d"), None));
         // --router without --shards is fine when --persist supplies the
         // deployment (it picks the policy for the first-use build).
         assert!(parse_args(&args(
@@ -1334,13 +1167,7 @@ mod tests {
         ))
         .is_ok());
         let cmd = parse_args(&args("ingest in.csv --persist d --updates 10"))?;
-        assert!(matches!(
-            cmd,
-            Command::Ingest {
-                persist: Some(_),
-                ..
-            }
-        ));
+        assert_eq!(cmd.persist.as_deref(), Some("d"));
         assert!(parse_args(&args("query in.csv --persist --point 0.5,0.5")).is_err());
         Ok(())
     }
@@ -1353,7 +1180,7 @@ mod tests {
 
     #[test]
     fn save_then_load_round_trips() -> Result<(), String> {
-        let path = temp_csv("save_load", Dataset::Uniform, 900);
+        let path = temp_csv("save_load", Dataset::Uniform, 900)?;
         let dir = temp_dir("save_load");
         let saved = run(parse_args(&args(&format!(
             "save {path} {dir} --shards 2x2 --router learned"
@@ -1370,7 +1197,7 @@ mod tests {
 
     #[test]
     fn query_persist_builds_once_then_recovers() -> Result<(), String> {
-        let path = temp_csv("persist_q", Dataset::Skewed, 800);
+        let path = temp_csv("persist_q", Dataset::Skewed, 800)?;
         let dir = temp_dir("persist_q");
         let q = format!("query {path} --persist {dir} --window 0.1,0.1,0.5,0.5");
         let first = run(parse_args(&args(&q))?)?;
@@ -1390,14 +1217,14 @@ mod tests {
         let err = run(parse_args(&args(&format!(
             "query {path} --persist {dir} --index lisa --point 0.5,0.5"
         )))?)
-        .unwrap_err();
-        assert!(err.contains("ZM deployments only"), "{err}");
+        .err();
+        assert!(err.is_some_and(|e| e.contains("ZM deployments only")));
         Ok(())
     }
 
     #[test]
     fn ingest_persist_checkpoints_and_reloads() -> Result<(), String> {
-        let path = temp_csv("persist_i", Dataset::Uniform, 700);
+        let path = temp_csv("persist_i", Dataset::Uniform, 700)?;
         let dir = temp_dir("persist_i");
         let report = run(parse_args(&args(&format!(
             "ingest {path} --updates 300 --batch 50 --persist {dir}"
@@ -1427,7 +1254,7 @@ mod tests {
 
     #[test]
     fn sharded_queries_match_the_monolith() -> Result<(), String> {
-        let path = temp_csv("sharded", Dataset::Skewed, 1000);
+        let path = temp_csv("sharded", Dataset::Skewed, 1000)?;
         for q in ["--knn 0.5,0.5,5", "--window 0.2,0.2,0.4,0.4"] {
             let mono = run(parse_args(&args(&format!("query {path} {q}")))?)?;
             for router in ["grid", "learned"] {
