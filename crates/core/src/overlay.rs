@@ -131,6 +131,20 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
         from.take_while(move |b| b.id == id)
     }
 
+    /// The first live base copy at `q`'s coordinates, asked for when the
+    /// base's own answer there is tombstoned. The base's points at
+    /// distance zero come from its kNN, which is exact on every index
+    /// (unlike RSMI's and LISA's windows); at most `deleted.len()` of them
+    /// are dead, so asking for one more reaches a live one if any exists.
+    #[cold]
+    fn live_twin(&self, q: Point) -> Option<Point> {
+        let (mut scratch, mut at_q) = (ScanScratch::new(), Vec::new());
+        let k = self.deleted.len() + 1;
+        self.base
+            .knn_within_into(q, k, 0.0, &mut scratch, &mut at_q);
+        at_q.into_iter().find(|p| !self.deleted.contains(&p.id))
+    }
+
     /// The one write body; returns the live copy `u` retired.
     ///
     /// An insert replaces the delta's copy of its id (whose base copy was
@@ -181,9 +195,11 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         {
             return Some(*p);
         }
-        self.base
-            .point_query(q)
-            .filter(|p| !self.deleted.contains(&p.id))
+        let hit = self.base.point_query(q)?;
+        if self.deleted.contains(&hit.id) {
+            return self.live_twin(q);
+        }
+        Some(hit)
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {

@@ -1,186 +1,50 @@
-//! Cross-index query correctness: every index (learned and traditional) is
-//! checked against brute force on shared workloads. Exact indices must
-//! match exactly; RSMI and LISA (approximate by design, paper §VII-G2) must
-//! return no false positives and keep recall above 90%.
+//! Cross-index query correctness: every index (learned and traditional),
+//! built by ELSI's build processor, is checked against brute force on
+//! shared workloads. Exact indices must match exactly; RSMI and LISA
+//! (approximate by design, paper §VII-G2) must return no false positives
+//! and keep window recall at the table's floor. Every kNN is exact.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::{gen, Dataset};
-use elsi_indices::*;
-use elsi_spatial::{Point, Rect};
+use support::*;
 
-const N: usize = 2500;
-
-struct Workbench {
-    pts: Vec<Point>,
-    windows: Vec<Rect>,
-    knn_qs: Vec<Point>,
-}
-
-fn workbench(ds: Dataset) -> Workbench {
-    let pts = ds.generate(N, 77);
-    let windows = gen::window_queries(&pts, 15, 0.004, 5);
-    let knn_qs = gen::knn_queries(&pts, 10, 6);
-    Workbench {
-        pts,
-        windows,
-        knn_qs,
+/// Every `kinds` index over 2 500 points of each dataset: lookups of every
+/// 31st point, 15 windows and the 10 nearest of 10 points.
+fn check_on(datasets: &[Dataset], kinds: &[Kind]) {
+    let zoo = Zoo::new(50, Elsi::new(ElsiConfig::fast_test()).builder());
+    for ds in datasets {
+        let points = ds.generate(2_500, 77);
+        let qs = Queries {
+            points: points.iter().step_by(31).copied().collect(),
+            windows: gen::window_queries(&points, 15, 0.004, 5),
+            ..Queries::knn(gen::knn_queries(&points, 10, 6), vec![10])
+        };
+        let oracle = Oracle::new(&points);
+        for &kind in kinds {
+            check(&zoo.subject(kind, State::Built, &points, &[]), &oracle, &qs);
+        }
     }
-}
-
-fn brute_window(pts: &[Point], w: &Rect) -> Vec<u64> {
-    let mut ids: Vec<u64> = pts.iter().filter(|p| w.contains(p)).map(|p| p.id).collect();
-    ids.sort_unstable();
-    ids
-}
-
-fn brute_knn_radius(pts: &[Point], q: Point, k: usize) -> f64 {
-    let mut d: Vec<f64> = pts.iter().map(|p| q.dist2(p)).collect();
-    d.sort_by(|a, b| a.total_cmp(b));
-    d[k - 1].sqrt()
-}
-
-fn check_exact(idx: &dyn SpatialIndex, wb: &Workbench) {
-    for p in wb.pts.iter().step_by(31) {
-        assert!(idx.point_query(*p).is_some(), "{}: lost {p}", idx.name());
-    }
-    for w in &wb.windows {
-        let mut got: Vec<u64> = idx.window_query(w).iter().map(|p| p.id).collect();
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(
-            got,
-            brute_window(&wb.pts, w),
-            "{}: window mismatch",
-            idx.name()
-        );
-    }
-    for q in &wb.knn_qs {
-        let got = idx.knn_query(*q, 10);
-        assert_eq!(got.len(), 10, "{}", idx.name());
-        let exact_r = brute_knn_radius(&wb.pts, *q, 10);
-        let got_r = q.dist(&got[9]);
-        assert!(
-            (got_r - exact_r).abs() < 1e-9,
-            "{}: kNN radius {got_r} vs exact {exact_r}",
-            idx.name()
-        );
-    }
-}
-
-fn check_approximate(idx: &dyn SpatialIndex, wb: &Workbench, min_recall: f64) {
-    for p in wb.pts.iter().step_by(31) {
-        assert!(idx.point_query(*p).is_some(), "{}: lost {p}", idx.name());
-    }
-    let mut want_total = 0usize;
-    let mut got_total = 0usize;
-    for w in &wb.windows {
-        let want = brute_window(&wb.pts, w);
-        let got = idx.window_query(w);
-        assert!(
-            got.iter().all(|p| w.contains(p)),
-            "{}: false positive",
-            idx.name()
-        );
-        want_total += want.len();
-        got_total += got.len().min(want.len());
-    }
-    let recall = got_total as f64 / want_total.max(1) as f64;
-    assert!(
-        recall >= min_recall,
-        "{}: window recall {recall}",
-        idx.name()
-    );
 }
 
 #[test]
 fn traditional_indices_are_exact_on_all_datasets() {
-    for ds in [Dataset::Uniform, Dataset::Skewed, Dataset::Nyc] {
-        let wb = workbench(ds);
-        check_exact(
-            &GridIndex::build(wb.pts.clone(), &GridConfig { block_size: 50 }),
-            &wb,
-        );
-        check_exact(
-            &KdbIndex::build(wb.pts.clone(), &KdbConfig { leaf_capacity: 50 }),
-            &wb,
-        );
-        check_exact(
-            &HrrIndex::build(
-                wb.pts.clone(),
-                &HrrConfig {
-                    leaf_capacity: 50,
-                    fanout: 8,
-                },
-            ),
-            &wb,
-        );
-        check_exact(
-            &RStarIndex::build(
-                wb.pts.clone(),
-                &RStarConfig {
-                    leaf_capacity: 50,
-                    fanout: 8,
-                    min_fill: 0.4,
-                },
-            ),
-            &wb,
-        );
-    }
+    let kinds = [Kind::Grid, Kind::Kdb, Kind::Hrr, Kind::RStar];
+    check_on(&[Dataset::Uniform, Dataset::Skewed, Dataset::Nyc], &kinds);
 }
 
 #[test]
 fn zm_and_ml_are_exact() {
-    let elsi = Elsi::new(ElsiConfig::fast_test());
-    for ds in [Dataset::Uniform, Dataset::Osm1] {
-        let wb = workbench(ds);
-        check_exact(
-            &ZmIndex::build(wb.pts.clone(), &ZmConfig { fanout: 4 }, &elsi.builder()),
-            &wb,
-        );
-        check_exact(
-            &MlIndex::build(
-                wb.pts.clone(),
-                &MlConfig {
-                    pivots: 4,
-                    ..MlConfig::default()
-                },
-                &elsi.builder(),
-            ),
-            &wb,
-        );
-    }
+    let kinds = [Kind::Zm, Kind::Ml, Kind::Flood];
+    check_on(&[Dataset::Uniform, Dataset::Osm1], &kinds);
 }
 
 #[test]
 fn rsmi_and_lisa_no_false_positives_and_high_recall() {
-    let elsi = Elsi::new(ElsiConfig::fast_test());
-    for ds in [Dataset::Uniform, Dataset::Osm1] {
-        let wb = workbench(ds);
-        check_approximate(
-            &RsmiIndex::build(
-                wb.pts.clone(),
-                &RsmiConfig {
-                    leaf_capacity: 256,
-                    fanout: 4,
-                    ..RsmiConfig::default()
-                },
-                &elsi.builder(),
-            ),
-            &wb,
-            0.9,
-        );
-        check_approximate(
-            &LisaIndex::build(
-                wb.pts.clone(),
-                &LisaConfig {
-                    grid: 8,
-                    shard_size: 150,
-                    block_size: 50,
-                },
-                &elsi.builder().for_lisa(),
-            ),
-            &wb,
-            0.9,
-        );
-    }
+    check_on(
+        &[Dataset::Uniform, Dataset::Osm1],
+        &[Kind::Rsmi, Kind::Lisa],
+    );
 }

@@ -1,178 +1,104 @@
 //! Update-path integration: built-in index insertion procedures, the
 //! default delta overlay, the update processor's drift tracking, and
-//! rebuild triggering (paper §IV-B2 and §VII-H).
+//! rebuild triggering (paper §IV-B2 and §VII-H), checked against the
+//! conformance table's brute-force oracle.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use elsi::{
-    DeltaOverlay, Elsi, ElsiConfig, RebuildFeatures, RebuildPolicy, RebuildPredictor,
-    RebuildSample, UpdateOutcome, UpdateProcessor,
+    Elsi, ElsiConfig, RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSample, Update,
+    UpdateOutcome, UpdateProcessor,
 };
 use elsi_data::Dataset;
 use elsi_indices::*;
 use elsi_spatial::{Point, Rect};
+use support::*;
+
+/// ELSI-built indices with pages of `page` points.
+fn elsi_zoo(page: usize) -> Zoo {
+    Zoo::new(page, Elsi::new(ElsiConfig::fast_test()).builder())
+}
 
 #[test]
 fn skewed_insertions_degrade_then_rebuild_recovers_structure() {
     // Mirrors Fig. 15's setup in miniature: a small base set, then skewed
-    // insertions; a rebuild must restore the structure.
-    let elsi = Elsi::new(ElsiConfig::fast_test());
+    // insertions; a rebuild must restore the structure. RSMI leaves of 256
+    // points, built by ELSI's RS method.
     let base = Dataset::Osm1.generate(1500, 1);
-    let mr = elsi.mr_pool();
-    let cfg = elsi.config().clone();
-    let rebuild = move |pts: Vec<Point>| {
-        let builder = elsi::ElsiBuilder::fixed(elsi::Method::Rs, cfg.clone(), mr.clone());
-        RsmiIndex::build(
-            pts,
-            &RsmiConfig {
-                leaf_capacity: 256,
-                fanout: 4,
-                ..RsmiConfig::default()
-            },
-            &builder,
-        )
-    };
+    let zoo = elsi_zoo(128);
+    let rebuild = Box::new(move |pts| zoo.build(Kind::Rsmi, pts));
     let policy = RebuildPolicy::Threshold {
         max_drift: 0.15,
         max_ratio: 10.0,
     };
-    let mut proc = UpdateProcessor::new(base, Box::new(rebuild), policy, 64);
+    let mut proc = UpdateProcessor::new(base.clone(), rebuild, policy, 64);
 
-    let inserts = Dataset::Skewed.generate(1200, 2);
+    let mut inserts = Dataset::Skewed.generate(1200, 2);
     let mut rebuilt = false;
-    for (i, mut p) in inserts.into_iter().enumerate() {
+    for (i, p) in inserts.iter_mut().enumerate() {
         p.id = 1_000_000 + i as u64;
         p.x *= 0.05; // squash into a corner: heavy CDF drift
         p.y *= 0.05;
-        if proc.insert(p) == UpdateOutcome::Rebuilt {
-            rebuilt = true;
-        }
+        rebuilt |= proc.insert(*p) == UpdateOutcome::Rebuilt;
     }
     assert!(rebuilt, "drift threshold never triggered a rebuild");
     assert_eq!(proc.len(), 2700);
-    // Everything still findable after the rebuild.
-    assert!(
-        proc.point_query(Point::new(1_000_000, 0.0, 0.0)).is_some() || proc.index().len() == 2700
-    );
+    // Every live point is still found, by its own id, after the rebuild.
+    for p in base.iter().chain(&inserts) {
+        assert_eq!(proc.point_query(*p).map(|f| f.id), Some(p.id), "lost {p}");
+    }
 }
 
 #[test]
 fn delta_overlay_equivalent_to_rebuilt_ground_truth() {
+    // A mixed update stream over HRR; a base id at another stored point's
+    // coordinates deletes nothing.
     let pts = Dataset::Uniform.generate(1000, 3);
-    let base = HrrIndex::build(pts.clone(), &HrrConfig::default());
-    let mut overlay = DeltaOverlay::new(base);
-
-    let mut live = pts.clone();
-    // Apply a mixed update stream.
-    for i in 0..200u64 {
-        let p = Point::new(
-            50_000 + i,
-            (i as f64 * 0.00437) % 1.0,
-            (i as f64 * 0.00911) % 1.0,
-        );
-        overlay.insert(p);
-        live.push(p);
-    }
-    for i in (0..400).step_by(7) {
-        // A base id at another stored point's coordinates deletes nothing.
+    let inserts = (0..200u64).map(|i| {
+        let (x, y) = ((i as f64 * 0.00437) % 1.0, (i as f64 * 0.00911) % 1.0);
+        Update::Insert(Point::new(50_000 + i, x, y))
+    });
+    let deletes = (0..400).step_by(7).flat_map(|i| {
         let crossed = Point::new(pts[i].id, pts[i + 1].x, pts[i + 1].y);
-        assert!(
-            !overlay.delete(crossed),
-            "id {} at its neighbour's place",
-            crossed.id
-        );
-        assert!(overlay.delete(pts[i]));
-        live.retain(|p| p.id != pts[i].id);
-    }
-    assert_eq!(overlay.len(), live.len());
-
-    for w in [Rect::new(0.1, 0.1, 0.4, 0.4), Rect::new(0.0, 0.5, 1.0, 1.0)] {
-        let mut got: Vec<u64> = overlay.window_query(&w).iter().map(|p| p.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = live
-            .iter()
-            .filter(|p| w.contains(p))
-            .map(|p| p.id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-    // kNN against brute force over the live set.
-    let q = Point::at(0.33, 0.66);
-    let got = overlay.knn_query(q, 5);
-    let mut want = live.clone();
-    want.sort_by(|a, b| q.dist2(a).total_cmp(&q.dist2(b)));
-    for (g, w) in got.iter().zip(&want) {
-        assert!((q.dist(g) - q.dist(w)).abs() < 1e-12);
-    }
+        [crossed, pts[i]].map(Update::Delete)
+    });
+    let stream: Vec<Update> = inserts.chain(deletes).collect();
+    let windows = vec![Rect::new(0.1, 0.1, 0.4, 0.4), Rect::new(0.0, 0.5, 1.0, 1.0)];
+    let qs = Queries {
+        windows,
+        ..Queries::knn([Point::at(0.33, 0.66)], vec![5])
+    };
+    let s = Zoo::pwl(32, 8).subject(Kind::Hrr, State::Dirty, &pts, &stream);
+    check(&s, &Oracle::after(&pts, &stream), &qs);
 }
 
 #[test]
 fn built_in_insertions_stay_queryable_across_indices() {
-    let elsi = Elsi::new(ElsiConfig::fast_test());
-    let pts = Dataset::Uniform.generate(800, 5);
-    let mut sweep: Vec<Box<dyn SpatialIndex>> = vec![
-        Box::new(ZmIndex::build(
-            pts.clone(),
-            &ZmConfig { fanout: 2 },
-            &elsi.builder(),
-        )),
-        Box::new(MlIndex::build(
-            pts.clone(),
-            &MlConfig {
-                pivots: 4,
-                ..MlConfig::default()
-            },
-            &elsi.builder(),
-        )),
-        Box::new(FloodIndex::build(
-            pts.clone(),
-            &FloodConfig { columns: 4 },
-            &elsi.builder(),
-        )),
-        Box::new(LisaIndex::build(
-            pts.clone(),
-            &LisaConfig {
-                grid: 8,
-                shard_size: 100,
-                block_size: 25,
-            },
-            &elsi.builder().for_lisa(),
-        )),
-        Box::new(GridIndex::build(pts.clone(), &GridConfig::default())),
-        Box::new(RStarIndex::build(pts.clone(), &RStarConfig::default())),
-    ];
-
-    let stream = Dataset::Nyc.generate(300, 9);
-    for (i, mut p) in stream.into_iter().enumerate() {
-        p.id = 70_000 + i as u64;
-        for idx in &mut sweep {
-            idx.insert(p);
-            assert!(
-                idx.point_query(p).is_some(),
-                "{} lost insert {i}",
-                idx.name()
-            );
-        }
-    }
-
-    // Re-inserting a deleted id somewhere else must not resurrect the
-    // stored copy. (RSMI, absent from this sweep, merges its overflow into
-    // the stored page on a local rebuild; `SpatialIndex::insert` says so.)
-    let gone = pts[17];
-    let moved = Point::new(gone.id, 0.123, 0.987);
-    for idx in &mut sweep {
-        let (name, n) = (idx.name(), idx.len());
-        let copies = |found: Vec<Point>| found.iter().filter(|p| p.id == gone.id).count();
-        assert!(idx.delete(gone), "{name}");
-        idx.insert(moved);
-        assert_eq!(idx.len(), n, "{name}");
-        assert_eq!(idx.point_query(gone), None, "{name}");
-        assert_eq!(idx.point_query(moved), Some(moved), "{name}");
-        assert_eq!(copies(idx.window_query(&Rect::unit())), 1, "{name}");
-        assert_eq!(copies(idx.knn_query(gone, n)), 1, "{name}");
-        assert!(idx.delete(moved) && !idx.delete(gone), "{name}");
-        assert_eq!(idx.len(), n - 1, "{name}");
-        assert_eq!(copies(idx.window_query(&Rect::unit())), 0, "{name}");
-        assert_eq!(copies(idx.knn_query(gone, n)), 0, "{name}");
+    // Every index but RSMI — which merges its overflow into the stored page
+    // on a local rebuild, so a re-inserted deleted id resurrects the stored
+    // copy (`SpatialIndex::insert` says so) — takes 300 inserts through its
+    // own insertion procedure, then a deleted id re-inserted elsewhere,
+    // then the re-inserted copy and (a no-op) the deleted one deleted.
+    let (zoo, pts) = (elsi_zoo(25), Dataset::Uniform.generate(800, 5));
+    let fresh = Dataset::Nyc.generate(300, 9).into_iter().enumerate();
+    let fresh = fresh.map(|(i, p)| Point::new(70_000 + i as u64, p.x, p.y));
+    let (gone, moved) = (pts[17], Point::new(pts[17].id, 0.123, 0.987));
+    let mut stream: Vec<Update> = fresh.map(Update::Insert).collect();
+    stream.extend([Update::Delete(gone), Update::Insert(moved)]);
+    let then = [Update::Delete(moved), Update::Delete(gone)];
+    for kind in Kind::ALL.into_iter().filter(|&k| k != Kind::Rsmi) {
+        let mut s = zoo.subject(kind, State::Built, &pts, &stream);
+        let mut oracle = Oracle::after(&pts, &stream);
+        let qs = Queries {
+            points: stream.iter().map(Update::point).collect(),
+            windows: vec![Rect::unit()],
+            ..Queries::knn([gone], vec![oracle.len()])
+        };
+        check(&s, &oracle, &qs);
+        s.apply(&then);
+        oracle.drive(&then);
+        check(&s, &oracle, &qs);
     }
 }
 
@@ -180,167 +106,80 @@ fn built_in_insertions_stay_queryable_across_indices() {
 fn live_points_enumerate_the_model_after_churn_for_all_nine() {
     // `live_points()` is the live set itself, not a query: after inserts,
     // deletes of stored and of inserted points and re-inserted deleted ids
-    // it equals the brute-force model exactly — RSMI and LISA included,
-    // whose *windows* only promise a recall floor.
+    // it equals the oracle's exactly — RSMI and LISA included, whose
+    // *windows* only promise a recall floor.
     let pts = Dataset::Uniform.generate(900, 6);
-    let b = PwlBuilder { epsilon: 8 };
-    let mut sweep: Vec<Box<dyn SpatialIndex>> = vec![
-        Box::new(GridIndex::build(
-            pts.clone(),
-            &GridConfig { block_size: 32 },
-        )),
-        Box::new(KdbIndex::build(
-            pts.clone(),
-            &KdbConfig { leaf_capacity: 32 },
-        )),
-        Box::new(HrrIndex::build(pts.clone(), &HrrConfig::default())),
-        Box::new(RStarIndex::build(pts.clone(), &RStarConfig::default())),
-        Box::new(ZmIndex::build(pts.clone(), &ZmConfig { fanout: 4 }, &b)),
-        Box::new(MlIndex::build(pts.clone(), &MlConfig::default(), &b)),
-        Box::new(FloodIndex::build(
-            pts.clone(),
-            &FloodConfig { columns: 8 },
-            &b,
-        )),
-        Box::new(RsmiIndex::build(
-            pts.clone(),
-            &RsmiConfig {
-                leaf_capacity: 64,
-                fanout: 4,
-                ..RsmiConfig::default()
-            },
-            &b,
-        )),
-        Box::new(LisaIndex::build(
-            pts.clone(),
-            &LisaConfig {
-                grid: 8,
-                shard_size: 100,
-                block_size: 25,
-            },
-            &b,
-        )),
-    ];
-    assert_eq!(sweep.len(), 9);
-
     // Clustered inserts (RSMI leaves overflow and rebuild locally, LISA
     // pages split), then deletes of every seventh stored and every fifth
     // inserted point, then every third deleted stored id back elsewhere.
-    let inserts: Vec<Point> = Dataset::Skewed
-        .generate(400, 8)
-        .into_iter()
-        .enumerate()
+    let inserts = Dataset::Skewed.generate(400, 8).into_iter().enumerate();
+    let inserts: Vec<Point> = inserts
         .map(|(i, p)| Point::new(80_000 + i as u64, p.x * 0.3, p.y * 0.3))
         .collect();
     let gone: Vec<Point> = pts.iter().step_by(7).copied().collect();
-    let dropped: Vec<Point> = inserts.iter().step_by(5).copied().collect();
-    let moved: Vec<Point> = gone
-        .iter()
-        .step_by(3)
-        .map(|p| Point::new(p.id, 1.0 - p.x, 1.0 - p.y))
+    let deletes = gone.iter().chain(inserts.iter().step_by(5));
+    let churned: Vec<Update> = (inserts.iter().map(|&p| Update::Insert(p)))
+        .chain(deletes.map(|&p| Update::Delete(p)))
         .collect();
-    for idx in &mut sweep {
-        let name = idx.name();
-        let mut model: Vec<Point> = pts.clone();
-        for &p in &inserts {
-            idx.insert(p);
-            model.push(p);
+    let back = gone.iter().step_by(3);
+    let moved: Vec<Update> = (back.clone())
+        .map(|p| Update::Insert(Point::new(p.id, 1.0 - p.x, 1.0 - p.y)))
+        .collect();
+    for kind in Kind::ALL {
+        let mut s = Zoo::pwl(32, 8).subject(kind, State::Built, &pts, &churned);
+        let mut oracle = Oracle::after(&pts, &churned);
+        assert_eq!(s.applied, oracle.applied, "{kind:?}");
+        assert_eq!(s.index.live_points(), oracle.live(), "{kind:?}");
+        s.apply(&moved);
+        oracle.drive(&moved);
+        let mut want = oracle.live().to_vec();
+        // The documented exception (`SpatialIndex::insert`): RSMI
+        // un-tombstones the stored copy of a re-inserted id.
+        if kind == Kind::Rsmi {
+            want.extend(back.clone());
         }
-        for p in gone.iter().chain(&dropped) {
-            assert!(idx.delete(*p), "{name}: {p}");
-            model.retain(|m| m != p);
-        }
-        assert_eq!(idx.live_points(), canonical(model.clone()), "{name}");
-        for (i, &p) in moved.iter().enumerate() {
-            idx.insert(p);
-            model.push(p);
-            // The documented exception (`SpatialIndex::insert`): RSMI
-            // un-tombstones the stored copy of a re-inserted id.
-            if name == "RSMI" {
-                model.push(gone[3 * i]);
-            }
-        }
-        assert_eq!(idx.len(), model.len(), "{name}");
-        assert_eq!(idx.live_points(), canonical(model), "{name}");
+        assert_eq!(s.index.len(), want.len(), "{kind:?}");
+        assert_eq!(s.index.live_points(), canonical(want), "{kind:?}");
     }
-}
-
-fn canonical(mut pts: Vec<Point>) -> Vec<Point> {
-    pts.sort_by_key(elsi_spatial::canonical_point_key);
-    pts
 }
 
 #[test]
 fn moving_hotspot_stream_keeps_indices_consistent() {
-    use elsi_data::stream::{moving_hotspot_insertions, Update};
+    // Windows along the hotspot track stay exact.
     let base = Dataset::Uniform.generate(800, 2);
-    let elsi = Elsi::new(ElsiConfig::fast_test());
-    let mut idx = elsi_indices::FloodIndex::build(
-        base.clone(),
-        &elsi_indices::FloodConfig { columns: 8 },
-        &elsi.builder(),
+    let stream = elsi_data::stream::moving_hotspot_insertions(600, 0.05, 5);
+    let windows = [0.2, 0.5, 0.8].map(|c| Rect::new(c - 0.05, c - 0.05, c + 0.05, c + 0.05));
+    let s = elsi_zoo(25).subject(Kind::Flood, State::Built, &base, &stream);
+    check(
+        &s,
+        &Oracle::after(&base, &stream),
+        &Queries::windows(windows),
     );
-    let mut live = base;
-    for u in moving_hotspot_insertions(600, 0.05, 5) {
-        if let Update::Insert(p) = u {
-            idx.insert(p);
-            live.push(p);
-        }
-    }
-    assert_eq!(idx.len(), live.len());
-    // Spot-check windows along the hotspot track stay exact.
-    for c in [0.2, 0.5, 0.8] {
-        let w = Rect::new(c - 0.05, c - 0.05, c + 0.05, c + 0.05);
-        let mut got: Vec<u64> = idx.window_query(&w).iter().map(|p| p.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = live
-            .iter()
-            .filter(|p| w.contains(p))
-            .map(|p| p.id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "window around {c}");
-    }
 }
 
 #[test]
 fn churn_stream_through_update_processor() {
-    use elsi_data::stream::{churn, Update};
+    // A processor over Grid's own insertion procedure, rebuilding on drift.
     let base = Dataset::Osm1.generate(700, 9);
-    let stream = churn(&base, 700, 0.6, 3);
-    let mut proc = UpdateProcessor::new(
-        base.clone(),
-        Box::new(|pts| GridIndex::build(pts, &GridConfig::default())),
-        RebuildPolicy::Threshold {
-            max_drift: 0.2,
-            max_ratio: 1.0,
-        },
-        64,
-    );
-    let mut live: std::collections::HashMap<u64, Point> = base.iter().map(|p| (p.id, *p)).collect();
-    for u in stream {
-        match u {
-            Update::Insert(p) => {
-                proc.insert(p);
-                live.insert(p.id, p);
-            }
-            Update::Delete(p) => {
-                proc.delete(p);
-                live.remove(&p.id);
-            }
-        }
+    let stream = elsi_data::stream::churn(&base, 700, 0.6, 3);
+    let rebuild = Box::new(|pts| GridIndex::build(pts, &GridConfig::default()));
+    let policy = RebuildPolicy::Threshold {
+        max_drift: 0.2,
+        max_ratio: 1.0,
+    };
+    let mut proc = UpdateProcessor::new(base.clone(), rebuild, policy, 64);
+    for u in &stream {
+        proc.apply_batch(std::slice::from_ref(u));
     }
-    assert_eq!(proc.len(), live.len());
     // Every live point findable; every deleted point gone (sampled).
-    for (i, p) in live.values().enumerate() {
-        if i % 13 == 0 {
-            assert!(proc.point_query(*p).is_some(), "live point {p} lost");
-        }
-    }
-    for p in base.iter().step_by(17) {
-        let expect = live.contains_key(&p.id);
-        assert_eq!(proc.point_query(*p).is_some(), expect, "point {p}");
-    }
+    let oracle = Oracle::after(&base, &stream);
+    let live = oracle.live().iter().step_by(13);
+    let qs = Queries::lookups(live.chain(base.iter().step_by(17)).copied());
+    check(
+        &Subject::new(Kind::Grid, State::Processor, Box::new(proc)),
+        &oracle,
+        &qs,
+    );
 }
 
 #[test]
