@@ -63,7 +63,7 @@ fn hot_path_roots_are_annotated_and_checked() {
     for root in [
         "Ffn::predict1",
         "Ffn::predict_scalar",
-        "GridRouter::shard_of",
+        "Router::shard_of",
         "contains_scan",
         "knn_scan",
         "range_scan_into",

@@ -18,8 +18,7 @@ use elsi_indices::{
     RsmiConfig, RsmiIndex, SpatialIndex, ZmConfig, ZmIndex,
 };
 use elsi_serve::{
-    read_manifest, zm_codec, GridRouter, LearnedRouter, Manifest, PersistRouter, ShardedConfig,
-    ShardedIndex, MANIFEST_NAME,
+    read_manifest, zm_codec, Manifest, Router, ShardedConfig, ShardedIndex, MANIFEST_NAME,
 };
 use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect};
 use std::fmt::{Display, Write as _};
@@ -74,8 +73,8 @@ impl IndexChoice {
     }
 }
 
-/// Shard boundaries: uniform grid cells, or equi-mass quantile cuts
-/// learned from the data's empirical CDFs.
+/// Which [`Router`] constructor places the shard cuts: uniformly, or at
+/// equi-mass quantiles learned from the data's empirical CDFs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RouterChoice {
     Grid,
@@ -89,6 +88,14 @@ impl RouterChoice {
         match self {
             Self::Grid => "grid",
             Self::Learned => "learned",
+        }
+    }
+
+    /// The `rows × cols` router this choice builds over `pts`.
+    fn router(self, pts: &[Point], (rows, cols): (usize, usize)) -> Router {
+        match self {
+            Self::Grid => Router::new(rows, cols),
+            Self::Learned => Router::fit_sampled(pts, rows, cols),
         }
     }
 }
@@ -497,9 +504,7 @@ type BoxedIndex = Box<dyn SpatialIndex>;
 
 /// The durable deployment of `save`, `load` and `--persist`: ZM has an
 /// exact state codec, so recovery decodes shards instead of retraining.
-/// The routing policy is boxed so grid and learned deployments share one
-/// type, and a serving directory reopens as whichever kind it persisted.
-type Zm = ShardedIndex<ZmIndex, Box<dyn PersistRouter>>;
+type Zm = ShardedIndex<ZmIndex>;
 
 /// The model builder of `method` over `n` points, shareable across shards.
 fn model_builder(
@@ -554,44 +559,28 @@ fn build_kind(pts: Vec<Point>, index: IndexChoice, b: &dyn ModelBuilder) -> Boxe
     }
 }
 
-fn boxed_router(
-    a: &Command,
-    pts: &[Point],
-    (rows, cols): (usize, usize),
-) -> Box<dyn PersistRouter> {
-    match a.router {
-        RouterChoice::Grid => Box::new(GridRouter::new(rows, cols)),
-        RouterChoice::Learned => Box::new(LearnedRouter::fit_sampled(pts, rows, cols)),
-    }
-}
-
 /// An R×C sharded deployment over the CLI's boxed indices: every shard is
 /// a full ELSI update lifecycle around one `build_kind` index (queries in
 /// the CLI are one-shot, so the rebuild policy is `Never`).
-fn build_sharded(
-    pts: Vec<Point>,
-    a: &Command,
-    (rows, cols): (usize, usize),
-) -> Result<ShardedIndex<BoxedIndex, Box<dyn PersistRouter>>, String> {
-    let routing = boxed_router(a, &pts, (rows, cols));
+fn build_sharded(pts: Vec<Point>, a: &Command) -> Result<ShardedIndex<BoxedIndex>, String> {
+    let router = a.router.router(&pts, a.grid());
     let (index, builder) = (a.index, model_builder(pts.len(), a.index, RS)?);
     let shard = move |_: &_, pts| build_kind(pts, index, builder.as_ref());
-    let cfg = ShardedConfig::grid(rows, cols);
-    Ok(ShardedIndex::build(pts, routing, &cfg, shard, |_| {
+    let cfg = ShardedConfig::default();
+    Ok(ShardedIndex::build(pts, router, &cfg, shard, |_| {
         RebuildPolicy::Never
     }))
 }
 
 /// A ZM sharded deployment shaped by `--shards`, `--router` and `--seed`.
 fn build_zm(pts: Vec<Point>, a: &Command) -> Zm {
-    let (rows, cols) = a.grid();
     let elsi = Elsi::new(ElsiConfig::scaled_for(pts.len()));
-    let routing = boxed_router(a, &pts, (rows, cols));
+    let router = a.router.router(&pts, a.grid());
     let cfg = ShardedConfig {
         seed: a.seed,
-        ..ShardedConfig::grid(rows, cols)
+        ..ShardedConfig::default()
     };
-    ShardedIndex::zm(pts, routing, &cfg, &elsi)
+    ShardedIndex::zm(pts, router, &cfg, &elsi)
 }
 
 /// Opens the deployment saved in `dir`: its manifest, the deployment, and
@@ -654,7 +643,7 @@ fn ingest_chunks(stream: &[Update], chunk: usize, apply: impl FnMut(&[Update])) 
 
 /// [`ingest_chunks`] through a sharded deployment, with its rebuild tally.
 fn ingest_sharded<I: SpatialIndex>(
-    dep: &mut ShardedIndex<I, Box<dyn PersistRouter>>,
+    dep: &mut ShardedIndex<I>,
     stream: &[Update],
     chunk: usize,
 ) -> String {
@@ -779,7 +768,7 @@ fn ingest(a: &Command) -> Result<String, String> {
         let how = format!("(journaled per shard, checkpointed as generation {generation})");
         (how, tally, dep.len())
     } else if let Some((rows, cols)) = a.shards {
-        let mut dep = build_sharded(pts, a, (rows, cols))?;
+        let mut dep = build_sharded(pts, a)?;
         let tally = ingest_sharded(&mut dep, &stream, chunk);
         let how = format!("through {rows}x{cols} shards ({kind} kind, {router} router)");
         (how, tally, dep.len())
@@ -815,7 +804,7 @@ fn query(a: &Command) -> Result<String, String> {
             q,
         )
     } else if let Some((rows, cols)) = a.shards {
-        let dep = build_sharded(load_points(&a.input)?, a, (rows, cols))?;
+        let dep = build_sharded(load_points(&a.input)?, a)?;
         let (kind, router) = (a.index.name(), a.router.name());
         let _ = writeln!(
             out,

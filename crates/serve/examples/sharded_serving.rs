@@ -7,7 +7,7 @@
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
-use elsi_serve::{GridRouter, ShardedConfig, ShardedIndex};
+use elsi_serve::{Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::Point;
 
 fn main() {
@@ -17,12 +17,7 @@ fn main() {
 
     // 2×2 grid: four independent UpdateProcessor<DeltaOverlay<ZmIndex>>
     // shards, built in parallel with per-shard deterministic seeds.
-    let mut sharded = ShardedIndex::zm(
-        points,
-        GridRouter::new(2, 2),
-        &ShardedConfig::default(),
-        &elsi,
-    );
+    let mut sharded = ShardedIndex::zm(points, Router::new(2, 2), &ShardedConfig::default(), &elsi);
     println!(
         "built {} shards, {} points total",
         sharded.num_shards(),

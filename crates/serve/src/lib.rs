@@ -13,12 +13,14 @@
 //!
 //! * [`router`] — query routing. The paper's indices answer a query by
 //!   *predict-and-scan* inside one model; the router is the layer above,
-//!   choosing which shard's model predicts (O(1) for points, an overlap
-//!   set for windows, a MINDIST-pruned frontier for kNN). Two policies
-//!   ship: the uniform [`GridRouter`] and the [`LearnedRouter`], whose
-//!   shard boundaries are equi-mass quantile cuts read off per-axis
-//!   empirical CDF models (`elsi_ml::PwlModel`), keeping shard occupancy
-//!   balanced under skew (`DESIGN.md` §13).
+//!   choosing which shard's model predicts (two binary searches for
+//!   points, an overlap set for windows, a MINDIST-pruned frontier for
+//!   kNN). One [`Router`] routes through per-axis cuts, and two
+//!   constructors place them: [`Router::new`] uniformly — at the exact
+//!   boundaries of the grid arithmetic `(v * n) as usize` — and
+//!   [`Router::fit`] at equi-mass quantiles read off per-axis empirical
+//!   CDF models (`elsi_ml::PwlModel`), keeping shard occupancy balanced
+//!   under skew (`DESIGN.md` §13).
 //! * [`persist`] — durable serving directories (`DESIGN.md` §14): one
 //!   manifest + per-shard snapshot/WAL files, written generationally so a
 //!   crash at any byte leaves a recoverable directory.
@@ -34,21 +36,18 @@
 //!   multiplies the paper's build-time savings by the shard count, because
 //!   a hotspot rebuilds one shard, not the world.
 //!
-//! Layering note: ISSUE-level docs describe this crate as "re-exported
-//! from `elsi`", but `elsi-serve` sits *above* `elsi` (it consumes
-//! `UpdateProcessor`/`DeltaOverlay`), so a re-export would be a dependency
-//! cycle. Depend on `elsi-serve` directly; everything else re-exports from
-//! here.
+//! `elsi-serve` sits *above* `elsi` (it consumes `UpdateProcessor` and
+//! `DeltaOverlay`), so `elsi` cannot re-export it: depend on it directly.
 //!
 //! ```no_run
 //! use elsi::{Elsi, ElsiConfig};
 //! use elsi_indices::SpatialIndex;
-//! use elsi_serve::{GridRouter, ShardedConfig, ShardedIndex};
+//! use elsi_serve::{Router, ShardedConfig, ShardedIndex};
 //!
 //! let points = elsi_data::gen::osm1_like(100_000, 42);
 //! let elsi = Elsi::new(ElsiConfig::default());
 //! let sharded =
-//!     ShardedIndex::zm(points, GridRouter::new(2, 2), &ShardedConfig::default(), &elsi);
+//!     ShardedIndex::zm(points, Router::new(2, 2), &ShardedConfig::default(), &elsi);
 //! let hits = sharded.knn_query(elsi_spatial::Point::at(0.5, 0.5), 10);
 //! assert_eq!(hits.len(), 10);
 //! ```
@@ -61,10 +60,12 @@ pub mod router;
 pub mod sharded;
 
 pub use persist::{
-    decode_router_state, encode_router_state, read_manifest, zm_codec, Manifest, PersistRouter,
-    RouterState, MANIFEST_FORMAT, MANIFEST_NAME, SEC_ROUTER,
+    decode_router, encode_router, read_manifest, zm_codec, Manifest, MANIFEST_FORMAT,
+    MANIFEST_NAME, SEC_ROUTER,
 };
-pub use router::{shard_occupancy, GridRouter, LearnedRouter, Router};
+pub use router::{shard_occupancy, Router};
+#[doc(hidden)]
+pub use router::{GridRouter, LearnedRouter};
 pub use sharded::{
     canonical_knn_cmp, canonical_point_key, ShardContext, ShardStats, ShardedConfig, ShardedIndex,
 };

@@ -27,7 +27,8 @@
 //!
 //! Router cuts are f64 bit patterns and therefore live in the binary
 //! router snapshot, not in JSON (see `elsi_store::json`); the manifest
-//! only echoes the router *kind* so a mismatched open fails before any
+//! echoes the router *kind* ("grid" for uniform cuts, "learned" for any
+//! other) so a manifest that disagrees with its snapshot fails before any
 //! shard work starts.
 
 use std::fs;
@@ -43,7 +44,7 @@ use elsi_store::{
 };
 use rayon::prelude::*;
 
-use crate::router::{GridRouter, LearnedRouter, Router};
+use crate::router::Router;
 use crate::sharded::{shard_seed, zm_policy, zm_shard_builder, ShardContext, ShardedIndex};
 
 /// Re-exported so serving callers can assemble the workhorse codec
@@ -59,180 +60,89 @@ pub const MANIFEST_FORMAT: u32 = 1;
 /// Section tag of the router state inside `router.g<N>.snap`.
 pub const SEC_ROUTER: u32 = u32::from_le_bytes(*b"ROUT");
 
-/// Binary tag for [`RouterState::Grid`].
+/// Binary tag of a router with uniform cuts: the shape alone.
 const ROUTER_GRID: u8 = 0;
-/// Binary tag for [`RouterState::Learned`].
+/// Binary tag of any other router: the shape plus every cut.
 const ROUTER_LEARNED: u8 = 1;
 
-/// The persistable state of a router — everything needed to reassemble
-/// routing *without refitting*, so recovery skips the CDF fit entirely.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouterState {
-    /// A uniform [`GridRouter`]: shape only.
-    Grid {
-        /// Grid rows.
-        rows: usize,
-        /// Grid columns.
-        cols: usize,
-    },
-    /// A fitted [`LearnedRouter`]: shape plus the exact cut positions
-    /// (f64 bit patterns — routing after recovery must be bit-identical
-    /// to routing before the save, or points change owners).
-    Learned {
-        /// Partition rows.
-        rows: usize,
-        /// Partition columns.
-        cols: usize,
-        /// `cols + 1` strictly increasing x cuts anchored at `0.0`/`1.0`.
-        x_cuts: Vec<f64>,
-        /// Per column, `rows + 1` such y cuts.
-        y_cuts: Vec<Vec<f64>>,
-    },
-}
-
-impl RouterState {
-    /// The manifest name of this router kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RouterState::Grid { .. } => "grid",
-            RouterState::Learned { .. } => "learned",
-        }
+/// The tag `router` is saved under: [`ROUTER_GRID`] when it has
+/// [`Router::new`]'s uniform cuts, else [`ROUTER_LEARNED`].
+fn router_tag(router: &Router) -> u8 {
+    if *router == Router::new(router.rows(), router.cols()) {
+        ROUTER_GRID
+    } else {
+        ROUTER_LEARNED
     }
 }
 
-/// Routers a serving directory can persist and restore.
-pub trait PersistRouter: Router {
-    /// This router's persistable state.
-    fn state(&self) -> RouterState;
-
-    /// Reassembles a router from persisted state; `None` when the state
-    /// describes a different router kind or violates its invariants.
-    fn from_state(state: &RouterState) -> Option<Self>
-    where
-        Self: Sized;
-}
-
-impl PersistRouter for GridRouter {
-    fn state(&self) -> RouterState {
-        RouterState::Grid {
-            rows: self.rows(),
-            cols: self.cols(),
-        }
-    }
-
-    fn from_state(state: &RouterState) -> Option<Self> {
-        match state {
-            RouterState::Grid { rows, cols } if *rows >= 1 && *cols >= 1 => {
-                Some(GridRouter::new(*rows, *cols))
-            }
-            _ => None,
-        }
+/// The manifest name of a router section's kind tag.
+fn tag_kind(tag: u8) -> &'static str {
+    if tag == ROUTER_GRID {
+        "grid"
+    } else {
+        "learned"
     }
 }
 
-impl PersistRouter for LearnedRouter {
-    fn state(&self) -> RouterState {
-        RouterState::Learned {
-            rows: self.rows(),
-            cols: self.cols(),
-            x_cuts: self.x_cuts().to_vec(),
-            y_cuts: (0..self.cols())
-                .map(|c| self.y_cuts(c).unwrap_or(&[]).to_vec())
-                .collect(),
-        }
-    }
-
-    fn from_state(state: &RouterState) -> Option<Self> {
-        match state {
-            RouterState::Learned {
-                rows,
-                cols,
-                x_cuts,
-                y_cuts,
-            } => LearnedRouter::from_cuts(*rows, *cols, x_cuts.clone(), y_cuts.clone()),
-            _ => None,
-        }
-    }
-}
-
-/// A boxed router restores from *any* persisted state, dispatching on the
-/// closed [`RouterState`] enum — the type to open a serving directory with
-/// when the router kind is only known at runtime.
-impl PersistRouter for Box<dyn PersistRouter> {
-    fn state(&self) -> RouterState {
-        (**self).state()
-    }
-
-    fn from_state(state: &RouterState) -> Option<Self> {
-        Some(match state {
-            RouterState::Grid { .. } => Box::new(GridRouter::from_state(state)?),
-            RouterState::Learned { .. } => Box::new(LearnedRouter::from_state(state)?),
-        })
-    }
-}
-
-/// Encodes a router state for the `SEC_ROUTER` snapshot section.
-pub fn encode_router_state(state: &RouterState) -> Vec<u8> {
+/// Encodes a router for the `SEC_ROUTER` snapshot section: a uniform
+/// router as its shape, any other as its shape plus the exact cut
+/// positions (f64 bit patterns — routing after recovery must be
+/// bit-identical to routing before the save, or points change owners).
+pub fn encode_router(router: &Router) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    match state {
-        RouterState::Grid { rows, cols } => {
-            w.put_u8(ROUTER_GRID);
-            w.put_usize(*rows);
-            w.put_usize(*cols);
-        }
-        RouterState::Learned {
-            rows,
-            cols,
-            x_cuts,
-            y_cuts,
-        } => {
-            w.put_u8(ROUTER_LEARNED);
-            w.put_usize(*rows);
-            w.put_usize(*cols);
-            w.put_f64s(x_cuts);
-            w.put_usize(y_cuts.len());
-            for col in y_cuts {
-                w.put_f64s(col);
-            }
+    let tag = router_tag(router);
+    w.put_u8(tag);
+    w.put_usize(router.rows());
+    w.put_usize(router.cols());
+    if tag == ROUTER_LEARNED {
+        w.put_f64s(router.x_cuts());
+        w.put_usize(router.cols());
+        for c in 0..router.cols() {
+            w.put_f64s(router.y_cuts(c).unwrap_or(&[]));
         }
     }
     w.into_vec()
 }
 
-/// Decodes a `SEC_ROUTER` payload. Unknown kind tags are
-/// [`StoreError::Unsupported`] (a newer build's router, not damage).
-pub fn decode_router_state(bytes: &[u8]) -> Result<RouterState, StoreError> {
+/// Decodes a `SEC_ROUTER` payload into the router it describes, without
+/// refitting, and the kind its tag records ("grid" or "learned"; a stored
+/// cut set may equal the uniform one and still be "learned").
+///
+/// `shards` is the count the manifest records: a payload of any other
+/// shape is a [`StoreError::Manifest`], raised before a shape-only payload
+/// materialises its cuts. Unknown kind tags are
+/// [`StoreError::Unsupported`] (a newer build's router, not damage); cuts
+/// that break the router's invariants are corrupt.
+pub fn decode_router(bytes: &[u8], shards: usize) -> Result<(Router, &'static str), StoreError> {
     let mut r = ByteReader::new(bytes, "router state");
-    let state = match r.get_u8()? {
-        ROUTER_GRID => RouterState::Grid {
-            rows: r.get_usize()?,
-            cols: r.get_usize()?,
-        },
-        ROUTER_LEARNED => {
-            let rows = r.get_usize()?;
-            let cols = r.get_usize()?;
-            let x_cuts = r.get_f64s()?;
-            // Each column carries at least its own length prefix.
-            let n = r.get_len(8)?;
-            let mut y_cuts = Vec::with_capacity(n);
-            for _ in 0..n {
-                y_cuts.push(r.get_f64s()?);
-            }
-            RouterState::Learned {
-                rows,
-                cols,
-                x_cuts,
-                y_cuts,
-            }
+    let tag = r.get_u8()?;
+    if tag != ROUTER_GRID && tag != ROUTER_LEARNED {
+        return Err(StoreError::Unsupported {
+            what: format!("router kind tag {tag}"),
+        });
+    }
+    let (rows, cols) = (r.get_usize()?, r.get_usize()?);
+    if rows.checked_mul(cols) != Some(shards) {
+        return Err(StoreError::Manifest {
+            detail: format!("router is {rows}x{cols} but the manifest records {shards} shards"),
+        });
+    }
+    let router = if tag == ROUTER_GRID {
+        (rows >= 1 && cols >= 1).then(|| Router::new(rows, cols))
+    } else {
+        let x_cuts = r.get_f64s()?;
+        // Each column carries at least its own length prefix.
+        let n = r.get_len(8)?;
+        let mut y_cuts = Vec::with_capacity(n);
+        for _ in 0..n {
+            y_cuts.push(r.get_f64s()?);
         }
-        other => {
-            return Err(StoreError::Unsupported {
-                what: format!("router kind tag {other}"),
-            })
-        }
+        Router::from_cuts(rows, cols, x_cuts, y_cuts)
     };
     r.expect_end()?;
-    Ok(state)
+    let router = router
+        .ok_or_else(|| StoreError::corrupt("router state", "cuts violate router invariants"))?;
+    Ok((router, tag_kind(tag)))
 }
 
 /// The parsed `MANIFEST.json` of a serving directory.
@@ -389,11 +299,7 @@ fn prune_stale(dir: &Path, keep: u64) {
     }
 }
 
-impl<I, R> ShardedIndex<I, R>
-where
-    I: SpatialIndex,
-    R: PersistRouter,
-{
+impl<I: SpatialIndex> ShardedIndex<I> {
     /// Persists the deployment into `dir` as the next generation and
     /// rotates every shard's journal: old WALs are absorbed by the new
     /// snapshots, and updates applied after this call journal into fresh
@@ -412,7 +318,7 @@ where
         let generation = next_generation(dir);
 
         let mut router_snap = SnapshotWriter::new();
-        router_snap.add_section(SEC_ROUTER, encode_router_state(&self.router.state()));
+        router_snap.add_section(SEC_ROUTER, encode_router(&self.router));
         router_snap.write_file(&dir.join(router_file(generation)))?;
 
         // The vendored rayon has no `par_iter_mut`: move the shards out,
@@ -460,7 +366,7 @@ where
                 shards: self.shards.len(),
                 f_u: self.f_u,
                 seed: self.seed,
-                router_kind: self.router.state().kind().to_string(),
+                router_kind: tag_kind(router_tag(&self.router)).to_string(),
             },
         )?;
         prune_stale(dir, generation);
@@ -497,31 +403,15 @@ where
             });
         }
         let snap = Snapshot::read_file(&dir.join(router_file(manifest.generation)))?;
-        let state =
-            decode_router_state(snap.section(SEC_ROUTER).ok_or_else(|| {
-                StoreError::corrupt("router snapshot", "missing router section")
-            })?)?;
-        if manifest.router_kind != state.kind() {
+        let section = snap
+            .section(SEC_ROUTER)
+            .ok_or_else(|| StoreError::corrupt("router snapshot", "missing router section"))?;
+        let (router, kind) = decode_router(section, manifest.shards)?;
+        if manifest.router_kind != kind {
             return Err(StoreError::Manifest {
                 detail: format!(
-                    "manifest says router `{}` but the router snapshot holds `{}`",
-                    manifest.router_kind,
-                    state.kind()
-                ),
-            });
-        }
-        let router = R::from_state(&state).ok_or_else(|| StoreError::Manifest {
-            detail: format!(
-                "directory persists a `{}` router, which this deployment's router type cannot restore",
-                state.kind()
-            ),
-        })?;
-        if router.num_shards() != manifest.shards {
-            return Err(StoreError::Manifest {
-                detail: format!(
-                    "router owns {} shards but the manifest records {}",
-                    router.num_shards(),
-                    manifest.shards
+                    "manifest says router `{}` but the router snapshot holds `{kind}`",
+                    manifest.router_kind
                 ),
             });
         }
@@ -572,7 +462,7 @@ pub fn zm_codec() -> OverlayCodec<ZmStateCodec> {
     OverlayCodec::new(ZmStateCodec)
 }
 
-impl<R: PersistRouter> ShardedIndex<ZmIndex, R> {
+impl ShardedIndex<ZmIndex> {
     /// Reopens a [`ShardedIndex::zm`] deployment saved with [`zm_codec`];
     /// the router (learned cuts included) comes back exactly, with no
     /// refit. `elsi` only builds on later policy-triggered rebuilds —
@@ -616,11 +506,11 @@ mod tests {
         |_ctx: &ShardContext, pts: Vec<Point>| GridIndex::build(pts, &GridConfig { block_size: 16 })
     }
 
-    fn grid_deployment(points: Vec<Point>) -> ShardedIndex<GridIndex, GridRouter> {
+    fn grid_deployment(points: Vec<Point>) -> ShardedIndex<GridIndex> {
         ShardedIndex::build(
             points,
-            GridRouter::new(2, 2),
-            &ShardedConfig::grid(2, 2),
+            Router::new(2, 2),
+            &ShardedConfig::default(),
             grid_builder(),
             |_s| RebuildPolicy::Never,
         )
@@ -640,13 +530,9 @@ mod tests {
             "save must leave shards journaling"
         );
 
-        let re = ShardedIndex::<GridIndex, GridRouter>::open(
-            &d,
-            grid_builder(),
-            |_s| RebuildPolicy::Never,
-            &codec,
-        )
-        .unwrap();
+        let re =
+            ShardedIndex::<GridIndex>::open(&d, grid_builder(), |_s| RebuildPolicy::Never, &codec)
+                .unwrap();
         assert_eq!(re.len(), idx.len());
         assert_eq!(re.num_shards(), idx.num_shards());
         // Canonical result order makes equal sets bit-identical even
@@ -663,7 +549,7 @@ mod tests {
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let mut idx = ShardedIndex::zm(
             pts(800),
-            GridRouter::new(2, 2),
+            Router::new(2, 2),
             &ShardedConfig::default(),
             &elsi,
         );
@@ -672,7 +558,7 @@ mod tests {
         }
         idx.save(&d, &zm_codec()).unwrap();
 
-        let re = ShardedIndex::<_, GridRouter>::open_zm(&d, &elsi).unwrap();
+        let re = ShardedIndex::open_zm(&d, &elsi).unwrap();
         // The encoded-index fast path restores exact state: the stats
         // (including delta sizes) and raw query results all match.
         assert_eq!(re.shard_stats(), idx.shard_stats());
@@ -692,7 +578,7 @@ mod tests {
         for (slot, n) in bytes.iter_mut().zip([8_000, 16_000]) {
             let d = dir(&format!("size_{n}"));
             let cfg = ShardedConfig::default();
-            let mut idx = ShardedIndex::zm(pts(n), GridRouter::new(2, 2), &cfg, &elsi);
+            let mut idx = ShardedIndex::zm(pts(n), Router::new(2, 2), &cfg, &elsi);
             idx.save(&d, &zm_codec())?;
             for s in 0..idx.num_shards() {
                 let snap = Snapshot::read_file(&d.join(shard_snap_file(1, s)))?;
@@ -740,8 +626,8 @@ mod tests {
             let d = dir(tag);
             let mut idx = ShardedIndex::zm(
                 points.clone(),
-                GridRouter::new(4, 4),
-                &ShardedConfig::grid(4, 4),
+                Router::new(4, 4),
+                &ShardedConfig::default(),
                 &elsi,
             );
             if batched {
@@ -756,7 +642,7 @@ mod tests {
             }
             assert_eq!(idx.len(), points.len(), "{tag}");
             idx.save(&d, &zm_codec())?;
-            let re = ShardedIndex::<_, GridRouter>::open_zm(&d, &elsi)?;
+            let re = ShardedIndex::open_zm(&d, &elsi)?;
             assert_eq!(re.len(), points.len(), "{tag}");
             assert_eq!(re.window_query(&Rect::unit()), oracle, "{tag}");
             assert_eq!(re.point_query(points[10]), Some(points[10]), "{tag}");
@@ -769,17 +655,13 @@ mod tests {
         let d = dir("learned_rt");
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let points = pts(2_000);
-        let router = LearnedRouter::fit_sampled(&points, 2, 3);
+        let router = Router::fit_sampled(&points, 2, 3);
         let mut idx = ShardedIndex::zm(points, router, &ShardedConfig::default(), &elsi);
         idx.save(&d, &zm_codec()).unwrap();
-        let re = ShardedIndex::<_, LearnedRouter>::open_zm(&d, &elsi).unwrap();
+        let re = ShardedIndex::open_zm(&d, &elsi).unwrap();
         // PartialEq over the cut vectors: bit-exact, no refit drift.
         assert_eq!(re.router(), idx.router());
-        let boxed = ShardedIndex::<_, Box<dyn PersistRouter>>::open_zm(&d, &elsi);
-        assert_eq!(
-            boxed.map(|b| b.router().state()).ok(),
-            Some(idx.router().state())
-        );
+        assert_eq!(read_manifest(&d).unwrap().router_kind, "learned");
         let w = Rect::new(0.25, 0.0, 0.8, 0.55);
         assert_eq!(re.window_query(&w), idx.window_query(&w));
     }
@@ -805,13 +687,9 @@ mod tests {
         );
         assert!(names.contains(&MANIFEST_NAME.to_string()));
         // The rotated directory still opens.
-        let re = ShardedIndex::<GridIndex, GridRouter>::open(
-            &d,
-            grid_builder(),
-            |_s| RebuildPolicy::Never,
-            &codec,
-        )
-        .unwrap();
+        let re =
+            ShardedIndex::<GridIndex>::open(&d, grid_builder(), |_s| RebuildPolicy::Never, &codec)
+                .unwrap();
         assert_eq!(re.len(), idx.len());
     }
 
@@ -835,60 +713,74 @@ mod tests {
         let expect = idx.window_query(&w);
         drop(idx); // "crash": nothing saved since the journaled tail
 
-        let re = ShardedIndex::<GridIndex, GridRouter>::open(
-            &d,
-            grid_builder(),
-            |_s| RebuildPolicy::Never,
-            &codec,
-        )
-        .unwrap();
+        let re =
+            ShardedIndex::<GridIndex>::open(&d, grid_builder(), |_s| RebuildPolicy::Never, &codec)
+                .unwrap();
         assert_eq!(re.len(), expect_len);
         assert_eq!(re.window_query(&w), expect);
         assert!(re.shard(0).wal_attached(), "open must re-attach journals");
     }
 
     #[test]
-    fn opening_with_the_wrong_router_type_is_a_manifest_error() {
-        let d = dir("wrong_router");
-        let elsi = Elsi::new(ElsiConfig::fast_test());
-        let mut idx = ShardedIndex::zm(
-            pts(300),
-            GridRouter::new(2, 2),
-            &ShardedConfig::default(),
-            &elsi,
-        );
-        idx.save(&d, &zm_codec()).unwrap();
-        let err = match ShardedIndex::<_, LearnedRouter>::open_zm(&d, &elsi) {
-            Err(e) => e,
-            Ok(_) => panic!("opening a grid directory as learned must fail"),
+    fn router_state_codec_round_trips_and_rejects_damage() -> Result<(), StoreError> {
+        let le = |v: u64| v.to_le_bytes().to_vec();
+        let f64s = |vs: &[f64]| -> Vec<u8> {
+            let bits = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
+            le(vs.len() as u64).into_iter().chain(bits).collect()
         };
-        assert!(matches!(err, StoreError::Manifest { .. }), "{err}");
-        // The boxed router restores whichever kind the directory holds.
-        let boxed = ShardedIndex::<_, Box<dyn PersistRouter>>::open_zm(&d, &elsi);
-        assert_eq!(
-            boxed.map(|b| b.router().state()).ok(),
-            Some(idx.router().state())
-        );
-    }
+        // Tag 1: the shape, the x cuts, then one y cut set per column.
+        let learned = |rows: u64, x: &[f64], y: &[f64]| -> Vec<u8> {
+            let cols = x.len() as u64 - 1;
+            let ys = (0..cols).flat_map(|_| f64s(y));
+            [vec![1], le(rows), le(cols), f64s(x), le(cols)]
+                .concat()
+                .into_iter()
+                .chain(ys)
+                .collect()
+        };
+        // A uniform 3×5 router as the grid router of earlier builds wrote
+        // it: tag 0 and the shape. It decodes to `Router::new` and
+        // re-encodes to the same bytes.
+        let grid = [vec![0], le(3), le(5)].concat();
+        let (decoded, kind) = decode_router(&grid, 15)?;
+        assert_eq!((&decoded, kind), (&Router::new(3, 5), "grid"));
+        assert_eq!(encode_router(&decoded), grid);
 
-    #[test]
-    fn router_state_codec_round_trips_and_rejects_damage() {
-        let grid = RouterState::Grid { rows: 3, cols: 5 };
-        assert_eq!(
-            decode_router_state(&encode_router_state(&grid)).unwrap(),
-            grid
-        );
+        // Tag 1 carrying the `j / n` cuts an earlier build's degenerate fit
+        // fell back to: decoded as stored, not snapped to uniform cuts.
+        // For ten columns, `9 / 10` sits one ulp above the uniform cut.
+        let tenths: Vec<f64> = (0..=10).map(|j| f64::from(j) / 10.0).collect();
+        let fallback = learned(2, &tenths, &[0.0, 0.5, 1.0]);
+        let (decoded, kind) = decode_router(&fallback, 20)?;
+        assert_ne!(decoded.x_cuts(), Router::new(2, 10).x_cuts());
+        assert_eq!(decoded.x_cuts(), &tenths[..]);
+        assert_eq!(decoded.y_cuts(9), Some(&[0.0, 0.5, 1.0][..]));
+        assert_eq!(kind, "learned");
+        assert_eq!(encode_router(&decoded), fallback);
+        // At a power-of-two shape those cuts are the uniform ones; the
+        // stored tag, not the cuts, names the kind the manifest recorded.
+        let halves = learned(2, &[0.0, 0.5, 1.0], &[0.0, 0.5, 1.0]);
+        let (decoded, kind) = decode_router(&halves, 4)?;
+        assert_eq!((&decoded, kind), (&Router::new(2, 2), "learned"));
 
-        let fitted = LearnedRouter::fit(&pts(4_000), 3, 2);
-        let decoded = decode_router_state(&encode_router_state(&fitted.state())).unwrap();
-        assert_eq!(LearnedRouter::from_state(&decoded).unwrap(), fitted);
+        let fitted = Router::fit(&pts(4_000), 3, 2);
+        assert_eq!(decode_router(&encode_router(&fitted), 6)?.0, fitted);
 
         assert!(matches!(
-            decode_router_state(&[9]),
+            decode_router(&[9], 15),
             Err(StoreError::Unsupported { .. })
         ));
-        let bytes = encode_router_state(&fitted.state());
-        assert!(decode_router_state(&bytes[..bytes.len() - 3]).is_err());
+        let bytes = encode_router(&fitted);
+        assert!(decode_router(&bytes[..bytes.len() - 3], 6).is_err());
+        assert!(decode_router(&grid[..grid.len() - 1], 15).is_err());
+        // A shape the manifest does not record never materialises.
+        assert!(matches!(
+            decode_router(&grid, 16),
+            Err(StoreError::Manifest { .. })
+        ));
+        let huge = [vec![0], le(u64::MAX), le(2)].concat();
+        assert!(decode_router(&huge, 2).is_err());
+        Ok(())
     }
 
     #[test]

@@ -1,65 +1,40 @@
-//! Learned CDF routing: equi-mass shard boundaries from piecewise-linear
-//! rank models.
+//! Learned cuts: equi-mass shard boundaries from piecewise-linear rank
+//! models.
 //!
-//! [`GridRouter`](super::GridRouter) cuts the unit square uniformly, so a
-//! skewed workload piles its points into a few shards while the rest
-//! idle. [`LearnedRouter`] instead *learns* the data distribution: it
-//! fits an ε-bounded piecewise-linear model of each axis's empirical CDF
-//! (`elsi_ml::PwlModel`, the same shrinking-cone machinery the PWL index
-//! method uses) and places shard boundaries at equi-mass quantiles —
-//! inverted-CDF positions where each cut sheds `1/parts` of the sample
-//! mass — so every shard owns roughly `n / S` points regardless of skew.
+//! Uniform cuts ([`Router::new`]) pile a skewed workload's points into a
+//! few shards while the rest idle. [`Router::fit`] instead *learns* the
+//! data distribution: it fits an ε-bounded piecewise-linear model of each
+//! axis's empirical CDF (`elsi_ml::PwlModel`, the same shrinking-cone
+//! machinery the PWL index method uses) and places the cuts at equi-mass
+//! quantiles — inverted-CDF positions where each cut sheds `1/parts` of
+//! the sample mass — so every shard owns roughly `n / S` points
+//! regardless of skew.
 //!
-//! Topology: the x axis is cut into `cols` columns from the x-marginal
-//! CDF, then each column's y axis is cut into `rows` cells from that
-//! column's *conditional* y-CDF (a Flood-style layout). Conditional
-//! per-column cuts matter for clustered data, where the y distribution
-//! varies with x and a single global y-marginal would rebalance nothing.
-//!
-//! The router satisfies the [`Router`](super::Router) contract exactly
-//! like the grid does — ownership is a pure function of coordinates and
-//! closed cell rectangles cover it — so the cross-shard kNN merge proof
-//! and the batched `par_*` paths are unchanged (`DESIGN.md` §13).
+//! The x axis is cut into `cols` columns from the x-marginal CDF, then
+//! each column's y axis is cut into `rows` cells from that column's
+//! *conditional* y-CDF. Conditional per-column cuts matter for clustered
+//! data, where the y distribution varies with x and a single global
+//! y-marginal would rebalance nothing.
 
 use elsi_ml::PwlModel;
-use elsi_spatial::{Point, Rect};
+use elsi_spatial::Point;
 
-use super::Router;
+use super::{cut_cell, uniform_cuts, Router};
 
-/// Cap on the number of sample points [`LearnedRouter::fit_sampled`]
+/// Cap on the number of sample points [`Router::fit_sampled`]
 /// feeds into the CDF fit: quantile cuts need a sketch of the
 /// distribution, not every point.
 const MAX_FIT_SAMPLE: usize = 100_000;
 
-/// An R×C partition of the unit square with learned, equi-mass cell
-/// boundaries.
-///
-/// Shard ids are row-major like the grid router's: shard `r * cols + c`
-/// owns `[x_cuts[c], x_cuts[c+1]] × [y_cuts[c][r], y_cuts[c][r+1]]`. A
-/// coordinate exactly on an interior cut belongs to the *higher* cell,
-/// and `1.0` to the last cell — the same closed-interval convention as
-/// [`GridRouter`](super::GridRouter), so boundary points have exactly one
-/// owner.
-///
-/// Degenerate training samples (empty, too small, or with fewer distinct
-/// coordinate values than cuts) make equi-mass cuts impossible; the
-/// affected axis falls back to uniform grid cuts, so the router always
-/// produces `rows × cols` non-empty, strictly increasing cells. With a
-/// fully degenerate sample the router *is* the grid router.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LearnedRouter {
-    rows: usize,
-    cols: usize,
-    /// `cols + 1` strictly increasing x cuts; first `0.0`, last `1.0`.
-    x_cuts: Vec<f64>,
-    /// Per column: `rows + 1` strictly increasing y cuts, first `0.0`,
-    /// last `1.0`. `y_cuts.len() == cols`.
-    y_cuts: Vec<Vec<f64>>,
-}
-
-impl LearnedRouter {
+impl Router {
     /// Fits a `rows × cols` router (each clamped up to at least 1) to
     /// `sample`.
+    ///
+    /// Degenerate samples (empty, too small, or with fewer distinct
+    /// coordinate values than cuts) make equi-mass cuts impossible; the
+    /// affected axis falls back to [`Router::new`]'s uniform cuts, so the
+    /// fit always produces `rows × cols` non-empty, strictly increasing
+    /// cells. A fully degenerate sample fits the uniform grid.
     ///
     /// Deterministic: same sample and shape, same router — coordinates
     /// are ordered with `total_cmp` and the fit is a fixed one-pass
@@ -97,7 +72,7 @@ impl LearnedRouter {
         }
     }
 
-    /// [`LearnedRouter::fit`] over a deterministic stride subsample capped
+    /// [`Router::fit`] over a deterministic stride subsample capped
     /// at 100k points — large builds pay a bounded fitting cost while the
     /// stride preserves the empirical distribution.
     pub fn fit_sampled(points: &[Point], rows: usize, cols: usize) -> Self {
@@ -108,152 +83,6 @@ impl LearnedRouter {
         let sample: Vec<Point> = points.iter().step_by(step).copied().collect();
         Self::fit(&sample, rows, cols)
     }
-
-    /// Reassembles a router from previously fitted cuts — the recovery
-    /// path of the persistence layer (`DESIGN.md` §14), where the cuts
-    /// come back from a serving-directory snapshot instead of a fit.
-    ///
-    /// Returns `None` unless the cuts satisfy every invariant the fit
-    /// guarantees: `x_cuts` has `cols + 1` strictly increasing values
-    /// anchored at `0.0` and `1.0`, and `y_cuts` has one such `rows + 1`
-    /// cut set per column. A decoded cut set that fails this check is
-    /// corrupt — accepting it would break the closed-cell ownership
-    /// contract ([`Router`]) that the cross-shard merge proofs rely on.
-    pub fn from_cuts(
-        rows: usize,
-        cols: usize,
-        x_cuts: Vec<f64>,
-        y_cuts: Vec<Vec<f64>>,
-    ) -> Option<Self> {
-        let anchored = |cuts: &[f64], parts: usize| {
-            cuts.len() == parts + 1
-                && cuts.first() == Some(&0.0)
-                && cuts.last() == Some(&1.0)
-                && cuts.iter().zip(cuts.iter().skip(1)).all(|(a, b)| a < b)
-        };
-        if rows == 0 || cols == 0 || !anchored(&x_cuts, cols) {
-            return None;
-        }
-        if y_cuts.len() != cols || !y_cuts.iter().all(|cuts| anchored(cuts, rows)) {
-            return None;
-        }
-        Some(Self {
-            rows,
-            cols,
-            x_cuts,
-            y_cuts,
-        })
-    }
-
-    /// Rows of the partition.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of the partition.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The learned x cuts: `cols + 1` strictly increasing values from
-    /// `0.0` to `1.0`.
-    pub fn x_cuts(&self) -> &[f64] {
-        &self.x_cuts
-    }
-
-    /// The learned y cuts of column `col` (`rows + 1` strictly increasing
-    /// values from `0.0` to `1.0`), or `None` past the last column.
-    pub fn y_cuts(&self, col: usize) -> Option<&[f64]> {
-        self.y_cuts.get(col).map(Vec::as_slice)
-    }
-
-    /// Column of `x` under the learned x cuts.
-    fn col_of(&self, x: f64) -> usize {
-        cut_cell(x, &self.x_cuts)
-    }
-
-    /// Row of `y` inside column `col`.
-    fn row_of(&self, col: usize, y: f64) -> usize {
-        match self.y_cuts.get(col) {
-            Some(cuts) => cut_cell(y, cuts),
-            None => 0,
-        }
-    }
-}
-
-impl Router for LearnedRouter {
-    fn num_shards(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    // lint:hot_path
-    // lint:serving_root
-    fn shard_of(&self, p: Point) -> usize {
-        let c = self.col_of(p.x);
-        self.row_of(c, p.y) * self.cols + c
-    }
-
-    fn shard_rect(&self, shard: usize) -> Rect {
-        let c = shard % self.cols;
-        let r = shard / self.cols;
-        let (lo_x, hi_x) = cut_bounds(&self.x_cuts, c);
-        let (lo_y, hi_y) = match self.y_cuts.get(c) {
-            Some(cuts) => cut_bounds(cuts, r),
-            None => (0.0, 1.0),
-        };
-        Rect::new(lo_x, lo_y, hi_x, hi_y)
-    }
-
-    fn shards_for_window(&self, w: &Rect) -> Vec<usize> {
-        if w.is_empty() {
-            return Vec::new();
-        }
-        // Columns intersecting the window form a contiguous x range; the
-        // row range then differs per column (conditional y cuts), so
-        // enumerate rows within each column. Like the grid router, lower
-        // cells merely *touching* `w` on a shared cut are dropped: a
-        // boundary coordinate belongs to the higher cell.
-        let c0 = self.col_of(w.lo_x);
-        let c1 = self.col_of(w.hi_x);
-        let mut out = Vec::new();
-        for c in c0..=c1 {
-            let r0 = self.row_of(c, w.lo_y);
-            let r1 = self.row_of(c, w.hi_y);
-            for r in r0..=r1 {
-                out.push(r * self.cols + c);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Cell of `v` under strictly increasing `cuts` (`len == parts + 1`).
-///
-/// Counts the cuts at or below `v`, which lands a coordinate exactly on
-/// an interior cut in the *higher* cell; the final `min` folds `v == 1.0`
-/// (at or past the last cut) into the last cell. NaN clamps to `0.0`.
-/// Total, allocation-free and panic-free — this sits on the query hot
-/// path under `shard_of`.
-fn cut_cell(v: f64, cuts: &[f64]) -> usize {
-    let v = v.clamp(0.0, 1.0);
-    let k = cuts.partition_point(|&c| c <= v);
-    k.saturating_sub(1).min(cuts.len().saturating_sub(2))
-}
-
-/// Closed `[lo, hi]` span of `cell` under `cuts`; out-of-range cells
-/// degrade to the full axis rather than panic.
-fn cut_bounds(cuts: &[f64], cell: usize) -> (f64, f64) {
-    let lo = cuts.get(cell).copied().unwrap_or(0.0);
-    let hi = cuts.get(cell + 1).copied().unwrap_or(1.0);
-    (lo, hi)
-}
-
-/// Uniform grid cuts `0, 1/parts, …, 1` — the degenerate-sample fallback
-/// (and the exact boundaries `GridRouter` uses on the same axis).
-fn uniform_cuts(parts: usize) -> Vec<f64> {
-    let parts = parts.max(1);
-    (0..=parts).map(|j| j as f64 / parts as f64).collect()
 }
 
 /// ε for the PWL CDF fit of one axis: a small fraction of the per-part
@@ -307,12 +136,13 @@ fn axis_cuts(sorted: &[f64], parts: usize) -> Option<Vec<f64>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use elsi_spatial::Rect;
 
     /// Points shaped `y = u⁴` (heavy mass near y = 0) on a uniform x —
     /// the skewed acceptance workload, deterministic without RNG.
-    fn skewed_points(n: usize) -> Vec<Point> {
+    pub(crate) fn skewed_points(n: usize) -> Vec<Point> {
         (0..n)
             .map(|i| {
                 // Low-discrepancy uniform x via the golden-ratio sequence.
@@ -331,7 +161,7 @@ mod tests {
 
     #[test]
     fn cuts_are_strictly_increasing_and_anchored() {
-        let r = LearnedRouter::fit(&skewed_points(20_000), 8, 8);
+        let r = Router::fit(&skewed_points(20_000), 8, 8);
         let check = |cuts: &[f64], parts: usize| {
             assert_eq!(cuts.len(), parts + 1);
             assert_eq!(cuts.first().copied(), Some(0.0));
@@ -347,8 +177,8 @@ mod tests {
     #[test]
     fn learned_cuts_balance_skew_where_grid_does_not() {
         let pts = skewed_points(50_000);
-        let learned = LearnedRouter::fit(&pts, 8, 8);
-        let grid = super::super::GridRouter::new(8, 8);
+        let learned = Router::fit(&pts, 8, 8);
+        let grid = Router::new(8, 8);
         let lm = max_over_mean(&super::super::shard_occupancy(&learned, &pts));
         let gm = max_over_mean(&super::super::shard_occupancy(&grid, &pts));
         assert!(lm <= 1.5, "learned max/mean {lm:.2} > 1.5");
@@ -360,28 +190,15 @@ mod tests {
 
     #[test]
     fn empty_sample_falls_back_to_grid_cuts() {
-        let r = LearnedRouter::fit(&[], 4, 4);
-        assert_eq!(r.x_cuts(), &uniform_cuts(4)[..]);
-        for c in 0..4 {
-            assert_eq!(r.y_cuts(c), Some(&uniform_cuts(4)[..]));
-        }
-        // A fully degenerate fit routes exactly like the grid's rects.
-        for s in 0..r.num_shards() {
-            assert_eq!(
-                r.shard_rect(s),
-                super::super::GridRouter::new(4, 4).shard_rect(s)
-            );
-        }
+        // A fully degenerate fit is the uniform grid.
+        assert_eq!(Router::fit(&[], 4, 4), Router::new(4, 4));
+        assert_eq!(Router::fit(&[], 3, 6), Router::new(3, 6));
     }
 
     #[test]
     fn all_duplicate_sample_falls_back_to_grid_cuts() {
         let pts: Vec<Point> = (0..100).map(|i| Point::new(i, 0.5, 0.5)).collect();
-        let r = LearnedRouter::fit(&pts, 4, 4);
-        assert_eq!(r.x_cuts(), &uniform_cuts(4)[..]);
-        for c in 0..4 {
-            assert_eq!(r.y_cuts(c), Some(&uniform_cuts(4)[..]));
-        }
+        assert_eq!(Router::fit(&pts, 4, 4), Router::new(4, 4));
     }
 
     #[test]
@@ -395,7 +212,7 @@ mod tests {
                 Point::new(i as u64, [0.2, 0.5, 0.8][i % 3], u * u)
             })
             .collect();
-        let r = LearnedRouter::fit(&pts, 4, 8);
+        let r = Router::fit(&pts, 4, 8);
         assert_eq!(r.x_cuts(), &uniform_cuts(8)[..]);
         // Columns that own the duplicate atoms have continuous y: learned
         // cuts differ from uniform.
@@ -410,13 +227,12 @@ mod tests {
         let pts: Vec<Point> = (0..5)
             .map(|i| Point::new(i, i as f64 / 5.0, i as f64 / 5.0))
             .collect();
-        let r = LearnedRouter::fit(&pts, 8, 8);
-        assert_eq!(r.x_cuts(), &uniform_cuts(8)[..]);
+        assert_eq!(Router::fit(&pts, 8, 8), Router::new(8, 8));
     }
 
     #[test]
     fn boundary_coordinates_go_to_the_higher_cell() {
-        let r = LearnedRouter::fit(&skewed_points(10_000), 2, 2);
+        let r = Router::fit(&skewed_points(10_000), 2, 2);
         let bx = r.x_cuts().get(1).copied().unwrap_or(0.5);
         let by0 = r.y_cuts(0).and_then(|c| c.get(1)).copied().unwrap_or(0.5);
         // Exactly on the interior x cut → right column.
@@ -431,7 +247,7 @@ mod tests {
 
     #[test]
     fn ownership_is_covered_by_rects_and_windows_route_owners() {
-        let r = LearnedRouter::fit(&skewed_points(10_000), 3, 5);
+        let r = Router::fit(&skewed_points(10_000), 3, 5);
         for i in 0..=40 {
             for j in 0..=40 {
                 let p = Point::at(i as f64 / 40.0, j as f64 / 40.0);
@@ -457,8 +273,8 @@ mod tests {
 
     #[test]
     fn from_cuts_accepts_fitted_cuts_and_rejects_broken_ones() {
-        let r = LearnedRouter::fit(&skewed_points(5_000), 3, 2);
-        let rebuilt = LearnedRouter::from_cuts(
+        let r = Router::fit(&skewed_points(5_000), 3, 2);
+        let rebuilt = Router::from_cuts(
             r.rows(),
             r.cols(),
             r.x_cuts().to_vec(),
@@ -471,30 +287,27 @@ mod tests {
 
         let uc = uniform_cuts;
         // Zero-sized partitions.
-        assert!(LearnedRouter::from_cuts(0, 2, uc(2), vec![uc(0); 2]).is_none());
+        assert!(Router::from_cuts(0, 2, uc(2), vec![uc(0); 2]).is_none());
         // Wrong x cut count for the column count.
-        assert!(LearnedRouter::from_cuts(2, 2, uc(3), vec![uc(2); 2]).is_none());
+        assert!(Router::from_cuts(2, 2, uc(3), vec![uc(2); 2]).is_none());
         // Cuts not anchored at 0.0 / 1.0.
-        assert!(LearnedRouter::from_cuts(2, 2, vec![0.1, 0.5, 1.0], vec![uc(2); 2]).is_none());
-        assert!(LearnedRouter::from_cuts(2, 2, vec![0.0, 0.5, 0.9], vec![uc(2); 2]).is_none());
+        assert!(Router::from_cuts(2, 2, vec![0.1, 0.5, 1.0], vec![uc(2); 2]).is_none());
+        assert!(Router::from_cuts(2, 2, vec![0.0, 0.5, 0.9], vec![uc(2); 2]).is_none());
         // Not strictly increasing (and NaN, which orders as nothing).
-        assert!(LearnedRouter::from_cuts(2, 2, vec![0.0, 0.0, 1.0], vec![uc(2); 2]).is_none());
-        assert!(LearnedRouter::from_cuts(2, 2, vec![0.0, f64::NAN, 1.0], vec![uc(2); 2]).is_none());
+        assert!(Router::from_cuts(2, 2, vec![0.0, 0.0, 1.0], vec![uc(2); 2]).is_none());
+        assert!(Router::from_cuts(2, 2, vec![0.0, f64::NAN, 1.0], vec![uc(2); 2]).is_none());
         // One y cut set per column, each sized rows + 1.
-        assert!(LearnedRouter::from_cuts(2, 2, uc(2), vec![uc(2); 1]).is_none());
-        assert!(LearnedRouter::from_cuts(2, 2, uc(2), vec![uc(2), uc(3)]).is_none());
+        assert!(Router::from_cuts(2, 2, uc(2), vec![uc(2); 1]).is_none());
+        assert!(Router::from_cuts(2, 2, uc(2), vec![uc(2), uc(3)]).is_none());
     }
 
     #[test]
     fn fit_sampled_matches_fit_under_the_cap_and_is_deterministic() {
         let pts = skewed_points(30_000);
+        assert_eq!(Router::fit_sampled(&pts, 4, 4), Router::fit(&pts, 4, 4));
         assert_eq!(
-            LearnedRouter::fit_sampled(&pts, 4, 4),
-            LearnedRouter::fit(&pts, 4, 4)
-        );
-        assert_eq!(
-            LearnedRouter::fit_sampled(&pts, 4, 4),
-            LearnedRouter::fit_sampled(&pts, 4, 4)
+            Router::fit_sampled(&pts, 4, 4),
+            Router::fit_sampled(&pts, 4, 4)
         );
     }
 }

@@ -20,16 +20,12 @@ use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
 use elsi_spatial::{sort_canonical, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
-use crate::router::{GridRouter, Router};
+use crate::router::Router;
 
-/// Shape and seeding of a sharded deployment. [`ShardedIndex::build`] takes
-/// its shape from the router and reads only `f_u` and `seed`.
+/// Seeding and update cadence of a sharded deployment; its shape comes
+/// from the [`Router`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
-    /// Grid rows.
-    pub rows: usize,
-    /// Grid columns.
-    pub cols: usize,
     /// Per-shard update-processor check frequency (`f_u` of §IV-B2).
     pub f_u: usize,
     /// Root seed; each shard derives its own seed from it (see
@@ -39,23 +35,16 @@ pub struct ShardedConfig {
 
 impl Default for ShardedConfig {
     fn default() -> Self {
-        Self {
-            rows: 2,
-            cols: 2,
-            f_u: 64,
-            seed: 42,
-        }
+        Self { f_u: 64, seed: 42 }
     }
 }
 
 impl ShardedConfig {
-    /// A `rows × cols` deployment with default `f_u` and seed.
-    pub fn grid(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            ..Self::default()
-        }
+    /// The default config; the shape arguments are ignored, because the
+    /// router carries the shape.
+    #[doc(hidden)]
+    pub fn grid(_rows: usize, _cols: usize) -> Self {
+        Self::default()
     }
 }
 
@@ -70,7 +59,7 @@ pub fn shard_seed(root: u64, shard: usize) -> u64 {
 /// is building: its id, its territory, and its deterministic seed.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardContext {
-    /// Shard id (row-major for the grid router).
+    /// Shard id: `row * cols + col` in the router's partition.
     pub shard: usize,
     /// The shard's closed territory rectangle.
     pub rect: Rect,
@@ -110,7 +99,10 @@ pub use elsi_spatial::{canonical_knn_cmp, canonical_point_key};
 /// (`par_*_queries` fan out over a shared `&self`) rather than from shared
 /// mutable state. Coordinates are expected in the unit square, the
 /// workspace-wide data space convention.
-pub struct ShardedIndex<I: SpatialIndex, R: Router = GridRouter> {
+///
+/// `R` is always [`Router`]; the parameter survives only so the spelling
+/// `ShardedIndex<I, Router>` (and its aliases) keeps compiling.
+pub struct ShardedIndex<I: SpatialIndex, R = Router> {
     pub(crate) router: R,
     pub(crate) shards: Vec<UpdateProcessor<DeltaOverlay<I>>>,
     /// Per-shard check frequency, echoed into the serving-directory
@@ -121,13 +113,12 @@ pub struct ShardedIndex<I: SpatialIndex, R: Router = GridRouter> {
     pub(crate) seed: u64,
 }
 
-impl<R: Router> ShardedIndex<ZmIndex, R> {
+impl ShardedIndex<ZmIndex> {
     /// The workhorse deployment: ZM-F shards built through a shared ELSI
     /// build processor, with the threshold rebuild policy of the update
     /// experiments (`max_drift` 0.15, `max_ratio` 10.0) on every shard,
-    /// behind whichever `router` the caller hands over (see
-    /// [`ShardedIndex::build`]).
-    pub fn zm(points: Vec<Point>, router: R, cfg: &ShardedConfig, elsi: &Elsi) -> Self {
+    /// behind `router` (see [`ShardedIndex::build`]).
+    pub fn zm(points: Vec<Point>, router: Router, cfg: &ShardedConfig, elsi: &Elsi) -> Self {
         Self::build(points, router, cfg, zm_shard_builder(elsi), zm_policy)
     }
 }
@@ -153,7 +144,7 @@ pub(crate) fn zm_policy(_shard: usize) -> RebuildPolicy {
     }
 }
 
-impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
+impl<I: SpatialIndex> ShardedIndex<I> {
     /// Partitions `points` by `router` ownership and builds every shard in
     /// parallel on the rayon pool.
     ///
@@ -164,7 +155,7 @@ impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
     /// shard its own [`RebuildPolicy`] (called serially, in shard order).
     pub fn build<B, P>(
         points: Vec<Point>,
-        router: R,
+        router: Router,
         cfg: &ShardedConfig,
         shard_builder: B,
         policy: P,
@@ -211,7 +202,7 @@ impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
     }
 
     /// The router in front of the shards.
-    pub fn router(&self) -> &R {
+    pub fn router(&self) -> &Router {
         &self.router
     }
 
@@ -303,7 +294,7 @@ impl<I: SpatialIndex, R: Router> ShardedIndex<I, R> {
     }
 }
 
-impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
+impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
     /// Sum of per-shard live sizes — O(shards), each read O(1).
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.live_len()).sum()
@@ -323,7 +314,7 @@ impl<I: SpatialIndex, R: Router> SpatialIndex for ShardedIndex<I, R> {
     /// they are concatenated and put in canonical order by
     /// [`sort_canonical`], which ping-pongs through the staging buffer the
     /// shard scans have finished with. In steady state the gather itself
-    /// allocates only the `Vec` `Router::shards_for_window` returns.
+    /// allocates only the `Vec` [`Router::shards_for_window`] returns.
     // lint:serving_root
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
@@ -472,8 +463,8 @@ mod tests {
     fn grid_sharded(points: Vec<Point>, rows: usize, cols: usize) -> ShardedIndex<GridIndex> {
         ShardedIndex::build(
             points,
-            GridRouter::new(rows, cols),
-            &ShardedConfig::grid(rows, cols),
+            Router::new(rows, cols),
+            &ShardedConfig::default(),
             |_ctx, pts| GridIndex::build(pts, &GridConfig { block_size: 16 }),
             |_s| RebuildPolicy::Never,
         )

@@ -5,7 +5,7 @@
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{GridRouter, LearnedRouter, Router, ShardStats, ShardedConfig, ShardedIndex};
+use elsi_serve::{Router, ShardStats, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 
 type Fingerprint = (
@@ -18,7 +18,7 @@ type Fingerprint = (
 
 /// One full serve lifecycle over an already-built deployment: batched
 /// queries, one batched update wave, queries again.
-fn lifecycle<R: Router>(mut sharded: ShardedIndex<ZmIndex, R>) -> Fingerprint {
+fn lifecycle(mut sharded: ShardedIndex<ZmIndex>) -> Fingerprint {
     let stats_before = sharded.shard_stats();
     let window = sharded.window_query(&Rect::new(0.25, 0.25, 0.75, 0.75));
     let queries: Vec<Point> = elsi_data::gen::uniform(32, 77);
@@ -36,22 +36,24 @@ fn lifecycle<R: Router>(mut sharded: ShardedIndex<ZmIndex, R>) -> Fingerprint {
     (stats_before, window, knn, rebuilds, sharded.shard_stats())
 }
 
-/// Runs the lifecycle for both routing policies — grid and learned — over
+/// Runs the lifecycle under both constructors — uniform and fitted — over
 /// the same data. The learned deployment re-fits its CDF router from the
 /// points on every call, so router fitting is inside the fingerprint too.
 fn serve_lifecycle() -> (Fingerprint, Fingerprint) {
-    let cfg = ShardedConfig::grid(2, 2);
     let points = elsi_data::gen::osm1_like(2_000, 33);
-    let grid = {
+    let run = |router| {
         let elsi = Elsi::new(ElsiConfig::fast_test());
-        ShardedIndex::zm(points.clone(), GridRouter::new(2, 2), &cfg, &elsi)
+        lifecycle(ShardedIndex::zm(
+            points.clone(),
+            router,
+            &ShardedConfig::default(),
+            &elsi,
+        ))
     };
-    let learned = {
-        let elsi = Elsi::new(ElsiConfig::fast_test());
-        let router = LearnedRouter::fit_sampled(&points, 2, 2);
-        ShardedIndex::zm(points, router, &cfg, &elsi)
-    };
-    (lifecycle(grid), lifecycle(learned))
+    (
+        run(Router::new(2, 2)),
+        run(Router::fit_sampled(&points, 2, 2)),
+    )
 }
 
 #[test]
@@ -87,12 +89,8 @@ fn rebuilt_shards_stay_deterministic() {
     let run = || {
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let points = elsi_data::gen::uniform(1_000, 9);
-        let mut sharded = ShardedIndex::zm(
-            points,
-            GridRouter::new(2, 2),
-            &ShardedConfig::default(),
-            &elsi,
-        );
+        let mut sharded =
+            ShardedIndex::zm(points, Router::new(2, 2), &ShardedConfig::default(), &elsi);
         let hotspot: Vec<Update> = (0..800)
             .map(|i| {
                 let t = i as f64 / 800.0;
@@ -123,8 +121,8 @@ fn large_batches_on_a_dirty_deployment_equal_one_at_a_time_answers() {
     // gets them in its own order, at every thread count.
     let elsi = Elsi::new(ElsiConfig::fast_test());
     let points = elsi_data::gen::skewed(3_000, 4, 21);
-    let router = LearnedRouter::fit_sampled(&points, 2, 3);
-    let mut sharded = ShardedIndex::zm(points.clone(), router, &ShardedConfig::grid(2, 3), &elsi);
+    let router = Router::fit_sampled(&points, 2, 3);
+    let mut sharded = ShardedIndex::zm(points.clone(), router, &ShardedConfig::default(), &elsi);
     let mut updates: Vec<Update> = elsi_data::stream::skewed_insertions(400, 8);
     updates.extend(points.iter().step_by(9).map(|p| Update::Delete(*p)));
     sharded.par_apply_updates(&updates);

@@ -1,5 +1,5 @@
 //! The single-pass cross-shard kNN merge on the deployment the benchmark
-//! runs: a 4×4 `ShardedIndex<ZmIndex, LearnedRouter>` over skewed data,
+//! runs: a 4×4 `ShardedIndex<ZmIndex>` behind `Router::fit_sampled`, over skewed data,
 //! where quantile-cut shards are thin slivers in the dense regions and a
 //! query's ball reaches into several of them. Results must be
 //! *bit-identical* to a monolithic ZM over the same points and to the
@@ -12,7 +12,7 @@ mod support;
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::gen;
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{zm_codec, LearnedRouter, ShardedConfig, ShardedIndex};
+use elsi_serve::{zm_codec, Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::Point;
 use elsi_store::StoreError;
 use support::*;
@@ -45,8 +45,8 @@ fn learned_4x4_zm_matches_monolith_and_oracle_through_a_journaled_ingest() -> Re
     // y = u⁴: three quarters of the mass below y = 0.32.
     let points = gen::skewed(3_000, 4, 21);
     let deploy = || {
-        let router = LearnedRouter::fit_sampled(&points, 4, 4);
-        ShardedIndex::zm(points.clone(), router, &ShardedConfig::grid(4, 4), &elsi)
+        let router = Router::fit_sampled(&points, 4, 4);
+        ShardedIndex::zm(points.clone(), router, &ShardedConfig::default(), &elsi)
     };
     let updates = elsi_data::stream::churn(&points, 900, 0.6, 8);
     let (built, dirty) = (Oracle::new(&points), Oracle::after(&points, &updates));
@@ -70,7 +70,7 @@ fn learned_4x4_zm_matches_monolith_and_oracle_through_a_journaled_ingest() -> Re
     stage(Box::new(sharded), &monolith, &dirty);
 
     // Crash, replay the journal, ask again.
-    let recovered = ShardedIndex::<ZmIndex, LearnedRouter>::open_zm(&dir, &elsi)?;
+    let recovered = ShardedIndex::<ZmIndex>::open_zm(&dir, &elsi)?;
     stage(Box::new(recovered), &monolith, &dirty);
     std::fs::remove_dir_all(&dir).ok();
     Ok(())

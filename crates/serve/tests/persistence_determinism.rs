@@ -1,7 +1,7 @@
 //! Durability under sharding: a saved serving directory must be
 //! **byte-identical** at any rayon thread count, and recovery must return
-//! the same deployment no matter how many threads perform it — for both
-//! routing policies. This is the persistence extension of the
+//! the same deployment no matter how many threads perform it — under both
+//! router constructors. This is the persistence extension of the
 //! determinism-under-sharding rules (`DESIGN.md` §9 and §14).
 //!
 //! Lives in its own integration-test binary (one process) because it
@@ -11,9 +11,7 @@
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::stream::churn;
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{
-    zm_codec, GridRouter, LearnedRouter, PersistRouter, ShardStats, ShardedConfig, ShardedIndex,
-};
+use elsi_serve::{zm_codec, Router, ShardStats, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -47,7 +45,7 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 type Fingerprint = (usize, Vec<ShardStats>, Vec<Vec<Point>>, Vec<Vec<Point>>);
 
-fn fingerprint<R: elsi_serve::Router>(idx: &ShardedIndex<ZmIndex, R>) -> Fingerprint {
+fn fingerprint(idx: &ShardedIndex<ZmIndex>) -> Fingerprint {
     let windows = [
         Rect::new(0.1, 0.1, 0.6, 0.6),
         Rect::new(0.45, 0.0, 0.55, 1.0), // straddles shard boundaries
@@ -65,8 +63,8 @@ fn fingerprint<R: elsi_serve::Router>(idx: &ShardedIndex<ZmIndex, R>) -> Fingerp
 /// a churn wave through the saved generation's WALs, crashes and recovers
 /// it. Returns the directory image plus the live (dirty) and recovered
 /// fingerprints.
-fn lifecycle<R: PersistRouter>(
-    fit: fn(&[Point]) -> R,
+fn lifecycle(
+    fit: fn(&[Point]) -> Router,
     tag: &str,
     threads: usize,
 ) -> (BTreeMap<String, Vec<u8>>, Fingerprint, Fingerprint) {
@@ -82,13 +80,13 @@ fn lifecycle<R: PersistRouter>(
     let live = fingerprint(&deployed);
     drop(deployed); // crash: the checkpoint is never rewritten
     let image = dir_bytes(&dir);
-    let recovered = ShardedIndex::<ZmIndex, R>::open_zm(&dir, &elsi).unwrap();
+    let recovered = ShardedIndex::open_zm(&dir, &elsi).unwrap();
     let opened = fingerprint(&recovered);
     std::fs::remove_dir_all(&dir).ok();
     (image, live, opened)
 }
 
-fn assert_thread_count_invariant<R: PersistRouter>(fit: fn(&[Point]) -> R, tag: &str) {
+fn assert_thread_count_invariant(fit: fn(&[Point]) -> Router, tag: &str) {
     set_threads(1);
     let (ref_image, ref_live, ref_opened) = lifecycle(fit, tag, 1);
     assert_eq!(ref_opened, ref_live, "recovery lost the journaled churn");
@@ -111,10 +109,10 @@ fn assert_thread_count_invariant<R: PersistRouter>(fit: fn(&[Point]) -> R, tag: 
 
 #[test]
 fn grid_router_save_and_recovery_are_thread_count_invariant() {
-    assert_thread_count_invariant(|_| GridRouter::new(2, 2), "grid");
+    assert_thread_count_invariant(|_| Router::new(2, 2), "grid");
 }
 
 #[test]
 fn learned_router_save_and_recovery_are_thread_count_invariant() {
-    assert_thread_count_invariant(|pts| LearnedRouter::fit_sampled(pts, 2, 2), "learned");
+    assert_thread_count_invariant(|pts| Router::fit_sampled(pts, 2, 2), "learned");
 }

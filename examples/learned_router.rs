@@ -1,19 +1,19 @@
 //! Learned CDF routing for the sharded serving layer.
 //!
-//! Builds the same skewed workload twice behind a 4×4 shard grid — once
-//! with uniform grid cuts, once with the learned CDF router's equi-mass
-//! quantile cuts — and prints the per-shard occupancy each policy
-//! produces. Under skew the grid concentrates most points in a few
-//! shards while the learned cuts keep every shard near `n / S` points;
-//! queries answer identically either way because both routers satisfy
-//! the same ownership contract.
+//! Routes the same skewed workload through a 4×4 router twice — once
+//! with uniform cuts (`Router::new`), once with equi-mass quantile cuts
+//! fitted to the data's CDFs (`Router::fit_sampled`) — and prints the
+//! per-shard occupancy each produces. Under skew the uniform grid
+//! concentrates most points in a few shards while the learned cuts keep
+//! every shard near `n / S` points; queries answer identically either way
+//! because one router routes both cut sets.
 //!
 //! Run with: `cargo run --release --example learned_router`
 
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::{gen, Dataset};
 use elsi_indices::{timed, SpatialIndex};
-use elsi_serve::{shard_occupancy, GridRouter, LearnedRouter, Router, ShardedConfig, ShardedIndex};
+use elsi_serve::{shard_occupancy, Router, ShardedConfig, ShardedIndex};
 
 const ROWS: usize = 4;
 const COLS: usize = 4;
@@ -36,14 +36,14 @@ fn main() {
     let pts = Dataset::Skewed.generate(n, 42);
 
     // Routers are coordinate-pure, so occupancy is a property of the
-    // router alone — no shards needed to compare the two policies.
-    let grid = GridRouter::new(ROWS, COLS);
-    let learned = LearnedRouter::fit_sampled(&pts, ROWS, COLS);
-    report("grid router", &shard_occupancy(&grid, &pts));
-    report("learned router", &shard_occupancy(&learned, &pts));
+    // router alone — no shards needed to compare the two cut sets.
+    let grid = Router::new(ROWS, COLS);
+    let learned = Router::fit_sampled(&pts, ROWS, COLS);
+    report("uniform cuts", &shard_occupancy(&grid, &pts));
+    report("fitted cuts", &shard_occupancy(&learned, &pts));
 
-    // Serve through the learned deployment: per-shard ZM indices behind
-    // the fitted CDF router, with the usual exact cross-shard queries.
+    // Serve through the fitted cuts: per-shard ZM indices behind the
+    // CDF-fitted router, with the usual exact cross-shard queries.
     let elsi = Elsi::new(ElsiConfig::scaled_for(n));
     let (sharded, build) =
         timed(|| ShardedIndex::zm(pts.clone(), learned, &ShardedConfig::default(), &elsi));

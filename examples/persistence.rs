@@ -11,7 +11,7 @@
 
 use elsi::{Elsi, ElsiConfig};
 use elsi_indices::{SpatialIndex, ZmIndex};
-use elsi_serve::{zm_codec, LearnedRouter, ShardedConfig, ShardedIndex};
+use elsi_serve::{zm_codec, Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::Rect;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // Build: 2x2 learned-routed ZM shards over clustered data.
     let elsi = Elsi::new(ElsiConfig::default());
     let points = elsi_data::gen::nyc_like(60_000, 42);
-    let router = LearnedRouter::fit_sampled(&points, 2, 2);
+    let router = Router::fit_sampled(&points, 2, 2);
     let mut deployed = ShardedIndex::zm(points.clone(), router, &ShardedConfig::default(), &elsi);
     println!("built   {} points across 4 shards", deployed.len());
 
@@ -46,7 +46,7 @@ fn main() {
 
     // Recover: manifest -> router state (exact cuts, no refit) -> one
     // parallel snapshot+WAL recovery per shard -> journaling resumes.
-    let recovered = ShardedIndex::<ZmIndex, LearnedRouter>::open_zm(&dir, &elsi).expect("open");
+    let recovered = ShardedIndex::<ZmIndex>::open_zm(&dir, &elsi).expect("open");
     let after = recovered.window_query(&window);
     assert_eq!(before, after, "recovery lost journaled updates");
     println!(

@@ -7,7 +7,7 @@
 
 use elsi::{DeltaOverlay, OverlayCodec, RebuildFn, RebuildPolicy, Update, UpdateProcessor};
 use elsi_indices::*;
-use elsi_serve::{GridRouter, LearnedRouter, Router, ShardedConfig, ShardedIndex};
+use elsi_serve::{Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::{canonical_point_key, Point, Rect, ScanScratch};
 use elsi_store::{IndexCodec, NoCodec, Snapshot, StoreError};
 use proptest::prelude::*;
@@ -127,9 +127,9 @@ pub enum State {
     Dirty,
     /// Behind an `UpdateProcessor` over an overlay.
     Processor,
-    /// `rows × cols` shards behind a `GridRouter`.
+    /// `rows × cols` shards behind `Router::new`'s uniform cuts.
     Grid(usize, usize),
-    /// `rows × cols` shards behind a `LearnedRouter` fitted to the points.
+    /// `rows × cols` shards behind `Router::fit`'s cuts, fitted to the points.
     Learned(usize, usize),
     /// A processor saved after its stream and reopened: ZM from its state
     /// blob (delta intact), the others rebuilt from the saved points.
@@ -265,10 +265,8 @@ impl Zoo {
             State::Built => make(pts),
             State::Dirty => Box::new(DeltaOverlay::new(make(pts))),
             State::Processor => Box::new(processor(pts, make)),
-            State::Grid(r, c) => Box::new(sharded(pts, GridRouter::new(r, c), make)),
-            State::Learned(r, c) => {
-                Box::new(sharded(pts.clone(), LearnedRouter::fit(&pts, r, c), make))
-            }
+            State::Grid(r, c) => Box::new(sharded(pts, Router::new(r, c), make)),
+            State::Learned(r, c) => Box::new(sharded(pts.clone(), Router::fit(&pts, r, c), make)),
             State::Recovered if kind == Zm => {
                 let (zoo, codec) = (self.clone(), OverlayCodec::new(ZmStateCodec));
                 return recovered(kind, pts, move |p| zoo.zm(p), stream, codec);
@@ -290,11 +288,11 @@ fn processor<I: SpatialIndex + 'static>(
 }
 
 /// The sharded deployment.
-fn sharded<I: SpatialIndex, R: Router>(
+fn sharded<I: SpatialIndex>(
     points: Vec<Point>,
-    router: R,
+    router: Router,
     make: impl Fn(Vec<Point>) -> I + Send + Sync + 'static,
-) -> ShardedIndex<I, R> {
+) -> ShardedIndex<I> {
     let (cfg, never) = (ShardedConfig::default(), |_s| RebuildPolicy::Never);
     ShardedIndex::build(points, router, &cfg, move |_ctx, p| make(p), never)
 }
