@@ -25,7 +25,7 @@
 //!   this, a test helper named `parse` would merge with every production
 //!   `.parse()` call and drag test code into the serving closure.
 
-use crate::parse::{FnItem, PanicKind};
+use crate::parse::FnItem;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One node of the workspace call graph: a parsed function plus the file
@@ -331,11 +331,6 @@ impl CallGraph {
         }
         (edges, across)
     }
-
-    /// Total panic-capable sites of `kind`s across the node set, per node.
-    pub fn panic_count(&self, id: usize) -> usize {
-        self.nodes[id].item.panics.len()
-    }
 }
 
 /// Finds elementary cycles in the lock-order digraph. Each cycle is
@@ -386,12 +381,6 @@ pub fn lock_cycles(edges: &[LockEdge]) -> Vec<(Vec<String>, LockEdge)> {
         }
     }
     found
-}
-
-/// Convenience: whether a panic site kind counts toward the `panic_path`
-/// budget (all of them do today; kept as a single point of policy).
-pub fn counts_for_panic_path(_kind: PanicKind) -> bool {
-    true
 }
 
 #[cfg(test)]

@@ -46,8 +46,6 @@ pub struct ElsiConfig {
     pub hidden: usize,
     /// Training hyperparameters for rank models built on *reduced* sets.
     pub train: TrainConfig,
-    /// Run the rebuild predictor after every `f_u` updates (§IV-B2).
-    pub f_u: usize,
     /// Seed for all stochastic building methods.
     pub seed: u64,
 }
@@ -74,7 +72,6 @@ impl Default for ElsiConfig {
                 epochs: 200,
                 ..TrainConfig::default()
             },
-            f_u: 1024,
             seed: 0,
         }
     }

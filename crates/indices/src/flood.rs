@@ -23,7 +23,7 @@
 use crate::leaf::{Delta, Leaf};
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{KeyMapper, Point, Rect, ScanScratch};
+use elsi_spatial::{Block, KeyMapper, Point, Rect, ScanScratch};
 use std::collections::HashSet;
 
 /// Flood configuration.
@@ -145,7 +145,7 @@ impl FloodIndex {
         Self {
             bounds,
             columns,
-            delta: Delta::new(vec![Vec::new(); c], HashSet::new()),
+            delta: Delta::new(vec![Block::new(); c], HashSet::new()),
             n_stored: n,
             stats,
         }
@@ -229,7 +229,8 @@ impl SpatialIndex for FloodIndex {
     fn point_query(&self, q: Point) -> Option<Point> {
         let c = locate_column(&self.bounds, q.x);
         let stored = self.find_stored(c, q, None);
-        stored.or_else(|| self.delta.find(c, q))
+        let page = self.delta.pages.get(c);
+        stored.or_else(|| page.and_then(|page| page.find_exact(q.x, q.y)))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -239,7 +240,9 @@ impl SpatialIndex for FloodIndex {
         for (c, col) in self.columns.iter().enumerate().take(last + 1).skip(first) {
             col.leaf(self.delta.tombstones())
                 .window_into(col.y_run(w), w, scratch, out);
-            self.delta.window_into(c, w, out);
+            if let Some(page) = self.delta.pages.get(c) {
+                page.window_scan_into(w, out);
+            }
         }
     }
 
@@ -269,7 +272,9 @@ impl SpatialIndex for FloodIndex {
                     run = (pos.saturating_sub(k), pos + k);
                     col.leaf(deleted).knn_offer_span(q, run, heap);
                 }
-                self.delta.knn_offer(q, heap);
+                for page in &self.delta.pages {
+                    page.knn_into(q.x, q.y, heap);
+                }
                 run
             },
             |run, ball, heap| {

@@ -7,7 +7,7 @@
 //! overflowing leaves by Hilbert order (HRR is primarily a static,
 //! bulk-loaded index; dynamic updates are provided for completeness).
 
-use crate::rtree::{knn_best_first_into, RNode};
+use crate::rtree::{knn_best_first_into, MbrNode, RNode};
 use crate::traits::SpatialIndex;
 use elsi_spatial::{Point, Rect, ScanScratch};
 
@@ -136,7 +136,7 @@ impl SpatialIndex for HrrIndex {
         scratch: &mut ScanScratch,
         out: &mut Vec<Point>,
     ) {
-        knn_best_first_into(&self.root, q, k, r2, scratch, out);
+        knn_best_first_into(&self.root, q, k.min(self.n), r2, scratch, out);
     }
 
     fn insert(&mut self, p: Point) {

@@ -2,13 +2,13 @@
 //! disk-oriented kd-tree the paper uses as a traditional competitor.
 //!
 //! Internal nodes split alternately on x and y at the median; leaves hold up
-//! to a block of points. Every node keeps the MBR of its live points so
-//! window queries prune and kNN runs best-first over MINDISTs.
+//! to a block of points. Lookups, inserts and deletes follow the split
+//! planes; every node also keeps the MBR of its live points, so window and
+//! kNN queries take the MBR-tree walks the R-trees share (`rtree::MbrNode`).
 
+use crate::rtree::{knn_best_first_into, Below, MbrNode};
 use crate::traits::SpatialIndex;
 use elsi_spatial::{Block, Point, Rect, ScanScratch, DEFAULT_BLOCK_SIZE};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// KDB configuration.
 #[derive(Debug, Clone, Copy)]
@@ -30,16 +30,17 @@ enum KdNode {
         mbr: Rect,
         axis: u8,
         split: f64,
-        left: Box<KdNode>,
-        right: Box<KdNode>,
+        /// The halves below and at-or-above `split`.
+        halves: Box<[KdNode; 2]>,
     },
     Leaf {
-        /// SoA data page; maintains its own MBR.
+        /// SoA data page; maintains its own MBR. An emptied leaf stays.
         block: Block,
     },
 }
 
-impl KdNode {
+impl MbrNode for KdNode {
+    #[inline]
     fn mbr(&self) -> Rect {
         match self {
             KdNode::Internal { mbr, .. } => *mbr,
@@ -47,20 +48,16 @@ impl KdNode {
         }
     }
 
-    fn len(&self) -> usize {
+    #[inline]
+    fn below(&self) -> Below<'_, Self> {
         match self {
-            KdNode::Leaf { block } => block.len(),
-            KdNode::Internal { left, right, .. } => left.len() + right.len(),
+            KdNode::Internal { halves, .. } => Below::Children(halves.as_slice()),
+            KdNode::Leaf { block } => Below::Page(block),
         }
     }
+}
 
-    fn depth(&self) -> usize {
-        match self {
-            KdNode::Leaf { .. } => 1,
-            KdNode::Internal { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
-
+impl KdNode {
     fn build(mut points: Vec<Point>, axis: u8, capacity: usize) -> KdNode {
         if points.len() <= capacity {
             return KdNode::Leaf {
@@ -73,12 +70,13 @@ impl KdNode {
         let split = coord(&points[mid], axis);
         let right_pts = points.split_off(mid);
         let next = 1 - axis;
+        let left = KdNode::build(points, next, capacity);
+        let right = KdNode::build(right_pts, next, capacity);
         KdNode::Internal {
             mbr,
             axis,
             split,
-            left: Box::new(KdNode::build(points, next, capacity)),
-            right: Box::new(KdNode::build(right_pts, next, capacity)),
+            halves: Box::new([left, right]),
         }
     }
 
@@ -93,12 +91,12 @@ impl KdNode {
             KdNode::Internal {
                 axis,
                 split,
-                left,
-                right,
+                halves,
                 ..
             } => {
                 // The median point went to the right half; boundary values
                 // must search both sides.
+                let [left, right] = &**halves;
                 let c = coord(&q, *axis);
                 if c < *split {
                     left.find(q)
@@ -107,21 +105,6 @@ impl KdNode {
                 } else {
                     right.find(q).or_else(|| left.find(q))
                 }
-            }
-        }
-    }
-
-    fn window_into(&self, w: &Rect, out: &mut Vec<Point>) {
-        match self {
-            KdNode::Leaf { block } => block.window_scan_into(w, out),
-            KdNode::Internal {
-                mbr, left, right, ..
-            } => {
-                if !w.intersects(mbr) {
-                    return;
-                }
-                left.window_into(w, out);
-                right.window_into(w, out);
             }
         }
     }
@@ -145,10 +128,10 @@ impl KdNode {
                 mbr,
                 axis,
                 split,
-                left,
-                right,
+                halves,
             } => {
                 mbr.expand(&p);
+                let [left, right] = &mut **halves;
                 if coord(&p, *axis) < *split {
                     left.insert(p, capacity);
                 } else {
@@ -170,9 +153,9 @@ impl KdNode {
                 mbr,
                 axis,
                 split,
-                left,
-                right,
+                halves,
             } => {
+                let [left, right] = &mut **halves;
                 let c = coord(&p, *axis);
                 let removed = if c < *split {
                     left.remove(p)
@@ -219,29 +202,6 @@ impl KdbIndex {
     }
 }
 
-/// Frontier entry of the best-first search: a node keyed by the MINDIST of
-/// its MBR (min-heap via reversed `Ord`).
-struct Entry<'a> {
-    dist2: f64,
-    node: &'a KdNode,
-}
-impl PartialEq for Entry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist2.total_cmp(&other.dist2) == Ordering::Equal
-    }
-}
-impl Eq for Entry<'_> {}
-impl PartialOrd for Entry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.dist2.total_cmp(&self.dist2)
-    }
-}
-
 impl SpatialIndex for KdbIndex {
     fn len(&self) -> usize {
         self.n
@@ -256,10 +216,6 @@ impl SpatialIndex for KdbIndex {
         self.root.window_into(w, out);
     }
 
-    /// Best-first search over node MINDISTs, pruned from `r2` until k
-    /// points within it are held; leaf pages stream through the branchless
-    /// [`elsi_spatial::scan::knn_scan`] kernel into the scratch pool, which
-    /// admits and orders candidates canonically.
     fn knn_within_into(
         &self,
         q: Point,
@@ -268,40 +224,7 @@ impl SpatialIndex for KdbIndex {
         scratch: &mut ScanScratch,
         out: &mut Vec<Point>,
     ) {
-        out.clear();
-        let k = k.min(self.n);
-        if k == 0 {
-            return;
-        }
-        let best = scratch.heap_within(k, r2);
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Entry {
-            dist2: self.root.mbr().min_dist2(&q),
-            node: &self.root,
-        });
-        while let Some(e) = frontier.pop() {
-            // Strictly worse than the current k-th best: nothing in this
-            // node (or any later frontier entry) can improve the result.
-            // Ties keep exploring so canonical id order settles them.
-            let bound = best.worst_dist2();
-            if e.dist2 > bound {
-                break;
-            }
-            match e.node {
-                KdNode::Leaf { block } => block.knn_into(q.x, q.y, best),
-                KdNode::Internal { left, right, .. } => {
-                    for c in [left.as_ref(), right.as_ref()] {
-                        if c.len() > 0 {
-                            let d = c.mbr().min_dist2(&q);
-                            if d <= bound {
-                                frontier.push(Entry { dist2: d, node: c });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out.extend(best.finish().iter().map(|e| e.point()));
+        knn_best_first_into(&self.root, q, k.min(self.n), r2, scratch, out);
     }
 
     fn insert(&mut self, p: Point) {
@@ -397,6 +320,32 @@ mod tests {
         for (i, p) in pts.iter().enumerate() {
             let found = idx.point_query(*p).is_some();
             assert_eq!(found, i % 3 != 0, "point {i}");
+        }
+        // Empty one leaf; KDB keeps it, and kNN from inside its old MBR
+        // must walk past it to the brute-force answer.
+        let mut leaf = &idx.root;
+        while let Below::Children([left, _]) = leaf.below() {
+            leaf = left;
+        }
+        let Below::Page(page) = leaf.below() else {
+            unreachable!("the descent ends at a page");
+        };
+        let (gone, old) = (page.to_points(), page.mbr());
+        for p in &gone {
+            assert!(idx.delete(*p));
+        }
+        let live: Vec<Point> = pts
+            .iter()
+            .enumerate()
+            .filter(|(i, p)| i % 3 != 0 && !gone.contains(p))
+            .map(|(_, p)| *p)
+            .collect();
+        let q = Point::at((old.lo_x + old.hi_x) / 2.0, (old.lo_y + old.hi_y) / 2.0);
+        for k in [1, 7] {
+            let mut want = live.clone();
+            want.sort_by(|a, b| q.dist2(a).total_cmp(&q.dist2(b)).then(a.id.cmp(&b.id)));
+            want.truncate(k);
+            assert_eq!(idx.knn_query(q, k), want, "k = {k}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! [`Delta`] is the update side ZM, ML-Index and Flood share.
 
 use crate::model::equal_key_run;
-use elsi_spatial::{scan, KnnHeap, MappedData, Point, Rect, ScanScratch};
+use elsi_spatial::{scan, Block, KnnHeap, MappedData, Point, Rect, ScanScratch};
 use std::collections::HashSet;
 
 /// Three parallel SoA columns, as the scan kernels take them.
@@ -123,24 +123,22 @@ impl<'a> Leaf<'a> {
 /// Overflow pages and tombstones: the built-in update procedure of ZM (one
 /// page), ML-Index (one per pivot) and Flood (one per column).
 ///
-/// A delete removes an overflow copy physically, else tombstones the id of
-/// the stored copy — of that very point, coordinates *and* id. Overflow
-/// points are therefore live by construction and never tested against the
-/// tombstones, so a re-inserted id cannot resurrect its deleted stored copy.
+/// The overflow pages are [`Block`]s, which the indices scan with the
+/// page's own kernel-backed methods. A delete removes an overflow copy
+/// physically, else tombstones the id of the stored copy — of that very
+/// point, coordinates *and* id. Overflow points are therefore live by
+/// construction and never tested against the tombstones, so a re-inserted
+/// id cannot resurrect its deleted stored copy.
 pub(crate) struct Delta {
-    pages: Vec<Vec<Point>>,
+    /// The overflow pages, in arrival order until a delete swaps one out.
+    pub pages: Vec<Block>,
     deleted: HashSet<u64>,
 }
 
 impl Delta {
     /// A delta of the given overflow pages and tombstones.
-    pub(crate) fn new(pages: Vec<Vec<Point>>, deleted: HashSet<u64>) -> Self {
+    pub(crate) fn new(pages: Vec<Block>, deleted: HashSet<u64>) -> Self {
         Self { pages, deleted }
-    }
-
-    /// Overflow page `page`, in arrival order (empty when out of range).
-    pub(crate) fn page(&self, page: usize) -> &[Point] {
-        self.pages.get(page).map_or(&[], Vec::as_slice)
     }
 
     /// Ids of the tombstoned stored points.
@@ -150,7 +148,7 @@ impl Delta {
 
     /// Live points of an index holding `stored` stored ones.
     pub(crate) fn len(&self, stored: usize) -> usize {
-        stored + self.pages.iter().map(Vec::len).sum::<usize>() - self.deleted.len()
+        stored + self.pages.iter().map(Block::len).sum::<usize>() - self.deleted.len()
     }
 
     /// Appends `p` to overflow page `page`.
@@ -162,37 +160,14 @@ impl Delta {
 
     /// The overflow half of a delete: removes the copy of `p` from `page`.
     pub(crate) fn remove(&mut self, page: usize, p: Point) -> bool {
-        let Some(page) = self.pages.get_mut(page) else {
-            return false;
-        };
-        let at = page
-            .iter()
-            .position(|b| b.id == p.id && b.x == p.x && b.y == p.y);
-        at.map(|at| page.swap_remove(at)).is_some()
+        let page = self.pages.get_mut(page);
+        page.is_some_and(|page| page.remove_exact(&p))
     }
 
     /// The stored half of a delete: tombstones the copy the index's own
     /// [`Leaf::find`] returned for the deleted point, if it found one.
     pub(crate) fn bury(&mut self, stored: Option<Point>) -> bool {
         stored.is_some_and(|p| self.deleted.insert(p.id))
-    }
-
-    /// First point of `page` at `q`'s coordinates.
-    pub(crate) fn find(&self, page: usize, q: Point) -> Option<Point> {
-        let page = self.page(page).iter();
-        page.copied().find(|p| p.x == q.x && p.y == q.y)
-    }
-
-    /// Appends the points of `page` inside `w` to `out`.
-    pub(crate) fn window_into(&self, page: usize, w: &Rect, out: &mut Vec<Point>) {
-        out.extend(self.page(page).iter().filter(|p| w.contains(p)));
-    }
-
-    /// Offers every overflow point to `heap`.
-    pub(crate) fn knn_offer(&self, q: Point, heap: &mut KnnHeap) {
-        for p in self.pages.iter().flatten() {
-            heap.offer_point(q, *p);
-        }
     }
 }
 

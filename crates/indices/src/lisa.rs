@@ -21,9 +21,7 @@
 
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{
-    scan, sort_by_key, BlockStore, KeyMapper, KnnHeap, LisaMapper, Point, Rect, ScanScratch,
-};
+use elsi_spatial::{sort_by_key, Block, KeyMapper, KnnHeap, LisaMapper, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::BTreeSet;
 
@@ -55,8 +53,11 @@ pub struct LisaIndex {
     /// Shard-level error bounds (actual − predicted shard id).
     shard_lo: i64,
     shard_hi: i64,
-    shards: Vec<BlockStore>,
+    /// Each shard's data pages (at least one), in key order at bulk load.
+    shards: Vec<Vec<Block>>,
     shard_size: usize,
+    /// Points per data page; a fuller page splits in half.
+    block_size: usize,
     n_live: usize,
     stats: Vec<BuildStats>,
 }
@@ -116,9 +117,12 @@ impl LisaIndex {
         // Bulk-load shard pages in parallel; shard order follows the chunk
         // order, independent of thread count.
         let chunks: Vec<&[Point]> = points.chunks(cfg.shard_size).collect();
-        let shards: Vec<BlockStore> = chunks
+        let shards: Vec<Vec<Block>> = chunks
             .into_par_iter()
-            .map(|chunk| BlockStore::bulk_load(chunk, cfg.block_size))
+            .map(|shard| {
+                let pages = shard.chunks(cfg.block_size).map(<[Point]>::to_vec);
+                pages.map(Block::from_points).collect()
+            })
             .collect();
 
         Self {
@@ -128,6 +132,7 @@ impl LisaIndex {
             shard_hi,
             shards,
             shard_size: cfg.shard_size,
+            block_size: cfg.block_size,
             n_live: n,
             stats,
         }
@@ -142,8 +147,9 @@ impl LisaIndex {
             model: RankModel::empty(0),
             shard_lo: 0,
             shard_hi: 0,
-            shards: vec![BlockStore::new(cfg.block_size.max(1))],
+            shards: vec![vec![Block::new()]],
             shard_size: cfg.shard_size.max(1),
+            block_size: cfg.block_size.max(1),
             n_live: 0,
             stats: Vec::new(),
         }
@@ -182,21 +188,19 @@ impl LisaIndex {
     /// Offers the pages of shard `s` that can still beat the heap's k-th
     /// distance (strict MBR pruning, so ties survive).
     fn knn_offer_shard(&self, q: Point, s: usize, heap: &mut KnnHeap) {
-        let Some(shard) = self.shards.get(s) else {
-            return;
-        };
-        for (b, mbr) in shard.mbrs().iter().enumerate() {
-            if mbr.min_dist2(&q) <= heap.worst_dist2() {
-                let v = shard.view(b);
-                scan::knn_scan(q.x, q.y, v.xs, v.ys, v.ids, heap);
+        for page in self.shards.get(s).into_iter().flatten() {
+            if page.mbr().min_dist2(&q) <= heap.worst_dist2() {
+                page.knn_into(q.x, q.y, heap);
             }
         }
     }
 
     /// MINDIST from `q` to the nearest page of shard `s`.
     fn shard_min_dist2(&self, q: Point, s: usize) -> f64 {
-        let pages = self.shards.get(s).into_iter().flat_map(BlockStore::mbrs);
-        pages.map(|m| m.min_dist2(&q)).fold(f64::INFINITY, f64::min)
+        let pages = self.shards.get(s).into_iter().flatten();
+        pages
+            .map(|b| b.mbr().min_dist2(&q))
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -220,17 +224,10 @@ impl SpatialIndex for LisaIndex {
         }
         let key = self.mapper.key(q);
         let (lo, hi) = self.shard_range(key);
-        for shard in &self.shards[lo..=hi] {
-            for block in shard.views() {
-                if !block.mbr.contains(&q) {
-                    continue;
-                }
-                if let Some(i) = scan::contains_scan(block.xs, block.ys, q.x, q.y) {
-                    return Some(block.point(i));
-                }
-            }
-        }
-        None
+        let pages = self.shards[lo..=hi].iter().flatten();
+        pages
+            .filter(|page| page.mbr().contains(&q))
+            .find_map(|page| page.find_exact(q.x, q.y))
     }
 
     fn window_query_into(&self, w: &Rect, _scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -263,8 +260,8 @@ impl SpatialIndex for LisaIndex {
         }
         // LISA deletes physically, so every stored point is live and the
         // kernels compress-store straight into `out`.
-        for s in candidates {
-            self.shards[s].window_scan(w, out);
+        for page in candidates.into_iter().flat_map(|s| &self.shards[s]) {
+            page.window_scan_into(w, out);
         }
     }
 
@@ -323,7 +320,7 @@ impl SpatialIndex for LisaIndex {
 
     /// LISA deletes physically: what its pages store is what is live.
     fn live_points_into(&self, out: &mut Vec<Point>) {
-        out.extend(self.shards.iter().flat_map(BlockStore::iter_points));
+        out.extend(self.shards.iter().flatten().flat_map(Block::iter));
     }
 
     fn insert(&mut self, p: Point) {
@@ -331,11 +328,20 @@ impl SpatialIndex for LisaIndex {
         let s = self
             .predicted_shard(key)
             .clamp(0, self.shards.len() as i64 - 1) as usize;
-        // Append into the shard's last page; the store splits full pages
-        // ("new pages are created as needed").
-        let mapper = self.mapper.clone();
-        let last = self.shards[s].num_blocks().saturating_sub(1);
-        self.shards[s].insert_into(last, p, move |q| mapper.key(*q));
+        // Append onto the shard's last page; a page over `block_size` is
+        // sorted by key and cut in half ("new pages are created as needed").
+        let shard = &mut self.shards[s];
+        if let Some(page) = shard.last_mut() {
+            page.push(p);
+            if page.len() > self.block_size {
+                let mut left = page.to_points();
+                let mapper = &self.mapper;
+                left.sort_by(|a, b| mapper.key(*a).total_cmp(&mapper.key(*b)));
+                let right = left.split_off(left.len() / 2);
+                *page = Block::from_points(left);
+                shard.push(Block::from_points(right));
+            }
+        }
         self.n_live += 1;
     }
 
@@ -354,16 +360,11 @@ impl SpatialIndex for LisaIndex {
         if !order.contains(&pred) {
             order.push(pred);
         }
-        for s in order {
-            let blocks = self.shards[s].num_blocks();
-            for b in 0..blocks {
-                if self.shards[s].remove_point_near(b, &p, 0) {
-                    self.n_live -= 1;
-                    return true;
-                }
-            }
-        }
-        false
+        let removed = order
+            .into_iter()
+            .any(|s| self.shards[s].iter_mut().any(|page| page.remove_exact(&p)));
+        self.n_live -= usize::from(removed);
+        removed
     }
 
     fn name(&self) -> &'static str {
@@ -436,14 +437,34 @@ mod tests {
     #[test]
     fn insert_creates_pages_and_stays_findable() {
         let (_, mut idx) = build_small(300);
-        let before_pages: usize = (0..idx.num_shards()).map(|_| 0).sum::<usize>();
-        let _ = before_pages;
+        let pages = |idx: &LisaIndex| idx.shards.iter().map(Vec::len).collect::<Vec<_>>();
+        let before = pages(&idx);
         for i in 0..200u64 {
             let p = Point::new(50_000 + i, (i as f64 * 0.004_9) % 1.0, 0.5);
+            let was = pages(&idx);
             idx.insert(p);
             assert!(idx.point_query(p).is_some(), "inserted point {i} lost");
+            // A split leaves its halves last in the shard, in key order: no
+            // key of the left half is above one of the right half.
+            for (shard, was) in idx.shards.iter().zip(was) {
+                if shard.len() > was {
+                    let keys = |b: &Block| b.iter().map(|p| idx.mapper.key(p)).collect::<Vec<_>>();
+                    let (left, right) = (keys(&shard[was - 1]), keys(&shard[was]));
+                    let max_left = left.iter().copied().fold(f64::MIN, f64::max);
+                    assert!(
+                        right.iter().all(|&k| max_left <= k),
+                        "split out of key order"
+                    );
+                }
+            }
         }
         assert_eq!(idx.len(), 500);
+        assert!(pages(&idx).iter().sum::<usize>() > before.iter().sum::<usize>());
+        assert!(idx
+            .shards
+            .iter()
+            .flatten()
+            .all(|b| b.len() <= idx.block_size));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::leaf::{Delta, Leaf};
 use crate::model::{locate_lower, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_ml::kmeans;
-use elsi_spatial::{sort_by_key, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
+use elsi_spatial::{sort_by_key, Block, IDistanceMapper, MappedData, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 use std::collections::HashSet;
 
@@ -111,7 +111,7 @@ impl MlIndex {
             mapper,
             data: MappedData::from_sorted(&points, keys),
             partitions,
-            delta: Delta::new(vec![Vec::new(); k], HashSet::new()),
+            delta: Delta::new(vec![Block::new(); k], HashSet::new()),
             stats,
         }
     }
@@ -195,7 +195,8 @@ impl SpatialIndex for MlIndex {
     fn point_query(&self, q: Point) -> Option<Point> {
         let (i, d) = self.mapper.nearest_pivot(q);
         let stored = self.find_stored(q, (i, d), None);
-        stored.or_else(|| self.delta.find(i, q))
+        let page = self.delta.pages.get(i);
+        stored.or_else(|| page.and_then(|page| page.find_exact(q.x, q.y)))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -204,7 +205,9 @@ impl SpatialIndex for MlIndex {
         for (i, pivot) in self.mapper.pivots().iter().enumerate() {
             let ranks = self.partition_ranks(i, self.pivot_key_range(i, pivot, w));
             leaf.window_into(ranks, w, scratch, out);
-            self.delta.window_into(i, w, out);
+            if let Some(page) = self.delta.pages.get(i) {
+                page.window_scan_into(w, out);
+            }
         }
     }
 
@@ -232,7 +235,9 @@ impl SpatialIndex for MlIndex {
                 // is as thick as the k-th distance found in it — it then
                 // holds every point of the partition that close, since
                 // |d(p, c) − d(q, c)| ≤ d(p, q) — or the partition is spent.
-                self.delta.knn_offer(q, heap);
+                for page in &self.delta.pages {
+                    page.knn_into(q.x, q.y, heap);
+                }
                 let (home, d) = self.mapper.nearest_pivot(q);
                 let (Some(pivot), Some(part)) =
                     (self.mapper.pivots().get(home), self.partitions.get(home))

@@ -8,7 +8,7 @@
 //! reinsertion is omitted (RR* replaces it with better split/choose
 //! heuristics). Queries reuse the exact shared R-tree algorithms.
 
-use crate::rtree::{knn_best_first_into, RNode};
+use crate::rtree::{knn_best_first_into, MbrNode, RNode};
 use crate::traits::SpatialIndex;
 use elsi_spatial::{Point, Rect, ScanScratch};
 
@@ -234,7 +234,7 @@ impl SpatialIndex for RStarIndex {
         scratch: &mut ScanScratch,
         out: &mut Vec<Point>,
     ) {
-        knn_best_first_into(&self.root, q, k, r2, scratch, out);
+        knn_best_first_into(&self.root, q, k.min(self.n), r2, scratch, out);
     }
 
     fn insert(&mut self, p: Point) {

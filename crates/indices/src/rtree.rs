@@ -1,14 +1,55 @@
-//! Shared R-tree machinery for the HRR and RR* baselines.
+//! The MBR-tree walks, and the R-tree node of the HRR and RR* baselines.
 //!
-//! Both traditional competitors are R-trees that differ only in how the
-//! tree is constructed: HRR bulk-loads by Hilbert order (Qi et al., PVLDB
-//! 2018), RR* inserts dynamically with the revised R*-tree heuristics
-//! (Beckmann & Seeger, SIGMOD 2009). Queries — window recursion and
-//! best-first kNN over MBRs — are identical and live here.
+//! KDB, HRR and RR* are trees whose every node keeps the MBR of its live
+//! points and whose leaves are [`Block`] pages. They differ in how the
+//! tree is built and updated — KDB by split planes, HRR by Hilbert-order
+//! bulk load (Qi et al., PVLDB 2018), RR* by the revised R*-tree insert
+//! heuristics (Beckmann & Seeger, SIGMOD 2009) — but not in how a query
+//! walks it: [`MbrNode`] is all the walks see of a node, and the window
+//! walk, the depth and the best-first kNN live here once.
 
 use elsi_spatial::{Block, Point, Rect, ScanScratch};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// What a walk sees below a node: its page, or its children.
+pub(crate) enum Below<'a, N> {
+    /// A leaf's data page.
+    Page(&'a Block),
+    /// An internal node's children.
+    Children(&'a [N]),
+}
+
+/// A node of an MBR tree.
+pub(crate) trait MbrNode: Sized {
+    /// The MBR of the node's live points; empty when it holds none.
+    fn mbr(&self) -> Rect;
+
+    /// The node's page or children.
+    fn below(&self) -> Below<'_, Self>;
+
+    /// Levels from this node down to its deepest leaf.
+    fn depth(&self) -> usize {
+        match self.below() {
+            Below::Page(_) => 1,
+            Below::Children(children) => 1 + children.iter().map(Self::depth).max().unwrap_or(0),
+        }
+    }
+
+    /// Appends the stored points inside `w` (exact).
+    fn window_into(&self, w: &Rect, out: &mut Vec<Point>) {
+        match self.below() {
+            Below::Page(page) => page.window_scan_into(w, out),
+            Below::Children(children) => {
+                if w.intersects(&self.mbr()) {
+                    for c in children {
+                        c.window_into(w, out);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// An R-tree node. Leaves hold points; internal nodes hold children.
 #[derive(Debug, Clone)]
@@ -27,6 +68,24 @@ pub(crate) enum RNode {
     },
 }
 
+impl MbrNode for RNode {
+    #[inline]
+    fn mbr(&self) -> Rect {
+        match self {
+            RNode::Leaf { block } => block.mbr(),
+            RNode::Internal { mbr, .. } => *mbr,
+        }
+    }
+
+    #[inline]
+    fn below(&self) -> Below<'_, Self> {
+        match self {
+            RNode::Leaf { block } => Below::Page(block),
+            RNode::Internal { children, .. } => Below::Children(children),
+        }
+    }
+}
+
 impl RNode {
     pub(crate) fn new_leaf(points: Vec<Point>) -> Self {
         RNode::Leaf {
@@ -40,45 +99,6 @@ impl RNode {
             mbr.expand_rect(&c.mbr());
         }
         RNode::Internal { mbr, children }
-    }
-
-    #[inline]
-    pub(crate) fn mbr(&self) -> Rect {
-        match self {
-            RNode::Leaf { block } => block.mbr(),
-            RNode::Internal { mbr, .. } => *mbr,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            RNode::Leaf { block } => block.len(),
-            RNode::Internal { children, .. } => children.iter().map(RNode::len).sum(),
-        }
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        match self {
-            RNode::Leaf { .. } => 1,
-            RNode::Internal { children, .. } => {
-                1 + children.iter().map(RNode::depth).max().unwrap_or(0)
-            }
-        }
-    }
-
-    /// Collects all points in `w` (exact).
-    pub(crate) fn window_into(&self, w: &Rect, out: &mut Vec<Point>) {
-        match self {
-            RNode::Leaf { block } => block.window_scan_into(w, out),
-            RNode::Internal { mbr, children } => {
-                if !w.intersects(mbr) {
-                    return;
-                }
-                for c in children {
-                    c.window_into(w, out);
-                }
-            }
-        }
     }
 
     /// Finds a stored point with the coordinates of `q`.
@@ -100,7 +120,8 @@ impl RNode {
     }
 
     /// Removes the point with the id and coordinates of `p`, fixing MBRs
-    /// along the path. Returns whether it was removed.
+    /// along the path and dropping emptied children. Returns whether it
+    /// was removed.
     pub(crate) fn remove(&mut self, p: Point) -> bool {
         match self {
             RNode::Leaf { block } => {
@@ -115,7 +136,7 @@ impl RNode {
                 }
                 for c in children.iter_mut() {
                     if c.remove(p) {
-                        children.retain(|c| c.len() > 0);
+                        children.retain(|c| !c.mbr().is_empty());
                         let mut new_mbr = Rect::empty();
                         for c in children.iter() {
                             new_mbr.expand_rect(&c.mbr());
@@ -130,26 +151,26 @@ impl RNode {
     }
 }
 
-/// A heap entry ordered by *ascending* distance (min-heap via reversed Ord).
-struct HeapEntry<'a> {
+/// A frontier entry of the best-first search, ordered by *ascending*
+/// MINDIST (a min-heap via reversed `Ord`).
+struct Frontier<'a, N> {
     dist2: f64,
-    node: &'a RNode,
+    node: &'a N,
 }
 
-impl PartialEq for HeapEntry<'_> {
+impl<N> PartialEq for Frontier<'_, N> {
     fn eq(&self, other: &Self) -> bool {
         self.dist2.total_cmp(&other.dist2) == Ordering::Equal
     }
 }
-impl Eq for HeapEntry<'_> {}
-impl PartialOrd for HeapEntry<'_> {
+impl<N> Eq for Frontier<'_, N> {}
+impl<N> PartialOrd for Frontier<'_, N> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry<'_> {
+impl<N> Ord for Frontier<'_, N> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller distance = greater priority.
         other.dist2.total_cmp(&self.dist2)
     }
 }
@@ -158,12 +179,14 @@ impl Ord for HeapEntry<'_> {
 /// streaming leaf pages through the branchless
 /// [`elsi_spatial::scan::knn_scan`] kernel into the scratch pool.
 ///
-/// Results land in `out` (cleared first) in the canonical `(dist², id)`
-/// order. Pruning compares MINDIST against the pool's current k-th best —
-/// `r2` until k points within it are held — *strictly*, so tied candidates
-/// are still visited and the canonical order settles ties exactly.
-pub(crate) fn knn_best_first_into(
-    root: &RNode,
+/// `k` must already be clamped to the tree's point count. Results land in
+/// `out` (cleared first) in the canonical `(dist², id)` order. Pruning
+/// compares MINDIST against the pool's current k-th best — `r2` until k
+/// points within it are held — *strictly*, so tied candidates are still
+/// visited and the canonical order settles ties exactly. Emptied subtrees
+/// are skipped by their empty MBR.
+pub(crate) fn knn_best_first_into<N: MbrNode>(
+    root: &N,
     q: Point,
     k: usize,
     r2: f64,
@@ -171,13 +194,12 @@ pub(crate) fn knn_best_first_into(
     out: &mut Vec<Point>,
 ) {
     out.clear();
-    let k = k.min(root.len());
     if k == 0 {
         return;
     }
     let best = scratch.heap_within(k, r2);
     let mut frontier = BinaryHeap::new();
-    frontier.push(HeapEntry {
+    frontier.push(Frontier {
         dist2: root.mbr().min_dist2(&q),
         node: root,
     });
@@ -186,15 +208,14 @@ pub(crate) fn knn_best_first_into(
         if entry.dist2 > bound {
             break;
         }
-        match entry.node {
-            RNode::Leaf { block } => block.knn_into(q.x, q.y, best),
-            RNode::Internal { children, .. } => {
-                for c in children {
-                    if c.len() > 0 {
-                        let d = c.mbr().min_dist2(&q);
-                        if d <= bound {
-                            frontier.push(HeapEntry { dist2: d, node: c });
-                        }
+        match entry.node.below() {
+            Below::Page(page) => page.knn_into(q.x, q.y, best),
+            Below::Children(children) => {
+                for node in children {
+                    let mbr = node.mbr();
+                    let dist2 = mbr.min_dist2(&q);
+                    if !mbr.is_empty() && dist2 <= bound {
+                        frontier.push(Frontier { dist2, node });
                     }
                 }
             }
@@ -248,7 +269,9 @@ mod tests {
         assert_eq!(root.find(pts[20]).unwrap().id, 20);
         assert!(root.remove(pts[20]));
         assert!(root.find(pts[20]).is_none());
-        assert_eq!(root.len(), 63);
+        let mut left = Vec::new();
+        root.window_into(&Rect::unit(), &mut left);
+        assert_eq!(left.len(), 63);
         assert!(!root.remove(pts[20]));
     }
 

@@ -508,6 +508,7 @@ mod tests {
     #[test]
     fn tombstones_are_filtered_on_every_door() {
         use crate::leaf::{Delta, Leaf, Soa};
+        use elsi_spatial::Block;
         // Ranks 0..30 stored (keyed by rank), the tail on an overflow page.
         let data = lattice(6, 0.1, 0.05);
         let (stored, tail) = data.split_at(30);
@@ -526,7 +527,7 @@ mod tests {
                 deleted,
             }
         }
-        let mut delta = Delta::new(vec![Vec::new()], Default::default());
+        let mut delta = Delta::new(vec![Block::new()], Default::default());
         tail.iter().for_each(|p| delta.insert(0, *p));
 
         // Tombstone the four stored points nearest the query, take one
@@ -558,7 +559,7 @@ mod tests {
         let heap = scratch.heap_for(5);
         leaf.knn_offer_around(q, (0, 30), (10, 20), heap);
         leaf.knn_offer_span(q, (10, 20), heap);
-        delta.knn_offer(q, heap);
+        delta.pages[0].knn_into(q.x, q.y, heap);
         let got: Vec<Point> = heap.finish().iter().map(KnnEntry::point).collect();
         assert_eq!(got, brute_knn(&live, q, 5));
 
@@ -566,7 +567,7 @@ mod tests {
         let w = Rect::new(0.2, 0.2, 0.6, 0.6);
         let mut got = Vec::new();
         leaf.window_into((0, 30), &w, &mut scratch, &mut got);
-        delta.window_into(0, &w, &mut got);
+        delta.pages[0].window_scan_into(&w, &mut got);
         let want: Vec<Point> = live.iter().filter(|p| w.contains(p)).copied().collect();
         assert_eq!(got, want);
 
@@ -574,9 +575,9 @@ mod tests {
         // found where it was put, everything live is found once.
         for p in &data {
             let found = leaf.find((0, 30), p.id as f64, *p, None);
-            let found = found.or_else(|| delta.find(0, *p));
+            let found = found.or_else(|| delta.pages[0].find_exact(p.x, p.y));
             assert_eq!(found, live.contains(p).then_some(*p), "{p:?}");
         }
-        assert_eq!(delta.find(0, back), Some(back));
+        assert_eq!(delta.pages[0].find_exact(back.x, back.y), Some(back));
     }
 }

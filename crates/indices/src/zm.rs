@@ -15,11 +15,12 @@
 use crate::leaf::{Delta, Leaf};
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{
-    decode_columns, decode_points, decode_rank_model, encode_columns, encode_points,
-    encode_rank_model,
+    decode_columns, decode_points, decode_rank_model, encode_columns, encode_rank_model,
 };
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{sort_by_key, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch};
+use elsi_spatial::{
+    sort_by_key, Block, KeyMapper, MappedData, MortonMapper, Point, Rect, ScanScratch,
+};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, StoreError};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -58,8 +59,9 @@ pub struct ZmIndex {
     data: MappedData,
     root: RankModel,
     leaves: Vec<LeafModel>,
-    /// ZM's own insert buffer and tombstones — shadowed by the overlay in
-    /// serving, kept because Fig. 15 measures the indices' built-in inserts.
+    /// ZM's own insert page and tombstones. Serving shadows them with the
+    /// overlay; bare-ZM inserts reach them (`train_rebuild_predictor`'s
+    /// update runs, the conformance table's `Built` rows).
     delta: Delta,
     stats: Vec<BuildStats>,
 }
@@ -77,7 +79,7 @@ impl ZmIndex {
                 data: MappedData::default(),
                 root: RankModel::empty(0),
                 leaves: Vec::new(),
-                delta: Delta::new(vec![Vec::new()], HashSet::new()),
+                delta: Delta::new(vec![Block::new()], HashSet::new()),
                 stats: Vec::new(),
             };
         }
@@ -132,7 +134,7 @@ impl ZmIndex {
             data: MappedData::from_sorted(&points, keys),
             root,
             leaves,
-            delta: Delta::new(vec![Vec::new()], HashSet::new()),
+            delta: Delta::new(vec![Block::new()], HashSet::new()),
             stats,
         };
         zm.compute_composed_bounds();
@@ -275,7 +277,10 @@ impl ZmIndex {
             w.put_i64(leaf.err_lo);
             w.put_i64(leaf.err_hi);
         }
-        encode_points(&mut w, self.delta.page(0));
+        let empty = Block::new();
+        let page = self.delta.pages.first().unwrap_or(&empty);
+        let (ids, xs, ys) = (page.ids().iter(), page.xs().iter(), page.ys().iter());
+        encode_columns(&mut w, ids.copied(), xs.copied(), ys.copied());
         let mut deleted: Vec<u64> = self.delta.tombstones().iter().copied().collect();
         deleted.sort_unstable();
         w.put_u64s(&deleted);
@@ -340,7 +345,7 @@ impl ZmIndex {
             data,
             root,
             leaves,
-            delta: Delta::new(vec![buffer], deleted),
+            delta: Delta::new(vec![Block::from_points(buffer)], deleted),
             stats: Vec::new(),
         })
     }
@@ -371,13 +376,16 @@ impl SpatialIndex for ZmIndex {
 
     fn point_query(&self, q: Point) -> Option<Point> {
         let stored = self.find_stored(q, None);
-        stored.or_else(|| self.delta.find(0, q))
+        let pages = &self.delta.pages;
+        stored.or_else(|| pages.iter().find_map(|page| page.find_exact(q.x, q.y)))
     }
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
         Leaf::over(&self.data, &self.delta).window_into(self.z_range(w), w, scratch, out);
-        self.delta.window_into(0, w, out);
+        for page in &self.delta.pages {
+            page.window_scan_into(w, out);
+        }
     }
 
     fn knn_within_into(
@@ -402,7 +410,9 @@ impl SpatialIndex for ZmIndex {
                 let pos = self.locate_lower(MortonMapper.key(q));
                 let run = (pos.saturating_sub(k), pos + k);
                 leaf.knn_offer_span(q, run, heap);
-                self.delta.knn_offer(q, heap);
+                for page in &self.delta.pages {
+                    page.knn_into(q.x, q.y, heap);
+                }
                 run
             },
             // The rest of the ball box's Z-range, either side of the run.
@@ -434,6 +444,7 @@ impl SpatialIndex for ZmIndex {
 mod tests {
     use super::*;
     use crate::model::OgBuilder;
+    use crate::persist::encode_points;
 
     fn build_small(n: usize) -> (Vec<Point>, ZmIndex) {
         let pts: Vec<Point> = (0..n)

@@ -29,11 +29,6 @@ impl Adam {
         }
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
     /// Advances the moment estimates for `grads` and returns the bias
     /// correction factors `(1 - β₁ᵗ, 1 - β₂ᵗ)` for this step.
     #[inline]

@@ -42,7 +42,7 @@ pub mod point;
 pub mod scan;
 pub mod sorted;
 
-pub use block::{Block, BlockStore, BlockView, DEFAULT_BLOCK_SIZE};
+pub use block::{Block, DEFAULT_BLOCK_SIZE};
 pub use mapping::{HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonMapper};
 pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key, sort_canonical};
 pub use partition::{quadtree_partition, QuadLeaf, UniformGrid};

@@ -1,8 +1,7 @@
 //! Property tests over the spatial substrate.
 
 use elsi_spatial::{
-    scan, BlockStore, HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonMapper, Point,
-    Rect,
+    scan, HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonMapper, Point, Rect,
 };
 use proptest::prelude::*;
 
@@ -43,28 +42,6 @@ proptest! {
         if m.cell_of(q2) == (c1, r1) {
             prop_assert!(m.key(q2) >= k1 - 1e-12);
         }
-    }
-
-    /// Bulk-loaded blocks partition the input and respect capacity; MBRs
-    /// cover their points.
-    #[test]
-    fn block_store_invariants(
-        pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..300),
-        cap in 1usize..40
-    ) {
-        let points: Vec<Point> =
-            pts.iter().enumerate().map(|(i, &(x, y))| Point::new(i as u64, x, y)).collect();
-        let store = BlockStore::bulk_load(&points, cap);
-        prop_assert_eq!(store.len(), points.len());
-        let mut seen = 0usize;
-        for b in store.views() {
-            prop_assert!(b.len() <= cap);
-            for i in 0..b.len() {
-                prop_assert!(b.mbr.contains(&b.point(i)));
-                seen += 1;
-            }
-        }
-        prop_assert_eq!(seen, points.len());
     }
 
     /// The branchless SoA kernels are bit-equivalent to the scalar

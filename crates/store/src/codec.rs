@@ -79,11 +79,6 @@ impl ByteWriter {
         self.put_u8(v as u8);
     }
 
-    /// Appends raw bytes with no framing (caller knows the length).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -247,10 +242,9 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| StoreError::corrupt(self.section, "invalid UTF-8 string"))
     }
 
-    /// Reads `n` raw bytes (the inverse of [`ByteWriter::put_raw`] when
-    /// the caller knows the length from elsewhere in the stream). Bulk
-    /// column decoders use this to lift one bounds check out of
-    /// per-element loops.
+    /// Reads `n` raw bytes, for a caller that knows the length from
+    /// elsewhere in the stream. Bulk column decoders use this to lift one
+    /// bounds check out of per-element loops.
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         self.take(n)
     }

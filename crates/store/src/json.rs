@@ -118,14 +118,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array, if it is one.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -235,13 +235,6 @@ impl Snapshot {
             .find(|(t, _)| *t == tag)
             .map(|(_, r)| &self.buf[r.clone()])
     }
-
-    /// All sections in file order, as `(tag, payload)` pairs.
-    pub fn sections(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        self.sections
-            .iter()
-            .map(|(t, r)| (*t, &self.buf[r.clone()]))
-    }
 }
 
 #[cfg(test)]
