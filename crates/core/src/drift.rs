@@ -130,3 +130,92 @@ impl DriftTracker {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DeltaOverlay, RebuildFn, RebuildPolicy, Update, UpdateProcessor};
+    use elsi_data::cdf::DEFAULT_SKETCH_BINS;
+    use elsi_data::gen::uniform;
+    use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
+    use elsi_spatial::{KeyMapper, MortonMapper, Point};
+
+    #[test]
+    fn drift_tracker_detects_skewed_inserts() {
+        let keys: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
+        let mut t = DriftTracker::new(keys.iter().copied(), 256);
+        assert!(t.dist() < 1e-9, "no drift initially");
+        // Insert a mass of keys at 0.05: the CDF shifts left.
+        for _ in 0..500 {
+            t.add(0.05);
+        }
+        assert!(t.dist() > 0.2, "drift {}", t.dist());
+        t.rebaseline();
+        assert!(t.dist() < 1e-9, "rebaselined");
+    }
+
+    #[test]
+    fn drift_tracker_uniform_distance() {
+        let uniform_keys: Vec<f64> = (0..4096).map(|i| (i as f64 + 0.5) / 4096.0).collect();
+        let t = DriftTracker::new(uniform_keys.iter().copied(), 512);
+        assert!(t.dist_from_uniform() < 0.01);
+        let point_mass = DriftTracker::new(std::iter::repeat_n(0.3, 100), 512);
+        assert!(point_mass.dist_from_uniform() > 0.5);
+    }
+
+    #[test]
+    fn drift_sketch_follows_the_live_set() {
+        // Regression: an insert of a live id (an overwrite / move) added the
+        // new key without removing the old copy's, and a delete of a delta
+        // copy — id-only, so its coordinates may be stale — removed the key
+        // of the *request's* coordinates instead of the stored point's.
+        let pts = uniform(200, 24);
+        let rebuild: RebuildFn<DeltaOverlay<GridIndex>> = Box::new(|pts| {
+            DeltaOverlay::new(GridIndex::build(pts, &GridConfig { block_size: 20 }))
+        });
+        let mut proc = UpdateProcessor::new(pts.clone(), rebuild, RebuildPolicy::Never, 16);
+        let far = |p: Point| Point::new(p.id, 1.0 - p.x, 1.0 - p.y);
+        let mut stream: Vec<Update> = Vec::new();
+        for (i, &p) in pts.iter().enumerate().take(120) {
+            let fresh = Point::new(10_000 + p.id, p.y, p.x);
+            match i % 4 {
+                // Move a base point, then move it again.
+                0 => stream.extend([
+                    Update::Insert(far(p)),
+                    Update::Insert(Point::new(p.id, p.y, p.x)),
+                ]),
+                // A fresh id, overwritten in the same stream.
+                1 => stream.extend([Update::Insert(fresh), Update::Insert(far(fresh))]),
+                // A moved base point deleted by id, at its stale coordinates.
+                2 => stream.extend([Update::Insert(far(p)), Update::Delete(p)]),
+                // A fresh id deleted at coordinates it never had; an exact
+                // base delete; a no-op delete.
+                _ => stream.extend([
+                    Update::Insert(fresh),
+                    Update::Delete(far(fresh)),
+                    Update::Delete(p),
+                    Update::Delete(p),
+                ]),
+            }
+        }
+        // Half through the batch door, half one call at a time.
+        let (batched, per_op) = stream.split_at(stream.len() / 2);
+        for chunk in batched.chunks(7) {
+            proc.apply_batch(chunk);
+        }
+        for &u in per_op {
+            match u {
+                Update::Insert(p) => proc.insert(p),
+                Update::Delete(p) => proc.delete(p),
+            };
+        }
+        assert_eq!(proc.live_len(), proc.len());
+        let fresh_sketch = DriftTracker::new(
+            proc.live_points().iter().map(|p| MortonMapper.key(*p)),
+            DEFAULT_SKETCH_BINS.min(1024),
+        );
+        let (_, current, _, current_total) = proc.drift_tracker().parts();
+        assert_eq!(current_total, proc.live_len() as f64);
+        assert_eq!(current, fresh_sketch.parts().1);
+    }
+}

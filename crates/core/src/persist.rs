@@ -32,7 +32,6 @@ use elsi_store::{
     read_wal, ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError, WalReplay,
     WalWriter,
 };
-use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Snapshot section tag: lifecycle counters.
@@ -180,7 +179,9 @@ where
         w.put_bytes(&base);
         let inserted: Vec<Point> = overlay.inserted_points().copied().collect();
         encode_points(&mut w, &inserted);
-        let deleted: Vec<u64> = overlay.deleted_ids().iter().copied().collect();
+        // Sorted: the hashed set's order must not reach the bytes.
+        let mut deleted: Vec<u64> = overlay.deleted_ids().iter().copied().collect();
+        deleted.sort_unstable();
         w.put_u64s(&deleted);
         Some(w.into_vec())
     }
@@ -196,7 +197,7 @@ where
         }
         let base = self.inner.decode(r.get_bytes()?)?;
         let inserted = decode_points(&mut r)?;
-        let deleted: BTreeSet<u64> = r.get_u64s()?.into_iter().collect();
+        let deleted = r.get_u64s()?;
         r.expect_end()?;
         DeltaOverlay::from_restored(base, inserted, deleted).ok_or_else(|| {
             StoreError::corrupt("overlay state", "delta parts violate overlay invariants")

@@ -398,94 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_overlay_merges_queries() {
-        let base = GridIndex::build(uniform(200, 1), &GridConfig::default());
-        let mut overlay = DeltaOverlay::new(base);
-        let p = Point::new(9001, 0.111, 0.888);
-        overlay.insert(p);
-        assert_eq!(overlay.len(), 201);
-        assert_eq!(overlay.point_query(p).unwrap().id, 9001);
-        let w = Rect::new(0.1, 0.88, 0.12, 0.89);
-        assert!(overlay.window_query(&w).iter().any(|q| q.id == 9001));
-        // kNN sees the inserted point.
-        let knn = overlay.knn_query(Point::at(0.111, 0.888), 1);
-        assert_eq!(knn[0].id, 9001);
-    }
-
-    #[test]
-    fn delta_overlay_deletes_base_points() {
-        let pts = uniform(100, 2);
-        let base = GridIndex::build(pts.clone(), &GridConfig::default());
-        let mut overlay = DeltaOverlay::new(base);
-        assert!(overlay.delete(pts[5]));
-        assert!(overlay.point_query(pts[5]).is_none());
-        assert_eq!(overlay.len(), 99);
-        assert!(!overlay
-            .window_query(&Rect::unit())
-            .iter()
-            .any(|p| p.id == 5));
-        assert_eq!(overlay.delta_len(), 1);
-    }
-
-    #[test]
-    fn overlay_base_deletes_match_id_and_coordinates() {
-        // Regression: a delete of base id X quoting *another* stored
-        // point's coordinates used to tombstone X (the coordinate probe hit
-        // the other point, and X was a base id).
-        let pts = uniform(100, 2);
-        let mut overlay = DeltaOverlay::new(GridIndex::build(pts.clone(), &GridConfig::default()));
-        let crossed = Point::new(pts[3].id, pts[9].x, pts[9].y);
-        assert_eq!(overlay.apply_batch(&[Update::Delete(crossed)]), [None]);
-        assert!(!overlay.delete(crossed));
-        assert!(!overlay.delete(Point::new(pts[3].id, 0.123, 0.456)));
-        assert_eq!((overlay.len(), overlay.delta_len()), (100, 0));
-        assert_eq!(overlay.point_query(pts[3]), Some(pts[3]));
-        assert_eq!(overlay.point_query(pts[9]), Some(pts[9]));
-        assert_eq!(overlay.live_points(), pts);
-        assert!(overlay.delete(pts[3]) && !overlay.delete(pts[3]));
-
-        // A base built from duplicate ids: the whole equal-id run is
-        // searched for the copy the request quotes, not one binary-search hit.
-        let twins: Vec<Point> = (0..9u64)
-            .map(|i| Point::new(i / 3, 0.1 + 0.1 * i as f64, 0.5))
-            .collect();
-        for quoted in &twins {
-            let mut overlay = DeltaOverlay::new(GridIndex::build(
-                twins.clone(),
-                &GridConfig { block_size: 4 },
-            ));
-            assert_eq!(
-                overlay.apply_batch(&[Update::Delete(*quoted)]),
-                [Some(*quoted)]
-            );
-            assert!(!overlay.delete(Point::new(quoted.id, 0.95, 0.5)));
-        }
-    }
-
-    #[test]
-    fn drift_tracker_detects_skewed_inserts() {
-        let keys: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let mut t = DriftTracker::new(keys.iter().copied(), 256);
-        assert!(t.dist() < 1e-9, "no drift initially");
-        // Insert a mass of keys at 0.05: the CDF shifts left.
-        for _ in 0..500 {
-            t.add(0.05);
-        }
-        assert!(t.dist() > 0.2, "drift {}", t.dist());
-        t.rebaseline();
-        assert!(t.dist() < 1e-9, "rebaselined");
-    }
-
-    #[test]
-    fn drift_tracker_uniform_distance() {
-        let uniform_keys: Vec<f64> = (0..4096).map(|i| (i as f64 + 0.5) / 4096.0).collect();
-        let t = DriftTracker::new(uniform_keys.iter().copied(), 512);
-        assert!(t.dist_from_uniform() < 0.01);
-        let point_mass = DriftTracker::new(std::iter::repeat_n(0.3, 100), 512);
-        assert!(point_mass.dist_from_uniform() > 0.5);
-    }
-
-    #[test]
     fn processor_never_policy_applies_updates() {
         let mut proc =
             UpdateProcessor::new(uniform(300, 3), grid_rebuild(), RebuildPolicy::Never, 8);
@@ -645,85 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_ties_break_by_canonical_id_order() {
-        // Four stored points exactly equidistant from q, inserted in
-        // shuffled id order, split between base and delta: the overlay
-        // must return the lowest ids first, matching the sharded merge's
-        // canonical (dist², id) order rather than insertion order.
-        let base_pts = vec![
-            Point::new(90, 0.6, 0.5), // tie, base
-            Point::new(10, 0.4, 0.5), // tie, base
-            Point::new(99, 0.9, 0.9), // far away
-        ];
-        let base = GridIndex::build(base_pts, &GridConfig { block_size: 4 });
-        let mut overlay = DeltaOverlay::new(base);
-        overlay.insert(Point::new(70, 0.5, 0.6)); // tie, delta
-        overlay.insert(Point::new(20, 0.5, 0.4)); // tie, delta
-        let q = Point::at(0.5, 0.5);
-        let got: Vec<u64> = overlay.knn_query(q, 3).iter().map(|p| p.id).collect();
-        assert_eq!(got, vec![10, 20, 70], "ties must break by id");
-    }
-
-    #[test]
-    fn overlay_batch_matches_sequential_overwrites_and_deletes() {
-        let pts = uniform(60, 21);
-        let mut overlay = DeltaOverlay::new(GridIndex::build(
-            pts.clone(),
-            &GridConfig { block_size: 16 },
-        ));
-        // Interleaved inserts/overwrites/deletes, duplicate ids within the
-        // batch, base-id collisions, and no-op deletes.
-        let batch = vec![
-            Update::Insert(Point::new(5, 0.9, 0.1)), // overwrite base id
-            Update::Insert(Point::new(1_000, 0.2, 0.2)), // fresh
-            Update::Delete(Point::new(5, 0.9, 0.1)), // kill the overwrite
-            Update::Insert(Point::new(1_000, 0.3, 0.3)), // move the fresh one
-            Update::Delete(pts[7]),                  // tombstone a base copy
-            Update::Delete(pts[7]),                  // no-op: already gone
-            Update::Delete(Point::new(55_555, 0.5, 0.5)), // no-op: unknown id
-            Update::Insert(Point::new(5, 0.15, 0.85)), // resurrect id 5 in delta
-        ];
-        // What each op retired: the base copy an overwrite buries, the
-        // delta copy a delete or a move drops, nothing for fresh inserts
-        // and no-op deletes.
-        assert_eq!(
-            overlay.apply_batch(&batch),
-            [
-                Some(pts[5]),
-                None,
-                Some(Point::new(5, 0.9, 0.1)),
-                Some(Point::new(1_000, 0.2, 0.2)),
-                Some(pts[7]),
-                None,
-                None,
-                None,
-            ]
-        );
-        // Ids 5 and 7 are tombstoned in the base; 5 and 1000 live in the delta.
-        assert_eq!(overlay.len(), 60);
-        assert_eq!(overlay.delta_len(), 4);
-        let mut got: Vec<u64> = overlay
-            .window_query(&Rect::unit())
-            .iter()
-            .map(|p| p.id)
-            .collect();
-        got.sort_unstable();
-        let want: Vec<u64> = (0..60).filter(|&id| id != 7).chain([1_000]).collect();
-        assert_eq!(got, want, "one live copy per id, the last write");
-        assert_eq!(
-            overlay.point_query(Point::at(0.15, 0.85)).map(|p| p.id),
-            Some(5)
-        );
-        assert_eq!(
-            overlay.point_query(Point::at(0.3, 0.3)).map(|p| p.id),
-            Some(1_000)
-        );
-        for gone in [Point::at(0.9, 0.1), Point::at(0.2, 0.2), pts[5], pts[7]] {
-            assert_eq!(overlay.point_query(gone), None, "{gone:?}");
-        }
-    }
-
-    #[test]
     fn processor_batch_consults_policy_once() {
         let make = || {
             UpdateProcessor::new(
@@ -772,59 +605,5 @@ mod tests {
         assert_eq!(per_op.rebuilds(), 6);
         assert_eq!(per_op.pending_updates(), 4);
         assert_eq!(per_op.len(), 300);
-    }
-
-    #[test]
-    fn drift_sketch_follows_the_live_set() {
-        // Regression: an insert of a live id (an overwrite / move) added the
-        // new key without removing the old copy's, and a delete of a delta
-        // copy — id-only, so its coordinates may be stale — removed the key
-        // of the *request's* coordinates instead of the stored point's.
-        let pts = uniform(200, 24);
-        let mut proc =
-            UpdateProcessor::new(pts.clone(), overlay_rebuild(), RebuildPolicy::Never, 16);
-        let far = |p: Point| Point::new(p.id, 1.0 - p.x, 1.0 - p.y);
-        let mut stream: Vec<Update> = Vec::new();
-        for (i, &p) in pts.iter().enumerate().take(120) {
-            let fresh = Point::new(10_000 + p.id, p.y, p.x);
-            match i % 4 {
-                // Move a base point, then move it again.
-                0 => stream.extend([
-                    Update::Insert(far(p)),
-                    Update::Insert(Point::new(p.id, p.y, p.x)),
-                ]),
-                // A fresh id, overwritten in the same stream.
-                1 => stream.extend([Update::Insert(fresh), Update::Insert(far(fresh))]),
-                // A moved base point deleted by id, at its stale coordinates.
-                2 => stream.extend([Update::Insert(far(p)), Update::Delete(p)]),
-                // A fresh id deleted at coordinates it never had; an exact
-                // base delete; a no-op delete.
-                _ => stream.extend([
-                    Update::Insert(fresh),
-                    Update::Delete(far(fresh)),
-                    Update::Delete(p),
-                    Update::Delete(p),
-                ]),
-            }
-        }
-        // Half through the batch door, half one call at a time.
-        let (batched, per_op) = stream.split_at(stream.len() / 2);
-        for chunk in batched.chunks(7) {
-            proc.apply_batch(chunk);
-        }
-        for &u in per_op {
-            match u {
-                Update::Insert(p) => proc.insert(p),
-                Update::Delete(p) => proc.delete(p),
-            };
-        }
-        assert_eq!(proc.live_len(), proc.len());
-        let fresh_sketch = DriftTracker::new(
-            proc.live_points().iter().map(|p| MortonMapper.key(*p)),
-            DEFAULT_SKETCH_BINS.min(1024),
-        );
-        let (_, current, _, current_total) = proc.drift_tracker().parts();
-        assert_eq!(current_total, proc.live_len() as f64);
-        assert_eq!(current, fresh_sketch.parts().1);
     }
 }

@@ -128,6 +128,41 @@ impl Block {
         self.ids.push(p.id);
     }
 
+    /// Inserts `p` at position `pos` (clamped to the length), shifting the
+    /// later points up — for pages that keep their points in a key order.
+    pub fn insert(&mut self, pos: usize, p: Point) {
+        let pos = pos.min(self.len());
+        self.mbr.expand(&p);
+        self.xs.insert(pos, p.x);
+        self.ys.insert(pos, p.y);
+        self.ids.insert(pos, p.id);
+    }
+
+    /// Removes the point at `pos`, shifting the later points down so the
+    /// order of the rest is kept (unlike [`Block::remove_exact`]).
+    pub fn remove(&mut self, pos: usize) -> Option<Point> {
+        if pos >= self.len() {
+            return None;
+        }
+        let p = self.point(pos);
+        self.xs.remove(pos);
+        self.ys.remove(pos);
+        self.ids.remove(pos);
+        self.shrink_mbr(p.x, p.y);
+        Some(p)
+    }
+
+    /// Splits the block at `at`: `self` keeps `[0, at)` and the returned
+    /// block holds `[at, len)`, both in their order, with fresh MBRs.
+    pub fn split_off(&mut self, at: usize) -> Block {
+        let at = at.min(self.len());
+        let (xs, ys) = (self.xs.split_off(at), self.ys.split_off(at));
+        let ids = self.ids.split_off(at);
+        self.mbr = mbr_of_soa(&self.xs, &self.ys);
+        let mbr = mbr_of_soa(&xs, &ys);
+        Block { xs, ys, ids, mbr }
+    }
+
     /// Removes the point matching `p` exactly (id *and* coordinates) —
     /// the delete contract of the spatial indices. Returns whether it was
     /// found.
@@ -150,9 +185,13 @@ impl Block {
         self.xs.swap_remove(pos);
         self.ys.swap_remove(pos);
         self.ids.swap_remove(pos);
-        // A point strictly inside the MBR cannot define any of its four
-        // edges, so the MBR is unchanged; only boundary points pay the
-        // O(n) recompute.
+        self.shrink_mbr(x, y);
+    }
+
+    /// Refits the MBR after the point at `(x, y)` left. A point strictly
+    /// inside the MBR cannot define any of its four edges, so the MBR is
+    /// unchanged; only boundary points pay the O(n) recompute.
+    fn shrink_mbr(&mut self, x: f64, y: f64) {
         if !self.mbr.strictly_inside(x, y) {
             self.mbr = mbr_of_soa(&self.xs, &self.ys);
         }
@@ -272,6 +311,31 @@ mod tests {
         );
         assert!(b.remove_exact(&Point::new(1, 0.3, 0.4)));
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn ordered_insert_remove_and_split_keep_order_and_mbrs() {
+        let mut b = Block::new();
+        for (pos, id) in [(0, 3), (0, 1), (1, 2), (9, 5), (3, 4)] {
+            b.insert(pos, Point::new(id, id as f64 / 10.0, 0.5));
+        }
+        assert_eq!(b.ids(), &[1, 2, 3, 4, 5]);
+        assert_eq!(b.mbr(), Rect::new(0.1, 0.5, 0.5, 0.5));
+        assert_eq!(b.remove(0), Some(Point::new(1, 0.1, 0.5)));
+        assert_eq!(b.remove(9), None);
+        assert_eq!(
+            (b.ids(), b.mbr()),
+            (&[2, 3, 4, 5][..], Rect::new(0.2, 0.5, 0.5, 0.5))
+        );
+        let tail = b.split_off(1);
+        assert_eq!(
+            (b.ids(), b.mbr()),
+            (&[2][..], Rect::new(0.2, 0.5, 0.2, 0.5))
+        );
+        assert_eq!(
+            (tail.ids(), tail.mbr()),
+            (&[3, 4, 5][..], Rect::new(0.3, 0.5, 0.5, 0.5))
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use elsi_data::{cdf, sample};
 use elsi_indices::{build_on_training_set, SpatialIndex, ZmStateCodec};
 use elsi_ml::TrainConfig;
 use elsi_spatial::curve::{hilbert, morton};
-use elsi_spatial::{quadtree_partition, KeyMapper, MortonMapper, Point, Rect};
+use elsi_spatial::{canonical_knn_cmp, quadtree_partition, KeyMapper, MortonMapper, Point, Rect};
 use elsi_store::NoCodec;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -29,6 +29,89 @@ fn base_points(raw: &[(f64, f64)]) -> Vec<Point> {
 
 fn zm_overlay_rebuild() -> elsi::RebuildFn<elsi::DeltaOverlay<elsi_indices::ZmIndex>> {
     Box::new(|p| elsi::DeltaOverlay::new(Zoo::pwl(8, 8).zm(p)))
+}
+
+/// The lattice of `delta_pages_match_a_sorted_reference`: node `(dx, dy)`
+/// of an 8×8 grid of pitch 0.004 around one of three centres.
+fn lattice_point(id: u64, centre: usize, dx: u8, dy: u8) -> Point {
+    const CENTRES: [(f64, f64); 3] = [(0.5, 0.5), (0.25, 0.75), (0.8, 0.3)];
+    let (cx, cy) = CENTRES[centre % 3];
+    let at = |c: f64, d: u8| c + (f64::from(d) - 3.5) * 0.004;
+    Point::new(id, at(cx, dx), at(cy, dy))
+}
+
+/// The pages' reference order: Morton code, then id.
+fn page_key(p: &Point) -> (u64, u64) {
+    (morton::morton_of(p.x, p.y), p.id)
+}
+
+/// Applies `u` to the reference — the id's copy goes (an id-only delete),
+/// an insert lands at its key — and returns the copy it retired.
+fn write(reference: &mut Vec<Point>, u: Update) -> Option<Point> {
+    let p = u.point();
+    let old = reference
+        .iter()
+        .position(|r| r.id == p.id)
+        .map(|at| reference.remove(at));
+    if u.is_insert() {
+        let at = reference.partition_point(|r| page_key(r) < page_key(&p));
+        reference.insert(at, p);
+    }
+    old
+}
+
+/// The overlay over an empty base against the sorted reference: windows
+/// across x = 0.5 and y = 0.5, the unit square and the drawn one, in
+/// order; lookups at every lattice node (a stack answers its lowest id);
+/// kNN at `r² = ∞` and within `r2`; and the length.
+fn pages_agree(overlay: &impl SpatialIndex, reference: &[Point], drawn: Rect, r2: f64) {
+    let straddling = [
+        Rect::new(0.49, 0.0, 0.51, 1.0),
+        Rect::new(0.0, 0.49, 1.0, 0.51),
+        Rect::new(0.45, 0.45, 0.55, 0.55),
+        Rect::unit(),
+        drawn,
+    ];
+    for w in straddling {
+        let want: Vec<Point> = reference
+            .iter()
+            .filter(|p| w.contains(p))
+            .copied()
+            .collect();
+        prop_assert_eq!(overlay.window_query(&w), want, "{:?}", w);
+    }
+    for (c, dx, dy) in
+        (0..3).flat_map(|c| (0..8).flat_map(move |dx| (0..8).map(move |dy| (c, dx, dy))))
+    {
+        let q = lattice_point(0, c, dx, dy);
+        let want = reference.iter().find(|r| r.x == q.x && r.y == q.y).copied();
+        prop_assert_eq!(overlay.point_query(q), want, "{:?}", q);
+    }
+    let (mut scratch, mut got) = (elsi_spatial::ScanScratch::new(), Vec::new());
+    for q in [
+        lattice_point(0, 0, 3, 4),
+        lattice_point(0, 2, 0, 7),
+        Point::at(drawn.lo_x, drawn.lo_y),
+    ] {
+        let mut by_distance = reference.to_vec();
+        by_distance.sort_by(|a, b| canonical_knn_cmp(q, a, b));
+        let within = by_distance.iter().filter(|p| q.dist2(p) <= r2);
+        let within: Vec<Point> = within.copied().collect();
+        for k in [1, 7, 60, reference.len() + 3] {
+            let want = &by_distance[..k.min(by_distance.len())];
+            prop_assert_eq!(&overlay.knn_query(q, k), want, "{:?} k={}", q, k);
+            overlay.knn_within_into(q, k, r2, &mut scratch, &mut got);
+            prop_assert_eq!(
+                &got,
+                &within[..k.min(within.len())],
+                "{:?} k={} r2={}",
+                q,
+                k,
+                r2
+            );
+        }
+    }
+    prop_assert_eq!(overlay.len(), reference.len());
 }
 
 proptest! {
@@ -145,6 +228,44 @@ proptest! {
         let windows = vec![Rect::new(wx, wy, (wx + ww).min(1.0), (wy + wh).min(1.0))];
         let qs = Queries { points: oracle.live().to_vec(), windows, ..Queries::knn([Point::at(0.5, 0.5)], vec![5]) };
         check(&Zoo::pwl(16, 4).subject(Kind::Grid, State::Dirty, &points, &oracle.stream), &oracle, &qs);
+    }
+
+    #[test]
+    fn delta_pages_match_a_sorted_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..400, 0usize..3, 0u8..8, 0u8..8), 300..800),
+        (wx, wy, ww, wh) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.5, 0.0f64..0.5),
+        r2 in 0.0f64..0.002,
+    ) {
+        // Writes clustered on three 8×8 lattices of stacked coordinates,
+        // one centred on (0.5, 0.5) (the widest corner-code range), over an
+        // empty base, so every answer comes from the delta pages. The first
+        // half mostly inserts and overwrites, so pages fill past B and
+        // split; the second half mostly exact and stale deletes, then every
+        // survivor of the centre cluster goes, so pages empty. The
+        // reference is the live delta sorted by (Morton code, id).
+        let mut overlay = elsi::DeltaOverlay::new(Zoo::pwl(16, 4).build(Kind::Grid, Vec::new()));
+        let mut reference: Vec<Point> = Vec::new();
+        let drawn = Rect::new(wx, wy, (wx + ww).min(1.0), (wy + wh).min(1.0));
+        let half = ops.len() / 2;
+        for (i, &(kind, id, c, dx, dy)) in ops.iter().enumerate() {
+            let p = lattice_point(id, c, dx, dy);
+            let u = match (kind < if i < half { 6 } else { 2 }, kind % 2) {
+                (true, _) => Update::Insert(p),
+                (false, 0) => Update::Delete(reference.iter().find(|r| r.id == id).copied().unwrap_or(p)),
+                (false, _) => Update::Delete(p),
+            };
+            prop_assert_eq!(overlay.apply_batch(&[u]), vec![write(&mut reference, u)]);
+            if i % 100 == 99 {
+                pages_agree(&overlay, &reference, drawn, r2);
+            }
+        }
+        pages_agree(&overlay, &reference, drawn, r2);
+        let centre: Vec<Point> = reference.iter().filter(|r| r.x > 0.4 && r.x < 0.6).copied().collect();
+        for r in centre {
+            let stale = Update::Delete(Point::new(r.id, 0.0, 0.0));
+            prop_assert_eq!(overlay.apply_batch(&[stale]), vec![write(&mut reference, stale)]);
+        }
+        pages_agree(&overlay, &reference, drawn, r2);
     }
 
     #[test]

@@ -527,8 +527,7 @@ fn radii(sorted: &[Point], q: Point) -> Vec<f64> {
 }
 
 /// The subject against the oracle: every update took effect exactly when
-/// the oracle's did; the live count (unless a tombstone hides folded
-/// copies: an overlay counts one per tombstone); a lookup misses exactly
+/// the oracle's did; the live count; a lookup misses exactly
 /// when no live point has the query's coordinates, else answers one that
 /// does; exact windows (in canonical order where sharded) and every kNN
 /// equal the oracle's; RSMI/LISA windows are sorted subsequences of it at
@@ -539,8 +538,7 @@ pub fn check(s: &Subject, oracle: &Oracle, qs: &Queries) {
     if !s.applied.is_empty() {
         assert_eq!(s.applied, oracle.applied, "{at}: updates that took effect");
     }
-    let folded = oracle.base.windows(2).any(|w| w[0].id == w[1].id);
-    assert!(folded || idx.len() == live.len(), "{at}: len {}", idx.len());
+    assert_eq!(idx.len(), live.len(), "{at}: len");
     for &q in &qs.points {
         let mut there = live.iter().filter(|p| p.x == q.x && p.y == q.y);
         match idx.point_query(q) {
