@@ -151,7 +151,7 @@ impl Policy {
                 ("crates/cli/".into(), 0),
                 ("crates/core/".into(), 28),
                 ("crates/data/".into(), 8),
-                ("crates/indices/".into(), 26),
+                ("crates/indices/".into(), 25),
                 ("crates/ml/".into(), 2),
                 ("crates/serve/".into(), 29),
                 ("crates/spatial/".into(), 0),

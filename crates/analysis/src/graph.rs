@@ -104,7 +104,8 @@ impl CallGraph {
             // Test-only items never resolve from production callers: a
             // `#[cfg(test)]` helper named `parse` must not merge with every
             // production `.parse()` call.
-            let visible = |id: &usize| n.item.test_only || !nodes[*id].item.test_only;
+            let visible =
+                |id: &usize| n.item.test_only || nodes.get(*id).is_some_and(|m| !m.item.test_only);
             let candidates = |name: &str| -> Vec<usize> {
                 by_name
                     .get(name)

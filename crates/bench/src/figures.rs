@@ -11,9 +11,8 @@ use elsi::scorer::{
     ground_truth_best, measure_method_costs, samples_from_costs, AltSelector, MethodScorer,
     SKEW_GRID,
 };
-use elsi::{CostDecomposition, Elsi, ElsiConfig, Method, MethodCosts, MrPool};
+use elsi::{zoo, CostDecomposition, Elsi, ElsiConfig, Method, MethodCosts, MrPool};
 use elsi_data::{gen, Dataset};
-use elsi_indices::ZmIndex;
 use elsi_spatial::{sort_by_key, MortonMapper};
 use elsi_store::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -354,10 +353,10 @@ fn fig07(s: &mut Session) -> Vec<Record> {
     sweep.push(("OG".to_string(), BuilderKind::Og, Box::new(|_| {})));
 
     let mut records = Vec::new();
-    for kind in IndexKind::learned_all() {
+    for kind in LEARNED_ALL {
         let mut rows = Vec::new();
         for (label, builder, tweak) in &sweep {
-            if builder.inapplicable_to(kind) {
+            if matches!(builder, BuilderKind::Fixed(m) if kind.check_method(*m).is_err()) {
                 continue;
             }
             let mut cfg = bench_config(n, epochs);
@@ -402,15 +401,8 @@ fn table1(s: &mut Session) -> Vec<Record> {
     let ctx = s.ctx();
     let mut records = Vec::new();
     let mut rows = Vec::new();
-    for m in [
-        Method::Sp,
-        Method::Cl,
-        Method::Mr,
-        Method::Rs,
-        Method::Rl,
-        Method::Og,
-    ] {
-        let idx = ZmIndex::build(pts.clone(), &zm_config(n), &ctx.elsi.fixed_builder(m));
+    for m in Method::pool() {
+        let idx = zoo::zm(pts.clone(), &ctx.elsi.fixed_builder(m));
         let agg = CostDecomposition::aggregate(
             m.name(),
             std::time::Duration::from_secs_f64(prep_secs),
@@ -472,11 +464,11 @@ fn table2(s: &mut Session) -> Vec<Record> {
     let mut records = Vec::new();
     let mut build_rows = Vec::new();
     let mut query_rows = Vec::new();
-    for kind in IndexKind::learned_all() {
+    for kind in LEARNED_ALL {
         let mut b_row = vec![kind.name().to_string()];
         let mut q_row = b_row.clone();
         for (label, builder) in &variants {
-            if builder.inapplicable_to(kind) {
+            if matches!(builder, BuilderKind::Fixed(m) if kind.check_method(*m).is_err()) {
                 b_row.push("NA".into());
                 q_row.push("NA".into());
                 continue;
@@ -662,7 +654,7 @@ fn fig13(s: &mut Session) -> Vec<Record> {
 
     let ctx = s.scored_ctx();
     let pts = Dataset::Osm1.generate_scaled(ctx.n, 42);
-    let built = IndexKind::learned().map(|k| ctx.build(k, &BuilderKind::Selector, pts.clone()).0);
+    let built = LEARNED.map(|k| ctx.build(k, &BuilderKind::Selector, pts.clone()).0);
     let sweep = s.lambda_sweep(Dataset::Osm1);
     let indices = built.iter().chain([&sweep.rstar.0, &sweep.rsmi_og.0]);
     let mut rows = Vec::new();

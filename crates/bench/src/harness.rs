@@ -1,13 +1,14 @@
-//! Shared experiment machinery: scale knobs, the index zoo, the three
-//! measure functions every figure's query latency goes through, and table
-//! printing.
+//! Shared experiment machinery: scale knobs, the figures' rows of the
+//! index zoo, the three measure functions every figure's query latency
+//! goes through, and table printing.
 
 use crate::stats::{median_of_sorted, sorted};
-use elsi::{Elsi, ElsiBuilder, ElsiConfig, Method};
+use elsi::{Elsi, ElsiConfig, IndexKind, Method};
 use elsi_data::{gen, Dataset};
-use elsi_indices::*;
+use elsi_indices::SpatialIndex;
 use elsi_spatial::{Point, Rect, ScanScratch};
 use std::hint::black_box;
+use IndexKind::*;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -47,75 +48,19 @@ pub fn bench_config(n: usize, epochs: usize) -> ElsiConfig {
     cfg
 }
 
-/// Times a closure, returning its output and the elapsed seconds: the
-/// one-shot clock for work that cannot be repeated (a build, an insertion
-/// batch). (Delegates to the workspace's sanctioned timing module.)
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    elsi_indices::timing::timed_secs(f)
-}
+/// The one-shot clock for work that cannot be repeated (a build, an
+/// insertion batch): a closure's output and its elapsed seconds.
+pub use elsi_indices::timed_secs as timed;
 
-/// The index zoo of the evaluation (§VII-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Grid file.
-    Grid,
-    /// KDB-tree.
-    Kdb,
-    /// Hilbert-packed R-tree.
-    Hrr,
-    /// Revised R*-tree.
-    Rstar,
-    /// Z-order model index.
-    Zm,
-    /// ML-Index.
-    Ml,
-    /// RSMI.
-    Rsmi,
-    /// LISA.
-    Lisa,
-}
+/// The traditional competitors.
+pub const TRADITIONAL: [IndexKind; 4] = [Grid, Kdb, Hrr, RStar];
 
-impl IndexKind {
-    /// The traditional competitors.
-    pub fn traditional() -> [IndexKind; 4] {
-        [
-            IndexKind::Grid,
-            IndexKind::Kdb,
-            IndexKind::Hrr,
-            IndexKind::Rstar,
-        ]
-    }
+/// The learned indices reported in the main experiments (ZM only appears
+/// in §VII-D, matching the paper).
+pub const LEARNED: [IndexKind; 3] = [Ml, Rsmi, Lisa];
 
-    /// The learned indices reported in the main experiments
-    /// (ZM only appears in §VII-D, matching the paper).
-    pub fn learned() -> [IndexKind; 3] {
-        [IndexKind::Ml, IndexKind::Rsmi, IndexKind::Lisa]
-    }
-
-    /// All learned indices including ZM.
-    pub fn learned_all() -> [IndexKind; 4] {
-        [
-            IndexKind::Zm,
-            IndexKind::Ml,
-            IndexKind::Rsmi,
-            IndexKind::Lisa,
-        ]
-    }
-
-    /// Base display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IndexKind::Grid => "Grid",
-            IndexKind::Kdb => "KDB",
-            IndexKind::Hrr => "HRR",
-            IndexKind::Rstar => "RR*",
-            IndexKind::Zm => "ZM",
-            IndexKind::Ml => "ML",
-            IndexKind::Rsmi => "RSMI",
-            IndexKind::Lisa => "LISA",
-        }
-    }
-}
+/// All learned indices of the paper, ZM included.
+pub const LEARNED_ALL: [IndexKind; 4] = [Zm, Ml, Rsmi, Lisa];
 
 /// How a learned index's models are built.
 #[derive(Clone)]
@@ -140,12 +85,6 @@ impl BuilderKind {
             BuilderKind::Selector => format!("{}-F", kind.name()),
             BuilderKind::Random(_) => format!("{}(Rand)", kind.name()),
         }
-    }
-
-    /// Whether this builder cannot drive `kind`: CL and RL synthesise
-    /// points, which LISA's grid cells cannot take (paper §VII-A).
-    pub fn inapplicable_to(&self, kind: IndexKind) -> bool {
-        kind == IndexKind::Lisa && matches!(self, BuilderKind::Fixed(m) if m.synthesises_points())
     }
 }
 
@@ -182,88 +121,21 @@ impl BenchCtx {
         }
     }
 
-    /// Materialises a model builder.
-    pub fn builder(&self, kind: IndexKind, b: &BuilderKind) -> ElsiBuilder {
-        let builder = match b {
-            BuilderKind::Og => self.elsi.fixed_builder(Method::Og),
-            BuilderKind::Fixed(m) => self.elsi.fixed_builder(*m),
-            BuilderKind::Selector => self.elsi.builder(),
-            BuilderKind::Random(seed) => self.elsi.random_builder(*seed),
-        };
-        if kind == IndexKind::Lisa {
-            builder.for_lisa()
-        } else {
-            builder
-        }
-    }
-
-    /// Builds an index over `pts`; returns it and the build seconds.
+    /// Builds `kind` over `pts` with `b`'s models; returns the index and
+    /// the build seconds.
     pub fn build(
         &self,
         kind: IndexKind,
         b: &BuilderKind,
         pts: Vec<Point>,
     ) -> (Box<dyn SpatialIndex>, f64) {
-        let n = pts.len().max(1);
-        match kind {
-            IndexKind::Grid => {
-                let (idx, t) = timed(|| GridIndex::build(pts, &GridConfig::default()));
-                (Box::new(idx), t)
-            }
-            IndexKind::Kdb => {
-                let (idx, t) = timed(|| KdbIndex::build(pts, &KdbConfig::default()));
-                (Box::new(idx), t)
-            }
-            IndexKind::Hrr => {
-                let (idx, t) = timed(|| HrrIndex::build(pts, &HrrConfig::default()));
-                (Box::new(idx), t)
-            }
-            IndexKind::Rstar => {
-                let (idx, t) = timed(|| RStarIndex::build(pts, &RStarConfig::default()));
-                (Box::new(idx), t)
-            }
-            IndexKind::Zm => {
-                let builder = self.builder(kind, b);
-                let (idx, t) = timed(|| ZmIndex::build(pts, &zm_config(n), &builder));
-                (Box::new(idx), t)
-            }
-            IndexKind::Ml => {
-                let builder = self.builder(kind, b);
-                let cfg = MlConfig {
-                    pivots: 8,
-                    ..MlConfig::default()
-                };
-                let (idx, t) = timed(|| MlIndex::build(pts, &cfg, &builder));
-                (Box::new(idx), t)
-            }
-            IndexKind::Rsmi => {
-                let builder = self.builder(kind, b);
-                let cfg = RsmiConfig {
-                    leaf_capacity: (n / 32).clamp(1024, 8192),
-                    fanout: 8,
-                    ..RsmiConfig::default()
-                };
-                let (idx, t) = timed(|| RsmiIndex::build(pts, &cfg, &builder));
-                (Box::new(idx), t)
-            }
-            IndexKind::Lisa => {
-                let builder = self.builder(kind, b);
-                let cfg = LisaConfig {
-                    grid: 16,
-                    shard_size: (n / 200).clamp(100, 1000),
-                    block_size: 100,
-                };
-                let (idx, t) = timed(|| LisaIndex::build(pts, &cfg, &builder));
-                (Box::new(idx), t)
-            }
-        }
-    }
-}
-
-/// The ZM configuration of the experiments at cardinality `n`.
-pub fn zm_config(n: usize) -> ZmConfig {
-    ZmConfig {
-        fanout: (n / 12_500).clamp(4, 16),
+        let builder = kind.mask(match b {
+            BuilderKind::Og => self.elsi.fixed_builder(Method::Og),
+            BuilderKind::Fixed(m) => self.elsi.fixed_builder(*m),
+            BuilderKind::Selector => self.elsi.builder(),
+            BuilderKind::Random(seed) => self.elsi.random_builder(*seed),
+        });
+        timed(|| kind.build(pts, &builder))
     }
 }
 
@@ -415,6 +287,7 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elsi_indices::{GridConfig, GridIndex};
 
     fn grid_of(pts: &[Point]) -> GridIndex {
         GridIndex::build(pts.to_vec(), &GridConfig::default())

@@ -6,6 +6,7 @@
 
 use crate::harness::*;
 use crate::updates::{run_all_variants, UpdateStep};
+use elsi::IndexKind;
 use elsi_data::Dataset;
 use elsi_indices::SpatialIndex;
 
@@ -52,16 +53,8 @@ impl Measured {
 /// the paper (§VII-A: ZM only appears in the §VII-D method study).
 pub fn main_variants() -> Vec<(IndexKind, BuilderKind)> {
     let og = |k| (k, BuilderKind::Og);
-    IndexKind::traditional()
-        .into_iter()
-        .map(og)
-        .chain(IndexKind::learned().into_iter().map(og))
-        .chain(
-            IndexKind::learned()
-                .into_iter()
-                .map(|k| (k, BuilderKind::Selector)),
-        )
-        .collect()
+    let selector = LEARNED.map(|k| (k, BuilderKind::Selector));
+    [&TRADITIONAL.map(og)[..], &LEARNED.map(og), &selector].concat()
 }
 
 /// Every main variant built over every data set, fully measured.
@@ -117,13 +110,13 @@ fn build_sweep(ds: Dataset, base: usize, ctx: &BenchCtx) -> LambdaSweep {
         let m = Measured::of(idx.as_ref(), secs, &workload);
         (idx, m)
     };
-    let rstar = built(ctx, IndexKind::Rstar, &BuilderKind::Og);
+    let rstar = built(ctx, IndexKind::RStar, &BuilderKind::Og);
     let rsmi_og = built(ctx, IndexKind::Rsmi, &BuilderKind::Og);
     let rows = LAMBDAS
         .iter()
         .map(|&l| {
             let lctx = ctx.with_lambda(l);
-            IndexKind::learned().map(|k| built(&lctx, k, &BuilderKind::Selector).1)
+            LEARNED.map(|k| built(&lctx, k, &BuilderKind::Selector).1)
         })
         .collect();
     LambdaSweep {

@@ -1,12 +1,10 @@
 //! Shared machinery for the update experiments (Figs. 15 and 16) and the
 //! rebuild-predictor training pass (§VII-B2).
 
-use crate::harness::{
-    point_query_micros, timed, window_query_stats, BenchCtx, BuilderKind, IndexKind,
-};
+use crate::harness::{point_query_micros, timed, window_query_stats, BenchCtx, BuilderKind};
 use elsi::{
-    DriftTracker, Elsi, Method, RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSample,
-    UpdateProcessor,
+    DriftTracker, Elsi, IndexKind, Method, RebuildFeatures, RebuildPolicy, RebuildPredictor,
+    RebuildSample, UpdateProcessor,
 };
 use elsi_data::{gen, Dataset};
 use elsi_indices::SpatialIndex;
@@ -172,7 +170,7 @@ pub const VARIANTS: [(&str, IndexKind, bool); 7] = [
     ("RSMI-R", IndexKind::Rsmi, true),
     ("LISA-F", IndexKind::Lisa, false),
     ("LISA-R", IndexKind::Lisa, true),
-    ("RR*", IndexKind::Rstar, false),
+    ("RR*", IndexKind::RStar, false),
 ];
 
 /// Runs the whole §VII-H experiment at base cardinality `n`: the initial
@@ -191,11 +189,8 @@ pub fn run_all_variants(n: usize, epochs: usize) -> Vec<Vec<UpdateStep>> {
             } else {
                 RebuildPolicy::Never
             };
-            let builder = if kind == IndexKind::Rstar {
-                BuilderKind::Og
-            } else {
-                BuilderKind::Fixed(Method::Rs)
-            };
+            // RS trains the learned variants; RR* has no models to train.
+            let builder = BuilderKind::Fixed(Method::Rs);
             run_insertions(&ctx, kind, builder, policy, initial.clone(), &windows)
         })
         .collect()

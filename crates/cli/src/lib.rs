@@ -10,13 +10,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use elsi::{DeltaOverlay, Elsi, ElsiConfig, Method, RebuildFn, RebuildPolicy, UpdateProcessor};
+use elsi::{
+    DeltaOverlay, Elsi, ElsiConfig, IndexKind, Method, RebuildFn, RebuildPolicy, UpdateProcessor,
+};
 use elsi_data::stream::{self, Update};
 use elsi_data::{dist_from_uniform, io, Dataset};
-use elsi_indices::{
-    FloodConfig, FloodIndex, LisaConfig, LisaIndex, MlConfig, MlIndex, ModelBuilder, PwlBuilder,
-    RsmiConfig, RsmiIndex, SpatialIndex, ZmConfig, ZmIndex,
-};
+use elsi_indices::{ModelBuilder, PwlBuilder, SpatialIndex, ZmIndex};
 use elsi_serve::{
     read_manifest, zm_codec, Manifest, Router, ShardedConfig, ShardedIndex, MANIFEST_NAME,
 };
@@ -39,7 +38,7 @@ pub struct Command {
     out: String,
     input: String,
     dir: String,
-    index: IndexChoice,
+    index: IndexKind,
     method: MethodChoice,
     shards: Option<(usize, usize)>,
     router: RouterChoice,
@@ -48,29 +47,6 @@ pub struct Command {
     updates: usize,
     batch: usize,
     query: Option<QuerySpec>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IndexChoice {
-    Zm,
-    Ml,
-    Rsmi,
-    Lisa,
-    Flood,
-}
-
-impl IndexChoice {
-    const ALL: [Self; 5] = [Self::Zm, Self::Ml, Self::Rsmi, Self::Lisa, Self::Flood];
-
-    fn name(&self) -> &'static str {
-        match self {
-            Self::Zm => "ZM",
-            Self::Ml => "ML",
-            Self::Rsmi => "RSMI",
-            Self::Lisa => "LISA",
-            Self::Flood => "Flood",
-        }
-    }
 }
 
 /// Which [`Router`] constructor places the shard cuts: uniformly, or at
@@ -362,6 +338,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 impl Command {
     /// An invocation of `name` before its arguments are read. `seed` starts
     /// as `ShardedConfig`'s root seed: `query --persist` builds with it.
+    /// `method` starts as RS, the method every serving path trains with.
     fn blank(name: &'static str) -> Self {
         Self {
             name,
@@ -370,7 +347,7 @@ impl Command {
             out: String::new(),
             input: String::new(),
             dir: String::new(),
-            index: IndexChoice::Zm,
+            index: IndexKind::Zm,
             method: MethodChoice::Fixed(Method::Rs),
             shards: None,
             router: RouterChoice::Grid,
@@ -403,7 +380,7 @@ impl Command {
             Arg::Input => self.input = v.into(),
             Arg::Dir => self.dir = v.into(),
             Arg::Index => {
-                self.index = named(v, IndexChoice::ALL, IndexChoice::name).ok_or_else(expected)?;
+                self.index = named(v, IndexKind::LEARNED, IndexKind::name).ok_or_else(expected)?;
             }
             Arg::Method => {
                 self.method = match v.to_ascii_lowercase().as_str() {
@@ -495,77 +472,40 @@ fn load_points(path: &str) -> Result<Vec<Point>, String> {
     }
 }
 
-/// The method every serving path trains with.
-const RS: MethodChoice = MethodChoice::Fixed(Method::Rs);
-
-/// `SpatialIndex: Send + Sync`, so the same `build_kind` serves as a shard
-/// builder.
-type BoxedIndex = Box<dyn SpatialIndex>;
-
 /// The durable deployment of `save`, `load` and `--persist`: ZM has an
 /// exact state codec, so recovery decodes shards instead of retraining.
 type Zm = ShardedIndex<ZmIndex>;
 
-/// The model builder of `method` over `n` points, shareable across shards.
-fn model_builder(
-    n: usize,
-    index: IndexChoice,
-    method: MethodChoice,
-) -> Result<Arc<dyn ModelBuilder>, String> {
-    let cfg = ElsiConfig::scaled_for(n);
-    Ok(match method {
-        MethodChoice::Pwl => Arc::new(PwlBuilder::default()),
-        MethodChoice::Fixed(m) if index == IndexChoice::Lisa && m.synthesises_points() => {
-            return Err(format!(
-                "method {m} is inapplicable to LISA (synthesises points)"
-            ));
+/// The model builder of `a`'s method for `a`'s index over `n` points,
+/// shareable across shards.
+fn model_builder(a: &Command, n: usize) -> Result<Arc<dyn ModelBuilder>, String> {
+    let (index, cfg) = (a.index, ElsiConfig::scaled_for(n));
+    let builder = match a.method {
+        MethodChoice::Pwl => return Ok(Arc::new(PwlBuilder::default())),
+        MethodChoice::Fixed(m) => {
+            index.check_method(m)?;
+            Elsi::new(cfg).fixed_builder(m)
         }
-        MethodChoice::Fixed(m) => Arc::new(Elsi::new(cfg).fixed_builder(m)),
         MethodChoice::Selector => {
             let mut elsi = Elsi::new(cfg);
             eprintln!("preparing the method scorer (one-off)…");
             elsi.prepare_scorer(&[(n / 20).max(200), n], &[1, 4, 12], 7);
-            let b = elsi.builder();
-            Arc::new(if index == IndexChoice::Lisa {
-                b.for_lisa()
-            } else {
-                b
-            })
+            elsi.builder()
         }
-    })
-}
-
-fn build_kind(pts: Vec<Point>, index: IndexChoice, b: &dyn ModelBuilder) -> BoxedIndex {
-    let n = pts.len().max(1);
-    match index {
-        IndexChoice::Zm => {
-            let fanout = (n / 12_500).clamp(4, 16);
-            Box::new(ZmIndex::build(pts, &ZmConfig { fanout }, b))
-        }
-        IndexChoice::Ml => Box::new(MlIndex::build(pts, &MlConfig::default(), b)),
-        IndexChoice::Rsmi => Box::new(RsmiIndex::build(pts, &RsmiConfig::default(), b)),
-        IndexChoice::Lisa => {
-            let shard_size = (n / 200).clamp(100, 1000);
-            let cfg = LisaConfig {
-                shard_size,
-                ..LisaConfig::default()
-            };
-            Box::new(LisaIndex::build(pts, &cfg, b))
-        }
-        IndexChoice::Flood => {
-            let columns = (n / 2_000).clamp(4, 64);
-            Box::new(FloodIndex::build(pts, &FloodConfig { columns }, b))
-        }
-    }
+    };
+    Ok(Arc::new(index.mask(builder)))
 }
 
 /// An R×C sharded deployment over the CLI's boxed indices: every shard is
-/// a full ELSI update lifecycle around one `build_kind` index (queries in
-/// the CLI are one-shot, so the rebuild policy is `Never`).
-fn build_sharded(pts: Vec<Point>, a: &Command) -> Result<ShardedIndex<BoxedIndex>, String> {
+/// a full ELSI update lifecycle around one `IndexKind::build` index
+/// (queries in the CLI are one-shot, so the rebuild policy is `Never`).
+fn build_sharded(
+    pts: Vec<Point>,
+    a: &Command,
+) -> Result<ShardedIndex<Box<dyn SpatialIndex>>, String> {
     let router = a.router.router(&pts, a.grid());
-    let (index, builder) = (a.index, model_builder(pts.len(), a.index, RS)?);
-    let shard = move |_: &_, pts| build_kind(pts, index, builder.as_ref());
+    let (index, builder) = (a.index, model_builder(a, pts.len())?);
+    let shard = move |_: &_, pts| index.build(pts, builder.as_ref());
     let cfg = ShardedConfig::default();
     Ok(ShardedIndex::build(pts, router, &cfg, shard, |_| {
         RebuildPolicy::Never
@@ -608,7 +548,7 @@ fn open_or_build(
     points: impl FnOnce() -> Result<Vec<Point>, String>,
     out: &mut String,
 ) -> Result<Zm, String> {
-    if a.index != IndexChoice::Zm {
+    if a.index != IndexKind::Zm {
         let why = "serves ZM deployments only (the exact snapshot codec); use --index zm";
         return Err(format!("{}: --persist {why}", a.name));
     }
@@ -726,7 +666,7 @@ fn build(a: &Command) -> Result<String, String> {
     let n = pts.len();
     let probes: Vec<Point> = pts.iter().step_by((n / 1000).max(1)).copied().collect();
     let t0 = Instant::now();
-    let idx = build_kind(pts, a.index, model_builder(n, a.index, a.method)?.as_ref());
+    let idx = a.index.build(pts, model_builder(a, n)?.as_ref());
     let build = t0.elapsed();
     let t1 = Instant::now();
     let found = probes
@@ -773,9 +713,9 @@ fn ingest(a: &Command) -> Result<String, String> {
         let how = format!("through {rows}x{cols} shards ({kind} kind, {router} router)");
         (how, tally, dep.len())
     } else {
-        let (index, builder) = (a.index, model_builder(base_len, a.index, RS)?);
-        let rebuild: RebuildFn<DeltaOverlay<BoxedIndex>> =
-            Box::new(move |p| DeltaOverlay::new(build_kind(p, index, builder.as_ref())));
+        let (index, builder) = (a.index, model_builder(a, base_len)?);
+        let rebuild: RebuildFn<DeltaOverlay<Box<dyn SpatialIndex>>> =
+            Box::new(move |p| DeltaOverlay::new(index.build(p, builder.as_ref())));
         let mut proc = UpdateProcessor::new(pts, rebuild, RebuildPolicy::Never, 1024);
         let (mut applied, mut ignored) = (0usize, 0usize);
         let rate = ingest_chunks(&stream, chunk, |c| {
@@ -813,8 +753,8 @@ fn query(a: &Command) -> Result<String, String> {
         render_query(&dep, q)
     } else {
         let pts = load_points(&a.input)?;
-        let builder = model_builder(pts.len(), a.index, RS)?;
-        render_query(build_kind(pts, a.index, builder.as_ref()).as_ref(), q)
+        let builder = model_builder(a, pts.len())?;
+        render_query(a.index.build(pts, builder.as_ref()).as_ref(), q)
     };
     Ok(out + &answer)
 }
@@ -886,15 +826,12 @@ mod tests {
             (
                 "build",
                 "in.csv",
-                IndexChoice::Lisa,
+                IndexKind::Lisa,
                 MethodChoice::Fixed(Method::Sp)
             )
         );
         let cmd = parse_args(&args("build in.csv --method pwl"))?;
-        assert_eq!(
-            (cmd.index, cmd.method),
-            (IndexChoice::Zm, MethodChoice::Pwl)
-        );
+        assert_eq!((cmd.index, cmd.method), (IndexKind::Zm, MethodChoice::Pwl));
         Ok(())
     }
 
@@ -906,7 +843,7 @@ mod tests {
         assert!(matches!(cmd.query, Some(QuerySpec::Window(_))));
         let cmd = parse_args(&args("query in.csv --knn 0.5,0.5,25 --index rsmi"))?;
         assert!(matches!(cmd.query, Some(QuerySpec::Knn(_, 25))));
-        assert_eq!((cmd.index, cmd.shards), (IndexChoice::Rsmi, None));
+        assert_eq!((cmd.index, cmd.shards), (IndexKind::Rsmi, None));
         Ok(())
     }
 

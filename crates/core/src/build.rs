@@ -87,22 +87,12 @@ impl ElsiBuilder {
         }
     }
 
-    /// Restricts the allowed methods (the paper's API "to configure the
-    /// index building methods used"; LISA requires masking CL and RL).
-    pub fn with_allowed(mut self, allowed: Vec<Method>) -> Self {
-        assert!(!allowed.is_empty(), "at least one method must stay allowed");
-        self.allowed = allowed;
-        self
-    }
-
     /// Masks out the methods that synthesise points not in `D`
-    /// (for LISA-style base indices).
-    pub fn for_lisa(self) -> Self {
-        let allowed: Vec<Method> = Method::pool()
-            .into_iter()
-            .filter(|m| !m.synthesises_points())
-            .collect();
-        self.with_allowed(allowed)
+    /// (for LISA-style base indices); a fixed method that does not keeps
+    /// working.
+    pub fn for_lisa(mut self) -> Self {
+        self.allowed.retain(|m| !m.synthesises_points());
+        self
     }
 
     /// The methods chosen so far, one per model build. Under parallel

@@ -40,6 +40,8 @@
 //! * [`rebuild`] — the rebuild predictor (§IV-B2): FFN (or threshold)
 //!   policies over drift/ratio/depth features.
 //! * [`cost`] — the build-cost decomposition of §VI (Table I).
+//! * [`zoo`] — the nine index kinds of the evaluation and how each is
+//!   configured at size n ([`IndexKind::build`]).
 //! * [`persist`] — durable snapshots and WAL replay for the update
 //!   lifecycle (`DESIGN.md` §14): crash recovery restores a processor
 //!   from its last snapshot plus the journaled update tail.
@@ -63,6 +65,7 @@ pub mod rebuild;
 pub mod scorer;
 pub mod sync;
 pub mod update;
+pub mod zoo;
 
 pub use build::{ElsiBuilder, MethodChoice};
 pub use config::ElsiConfig;
@@ -75,6 +78,7 @@ pub use sync::lock_unpoisoned;
 pub use update::{
     BatchOutcome, DeltaOverlay, DriftTracker, RebuildFn, Update, UpdateOutcome, UpdateProcessor,
 };
+pub use zoo::IndexKind;
 
 use std::sync::Arc;
 

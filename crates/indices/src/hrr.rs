@@ -47,16 +47,13 @@ impl HrrIndex {
             .chunks(cfg.leaf_capacity)
             .map(|c| RNode::new_leaf(c.to_vec()))
             .collect();
-        if level.is_empty() {
-            level.push(RNode::new_leaf(Vec::new()));
-        }
         while level.len() > 1 {
             level = level
                 .chunks(cfg.fanout)
                 .map(|c| RNode::new_internal(c.to_vec()))
                 .collect();
         }
-        let root = level.pop().expect("non-empty level");
+        let root = level.pop().unwrap_or_else(|| RNode::new_leaf(Vec::new()));
         Self { root, cfg: *cfg, n }
     }
 

@@ -91,18 +91,15 @@ impl<'a> Leaf<'a> {
         out.extend_from_slice(hits.get(..m).unwrap_or(&[]));
     }
 
-    /// Offers the live points of ranks `span` to `heap`: the branch-free
-    /// kernel when nothing is tombstoned, a filtered loop otherwise.
+    /// Offers the live points of ranks `span` to `heap` through the
+    /// branch-free kernel; under tombstones it probes them only for the
+    /// lanes that beat the pool's bound.
     pub(crate) fn knn_offer_span(&self, q: Point, span: (usize, usize), heap: &mut KnnHeap) {
         let (xs, ys, ids) = self.span(span);
         if self.deleted.is_empty() {
             scan::knn_scan(q.x, q.y, xs, ys, ids, heap);
-            return;
-        }
-        for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
-            if !self.deleted.contains(&id) {
-                heap.offer_point(q, Point { id, x, y });
-            }
+        } else {
+            scan::knn_scan_live(q.x, q.y, xs, ys, ids, heap, live(self.deleted, None));
         }
     }
 

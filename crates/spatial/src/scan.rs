@@ -134,10 +134,28 @@ pub fn contains_scan(xs: &[f64], ys: &[f64], x: f64, y: f64) -> Option<usize> {
 /// [`ScanScratch::heap_for`]); empty and single-point slices take the
 /// same path through one short stripe.
 // lint:hot_path
+#[inline]
+pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mut KnnHeap) {
+    knn_scan_live(qx, qy, xs, ys, ids, heap, |_| true);
+}
+
+/// [`knn_scan`] over the entries whose id passes `live` (tombstoned
+/// deletes fail it). The predicate runs in the compress pass only, on the
+/// lanes that beat the admission bound, so a dead lane costs a probe only
+/// when it would otherwise have entered the pool.
+// lint:hot_path
 // `!(d > bound)` is deliberate NaN handling (see the phase-1 comment), and
 // clippy's suggested `partial_cmp` is banned workspace-wide (float_order).
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mut KnnHeap) {
+pub fn knn_scan_live(
+    qx: f64,
+    qy: f64,
+    xs: &[f64],
+    ys: &[f64],
+    ids: &[u64],
+    heap: &mut KnnHeap,
+    live: impl Fn(u64) -> bool,
+) {
     let n = xs.len();
     debug_assert!(ys.len() == n && ids.len() == n);
     let mut base = 0usize;
@@ -158,9 +176,9 @@ pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mu
             let d = dx * dx + dy * dy;
             bits |= (!(d > bound) as u64) << j;
         }
-        // Phase 2: compress-store the surviving lanes into the free tail,
-        // which `make_room` left a whole stripe long (arrival order does
-        // not affect the result — selection is canonical).
+        // Phase 2: compress-store the surviving live lanes into the free
+        // tail, which `make_room` left a whole stripe long (arrival order
+        // does not affect the result — selection is canonical).
         let tail = heap.entries.get_mut(heap.filled..).unwrap_or_default();
         let mut m = 0usize;
         while bits != 0 {
@@ -169,6 +187,9 @@ pub fn knn_scan(qx: f64, qy: f64, xs: &[f64], ys: &[f64], ids: &[u64], heap: &mu
             if let (Some(&x), Some(&y), Some(&id), Some(slot)) =
                 (sx.get(j), sy.get(j), si.get(j), tail.get_mut(m))
             {
+                if !live(id) {
+                    continue;
+                }
                 let (dx, dy) = (x - qx, y - qy);
                 *slot = KnnEntry {
                     dist2: dx * dx + dy * dy,

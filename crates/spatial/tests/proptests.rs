@@ -45,13 +45,16 @@ proptest! {
     }
 
     /// The branchless SoA kernels are bit-equivalent to the scalar
-    /// reference scans on arbitrary inputs, windows and k.
+    /// reference scans on arbitrary inputs, windows and k; the kNN kernel
+    /// also under a drawn dead-lane mask, against the reference over the
+    /// live lanes alone.
     #[test]
     fn scan_kernels_match_scalar_reference(
         pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..220),
         (wx, wy, ww, wh) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.6, 0.0f64..0.6),
         (qx, qy) in (0.0f64..1.0, 0.0f64..1.0),
-        k in 0usize..24
+        k in 0usize..24,
+        dead in prop::collection::vec(any::<bool>(), 220..221)
     ) {
         let xs: Vec<f64> = pts.iter().map(|&(x, _)| x).collect();
         let ys: Vec<f64> = pts.iter().map(|&(_, y)| y).collect();
@@ -79,6 +82,15 @@ proptest! {
         scan::knn_scan(qx, qy, &xs, &ys, &ids, &mut heap);
         let mut knn_want = Vec::new();
         scan::knn_scan_scalar(qx, qy, &xs, &ys, &ids, k, &mut knn_want);
+        prop_assert_eq!(heap.finish(), &knn_want[..]);
+
+        let live = |id: u64| !dead[id as usize];
+        let mut heap = scan::KnnHeap::with_bound(k);
+        scan::knn_scan_live(qx, qy, &xs, &ys, &ids, &mut heap, live);
+        let alive: Vec<u64> = ids.iter().copied().filter(|&id| live(id)).collect();
+        let pick = |c: &[f64]| alive.iter().map(|&id| c[id as usize]).collect::<Vec<f64>>();
+        knn_want.clear();
+        scan::knn_scan_scalar(qx, qy, &pick(&xs), &pick(&ys), &alive, k, &mut knn_want);
         prop_assert_eq!(heap.finish(), &knn_want[..]);
     }
 

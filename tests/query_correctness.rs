@@ -9,6 +9,7 @@ mod support;
 
 use elsi::{Elsi, ElsiConfig};
 use elsi_data::{gen, Dataset};
+use elsi_indices::PwlBuilder;
 use support::*;
 
 /// Every `kinds` index over 2 500 points of each dataset: lookups of every
@@ -47,4 +48,24 @@ fn rsmi_and_lisa_no_false_positives_and_high_recall() {
         &[Dataset::Uniform, Dataset::Osm1],
         &[Kind::Rsmi, Kind::Lisa],
     );
+}
+
+/// Every kind as `IndexKind::build` configures it, with PWL models: at a
+/// size below every clamp, and at one where ZM's fanout, LISA's shard size,
+/// RSMI's leaf capacity and Flood's columns all leave their lower clamps.
+#[test]
+fn the_zoo_configs_answer_like_the_oracle() {
+    for n in [1_500, 70_000] {
+        let points = Dataset::Osm1.generate(n, 13);
+        let qs = Queries {
+            points: points.iter().step_by(n / 60).copied().collect(),
+            windows: gen::window_queries(&points, 12, 0.002, 5),
+            ..Queries::knn(gen::knn_queries(&points, 6, 6), vec![1, 25])
+        };
+        let oracle = Oracle::new(&points);
+        for kind in Kind::ALL {
+            let index = kind.build(points.clone(), &PwlBuilder::default());
+            check(&Subject::new(kind, State::Built, index), &oracle, &qs);
+        }
+    }
 }

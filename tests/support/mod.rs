@@ -101,22 +101,7 @@ pub fn hard_queries(q: (f64, f64), stack: Stack) -> Vec<Point> {
 }
 
 /// The nine index kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    Grid,
-    Kdb,
-    Hrr,
-    RStar,
-    Zm,
-    Ml,
-    Flood,
-    Rsmi,
-    Lisa,
-}
-
-impl Kind {
-    pub const ALL: [Kind; 9] = [Grid, Kdb, Hrr, RStar, Zm, Ml, Flood, Rsmi, Lisa];
-}
+pub use elsi::IndexKind as Kind;
 
 /// Where a subject is in its lifecycle. Nothing rebuilds on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
