@@ -13,12 +13,12 @@
 use crate::config::ElsiConfig;
 use crate::methods::{reduce, Method, MrPool, Reduction};
 use crate::scorer::{MethodScorer, RandomSelector};
-use crate::sync::lock_unpoisoned;
 use elsi_data::dist_from_uniform;
 use elsi_indices::{
     build_on_training_set, timed, BuildInput, BuildStats, BuiltModel, ModelBuilder, RankModel,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How the builder picks a method for each model build.
@@ -39,17 +39,18 @@ pub enum MethodChoice {
 ///
 /// `Send + Sync`: base indices train their per-partition models in
 /// parallel, sharing one builder across rayon worker threads. The only
-/// mutable state is the chosen-method diagnostic log behind a [`Mutex`].
+/// mutable state is the chosen-method count, one atomic per method.
 pub struct ElsiBuilder {
     cfg: ElsiConfig,
     choice: MethodChoice,
     mr_pool: Arc<MrPool>,
     /// Methods this builder may use (LISA masks out CL and RL).
     allowed: Vec<Method>,
-    /// Record of the methods chosen, one per model build (diagnostics).
-    /// Under parallel builds the order follows build *completion*, which
-    /// varies with the thread schedule; the multiset of entries does not.
-    chosen: Mutex<Vec<Method>>,
+    /// How many model builds chose each method, indexed by
+    /// [`Method::one_hot_index`] (diagnostics). A count does not depend on
+    /// the thread schedule, and it never grows past one word per method
+    /// however long a deployment runs.
+    chosen: [AtomicUsize; 7],
 }
 
 impl ElsiBuilder {
@@ -61,7 +62,7 @@ impl ElsiBuilder {
             choice: MethodChoice::Fixed(method),
             mr_pool,
             allowed: Method::all().to_vec(),
-            chosen: Mutex::new(Vec::new()),
+            chosen: Default::default(),
         }
     }
 
@@ -72,7 +73,7 @@ impl ElsiBuilder {
             choice: MethodChoice::Learned(scorer),
             mr_pool,
             allowed: Method::pool().to_vec(),
-            chosen: Mutex::new(Vec::new()),
+            chosen: Default::default(),
         }
     }
 
@@ -83,7 +84,7 @@ impl ElsiBuilder {
             choice: MethodChoice::Random(seed),
             mr_pool,
             allowed: Method::pool().to_vec(),
-            chosen: Mutex::new(Vec::new()),
+            chosen: Default::default(),
         }
     }
 
@@ -95,10 +96,10 @@ impl ElsiBuilder {
         self
     }
 
-    /// The methods chosen so far, one per model build. Under parallel
-    /// builds the order follows build completion (see [`ElsiBuilder`]).
-    pub fn chosen_methods(&self) -> Vec<Method> {
-        lock_unpoisoned(&self.chosen).clone()
+    /// How many model builds so far chose each method, in
+    /// [`Method::all`] order.
+    pub fn chosen_counts(&self) -> [(Method, usize); 7] {
+        Method::all().map(|m| (m, self.chosen[m.one_hot_index()].load(Ordering::Relaxed)))
     }
 
     /// The system configuration.
@@ -106,7 +107,9 @@ impl ElsiBuilder {
         &self.cfg
     }
 
-    fn pick_method(&self, n: usize, dist_u: f64, input_seed: u64) -> Method {
+    /// Line 3 for the sorted partition `keys`. Only the learned selector
+    /// reads `dist(D_U, D)`, so only it pays for the O(n) pass.
+    fn pick_method(&self, keys: &[f64], input_seed: u64) -> Method {
         match &self.choice {
             MethodChoice::Fixed(m) => {
                 if self.allowed.contains(m) {
@@ -116,7 +119,14 @@ impl ElsiBuilder {
                 }
             }
             MethodChoice::Learned(scorer) => {
-                scorer.select(n, dist_u, self.cfg.lambda, self.cfg.w_q, &self.allowed)
+                let dist_u = dist_from_uniform(keys);
+                scorer.select(
+                    keys.len(),
+                    dist_u,
+                    self.cfg.lambda,
+                    self.cfg.w_q,
+                    &self.allowed,
+                )
             }
             MethodChoice::Random(root) => {
                 // A per-build selector seeded from (root, partition seed)
@@ -130,13 +140,12 @@ impl ElsiBuilder {
 
 impl ModelBuilder for ElsiBuilder {
     fn build_model(&self, input: &BuildInput<'_>) -> BuiltModel {
-        // Line 3: select the method. The scorer invocation costs
+        // Line 3: select the method. The learned scorer's invocation costs
         // M(1) + O(n) — the O(n) is dist(D_U, D) over the sorted keys.
-        let (method, select_time) = timed(|| {
-            let dist_u = dist_from_uniform(input.keys);
-            self.pick_method(input.keys.len(), dist_u, input.seed)
-        });
-        lock_unpoisoned(&self.chosen).push(method);
+        let (method, select_time) = timed(|| self.pick_method(input.keys, input.seed));
+        if let Some(count) = self.chosen.get(method.one_hot_index()) {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
 
         // Line 4: compute D_S.
         let (reduction, reduce_elapsed) = timed(|| reduce(method, input, &self.cfg, &self.mr_pool));
@@ -253,7 +262,12 @@ mod tests {
         let built = builder.build_model(&input_of(&data));
         // CL is not allowed for LISA; the builder falls back to OG.
         assert_eq!(built.stats.method, "OG");
-        assert_eq!(builder.chosen_methods(), vec![Method::Og]);
+        let chosen: Vec<_> = builder
+            .chosen_counts()
+            .into_iter()
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        assert_eq!(chosen, vec![(Method::Og, 1)]);
     }
 
     #[test]
@@ -263,9 +277,11 @@ mod tests {
         for _ in 0..4 {
             builder.build_model(&input_of(&data));
         }
-        let chosen = builder.chosen_methods();
-        assert_eq!(chosen.len(), 4);
-        assert!(chosen.iter().all(|m| Method::pool().contains(m)));
+        let counts = builder.chosen_counts();
+        assert_eq!(counts.iter().map(|&(_, c)| c).sum::<usize>(), 4);
+        assert!(counts
+            .iter()
+            .all(|&(m, c)| c == 0 || Method::pool().contains(&m)));
     }
 
     #[test]

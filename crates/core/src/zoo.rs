@@ -139,7 +139,9 @@ mod tests {
             let builder = Lisa.mask(elsi.fixed_builder(m));
             let idx = Lisa.build(pts.clone(), &builder);
             assert_eq!(idx.len(), 600);
-            assert!(builder.chosen_methods().iter().all(|&c| c == m), "{m}");
+            for (chosen, count) in builder.chosen_counts() {
+                assert!(chosen == m || count == 0, "{m}: {chosen} chosen");
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! into `RSMI-F`, and so on, without touching index code.
 
 use crate::timing::timed;
-use elsi_ml::{train_regression, Ffn, PwlModel, TrainConfig};
+use elsi_ml::{train_rank_model, Ffn, PwlModel, TrainConfig};
 use elsi_spatial::{KeyMapper, Point};
 use std::time::Duration;
 
@@ -281,8 +281,8 @@ pub struct BuiltModel {
 /// Builders are `Send + Sync` by contract: base indices train their
 /// per-partition models in parallel (rayon), sharing one builder across
 /// worker threads. `build_model` takes `&self`, so any internal builder
-/// state must be synchronised (the `ElsiBuilder` keeps its chosen-method
-/// diagnostics behind a `Mutex`).
+/// state must be synchronised (the `ElsiBuilder` counts its chosen methods
+/// in atomics).
 pub trait ModelBuilder: Send + Sync {
     /// Builds a rank model for one sorted partition.
     fn build_model(&self, input: &BuildInput<'_>) -> BuiltModel;
@@ -404,15 +404,7 @@ pub fn build_on_training_set(
     method: &'static str,
     reduce_time: Duration,
 ) -> BuiltModel {
-    let (ffn, train_time) = timed(|| {
-        let mut ffn = Ffn::new(&[1, hidden, 1], seed);
-        if !training_keys.is_empty() {
-            let denom = (training_keys.len() - 1).max(1) as f64;
-            let ys: Vec<f64> = (0..training_keys.len()).map(|i| i as f64 / denom).collect();
-            train_regression(&mut ffn, training_keys, &ys, train);
-        }
-        ffn
-    });
+    let (ffn, train_time) = timed(|| train_rank_model(training_keys, hidden, train, seed));
 
     let (model, bound_time) = timed(|| {
         if full_keys.is_empty() {

@@ -26,7 +26,9 @@
 //! (pinned by `crates/ml/tests/alloc_free.rs`). The inner dot-product /
 //! axpy kernels are unrolled four wide with independent accumulators; the
 //! summation order is fixed, so results stay bit-identical across runs and
-//! thread counts.
+//! thread counts. The `[1, h, 1]` rank models are the exception: they
+//! train through a fused per-sample kernel in [`crate::train`] that
+//! performs the same operations in the same order.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +43,7 @@ const SCALAR_PATH_MAX_WIDTH: usize = 128;
 /// result deterministic while letting the CPU run four FMA chains in
 /// parallel.
 #[inline]
-fn dot4(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot4(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
     for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {

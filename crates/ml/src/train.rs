@@ -3,10 +3,12 @@
 //! This is the `train(·)` primitive of Algorithm 1, supplied once here and
 //! reused by every base index and by the ELSI scorer/predictor models. Its
 //! wall-clock cost is `Θ(epochs · n)`, the `T(n)` of the paper's cost
-//! analysis — which is what makes shrinking `n` to `|D_S|` pay off.
+//! analysis — which is what makes shrinking `n` to `|D_S|` pay off. The
+//! `[1, h, 1]` rank models take a fused per-sample kernel; every other
+//! shape takes [`Ffn::backprop`], and both give the same bytes.
 
 use crate::adam::Adam;
-use crate::ffn::{Batch, Ffn};
+use crate::ffn::{dot4, Batch, Ffn};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -15,6 +17,18 @@ use rand::SeedableRng;
 /// mini-batch runs as several passes into the same gradient sum, in sample
 /// order, so the scratch stays small whatever the batch size.
 const MAX_PASS_ROWS: usize = 256;
+
+/// Widest hidden layer of a `[1, h, 1]` network that trains through the
+/// fused per-sample kernel ([`rank_grads`]), whose activations and gradient
+/// sums live in stack arrays at most this wide. Wider networks, and every
+/// other shape, take [`Ffn::backprop`].
+const RANK_MAX_HIDDEN: usize = 64;
+
+/// Hidden width of every rank model the workspace trains (`ElsiConfig`'s
+/// and `OgBuilder`'s `hidden`). [`rank_grads`] compiles the kernel at this
+/// fixed width, where the network and its gradient sums stay in registers;
+/// at a run-time width the same loops run several times slower.
+const RANK_HIDDEN: usize = 16;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +97,10 @@ pub fn train_regression(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig
     let mut opt = Adam::new(ffn.num_params(), cfg.lr);
     // All loop scratch is hoisted: the epoch/batch/sample loops below
     // allocate nothing (pinned by crates/ml/tests/alloc_free.rs).
-    let mut scratch = Batch::new(ffn, batch.min(MAX_PASS_ROWS));
+    let mut scratch = match ffn.sizes() {
+        &[1, h, 1] if h <= RANK_MAX_HIDDEN => Scratch::Rank(vec![0.0; ffn.num_params()]),
+        _ => Scratch::General(Batch::new(ffn, batch.min(MAX_PASS_ROWS))),
+    };
 
     let mut final_mse = f64::INFINITY;
     let mut epochs_run = 0;
@@ -91,23 +108,32 @@ pub fn train_regression(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig
         order.shuffle(&mut rng);
         let mut epoch_se = 0.0;
         for chunk in order.chunks(batch) {
-            scratch.zero_grads();
-            for pass in chunk.chunks(MAX_PASS_ROWS) {
-                let input = move |s: usize| &xs[pass[s] * in_dim..][..in_dim];
-                ffn.backprop(&mut scratch, pass.len(), input, |s, pred, d_out| {
-                    let y = &ys[pass[s] * out_dim..][..out_dim];
-                    let mut se = 0.0;
-                    for ((d, &p), &t) in d_out.iter_mut().zip(pred).zip(y) {
-                        let diff = p - t;
-                        se += diff * diff;
-                        // d(MSE)/d(pred): normalised by batch size so the
-                        // learning rate is batch-size independent.
-                        *d = 2.0 * diff / chunk.len() as f64;
+            let grads: &[f64] = match &mut scratch {
+                Scratch::Rank(sums) => {
+                    rank_grads(ffn.params(), xs, ys, chunk, sums, &mut epoch_se);
+                    sums
+                }
+                Scratch::General(slabs) => {
+                    slabs.zero_grads();
+                    for pass in chunk.chunks(MAX_PASS_ROWS) {
+                        let input = move |s: usize| &xs[pass[s] * in_dim..][..in_dim];
+                        ffn.backprop(slabs, pass.len(), input, |s, pred, d_out| {
+                            let y = &ys[pass[s] * out_dim..][..out_dim];
+                            let mut se = 0.0;
+                            for ((d, &p), &t) in d_out.iter_mut().zip(pred).zip(y) {
+                                let diff = p - t;
+                                se += diff * diff;
+                                // d(MSE)/d(pred): normalised by batch size so
+                                // the learning rate is batch-size independent.
+                                *d = 2.0 * diff / chunk.len() as f64;
+                            }
+                            epoch_se += se;
+                        });
                     }
-                    epoch_se += se;
-                });
-            }
-            opt.step_params(scratch.grads(), ffn.params_mut());
+                    slabs.grads()
+                }
+            };
+            opt.step_params(grads, ffn.params_mut());
         }
         epochs_run += 1;
         final_mse = epoch_se / (n as f64 * out_dim as f64);
@@ -119,6 +145,91 @@ pub fn train_regression(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig
         final_mse,
         epochs_run,
         samples: n,
+    }
+}
+
+/// The gradient scratch of one training run, chosen by the network's shape.
+enum Scratch {
+    /// `[1, h, 1]` with `h ≤ RANK_MAX_HIDDEN`: [`rank_grads`] sums each
+    /// mini-batch on the stack and leaves the gradient here.
+    Rank(Vec<f64>),
+    /// Every other shape: [`Ffn::backprop`]'s batch-major slabs.
+    General(Batch),
+}
+
+/// The mean-squared-error gradient of the `[1, h, 1]` network `params`
+/// over the samples `chunk`, written into `grads` in the [`Ffn::params`]
+/// layout (`w0`, `b0`, `w1`, `b1`). Each sample's squared error is added to
+/// `epoch_se` in order.
+fn rank_grads(
+    params: &[f64],
+    xs: &[f64],
+    ys: &[f64],
+    chunk: &[usize],
+    grads: &mut [f64],
+    epoch_se: &mut f64,
+) {
+    match params.len() / 3 {
+        RANK_HIDDEN => {
+            rank_grads_at::<RANK_HIDDEN>(params, RANK_HIDDEN, xs, ys, chunk, grads, epoch_se)
+        }
+        h => rank_grads_at::<RANK_MAX_HIDDEN>(params, h, xs, ys, chunk, grads, epoch_se),
+    }
+}
+
+/// [`rank_grads`] for `h ≤ H` hidden units, its sums in `[f64; H]`.
+///
+/// One pass per sample runs the forward pass, the loss, the hidden deltas
+/// and the gradient adds. Each value goes through the IEEE operations
+/// [`Ffn::backprop`] gives it, in its order: `b + w·x` and `relu` for the
+/// hidden layer, `b1 + dot4(w1, a)` for the output, the hidden delta as
+/// the `0.0`-seeded `Wᵀ·δ` (skipped for a zero output delta) under the
+/// ReLU mask, and each gradient summed from `0.0` in sample order
+/// (`dW1 += δ·a` skipped for a zero delta). The weights are fixed within a
+/// mini-batch, so the order of the samples' passes is all that differs and
+/// the bytes are the same (held by `tests/pins.rs` and `tests/proptests.rs`).
+#[inline(always)]
+fn rank_grads_at<const H: usize>(
+    params: &[f64],
+    h: usize,
+    xs: &[f64],
+    ys: &[f64],
+    chunk: &[usize],
+    grads: &mut [f64],
+    epoch_se: &mut f64,
+) {
+    let (w0, b0, w1) = (&params[..h], &params[h..2 * h], &params[2 * h..3 * h]);
+    let b1 = params[3 * h];
+    let (mut gw0, mut gb0, mut gw1, mut gb1) = ([0.0; H], [0.0; H], [0.0; H], 0.0);
+    let (mut pre, mut act) = ([0.0; H], [0.0; H]);
+    let (gw0, gb0, gw1) = (&mut gw0[..h], &mut gb0[..h], &mut gw1[..h]);
+    let (pre, act) = (&mut pre[..h], &mut act[..h]);
+    let rows = chunk.len() as f64;
+    for &s in chunk {
+        let x = xs[s];
+        for (((p, a), &w), &b) in pre.iter_mut().zip(&mut *act).zip(w0).zip(b0) {
+            *p = b + w * x;
+            *a = p.max(0.0);
+        }
+        let diff = (b1 + dot4(w1, act)) - ys[s];
+        *epoch_se += diff * diff;
+        let d = 2.0 * diff / rows;
+        let live = d != 0.0;
+        for (((gw, gb), &p), &w) in gw0.iter_mut().zip(&mut *gb0).zip(&*pre).zip(w1) {
+            let back = if live { 0.0 + d * w } else { 0.0 };
+            let delta = if p <= 0.0 { 0.0 } else { back };
+            *gw += delta * x;
+            *gb += delta;
+        }
+        if live {
+            for (gw, &a) in gw1.iter_mut().zip(&*act) {
+                *gw += d * a;
+            }
+        }
+        gb1 += d;
+    }
+    for (dst, src) in grads.chunks_mut(h).zip([&*gw0, &*gb0, &*gw1, &[gb1]]) {
+        dst.copy_from_slice(src);
     }
 }
 

@@ -49,10 +49,9 @@ fn count_min(mut f: impl FnMut()) -> u64 {
 /// Minimum allocation count over several trials: the libtest harness runs a
 /// watchdog thread whose own occasional allocations bump the global counter,
 /// so a single reading can be high by a couple of counts. The minimum of a
-/// few trials is the trainer's true footprint (12 allocs for the hoisted
-/// scratch of a `[1, 16, 1]` net — the shuffle order, two Adam moments,
-/// and the `Batch`: three slab lists holding one hidden-activation, two
-/// pre-activation and two delta slabs, plus the gradient accumulator —
+/// few trials is the trainer's true footprint (4 allocs for the hoisted
+/// scratch of a `[1, 16, 1]` net — the shuffle order, two Adam moments and
+/// the gradient the fused rank kernel hands to Adam; no `Batch` slabs —
 /// independent of epoch count).
 fn train_allocs(epochs: usize) -> u64 {
     let keys: Vec<f64> = (0..256).map(|i| (i as f64 / 255.0).powi(2)).collect();
@@ -74,8 +73,8 @@ fn train_allocs(epochs: usize) -> u64 {
 #[test]
 fn training_kernels_are_allocation_free_in_steady_state() {
     // --- train_regression: epochs beyond the first add zero allocations.
-    // (The first epoch pays for the hoisted scratch: the batch slabs and
-    // gradient accumulator, Adam moments, shuffle order.)
+    // (The first epoch pays for the hoisted scratch: the gradient, Adam
+    // moments, shuffle order.)
     let two = train_allocs(2);
     let twelve = train_allocs(12);
     assert_eq!(

@@ -1,7 +1,49 @@
 //! Property tests over the ML substrate.
 
-use elsi_ml::{kmeans, DecisionTree, Ffn, PwlModel, TreeConfig};
+use elsi_ml::{
+    kmeans, train_regression, Adam, Batch, DecisionTree, Ffn, PwlModel, TrainConfig, TreeConfig,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// `train_regression` written out over the public general path: the same
+/// shuffle, one [`Ffn::backprop`] per mini-batch and the same Adam step.
+/// Returns the last epoch's MSE and the epochs run.
+fn reference_training(ffn: &mut Ffn, xs: &[f64], ys: &[f64], cfg: &TrainConfig) -> (f64, usize) {
+    let n = xs.len();
+    let batch = if cfg.batch_size == 0 {
+        n
+    } else {
+        cfg.batch_size.min(n)
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut opt = Adam::new(ffn.num_params(), cfg.lr);
+    let mut slabs = Batch::new(ffn, batch);
+    let (mut final_mse, mut epochs_run) = (f64::INFINITY, 0);
+    for _ in 0..cfg.epochs {
+        order.shuffle(&mut rng);
+        let mut epoch_se = 0.0;
+        for chunk in order.chunks(batch) {
+            slabs.zero_grads();
+            let input = |s: usize| std::slice::from_ref(&xs[chunk[s]]);
+            ffn.backprop(&mut slabs, chunk.len(), input, |s, pred, d_out| {
+                let diff = pred[0] - ys[chunk[s]];
+                epoch_se += diff * diff;
+                d_out[0] = 2.0 * diff / chunk.len() as f64;
+            });
+            opt.step_params(slabs.grads(), ffn.params_mut());
+        }
+        epochs_run += 1;
+        final_mse = epoch_se / n as f64;
+        if final_mse <= cfg.tol {
+            break;
+        }
+    }
+    (final_mse, epochs_run)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -16,6 +58,46 @@ proptest! {
             let err = (m.predict(k) - lb).unsigned_abs() as usize;
             prop_assert!(err <= eps, "lower-bound error {} > eps {}", err, eps);
         }
+    }
+
+    /// The fused `[1, h, 1]` kernel of `train_regression` gives the bytes of
+    /// the general batch-major path: every parameter, the final MSE and
+    /// the epoch count. Keys repeat and include exact zeros and negatives,
+    /// targets include exact zeros, so dead ReLUs and zero output deltas
+    /// occur (a zero key meets zero biases); `h` crosses the four-wide
+    /// kernels' tails and hits the width of the workspace's rank models
+    /// (16) in a quarter of the cases.
+    #[test]
+    fn fused_rank_training_equals_the_general_path_bitwise(
+        h_code in 0usize..44,
+        samples in prop::collection::vec((0usize..24, 0.0f64..1.0, 0usize..5), 1..=300),
+        batch_code in 0usize..5,
+        stop in 0usize..3,
+        epochs in 1usize..40,
+        seeds in (any::<u64>(), any::<u64>()),
+    ) {
+        let h = if h_code >= 33 { 16 } else { h_code + 1 };
+        let n = samples.len();
+        let xs: Vec<f64> = samples
+            .iter()
+            .map(|&(code, u, _)| if code < 17 { (code as f64 - 8.0) / 4.0 } else { u * 4.0 - 2.0 })
+            .collect();
+        let ys: Vec<f64> = samples.iter().map(|&(_, _, y)| y as f64 / 4.0).collect();
+        let cfg = TrainConfig {
+            epochs,
+            batch_size: [0, 1, 7, 64, n + 5][batch_code],
+            seed: seeds.0,
+            tol: [0.0, 0.02, 0.2][stop],
+            ..TrainConfig::default()
+        };
+        let mut fused = Ffn::new(&[1, h, 1], seeds.1);
+        let mut general = fused.clone();
+        let report = train_regression(&mut fused, &xs, &ys, &cfg);
+        let (mse, epochs_run) = reference_training(&mut general, &xs, &ys, &cfg);
+        let bits = |f: &Ffn| f.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fused), bits(&general));
+        prop_assert_eq!(report.final_mse.to_bits(), mse.to_bits());
+        prop_assert_eq!(report.epochs_run, epochs_run);
     }
 
     /// Parameter flattening round-trips for arbitrary layer shapes.

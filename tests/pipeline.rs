@@ -69,9 +69,11 @@ fn learned_selector_drives_the_build() {
     let idx = ZmIndex::build(pts, &ZmConfig { fanout: 2 }, &builder);
     assert_eq!(idx.len(), 2000);
     // The selector must have been consulted once per model (root + leaves).
-    let chosen = builder.chosen_methods();
-    assert_eq!(chosen.len(), 3);
-    assert!(chosen.iter().all(|m| Method::pool().contains(m)));
+    let counts = builder.chosen_counts();
+    assert_eq!(counts.iter().map(|&(_, c)| c).sum::<usize>(), 3);
+    assert!(counts
+        .iter()
+        .all(|&(m, c)| c == 0 || Method::pool().contains(&m)));
 }
 
 #[test]
