@@ -149,15 +149,15 @@ impl Policy {
                 ("crates/analysis/".into(), 3),
                 ("crates/bench/".into(), 2),
                 ("crates/cli/".into(), 0),
-                ("crates/core/".into(), 28),
+                ("crates/core/".into(), 18),
                 ("crates/data/".into(), 8),
                 ("crates/indices/".into(), 25),
                 ("crates/ml/".into(), 2),
-                ("crates/serve/".into(), 29),
+                ("crates/serve/".into(), 22),
                 ("crates/spatial/".into(), 0),
                 ("crates/store/".into(), 53),
                 ("examples/".into(), 5),
-                ("tests/".into(), 22),
+                ("tests/".into(), 18),
             ],
             // Measured by the panic_path pass over the serving roots
             // (`ShardedIndex` queries/updates, the CLI's parser and each

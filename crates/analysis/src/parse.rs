@@ -12,11 +12,12 @@
 //!
 //! ## Approximations
 //!
-//! * **Calls are matched by name.** `name(`, `Type::name(`, `.name(` and
-//!   `.name::<T>(` are recorded; bare function *references* passed as
-//!   values (`map(helper)`) are missed (under-approximation), and an
-//!   unqualified name resolves to *every* workspace function with that
-//!   name (over-approximation; see [`crate::graph`]).
+//! * **Calls are matched by name.** `name(`, `Type::name(`, `.name(`,
+//!   `name::<T>(` and `.name::<T>(` are recorded; bare function
+//!   *references* passed as values (`map(helper)`) are missed
+//!   (under-approximation), and an unqualified name resolves to *every*
+//!   workspace function with that name (over-approximation; see
+//!   [`crate::graph`]).
 //! * **Owners are textual.** The `impl` target is the last type-path
 //!   identifier before the impl block opens (after `for` when present);
 //!   generics and where-clauses are skipped by bracket counting.
@@ -583,6 +584,26 @@ fn punct(tokens: &[Token], i: usize, p: &str) -> bool {
         .is_some_and(|t| t.kind == TokenKind::Punct && t.text == p)
 }
 
+/// Whether the generic arguments opening at `tokens[open]` (a `<`) close
+/// right before a `(`: `f::<N>(…)` calls `f`, `Vec::<u8>::new` does not
+/// call `Vec`. A `>` after `-` is an arrow, not a closing bracket.
+fn turbofish_closes_into_call(tokens: &[Token], open: usize) -> bool {
+    let mut depth = 0usize;
+    for j in open..tokens.len() {
+        if punct(tokens, j, "<") {
+            depth += 1;
+        } else if punct(tokens, j, ">") && !punct(tokens, j - 1, "-") {
+            depth -= 1;
+            if depth == 0 {
+                return punct(tokens, j + 1, "(");
+            }
+        } else if punct(tokens, j, ";") || punct(tokens, j, "{") {
+            break;
+        }
+    }
+    false
+}
+
 /// Second pass: walk every token once and record calls, panic sites,
 /// allocating constructs, lock acquisitions and rayon boundaries on the
 /// innermost owning function.
@@ -707,8 +728,9 @@ fn extract_facts(tokens: &[Token], token_owner: &[Option<usize>], fns: &mut [FnI
             });
         }
 
-        // Call sites.
-        if (next_open_paren || (turbofish && prev_dot)) && !is_keyword(name) {
+        // Call sites: `f(`, `f::<N>(` and `.m::<T>(`.
+        let turbofish_call = turbofish && turbofish_closes_into_call(tokens, i + 3);
+        if (next_open_paren || turbofish_call) && !is_keyword(name) {
             // The token right after `fn` is a definition, not a call.
             let is_def = i > 0 && ident(tokens, i - 1) == Some("fn");
             if !is_def {
@@ -819,6 +841,13 @@ mod tests {
         assert_eq!(names, ["g", "h", "m", "collect"]);
         assert_eq!(calls[1].qualifier.as_deref(), Some("Type"));
         assert_eq!(calls[0].qualifier, None);
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls_and_turbofish_paths_are_not() {
+        let p = parse("fn f() { g::<N>(a); Vec::<u8>::new(); h::<fn() -> u8>(x); }");
+        let names: Vec<&str> = p.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["g", "new", "h"]);
     }
 
     #[test]

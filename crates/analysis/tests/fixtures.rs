@@ -508,6 +508,23 @@ fn dispatch(&self, q: Query) -> Reply {
 }
 
 #[test]
+fn panic_path_follows_a_turbofish_call() {
+    let src = r#"
+// lint:serving_root
+fn handle(&self, xs: &[f64]) -> usize {
+    kernel::<16>(xs) + Vec::<f64>::new().len()
+}
+
+fn kernel<const H: usize>(xs: &[f64]) -> usize {
+    xs[H] as usize
+}
+"#;
+    let r = scan_one("crates/core/src/serve.rs", src);
+    assert_eq!(r.panic_path.sites, 1, "{:?}", diagnostics(&r));
+    assert_eq!(r.panic_path.reachable_fns, 2);
+}
+
+#[test]
 fn panic_path_allowed_fixture() {
     let src = r#"
 // lint:serving_root

@@ -702,10 +702,10 @@ fn ingest(a: &Command) -> Result<String, String> {
     let (how, tally, live) = if let Some(dir) = &a.persist {
         let mut dep = open_or_build(a, dir, || Ok(pts), &mut out)?;
         let tally = ingest_sharded(&mut dep, &stream, chunk);
-        // Checkpoint: the new generation's snapshots absorb the tail just
-        // journaled into the per-shard WALs.
+        // Checkpoint: the new generation's snapshots absorb the calls just
+        // journaled into the deployment's journal.
         let generation = checkpoint(&mut dep, dir)?;
-        let how = format!("(journaled per shard, checkpointed as generation {generation})");
+        let how = format!("(journaled per call, checkpointed as generation {generation})");
         (how, tally, dep.len())
     } else if let Some((rows, cols)) = a.shards {
         let mut dep = build_sharded(pts, a)?;

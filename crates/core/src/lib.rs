@@ -42,9 +42,10 @@
 //! * [`cost`] — the build-cost decomposition of §VI (Table I).
 //! * [`zoo`] — the nine index kinds of the evaluation and how each is
 //!   configured at size n ([`IndexKind::build`]).
-//! * [`persist`] — durable snapshots and WAL replay for the update
-//!   lifecycle (`DESIGN.md` §14): crash recovery restores a processor
-//!   from its last snapshot plus the journaled update tail.
+//! * [`persist`] — durable snapshots of the update lifecycle and the
+//!   journal's record payload (`DESIGN.md` §14): crash recovery restores a
+//!   processor from its last snapshot, and the deployment that owns it
+//!   replays its journaled calls through `apply_batch`.
 //! * [`config`] / [`sync`] — tuning knobs and the workspace's sanctioned
 //!   lock helper (`lock_unpoisoned`; see `DESIGN.md` §7).
 //!
@@ -71,7 +72,7 @@ pub use build::{ElsiBuilder, MethodChoice};
 pub use config::ElsiConfig;
 pub use cost::CostDecomposition;
 pub use methods::{Method, MrPool, Reduction};
-pub use persist::{decode_updates, encode_updates, recover, OverlayCodec};
+pub use persist::{decode_updates, encode_updates, OverlayCodec};
 pub use rebuild::{RebuildFeatures, RebuildPolicy, RebuildPredictor, RebuildSample};
 pub use scorer::{AltSelector, MethodCosts, MethodScorer, RandomSelector, ScorerSample};
 pub use sync::lock_unpoisoned;

@@ -1,5 +1,5 @@
-//! Durable snapshots and write-ahead logging for the update lifecycle
-//! (`DESIGN.md` §14).
+//! Durable snapshots of the update lifecycle, and the payload of a journal
+//! record (`DESIGN.md` §14).
 //!
 //! A processor snapshot is an `elsi-store` sectioned container holding:
 //!
@@ -13,13 +13,11 @@
 //!   [`SpatialIndex::live_points`], which recovery feeds to the rebuild
 //!   callback — the same deterministic path as [`UpdateProcessor::rebuild`].
 //!
-//! The WAL records update *batches*: every [`UpdateProcessor::apply_batch`]
-//! call — [`UpdateProcessor::insert`] and [`UpdateProcessor::delete`] are
-//! singleton calls of it — appends one record before mutating, and
-//! replaying the records in order through the same `apply_batch` reproduces
-//! the post-crash state bit-identically, rebuild cadence included: replay
-//! is the write path run again. [`recover`] composes the pieces: newest
-//! snapshot, WAL tail replay, fresh journaling.
+//! [`encode_updates`] is the payload of one journal record: the updates
+//! of one write call, in arrival order. The journal itself belongs to the
+//! deployment that owns the processors (`elsi-serve`), which appends one
+//! record per write call and replays it through
+//! [`UpdateProcessor::apply_batch`] after restoring the snapshots.
 
 use crate::rebuild::RebuildPolicy;
 use crate::update::{
@@ -28,10 +26,7 @@ use crate::update::{
 use elsi_indices::persist::{decode_points, encode_points};
 use elsi_indices::SpatialIndex;
 use elsi_spatial::{canonical_point_key, Point};
-use elsi_store::{
-    read_wal, ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError, WalReplay,
-    WalWriter,
-};
+use elsi_store::{ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError};
 use std::path::Path;
 
 /// Snapshot section tag: lifecycle counters.
@@ -54,7 +49,7 @@ const OP_DELETE: u8 = 1;
 /// Encoded size of one update op: tag + id + x + y.
 const OP_SIZE: usize = 1 + 8 + 8 + 8;
 
-/// Serialises one update batch as a WAL record payload.
+/// Serialises one update batch as a journal record payload.
 pub fn encode_updates(updates: &[Update]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_usize(updates.len());
@@ -71,7 +66,7 @@ pub fn encode_updates(updates: &[Update]) -> Vec<u8> {
     w.into_vec()
 }
 
-/// Decodes a WAL record payload back into its update batch. Never panics
+/// Decodes a journal record payload back into its update batch. Never panics
 /// on damaged input.
 pub fn decode_updates(bytes: &[u8]) -> Result<Vec<Update>, StoreError> {
     let mut r = ByteReader::new(bytes, "update batch");
@@ -226,9 +221,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     }
 
     /// Durably writes this processor's state to `path` (temp file +
-    /// atomic rename). The attached WAL, if any, is untouched — callers
-    /// that snapshot to absorb a WAL should detach/retire it themselves
-    /// (or use the serving layer, which rotates generations).
+    /// atomic rename).
     pub fn save_snapshot<C: IndexCodec<I>>(
         &self,
         path: &Path,
@@ -278,59 +271,11 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         let snap = Snapshot::read_file(path)?;
         Self::from_snapshot(&snap, rebuild_fn, policy, codec)
     }
-
-    /// Replays a scanned WAL tail into this processor, one batch per
-    /// record, through the (proptest-pinned) batch path — reproducing the
-    /// pre-crash state including the rebuild cadence. Returns the number
-    /// of records replayed.
-    ///
-    /// Must run *before* a WAL is attached: replaying into a journaling
-    /// processor would re-append every record it reads.
-    pub fn replay_wal(&mut self, replay: &WalReplay) -> Result<usize, StoreError> {
-        if self.wal_attached() {
-            return Err(StoreError::Unsupported {
-                what: "replaying a WAL into a processor that is already journaling".to_string(),
-            });
-        }
-        for record in &replay.records {
-            let updates = decode_updates(record)?;
-            self.apply_batch(&updates);
-        }
-        Ok(replay.records.len())
-    }
-}
-
-/// One-call crash recovery for a single processor: restore the snapshot,
-/// replay the WAL's intact tail (dropping a torn final record), truncate
-/// the tear away, and resume journaling on the same WAL.
-///
-/// The WAL file must exist — pair every snapshot with a (possibly empty)
-/// WAL, as [`UpdateProcessor::save_snapshot`] plus [`WalWriter::create`]
-/// does. Damage anywhere surfaces as a clean [`StoreError`]; nothing on
-/// this path panics.
-pub fn recover<I, C>(
-    snapshot_path: &Path,
-    wal_path: &Path,
-    rebuild_fn: RebuildFn<I>,
-    policy: RebuildPolicy,
-    codec: &C,
-) -> Result<UpdateProcessor<I>, StoreError>
-where
-    I: SpatialIndex,
-    C: IndexCodec<I>,
-{
-    let mut proc = UpdateProcessor::open_snapshot(snapshot_path, rebuild_fn, policy, codec)?;
-    let replay = read_wal(wal_path)?;
-    proc.replay_wal(&replay)?;
-    let wal = WalWriter::open_append(wal_path, &replay)?;
-    proc.attach_wal(wal);
-    Ok(proc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::UpdateOutcome;
     use elsi_data::gen::uniform;
     use elsi_indices::{
         GridConfig, GridIndex, PwlBuilder, SpatialIndex, ZmConfig, ZmIndex, ZmStateCodec,
@@ -347,11 +292,6 @@ mod tests {
 
     fn grid_rebuild() -> RebuildFn<GridIndex> {
         Box::new(|pts| GridIndex::build(pts, &GridConfig { block_size: 20 }))
-    }
-
-    /// Bulk-merging processor target: grid behind a delta overlay.
-    fn overlay_grid_rebuild() -> RebuildFn<DeltaOverlay<GridIndex>> {
-        Box::new(|pts| DeltaOverlay::new(GridIndex::build(pts, &GridConfig { block_size: 20 })))
     }
 
     fn zm_overlay_rebuild() -> RebuildFn<DeltaOverlay<ZmIndex>> {
@@ -485,125 +425,6 @@ mod tests {
             proc.index().window_query(&w),
             opened.index().window_query(&w)
         );
-    }
-
-    #[test]
-    fn wal_replay_reproduces_the_journaled_tail() {
-        let snap_path = tmp("replay.snap");
-        let wal_path = tmp("replay.wal");
-        let f_u = 8;
-        let policy = || RebuildPolicy::Threshold {
-            max_drift: 2.0, // never trips on drift; ratio does the work
-            max_ratio: 0.2,
-        };
-        let mut journaled =
-            UpdateProcessor::new(uniform(300, 31), overlay_grid_rebuild(), policy(), f_u);
-        journaled.save_snapshot(&snap_path, &NoCodec).unwrap();
-        journaled.attach_wal(WalWriter::create(&wal_path).unwrap());
-        // Mixed singleton and batched traffic, enough to cross the
-        // rebuild threshold so the cadence itself is exercised.
-        let mut outcomes = Vec::new();
-        for i in 0..70u64 {
-            let out = journaled.insert(Point::new(90_000 + i, 0.25, 0.75));
-            outcomes.push(out == UpdateOutcome::Rebuilt);
-        }
-        let batch: Vec<Update> = (0..30u64)
-            .map(|i| Update::Insert(Point::new(91_000 + i, 0.6, 0.6)))
-            .collect();
-        journaled.apply_batch(&batch);
-        journaled.delete(uniform(300, 31)[0]);
-        journaled.sync_wal().unwrap();
-        assert!(journaled.wal_error().is_none());
-        assert!(outcomes.iter().any(|&r| r), "threshold never crossed");
-        drop(journaled.detach_wal());
-
-        // "Crash": recover from the snapshot + WAL alone.
-        let recovered = recover(
-            &snap_path,
-            &wal_path,
-            overlay_grid_rebuild(),
-            policy(),
-            &NoCodec,
-        )
-        .unwrap();
-        assert_eq!(recovered.live_len(), 300 + 70 + 30 - 1);
-        assert!(recovered.rebuilds() > 0);
-        assert!(recovered.wal_attached());
-
-        // Reference: the same stream with no WAL involved at all.
-        let mut reference =
-            UpdateProcessor::new(uniform(300, 31), overlay_grid_rebuild(), policy(), f_u);
-        for i in 0..70u64 {
-            reference.insert(Point::new(90_000 + i, 0.25, 0.75));
-        }
-        reference.apply_batch(&batch);
-        reference.delete(uniform(300, 31)[0]);
-        assert_processors_match(&reference, &recovered);
-        std::fs::remove_file(&snap_path).ok();
-        std::fs::remove_file(&wal_path).ok();
-    }
-
-    #[test]
-    fn torn_wal_tail_recovers_the_prefix() {
-        let snap_path = tmp("torn.snap");
-        let wal_path = tmp("torn.wal");
-        let mut proc = UpdateProcessor::new(
-            uniform(100, 41),
-            overlay_grid_rebuild(),
-            RebuildPolicy::Never,
-            1000,
-        );
-        proc.save_snapshot(&snap_path, &NoCodec).unwrap();
-        proc.attach_wal(WalWriter::create(&wal_path).unwrap());
-        proc.insert(Point::new(70_001, 0.1, 0.1));
-        proc.insert(Point::new(70_002, 0.2, 0.2));
-        drop(proc.detach_wal());
-        // Crash mid-append: chop bytes off the final record.
-        let full = std::fs::read(&wal_path).unwrap();
-        std::fs::write(&wal_path, &full[..full.len() - 5]).unwrap();
-        let recovered = recover(
-            &snap_path,
-            &wal_path,
-            overlay_grid_rebuild(),
-            RebuildPolicy::Never,
-            &NoCodec,
-        )
-        .unwrap();
-        // The torn second insert is gone; the first survived.
-        assert_eq!(recovered.live_len(), 101);
-        assert!(recovered
-            .index()
-            .point_query(Point::new(70_001, 0.1, 0.1))
-            .is_some());
-        assert!(recovered
-            .index()
-            .point_query(Point::new(70_002, 0.2, 0.2))
-            .is_none());
-        std::fs::remove_file(&snap_path).ok();
-        std::fs::remove_file(&wal_path).ok();
-    }
-
-    #[test]
-    fn replay_into_a_journaling_processor_is_refused() {
-        let wal_path = tmp("refused.wal");
-        let mut proc = UpdateProcessor::new(
-            uniform(50, 51),
-            overlay_grid_rebuild(),
-            RebuildPolicy::Never,
-            1000,
-        );
-        proc.attach_wal(WalWriter::create(&wal_path).unwrap());
-        let empty = WalReplay {
-            records: Vec::new(),
-            valid_len: elsi_store::WAL_HEADER_LEN,
-            torn: false,
-        };
-        assert!(matches!(
-            proc.replay_wal(&empty),
-            Err(StoreError::Unsupported { .. })
-        ));
-        drop(proc.detach_wal());
-        std::fs::remove_file(&wal_path).ok();
     }
 
     #[test]

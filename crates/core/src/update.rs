@@ -11,17 +11,18 @@
 //! index's `len`, and the sketch retires the keys the index reports retired.
 //!
 //! There is **one write path**: [`UpdateProcessor::apply_batch`] is the only
-//! body that journals, mutates the index and the drift sketch, counts, and
-//! consults the rebuild policy. It is one arrival-order fold — one WAL
-//! record and one policy consultation per call — and the per-op entry
-//! points are singleton batches of it (`DESIGN.md` §10).
+//! body that mutates the index and the drift sketch, counts, and consults
+//! the rebuild policy. It is one arrival-order fold — one policy
+//! consultation per call — and the per-op entry points are singleton
+//! batches of it (`DESIGN.md` §10). The processor journals nothing: the
+//! deployment that owns it does, once per write call (`DESIGN.md` §14).
 
 use crate::rebuild::{RebuildFeatures, RebuildPolicy};
 use elsi_data::cdf::DEFAULT_SKETCH_BINS;
 pub use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
 use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect, ScanScratch};
-use elsi_store::{StoreError, WalWriter};
+use elsi_store::StoreError;
 
 pub use crate::drift::DriftTracker;
 pub use crate::overlay::DeltaOverlay;
@@ -64,20 +65,19 @@ pub type RebuildFn<I> = Box<dyn Fn(Vec<Point>) -> I + Send + Sync>;
 
 /// The full ELSI update lifecycle around a base index.
 ///
-/// The processor journals updates, tracks drift, and consults a
-/// [`RebuildPolicy`] every `f_u` updates; a rebuild hands the index's own
-/// live points to the build processor.
+/// The processor tracks drift and consults a [`RebuildPolicy`] every
+/// `f_u` updates; a rebuild hands the index's own live points to the build
+/// processor.
 pub struct UpdateProcessor<I: SpatialIndex> {
     index: I,
     rebuild_fn: RebuildFn<I>,
     policy: RebuildPolicy,
     drift: DriftTracker,
     counters: LifecycleCounters,
-    /// Attached write-ahead log: every mutation is appended (and flushed)
-    /// here *before* it touches the index, so a crash can lose at most
-    /// the in-flight operation. `None` = not journaling.
-    wal: Option<WalWriter>,
-    /// The error that detached the WAL, when journaling has degraded.
+    /// Whether the owning deployment's journal is attached, as it last
+    /// reported ([`UpdateProcessor::set_journal_status`]).
+    wal_attached: bool,
+    /// The error that detached that journal, as it last reported.
     wal_error: Option<StoreError>,
 }
 
@@ -130,7 +130,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
             policy,
             drift,
             counters,
-            wal: None,
+            wal_attached: false,
             wal_error: None,
         }
     }
@@ -196,80 +196,41 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         }
     }
 
-    /// Attaches a write-ahead log. Every subsequent mutation is appended
-    /// to it before the in-memory state changes, so a crash can be
-    /// replayed from the last snapshot ([`UpdateProcessor::replay_wal`]).
-    /// Clears any previous journaling failure.
-    pub fn attach_wal(&mut self, wal: WalWriter) {
-        self.wal = Some(wal);
-        self.wal_error = None;
+    /// Records what the deployment that owns this processor reports of
+    /// its journal: whether one is attached, and the error that detached
+    /// it. The processor itself journals nothing.
+    pub fn set_journal_status(&mut self, attached: bool, error: Option<StoreError>) {
+        self.wal_attached = attached;
+        self.wal_error = error;
     }
 
-    /// Detaches the write-ahead log (e.g. right after a snapshot absorbed
-    /// it), returning the writer so the caller can sync or retire it.
-    pub fn detach_wal(&mut self) -> Option<WalWriter> {
-        self.wal.take()
-    }
-
-    /// Whether a write-ahead log is currently attached.
+    /// Whether the owning deployment's journal is attached.
     pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
+        self.wal_attached
     }
 
-    /// The error that degraded journaling, if an append ever failed.
-    ///
-    /// An append failure must not poison serving: the processor drops the
-    /// WAL, keeps applying updates in memory, and parks the error here so
-    /// the operator layer can notice and re-establish durability (snapshot
-    /// + fresh WAL).
+    /// The error that detached the owning deployment's journal, if an
+    /// append ever failed. Serving goes on in memory; the operator layer
+    /// re-establishes durability with a save.
     pub fn wal_error(&self) -> Option<&StoreError> {
         self.wal_error.as_ref()
     }
 
-    /// Forces appended WAL records to stable storage. A no-op without an
-    /// attached WAL.
-    pub fn sync_wal(&mut self) -> Result<(), StoreError> {
-        match self.wal.as_mut() {
-            Some(wal) => wal.sync(),
-            None => Ok(()),
-        }
-    }
-
-    /// Appends one update batch to the WAL (when attached) before the
-    /// mutation it describes. On failure, degrades: detaches the WAL,
-    /// records the error, and lets the mutation proceed in memory.
-    fn log_updates(&mut self, updates: &[Update]) {
-        if updates.is_empty() {
-            return;
-        }
-        if let Some(wal) = self.wal.as_mut() {
-            let payload = crate::persist::encode_updates(updates);
-            if let Err(e) = wal.append(&payload) {
-                self.wal = None;
-                self.wal_error = Some(e);
-            }
-        }
-    }
-
     /// Applies `updates` in arrival order — the processor's one write path.
     ///
-    /// One call is one WAL record (appended before anything mutates), one
-    /// fold of the batch through the index ([`SpatialIndex::ingest_batch`])
-    /// and, by the retired copies it returns, through the drift sketch, and
-    /// **one** rebuild-policy consultation at the end, when the
-    /// effective-update counter has crossed `f_u`. A check
-    /// that per-op application would have run mid-batch is thereby deferred
-    /// to the batch end, so a rebuild decision sees the whole batch's drift
-    /// at once (`DESIGN.md` §10).
+    /// One call is one fold of the batch through the index
+    /// ([`SpatialIndex::ingest_batch`]) and, by the retired copies it
+    /// returns, through the drift sketch, and **one** rebuild-policy
+    /// consultation at the end, when the effective-update counter has
+    /// crossed `f_u`. A check that per-op application would have run
+    /// mid-batch is thereby deferred to the batch end, so a rebuild
+    /// decision sees the whole batch's drift at once (`DESIGN.md` §10).
     ///
-    /// No-op deletes (the index held no live copy) are journaled — the
-    /// record is written before the effect is known, and replays as the
-    /// same no-op — but are not updates: they leave the lifecycle counters
-    /// untouched and never reach the policy, so a stream of missing-id
-    /// deletes cannot skew `update_ratio` / `drift_sim` toward spurious
-    /// rebuild checks.
+    /// No-op deletes (the index held no live copy) are not updates: they
+    /// leave the lifecycle counters untouched and never reach the policy,
+    /// so a stream of missing-id deletes cannot skew `update_ratio` /
+    /// `drift_sim` toward spurious rebuild checks.
     pub fn apply_batch(&mut self, updates: &[Update]) -> BatchOutcome {
-        self.log_updates(updates);
         let retired = self.index.ingest_batch(updates);
         let mut applied = 0usize;
         for (&u, &old) in updates.iter().zip(&retired) {

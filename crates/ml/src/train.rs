@@ -188,6 +188,9 @@ fn rank_grads(
 /// (`dW1 += δ·a` skipped for a zero delta). The weights are fixed within a
 /// mini-batch, so the order of the samples' passes is all that differs and
 /// the bytes are the same (held by `tests/pins.rs` and `tests/proptests.rs`).
+///
+/// Total: parameters that are not `[1, h, 1]` with `h ≤ H` leave `grads`
+/// untouched, and a sample index past `xs` or `ys` is skipped.
 #[inline(always)]
 fn rank_grads_at<const H: usize>(
     params: &[f64],
@@ -198,20 +201,35 @@ fn rank_grads_at<const H: usize>(
     grads: &mut [f64],
     epoch_se: &mut f64,
 ) {
-    let (w0, b0, w1) = (&params[..h], &params[h..2 * h], &params[2 * h..3 * h]);
-    let b1 = params[3 * h];
     let (mut gw0, mut gb0, mut gw1, mut gb1) = ([0.0; H], [0.0; H], [0.0; H], 0.0);
     let (mut pre, mut act) = ([0.0; H], [0.0; H]);
-    let (gw0, gb0, gw1) = (&mut gw0[..h], &mut gb0[..h], &mut gw1[..h]);
-    let (pre, act) = (&mut pre[..h], &mut act[..h]);
+    let (Some(w0), Some(b0), Some(w1), Some(&b1)) = (
+        params.get(..h),
+        params.get(h..2 * h),
+        params.get(2 * h..3 * h),
+        params.get(3 * h),
+    ) else {
+        return;
+    };
+    let (Some(gw0), Some(gb0), Some(gw1), Some(pre), Some(act)) = (
+        gw0.get_mut(..h),
+        gb0.get_mut(..h),
+        gw1.get_mut(..h),
+        pre.get_mut(..h),
+        act.get_mut(..h),
+    ) else {
+        return;
+    };
     let rows = chunk.len() as f64;
     for &s in chunk {
-        let x = xs[s];
+        let (Some(&x), Some(&y)) = (xs.get(s), ys.get(s)) else {
+            continue;
+        };
         for (((p, a), &w), &b) in pre.iter_mut().zip(&mut *act).zip(w0).zip(b0) {
             *p = b + w * x;
             *a = p.max(0.0);
         }
-        let diff = (b1 + dot4(w1, act)) - ys[s];
+        let diff = (b1 + dot4(w1, act)) - y;
         *epoch_se += diff * diff;
         let d = 2.0 * diff / rows;
         let live = d != 0.0;

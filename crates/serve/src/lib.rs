@@ -22,11 +22,12 @@
 //!   CDF models (`elsi_ml::PwlModel`), keeping shard occupancy balanced
 //!   under skew (`DESIGN.md` §13).
 //! * [`persist`] — durable serving directories (`DESIGN.md` §14): one
-//!   manifest + per-shard snapshot/WAL files, written generationally so a
-//!   crash at any byte leaves a recoverable directory.
-//!   [`sharded::ShardedIndex::save`] rotates journals; `open` restores the
-//!   router *without refitting* and recovers every shard in parallel from
-//!   its snapshot plus journaled tail.
+//!   manifest, per-shard snapshots and one deployment journal, written
+//!   generationally so a crash at any byte leaves a recoverable directory.
+//!   Each write call is one journal record, appended before any shard
+//!   mutates; [`sharded::ShardedIndex::save`] starts a fresh journal;
+//!   `open` restores the router *without refitting* and every shard in
+//!   parallel from its snapshot plus its share of the journaled calls.
 //! * [`sharded`] — [`sharded::ShardedIndex`] owns the per-shard update
 //!   processors, builds them in parallel on the rayon pool with per-shard
 //!   deterministic seeds (the same seeding discipline as the method

@@ -7,8 +7,9 @@
 //!   MANIFEST.json        — shape, seeds, and the current generation
 //!   router.g3.snap       — the fitted router state (one-section snapshot)
 //!   shard-0000.g3.snap   — one snapshot per shard (core persist format)
-//!   shard-0000.g3.wal    — that shard's journal of post-snapshot updates
 //!   …
+//!   deploy.g3.wal        — the deployment's journal: one record per write
+//!                          call since the snapshots
 //! ```
 //!
 //! Every file name carries a **generation** number. [`ShardedIndex::save`]
@@ -16,14 +17,13 @@
 //! manifest, then prunes the previous generation — so a crash at any point
 //! leaves either the old complete generation or the new one, never a
 //! torn mix. The manifest is the commit point, exactly like the snapshot
-//! writer's temp-file + rename.
+//! writer's temp-file + rename. The new snapshots absorb the old journal,
+//! and later write calls append to the new generation's.
 //!
-//! `save` also *rotates journals*: each shard's old WAL is absorbed by its
-//! new snapshot, and subsequent updates journal into a fresh WAL of the
-//! new generation. [`ShardedIndex::open`] reverses the whole arrangement —
-//! manifest → router → parallel per-shard [`elsi::recover`] (snapshot +
-//! WAL replay) — and re-attaches the journals, so a reopened deployment
-//! keeps journaling from where it left off.
+//! [`ShardedIndex::open`] reverses the arrangement: manifest → router →
+//! the journal, read and split per shard once → every shard restored in
+//! one parallel pass (its snapshot, then its sub-batches in record order)
+//! → the journal re-attached, its torn tail cut away.
 //!
 //! Router cuts are f64 bit patterns and therefore live in the binary
 //! router snapshot, not in JSON (see `elsi_store::json`); the manifest
@@ -36,16 +36,20 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use elsi::{recover, DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateProcessor};
+use elsi::{decode_updates, DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateProcessor};
+use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmIndex, ZmStateCodec};
 use elsi_spatial::Point;
 use elsi_store::{
-    ByteReader, ByteWriter, IndexCodec, Json, Snapshot, SnapshotWriter, StoreError, WalWriter,
+    read_wal, sync_parent_dir, ByteReader, ByteWriter, IndexCodec, Json, Snapshot, SnapshotWriter,
+    StoreError, WalWriter,
 };
 use rayon::prelude::*;
 
 use crate::router::Router;
-use crate::sharded::{shard_seed, zm_policy, zm_shard_builder, ShardContext, ShardedIndex};
+use crate::sharded::{
+    partition, shard_seed, zm_policy, zm_shard_builder, ShardContext, ShardedIndex,
+};
 
 /// Re-exported so serving callers can assemble the workhorse codec
 /// without importing three crates.
@@ -54,8 +58,9 @@ pub use elsi::OverlayCodec;
 /// The manifest file inside a serving directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
-/// Manifest format this build reads and writes.
-pub const MANIFEST_FORMAT: u32 = 1;
+/// Manifest format this build reads and writes: 2 = one deployment journal
+/// (format 1 kept a journal per shard).
+pub const MANIFEST_FORMAT: u32 = 2;
 
 /// Section tag of the router state inside `router.g<N>.snap`.
 pub const SEC_ROUTER: u32 = u32::from_le_bytes(*b"ROUT");
@@ -232,7 +237,9 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
     Manifest::from_json(&json)
 }
 
-/// Atomically replaces `dir/MANIFEST.json` — the generation commit point.
+/// Atomically and durably replaces `dir/MANIFEST.json` — the generation
+/// commit point. The directory sync also makes the new journal's entry
+/// durable.
 fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), StoreError> {
     let tmp = dir.join("MANIFEST.json.tmp");
     let path = dir.join(MANIFEST_NAME);
@@ -242,7 +249,7 @@ fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), StoreError> {
     f.sync_all().map_err(|e| StoreError::io("sync", &tmp, e))?;
     drop(f);
     fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, e))?;
-    Ok(())
+    sync_parent_dir(&path)
 }
 
 fn router_file(generation: u64) -> String {
@@ -253,8 +260,8 @@ fn shard_snap_file(generation: u64, shard: usize) -> String {
     format!("shard-{shard:04}.g{generation}.snap")
 }
 
-fn shard_wal_file(generation: u64, shard: usize) -> String {
-    format!("shard-{shard:04}.g{generation}.wal")
+fn journal_file(generation: u64) -> String {
+    format!("deploy.g{generation}.wal")
 }
 
 /// Generation number of a serving-directory file name, parsed from its
@@ -301,14 +308,15 @@ fn prune_stale(dir: &Path, keep: u64) {
 
 impl<I: SpatialIndex> ShardedIndex<I> {
     /// Persists the deployment into `dir` as the next generation and
-    /// rotates every shard's journal: old WALs are absorbed by the new
-    /// snapshots, and updates applied after this call journal into fresh
-    /// WALs of the new generation. Returns the committed generation.
+    /// starts its journal afresh: the new snapshots absorb every write call
+    /// so far, and later calls journal into the new generation's
+    /// `deploy.g<N>.wal`. Returns the committed generation.
     ///
     /// Shard snapshots are written in parallel on the rayon pool; the
     /// manifest is replaced atomically only after every file of the new
     /// generation is on disk, so a crash mid-save leaves the previous
-    /// generation fully intact.
+    /// generation fully intact. A failed save leaves the previous journal
+    /// attached, since the previous generation is still the committed one.
     // lint:serving_root
     pub fn save<C>(&mut self, dir: &Path, codec: &C) -> Result<u64, StoreError>
     where
@@ -321,42 +329,16 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         router_snap.add_section(SEC_ROUTER, encode_router(&self.router));
         router_snap.write_file(&dir.join(router_file(generation)))?;
 
-        // The vendored rayon has no `par_iter_mut`: move the shards out,
-        // snapshot + re-journal each one, and collect them back in order.
-        let shards = std::mem::take(&mut self.shards);
-        type Saved<I> = Vec<(UpdateProcessor<DeltaOverlay<I>>, Result<(), StoreError>)>;
-        let saved: Saved<I> = shards
-            .into_iter()
+        let saved: Vec<Result<(), StoreError>> = self
+            .shards
+            .iter()
             .enumerate()
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(s, mut shard)| {
-                shard.detach_wal();
-                let res = (|| {
-                    shard.save_snapshot(&dir.join(shard_snap_file(generation, s)), codec)?;
-                    let wal = WalWriter::create(&dir.join(shard_wal_file(generation, s)))?;
-                    shard.attach_wal(wal);
-                    Ok(())
-                })();
-                (shard, res)
-            })
+            .map(|(s, shard)| shard.save_snapshot(&dir.join(shard_snap_file(generation, s)), codec))
             .collect();
-        // Shards go back in place before any error propagates: a failed
-        // save must leave the deployment serving (possibly un-journaled —
-        // the same degrade-over-poison rule as `UpdateProcessor`'s WAL).
-        let mut first_err = None;
-        self.shards = saved
-            .into_iter()
-            .map(|(shard, res)| {
-                if let Err(e) = res {
-                    first_err.get_or_insert(e);
-                }
-                shard
-            })
-            .collect();
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        saved.into_iter().collect::<Result<(), _>>()?;
+        let journal = WalWriter::create(&dir.join(journal_file(generation)))?;
 
         write_manifest(
             dir,
@@ -369,20 +351,25 @@ impl<I: SpatialIndex> ShardedIndex<I> {
                 router_kind: tag_kind(router_tag(&self.router)).to_string(),
             },
         )?;
+        self.set_journal(Some(journal), None);
         prune_stale(dir, generation);
         Ok(generation)
     }
 
     /// Restores a deployment from a serving directory: manifest → router
-    /// state (no refitting) → every shard recovered in parallel from its
-    /// snapshot plus journaled WAL tail ([`elsi::recover`]), with the
-    /// journals re-attached so the reopened deployment keeps journaling.
+    /// state (no refitting) → the journal, read and split into per-shard
+    /// sub-batches once → every shard restored in parallel from its
+    /// snapshot plus its sub-batches, in record order → the journal
+    /// re-attached (torn tail cut away), so the reopened deployment keeps
+    /// journaling.
     ///
-    /// `shard_builder` and `policy` follow the [`ShardedIndex::build`]
-    /// contract — they are only *invoked* for shards whose snapshot
-    /// carries no encoded index blob (the deterministic rebuild path) and
-    /// on later policy-triggered rebuilds, with the same per-shard seeds
-    /// as the original build (the manifest records the root seed).
+    /// Each sub-batch is what the shard's `apply_batch` saw live, so
+    /// routing and the rebuild cadence replay exactly. `shard_builder` and
+    /// `policy` follow the [`ShardedIndex::build`] contract — they are only
+    /// *invoked* for shards whose snapshot carries no encoded index blob
+    /// (the deterministic rebuild path) and on policy-triggered rebuilds,
+    /// with the same per-shard seeds as the original build (the manifest
+    /// records the root seed).
     // lint:serving_root
     pub fn open<B, P, C>(
         dir: &Path,
@@ -416,15 +403,33 @@ impl<I: SpatialIndex> ShardedIndex<I> {
             });
         }
 
+        let journal_path = dir.join(journal_file(manifest.generation));
+        let replay = read_wal(&journal_path)?;
+        // Each record is decoded and split once, the records in parallel.
+        let split: Vec<Result<Vec<Vec<Update>>, StoreError>> = replay
+            .records
+            .par_iter()
+            .map(|record| Ok(partition(&router, &decode_updates(record)?)))
+            .collect();
+        let mut calls: Vec<Vec<Vec<Update>>> = vec![Vec::new(); manifest.shards];
+        for subs in split {
+            for (mine, sub) in calls.iter_mut().zip(subs?) {
+                mine.push(sub);
+            }
+        }
+
         let builder = Arc::new(shard_builder);
         // Policies are drawn serially in shard order, as in `build`.
-        let work: Vec<(usize, RebuildPolicy)> =
-            (0..manifest.shards).map(|s| (s, policy(s))).collect();
+        let work: Vec<(usize, RebuildPolicy, Vec<Vec<Update>>)> = calls
+            .into_iter()
+            .enumerate()
+            .map(|(s, subs)| (s, policy(s), subs))
+            .collect();
         let (root_seed, generation) = (manifest.seed, manifest.generation);
         let router_ref = &router;
         let recovered: Vec<Result<UpdateProcessor<DeltaOverlay<I>>, StoreError>> = work
             .into_par_iter()
-            .map(move |(s, pol)| {
+            .map(move |(s, pol, subs)| {
                 let ctx = ShardContext {
                     shard: s,
                     rect: router_ref.shard_rect(s),
@@ -433,25 +438,23 @@ impl<I: SpatialIndex> ShardedIndex<I> {
                 let b = Arc::clone(&builder);
                 let rebuild: RebuildFn<DeltaOverlay<I>> =
                     Box::new(move |pts| DeltaOverlay::new(b(&ctx, pts)));
-                recover(
-                    &dir.join(shard_snap_file(generation, s)),
-                    &dir.join(shard_wal_file(generation, s)),
-                    rebuild,
-                    pol,
-                    codec,
-                )
+                let path = dir.join(shard_snap_file(generation, s));
+                let mut shard = UpdateProcessor::open_snapshot(&path, rebuild, pol, codec)?;
+                for sub in &subs {
+                    shard.apply_batch(sub);
+                }
+                Ok(shard)
             })
             .collect();
-        let mut shards = Vec::with_capacity(recovered.len());
-        for res in recovered {
-            shards.push(res?);
-        }
-        Ok(Self {
+        let mut dep = Self {
             router,
-            shards,
+            shards: recovered.into_iter().collect::<Result<_, _>>()?,
             f_u: manifest.f_u,
             seed: manifest.seed,
-        })
+            journal: None,
+        };
+        dep.set_journal(Some(WalWriter::open_append(&journal_path, &replay)?), None);
+        Ok(dep)
     }
 }
 
@@ -481,7 +484,7 @@ mod tests {
     use elsi_indices::{GridConfig, GridIndex};
     use elsi_spatial::Rect;
     use elsi_store::NoCodec;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn dir(name: &str) -> PathBuf {
         let d =
@@ -522,13 +525,9 @@ mod tests {
         let codec = OverlayCodec::new(NoCodec);
         let mut idx = grid_deployment(pts(600));
         for p in pts(40) {
-            idx.insert_routed(Point::new(10_000 + p.id, p.y, p.x));
+            idx.insert(Point::new(10_000 + p.id, p.y, p.x));
         }
         assert_eq!(idx.save(&d, &codec).unwrap(), 1);
-        assert!(
-            idx.shard(0).wal_attached(),
-            "save must leave shards journaling"
-        );
 
         let re =
             ShardedIndex::<GridIndex>::open(&d, grid_builder(), |_s| RebuildPolicy::Never, &codec)
@@ -554,7 +553,7 @@ mod tests {
             &elsi,
         );
         for p in pts(60) {
-            idx.insert_routed(Point::new(20_000 + p.id, p.y, p.x));
+            idx.insert(Point::new(20_000 + p.id, p.y, p.x));
         }
         idx.save(&d, &zm_codec()).unwrap();
 
@@ -638,7 +637,7 @@ mod tests {
                     .collect();
                 idx.par_apply_updates(&strays);
             } else {
-                idx.delete_routed(ghost(&points[10]));
+                idx.delete(ghost(&points[10]));
             }
             assert_eq!(idx.len(), points.len(), "{tag}");
             idx.save(&d, &zm_codec())?;
@@ -693,15 +692,37 @@ mod tests {
         assert_eq!(re.len(), idx.len());
     }
 
+    /// Every shard reports the deployment journal as attached and healthy.
+    fn journaling<I: SpatialIndex>(idx: &ShardedIndex<I>) -> bool {
+        (0..idx.num_shards())
+            .all(|s| idx.shard(s).wal_attached() && idx.shard(s).wal_error().is_none())
+    }
+
+    /// A file-system result as a store error, for `?`.
+    fn fs_ok<T>(path: &Path, r: std::io::Result<T>) -> Result<T, StoreError> {
+        r.map_err(|e| StoreError::io("fs", path, e))
+    }
+
+    fn open_grid(
+        d: &Path,
+        policy: impl Fn(usize) -> RebuildPolicy,
+    ) -> Result<ShardedIndex<GridIndex>, StoreError> {
+        ShardedIndex::open(d, grid_builder(), policy, &OverlayCodec::new(NoCodec))
+    }
+
     #[test]
-    fn updates_after_save_journal_and_recover() {
+    fn updates_after_save_journal_and_recover() -> Result<(), StoreError> {
         let d = dir("wal_tail");
-        let codec = OverlayCodec::new(NoCodec);
         let mut idx = grid_deployment(pts(400));
-        idx.save(&d, &codec).unwrap();
-        // These land in the fresh per-shard WALs `save` attached.
+        assert!(
+            !idx.shard(0).wal_attached(),
+            "nothing journals before a save"
+        );
+        idx.save(&d, &OverlayCodec::new(NoCodec))?;
+        assert!(journaling(&idx), "save must attach the journal");
+        // One record per call: 25 singletons and one batch.
         for p in pts(25) {
-            idx.insert_routed(Point::new(30_000 + p.id, p.x, p.y));
+            idx.insert(Point::new(30_000 + p.id, p.x, p.y));
         }
         let batch: Vec<Update> = pts(10)
             .iter()
@@ -713,12 +734,111 @@ mod tests {
         let expect = idx.window_query(&w);
         drop(idx); // "crash": nothing saved since the journaled tail
 
-        let re =
-            ShardedIndex::<GridIndex>::open(&d, grid_builder(), |_s| RebuildPolicy::Never, &codec)
-                .unwrap();
+        let journal = d.join(journal_file(1));
+        let written = fs_ok(&journal, fs::read(&journal))?;
+        assert_eq!(read_wal(&journal)?.records.len(), 26);
+        let re = open_grid(&d, |_s| RebuildPolicy::Never)?;
         assert_eq!(re.len(), expect_len);
         assert_eq!(re.window_query(&w), expect);
-        assert!(re.shard(0).wal_attached(), "open must re-attach journals");
+        assert!(journaling(&re), "open must re-attach the journal");
+        // Replay is not journaled again.
+        assert_eq!(fs_ok(&journal, fs::read(&journal))?, written);
+        // The directory holds one journal and no per-shard ones.
+        let wals: Vec<String> = fs_ok(&d, fs::read_dir(&d))?
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".wal"))
+            .collect();
+        assert_eq!(wals, vec![journal_file(1)]);
+        Ok(())
+    }
+
+    #[test]
+    fn wal_replay_reproduces_the_journaled_tail() -> Result<(), StoreError> {
+        // Singleton and batched calls past a save, enough to trip rebuilds
+        // mid-journal: the reopened deployment equals the one that crashed,
+        // rebuild count, cadence counters and delta sizes included.
+        let d = dir("replay");
+        let policy = |_s| RebuildPolicy::Threshold {
+            max_drift: 2.0, // never trips on drift; ratio does the work
+            max_ratio: 0.2,
+        };
+        let cfg = ShardedConfig { f_u: 8, seed: 5 };
+        let mut idx =
+            ShardedIndex::build(pts(400), Router::new(2, 2), &cfg, grid_builder(), policy);
+        idx.save(&d, &OverlayCodec::new(NoCodec))?;
+        for p in pts(70) {
+            idx.insert(Point::new(90_000 + p.id, p.x, 0.25 + p.y / 2.0));
+        }
+        let batch: Vec<Update> = pts(60)
+            .iter()
+            .map(|p| Update::Insert(Point::new(91_000 + p.id, p.y, p.x)))
+            .collect();
+        idx.par_apply_updates(&batch);
+        assert!(idx.delete(pts(400)[3]));
+        assert!(idx.rebuilds() > 0, "threshold never crossed");
+        let stats = idx.shard_stats();
+        let q = Point::at(0.4, 0.6);
+        let (all, knn) = (idx.window_query(&Rect::unit()), idx.knn_query(q, 12));
+        drop(idx);
+
+        let re = open_grid(&d, policy)?;
+        assert_eq!(re.shard_stats(), stats);
+        assert_eq!(re.window_query(&Rect::unit()), all);
+        assert_eq!(re.knn_query(q, 12), knn);
+        Ok(())
+    }
+
+    #[test]
+    fn torn_wal_tail_recovers_the_prefix() -> Result<(), StoreError> {
+        let d = dir("torn");
+        let mut idx = grid_deployment(pts(100));
+        idx.save(&d, &OverlayCodec::new(NoCodec))?;
+        let (first, second) = (Point::new(70_001, 0.1, 0.1), Point::new(70_002, 0.9, 0.9));
+        idx.insert(first);
+        idx.insert(second);
+        drop(idx);
+        // Crash mid-append: chop bytes off the final record.
+        let journal = d.join(journal_file(1));
+        let full = fs_ok(&journal, fs::read(&journal))?;
+        fs_ok(&journal, fs::write(&journal, &full[..full.len() - 5]))?;
+        let mut re = open_grid(&d, |_s| RebuildPolicy::Never)?;
+        assert_eq!(re.len(), 101);
+        assert_eq!(re.point_query(first), Some(first));
+        assert_eq!(re.point_query(second), None);
+        // The tear was cut away: a later call journals after the prefix.
+        re.insert(second);
+        drop(re);
+        let re = open_grid(&d, |_s| RebuildPolicy::Never)?;
+        assert_eq!(re.len(), 102);
+        assert_eq!(re.point_query(second), Some(second));
+        Ok(())
+    }
+
+    #[test]
+    fn a_directory_with_per_shard_journals_is_refused_by_version() -> Result<(), StoreError> {
+        // The layout of manifest format 1: the same snapshots, a journal per
+        // shard and none for the deployment.
+        let d = dir("format1");
+        let mut idx = grid_deployment(pts(200));
+        idx.save(&d, &OverlayCodec::new(NoCodec))?;
+        let mut m = read_manifest(&d)?;
+        m.format = 1;
+        let manifest = d.join(MANIFEST_NAME);
+        fs_ok(&manifest, fs::write(&manifest, m.to_json().write_pretty()))?;
+        let journal = d.join(journal_file(1));
+        fs_ok(&journal, fs::remove_file(&journal))?;
+        for s in 0..idx.num_shards() {
+            WalWriter::create(&d.join(format!("shard-{s:04}.g1.wal")))?;
+        }
+        assert!(matches!(
+            open_grid(&d, |_s| RebuildPolicy::Never).map(|dep| dep.len()),
+            Err(StoreError::BadVersion {
+                found: 1,
+                expected: 2
+            })
+        ));
+        Ok(())
     }
 
     #[test]

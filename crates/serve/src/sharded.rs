@@ -9,15 +9,19 @@
 //! `UpdateProcessor::{live_len, n_at_build, pending_updates}` — routing
 //! never recomputes drift features and never takes a lock (`ShardedIndex`
 //! owns its shards; updates are `&mut self`).
+//!
+//! The deployment, not the shards, journals: each write call is one record
+//! of its journal, appended before any shard mutates (`DESIGN.md` §14).
 
 use std::sync::Arc;
 
 use elsi::{
-    BatchOutcome, DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateOutcome, UpdateProcessor,
+    encode_updates, BatchOutcome, DeltaOverlay, Elsi, RebuildFn, RebuildPolicy, UpdateProcessor,
 };
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
 use elsi_spatial::{sort_canonical, Point, Rect, ScanScratch};
+use elsi_store::{StoreError, WalWriter};
 use rayon::prelude::*;
 
 use crate::router::Router;
@@ -111,6 +115,9 @@ pub struct ShardedIndex<I: SpatialIndex, R = Router> {
     /// Root seed, echoed into the manifest so rebuild closures recreated
     /// by `open` derive the same per-shard seeds as the original build.
     pub(crate) seed: u64,
+    /// The deployment's journal (`deploy.g<N>.wal`), attached by `save`
+    /// and `open`: one record per write call. `None` = not journaling.
+    pub(crate) journal: Option<WalWriter>,
 }
 
 impl ShardedIndex<ZmIndex> {
@@ -198,6 +205,7 @@ impl<I: SpatialIndex> ShardedIndex<I> {
             shards,
             f_u,
             seed: root_seed,
+            journal: None,
         }
     }
 
@@ -239,43 +247,48 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         self.shards.iter().map(|s| s.rebuilds()).sum()
     }
 
-    /// The one per-op body: routes `u` to its owning shard as a singleton
-    /// [`UpdateProcessor::apply_batch`].
+    /// Attaches `journal` (`None` detaches it) and reports it, with the
+    /// error that detached the last one, to every shard.
+    pub(crate) fn set_journal(&mut self, journal: Option<WalWriter>, error: Option<StoreError>) {
+        let attached = journal.is_some();
+        self.journal = journal;
+        for shard in &mut self.shards {
+            shard.set_journal_status(attached, error.clone());
+        }
+    }
+
+    /// Appends one write call to the journal, before any shard mutates. A
+    /// failed append detaches the journal and parks the error; serving goes
+    /// on in memory.
+    fn append_call(&mut self, updates: &[Update]) {
+        let Some(wal) = self.journal.as_mut().filter(|_| !updates.is_empty()) else {
+            return;
+        };
+        if let Err(e) = wal.append(&encode_updates(updates)) {
+            self.set_journal(None, Some(e));
+        }
+    }
+
+    /// The one per-op body: journals `u`, then routes it to its owning
+    /// shard as a singleton [`UpdateProcessor::apply_batch`].
     fn route(&mut self, u: Update) -> Option<BatchOutcome> {
+        self.append_call(&[u]);
         let s = self.router.shard_of(u.point());
         Some(self.shards.get_mut(s)?.apply_batch(&[u]))
     }
 
-    /// Routes one insert to its owning shard; `Rebuilt` if it tripped that
-    /// shard's rebuild policy.
-    // lint:serving_root
-    pub fn insert_routed(&mut self, p: Point) -> UpdateOutcome {
-        self.route(Update::Insert(p))
-            .map_or(UpdateOutcome::Applied, UpdateOutcome::from)
-    }
-
-    /// Routes one delete to its owning shard.
-    // lint:serving_root
-    pub fn delete_routed(&mut self, p: Point) -> UpdateOutcome {
-        self.route(Update::Delete(p))
-            .map_or(UpdateOutcome::Applied, UpdateOutcome::from)
-    }
-
-    /// Applies a batch of updates, fanning the per-shard sub-batches out
-    /// on the rayon pool (shard-local arrival order is preserved, so the
-    /// outcome is independent of the thread count). Each shard folds its
-    /// sub-batch through `UpdateProcessor::apply_batch`: one WAL record and
-    /// one rebuild-policy consultation per shard and call. Returns the
-    /// number of shard rebuilds the batch triggered.
+    /// Applies a batch of updates: one journal record, then the per-shard
+    /// sub-batches (`partition`) fanned out on the rayon pool (shard-local
+    /// arrival order is preserved, so the outcome is independent of the
+    /// thread count). Each shard folds its sub-batch through
+    /// `UpdateProcessor::apply_batch`: one rebuild-policy consultation per
+    /// shard and call. Returns the number of shard rebuilds the batch
+    /// triggered.
     // lint:serving_root
     pub fn par_apply_updates(&mut self, updates: &[Update]) -> usize {
+        self.append_call(updates);
         let before = self.rebuilds();
-        let mut per: Vec<Vec<Update>> = vec![Vec::new(); self.shards.len()];
-        for &u in updates {
-            if let Some(sub) = per.get_mut(self.router.shard_of(u.point())) {
-                sub.push(u);
-            }
-        }
+        let per = partition(&self.router, updates);
         // The vendored rayon has no `par_iter_mut`: move the shards out,
         // run each shard+batch pair to completion, and collect them back
         // (order-preserving map keeps shard ids stable).
@@ -292,6 +305,19 @@ impl<I: SpatialIndex> ShardedIndex<I> {
             .collect();
         self.rebuilds() - before
     }
+}
+
+/// Splits one write call into a sub-batch per shard of `router`, each in
+/// arrival order: what every shard's `apply_batch` sees of the call, live
+/// and on replay.
+pub(crate) fn partition(router: &Router, updates: &[Update]) -> Vec<Vec<Update>> {
+    let mut per: Vec<Vec<Update>> = vec![Vec::new(); router.num_shards()];
+    for &u in updates {
+        if let Some(sub) = per.get_mut(router.shard_of(u.point())) {
+            sub.push(u);
+        }
+    }
+    per
 }
 
 impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
@@ -519,10 +545,10 @@ mod tests {
     fn routed_updates_land_in_the_owning_shard() {
         let mut sharded = grid_sharded(uniform(200, 5), 2, 2);
         let p = Point::new(9_000_001, 0.9, 0.9); // shard 3
-        sharded.insert_routed(p);
+        sharded.insert(p);
         assert_eq!(sharded.shard_stats()[3].pending_updates, 1);
         assert_eq!(sharded.point_query(p), Some(p));
-        assert_eq!(sharded.delete_routed(p), UpdateOutcome::Applied);
+        assert!(sharded.delete(p));
         assert_eq!(sharded.point_query(p), None);
         assert_eq!(sharded.len(), 200);
     }
@@ -544,11 +570,9 @@ mod tests {
         batched.par_apply_updates(&updates);
         for &u in &updates {
             match u {
-                Update::Insert(p) => {
-                    sequential.insert_routed(p);
-                }
+                Update::Insert(p) => sequential.insert(p),
                 Update::Delete(p) => {
-                    sequential.delete_routed(p);
+                    sequential.delete(p);
                 }
             }
         }

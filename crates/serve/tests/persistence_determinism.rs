@@ -60,7 +60,7 @@ fn fingerprint(idx: &ShardedIndex<ZmIndex>) -> Fingerprint {
 }
 
 /// Builds a deployment behind the router `fit` returns, saves it, journals
-/// a churn wave through the saved generation's WALs, crashes and recovers
+/// a churn wave through the saved generation's journal, crashes and recovers
 /// it. Returns the directory image plus the live (dirty) and recovered
 /// fingerprints.
 fn lifecycle(

@@ -44,5 +44,5 @@ pub use crc::{crc32, Crc32};
 pub use error::StoreError;
 pub use fault::FailingWriter;
 pub use json::{esc, Json, JsonError};
-pub use snapshot::{Snapshot, SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{sync_parent_dir, Snapshot, SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use wal::{read_wal, read_wal_bytes, WalReplay, WalWriter, WAL_HEADER_LEN, WAL_VERSION};

@@ -1,7 +1,7 @@
 //! Durable sharded serving: save, crash, recover (`DESIGN.md` §14).
 //!
 //! Builds a learned-routed ZM deployment, checkpoints it into a serving
-//! directory, journals a churn wave through the generation's WALs, then
+//! directory, journals a churn wave through the generation's journal, then
 //! "crashes" (drops the deployment without checkpointing) and recovers —
 //! verifying the recovered answers match the pre-crash state exactly.
 //!
@@ -26,12 +26,13 @@ fn main() {
     println!("built   {} points across 4 shards", deployed.len());
 
     // Checkpoint: writes generation 1 (router + per-shard snapshots),
-    // attaches fresh WALs, and commits via atomic manifest replace.
+    // starts the deployment's journal, and commits via atomic manifest
+    // replace.
     let generation = deployed.save(&dir, &zm_codec()).expect("save");
     println!("saved   generation {generation} -> {}", dir.display());
 
-    // Serve on: every batch journals into the shard WALs *before* the
-    // in-memory state changes, so the directory always covers the state.
+    // Serve on: every call is one journal record, appended *before* any
+    // shard changes, so the directory always covers the state.
     let churn = elsi_data::stream::churn(&points, 6_000, 0.7, 7);
     deployed.par_apply_updates(&churn);
     let window = Rect::new(0.4, 0.4, 0.6, 0.6);
@@ -44,8 +45,9 @@ fn main() {
     // Crash: the process dies with the checkpoint one churn wave stale.
     drop(deployed);
 
-    // Recover: manifest -> router state (exact cuts, no refit) -> one
-    // parallel snapshot+WAL recovery per shard -> journaling resumes.
+    // Recover: manifest -> router state (exact cuts, no refit) -> the
+    // journal split per shard -> one parallel pass restoring each shard's
+    // snapshot and replaying its share -> journaling resumes.
     let recovered = ShardedIndex::<ZmIndex>::open_zm(&dir, &elsi).expect("open");
     let after = recovered.window_query(&window);
     assert_eq!(before, after, "recovery lost journaled updates");

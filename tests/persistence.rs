@@ -1,23 +1,23 @@
 //! End-to-end durability: every index kind behind `UpdateProcessor`
 //! round-trips through a snapshot, a save that crashes at *any* byte
 //! offset is either a clean error or invisible (the survivor still
-//! recovers bit-identically), and a WAL torn at any byte offset recovers
-//! exactly the journaled prefix.
+//! recovers bit-identically), and a deployment journal torn at any byte
+//! offset reopens exactly as the calls journaled before the tear left it.
 //!
 //! The crash sweeps are deterministic and exhaustive (every offset, not a
 //! random sample): the images are small enough that the full matrix runs
-//! in well under a second.
+//! in seconds. Hosted by `elsi-serve`, whose deployment owns the journal.
 
 use elsi::{
-    recover, DeltaOverlay, Elsi, ElsiConfig, OverlayCodec, RebuildFn, RebuildPolicy,
-    UpdateProcessor,
+    DeltaOverlay, Elsi, ElsiConfig, OverlayCodec, RebuildFn, RebuildPolicy, UpdateProcessor,
 };
 use elsi_data::stream::Update;
 use elsi_data::{gen, Dataset};
 use elsi_indices::*;
+use elsi_serve::{Router, ShardStats, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
-use elsi_store::{read_wal, FailingWriter, NoCodec, Snapshot, WalWriter};
-use std::path::PathBuf;
+use elsi_store::{read_wal_bytes, FailingWriter, NoCodec, Snapshot};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
@@ -227,81 +227,99 @@ fn a_save_crashing_at_any_byte_offset_is_a_clean_error_or_a_full_image() {
     }
 }
 
-#[test]
-fn a_wal_torn_at_any_byte_offset_recovers_exactly_the_journaled_prefix() {
-    let snap_path = tmp("sweep.snap");
-    let wal_path = tmp("sweep.wal");
-    let base = gen::uniform(300, 9);
+/// What a reopened deployment must reproduce: sizes, every shard's
+/// counters (rebuilds included), the live set and a kNN answer.
+type DeploymentPrint = (usize, Vec<ShardStats>, Vec<Point>, Vec<Point>);
 
-    // Journal six batches after a snapshot.
-    let mut journaled =
-        UpdateProcessor::new(base.clone(), grid_rebuild(), RebuildPolicy::Never, 32);
-    journaled.save_snapshot(&snap_path, &NoCodec).unwrap();
-    journaled.attach_wal(WalWriter::create(&wal_path).unwrap());
-    let batches: Vec<Vec<Update>> = (0..6u64)
-        .map(|b| {
-            (0..10u64)
+fn deployment_print(dep: &ShardedIndex<GridIndex>) -> DeploymentPrint {
+    (
+        dep.len(),
+        dep.shard_stats(),
+        dep.window_query(&Rect::unit()),
+        dep.knn_query(Point::at(0.5, 0.4), 9),
+    )
+}
+
+fn journal_sweep(dir: &Path, router: Router, base: &[Point]) {
+    std::fs::remove_dir_all(dir).ok();
+    let codec = OverlayCodec::new(NoCodec);
+    let builder = |_: &_, p| GridIndex::build(p, &GridConfig { block_size: 32 });
+    let policy = |_s| RebuildPolicy::Threshold {
+        max_drift: 2.0, // never trips on drift; ratio does the work
+        max_ratio: 0.15,
+    };
+    let cfg = ShardedConfig { f_u: 16, seed: 3 };
+    let mut dep = ShardedIndex::build(base.to_vec(), router, &cfg, builder, policy);
+    dep.save(dir, &codec).unwrap();
+
+    // Six calls, each spread over the square so that it spans at least
+    // three shards: inserts, and deletes of base points.
+    let calls: Vec<Vec<Update>> = (0..6u64)
+        .map(|c| {
+            (0..9u64)
                 .map(|i| {
-                    if (b + i) % 4 == 0 {
-                        Update::Delete(base[(b * 10 + i) as usize])
+                    if (c + i) % 5 == 0 {
+                        Update::Delete(base[(c * 9 + i) as usize])
                     } else {
-                        Update::Insert(Point::new(
-                            700_000 + b * 100 + i,
-                            0.1 + (b as f64) * 0.1,
-                            0.2 + (i as f64) * 0.05,
-                        ))
+                        let (x, y) = ((i as f64 + 0.5) / 9.0, (c as f64 + 0.5 + i as f64) / 14.0);
+                        Update::Insert(Point::new(700_000 + c * 100 + i, x, y.fract()))
                     }
                 })
                 .collect()
         })
         .collect();
-    for batch in &batches {
-        journaled.apply_batch(batch);
+    let mut after_k = vec![deployment_print(&dep)];
+    for call in &calls {
+        let mut shards: Vec<usize> = call
+            .iter()
+            .map(|u| dep.router().shard_of(u.point()))
+            .collect();
+        shards.sort_unstable();
+        shards.dedup();
+        assert!(shards.len() >= 3, "a call spans {} shards", shards.len());
+        dep.par_apply_updates(call);
+        after_k.push(deployment_print(&dep));
     }
-    journaled.sync_wal().unwrap();
-    assert!(journaled.wal_error().is_none());
-    let full_wal = std::fs::read(&wal_path).unwrap();
-
-    // Reference fingerprints: the exact state after replaying k batches.
-    let after_k: Vec<Fingerprint> = (0..=batches.len())
-        .map(|k| {
-            let mut p = UpdateProcessor::open_snapshot(
-                &snap_path,
-                grid_rebuild(),
-                RebuildPolicy::Never,
-                &NoCodec,
-            )
-            .unwrap();
-            for batch in &batches[..k] {
-                p.apply_batch(batch);
-            }
-            fingerprint(&p)
-        })
+    // A rebuild falls strictly inside the journal, not before it.
+    let rebuilds: Vec<usize> = after_k
+        .iter()
+        .map(|p| p.1.iter().map(|s| s.rebuilds).sum())
         .collect();
+    assert_eq!(rebuilds[0], 0);
+    assert!(
+        rebuilds[calls.len() - 1] > 0,
+        "no rebuild mid-journal: {rebuilds:?}"
+    );
+    drop(dep);
 
-    for cut in 0..=full_wal.len() {
-        std::fs::write(&wal_path, &full_wal[..cut]).unwrap();
-        let result = recover(
-            &snap_path,
-            &wal_path,
-            grid_rebuild(),
-            RebuildPolicy::Never,
-            &NoCodec,
-        );
-        if cut < 16 {
-            // Not even a WAL header survives: recovery refuses cleanly.
-            assert!(result.is_err(), "cut {cut} recovered from a headerless WAL");
+    let journal = dir.join("deploy.g1.wal");
+    let full = std::fs::read(&journal).unwrap();
+    let open = || {
+        ShardedIndex::<GridIndex>::open(dir, builder, policy, &codec)
+            .map(|dep| deployment_print(&dep))
+    };
+    for cut in 0..=full.len() {
+        std::fs::write(&journal, &full[..cut]).unwrap();
+        let opened = open();
+        let Ok(replay) = read_wal_bytes(&full[..cut], &journal) else {
+            // Not even a journal header survives: the open refuses cleanly.
+            assert!(opened.is_err(), "cut {cut} opened without a journal header");
             continue;
-        }
-        let recovered = result.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        // A tear never invents or corrupts a batch: the recovered state
-        // is exactly "snapshot + the longest intact record prefix".
-        let replayed = read_wal(&wal_path).unwrap().records.len();
-        assert!(replayed <= batches.len(), "cut {cut}");
-        assert_eq!(fingerprint(&recovered), after_k[replayed], "cut {cut}");
+        };
+        let whole = replay.records.len();
+        let opened = opened.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        // No partial call: exactly the state after the last whole record.
+        assert_eq!(opened, after_k[whole], "cut {cut} ({whole} whole records)");
     }
-    std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_wal_torn_at_any_byte_offset_recovers_exactly_the_journaled_prefix() {
+    let base = gen::uniform(300, 9);
+    let dir = |tag: &str| tmp(&format!("sweep_{tag}"));
+    journal_sweep(&dir("grid"), Router::new(2, 2), &base);
+    journal_sweep(&dir("learned"), Router::fit_sampled(&base, 2, 2), &base);
 }
 
 #[test]
