@@ -146,6 +146,8 @@ impl RsmiIndex {
         // Parallelise the root's children only: subtree sizes differ by at
         // most one point at the top split, so top-level parallelism already
         // balances well, and deeper spawning would oversubscribe threads.
+        // Every internal node still trains its own model beside its
+        // subtrees (`build_node`).
         let root = build_node(points, bounds, cfg, builder, &mut stats, 0, 1);
         Self {
             root,
@@ -195,19 +197,20 @@ fn build_node(
     let mapper = LocalHilbert { bounds };
     let (pts, keys) = sort_by_key(points, &mapper);
     let n = pts.len();
-
-    let built = builder.build_model(&BuildInput {
-        points: &pts,
-        keys: &keys,
-        mapper: &mapper,
-        seed: 0x3517 ^ seed,
-    });
-    stats.push(built.stats);
-    let model = built.model;
+    let train = || {
+        builder.build_model(&BuildInput {
+            points: &pts,
+            keys: &keys,
+            mapper: &mapper,
+            seed: 0x3517 ^ seed,
+        })
+    };
 
     if n <= cfg.leaf_capacity {
+        let built = train();
+        stats.push(built.stats);
         return Node::Leaf {
-            model,
+            model: built.model,
             bounds,
             mbr,
             block: Block::from_points(pts),
@@ -216,57 +219,57 @@ fn build_node(
         };
     }
 
-    // Partition into `fanout` contiguous rank slices and recurse. Child
-    // seeds are pure functions of the path from the root, so sequential and
-    // parallel builds produce the same subtrees; child subtrees collect
-    // their stats separately and are appended in child order, preserving
-    // the sequential pre-order.
+    // Partition into `fanout` contiguous rank slices and recurse. The
+    // slices never read this node's model — only the routing bounds below
+    // do — so it trains beside the children's subtrees, as ZM's root trains
+    // beside its leaves. Child seeds are pure functions of the path from
+    // the root, so sequential and parallel builds produce the same
+    // subtrees; each subtree collects its stats separately, appended after
+    // this node's own in child order: the sequential pre-order.
     let f = cfg.fanout;
-    let slices: Vec<(Vec<Point>, Rect, u64)> = (0..f)
-        .map(|c| {
-            let lo = c * n / f;
-            let hi = (c + 1) * n / f;
-            let slice: Vec<Point> = pts.get(lo..hi).unwrap_or(&[]).to_vec();
-            let child_bounds = if slice.is_empty() {
-                bounds
-            } else {
-                Rect::mbr_of(&slice)
-            };
-            (slice, child_bounds, seed * 31 + c as u64 + 1)
-        })
-        .collect();
-    let children: Vec<Node> = if par_levels > 0 {
-        let built: Vec<(Node, Vec<BuildStats>)> = slices
-            .into_par_iter()
-            .map(|(slice, child_bounds, child_seed)| {
-                let mut child_stats = Vec::new();
-                let node = build_node(
-                    slice,
-                    child_bounds,
-                    cfg,
-                    builder,
-                    &mut child_stats,
-                    child_seed,
-                    par_levels - 1,
-                );
-                (node, child_stats)
+    let (built, subtrees) = rayon::join(train, || {
+        let slices: Vec<(Vec<Point>, Rect, u64)> = (0..f)
+            .map(|c| {
+                let lo = c * n / f;
+                let hi = (c + 1) * n / f;
+                let slice: Vec<Point> = pts.get(lo..hi).unwrap_or(&[]).to_vec();
+                let child_bounds = if slice.is_empty() {
+                    bounds
+                } else {
+                    Rect::mbr_of(&slice)
+                };
+                (slice, child_bounds, seed * 31 + c as u64 + 1)
             })
             .collect();
-        built
-            .into_iter()
-            .map(|(node, child_stats)| {
-                stats.extend(child_stats);
-                node
-            })
-            .collect()
-    } else {
-        slices
-            .into_iter()
-            .map(|(slice, child_bounds, child_seed)| {
-                build_node(slice, child_bounds, cfg, builder, stats, child_seed, 0)
-            })
-            .collect()
-    };
+        let levels = par_levels.saturating_sub(1);
+        let build_child = |(slice, child_bounds, child_seed): (Vec<Point>, Rect, u64)| {
+            let mut child_stats = Vec::new();
+            let node = build_node(
+                slice,
+                child_bounds,
+                cfg,
+                builder,
+                &mut child_stats,
+                child_seed,
+                levels,
+            );
+            (node, child_stats)
+        };
+        if par_levels > 0 {
+            slices.into_par_iter().map(build_child).collect::<Vec<_>>()
+        } else {
+            slices.into_iter().map(build_child).collect()
+        }
+    });
+    stats.push(built.stats);
+    let model = built.model;
+    let children: Vec<Node> = subtrees
+        .into_iter()
+        .map(|(node, child_stats)| {
+            stats.extend(child_stats);
+            node
+        })
+        .collect();
 
     // Routing error bounds over this node's own points: the child a rank
     // was sliced into above against the child its key routes to.

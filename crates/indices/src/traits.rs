@@ -268,9 +268,10 @@ fn batch_in_z_order<Q: Sync, A: Default + Send>(
     out
 }
 
-/// Contiguous query ranges for scratch-sharing workers: a few chunks per
-/// thread keeps the load balanced while amortising one [`ScanScratch`]
-/// (and its allocations) over many queries.
+/// Contiguous query ranges for scratch-sharing workers, four per thread,
+/// each amortising one [`ScanScratch`] (and its allocations) over its
+/// queries. The pool hands each thread a contiguous run of these chunks,
+/// so the split does not balance load; that needs dynamic claiming.
 fn scratch_chunks(n: usize) -> Vec<(usize, usize)> {
     let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
     (0..n.div_ceil(chunk).max(1))

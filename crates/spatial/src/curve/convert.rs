@@ -58,6 +58,14 @@ pub fn cell_to_coord(v: u32, bits: u32) -> f64 {
     f64::from(v) / (1u64 << bits) as f64
 }
 
+/// Table index of the 4-bit digits of `x` and `y` at bit `shift`: `x`'s
+/// nibble high, `y`'s low, so always `< 256`.
+#[inline]
+pub fn nibble_pair(x: u32, y: u32, shift: u32) -> usize {
+    debug_assert!(shift <= 28, "nibble shift {shift} past the 32-bit grid");
+    ((((x >> shift) & 0xF) << 4) | ((y >> shift) & 0xF)) as usize
+}
+
 /// Index of a curve distance in a dense table of `2^(2·order)` cells.
 ///
 /// Used by exhaustive curve tests; the `debug_assert!` guards 32-bit

@@ -2,39 +2,84 @@
 //!
 //! HRR (Qi et al., PVLDB 2018) bulk-loads an R-tree by sorting points in
 //! Hilbert order, and RSMI uses Hilbert ordering inside its rank-space
-//! partitions. The implementation follows the classic iterative rotate-and-
-//! reflect formulation (Hamilton's compact Hilbert indices restricted to
-//! d = 2), parameterised by the curve order (bits per dimension).
+//! partitions. The encoder applies the classic rotate-and-reflect rule
+//! (Hamilton's compact Hilbert indices restricted to d = 2) as a 4-state
+//! machine, four levels per read of a table that a `const fn` derives from
+//! the one-bit rule; it is parameterised by the curve order (bits per
+//! dimension).
 
 use super::convert;
 
 /// Default curve order used by the mappers (bits per dimension).
 pub const HILBERT_ORDER: u32 = 16;
 
+/// The one-bit rotate/reflect rule of the classic algorithm. `state` is
+/// the orientation of the current quadrant (bit 0: x and y are swapped,
+/// bit 1: both are complemented) and `(bx, by)` the cell's bits at this
+/// level; returns the curve digit and the orientation of the sub-quadrant.
+const fn step(state: u64, bx: bool, by: bool) -> (u64, u64) {
+    let (rx, ry) = if state & 1 == 0 { (bx, by) } else { (by, bx) };
+    let (rx, ry) = if state & 2 == 0 { (rx, ry) } else { (!rx, !ry) };
+    match (rx, ry) {
+        (false, false) => (0, state ^ 1),
+        (false, true) => (1, state),
+        (true, true) => (2, state),
+        (true, false) => (3, state ^ 3),
+    }
+}
+
+/// [`step`] four levels at a time, for all four states at once:
+/// `TABLE[x_nibble << 4 | y_nibble]` holds one 16-bit entry per starting
+/// state `s` at bit `16·s`, its low byte the four digits and its high byte
+/// `16 ×` the final state, the shift that selects the next read's entry.
+/// A read depends on the cell alone, so the four reads of an order-16 key
+/// overlap and only the shifts wait on the state.
+static TABLE: [u64; 256] = table();
+
+const fn table() -> [u64; 256] {
+    let mut table = [0; 256];
+    let mut cells = 0;
+    while cells < 256 {
+        let mut start = 0;
+        while start < 4 {
+            let (mut state, mut digits, mut level) = (start, 0, 4);
+            while level > 0 {
+                level -= 1;
+                let bx = (cells >> (4 + level)) & 1 == 1;
+                let (digit, next) = step(state, bx, (cells >> level) & 1 == 1);
+                (digits, state) = (digits << 2 | digit, next);
+            }
+            table[cells] |= (digits | state << 12) << (16 * start);
+            start += 1;
+        }
+        cells += 1;
+    }
+    table
+}
+
 /// Encodes grid cell `(x, y)` on a `2^order × 2^order` grid into its Hilbert
 /// distance. Both coordinates must be `< 2^order`; `order ≤ 32`.
+///
+/// The top `order % 4` levels take the one-bit rule each, the rest one
+/// table read per four levels.
 pub fn hilbert_encode(order: u32, x: u32, y: u32) -> u64 {
     debug_assert!((1..=32).contains(&order));
     debug_assert!(order == 32 || (x >> order) == 0, "x out of range");
     debug_assert!(order == 32 || (y >> order) == 0, "y out of range");
-    let n: u64 = 1u64 << order;
-    let mut x = convert::widen(x);
-    let mut y = convert::widen(y);
-    let mut d: u64 = 0;
-    let mut s: u64 = n >> 1;
-    while s > 0 {
-        let rx = u64::from((x & s) > 0);
-        let ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // Rotate/reflect the quadrant (rot(n, ..) of the classic algorithm).
-        if ry == 0 {
-            if rx == 1 {
-                x = n - 1 - x;
-                y = n - 1 - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s >>= 1;
+    let (mut state, mut d, mut level) = (0, 0, order);
+    while level % 4 != 0 {
+        level -= 1;
+        let (digit, next) = step(state, (x >> level) & 1 == 1, (y >> level) & 1 == 1);
+        (d, state) = (d << 2 | digit, next);
+    }
+    let mut shift = 16 * state;
+    while level > 0 {
+        level -= 4;
+        let word = TABLE
+            .get(convert::nibble_pair(x, y, level))
+            .map_or(0, |&w| w);
+        let entry = (word >> shift) & 0xFFFF;
+        (d, shift) = (d << 8 | (entry & 0xFF), entry >> 8);
     }
     d
 }
@@ -92,6 +137,66 @@ pub fn hilbert_to_unit(d: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The classic iterative rotate-and-reflect loop, one bit per level.
+    fn reference_encode(order: u32, x: u32, y: u32) -> u64 {
+        let n: u64 = 1u64 << order;
+        let mut x = convert::widen(x);
+        let mut y = convert::widen(y);
+        let mut d: u64 = 0;
+        let mut s: u64 = n >> 1;
+        while s > 0 {
+            let rx = u64::from((x & s) > 0);
+            let ry = u64::from((y & s) > 0);
+            d += s * s * ((3 * rx) ^ ry);
+            if ry == 0 {
+                if rx == 1 {
+                    x = n - 1 - x;
+                    y = n - 1 - y;
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            s >>= 1;
+        }
+        d
+    }
+
+    #[test]
+    fn table_encoder_equals_the_reference_loop_exhaustively_to_order_8() {
+        for order in 1..=8 {
+            for x in 0..(1u32 << order) {
+                for y in 0..(1u32 << order) {
+                    let want = reference_encode(order, x, y);
+                    assert_eq!(
+                        hilbert_encode(order, x, y),
+                        want,
+                        "order {order} ({x}, {y})"
+                    );
+                    assert_eq!(hilbert_decode(order, want), (x, y));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_encoder_equals_the_reference_loop_at_every_order() {
+        let mut rng = StdRng::seed_from_u64(0x4811);
+        for order in 1..=32 {
+            let max = if order == 32 {
+                u32::MAX
+            } else {
+                (1u32 << order) - 1
+            };
+            let corners = [(0, 0), (max, 0), (0, max), (max, max)];
+            let random = (0..2000).map(|_| (rng.gen_range(0..=max), rng.gen_range(0..=max)));
+            for (x, y) in corners.into_iter().chain(random) {
+                let d = hilbert_encode(order, x, y);
+                assert_eq!(d, reference_encode(order, x, y), "order {order} ({x}, {y})");
+                assert_eq!(hilbert_decode(order, d), (x, y), "order {order} ({x}, {y})");
+            }
+        }
+    }
 
     #[test]
     fn order1_is_the_u_shape() {
