@@ -182,10 +182,15 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
     /// accessors ([`UpdateProcessor::live_len`],
     /// [`UpdateProcessor::pending_updates`], [`UpdateProcessor::rebuilds`]).
     pub fn features(&self) -> RebuildFeatures {
+        self.features_with(self.drift.dist_from_uniform())
+    }
+
+    /// [`UpdateProcessor::features`] with `dist_u` given.
+    fn features_with(&self, dist_u: f64) -> RebuildFeatures {
         let n = self.index.len();
         RebuildFeatures {
             n,
-            dist_u: self.drift.dist_from_uniform(),
+            dist_u,
             depth: self.index.depth(),
             update_ratio: if self.counters.n_at_build == 0 {
                 0.0
@@ -194,6 +199,18 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
             },
             drift_sim: 1.0 - self.drift.dist(),
         }
+    }
+
+    /// The policy's verdict on the current features, computing only those
+    /// it reads: `Never` reads none, and `Threshold` never reads `dist_u`,
+    /// so its second pass over the sketch is skipped (`NaN` stands in).
+    fn policy_wants_rebuild(&self) -> bool {
+        let dist_u = match self.policy {
+            RebuildPolicy::Never => return false,
+            RebuildPolicy::Threshold { .. } => f64::NAN,
+            RebuildPolicy::Learned(_) => self.drift.dist_from_uniform(),
+        };
+        self.policy.should_rebuild(&self.features_with(dist_u))
     }
 
     /// Records what the deployment that owns this processor reports of
@@ -253,7 +270,7 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
         let mut rebuilt = false;
         if self.counters.updates_since_check >= self.counters.f_u {
             self.counters.updates_since_check = 0;
-            if self.policy.should_rebuild(&self.features()) {
+            if self.policy_wants_rebuild() {
                 self.rebuild();
                 rebuilt = true;
             }

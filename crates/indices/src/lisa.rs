@@ -78,12 +78,29 @@ impl LisaIndex {
         let n = points.len();
         let num_shards = n.div_ceil(cfg.shard_size).max(1);
 
-        let built = builder.build_model(&BuildInput {
-            points: &points,
-            keys: &keys,
-            mapper: &mapper,
-            seed: 0x115A,
-        });
+        // The shard pages never read the model: bulk-load them in parallel
+        // beside its training. Shard order follows the chunk order,
+        // independent of thread count.
+        let (built, shards) = rayon::join(
+            || {
+                builder.build_model(&BuildInput {
+                    points: &points,
+                    keys: &keys,
+                    mapper: &mapper,
+                    seed: 0x115A,
+                })
+            },
+            || {
+                let chunks: Vec<&[Point]> = points.chunks(cfg.shard_size).collect();
+                chunks
+                    .into_par_iter()
+                    .map(|shard| {
+                        let pages = shard.chunks(cfg.block_size).map(<[Point]>::to_vec);
+                        pages.map(Block::from_points).collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
         let stats = vec![built.stats];
         let model = built.model;
 
@@ -113,17 +130,6 @@ impl LisaIndex {
             shard_lo = shard_lo.min(lo);
             shard_hi = shard_hi.max(hi);
         }
-
-        // Bulk-load shard pages in parallel; shard order follows the chunk
-        // order, independent of thread count.
-        let chunks: Vec<&[Point]> = points.chunks(cfg.shard_size).collect();
-        let shards: Vec<Vec<Block>> = chunks
-            .into_par_iter()
-            .map(|shard| {
-                let pages = shard.chunks(cfg.block_size).map(<[Point]>::to_vec);
-                pages.map(Block::from_points).collect()
-            })
-            .collect();
 
         Self {
             mapper,

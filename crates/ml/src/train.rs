@@ -254,15 +254,84 @@ fn rank_grads_at<const H: usize>(
 /// Trains a fresh `[1, hidden, 1]` rank model on a sorted key array: the
 /// workhorse call of every learned spatial index in this repo. Targets are
 /// the normalised ranks `i / (n - 1)`.
+///
+/// The model starts from the CDF, not from noise: the keys are mapped to
+/// `[0, 1]` by their first and last key, the net is set to the
+/// piecewise-linear interpolant of the empirical CDF (`init_cdf_hinges`),
+/// trained there by [`train_regression`], and the map is folded back into
+/// layer 0 (`fold_input_map`), so the returned net takes raw keys. A set
+/// of one key, or whose span is not positive or too narrow to invert,
+/// trains from the random init on the raw keys.
 pub fn train_rank_model(keys: &[f64], hidden: usize, cfg: &TrainConfig, seed: u64) -> Ffn {
     let mut ffn = Ffn::new(&[1, hidden, 1], seed);
-    if keys.is_empty() {
+    let (Some(&lo), Some(&hi)) = (keys.first(), keys.last()) else {
         return ffn;
-    }
+    };
     let denom = (keys.len() - 1).max(1) as f64;
     let ys: Vec<f64> = (0..keys.len()).map(|i| i as f64 / denom).collect();
-    train_regression(&mut ffn, keys, &ys, cfg);
+    let span = hi - lo;
+    // Bounds both factors the fold brings into layer 0, `1 / span` and
+    // `lo / span`; not finite and positive for one key, equal keys, a
+    // subnormal or non-finite span.
+    let reach = lo.abs().max(1.0) / span;
+    if !reach.is_finite() || reach <= 0.0 {
+        train_regression(&mut ffn, keys, &ys, cfg);
+        return ffn;
+    }
+    let us: Vec<f64> = keys.iter().map(|&k| (k - lo) / span).collect();
+    init_cdf_hinges(ffn.params_mut(), &us);
+    train_regression(&mut ffn, &us, &ys, cfg);
+    fold_input_map(ffn.params_mut(), lo, span);
     ffn
+}
+
+/// Sets the `[1, h, 1]` network `params` to the `h`-knot piecewise-linear
+/// interpolant of the empirical CDF of `us`, sorted keys in `[0, 1]`.
+///
+/// Knot `j < h` sits at the key of rank `⌊j (n − 1) / h⌋` and the last key
+/// closes segment `h − 1`. A knot's target is the normalised rank of the
+/// first key equal to it, so a run of equal keys gives its knots one
+/// target. Hidden unit `j` is the hinge `relu(u − q_j)` (`w0_j = 1`,
+/// `b0_j = −q_j`) weighted by the change of slope there
+/// (`w1_j = s_j − s_{j−1}`), over `b1` = the first knot's target. A
+/// zero-width segment (equal keys, or fewer keys than hinges) has slope 0.
+fn init_cdf_hinges(params: &mut [f64], us: &[f64]) {
+    let h = params.len() / 3;
+    let last = us.len().saturating_sub(1);
+    let denom = last.max(1) as f64;
+    let knot = |j: usize| {
+        let q = us.get(j * last / h.max(1)).copied().unwrap_or(1.0);
+        (q, us.partition_point(|&u| u < q) as f64 / denom)
+    };
+    let (w0, rest) = params.split_at_mut(h);
+    let (b0, rest) = rest.split_at_mut(h);
+    let (w1, b1) = rest.split_at_mut(h);
+    let (mut q, mut y) = knot(0);
+    if let Some(b1) = b1.first_mut() {
+        *b1 = y;
+    }
+    let mut slope = 0.0;
+    for (j, ((w0, b0), w1)) in w0.iter_mut().zip(b0).zip(w1).enumerate() {
+        let (q_next, y_next) = knot(j + 1);
+        let s = if q_next > q {
+            (y_next - y) / (q_next - q)
+        } else {
+            0.0
+        };
+        (*w0, *b0, *w1) = (1.0, -q, s - slope);
+        (q, y, slope) = (q_next, y_next, s);
+    }
+}
+
+/// Folds the input map `u = (k − lo) / span` into layer 0 of the
+/// `[1, h, 1]` network `params`: afterwards the net takes raw keys `k`.
+fn fold_input_map(params: &mut [f64], lo: f64, span: f64) {
+    let h = params.len() / 3;
+    let (w0, rest) = params.split_at_mut(h);
+    for (w, b) in w0.iter_mut().zip(rest) {
+        *w /= span;
+        *b -= *w * lo;
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! `tests/determinism.rs` can tell). A change to the floating-point order
 //! of the forward pass, the deltas, the gradient accumulation or the Adam
 //! step moves at least one of them.
+//!
+//! The `[1, h, 1]` kernel pins train from `Ffn::new`'s random init on raw
+//! keys ([`kernel_rank_model`]), so they hold the fused kernel alone;
+//! `train_rank_model`, which starts from the CDF, has pins of its own.
 
 use elsi_ml::{train_rank_model, train_regression, Dqn, DqnConfig, Ffn, TrainConfig, Transition};
 
@@ -35,6 +39,17 @@ fn keys(n: usize) -> Vec<f64> {
             u * u * u
         })
         .collect()
+}
+
+/// A `[1, hidden, 1]` net from `Ffn::new`'s random init, trained on the
+/// raw `keys` towards the normalised ranks `i / (n − 1)`: the fused rank
+/// kernel alone, with no input map and no initialisation of its own.
+fn kernel_rank_model(keys: &[f64], hidden: usize, cfg: &TrainConfig, seed: u64) -> Ffn {
+    let mut ffn = Ffn::new(&[1, hidden, 1], seed);
+    let denom = (keys.len() - 1).max(1) as f64;
+    let ys: Vec<f64> = (0..keys.len()).map(|i| i as f64 / denom).collect();
+    train_regression(&mut ffn, keys, &ys, cfg);
+    ffn
 }
 
 /// `n` rows of `dim` scrambled features in `[-1, 1)` with a mixed-sign
@@ -69,7 +84,7 @@ fn rank_model_pins_across_batch_boundaries() {
         (600, 0x3e0f_7b17_afa4_7a49),
     ];
     for (n, want) in pins {
-        let ffn = train_rank_model(&keys(n), 16, &TrainConfig::default(), 11);
+        let ffn = kernel_rank_model(&keys(n), 16, &TrainConfig::default(), 11);
         assert_pinned(&format!("[1,16,1] at n = {n}"), &ffn, want);
     }
 }
@@ -78,7 +93,7 @@ fn rank_model_pins_across_batch_boundaries() {
 fn narrow_rank_model_pins_the_kernel_tails() {
     // Five hidden units: every four-wide kernel over the hidden layer has a
     // one-element tail.
-    let ffn = train_rank_model(&keys(200), 5, &TrainConfig::default(), 3);
+    let ffn = kernel_rank_model(&keys(200), 5, &TrainConfig::default(), 3);
     assert_pinned("[1,5,1]", &ffn, 0xccb9_06dd_bd9b_ea74);
 }
 
@@ -88,8 +103,53 @@ fn full_batch_training_pins() {
         batch_size: 0,
         ..TrainConfig::default()
     };
-    let ffn = train_rank_model(&keys(150), 16, &cfg, 5);
+    let ffn = kernel_rank_model(&keys(150), 16, &cfg, 5);
     assert_pinned("[1,16,1] full batch", &ffn, 0xabe7_8cf6_ff56_0354);
+}
+
+/// The training configuration rank models ship with (`ElsiConfig`'s).
+fn shipped() -> TrainConfig {
+    TrainConfig {
+        epochs: 50,
+        ..TrainConfig::default()
+    }
+}
+
+#[test]
+fn cdf_initialised_rank_model_pins() {
+    // The same batch boundaries as the kernel pins; n = 1 keeps the random
+    // init on the raw key.
+    let pins = [
+        (1, 0xd4d2_3d0a_0b86_543c),
+        (2, 0xddf9_9555_97ca_9c98),
+        (63, 0xedeb_989d_f8af_dbfb),
+        (64, 0xcb07_79e8_7980_a973),
+        (65, 0x2551_4a81_22ad_0d44),
+        (600, 0x8264_f11b_2e42_c5fd),
+    ];
+    for (n, want) in pins {
+        let ffn = train_rank_model(&keys(n), 16, &shipped(), 11);
+        assert_pinned(&format!("CDF-initialised [1,16,1] at n = {n}"), &ffn, want);
+    }
+}
+
+#[test]
+fn cdf_initialised_narrow_and_duplicate_key_pins() {
+    // Keys spanning under 1e-9 away from zero: the fold's `lo / span` is
+    // large.
+    let narrow: Vec<f64> = keys(300).iter().map(|k| 0.625 + k * 5e-10).collect();
+    let ffn = train_rank_model(&narrow, 16, &shipped(), 13);
+    assert_pinned("span < 1e-9", &ffn, 0x79dc_29d9_c6fc_0abd);
+    // Runs of equal keys: zero-width segments get slope 0.
+    let runs: Vec<f64> = keys(400)
+        .iter()
+        .map(|k| (k * 24.0).floor() / 24.0)
+        .collect();
+    let ffn = train_rank_model(&runs, 16, &shipped(), 17);
+    assert_pinned("runs of equal keys", &ffn, 0x91af_4d8d_5a3b_9253);
+    // Five hinges: the kernel's one-element tail under the new init.
+    let ffn = train_rank_model(&keys(200), 5, &shipped(), 3);
+    assert_pinned("CDF-initialised [1,5,1]", &ffn, 0x1bbe_8933_2145_0897);
 }
 
 #[test]

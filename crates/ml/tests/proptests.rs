@@ -1,12 +1,13 @@
 //! Property tests over the ML substrate.
 
 use elsi_ml::{
-    kmeans, train_regression, Adam, Batch, DecisionTree, Ffn, PwlModel, TrainConfig, TreeConfig,
+    kmeans, train_rank_model, train_regression, Adam, Batch, DecisionTree, Ffn, PwlModel,
+    TrainConfig, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// `train_regression` written out over the public general path: the same
 /// shuffle, one [`Ffn::backprop`] per mini-batch and the same Adam step.
@@ -137,6 +138,74 @@ proptest! {
         let t = DecisionTree::fit_regression(&xs, 1, &ys, &cfg);
         for (x, y) in xs.iter().zip(&ys) {
             prop_assert!((t.predict(&[*x]) - y).abs() < 1e-9);
+        }
+    }
+}
+
+/// `n` sorted keys in `[lo, lo + span]` drawn from `seed`; with `levels`
+/// set, each draw is rounded down to one of that many values, so keys
+/// repeat in runs.
+fn sorted_keys(n: usize, lo: f64, span: f64, levels: Option<u32>, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys: Vec<f64> = (0..n)
+        .map(|_| {
+            let r: f64 = rng.gen();
+            let r = levels.map_or(r, |l| (r * f64::from(l)).floor() / f64::from(l));
+            lo + span * r
+        })
+        .collect();
+    keys.sort_by(f64::total_cmp);
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `train_rank_model` before any epoch is the CDF interpolant, folded.
+    ///
+    /// Knot `j ≤ h` is the key of rank `⌊j (n − 1) / h⌋`; its target is the
+    /// normalised rank of the first key equal to it. The net over the
+    /// normalised keys `(k − lo) / span` (which maps them to themselves, so
+    /// it is the unfolded net) hits every target within 1e-9. The folded
+    /// net on the raw keys agrees with it within 1e-9 plus the rounding the
+    /// fold adds: layer 0 then computes `k / span − lo / span`, terms of
+    /// size `max |k| / span` (5e11 at span 1e-12), whose rounding the
+    /// output weights scale. One key, or keys all equal, keep the random
+    /// init.
+    #[test]
+    fn zero_epoch_rank_model_is_the_folded_cdf_interpolant(
+        small in 0usize..2,
+        n in 1usize..=5000,
+        h in 1usize..=20,
+        lo in -2.0f64..2.0,
+        span_exp in 0u32..=12,
+        levels_code in 0u32..6,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = if small == 1 { 1 + n % 40 } else { n };
+        let levels = [None, Some(1), Some(3), Some(10), Some(100), Some(1000)][levels_code as usize];
+        let keys = sorted_keys(n, lo, 10f64.powi(-(span_exp as i32)), levels, seed);
+        let cfg = TrainConfig { epochs: 0, ..TrainConfig::default() };
+        let folded = train_rank_model(&keys, h, &cfg, seed);
+
+        let (first, last) = (keys[0], keys[n - 1]);
+        let span = last - first;
+        if n == 1 || span == 0.0 {
+            prop_assert_eq!(folded.params(), Ffn::new(&[1, h, 1], seed).params());
+        } else {
+            let us: Vec<f64> = keys.iter().map(|&k| (k - first) / span).collect();
+            let unfolded = train_rank_model(&us, h, &cfg, seed);
+            let l1: f64 = unfolded.params()[2 * h..3 * h].iter().map(|w| w.abs()).sum();
+            let scale = first.abs().max(last.abs()) / span;
+            let fold_tol = 1e-9 + 16.0 * f64::EPSILON * (1.0 + scale) * l1;
+            let denom = (n - 1) as f64;
+            for j in 0..=h {
+                let r = j * (n - 1) / h;
+                let target = us.partition_point(|&u| u < us[r]) as f64 / denom;
+                let (at_u, at_k) = (unfolded.predict1(us[r]), folded.predict1(keys[r]));
+                prop_assert!((at_u - target).abs() <= 1e-9, "knot {j}: {at_u} vs {target}");
+                prop_assert!((at_k - at_u).abs() <= fold_tol, "knot {j}: folded {at_k} vs {at_u}");
+            }
         }
     }
 }

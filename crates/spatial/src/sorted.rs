@@ -12,10 +12,19 @@ use crate::point::Point;
 /// Maps `points` with `mapper` and sorts them by key: the sorted points and
 /// their keys, `keys[i]` the key of `points[i]`. The rank of a point is its
 /// position in this order — the quantity an index model learns to predict.
+///
+/// The order is total: equal keys fall back to (id, x bits, y bits), so the
+/// result, and every build on it, depends on the point set alone, not on
+/// the order it arrives in.
 pub fn sort_by_key(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
     let keys = mapper.keys(&points);
     let mut pairs: Vec<(f64, Point)> = core::iter::zip(keys, points).collect();
-    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    pairs.sort_unstable_by(|(ka, a), (kb, b)| {
+        ka.total_cmp(kb)
+            .then(a.id.cmp(&b.id))
+            .then(a.x.to_bits().cmp(&b.x.to_bits()))
+            .then(a.y.to_bits().cmp(&b.y.to_bits()))
+    });
     pairs.into_iter().map(|(k, p)| (p, k)).unzip()
 }
 
@@ -151,6 +160,11 @@ mod tests {
             ids.sort_unstable();
             assert_eq!(ids, (0..90).collect::<Vec<u64>>());
             assert!(pts.iter().all(|p| input.contains(p)));
+            // The order is total: any arrival order sorts to the same result.
+            let mut shuffled = input.clone();
+            shuffled.reverse();
+            shuffled.rotate_left(41);
+            assert_eq!(sort_by_key(shuffled, mapper), (pts, keys));
 
             let (pts, keys) = sort_by_key(Vec::new(), mapper);
             assert!(pts.is_empty() && keys.is_empty());
