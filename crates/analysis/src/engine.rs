@@ -155,7 +155,7 @@ impl Policy {
                 ("crates/ml/".into(), 2),
                 ("crates/serve/".into(), 22),
                 ("crates/spatial/".into(), 0),
-                ("crates/store/".into(), 53),
+                ("crates/store/".into(), 51),
                 ("examples/".into(), 5),
                 ("tests/".into(), 18),
             ],

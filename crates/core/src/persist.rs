@@ -27,7 +27,6 @@ use elsi_indices::persist::{decode_points, encode_points};
 use elsi_indices::SpatialIndex;
 use elsi_spatial::{canonical_point_key, Point};
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError};
-use std::path::Path;
 
 /// Snapshot section tag: lifecycle counters.
 pub const SEC_META: u32 = u32::from_le_bytes(*b"META");
@@ -37,12 +36,6 @@ pub const SEC_DRIFT: u32 = u32::from_le_bytes(*b"DRFT");
 pub const SEC_POINTS: u32 = u32::from_le_bytes(*b"PNTS");
 /// Snapshot section tag: the encoded index blob (when the codec has one).
 pub const SEC_INDEX: u32 = u32::from_le_bytes(*b"INDX");
-
-/// Layout version of the meta section.
-pub const META_VERSION: u32 = 1;
-
-/// Layout version of the overlay state blob ([`OverlayCodec`]).
-pub const OVERLAY_STATE_VERSION: u32 = 2;
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -92,7 +85,6 @@ pub fn decode_updates(bytes: &[u8]) -> Result<Vec<Update>, StoreError> {
 
 fn encode_meta(c: &LifecycleCounters) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(META_VERSION);
     w.put_usize(c.n_at_build);
     w.put_usize(c.updates_since_check);
     w.put_usize(c.updates_since_build);
@@ -103,13 +95,6 @@ fn encode_meta(c: &LifecycleCounters) -> Vec<u8> {
 
 fn decode_meta(bytes: &[u8]) -> Result<LifecycleCounters, StoreError> {
     let mut r = ByteReader::new(bytes, "processor meta");
-    let found = r.get_u32()?;
-    if found != META_VERSION {
-        return Err(StoreError::BadVersion {
-            found,
-            expected: META_VERSION,
-        });
-    }
     let c = LifecycleCounters {
         n_at_build: r.get_usize()?,
         updates_since_check: r.get_usize()?,
@@ -170,7 +155,6 @@ where
     fn encode(&self, overlay: &DeltaOverlay<I>) -> Option<Vec<u8>> {
         let base = self.inner.encode(overlay.base())?;
         let mut w = ByteWriter::new();
-        w.put_u32(OVERLAY_STATE_VERSION);
         w.put_bytes(&base);
         let inserted: Vec<Point> = overlay.inserted_points().copied().collect();
         encode_points(&mut w, &inserted);
@@ -183,13 +167,6 @@ where
 
     fn decode(&self, bytes: &[u8]) -> Result<DeltaOverlay<I>, StoreError> {
         let mut r = ByteReader::new(bytes, "overlay state");
-        let found = r.get_u32()?;
-        if found != OVERLAY_STATE_VERSION {
-            return Err(StoreError::BadVersion {
-                found,
-                expected: OVERLAY_STATE_VERSION,
-            });
-        }
         let base = self.inner.decode(r.get_bytes()?)?;
         let inserted = decode_points(&mut r)?;
         let deleted = r.get_u64s()?;
@@ -201,10 +178,9 @@ where
 }
 
 impl<I: SpatialIndex> UpdateProcessor<I> {
-    /// Assembles this processor's snapshot image. Exposed (rather than
-    /// only [`UpdateProcessor::save_snapshot`]) so crash tests can stream
-    /// it through a fault-injecting writer and callers can batch several
-    /// shards into one directory sync.
+    /// Assembles this processor's snapshot image; `write_file` on it
+    /// saves it durably, and crash tests stream it through a
+    /// fault-injecting writer.
     pub fn snapshot_writer<C: IndexCodec<I>>(&self, codec: &C) -> SnapshotWriter {
         let mut w = SnapshotWriter::new();
         w.add_section(SEC_META, encode_meta(self.persist_counters()));
@@ -218,16 +194,6 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
             }
         }
         w
-    }
-
-    /// Durably writes this processor's state to `path` (temp file +
-    /// atomic rename).
-    pub fn save_snapshot<C: IndexCodec<I>>(
-        &self,
-        path: &Path,
-        codec: &C,
-    ) -> Result<(), StoreError> {
-        self.snapshot_writer(codec).write_file(path)
     }
 
     /// Restores a processor from a verified snapshot. The index comes
@@ -259,17 +225,6 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
             }
         };
         Ok(Self::restore(index, rebuild_fn, policy, drift, counters))
-    }
-
-    /// Reads, verifies and restores a snapshot file.
-    pub fn open_snapshot<C: IndexCodec<I>>(
-        path: &Path,
-        rebuild_fn: RebuildFn<I>,
-        policy: RebuildPolicy,
-        codec: &C,
-    ) -> Result<Self, StoreError> {
-        let snap = Snapshot::read_file(path)?;
-        Self::from_snapshot(&snap, rebuild_fn, policy, codec)
     }
 }
 
@@ -374,7 +329,7 @@ mod tests {
             proc.delete(*p);
         }
         let path = tmp("grid.snap");
-        proc.save_snapshot(&path, &NoCodec).unwrap();
+        proc.snapshot_writer(&NoCodec).write_file(&path).unwrap();
         // The codec declined, so the points section is the live set.
         let sections = Snapshot::read_file(&path).map(|snap| {
             (
@@ -383,9 +338,12 @@ mod tests {
             )
         });
         assert!(matches!(sections, Ok((true, false))));
-        let opened =
-            UpdateProcessor::open_snapshot(&path, grid_rebuild(), RebuildPolicy::Never, &NoCodec)
-                .unwrap();
+        let opened = Snapshot::read_file(&path)
+            .and_then(|snap| {
+                let never = RebuildPolicy::Never;
+                UpdateProcessor::from_snapshot(&snap, grid_rebuild(), never, &NoCodec)
+            })
+            .unwrap();
         assert_processors_match(&proc, &opened);
         std::fs::remove_file(&path).ok();
     }
@@ -459,43 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_overlay_blob_is_a_typed_error() {
-        // The layout that carried the base-id list: refused by version,
-        // not misread as a delta.
-        let base = ZmIndex::build(
-            uniform(50, 81),
-            &ZmConfig { fanout: 4 },
-            &PwlBuilder { epsilon: 8 },
-        );
-        let mut w = ByteWriter::new();
-        w.put_u32(1);
-        w.put_bytes(&ZmStateCodec.encode(&base).unwrap_or_default());
-        w.put_u64s(&(0..50).collect::<Vec<u64>>());
-        encode_points(&mut w, &[]);
-        w.put_u64s(&[]);
-        let decoded = OverlayCodec::new(ZmStateCodec).decode(&w.into_vec());
-        assert!(matches!(
-            decoded.map(|o| o.len()),
-            Err(StoreError::BadVersion {
-                found: 1,
-                expected: 2
-            })
-        ));
-    }
-
-    #[test]
     fn drift_and_meta_sections_reject_damage() {
         let proc = UpdateProcessor::new(uniform(60, 71), grid_rebuild(), RebuildPolicy::Never, 4);
         let meta = encode_meta(proc.persist_counters());
         for cut in 0..meta.len() {
             assert!(decode_meta(&meta[..cut]).is_err());
         }
-        let mut wrong_version = meta.clone();
-        wrong_version[0] = 99;
-        assert!(matches!(
-            decode_meta(&wrong_version),
-            Err(StoreError::BadVersion { found: 99, .. })
-        ));
         let drift = encode_drift(proc.drift_tracker());
         for cut in 0..drift.len() {
             assert!(decode_drift(&drift[..cut]).is_err());

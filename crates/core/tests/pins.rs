@@ -2,8 +2,8 @@
 //!
 //! `elsi-ml`'s `tests/pins.rs` holds the trainer to fixed parameters; these
 //! pins hold whole build paths. The ZM pin hashes one deployment shard's
-//! encoded state — Morton keys, the RS reduction, nine `[1, 16, 1]` rank
-//! models and their bounds. The ML-Index, RSMI and LISA pins hash each
+//! encoded state — its points in Morton order, the RS reduction, nine
+//! `[1, 16, 1]` rank models and their bounds. The ML-Index, RSMI and LISA pins hash each
 //! model's pre-order `(method, training_set_size, err_span)` and the
 //! index's point and window answers over fixed probes, so a change to a
 //! key mapping, a shuffle, an optimiser step or the order models are built
@@ -77,7 +77,7 @@ fn rs_built_zm_shard_state_pins() {
     let got = checksum(&state);
     assert_eq!(
         got,
-        0xfe2e_4eac_7fcb_b4e5,
+        0x01ca_b1c5_9e3e_4cf8,
         "ZM shard state ({} bytes) hashes to {got:#018x}",
         state.len()
     );

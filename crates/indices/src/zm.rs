@@ -255,25 +255,23 @@ impl ZmIndex {
         Leaf::over(&self.data, &self.delta).find(self.search_range(key), key, q, only)
     }
 
-    /// Serialises the built state — sorted columns, trained rank models,
-    /// composed error bounds, buffered inserts and tombstones — so
+    /// Serialises the built state — the sorted points, trained rank
+    /// models, composed error bounds, buffered inserts and tombstones — so
     /// [`ZmIndex::decode_state`] can reconstruct the index without
-    /// re-training. Build statistics are diagnostics of the build that
-    /// produced them and are not persisted. Tombstone ids are written in
-    /// sorted order, so the encoding of a given index is deterministic
-    /// byte-for-byte regardless of hash-set iteration order.
+    /// re-training. What decode derives is not stored: the Morton keys and
+    /// the leaves' rank offsets. Build statistics are diagnostics of the
+    /// build that produced them and are not persisted. Tombstone ids are
+    /// written in sorted order, so the encoding of a given index is
+    /// deterministic byte-for-byte regardless of hash-set iteration order.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u32(ZM_STATE_VERSION);
         let data = &self.data;
         let (ids, xs, ys) = (data.ids().iter(), data.xs().iter(), data.ys().iter());
         encode_columns(&mut w, ids.copied(), xs.copied(), ys.copied());
-        w.put_f64s(data.keys());
         encode_rank_model(&mut w, &self.root);
         w.put_usize(self.leaves.len());
         for leaf in &self.leaves {
             encode_rank_model(&mut w, &leaf.model);
-            w.put_usize(leaf.offset);
             w.put_i64(leaf.err_lo);
             w.put_i64(leaf.err_hi);
         }
@@ -289,54 +287,45 @@ impl ZmIndex {
 
     /// Reconstructs an index from [`ZmIndex::encode_state`] output — the
     /// snapshot fast path that skips model training entirely. All model
-    /// parameters and error bounds round-trip bit-exactly, so the decoded
-    /// index answers every query identically to the encoded one. Any
-    /// malformed input yields a clean [`StoreError`], never a panic.
+    /// parameters and error bounds round-trip bit-exactly, and the keys and
+    /// offsets are re-derived as [`ZmIndex::build`] derived them, so the
+    /// decoded index answers every query identically to the encoded one.
+    /// Any malformed input yields a clean [`StoreError`], never a panic.
     pub fn decode_state(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = ByteReader::new(bytes, "zm state");
-        let version = r.get_u32()?;
-        if version != ZM_STATE_VERSION {
-            return Err(StoreError::BadVersion {
-                found: version,
-                expected: ZM_STATE_VERSION,
-            });
-        }
         let (ids, xs, ys) = decode_columns(&mut r)?;
-        let keys = r.get_f64s()?;
-        if keys.len() != ids.len() {
+        let keys: Vec<f64> = xs
+            .iter()
+            .zip(&ys)
+            .map(|(&x, &y)| MortonMapper.key(Point::at(x, y)))
+            .collect();
+        if !keys.is_sorted() {
             return Err(StoreError::corrupt(
                 "zm state",
-                "key column length disagrees with point columns",
+                "points are not in key order",
             ));
-        }
-        if !keys.is_sorted() {
-            return Err(StoreError::corrupt("zm state", "keys are not sorted"));
         }
         let data = MappedData::from_columns(keys, xs, ys, ids);
         let root = decode_rank_model(&mut r)?;
-        let n_leaves = r.get_len(1)?;
-        let mut leaves = Vec::with_capacity(n_leaves);
-        for _ in 0..n_leaves {
-            let model = decode_rank_model(&mut r)?;
-            let offset = r.get_usize()?;
-            let err_lo = r.get_i64()?;
-            let err_hi = r.get_i64()?;
-            leaves.push(LeafModel {
-                model,
-                offset,
-                err_lo,
-                err_hi,
-            });
-        }
+        let (n, s) = (data.len(), r.get_len(1)?);
         // `route` divides the ranks among the leaves: points need leaves.
-        if leaves.is_empty() != data.is_empty()
-            || !leaves.is_sorted_by_key(|leaf| leaf.offset)
-            || leaves.last().is_some_and(|leaf| leaf.offset > data.len())
-        {
+        if (s == 0) != (n == 0) {
             return Err(StoreError::corrupt(
                 "zm state",
                 "leaf models disagree with the point columns",
             ));
+        }
+        let mut leaves = Vec::with_capacity(s);
+        for j in 0..s {
+            let model = decode_rank_model(&mut r)?;
+            let err_lo = r.get_i64()?;
+            let err_hi = r.get_i64()?;
+            leaves.push(LeafModel {
+                model,
+                offset: j * n / s,
+                err_lo,
+                err_hi,
+            });
         }
         let buffer = decode_points(&mut r)?;
         let deleted = r.get_u64s()?.into_iter().collect();
@@ -350,9 +339,6 @@ impl ZmIndex {
         })
     }
 }
-
-/// Version of the [`ZmIndex::encode_state`] layout.
-pub const ZM_STATE_VERSION: u32 = 1;
 
 /// The [`IndexCodec`] that persists a built [`ZmIndex`] — the snapshot
 /// fast path that makes recovery skip FFN training.
@@ -591,7 +577,8 @@ mod tests {
 
     #[test]
     fn encoded_state_round_trips_queries_bit_identically() {
-        let (pts, mut idx) = build_small(400);
+        // 402 points over four leaves: the offsets `j·n/s` round down.
+        let (pts, mut idx) = build_small(402);
         // Exercise the mutable state too: buffered inserts + tombstones.
         idx.insert(Point::new(9001, 0.111, 0.222));
         idx.insert(Point::new(9002, 0.333, 0.444));
@@ -617,8 +604,12 @@ mod tests {
             assert_eq!(back.knn_query(q, 9), idx.knn_query(q, 9));
         }
         // The error bounds — the part that costs an O(n·M(1)) pass to
-        // recompute — are restored, not re-derived.
+        // recompute — are restored, not re-derived; the keys and offsets
+        // are re-derived to what the build made.
         assert_eq!(back.total_err_span(), idx.total_err_span());
+        assert_eq!(back.data.keys(), idx.data.keys());
+        let offsets = |zm: &ZmIndex| zm.leaves.iter().map(|l| l.offset).collect::<Vec<_>>();
+        assert_eq!(offsets(&back), offsets(&idx));
     }
 
     #[test]
@@ -657,66 +648,46 @@ mod tests {
                 "cut {cut} decoded"
             );
         }
-        // Unsorted key column is caught even when lengths line up.
+        // Points out of key order are corrupt: swap the coordinates of the
+        // first and last point, keeping their ids.
         let mut r = elsi_store::ByteReader::new(&clean, "probe");
-        r.get_u32()?;
-        decode_points(&mut r)?;
-        let keys_len_at = r.pos();
-        let mut swapped = clean.clone();
-        // Overwrite the first two keys with a descending pair.
-        swapped[keys_len_at + 8..keys_len_at + 16].copy_from_slice(&1.0f64.to_bits().to_le_bytes());
-        swapped[keys_len_at + 16..keys_len_at + 24]
-            .copy_from_slice(&0.0f64.to_bits().to_le_bytes());
-        assert!(matches!(
-            ZmIndex::decode_state(&swapped),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // The model shape must agree with the columns: points need leaves,
-        // at ascending offsets inside the column.
-        r.get_f64s()?;
+        let mut points = decode_points(&mut r)?;
+        let n = points.len();
+        let (first, last) = (points[0], points[n - 1]);
+        points[0] = Point::new(first.id, last.x, last.y);
+        points[n - 1] = Point::new(last.id, first.x, first.y);
+        let mut w = ByteWriter::new();
+        encode_points(&mut w, &points);
+        let swapped = [w.as_slice(), &clean[r.pos()..]].concat();
+        // The model shape must agree with the columns: points need leaves.
         decode_rank_model(&mut r)?;
         let count_at = r.pos();
-        let mut offset_at = Vec::new();
         for _ in 0..r.get_usize()? {
             decode_rank_model(&mut r)?;
-            offset_at.push(r.pos());
-            r.get_raw(24)?;
+            r.get_raw(16)?;
         }
         let leafless = [&clean[..count_at], &[0u8; 8][..], &clean[r.pos()..]].concat();
-        let mut descending = clean.clone();
-        descending[offset_at[1]..offset_at[1] + 8].copy_from_slice(&61u64.to_le_bytes());
-        let mut outside = clean.clone();
-        outside[offset_at[3]..offset_at[3] + 8].copy_from_slice(&121u64.to_le_bytes());
         for (what, bad) in [
+            ("points out of key order", swapped),
             ("no leaves", leafless),
-            ("descending offsets", descending),
-            ("offset past the column", outside),
         ] {
             assert!(
                 matches!(ZmIndex::decode_state(&bad), Err(StoreError::Corrupt { .. })),
                 "{what} decoded"
             );
         }
-        // Wrong layout version is refused up front.
-        let mut versioned = clean.clone();
-        versioned[0..4].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            ZmIndex::decode_state(&versioned),
-            Err(StoreError::BadVersion { found: 99, .. })
-        ));
         Ok(())
     }
 
     #[test]
     fn stored_page_is_the_point_column_layout() {
         // The blob opens with the sorted points in the one point-set
-        // layout, then their keys: a reordered or re-prefixed column fails.
+        // layout, and the root model follows: no key column, no prefix.
         let (pts, idx) = build_small(150);
-        let (sorted, keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, _) = sort_by_key(pts, &MortonMapper);
         let mut w = ByteWriter::new();
-        w.put_u32(ZM_STATE_VERSION);
         encode_points(&mut w, &sorted);
-        w.put_f64s(&keys);
+        encode_rank_model(&mut w, &idx.root);
         assert_eq!(idx.encode_state()[..w.len()], *w.as_slice());
     }
 

@@ -65,89 +65,50 @@ pub const MANIFEST_FORMAT: u32 = 2;
 /// Section tag of the router state inside `router.g<N>.snap`.
 pub const SEC_ROUTER: u32 = u32::from_le_bytes(*b"ROUT");
 
-/// Binary tag of a router with uniform cuts: the shape alone.
-const ROUTER_GRID: u8 = 0;
-/// Binary tag of any other router: the shape plus every cut.
-const ROUTER_LEARNED: u8 = 1;
-
-/// The tag `router` is saved under: [`ROUTER_GRID`] when it has
-/// [`Router::new`]'s uniform cuts, else [`ROUTER_LEARNED`].
-fn router_tag(router: &Router) -> u8 {
+/// The manifest's name for `router`'s kind: "grid" when it has
+/// [`Router::new`]'s uniform cuts, else "learned".
+fn router_kind(router: &Router) -> &'static str {
     if *router == Router::new(router.rows(), router.cols()) {
-        ROUTER_GRID
-    } else {
-        ROUTER_LEARNED
-    }
-}
-
-/// The manifest name of a router section's kind tag.
-fn tag_kind(tag: u8) -> &'static str {
-    if tag == ROUTER_GRID {
         "grid"
     } else {
         "learned"
     }
 }
 
-/// Encodes a router for the `SEC_ROUTER` snapshot section: a uniform
-/// router as its shape, any other as its shape plus the exact cut
-/// positions (f64 bit patterns — routing after recovery must be
-/// bit-identical to routing before the save, or points change owners).
+/// Encodes a router for the `SEC_ROUTER` snapshot section: its shape, the
+/// x cuts, then each column's y cuts, as f64 bit patterns — routing after
+/// recovery must be bit-identical to routing before the save, or points
+/// change owners.
 pub fn encode_router(router: &Router) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    let tag = router_tag(router);
-    w.put_u8(tag);
     w.put_usize(router.rows());
     w.put_usize(router.cols());
-    if tag == ROUTER_LEARNED {
-        w.put_f64s(router.x_cuts());
-        w.put_usize(router.cols());
-        for c in 0..router.cols() {
-            w.put_f64s(router.y_cuts(c).unwrap_or(&[]));
-        }
+    w.put_f64s(router.x_cuts());
+    for c in 0..router.cols() {
+        w.put_f64s(router.y_cuts(c).unwrap_or(&[]));
     }
     w.into_vec()
 }
 
 /// Decodes a `SEC_ROUTER` payload into the router it describes, without
-/// refitting, and the kind its tag records ("grid" or "learned"; a stored
-/// cut set may equal the uniform one and still be "learned").
+/// refitting.
 ///
 /// `shards` is the count the manifest records: a payload of any other
-/// shape is a [`StoreError::Manifest`], raised before a shape-only payload
-/// materialises its cuts. Unknown kind tags are
-/// [`StoreError::Unsupported`] (a newer build's router, not damage); cuts
-/// that break the router's invariants are corrupt.
-pub fn decode_router(bytes: &[u8], shards: usize) -> Result<(Router, &'static str), StoreError> {
+/// shape is a [`StoreError::Manifest`], raised before any cut is read;
+/// cuts that break the router's invariants are corrupt.
+pub fn decode_router(bytes: &[u8], shards: usize) -> Result<Router, StoreError> {
     let mut r = ByteReader::new(bytes, "router state");
-    let tag = r.get_u8()?;
-    if tag != ROUTER_GRID && tag != ROUTER_LEARNED {
-        return Err(StoreError::Unsupported {
-            what: format!("router kind tag {tag}"),
-        });
-    }
     let (rows, cols) = (r.get_usize()?, r.get_usize()?);
     if rows.checked_mul(cols) != Some(shards) {
         return Err(StoreError::Manifest {
             detail: format!("router is {rows}x{cols} but the manifest records {shards} shards"),
         });
     }
-    let router = if tag == ROUTER_GRID {
-        (rows >= 1 && cols >= 1).then(|| Router::new(rows, cols))
-    } else {
-        let x_cuts = r.get_f64s()?;
-        // Each column carries at least its own length prefix.
-        let n = r.get_len(8)?;
-        let mut y_cuts = Vec::with_capacity(n);
-        for _ in 0..n {
-            y_cuts.push(r.get_f64s()?);
-        }
-        Router::from_cuts(rows, cols, x_cuts, y_cuts)
-    };
+    let x_cuts = r.get_f64s()?;
+    let y_cuts = (0..cols).map(|_| r.get_f64s()).collect::<Result<_, _>>()?;
     r.expect_end()?;
-    let router = router
-        .ok_or_else(|| StoreError::corrupt("router state", "cuts violate router invariants"))?;
-    Ok((router, tag_kind(tag)))
+    Router::from_cuts(rows, cols, x_cuts, y_cuts)
+        .ok_or_else(|| StoreError::corrupt("router state", "cuts violate router invariants"))
 }
 
 /// The parsed `MANIFEST.json` of a serving directory.
@@ -335,7 +296,10 @@ impl<I: SpatialIndex> ShardedIndex<I> {
             .enumerate()
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(s, shard)| shard.save_snapshot(&dir.join(shard_snap_file(generation, s)), codec))
+            .map(|(s, shard)| {
+                let path = dir.join(shard_snap_file(generation, s));
+                shard.snapshot_writer(codec).write_file(&path)
+            })
             .collect();
         saved.into_iter().collect::<Result<(), _>>()?;
         let journal = WalWriter::create(&dir.join(journal_file(generation)))?;
@@ -348,7 +312,7 @@ impl<I: SpatialIndex> ShardedIndex<I> {
                 shards: self.shards.len(),
                 f_u: self.f_u,
                 seed: self.seed,
-                router_kind: tag_kind(router_tag(&self.router)).to_string(),
+                router_kind: router_kind(&self.router).to_string(),
             },
         )?;
         self.set_journal(Some(journal), None);
@@ -393,7 +357,8 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         let section = snap
             .section(SEC_ROUTER)
             .ok_or_else(|| StoreError::corrupt("router snapshot", "missing router section"))?;
-        let (router, kind) = decode_router(section, manifest.shards)?;
+        let router = decode_router(section, manifest.shards)?;
+        let kind = router_kind(&router);
         if manifest.router_kind != kind {
             return Err(StoreError::Manifest {
                 detail: format!(
@@ -438,8 +403,8 @@ impl<I: SpatialIndex> ShardedIndex<I> {
                 let b = Arc::clone(&builder);
                 let rebuild: RebuildFn<DeltaOverlay<I>> =
                     Box::new(move |pts| DeltaOverlay::new(b(&ctx, pts)));
-                let path = dir.join(shard_snap_file(generation, s));
-                let mut shard = UpdateProcessor::open_snapshot(&path, rebuild, pol, codec)?;
+                let snap = Snapshot::read_file(&dir.join(shard_snap_file(generation, s)))?;
+                let mut shard = UpdateProcessor::from_snapshot(&snap, rebuild, pol, codec)?;
                 for sub in &subs {
                     shard.apply_batch(sub);
                 }
@@ -569,9 +534,10 @@ mod tests {
 
     #[test]
     fn a_saved_zm_deployment_stores_each_point_once() -> Result<(), StoreError> {
-        // A shard file holds its points once, inside the ZM blob (24 B of
-        // point + the 8 B key), plus a constant: drift sketches, models,
-        // counters. Twice the points cost ≤ 34 B for each extra one.
+        // A shard file holds its points once, inside the ZM blob (24 B per
+        // point: the keys are derived on open), plus a constant: drift
+        // sketches, models, counters. Twice the points cost ≤ 26 B for
+        // each extra one.
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let mut bytes = [0u64; 2];
         for (slot, n) in bytes.iter_mut().zip([8_000, 16_000]) {
@@ -596,13 +562,13 @@ mod tests {
         }
         let [small, large] = bytes;
         assert!(
-            large - small <= 34 * 8_000,
+            large - small <= 26 * 8_000,
             "{} B per extra point",
             (large - small) / 8_000
         );
         // Four 16 KB drift sketches and the models: 84 KB today.
         assert!(
-            small <= 32 * 8_000 + 90_000,
+            small <= 24 * 8_000 + 90_000,
             "constant part grew: {small} B for 8k points"
         );
         Ok(())
@@ -842,64 +808,99 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_of_container_version_1_snapshots_is_refused_by_version() -> Result<(), StoreError>
+    {
+        // Snapshots stamped with container version 1, the version of the
+        // previous layout (a version word in each blob, the ZM key column,
+        // a tagged router), their header CRC recomputed: the version alone
+        // refuses them, before a section is read. The shards are stamped
+        // one by one, then the router, which `open` reads before them.
+        let d = dir("container1");
+        let elsi = Elsi::new(ElsiConfig::fast_test());
+        let mut idx = ShardedIndex::zm(
+            pts(600),
+            Router::new(2, 2),
+            &ShardedConfig::default(),
+            &elsi,
+        );
+        idx.save(&d, &zm_codec())?;
+        let files = (0..idx.num_shards()).map(|s| shard_snap_file(1, s));
+        for name in files.chain([router_file(1)]) {
+            let path = d.join(name);
+            let mut image = fs_ok(&path, fs::read(&path))?;
+            image[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let crc = elsi_store::crc32(&image[..16]);
+            image[16..20].copy_from_slice(&crc.to_le_bytes());
+            fs_ok(&path, fs::write(&path, &image))?;
+            assert!(matches!(
+                ShardedIndex::open_zm(&d, &elsi).map(|dep| dep.len()),
+                Err(StoreError::BadVersion {
+                    found: 1,
+                    expected: 2
+                })
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
     fn router_state_codec_round_trips_and_rejects_damage() -> Result<(), StoreError> {
         let le = |v: u64| v.to_le_bytes().to_vec();
         let f64s = |vs: &[f64]| -> Vec<u8> {
             let bits = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
             le(vs.len() as u64).into_iter().chain(bits).collect()
         };
-        // Tag 1: the shape, the x cuts, then one y cut set per column.
-        let learned = |rows: u64, x: &[f64], y: &[f64]| -> Vec<u8> {
+        // The one layout: the shape, the x cuts, then one y cut set per
+        // column.
+        let layout = |rows: u64, x: &[f64], y: &[f64]| -> Vec<u8> {
             let cols = x.len() as u64 - 1;
             let ys = (0..cols).flat_map(|_| f64s(y));
-            [vec![1], le(rows), le(cols), f64s(x), le(cols)]
+            [le(rows), le(cols), f64s(x)]
                 .concat()
                 .into_iter()
                 .chain(ys)
                 .collect()
         };
-        // A uniform 3×5 router as the grid router of earlier builds wrote
-        // it: tag 0 and the shape. It decodes to `Router::new` and
-        // re-encodes to the same bytes.
-        let grid = [vec![0], le(3), le(5)].concat();
-        let (decoded, kind) = decode_router(&grid, 15)?;
-        assert_eq!((&decoded, kind), (&Router::new(3, 5), "grid"));
+        // A uniform 3×5 router decodes to `Router::new` and re-encodes to
+        // the same bytes; its kind is `grid`.
+        let uniform = Router::new(3, 5);
+        let y = uniform.y_cuts(0).unwrap_or(&[]);
+        let grid = layout(3, uniform.x_cuts(), y);
+        let decoded = decode_router(&grid, 15)?;
+        assert_eq!((&decoded, router_kind(&decoded)), (&uniform, "grid"));
         assert_eq!(encode_router(&decoded), grid);
 
-        // Tag 1 carrying the `j / n` cuts an earlier build's degenerate fit
-        // fell back to: decoded as stored, not snapped to uniform cuts.
-        // For ten columns, `9 / 10` sits one ulp above the uniform cut.
+        // The `j / n` cuts an earlier build's degenerate fit fell back to:
+        // decoded as stored, not snapped to uniform cuts. For ten columns,
+        // `9 / 10` sits one ulp above the uniform cut.
         let tenths: Vec<f64> = (0..=10).map(|j| f64::from(j) / 10.0).collect();
-        let fallback = learned(2, &tenths, &[0.0, 0.5, 1.0]);
-        let (decoded, kind) = decode_router(&fallback, 20)?;
+        let fallback = layout(2, &tenths, &[0.0, 0.5, 1.0]);
+        let decoded = decode_router(&fallback, 20)?;
         assert_ne!(decoded.x_cuts(), Router::new(2, 10).x_cuts());
         assert_eq!(decoded.x_cuts(), &tenths[..]);
         assert_eq!(decoded.y_cuts(9), Some(&[0.0, 0.5, 1.0][..]));
-        assert_eq!(kind, "learned");
+        assert_eq!(router_kind(&decoded), "learned");
         assert_eq!(encode_router(&decoded), fallback);
-        // At a power-of-two shape those cuts are the uniform ones; the
-        // stored tag, not the cuts, names the kind the manifest recorded.
-        let halves = learned(2, &[0.0, 0.5, 1.0], &[0.0, 0.5, 1.0]);
-        let (decoded, kind) = decode_router(&halves, 4)?;
-        assert_eq!((&decoded, kind), (&Router::new(2, 2), "learned"));
 
         let fitted = Router::fit(&pts(4_000), 3, 2);
-        assert_eq!(decode_router(&encode_router(&fitted), 6)?.0, fitted);
+        assert_eq!(decode_router(&encode_router(&fitted), 6)?, fitted);
 
-        assert!(matches!(
-            decode_router(&[9], 15),
-            Err(StoreError::Unsupported { .. })
-        ));
         let bytes = encode_router(&fitted);
         assert!(decode_router(&bytes[..bytes.len() - 3], 6).is_err());
         assert!(decode_router(&grid[..grid.len() - 1], 15).is_err());
-        // A shape the manifest does not record never materialises.
+        // A shape the manifest does not record never reads a cut.
         assert!(matches!(
             decode_router(&grid, 16),
             Err(StoreError::Manifest { .. })
         ));
-        let huge = [vec![0], le(u64::MAX), le(2)].concat();
+        let huge = [le(u64::MAX), le(2)].concat();
         assert!(decode_router(&huge, 2).is_err());
+        // Cuts that break the router's invariants are corrupt.
+        let unanchored = layout(2, &[0.0, 0.5, 0.9], &[0.0, 0.5, 1.0]);
+        assert!(matches!(
+            decode_router(&unanchored, 4),
+            Err(StoreError::Corrupt { .. })
+        ));
         Ok(())
     }
 

@@ -74,20 +74,10 @@ impl ByteWriter {
         self.put_u64(v as u64);
     }
 
-    /// Appends a bool as one byte (`0`/`1`).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 
     /// Appends a length-prefixed `f64` sequence.
@@ -200,18 +190,6 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| StoreError::corrupt(self.section, "length exceeds usize"))
     }
 
-    /// Reads a bool byte; anything other than `0`/`1` is corrupt.
-    pub fn get_bool(&mut self) -> Result<bool, StoreError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(StoreError::corrupt(
-                self.section,
-                format!("bad bool byte {other}"),
-            )),
-        }
-    }
-
     /// Reads a sequence length that claims `elem_size`-byte elements,
     /// validating it against the bytes actually remaining.
     pub fn get_len(&mut self, elem_size: usize) -> Result<usize, StoreError> {
@@ -233,13 +211,6 @@ impl<'a> ByteReader<'a> {
     pub fn get_bytes(&mut self) -> Result<&'a [u8], StoreError> {
         let n = self.get_len(1)?;
         self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, StoreError> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::corrupt(self.section, "invalid UTF-8 string"))
     }
 
     /// Reads `n` raw bytes, for a caller that knows the length from
@@ -357,8 +328,6 @@ mod tests {
         w.put_i64(-42);
         w.put_f64(-0.0);
         w.put_f64(f64::NAN);
-        w.put_bool(true);
-        w.put_str("héllo");
         w.put_f64s(&[1.5, f64::INFINITY]);
         w.put_u64s(&[3, 2, 1]);
         let bytes = w.into_vec();
@@ -369,8 +338,6 @@ mod tests {
         assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.get_f64().unwrap().is_nan());
-        assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_f64s().unwrap(), vec![1.5, f64::INFINITY]);
         assert_eq!(r.get_u64s().unwrap(), vec![3, 2, 1]);
         r.expect_end().unwrap();
@@ -380,14 +347,14 @@ mod tests {
     fn truncation_is_a_clean_error_at_every_prefix() {
         let mut w = ByteWriter::new();
         w.put_u64(3);
-        w.put_str("abc");
+        w.put_bytes(b"abc");
         w.put_f64s(&[1.0, 2.0]);
         let bytes = w.into_vec();
         for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut], "prefix");
             let res: Result<(), StoreError> = (|| {
                 r.get_u64()?;
-                r.get_str()?;
+                r.get_bytes()?;
                 r.get_f64s()?;
                 Ok(())
             })();
@@ -405,12 +372,5 @@ mod tests {
             Err(StoreError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bad_bool_is_corrupt_not_a_guess() {
-        let bytes = [2u8];
-        let mut r = ByteReader::new(&bytes, "flag");
-        assert!(matches!(r.get_bool(), Err(StoreError::Corrupt { .. })));
     }
 }

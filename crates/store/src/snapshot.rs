@@ -29,8 +29,11 @@ use std::path::Path;
 /// Magic bytes every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ELSISNAP";
 
-/// Snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version this build reads and writes. It governs the
+/// layout of every section, so a section layout change bumps it: 2 = blobs
+/// without version words, ZM without its derived key column and leaf
+/// offsets, one router layout.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 8 + 4 + 4;
 

@@ -59,8 +59,11 @@ fn fingerprint<I: SpatialIndex>(proc: &UpdateProcessor<I>) -> Fingerprint {
 /// recovered processor is indistinguishable from the survivor.
 fn assert_roundtrip<I: SpatialIndex>(name: &str, proc: &UpdateProcessor<I>, rebuild: RebuildFn<I>) {
     let path = tmp(&format!("{name}.snap"));
-    proc.save_snapshot(&path, &NoCodec).unwrap();
-    let opened = UpdateProcessor::open_snapshot(&path, rebuild, RebuildPolicy::Never, &NoCodec)
+    proc.snapshot_writer(&NoCodec).write_file(&path).unwrap();
+    let opened = Snapshot::read_file(&path)
+        .and_then(|snap| {
+            UpdateProcessor::from_snapshot(&snap, rebuild, RebuildPolicy::Never, &NoCodec)
+        })
         .unwrap_or_else(|e| panic!("{name}: open failed: {e}"));
     assert_eq!(fingerprint(proc), fingerprint(&opened), "{name} diverged");
     std::fs::remove_file(&path).ok();
