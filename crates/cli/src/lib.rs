@@ -19,7 +19,7 @@ use elsi_indices::{ModelBuilder, PwlBuilder, SpatialIndex, ZmIndex};
 use elsi_serve::{
     read_manifest, zm_codec, Manifest, Router, ShardedConfig, ShardedIndex, MANIFEST_NAME,
 };
-use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect};
+use elsi_spatial::{last_per_id, KeyMapper, MortonMapper, Point, Rect};
 use std::fmt::{Display, Write as _};
 use std::path::Path;
 use std::str::FromStr;
@@ -457,9 +457,13 @@ fn floats<const N: usize>(s: &str) -> Result<[f64; N], String> {
 }
 
 fn load_points(path: &str) -> Result<Vec<Point>, String> {
-    let pts = io::read_points_csv(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let read = io::read_points_csv(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let (lines, pts) = (read.len(), last_per_id(read));
     if pts.is_empty() {
         return Err(format!("{path}: no points"));
+    }
+    if pts.len() < lines {
+        eprintln!("note: {path} repeats ids; kept the last line of each id");
     }
     // Normalise if the data is outside the unit square (e.g. lon/lat).
     let bbox = Rect::mbr_of(&pts);

@@ -20,16 +20,16 @@ use std::collections::{BTreeMap, HashSet};
 /// scans its own pages. Tombstones are a hashed id set: one O(1) probe
 /// per base hit.
 ///
-/// The point id is the identity: the overlay keeps **at most one live copy
-/// per id**, and the last write wins. Inserting an id that the base index
-/// already holds tombstones the base copy, so the delta copy replaces it
-/// (an overwrite, possibly at new coordinates); deleting that delta copy
-/// afterwards leaves the tombstone in place, so the id is fully gone
-/// rather than resurrecting the base copy. A delete of a delta copy is
-/// id-only; a delete of an untouched base copy must quote its id **and**
-/// its stored coordinates. The base's live points are enumerated once, at
-/// wrap time, so the base must not be mutated behind the overlay's back,
-/// and points must lie in the unit square.
+/// The point id is the identity: the base holds each id once (the serving
+/// doors keep the last copy of each), and so does the overlay, the last
+/// write winning. Inserting an id that the base index holds tombstones the
+/// base copy, so the delta copy replaces it (an overwrite, possibly at new
+/// coordinates); deleting that delta copy afterwards leaves the tombstone
+/// in place, so the id is fully gone rather than resurrecting the base
+/// copy. A delete of a delta copy is id-only; a delete of an untouched base
+/// copy must quote its id **and** its stored coordinates. The base's live
+/// points are enumerated once, at wrap time, so the base must not be
+/// mutated behind the overlay's back, and points must lie in the unit square.
 /// ```
 /// use elsi::DeltaOverlay;
 /// use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
@@ -60,12 +60,9 @@ pub struct DeltaOverlay<I: SpatialIndex> {
     inserted: BTreeMap<u64, Point>,
     /// The same points as `inserted`, paged in (Morton code, id) order.
     pages: Pages,
-    /// Tombstoned base copies: ids of `base_by_id`. Delta points are never
-    /// tombstoned — a delete drops them from `inserted`.
+    /// Tombstoned base copies: ids of `base_by_id`, one copy each. Delta
+    /// points are never tombstoned — a delete drops them from `inserted`.
     deleted: HashSet<u64>,
-    /// The base copies the tombstones hide: one per tombstone, unless the
-    /// base was built from duplicate ids (a tombstone hides every copy).
-    hidden: usize,
 }
 
 impl<I: SpatialIndex> DeltaOverlay<I> {
@@ -77,7 +74,6 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
             inserted: BTreeMap::new(),
             pages: Pages::default(),
             deleted: HashSet::new(),
-            hidden: 0,
         }
     }
 
@@ -106,25 +102,25 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
 
     /// Reassembles an overlay from persisted parts: the restored base, the
     /// delta points (ascending id, one copy per id) and the tombstoned ids.
-    /// The id column, the pages and the hidden-copy count are recomputed
-    /// rather than persisted — pure functions of the base and the delta.
+    /// The id column and the pages are recomputed rather than persisted —
+    /// pure functions of the base and the delta.
     ///
     /// Returns `None` when the parts violate the overlay's invariants (a
-    /// duplicated delta id, a tombstone for an id the base never held, or
-    /// a delta copy beside a live base copy of its id) — the codec layer
-    /// turns that into a clean corruption error.
+    /// base that repeats an id, a duplicated delta id, a tombstone for an
+    /// id the base never held, or a delta copy beside a live base copy of
+    /// its id) — the codec layer turns that into a clean corruption error.
     pub fn from_restored(base: I, inserted: Vec<Point>, deleted: Vec<u64>) -> Option<Self> {
         let mut overlay = Self::new(base);
+        // The id column is in id order: each id once iff strictly ascending.
+        let unique = overlay.base_by_id.is_sorted_by(|a, b| a.id < b.id);
         for id in deleted {
-            match overlay.base_copies(id).len() {
-                0 => return None,
-                copies => overlay.bury(id, copies),
-            };
+            overlay.base_copy(id)?;
+            overlay.deleted.insert(id);
         }
         // A delta point goes back in the way it came, and must retire
         // nothing: no second copy of its id, no live base copy.
         let clean = |p| overlay.apply(Update::Insert(p)).is_none();
-        inserted.into_iter().all(clean).then_some(overlay)
+        (unique && inserted.into_iter().all(clean)).then_some(overlay)
     }
 
     /// Applies `updates` in arrival order — [`SpatialIndex::ingest_batch`]
@@ -134,24 +130,21 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
         self.ingest_batch(updates)
     }
 
-    /// The base's copies of `id`: the equal-id run of the id column (one
-    /// point, unless the base was built from duplicate ids).
-    fn base_copies(&self, id: u64) -> &[Point] {
-        let lo = self.base_by_id.partition_point(|b| b.id < id);
-        let from = self.base_by_id.get(lo..).unwrap_or_default();
-        let run = from.iter().take_while(|b| b.id == id).count();
-        from.get(..run).unwrap_or_default()
+    /// The base's copy of `id`, as the base stored it.
+    fn base_copy(&self, id: u64) -> Option<Point> {
+        let at = self.base_by_id.binary_search_by_key(&id, |b| b.id).ok()?;
+        self.base_by_id.get(at).copied()
     }
 
     /// The first live base copy at `q`'s coordinates, asked for when the
     /// base's own answer there is tombstoned. The base's points at
     /// distance zero come from its kNN, which is exact on every index
-    /// (unlike RSMI's and LISA's windows); at most `hidden` of them are
+    /// (unlike RSMI's and LISA's windows); at most one per tombstone is
     /// dead, so asking for one more reaches a live one if any exists.
     #[cold]
     fn live_twin(&self, q: Point) -> Option<Point> {
         let (mut scratch, mut at_q) = (ScanScratch::new(), Vec::new());
-        let k = self.hidden + 1;
+        let k = self.deleted.len() + 1;
         self.base
             .knn_within_into(q, k, 0.0, &mut scratch, &mut at_q);
         at_q.into_iter().find(|p| !self.deleted.contains(&p.id))
@@ -180,28 +173,17 @@ impl<I: SpatialIndex> DeltaOverlay<I> {
             self.pages.insert(p);
         }
         old.or_else(|| {
-            let quoted = |b: &&Point| u.is_insert() || (b.x == p.x && b.y == p.y);
-            let copies = self.base_copies(p.id);
-            let copy = copies.iter().find(quoted).copied()?;
-            self.bury(p.id, copies.len()).then_some(copy)
+            let quoted = |b: &Point| u.is_insert() || (b.x == p.x && b.y == p.y);
+            let copy = self.base_copy(p.id).filter(quoted)?;
+            self.deleted.insert(p.id).then_some(copy)
         })
-    }
-
-    /// Tombstones `id`, hiding its `copies` base copies; whether it was live.
-    fn bury(&mut self, id: u64, copies: usize) -> bool {
-        let fresh = self.deleted.insert(id);
-        if fresh {
-            self.hidden += copies;
-        }
-        fresh
     }
 }
 
 impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
     fn len(&self) -> usize {
-        // Exact: the tombstones hide `hidden` base copies, and every delta
-        // point is live (the id-collision invariants above).
-        self.base.len() + self.inserted.len() - self.hidden
+        // Exact: a tombstone hides one base copy; every delta point is live.
+        self.base.len() + self.inserted.len() - self.deleted.len()
     }
 
     fn point_query(&self, q: Point) -> Option<Point> {
@@ -249,7 +231,7 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         if k == 0 {
             return;
         }
-        let mut overfetch = k + self.hidden.min(k);
+        let mut overfetch = k + self.deleted.len().min(k);
         loop {
             self.base.knn_within_into(q, overfetch, r2, scratch, out);
             let fetched = out.len();
@@ -501,23 +483,6 @@ mod tests {
         assert_eq!(overlay.point_query(pts[9]), Some(pts[9]));
         assert_eq!(overlay.live_points(), pts);
         assert!(overlay.delete(pts[3]) && !overlay.delete(pts[3]));
-
-        // A base built from duplicate ids: the whole equal-id run is
-        // searched for the copy the request quotes, not one binary-search hit.
-        let twins: Vec<Point> = (0..9u64)
-            .map(|i| Point::new(i / 3, 0.1 + 0.1 * i as f64, 0.5))
-            .collect();
-        for quoted in &twins {
-            let mut overlay = DeltaOverlay::new(GridIndex::build(
-                twins.clone(),
-                &GridConfig { block_size: 4 },
-            ));
-            assert_eq!(
-                overlay.apply_batch(&[Update::Delete(*quoted)]),
-                [Some(*quoted)]
-            );
-            assert!(!overlay.delete(Point::new(quoted.id, 0.95, 0.5)));
-        }
     }
 
     #[test]

@@ -386,6 +386,24 @@ mod tests {
     }
 
     #[test]
+    fn overlay_blob_whose_base_repeats_an_id_is_corrupt() {
+        // Only a bare base can repeat an id (the serving doors keep the last
+        // copy), so an overlay blob that does was not written by a deployment.
+        let codec = OverlayCodec::new(ZmStateCodec);
+        let blob = |points: Vec<Point>| {
+            let base = ZmIndex::build(points, &ZmConfig { fanout: 4 }, &PwlBuilder { epsilon: 8 });
+            codec.encode(&DeltaOverlay::new(base)).unwrap_or_default()
+        };
+        let mut points = uniform(200, 31);
+        assert!(codec.decode(&blob(points.clone())).is_ok());
+        points[150].id = points[40].id;
+        assert!(matches!(
+            codec.decode(&blob(points)),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
     fn damaged_snapshot_sections_are_clean_errors() {
         let proc = UpdateProcessor::new(uniform(80, 61), grid_rebuild(), RebuildPolicy::Never, 4);
         let image = proc.snapshot_writer(&NoCodec).to_bytes();

@@ -21,7 +21,7 @@ use crate::rebuild::{RebuildFeatures, RebuildPolicy};
 use elsi_data::cdf::DEFAULT_SKETCH_BINS;
 pub use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
-use elsi_spatial::{KeyMapper, MortonMapper, Point, Rect, ScanScratch};
+use elsi_spatial::{last_per_id, KeyMapper, MortonMapper, Point, Rect, ScanScratch};
 use elsi_store::StoreError;
 
 pub use crate::drift::DriftTracker;
@@ -94,14 +94,15 @@ pub(crate) struct LifecycleCounters {
 }
 
 impl<I: SpatialIndex> UpdateProcessor<I> {
-    /// Wraps an index built over `initial` points; `rebuild_fn` rebuilds it
-    /// from scratch (typically closing over an `ElsiBuilder`).
+    /// Wraps an index built over the last copy of each id in `initial`
+    /// ([`last_per_id`]); `rebuild_fn` rebuilds it from scratch.
     pub fn new(
         initial: Vec<Point>,
         rebuild_fn: RebuildFn<I>,
         policy: RebuildPolicy,
         f_u: usize,
     ) -> Self {
+        let initial = last_per_id(initial);
         let drift = DriftTracker::new(
             initial.iter().map(|p| MortonMapper.key(*p)),
             DEFAULT_SKETCH_BINS.min(1024),

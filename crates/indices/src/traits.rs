@@ -77,12 +77,12 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Inserts a point.
     ///
-    /// Point ids are expected to be unique across the index's lifetime.
-    /// Re-inserting an id that was previously deleted additionally
+    /// An id names one point: a bare index expects unique ids over its
+    /// lifetime, the serving doors keep each id's last copy, and
+    /// `DeltaOverlay` overwrites a live id. Re-inserting a deleted id also
     /// un-tombstones the old stored point in RSMI, whose local rebuilds
-    /// merge inserts into the stored pages (both copies become visible and
-    /// count toward [`SpatialIndex::len`]); every other index keeps the
-    /// old copy deleted.
+    /// merge inserts into the stored pages (both copies visible, both in
+    /// [`SpatialIndex::len`]); every other index keeps the old copy deleted.
     fn insert(&mut self, p: Point);
 
     /// Deletes the stored point with the coordinates and id of `p`;

@@ -20,7 +20,7 @@ use elsi::{
 };
 use elsi_data::stream::Update;
 use elsi_indices::{SpatialIndex, ZmConfig, ZmIndex};
-use elsi_spatial::{sort_canonical, Point, Rect, ScanScratch};
+use elsi_spatial::{last_per_id, sort_canonical, Point, Rect, ScanScratch};
 use elsi_store::{StoreError, WalWriter};
 use rayon::prelude::*;
 
@@ -152,8 +152,8 @@ pub(crate) fn zm_policy(_shard: usize) -> RebuildPolicy {
 }
 
 impl<I: SpatialIndex> ShardedIndex<I> {
-    /// Partitions `points` by `router` ownership and builds every shard in
-    /// parallel on the rayon pool.
+    /// Partitions the last copy of each id in `points` ([`last_per_id`])
+    /// by `router` ownership and builds every shard in parallel on rayon.
     ///
     /// `shard_builder` builds one shard's base index from its points; it
     /// runs once per shard at build time and again on every rebuild, and
@@ -171,9 +171,8 @@ impl<I: SpatialIndex> ShardedIndex<I> {
         B: Fn(&ShardContext, Vec<Point>) -> I + Send + Sync + 'static,
         P: Fn(usize) -> RebuildPolicy,
     {
-        let n = router.num_shards();
-        let mut parts: Vec<Vec<Point>> = vec![Vec::new(); n];
-        for p in points {
+        let mut parts: Vec<Vec<Point>> = vec![Vec::new(); router.num_shards()];
+        for p in last_per_id(points) {
             if let Some(part) = parts.get_mut(router.shard_of(p)) {
                 part.push(p);
             }

@@ -55,7 +55,7 @@ fn learned_4x4_zm_matches_monolith_and_oracle_through_a_journaled_ingest() -> Re
     let stage = |sharded: Box<dyn SpatialIndex>, monolith: &Subject, oracle: &Oracle| {
         let qs = queries(oracle.live());
         check(
-            &Subject::new(Kind::Zm, State::Learned(4, 4), sharded),
+            &Subject::new(Kind::Zm, State::Sharded(Cuts::Fitted, 4, 4), sharded),
             oracle,
             &qs,
         );

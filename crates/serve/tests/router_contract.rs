@@ -13,6 +13,7 @@ use elsi_indices::{GridConfig, GridIndex, SpatialIndex};
 use elsi_serve::{Router, ShardedConfig, ShardedIndex};
 use elsi_spatial::{Point, Rect};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Every `j / n` for n ≤ 16 and its neighbours one ulp either side,
 /// inside the unit square: where uniform cuts sit, and where a rectangle
@@ -148,6 +149,15 @@ proptest! {
         let learned = ShardedIndex::build(
             points.clone(), Router::fit_sampled(&points, rows, cols), &cfg,
             grid_index_builder(), |_s| RebuildPolicy::Never);
+
+        // Repeated ids: both builds serve the last copy of each id alone,
+        // wherever its other copies would have been routed.
+        let last: BTreeMap<u64, Point> = points.iter().map(|p| (p.id, *p)).collect();
+        let live: Vec<Point> = last.into_values().collect();
+        for built in [&grid, &learned] {
+            prop_assert_eq!(built.len(), live.len());
+            prop_assert_eq!(built.window_query(&Rect::unit()), live.clone());
+        }
 
         // Windows and kNN are canonically ordered, so equal sets are
         // bit-identical regardless of how points were sharded.

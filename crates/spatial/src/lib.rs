@@ -44,7 +44,7 @@ pub mod sorted;
 
 pub use block::{Block, DEFAULT_BLOCK_SIZE};
 pub use mapping::{HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonMapper};
-pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key, sort_canonical};
+pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key, last_per_id, sort_canonical};
 pub use partition::{quadtree_partition, QuadLeaf, UniformGrid};
 pub use point::{Point, Rect};
 pub use scan::{contains_scan, knn_scan, range_scan_into, KnnEntry, KnnHeap, ScanScratch};

@@ -16,6 +16,7 @@
 
 use crate::point::Point;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Total order on `f64` keys of `T`: `xs.sort_by(by_f64_key(|t| t.cost))`,
 /// `it.max_by(by_f64_key(|t| t.gain))`. NaN keys sort high instead of
@@ -95,6 +96,19 @@ pub fn sort_canonical(points: &mut [Point], scratch: &mut Vec<Point>) {
             ties.sort_unstable_by_key(canonical_point_key);
         }
     }
+}
+
+/// The last copy of each id in `points`, in arrival order: the live set of
+/// `points` inserted in turn, each insert replacing its id's live copy.
+/// Unique ids come back unchanged, in one pass when they ascend.
+pub fn last_per_id(mut points: Vec<Point>) -> Vec<Point> {
+    if points.is_sorted_by(|a, b| a.id < b.id) {
+        return points;
+    }
+    let last: HashMap<u64, usize> = points.iter().zip(0..).map(|(p, i)| (p.id, i)).collect();
+    let mut arrival = 0..;
+    points.retain(|p| last.get(&p.id) == arrival.next().as_ref());
+    points
 }
 
 /// One stable counting-sort pass of `src` into `dst` on the id digit
@@ -248,6 +262,37 @@ mod tests {
         );
         sort_canonical(&mut scrambled(RADIX_MIN_LEN, |i| i), &mut scratch);
         assert_eq!(scratch.len(), RADIX_MIN_LEN);
+    }
+
+    #[test]
+    fn last_per_id_is_in_order_insertion() {
+        let id_mixes: [IdMix; 4] = [
+            ("dense", |i| i),
+            ("folded by 7", |i| i % 7),
+            ("all equal", |_| 42),
+            ("all 64 bits", |i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        ];
+        for (name, id) in id_mixes {
+            for n in [0, 1, 2, 300] {
+                let scrambled = scrambled(n, id);
+                let mut sorted = scrambled.clone();
+                sorted.sort_by_key(canonical_point_key);
+                for (order, input) in [("scrambled", scrambled), ("sorted", sorted)] {
+                    // The reference: each point inserted in turn replaces
+                    // the live copy of its id.
+                    let mut want: Vec<Point> = Vec::new();
+                    for p in &input {
+                        want.retain(|w| w.id != p.id);
+                        want.push(*p);
+                    }
+                    let got = last_per_id(input.clone());
+                    assert!(bits(&got) == bits(&want), "{name} ids, n={n}, {order}");
+                    if want.len() == n {
+                        assert!(bits(&got) == bits(&input), "{name}, {order}: moved");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

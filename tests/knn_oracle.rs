@@ -6,7 +6,9 @@
 //!
 //! Besides the table's hard point sets (for a seed-then-sweep kNN: a poor
 //! seed's wide ball box, exact distance ties, a seed run all ties): ids
-//! folded so distinct points share one, tombstones over the whole
+//! folded so distinct points share one, which the serving doors
+//! (`ShardedIndex::build`, `UpdateProcessor::new`) fold to the last copy
+//! of each id and bare bases never see, tombstones over the whole
 //! neighbourhood of a query (the overlay over-fetches), `k` around the
 //! live count (the `r² = ∞` sweep), and a fixed 20k-point case at `k` in
 //! the thousands (the candidate pool selects many times over).
@@ -30,14 +32,11 @@ fn queries(q: (f64, f64), stack: Stack, k: usize, n: usize) -> Queries {
     }
 }
 
-/// Deletes the live points nearest `q` until `n` ids are gone: tombstones
-/// over the whole neighbourhood (a folded id goes whole, so a namesake may
-/// be gone already).
+/// Deletes the `n` live points nearest `q`: tombstones over the whole
+/// neighbourhood.
 fn bury(oracle: &mut Oracle, q: Point, n: usize) {
     for p in oracle.knn(q).into_iter().take(n) {
-        if oracle.is_live(&p) {
-            oracle.apply(Update::Delete(p));
-        }
+        oracle.apply(Update::Delete(p));
     }
 }
 
@@ -52,12 +51,15 @@ proptest! {
         k in 1usize..30,
     ) {
         // Clean, the overlay and processor states only forward to the base:
-        // the built nine and both routers.
-        let points = assemble(&clustered, &snapped, stack, id_modulus);
-        let (zoo, oracle, qs) = (Zoo::pwl(8, 4), Oracle::new(&points), queries(q, stack, k, points.len()));
-        let sharded = [State::Grid(2, 2), State::Learned(2, 2)].map(|s| (Kind::Zm, s));
-        for (kind, state) in Kind::ALL.map(|k| (k, State::Built)).into_iter().chain(sharded) {
-            check(&zoo.subject(kind, state, &points, &[]), &oracle, &qs);
+        // the built nine over unique ids, and both routers over folded ids,
+        // which their door folds to the last copy of each.
+        let [unique, folded] = [u64::MAX, id_modulus].map(|m| assemble(&clustered, &snapped, stack, m));
+        let built = Kind::ALL.map(|kind| (kind, State::Built, &unique));
+        let sharded = [Cuts::Uniform, Cuts::Fitted].map(|c| (Kind::Zm, State::Sharded(c, 2, 2), &folded));
+        for (kind, state, points) in built.into_iter().chain(sharded) {
+            let oracle = Oracle::new(points);
+            let qs = queries(q, stack, k, oracle.len());
+            check(&Zoo::pwl(8, 4).subject(kind, state, points, &[]), &oracle, &qs);
         }
     }
 
@@ -89,19 +91,19 @@ proptest! {
         q in (0.0f64..=1.0, 0.0f64..=1.0),
         k in 1usize..30,
     ) {
-        // Folded ids: distinct live base points share an id, and two of
-        // them can be equidistant from a query (the lattice, the stack) —
-        // the merge must keep both. The id is the overlay's identity: an
-        // insert replaces every live copy of its id, a delete of a base
-        // copy tombstones the id. Ids 0..100 collide with the folded base
-        // ids half the time.
-        let points = assemble(&clustered, &snapped, stack, id_modulus);
-        let mut oracle = Oracle::new(&points);
-        oracle.apply_draws(&ops);
-        bury(&mut oracle, Point::at(q.0, q.1), k);
-        let (zoo, qs, stream) = (Zoo::pwl(8, 4), queries(q, stack, k, oracle.len()), &oracle.stream);
-        for (kind, state) in [(Kind::Zm, State::Dirty), (Kind::Grid, State::Processor), (Kind::Zm, State::Recovered)] {
-            check(&zoo.subject(kind, state, &points, stream), &oracle, &qs);
+        // Folded ids enter through the processor's door, which keeps the
+        // last copy of each, as the oracle does; the bare base behind the
+        // dirty overlay gets unique ids. The id is the overlay's identity:
+        // an insert replaces the live copy of its id, a delete of a base
+        // copy tombstones the id. Ids 0..100 collide with base ids.
+        let [unique, folded] = [u64::MAX, id_modulus].map(|m| assemble(&clustered, &snapped, stack, m));
+        let rows = [(Kind::Zm, State::Dirty, &unique), (Kind::Grid, State::Processor, &folded), (Kind::Zm, State::Recovered, &folded)];
+        for (kind, state, points) in rows {
+            let mut oracle = Oracle::new(points);
+            oracle.apply_draws(&ops);
+            bury(&mut oracle, Point::at(q.0, q.1), k);
+            let qs = queries(q, stack, k, oracle.len());
+            check(&Zoo::pwl(8, 4).subject(kind, state, points, &oracle.stream), &oracle, &qs);
         }
     }
 }
@@ -133,7 +135,8 @@ fn deep_k_matches_the_oracle_on_20k_points() {
     };
     let (zoo, mut oracle) = (Zoo::pwl(8, 4), Oracle::new(&points));
     let built = Kind::ALL.map(|kind| (kind, State::Built));
-    for (kind, state) in built.into_iter().chain([(Kind::Zm, State::Grid(2, 2))]) {
+    let sharded = State::Sharded(Cuts::Uniform, 2, 2);
+    for (kind, state) in built.into_iter().chain([(Kind::Zm, sharded)]) {
         check(&zoo.subject(kind, state, &points, &[]), &oracle, &qs);
     }
     bury(&mut oracle, knn[1], 1_500);

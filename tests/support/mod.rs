@@ -103,7 +103,8 @@ pub fn hard_queries(q: (f64, f64), stack: Stack) -> Vec<Point> {
 /// The nine index kinds.
 pub use elsi::IndexKind as Kind;
 
-/// Where a subject is in its lifecycle. Nothing rebuilds on its own.
+/// Where a subject is in its lifecycle. Nothing rebuilds on its own. Only
+/// `Built` and `Dirty` keep repeated ids: the rest build through a door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum State {
     /// As built; updates take the index's own insertion procedures.
@@ -112,21 +113,26 @@ pub enum State {
     Dirty,
     /// Behind an `UpdateProcessor` over an overlay.
     Processor,
-    /// `rows × cols` shards behind `Router::new`'s uniform cuts.
-    Grid(usize, usize),
-    /// `rows × cols` shards behind `Router::fit`'s cuts, fitted to the points.
-    Learned(usize, usize),
+    /// `rows × cols` shards behind a `ShardedIndex` with these cuts.
+    Sharded(Cuts, usize, usize),
     /// A processor saved after its stream and reopened: ZM from its state
     /// blob (delta intact), the others rebuilt from the saved points.
     Recovered,
+}
+
+/// A sharded state's cuts: `Router::new`'s uniform ones or `Router::fit`'s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cuts {
+    Uniform,
+    Fitted,
 }
 
 /// The lifecycle list: every state past `Built`.
 pub const LIFECYCLE: [State; 5] = [
     State::Dirty,
     State::Processor,
-    State::Grid(2, 2),
-    State::Learned(2, 2),
+    State::Sharded(Cuts::Uniform, 2, 2),
+    State::Sharded(Cuts::Fitted, 2, 2),
     State::Recovered,
 ];
 
@@ -250,8 +256,10 @@ impl Zoo {
             State::Built => make(pts),
             State::Dirty => Box::new(DeltaOverlay::new(make(pts))),
             State::Processor => Box::new(processor(pts, make)),
-            State::Grid(r, c) => Box::new(sharded(pts, Router::new(r, c), make)),
-            State::Learned(r, c) => Box::new(sharded(pts.clone(), Router::fit(&pts, r, c), make)),
+            State::Sharded(Cuts::Uniform, r, c) => Box::new(sharded(pts, Router::new(r, c), make)),
+            State::Sharded(Cuts::Fitted, r, c) => {
+                Box::new(sharded(pts.clone(), Router::fit(&pts, r, c), make))
+            }
             State::Recovered if kind == Zm => {
                 let (zoo, codec) = (self.clone(), OverlayCodec::new(ZmStateCodec));
                 return recovered(kind, pts, move |p| zoo.zm(p), stream, codec);
@@ -314,12 +322,13 @@ pub fn canonical(mut pts: Vec<Point>) -> Vec<Point> {
     pts
 }
 
-/// The brute-force oracle: the live set of a point multiset under the
-/// overlay's id-keyed update semantics. The last write of an id wins and
-/// is its one live copy; a delete of a written copy is id-only and leaves
-/// the id's base copies dead (no resurrection); a delete of an untouched
-/// base copy must quote its exact coordinates, and retires every base copy
-/// of its id. It keeps every update applied, and whether it took effect.
+/// The brute-force oracle: the live set of a point sequence under the
+/// overlay's id-keyed update semantics. The last write of an id wins and is
+/// its one live copy, the base's points included (inserted in order); a
+/// delete of a written copy is id-only and leaves the id's base copy dead
+/// (no resurrection); a delete of an untouched base copy must quote its
+/// exact coordinates. It keeps every update applied, and whether it took
+/// effect.
 #[derive(Clone, Default)]
 pub struct Oracle {
     base: Vec<Point>,
@@ -332,7 +341,8 @@ pub struct Oracle {
 
 impl Oracle {
     pub fn new(points: &[Point]) -> Self {
-        let base = canonical(points.to_vec());
+        let last: BTreeMap<u64, Point> = points.iter().map(|p| (p.id, *p)).collect();
+        let base: Vec<Point> = last.into_values().collect();
         let live = base.clone();
         Self {
             base,
@@ -356,22 +366,17 @@ impl Oracle {
             Update::Delete(_) => self.written.remove(&p.id),
         };
         let retired = old.or_else(|| {
-            let from = self.base.partition_point(|b| b.id < p.id);
-            let mut copies = self.base.iter().skip(from).take_while(|b| b.id == p.id);
-            let copy = copies.find(|b| u.is_insert() || (b.x == p.x && b.y == p.y))?;
-            self.tombstoned.insert(p.id).then_some(*copy)
+            let copy = find_id(&self.base, p.id)?;
+            let quoted = u.is_insert() || (copy.x == p.x && copy.y == p.y);
+            (quoted && self.tombstoned.insert(p.id)).then_some(copy)
         });
         let took = u.is_insert() || retired.is_some();
-        if took {
-            // The copies of an id are one run of the canonical order.
-            let from = self.live.partition_point(|l| l.id < p.id);
-            let run = self.live.iter().skip(from).take_while(|l| l.id == p.id);
-            let run = run.count();
-            self.live.drain(from..from + run);
+        // The live set holds each id once, in id order: `at` is `p.id`'s place.
+        let at = self.live.partition_point(|l| l.id < p.id);
+        if retired.is_some() {
+            self.live.remove(at);
         }
         if u.is_insert() {
-            let key = canonical_point_key(&p);
-            let at = self.live.partition_point(|l| canonical_point_key(l) < key);
             self.live.insert(at, p);
         }
         self.stream.push(u);
@@ -392,7 +397,7 @@ impl Oracle {
             let drawn = Point::new(id, snap(x), snap(y));
             match kind {
                 0 | 1 => Update::Insert(drawn),
-                2 => Update::Delete(oracle.copy_of(id).unwrap_or(drawn)),
+                2 => Update::Delete(find_id(&oracle.live, id).unwrap_or(drawn)),
                 _ => Update::Delete(drawn),
             }
         };
@@ -407,18 +412,6 @@ impl Oracle {
             applied,
             ..Self::new(&self.live)
         };
-    }
-
-    /// The live copy of `id`.
-    pub fn copy_of(&self, id: u64) -> Option<Point> {
-        self.live.iter().find(|l| l.id == id).copied()
-    }
-
-    pub fn is_live(&self, p: &Point) -> bool {
-        let key = canonical_point_key(p);
-        self.live
-            .binary_search_by_key(&key, canonical_point_key)
-            .is_ok()
     }
 
     /// Written copies plus tombstones.
@@ -449,6 +442,12 @@ impl Oracle {
         by_dist.sort_by(|a, b| a.0.total_cmp(&b.0));
         by_dist.into_iter().map(|(_, p)| p).collect()
     }
+}
+
+/// The point of `id` in `pts`, which holds each id once, ascending.
+fn find_id(pts: &[Point], id: u64) -> Option<Point> {
+    let at = pts.binary_search_by_key(&id, |p| p.id).ok()?;
+    pts.get(at).copied()
 }
 
 /// RSMI's and LISA's recall over a check's whole window set may not fall
@@ -531,7 +530,7 @@ pub fn check(s: &Subject, oracle: &Oracle, qs: &Queries) {
             Some(p) => assert!(there.any(|l| *l == p), "{at}: answered {p:?} for {q:?}"),
         }
     }
-    let sharded = matches!(s.state, State::Grid(..) | State::Learned(..));
+    let sharded = matches!(s.state, State::Sharded(..));
     let (mut got_total, mut want_total) = (0, 0);
     for w in &qs.windows {
         let got = idx.window_query(w);
