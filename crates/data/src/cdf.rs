@@ -78,44 +78,6 @@ pub fn dist_from_uniform(sorted_keys: &[f64]) -> f64 {
     worst.min(1.0)
 }
 
-/// One-dimensional earth mover's distance between two sorted key sets.
-///
-/// The paper (§III) mentions EMD as an alternative similarity measure and
-/// rejects it for ELSI because general EMD costs `O(n³ log n)` (and even
-/// approximations `O(dn)`). In one dimension, however, EMD has a closed
-/// form — the L1 distance between the CDFs — computed here in
-/// `O(n_S + n)` over the merged support, so the repo can quantify what the
-/// KS choice trades away. Not used on any hot path.
-pub fn emd_1d(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(a.windows(2).all(|w| w[0] <= w[1]), "a must be sorted");
-    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]), "b must be sorted");
-    if a.is_empty() || b.is_empty() {
-        return if a.len() == b.len() { 0.0 } else { 1.0 };
-    }
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let mut ia = 0usize;
-    let mut ib = 0usize;
-    let mut emd = 0.0;
-    let mut prev = a[0].min(b[0]);
-    while ia < a.len() || ib < b.len() {
-        let next = match (a.get(ia), b.get(ib)) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => break,
-        };
-        emd += (ia as f64 / na - ib as f64 / nb).abs() * (next - prev);
-        prev = next;
-        while ia < a.len() && a[ia] <= next {
-            ia += 1;
-        }
-        while ib < b.len() && b[ib] <= next {
-            ib += 1;
-        }
-    }
-    emd
-}
-
 /// Default resolution of a bounded CDF sketch (the update processor's
 /// `DriftTracker`): sup-distance error ≤ 1/4096.
 pub const DEFAULT_SKETCH_BINS: usize = 4096;
@@ -183,30 +145,5 @@ mod tests {
             .collect();
         let d = dist_from_uniform(&keys);
         assert!((d - 0.4724).abs() < 0.01, "distance {d}");
-    }
-
-    #[test]
-    fn emd_identical_sets_zero() {
-        let keys: Vec<f64> = (0..100).map(|i| i as f64 / 99.0).collect();
-        assert!(emd_1d(&keys, &keys) < 1e-12);
-    }
-
-    #[test]
-    fn emd_shifted_point_masses() {
-        // Point mass at 0.2 vs at 0.7: EMD = 0.5 exactly.
-        let a = vec![0.2; 50];
-        let b = vec![0.7; 50];
-        assert!((emd_1d(&a, &b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn emd_bounded_by_ks_times_range() {
-        // EMD = ∫|F_a − F_b| ≤ sup|F_a − F_b| · range.
-        let a: Vec<f64> = (0..500).map(|i| (i as f64 / 499.0).powi(3)).collect();
-        let b: Vec<f64> = (0..400).map(|i| i as f64 / 399.0).collect();
-        let emd = emd_1d(&a, &b);
-        let ks = ks_distance(&a, &b);
-        assert!(emd <= ks + 1e-9, "emd {emd} vs ks {ks}");
-        assert!(emd > 0.0);
     }
 }

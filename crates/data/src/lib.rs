@@ -17,7 +17,7 @@ pub mod sample;
 pub mod stream;
 
 pub use catalog::Dataset;
-pub use cdf::{dist_from_uniform, emd_1d, ks_distance, similarity, DEFAULT_SKETCH_BINS};
+pub use cdf::{dist_from_uniform, ks_distance, similarity, DEFAULT_SKETCH_BINS};
 pub use gen::{
     gaussian_mixture, knn_queries, nyc_like, osm1_like, osm2_like, skewed, tpch_like, uniform,
     window_queries, ClusterSpec,

@@ -16,8 +16,7 @@
 //!   Lebesgue measure, ML-Index's iDistance, …): point → 1-D key in
 //!   `[0, 1]`, the domain on which Def. 2 similarity of two data sets is
 //!   computed (as KS distance between mapped-key CDFs, see `elsi-data`).
-//! * [`partition`] — the quadtree of the RS building method (Alg. 2) and
-//!   the uniform grid of the RL method's state.
+//! * [`partition`] — the uniform grid of the RL method's state.
 //! * [`sorted`] / [`block`] — the *sort* step ([`sort_by_key`]), the sorted
 //!   columns it is stored in and the block (data page) layout the
 //!   predict-and-scan queries hit.
@@ -45,7 +44,7 @@ pub mod sorted;
 pub use block::{Block, DEFAULT_BLOCK_SIZE};
 pub use mapping::{HilbertMapper, IDistanceMapper, KeyMapper, LisaMapper, MortonMapper};
 pub use order::{by_f64_key, canonical_knn_cmp, canonical_point_key, last_per_id, sort_canonical};
-pub use partition::{quadtree_partition, QuadLeaf, UniformGrid};
+pub use partition::UniformGrid;
 pub use point::{Point, Rect};
 pub use scan::{contains_scan, knn_scan, range_scan_into, KnnEntry, KnnHeap, ScanScratch};
 pub use sorted::{sort_by_key, MappedData};

@@ -1,87 +1,10 @@
-//! Space partitioning: recursive quadtree cells and uniform grids.
+//! Space partitioning: uniform grids.
 //!
-//! The RS building method (paper §V-B1, Algorithm 2) partitions the original
-//! space quadtree-style until every cell holds at most β points; the RL
-//! method (§V-B2) and LISA's substrate work over η×η uniform grids. Both
-//! partitioners are provided here as data-set-agnostic substrates.
+//! The RL building method (§V-B2) and LISA's substrate work over η×η
+//! uniform grids. (RS's quadtree, Algorithm 2, lives with its only caller,
+//! `elsi::methods::rs`.)
 
 use crate::point::{Point, Rect};
-
-/// A leaf cell produced by [`quadtree_partition`].
-#[derive(Debug, Clone)]
-pub struct QuadLeaf {
-    /// Spatial extent of the cell.
-    pub bounds: Rect,
-    /// Indices (into the input slice) of the points inside the cell.
-    pub indices: Vec<usize>,
-    /// Depth of the cell in the partition tree (root = 0).
-    pub depth: u32,
-}
-
-/// Maximum recursion depth; at depth 48 a unit-square cell has side
-/// `2^-48 ≈ 3.6e-15`, below `f64` resolution for unit-scale data, so deeper
-/// splits cannot separate points and would loop forever on duplicates.
-const MAX_DEPTH: u32 = 48;
-
-/// Recursively partitions `bounds` into 4 equal quadrants until every cell
-/// holds at most `beta` points (Algorithm 2's partitioning loop for d = 2).
-///
-/// Empty cells are dropped, matching the paper ("a point from each
-/// *non-empty* cell is selected"). Duplicated points that cannot be
-/// separated stop splitting at a fixed maximum depth.
-///
-/// # Panics
-/// Panics if `beta == 0`.
-pub fn quadtree_partition(points: &[Point], beta: usize, bounds: Rect) -> Vec<QuadLeaf> {
-    assert!(beta > 0, "beta must be positive");
-    let mut leaves = Vec::new();
-    let all: Vec<usize> = (0..points.len()).collect();
-    if all.is_empty() {
-        return leaves;
-    }
-    split_into(points, all, beta, bounds, 0, &mut leaves);
-    leaves
-}
-
-fn split_into(
-    points: &[Point],
-    indices: Vec<usize>,
-    beta: usize,
-    bounds: Rect,
-    depth: u32,
-    out: &mut Vec<QuadLeaf>,
-) {
-    if indices.is_empty() {
-        return;
-    }
-    if indices.len() <= beta || depth >= MAX_DEPTH {
-        out.push(QuadLeaf {
-            bounds,
-            indices,
-            depth,
-        });
-        return;
-    }
-    let mx = (bounds.lo_x + bounds.hi_x) / 2.0;
-    let my = (bounds.lo_y + bounds.hi_y) / 2.0;
-    // Quadrants in Z order: (lo,lo), (hi,lo), (lo,hi), (hi,hi).
-    let mut quads: [Vec<usize>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for i in indices {
-        let p = &points[i];
-        let qx = usize::from(p.x >= mx);
-        let qy = usize::from(p.y >= my);
-        quads[qy * 2 + qx].push(i);
-    }
-    let child_bounds = [
-        Rect::new(bounds.lo_x, bounds.lo_y, mx, my),
-        Rect::new(mx, bounds.lo_y, bounds.hi_x, my),
-        Rect::new(bounds.lo_x, my, mx, bounds.hi_y),
-        Rect::new(mx, my, bounds.hi_x, bounds.hi_y),
-    ];
-    for (q, b) in quads.into_iter().zip(child_bounds) {
-        split_into(points, q, beta, b, depth + 1, out);
-    }
-}
 
 /// A uniform `nx × ny` grid over the unit square.
 ///
@@ -191,74 +114,6 @@ impl UniformGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cluster_points() -> Vec<Point> {
-        // 12 points in the lower-left corner, 4 spread elsewhere.
-        let mut pts = Vec::new();
-        for i in 0..12 {
-            pts.push(Point::new(
-                i,
-                0.01 + 0.01 * (i % 4) as f64,
-                0.01 + 0.01 * (i / 4) as f64,
-            ));
-        }
-        pts.push(Point::new(12, 0.9, 0.1));
-        pts.push(Point::new(13, 0.1, 0.9));
-        pts.push(Point::new(14, 0.9, 0.9));
-        pts.push(Point::new(15, 0.6, 0.6));
-        pts
-    }
-
-    #[test]
-    fn quadtree_leaves_cover_all_points_exactly_once() {
-        let pts = cluster_points();
-        let leaves = quadtree_partition(&pts, 4, Rect::unit());
-        let mut seen = vec![false; pts.len()];
-        for leaf in &leaves {
-            assert!(leaf.indices.len() <= 4, "leaf exceeds beta");
-            assert!(!leaf.indices.is_empty(), "empty leaves must be dropped");
-            for &i in &leaf.indices {
-                assert!(!seen[i], "point {i} in two leaves");
-                seen[i] = true;
-                assert!(leaf.bounds.contains(&pts[i]) || on_boundary(&leaf.bounds, &pts[i]));
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    fn on_boundary(r: &Rect, p: &Point) -> bool {
-        // Splitting assigns boundary points to the higher quadrant; a point
-        // exactly on a cell's upper edge belongs to the neighbouring cell.
-        p.x >= r.lo_x - 1e-12
-            && p.x <= r.hi_x + 1e-12
-            && p.y >= r.lo_y - 1e-12
-            && p.y <= r.hi_y + 1e-12
-    }
-
-    #[test]
-    fn quadtree_no_split_when_under_beta() {
-        let pts = cluster_points();
-        let leaves = quadtree_partition(&pts, 100, Rect::unit());
-        assert_eq!(leaves.len(), 1);
-        assert_eq!(leaves[0].depth, 0);
-        assert_eq!(leaves[0].indices.len(), pts.len());
-    }
-
-    #[test]
-    fn quadtree_duplicates_terminate() {
-        let pts: Vec<Point> = (0..10).map(|i| Point::new(i, 0.5, 0.5)).collect();
-        let leaves = quadtree_partition(&pts, 2, Rect::unit());
-        // Ten identical points cannot be separated; the recursion must stop.
-        let total: usize = leaves.iter().map(|l| l.indices.len()).sum();
-        assert_eq!(total, 10);
-        assert!(leaves.iter().all(|l| l.depth <= MAX_DEPTH));
-    }
-
-    #[test]
-    fn quadtree_empty_input() {
-        let leaves = quadtree_partition(&[], 4, Rect::unit());
-        assert!(leaves.is_empty());
-    }
 
     #[test]
     fn grid_cell_of_clamps() {

@@ -7,6 +7,7 @@
 //! coordinate columns that predict-and-scan queries run over.
 
 use crate::mapping::KeyMapper;
+use crate::order::canonical_point_key;
 use crate::point::Point;
 
 /// Maps `points` with `mapper` and sorts them by key: the sorted points and
@@ -16,16 +17,46 @@ use crate::point::Point;
 /// The order is total: equal keys fall back to (id, x bits, y bits), so the
 /// result, and every build on it, depends on the point set alone, not on
 /// the order it arrives in.
+///
+/// The sort itself runs on integers: (the key's integer image under
+/// [`f64::total_cmp`], input position) pairs, ordered by the image alone,
+/// then one gather of points and keys. Equal images are bit-equal keys, so only inside a run
+/// of them are the points put in (id, x bits, y bits) order — the same
+/// vector, bit for bit, as one comparison sort on (key, id, x bits,
+/// y bits).
 pub fn sort_by_key(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
     let keys = mapper.keys(&points);
-    let mut pairs: Vec<(f64, Point)> = core::iter::zip(keys, points).collect();
-    pairs.sort_unstable_by(|(ka, a), (kb, b)| {
-        ka.total_cmp(kb)
-            .then(a.id.cmp(&b.id))
-            .then(a.x.to_bits().cmp(&b.x.to_bits()))
-            .then(a.y.to_bits().cmp(&b.y.to_bits()))
-    });
-    pairs.into_iter().map(|(k, p)| (p, k)).unzip()
+    let mut order: Vec<(u64, usize)> = keys
+        .iter()
+        .map(|&k| total_order_image(k))
+        .zip(0..)
+        .collect();
+    order.sort_unstable_by_key(|&(image, _)| image);
+    // `order` is a permutation of the input positions: every lookup hits.
+    let (mut points, keys): (Vec<Point>, Vec<f64>) = order
+        .iter()
+        .filter_map(|&(_, i)| points.get(i).copied().zip(keys.get(i).copied()))
+        .unzip();
+    let mut rest = points.as_mut_slice();
+    for run in keys.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+        let (ties, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+        if ties.len() > 1 {
+            ties.sort_unstable_by_key(canonical_point_key);
+        }
+        rest = tail;
+    }
+    (points, keys)
+}
+
+/// The integer image of `key` under [`f64::total_cmp`]: `a.total_cmp(&b)`
+/// is `total_order_image(a).cmp(&total_order_image(b))`. A negative key
+/// has its magnitude bits flipped (larger magnitudes sort lower), and the
+/// sign bit is flipped so negatives sort below positives as unsigned
+/// integers.
+#[inline]
+fn total_order_image(key: f64) -> u64 {
+    let b = key.to_bits();
+    b ^ ((((b as i64) >> 63) as u64) >> 1) ^ (1 << 63)
 }
 
 /// Key-sorted points in structure-of-arrays columns, so the predict-and-scan
@@ -117,6 +148,108 @@ impl MappedData {
 mod tests {
     use super::*;
     use crate::mapping::{HilbertMapper, IDistanceMapper, LisaMapper, MortonMapper};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    /// The comparison sort [`sort_by_key`] must equal: one sort of (key,
+    /// point) pairs on (key under `total_cmp`, id, x bits, y bits).
+    fn reference_sort(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
+        let keys = mapper.keys(&points);
+        let mut pairs: Vec<(f64, Point)> = core::iter::zip(keys, points).collect();
+        pairs.sort_unstable_by(|(ka, a), (kb, b)| {
+            ka.total_cmp(kb)
+                .then(a.id.cmp(&b.id))
+                .then(a.x.to_bits().cmp(&b.x.to_bits()))
+                .then(a.y.to_bits().cmp(&b.y.to_bits()))
+        });
+        pairs.into_iter().map(|(k, p)| (p, k)).unzip()
+    }
+
+    /// Values `total_cmp` has to get right, in its order: both infinities,
+    /// `±0.0`, negative and positive subnormals, and NaNs of both signs
+    /// with two payloads.
+    const SPECIAL: [f64; 14] = [
+        f64::from_bits(0xFFF8_0000_0000_0001),
+        f64::from_bits(0xFFF8_0000_0000_0000),
+        f64::NEG_INFINITY,
+        -1.5,
+        -f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE / 4.0,
+        -0.0,
+        0.0,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE / 4.0,
+        0.5,
+        f64::INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_0000_0001),
+    ];
+
+    /// The key of a point is its x coordinate, whatever it is.
+    struct XKey;
+
+    impl KeyMapper for XKey {
+        fn key(&self, p: Point) -> f64 {
+            p.x
+        }
+    }
+
+    /// Bit-level view of a sort result, so NaN keys and coordinates compare.
+    fn bits(sorted: &(Vec<Point>, Vec<f64>)) -> (Vec<(u64, u64, u64)>, Vec<u64>) {
+        let (pts, keys) = sorted;
+        (
+            pts.iter().map(canonical_point_key).collect(),
+            keys.iter().map(|k| k.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn total_order_image_orders_like_total_cmp() {
+        for (i, a) in SPECIAL.iter().enumerate() {
+            for (j, b) in SPECIAL.iter().enumerate() {
+                assert_eq!(i.cmp(&j), a.total_cmp(b), "table order at {a:?}, {b:?}");
+                assert_eq!(
+                    total_order_image(*a).cmp(&total_order_image(*b)),
+                    a.total_cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        assert_eq!(
+            total_order_image(f64::from_bits(0x8000_0000_0000_0000)),
+            (1 << 63) - 1
+        );
+        assert_eq!(total_order_image(0.0), 1 << 63);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Map-and-sort equals the comparison sort bit for bit — keys,
+        /// points and order — and so does a shuffled copy of its input.
+        /// Coordinates come from [`SPECIAL`] or a few repeated values, and
+        /// ids from a small range: runs of equal keys, special keys under
+        /// [`XKey`], and equal ids at different coordinates.
+        #[test]
+        fn sort_by_key_equals_the_comparison_sort(
+            raw in prop::collection::vec((0usize..24, 0usize..24, 0u64..12), 0..200),
+            seed in any::<u64>()
+        ) {
+            let coord = |c: usize| SPECIAL.get(c).copied().unwrap_or(c as f64 / 32.0);
+            let points: Vec<Point> =
+                raw.iter().map(|&(x, y, id)| Point::new(id, coord(x), coord(y))).collect();
+            let mut shuffled = points.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mappers: [&dyn KeyMapper; 2] = [&XKey, &MortonMapper];
+            for mapper in mappers {
+                let want = bits(&reference_sort(points.clone(), mapper));
+                prop_assert_eq!(bits(&sort_by_key(points.clone(), mapper)), want.clone());
+                prop_assert_eq!(bits(&sort_by_key(shuffled.clone(), mapper)), want);
+            }
+        }
+    }
 
     fn sample() -> (Vec<Point>, Vec<f64>) {
         let pts = vec![

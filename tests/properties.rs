@@ -1,9 +1,8 @@
 //! Property-based tests (proptest) over the core invariants of the stack:
 //! curve bijectivity, KS-distance bounds, the systematic-sampling gap bound
-//! (§V-A1), quadtree partition completeness, rank-model search-range
-//! correctness, window-query exactness of the exact indices, and the
-//! [`elsi::DeltaOverlay`] last-write-wins id semantics against the
-//! conformance table's brute-force oracle.
+//! (§V-A1), rank-model search-range correctness, window-query exactness of
+//! the exact indices, and the [`elsi::DeltaOverlay`] last-write-wins id
+//! semantics against the conformance table's brute-force oracle.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -13,7 +12,7 @@ use elsi_data::{cdf, sample};
 use elsi_indices::{build_on_training_set, SpatialIndex, ZmStateCodec};
 use elsi_ml::TrainConfig;
 use elsi_spatial::curve::{hilbert, morton};
-use elsi_spatial::{canonical_knn_cmp, quadtree_partition, KeyMapper, MortonMapper, Point, Rect};
+use elsi_spatial::{canonical_knn_cmp, KeyMapper, MortonMapper, Point, Rect};
 use elsi_store::NoCodec;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -160,24 +159,6 @@ proptest! {
             let nearest = idx.iter().map(|&j| j.abs_diff(i)).min();
             prop_assert!(nearest.is_some_and(|d| d <= bound), "rank {} gap {:?} bound {}", i, nearest, bound);
         }
-    }
-
-    #[test]
-    fn quadtree_partition_is_complete_and_disjoint(
-        pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..300),
-        beta in 1usize..50
-    ) {
-        let points = base_points(&pts);
-        let leaves = quadtree_partition(&points, beta, Rect::unit());
-        let mut seen = vec![false; points.len()];
-        for leaf in &leaves {
-            prop_assert!(!leaf.indices.is_empty());
-            for &i in &leaf.indices {
-                prop_assert!(!seen[i], "point {} appears twice", i);
-                seen[i] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s), "some point dropped");
     }
 
     #[test]
