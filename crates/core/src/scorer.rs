@@ -204,9 +204,12 @@ fn measure_cell(
 /// `build_secs` / `query_micros` timing fields can differ: they are honest
 /// wall-clock readings taken on whichever worker ran the cell, and on an
 /// oversubscribed pool concurrent cells contend for cores. Scorer
-/// *decisions* are unaffected in practice because method build-cost ratios
-/// are orders of magnitude apart (pinned by the serial-vs-parallel
-/// equivalence tests).
+/// *decisions* follow those readings wherever methods cost about the same:
+/// at build-dominated λ the build-cost ratios are far apart and the picks
+/// hold (pinned by the serial-vs-parallel equivalence test), but at λ = 0
+/// query costs are method-independent to within noise, so the pick flips
+/// from run to run (fig09's LISA-F and RSMI-F cells). Counts instead of
+/// clocks would settle it (ROADMAP, item 5).
 pub fn measure_method_costs(
     sizes: &[usize],
     skews: &[i32],
@@ -693,9 +696,12 @@ mod tests {
 
     #[test]
     fn measure_costs_smoke() {
+        // Training makes up most of each build at 2000 epochs, so SP, on a
+        // 5 % sample, builds about 20× faster than OG (≈ 2 vs ≈ 35–40 ms);
+        // at 20 epochs the gap was about 3×, which one preemption closes.
         let cfg = ElsiConfig {
             train: TrainConfig {
-                epochs: 20,
+                epochs: 2000,
                 ..Default::default()
             },
             ..ElsiConfig::fast_test()

@@ -1,8 +1,7 @@
 //! The common query interface of all spatial indices.
 
 use elsi_data::stream::Update;
-use elsi_spatial::curve::morton_of;
-use elsi_spatial::{sort_canonical, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
+use elsi_spatial::{sort_canonical, z_order, KnnEntry, KnnHeap, Point, Rect, ScanScratch};
 use rayon::prelude::*;
 
 /// Point, window and kNN queries plus updates: the operations the paper
@@ -218,14 +217,15 @@ const SCAN_BATCH_CROSSOVER: usize = 256;
 /// returns the answers in caller order.
 ///
 /// Below `crossover` the batch runs inline, one [`ScanScratch`] for all of
-/// it. From there up the queries are sorted by the Morton code of their
-/// `centre` (ties by position, so the order is a pure function of the
-/// batch), split into contiguous chunks of that order across the rayon
-/// pool, answered chunk by chunk — every index, and every shard behind a
-/// router, sees neighbouring queries back to back and finds their pages
-/// already in cache — and scattered back to the caller's positions. An
-/// answer depends on its query alone, so the result is the sequential
-/// loop's for every thread count.
+/// it. From there up the queries are put in [`z_order`] of their `centre`
+/// (the 2¹¹ × 2¹¹ grid cell of its top Morton bits, ties by position, so
+/// the order is a pure function of the batch), split into contiguous
+/// chunks of that order across the rayon pool, answered chunk by chunk —
+/// every index, and every shard behind a router, sees neighbouring
+/// queries back to back and finds their pages already in cache — and
+/// scattered back to the caller's positions. An answer depends on its
+/// query alone, so the result is the sequential loop's for every thread
+/// count.
 fn batch_in_z_order<Q: Sync, A: Default + Send>(
     queries: &[Q],
     crossover: usize,
@@ -236,15 +236,7 @@ fn batch_in_z_order<Q: Sync, A: Default + Send>(
         let mut scratch = ScanScratch::new();
         return queries.iter().map(|q| answer(q, &mut scratch)).collect();
     }
-    let mut order: Vec<(u64, usize)> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let c = centre(q);
-            (morton_of(c.x, c.y), i)
-        })
-        .collect();
-    order.sort_unstable();
+    let order = z_order(queries.iter().map(centre));
     let per_chunk: Vec<Vec<A>> = scratch_chunks(order.len())
         .par_iter()
         .map(|&(lo, hi)| {
@@ -253,14 +245,14 @@ fn batch_in_z_order<Q: Sync, A: Default + Send>(
                 .get(lo..hi)
                 .unwrap_or(&[])
                 .iter()
-                .filter_map(|&(_, i)| queries.get(i))
+                .filter_map(|&i| queries.get(i))
                 .map(|q| answer(q, &mut scratch))
                 .collect()
         })
         .collect();
     let mut out: Vec<A> = Vec::new();
     out.resize_with(queries.len(), A::default);
-    for (a, &(_, i)) in per_chunk.into_iter().flatten().zip(&order) {
+    for (a, &i) in per_chunk.into_iter().flatten().zip(&order) {
         if let Some(slot) = out.get_mut(i) {
             *slot = a;
         }
@@ -372,6 +364,7 @@ pub fn knn_seeded_into<T>(
 mod tests {
     use super::*;
     use elsi_spatial::canonical_knn_cmp;
+    use elsi_spatial::curve::morton_of;
 
     fn brute_knn(data: &[Point], q: Point, k: usize) -> Vec<Point> {
         let mut pts = data.to_vec();
@@ -459,9 +452,13 @@ mod tests {
             &ZmConfig { fanout: 4 },
             &PwlBuilder::default(),
         );
-        // Three orders of one query stream: as drawn (a stride through the
-        // data, repeating once past its length, every fifth query absent),
-        // presorted along the Z-curve, and one query repeated throughout.
+        // Four query streams: as drawn (a stride through the data,
+        // repeating once past its length, every fifth query absent), the
+        // same presorted along the Z-curve, one query repeated throughout,
+        // and a crowd in one cell of the 2¹¹ × 2¹¹ batch-order grid —
+        // stored points of that cell, repeated, and misses a few ulps of
+        // the cell apart — mixed with centres outside the unit square and
+        // NaN centres.
         let drawn = |n: usize| -> Vec<Point> {
             (0..n)
                 .map(|i| match (data[i * 7 % data.len()], i % 5) {
@@ -470,10 +467,38 @@ mod tests {
                 })
                 .collect()
         };
-        let orders = |n: usize| -> [Vec<Point>; 3] {
+        let cell = |p: &Point| morton_of(p.x, p.y) >> 42;
+        let mut cells: Vec<u64> = data.iter().map(cell).collect();
+        cells.sort_unstable();
+        let busiest = cells
+            .chunk_by(|a, b| a == b)
+            .max_by_key(|c| c.len())
+            .map_or(0, |c| c[0]);
+        let crowd: Vec<Point> = data
+            .iter()
+            .filter(|p| cell(p) == busiest)
+            .copied()
+            .collect();
+        assert!(
+            crowd.len() > 1,
+            "the crowd's cell holds {} points",
+            crowd.len()
+        );
+        let edges = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|i| match i % 8 {
+                    0 => Point::at(-0.25, 1.0 + i as f64 * 1e-3),
+                    1 => Point::at(1.5, f64::NAN),
+                    2 => Point::at(f64::NAN, 0.5),
+                    3 => Point::at(crowd[0].x + (i % 50) as f64 * 1e-9, crowd[0].y),
+                    _ => crowd[i % crowd.len()],
+                })
+                .collect()
+        };
+        let orders = |n: usize| -> [Vec<Point>; 4] {
             let mut presorted = drawn(n);
             presorted.sort_by_key(|p| morton_of(p.x, p.y));
-            [drawn(n), presorted, vec![data[3]; n]]
+            [drawn(n), presorted, vec![data[3]; n], edges(n)]
         };
         for threads in [1, 2, 8] {
             let _ = rayon::ThreadPoolBuilder::new()

@@ -14,6 +14,7 @@
 //! "the same result set" means "bit-identical vectors" across index
 //! structures, shard layouts and thread counts.
 
+use crate::curve::morton_of;
 use crate::point::Point;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -84,7 +85,9 @@ pub fn sort_canonical(points: &mut [Point], scratch: &mut Vec<Point>) {
         if mask == 0 {
             continue;
         }
-        radix_pass(src, dst, shift, mask);
+        let mut next = [0u32; 1 << DIGIT_BITS];
+        let next = next.get_mut(..=mask as usize).unwrap_or_default();
+        radix_pass(src, dst, next, |_, p| ((p.id >> shift) & mask) as usize);
         std::mem::swap(&mut src, &mut dst);
         in_scratch = !in_scratch;
     }
@@ -111,27 +114,66 @@ pub fn last_per_id(mut points: Vec<Point>) -> Vec<Point> {
     points
 }
 
-/// One stable counting-sort pass of `src` into `dst` on the id digit
-/// `(id >> shift) & mask`.
-fn radix_pass(src: &[Point], dst: &mut [Point], shift: u32, mask: u64) {
-    let digit = |p: &Point| ((p.id >> shift) & mask) as usize;
-    let mut next = [0u32; 1 << DIGIT_BITS];
-    for p in src {
-        if let Some(count) = next.get_mut(digit(p)) {
+/// Positions `0..n` of a batch in Z-order of their centres: ascending
+/// top 22 bits of [`morton_of`] — the cell of a 2¹¹ × 2¹¹ grid over the
+/// unit square — with the cell's queries in position order, so the order
+/// is a pure function of the batch. Two stable 11-bit counting passes,
+/// none for a batch already in that order; out-of-square and NaN centres
+/// take the clamped cell `morton_of` gives them.
+pub fn z_order(centres: impl ExactSizeIterator<Item = Point>) -> Vec<usize> {
+    // One word per query: its cell in the top 22 bits, its position in the
+    // low 42 — more queries than a batch can hold in memory.
+    const CELL_SHIFT: u32 = u64::BITS - 2 * DIGIT_BITS;
+    const POSITION: u64 = (1 << CELL_SHIFT) - 1;
+    const DIGIT: u64 = (1 << DIGIT_BITS) - 1;
+    let mut keys: Vec<u64> = centres
+        .zip(0u64..)
+        .map(|(c, i)| morton_of(c.x, c.y) & !POSITION | i & POSITION)
+        .collect();
+    // A batch already in Z-order has ascending keys and keeps its order.
+    if !keys.is_sorted() {
+        let digit = |key: &u64, shift: u32| ((key >> shift) & DIGIT) as usize;
+        let (lo, hi) = (CELL_SHIFT, CELL_SHIFT + DIGIT_BITS);
+        let mut spare = vec![0; keys.len()];
+        let mut next = [0; 1 << DIGIT_BITS];
+        radix_pass(&keys, &mut spare, &mut next, |_, key| digit(key, lo));
+        let mut next = [0; 1 << DIGIT_BITS];
+        radix_pass(&spare, &mut keys, &mut next, |_, key| digit(key, hi));
+    }
+    let position = |key| (key & POSITION) as usize;
+    keys.into_iter().map(position).collect()
+}
+
+/// One stable counting-sort pass of `src` into `dst`: the element at
+/// position `i` goes to the run of its digit `digit(i, element)`, runs in
+/// digit order, arrival order within a run. `next` holds one zeroed
+/// counter per digit and is left holding the end of each digit's run; an
+/// element whose digit is past its end is dropped. Counts are `u32`:
+/// `src` must hold fewer than 2³² elements. The one counting-pass body of
+/// the workspace: [`sort_canonical`]'s id digits, [`z_order`]'s cells and
+/// the kNN pool's distance buckets.
+pub(crate) fn radix_pass<T: Copy>(
+    src: &[T],
+    dst: &mut [T],
+    next: &mut [u32],
+    digit: impl Fn(usize, &T) -> usize,
+) {
+    for (i, t) in src.iter().enumerate() {
+        if let Some(count) = next.get_mut(digit(i, t)) {
             *count += 1;
         }
     }
-    // Counts to start offsets, over the digits that can occur.
+    // Counts to start offsets.
     let mut start = 0;
-    for count in next.get_mut(..=mask as usize).into_iter().flatten() {
+    for count in next.iter_mut() {
         let run = *count;
         *count = start;
         start += run;
     }
-    for p in src {
-        if let Some(at) = next.get_mut(digit(p)) {
+    for (i, t) in src.iter().enumerate() {
+        if let Some(at) = next.get_mut(digit(i, t)) {
             if let Some(slot) = dst.get_mut(*at as usize) {
-                *slot = *p;
+                *slot = *t;
             }
             *at += 1;
         }
@@ -313,5 +355,44 @@ mod tests {
         let good = Point::new(2, 0.5, 0.0);
         // NaN distance sorts after every finite distance — and never panics.
         assert_eq!(canonical_knn_cmp(q, &bad, &good), Ordering::Greater);
+    }
+
+    #[test]
+    fn z_order_sorts_by_cell_and_keeps_ties_in_position_order() {
+        // A scattered batch with crowds: points repeated, points a few
+        // ulps apart in one 2⁻¹¹ cell, centres outside the square and NaN.
+        let mut rng = StdRng::seed_from_u64(11);
+        let crowd = Point::at(0.3, 0.7);
+        let batch: Vec<Point> = (0..5_000)
+            .map(|i| match i % 9 {
+                0 => crowd,
+                1 => Point::at(crowd.x + f64::from(i % 40) * 1e-9, crowd.y),
+                2 => Point::at(-3.0, rng.gen_range(0.0..1.0)),
+                3 => Point::at(f64::NAN, 2.0),
+                4 => Point::at(rng.gen_range(0.0..1.0), f64::NAN),
+                _ => Point::at(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)),
+            })
+            .collect();
+        let cell = |i: &usize| morton_of(batch[*i].x, batch[*i].y) >> 42;
+        let mut want: Vec<usize> = (0..batch.len()).collect();
+        want.sort_by_key(cell); // stable: ties stay in position order
+        let got = z_order(batch.iter().copied());
+        assert_eq!(got, want);
+        assert_eq!(
+            z_order(batch.iter().copied()),
+            got,
+            "a pure function of the batch"
+        );
+        let ties = got.chunk_by(|a, b| cell(a) == cell(b));
+        assert!(
+            ties.clone().any(|run| run.len() > 1000),
+            "the crowd shares one cell"
+        );
+        assert!(ties.flat_map(|run| run.windows(2)).all(|w| w[0] < w[1]));
+        let presorted: Vec<Point> = got.iter().map(|&i| batch[i]).collect();
+        let identity: Vec<usize> = (0..batch.len()).collect();
+        assert_eq!(z_order(presorted.into_iter()), identity);
+        assert!(z_order(std::iter::empty()).is_empty());
+        assert_eq!(z_order([crowd].into_iter()), [0]);
     }
 }

@@ -28,6 +28,7 @@
 //! bit-identical vectors regardless of which index, shard layout or thread
 //! count produced them.
 
+use crate::order::radix_pass;
 use crate::point::{Point, Rect};
 use core::cmp::Ordering;
 
@@ -230,6 +231,14 @@ impl KnnEntry {
     }
 }
 
+/// The filler of unused pool slots.
+const ZERO: KnnEntry = KnnEntry {
+    dist2: 0.0,
+    id: 0,
+    x: 0.0,
+    y: 0.0,
+};
+
 /// The canonical kNN order on entries: ascending `dist²` (IEEE 754 total
 /// order), ties broken by `(id, x bits, y bits)` — the entry-level twin of
 /// [`crate::order::canonical_knn_cmp`].
@@ -268,30 +277,21 @@ pub struct KnnHeap {
     /// `entries[..k]` are the canonical best `k`, the k-th last: true from
     /// a selection until the next admission.
     settled: bool,
+    /// [`KnnHeap::finish`]'s buffers, kept for the next query: each kept
+    /// entry's distance bucket, the bucket starts, and the answer.
+    buckets: Vec<u32>,
+    starts: Vec<u32>,
+    sorted: Vec<KnnEntry>,
 }
 
 impl KnnHeap {
-    /// An empty pool for the best `k` (no radius); resize it with
-    /// [`KnnHeap::reset`].
-    pub fn with_bound(k: usize) -> Self {
-        let mut h = Self::default();
-        h.reset(k, f64::INFINITY);
-        h
-    }
-
     /// Clears the pool and sizes it for the best `k` among candidates with
     /// `dist² ≤ r2` (`f64::INFINITY`: no radius). The only allocating step
     /// of the kNN scan path; amortised across queries when the pool is
     /// reused.
     pub fn reset(&mut self, k: usize, r2: f64) {
-        let zero = KnnEntry {
-            dist2: 0.0,
-            id: 0,
-            x: 0.0,
-            y: 0.0,
-        };
         self.entries
-            .resize(k.saturating_mul(2).saturating_add(STRIPE), zero);
+            .resize(k.saturating_mul(2).saturating_add(STRIPE), ZERO);
         self.filled = 0;
         self.k = k;
         self.bound = r2;
@@ -401,14 +401,57 @@ impl KnnHeap {
         self.settled = true;
     }
 
-    /// The best `k` candidates in ascending canonical order: one selection,
-    /// then a sort of `k` entries. Call once per query, after all scans.
+    /// The best `k` candidates in ascending canonical order. Call once per
+    /// query, after all scans.
+    ///
+    /// One selection keeps the best `kept ≤ k`; one counting pass then
+    /// spreads them over `kept` buckets by distance — entry `e` into
+    /// `min(⌊e.dist2 · kept / hi⌋, kept − 1)`, `hi` the largest kept
+    /// distance — and each bucket of two or more is sorted canonically.
+    /// The bucket never decreases as the distance grows (a multiply by a
+    /// positive constant, truncation and `min` all keep order), so equal
+    /// distances share a bucket and the buckets in turn are the canonical
+    /// order. A NaN or negative distance, or a scale `kept / hi` that is
+    /// not finite and positive (`hi` zero, infinite or subnormal), puts
+    /// everything in one bucket: one canonical sort.
     pub fn finish(&mut self) -> &[KnnEntry] {
         self.settle();
         let kept = self.len();
         let held = self.entries.get_mut(..kept).unwrap_or_default();
-        held.sort_unstable_by(ent_cmp);
-        held
+        let (hi, ordinary) = held.iter().fold((0.0f64, true), |(hi, ok), e| {
+            (hi.max(e.dist2), ok && e.dist2 >= 0.0)
+        });
+        let scale = kept as f64 / hi;
+        if !(ordinary && scale.is_finite() && scale > 0.0) {
+            held.sort_unstable_by(ent_cmp);
+            return held;
+        }
+        let last = kept.saturating_sub(1);
+        self.buckets.clear();
+        self.buckets.extend(
+            held.iter()
+                .map(|e| ((e.dist2 * scale) as usize).min(last) as u32),
+        );
+        self.starts.clear();
+        self.starts.resize(kept, 0);
+        self.sorted.resize(kept, ZERO);
+        let buckets = &self.buckets;
+        let sorted = self.sorted.as_mut_slice();
+        radix_pass(held, sorted, &mut self.starts, |i, _| {
+            buckets.get(i).map_or(usize::MAX, |&b| b as usize)
+        });
+        // `starts[b]` is now the end of bucket `b`.
+        let mut lo = 0;
+        for &end in &self.starts {
+            let end = end as usize;
+            if end > lo + 1 {
+                if let Some(run) = sorted.get_mut(lo..end) {
+                    run.sort_unstable_by(ent_cmp);
+                }
+            }
+            lo = end;
+        }
+        sorted
     }
 }
 
@@ -761,7 +804,8 @@ mod tests {
         let xs = [1.0, 0.0, -1.0, 0.0];
         let ys = [0.0, 1.0, 0.0, -1.0];
         let ids = [7u64, 3, 9, 1];
-        let mut heap = KnnHeap::with_bound(2);
+        let mut heap = KnnHeap::default();
+        heap.reset(2, f64::INFINITY);
         knn_scan(0.0, 0.0, &xs, &ys, &ids, &mut heap);
         let got: Vec<u64> = heap.finish().iter().map(|e| e.id).collect();
         assert_eq!(got, vec![1, 3], "smallest ids win distance ties");
@@ -769,7 +813,8 @@ mod tests {
 
     #[test]
     fn knn_heap_worst_dist2_tracks_admission_bound() {
-        let mut heap = KnnHeap::with_bound(2);
+        let mut heap = KnnHeap::default();
+        heap.reset(2, f64::INFINITY);
         assert_eq!(heap.worst_dist2(), f64::INFINITY);
         heap.offer(KnnEntry {
             dist2: 4.0,

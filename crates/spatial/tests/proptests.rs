@@ -78,20 +78,108 @@ proptest! {
             );
         }
 
-        let mut heap = scan::KnnHeap::with_bound(k);
+        let mut heap = scan::KnnHeap::default();
+        heap.reset(k, f64::INFINITY);
         scan::knn_scan(qx, qy, &xs, &ys, &ids, &mut heap);
         let mut knn_want = Vec::new();
         scan::knn_scan_scalar(qx, qy, &xs, &ys, &ids, k, &mut knn_want);
         prop_assert_eq!(heap.finish(), &knn_want[..]);
 
         let live = |id: u64| !dead[id as usize];
-        let mut heap = scan::KnnHeap::with_bound(k);
+        let mut heap = scan::KnnHeap::default();
+        heap.reset(k, f64::INFINITY);
         scan::knn_scan_live(qx, qy, &xs, &ys, &ids, &mut heap, live);
         let alive: Vec<u64> = ids.iter().copied().filter(|&id| live(id)).collect();
         let pick = |c: &[f64]| alive.iter().map(|&id| c[id as usize]).collect::<Vec<f64>>();
         knn_want.clear();
         scan::knn_scan_scalar(qx, qy, &pick(&xs), &pick(&ys), &alive, k, &mut knn_want);
         prop_assert_eq!(heap.finish(), &knn_want[..]);
+    }
+
+    /// The pool's `finish` returns exactly the first `min(k, n)` admitted
+    /// candidates in canonical order, however its distance buckets fill:
+    /// scattered points, lattice ties (buckets of dozens of entries), one
+    /// distance for all, all at distance 0, NaN and ±∞ coordinates,
+    /// subnormal distances (alone and beside ordinary ones), negative
+    /// distances through the entry door, radius-bounded pools and fewer
+    /// candidates than `k`. One pool serves every `k` of a case, so a
+    /// wide query's buffers are reused by the narrower ones after it.
+    #[test]
+    fn knn_pool_finish_is_the_canonical_prefix(
+        draws in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u64..1000), 0..1400),
+        shape in 0usize..8,
+        (qx, qy, r) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.3),
+        bounded in any::<bool>()
+    ) {
+        let snap = |v: f64| (v * 8.0).floor() / 8.0;
+        // Subnormal distances need offsets that survive the subtraction:
+        // shapes 5 and 6 ask from the origin.
+        let q = match shape {
+            1 => Point::at(snap(qx), snap(qy)),
+            5 | 6 => Point::at(0.0, 0.0),
+            _ => Point::at(qx, qy),
+        };
+        let r2 = if bounded { r * r } else { f64::INFINITY };
+        // Shapes 2 and 7 offer entries as they are; the others offer
+        // points, at the distance the kernel computes.
+        const PALETTE: [f64; 7] = [-0.0, 0.0, 1e-310, 0.5, 0.5, 2.0, -1.0];
+        let entry = |(u, v, tag): (f64, f64, u64)| -> scan::KnnEntry {
+            let tiny = tag as f64 * 1e-160;
+            let (x, y) = match shape {
+                1 => (snap(u), snap(v)),
+                3 => (q.x, q.y),
+                4 => match tag % 7 {
+                    0 => (f64::NAN, v),
+                    1 => (u, f64::INFINITY),
+                    2 => (f64::NEG_INFINITY, v),
+                    _ => (u, v),
+                },
+                5 => (q.x + tiny, q.y - tiny),
+                6 if tag < 500 => (q.x + tiny, q.y),
+                _ => (u, v),
+            };
+            let dist2 = match shape {
+                2 => 0.25,
+                7 => PALETTE[(tag % 7) as usize],
+                _ => q.dist2(&Point::at(x, y)),
+            };
+            scan::KnnEntry { dist2, id: tag, x, y }
+        };
+        let entries: Vec<scan::KnnEntry> = draws.iter().map(|&d| entry(d)).collect();
+        let canonical = |a: &scan::KnnEntry, b: &scan::KnnEntry| {
+            a.dist2.total_cmp(&b.dist2).then_with(|| {
+                (a.id, a.x.to_bits(), a.y.to_bits()).cmp(&(b.id, b.x.to_bits(), b.y.to_bits()))
+            })
+        };
+        let mut want = entries.clone();
+        // The pool admits what is not strictly farther: NaN distances too.
+        want.retain(|e| e.dist2 <= r2 || e.dist2.is_nan());
+        want.sort_by(canonical);
+        let bits = |es: &[scan::KnnEntry]| -> Vec<(u64, u64, u64, u64)> {
+            es.iter().map(|e| (e.dist2.to_bits(), e.id, e.x.to_bits(), e.y.to_bits())).collect()
+        };
+
+        let mut heap = scan::KnnHeap::default();
+        for k in [1000usize, 1, 2, 5, 16, 25, 64, 1000] {
+            heap.reset(k, r2);
+            if shape == 2 || shape == 7 {
+                entries.iter().for_each(|&e| heap.offer(e));
+            } else {
+                // Alternate the kernel and the per-point door by block.
+                for (b, block) in entries.chunks(40).enumerate() {
+                    if b % 2 == 0 {
+                        let xs: Vec<f64> = block.iter().map(|e| e.x).collect();
+                        let ys: Vec<f64> = block.iter().map(|e| e.y).collect();
+                        let ids: Vec<u64> = block.iter().map(|e| e.id).collect();
+                        scan::knn_scan(q.x, q.y, &xs, &ys, &ids, &mut heap);
+                    } else {
+                        block.iter().for_each(|e| heap.offer_point(q, e.point()));
+                    }
+                }
+            }
+            let head = &want[..k.min(want.len())];
+            prop_assert_eq!(bits(heap.finish()), bits(head), "shape {} k {}", shape, k);
+        }
     }
 
     /// Removing any point leaves the maintained MBR equal to a from-scratch
