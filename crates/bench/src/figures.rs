@@ -398,38 +398,55 @@ fn table1(s: &mut Session) -> Vec<Record> {
         "Data preparation (map + sort) on OSM1 ({n} points): {prep_secs:.3} s — shared by all methods"
     );
 
+    // Beside each trained row, the same build at 0 epochs: the CDF
+    // interpolant that serving ships, labelled `<method>@0`.
+    let epochs = s.epochs;
+    let interpolant = (epochs > 0).then(|| BenchCtx::new(n, 0));
     let ctx = s.ctx();
+    let regimes = std::iter::once((ctx, ""))
+        .chain(interpolant.as_ref().map(|c| (c, "@0")))
+        .collect::<Vec<_>>();
     let mut records = Vec::new();
     let mut rows = Vec::new();
     for m in Method::pool() {
-        let idx = zoo::zm(pts.clone(), &ctx.elsi.fixed_builder(m));
-        let agg = CostDecomposition::aggregate(
-            m.name(),
-            std::time::Duration::from_secs_f64(prep_secs),
-            idx.build_stats(),
-        );
-        let micros = point_query_micros(&idx, &pts, 2000);
-        let secs = [agg.train, agg.reduce, agg.bound, agg.total()].map(|d| d.as_secs_f64());
-        records.push(record(
-            "table1",
-            m.name().to_string(),
-            &[
-                ("training_set_size", agg.training_set_size as f64),
-                ("train_s", secs[0]),
-                ("extra_s", secs[1]),
-                ("bounds_s", secs[2]),
-                ("total_s", secs[3]),
-                ("err_span", agg.err_span as f64),
-                ("point_us", micros),
-            ],
-        ));
-        let mut row = vec![m.name().to_string(), agg.training_set_size.to_string()];
-        row.extend(secs.map(fmt_secs));
-        row.extend([agg.err_span.to_string(), format!("{micros:.2}")]);
-        rows.push(row);
+        for &(ctx, suffix) in &regimes {
+            let label = format!("{}{suffix}", m.name());
+            let idx = zoo::zm(pts.clone(), &ctx.elsi.fixed_builder(m));
+            let agg = CostDecomposition::aggregate(
+                m.name(),
+                std::time::Duration::from_secs_f64(prep_secs),
+                idx.build_stats(),
+            );
+            let micros = point_query_micros(&idx, &pts, 2000);
+            let secs = [agg.train, agg.reduce, agg.bound, agg.total()].map(|d| d.as_secs_f64());
+            records.push(record(
+                "table1",
+                label.clone(),
+                &[
+                    ("training_set_size", agg.training_set_size as f64),
+                    ("train_s", secs[0]),
+                    ("extra_s", secs[1]),
+                    ("bounds_s", secs[2]),
+                    ("total_s", secs[3]),
+                    ("err_span", agg.err_span as f64),
+                    ("point_us", micros),
+                ],
+            ));
+            let mut row = vec![label, agg.training_set_size.to_string()];
+            row.extend(secs.map(fmt_secs));
+            row.extend([agg.err_span.to_string(), format!("{micros:.2}")]);
+            rows.push(row);
+        }
     }
     print_table(
-        "Table I — Cost decomposition on OSM1 (ZM)",
+        &format!(
+            "Table I — Cost decomposition on OSM1 (ZM), {epochs} epochs{}",
+            if regimes.len() > 1 {
+                "; `@0` rows: 0"
+            } else {
+                ""
+            }
+        ),
         &[
             "method",
             "|D_S|",

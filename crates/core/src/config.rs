@@ -46,18 +46,24 @@ pub struct ElsiConfig {
     pub hidden: usize,
     /// Training hyperparameters for rank models built on *reduced* sets.
     ///
-    /// Default: 50 epochs (the paper trains 500). Every rank model starts
-    /// from the piecewise-linear interpolant of its training CDF
-    /// (`elsi_ml::train_rank_model`), and 50 epochs from there fit tighter
-    /// than 200 from a random init:
+    /// Default: 0 epochs (the paper trains 500; the figure runner pins 50
+    /// through `ELSI_BENCH_EPOCHS`). Every rank model is the
+    /// piecewise-linear interpolant of its training keys' CDF, each knot at
+    /// its key's rank in the full partition
+    /// (`elsi_ml::train_rank_model_in`); training starts from there, and
+    /// at this scale buys no span for its cost. 250k OSM1-like points, RS,
+    /// `scaled_for(250 000 / 16)`, 2 vCPUs, both at true ranks:
     ///
-    /// | 250k OSM1-like points, RS, 2 vCPUs | 200 from random | 50 from the CDF |
+    /// | per kind: build ms (best of 5) / summed error span | 50 epochs | 0 epochs |
     /// |---|---|---|
-    /// | `build-learned` `build_s`, median of 10 pairs | 0.477 s | 0.331 s |
-    /// | summed error span, ZM | 102 853 | 30 958 |
-    /// | ML-Index | 141 328 | 16 180 |
-    /// | RSMI | 220 319 | 104 871 |
-    /// | LISA | 6 284 | 7 340 |
+    /// | ZM | 45.7 / 29 328 | 26.6 / 26 477 |
+    /// | ML-Index | 24.6 / 10 184 | 17.0 / 10 593 |
+    /// | RSMI | 107.0 / 73 275 | 63.7 / 63 862 |
+    /// | LISA | 57.7 / 2 174 | 39.0 / 2 860 |
+    ///
+    /// `build-learned`'s `build_s` went 0.174 → 0.138 s (median of 10
+    /// alternating pairs against 50 epochs at reduced-set ranks, whose
+    /// spans were 30 958 / 16 180 / 104 871 / 7 340).
     pub train: TrainConfig,
     /// Seed for all stochastic building methods.
     pub seed: u64,
@@ -82,7 +88,7 @@ impl Default for ElsiConfig {
             rl_patience: 150,
             hidden: 16,
             train: TrainConfig {
-                epochs: 50,
+                epochs: 0,
                 ..TrainConfig::default()
             },
             seed: 0,

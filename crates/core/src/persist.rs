@@ -25,7 +25,7 @@ use crate::update::{
 };
 use elsi_indices::persist::{decode_points, encode_points};
 use elsi_indices::SpatialIndex;
-use elsi_spatial::{canonical_point_key, Point};
+use elsi_spatial::Point;
 use elsi_store::{ByteReader, ByteWriter, IndexCodec, Snapshot, SnapshotWriter, StoreError};
 
 /// Snapshot section tag: lifecycle counters.
@@ -218,8 +218,13 @@ impl<I: SpatialIndex> UpdateProcessor<I> {
                 let mut r = ByteReader::new(section(SEC_POINTS, "index or points")?, "live points");
                 let points = decode_points(&mut r)?;
                 r.expect_end()?;
-                if !points.is_sorted_by_key(canonical_point_key) {
-                    return Err(StoreError::corrupt("live points", "not in canonical order"));
+                // Canonical order over ids that a deployment holds once
+                // each: a repeated id was not written by a processor.
+                if !points.is_sorted_by(|a, b| a.id < b.id) {
+                    return Err(StoreError::corrupt(
+                        "live points",
+                        "ids not strictly increasing",
+                    ));
                 }
                 rebuild_fn(points)
             }
@@ -432,6 +437,33 @@ mod tests {
         for cut in [0, 10, image.len() / 2, image.len() - 1] {
             assert!(Snapshot::from_bytes(&image[..cut], &PathBuf::from("mem")).is_err());
         }
+    }
+
+    #[test]
+    fn points_section_that_repeats_an_id_is_corrupt() {
+        let proc = UpdateProcessor::new(uniform(80, 61), grid_rebuild(), RebuildPolicy::Never, 4);
+        let open = |points: &[Point]| {
+            let mut pw = ByteWriter::new();
+            encode_points(&mut pw, points);
+            let mut w = SnapshotWriter::new();
+            w.add_section(SEC_META, encode_meta(proc.persist_counters()));
+            w.add_section(SEC_DRIFT, encode_drift(proc.drift_tracker()));
+            w.add_section(SEC_POINTS, pw.into_vec());
+            Snapshot::from_bytes(&w.to_bytes(), &PathBuf::from("mem")).and_then(|snap| {
+                let never = RebuildPolicy::Never;
+                UpdateProcessor::from_snapshot(&snap, grid_rebuild(), never, &NoCodec)
+            })
+        };
+        let mut points = proc.index().live_points();
+        points.sort_unstable_by_key(|p| p.id);
+        assert_eq!(open(&points).map(|p| p.len()).ok(), Some(80));
+        // Two copies of one id, still in canonical (id, x, y) order.
+        let twin = Point::new(points[30].id, points[30].x + 0.5, points[30].y);
+        points.insert(31, twin);
+        assert!(matches!(
+            open(&points).map(|p| p.len()),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

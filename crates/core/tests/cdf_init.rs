@@ -1,15 +1,23 @@
 //! Rank models that start from their CDF fit the partitions the indices
 //! hand them, and the indices stay exact where the keys are narrow.
 //!
-//! `elsi_ml::train_rank_model` normalises each training set's keys to
-//! `[0, 1]`, starts the net at the interpolant of their empirical CDF and
-//! folds the map back into layer 0. These tests hold that at index level,
+//! `elsi_ml::train_rank_model_in` normalises each training set's keys to
+//! `[0, 1]`, sets the net to the interpolant of their CDF in the partition
+//! they were drawn from, and folds the map back into layer 0; serving
+//! builds train no epoch from there. These tests hold that at index level,
 //! in debug builds as in release.
 
-use elsi::{Elsi, ElsiConfig, IndexKind, Method};
+use elsi::methods::reduce;
+use elsi::{lock_unpoisoned, Elsi, ElsiConfig, IndexKind, Method, Reduction};
 use elsi_data::gen::uniform;
-use elsi_indices::{ModelBuilder, OgBuilder, ZmConfig, ZmIndex};
-use elsi_spatial::{sort_by_key, MortonMapper, Point};
+use elsi_indices::{
+    build_on_training_set, BuildInput, BuiltModel, ModelBuilder, OgBuilder, RankFn, SpatialIndex,
+    ZmConfig, ZmIndex,
+};
+use elsi_ml::TrainConfig;
+use elsi_spatial::{sort_by_key, MortonMapper, Point, Rect};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// Points in the deployment's 4 × 4 shards of the unit square: 250k
 /// uniform points, ≈ 15.6k a shard.
@@ -47,13 +55,13 @@ fn zm_leaves_fit_their_partitions() {
     let shards = shards();
     let og = worst_leaf_share(&shards, &OgBuilder::with_epochs(50));
     assert!(og <= 0.10, "OG-built leaf spans {og:.3} of its partition");
-    // RS trains each leaf on the medians of its quadtree cells, one rank
-    // apiece whatever the cell's count, so the fit to the full partition
-    // carries that bias too (≈ 0.14 at worst here, ≈ 0.13 from the
-    // interpolant alone).
+    // RS fits each leaf's interpolant through the medians of its quadtree
+    // cells at their ranks in the leaf's partition (0.027 at worst here;
+    // at one rank apiece in the reduced set, whatever a cell's count, it
+    // was 0.13).
     let elsi = Elsi::new(ElsiConfig::scaled_for(250_000 / 16));
     let rs = worst_leaf_share(&shards, &elsi.fixed_builder(Method::Rs));
-    assert!(rs <= 0.15, "RS-built leaf spans {rs:.3} of its partition");
+    assert!(rs <= 0.035, "RS-built leaf spans {rs:.3} of its partition");
 }
 
 #[test]
@@ -79,6 +87,152 @@ fn learned_kinds_stay_exact_over_keys_narrower_than_1e_9() {
             for p in &points {
                 assert_eq!(idx.point_query(*p), Some(*p), "{kind:?} by {name}");
             }
+        }
+    }
+}
+
+/// What [`Recorder`] saw of one model: for a model with an interpolant,
+/// the worst miss of a knot's true rank, in ranks; `None` for a fallback
+/// model that is the constant net at its first key's rank. A model that is
+/// neither reads infinite.
+type Seen = Option<f64>;
+
+/// Builds through an `ElsiBuilder` pinned to `method`, and checks each
+/// model against the training set `reduce` gives for its partition.
+struct Recorder {
+    method: Method,
+    cfg: ElsiConfig,
+    elsi: Elsi,
+    seen: Mutex<Vec<Seen>>,
+}
+
+impl Recorder {
+    fn new(method: Method, n: usize) -> Self {
+        let cfg = ElsiConfig::scaled_for(n);
+        assert_eq!(cfg.train.epochs, 0, "serving builds train no epoch");
+        Self {
+            method,
+            elsi: Elsi::new(cfg.clone()),
+            cfg,
+            seen: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// What the builds so far saw, one entry a model.
+    fn seen(&self) -> Vec<Seen> {
+        lock_unpoisoned(&self.seen).clone()
+    }
+}
+
+impl ModelBuilder for Recorder {
+    fn build_model(&self, input: &BuildInput<'_>) -> BuiltModel {
+        let built = self.elsi.fixed_builder(self.method).build_model(input);
+        let set = match reduce(self.method, input, &self.cfg, &self.elsi.mr_pool()) {
+            Reduction::TrainingSet(set) => set,
+            Reduction::Pretrained(_) => Vec::new(),
+        };
+        let seen = check_model(built.model.rank_fn(), &set, input.keys, self.cfg.hidden);
+        lock_unpoisoned(&self.seen).push(seen);
+        built
+    }
+
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+}
+
+/// Checks the model `f`, built from the sorted training `set` of the sorted
+/// partition `full`, against its knots (see [`Seen`]).
+fn check_model(f: &RankFn, set: &[f64], full: &[f64], hidden: usize) -> Seen {
+    let (RankFn::Ffn(ffn), Some(&lo), Some(&hi)) = (f, set.first(), set.last()) else {
+        return Some(f64::INFINITY);
+    };
+    let denom = (full.len().max(2) - 1) as f64;
+    let rank = |k: f64| full.partition_point(|&f| f < k) as f64;
+    let params = ffn.params();
+    let reach = lo.abs().max(1.0) / (hi - lo);
+    if !reach.is_finite() || reach <= 0.0 {
+        let constant = params
+            .split_last()
+            .is_some_and(|(&b1, rest)| rest.iter().all(|&w| w == 0.0) && b1 == rank(lo) / denom);
+        return if constant { None } else { Some(f64::INFINITY) };
+    }
+    if !params.iter().all(|w| w.is_finite()) {
+        return Some(f64::INFINITY);
+    }
+    let last = set.len() - 1;
+    let worst = (0..=hidden)
+        .filter_map(|j| set.get(j * last / hidden))
+        .map(|&k| (ffn.predict1(k) * denom - rank(k)).abs())
+        .fold(0.0, f64::max);
+    Some(worst)
+}
+
+#[test]
+fn zero_epoch_models_hit_their_knots_true_ranks() {
+    // One deployment shard, ≈ 15.6 k points under a root and eight leaves:
+    // every model is its interpolant, and each knot lands on the rank its
+    // key has in the partition the model serves, not in the training set.
+    let n = 15_625;
+    let points = uniform(n, 37);
+    for method in [Method::Rs, Method::Og] {
+        let recorder = Recorder::new(method, n);
+        let zm = ZmIndex::build(points.clone(), &ZmConfig { fanout: 8 }, &recorder);
+        let seen = recorder.seen();
+        assert_eq!(seen.len(), 9, "{method}: a root and eight leaves");
+        for worst in seen {
+            assert!(
+                worst.is_some_and(|w| w <= 1e-6),
+                "{method}: a knot misses its rank by {worst:?}"
+            );
+        }
+        for p in points.iter().step_by(7) {
+            assert_eq!(zm.point_query(*p), Some(*p), "{method}");
+        }
+    }
+}
+
+#[test]
+fn zero_epoch_fallback_models_are_constant_and_exact() {
+    let cfg = TrainConfig {
+        epochs: 0,
+        ..TrainConfig::default()
+    };
+    // One key, equal keys, and a span of subnormals (`1 / span` overflows):
+    // the model is the constant net at the first key's rank, and the error
+    // bounds keep every key's rank inside its search range.
+    let subnormal: Vec<f64> = (0..50).map(|i| f64::from(i) * 5e-324).collect();
+    for keys in [vec![0.3], vec![0.5; 40], subnormal] {
+        let built = build_on_training_set(&keys, &keys, 16, &cfg, 9, "OG", Duration::ZERO);
+        assert_eq!(check_model(built.model.rank_fn(), &keys, &keys, 16), None);
+        for (i, &k) in keys.iter().enumerate() {
+            let (lo, hi) = built.model.search_range(k);
+            assert!(lo <= i && i < hi, "rank {i} outside [{lo}, {hi})");
+        }
+    }
+    // Whole indices over one point, and over 300 points at one location
+    // (every key equal), built by RS and OG.
+    let one = vec![Point::new(1, 0.25, 0.75)];
+    let stack: Vec<Point> = (0..300).map(|i| Point::new(i, 0.4, 0.6)).collect();
+    for points in [one, stack] {
+        for method in [Method::Rs, Method::Og] {
+            let recorder = Recorder::new(method, points.len());
+            let zm = ZmIndex::build(points.clone(), &ZmConfig { fanout: 4 }, &recorder);
+            assert!(
+                recorder.seen().contains(&None),
+                "{method}: no fallback model"
+            );
+            let at = |p: &Point, q: Point| (q.x, q.y) == (p.x, p.y);
+            assert!(points
+                .iter()
+                .all(|p| zm.point_query(*p).is_some_and(|q| at(p, q))));
+            let (x, y) = (points[0].x, points[0].y);
+            let hits = zm.window_query(&Rect::new(x, y, x, y));
+            assert_eq!(
+                hits.len(),
+                points.len(),
+                "{method}: every point at one location"
+            );
         }
     }
 }

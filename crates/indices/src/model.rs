@@ -9,7 +9,7 @@
 //! into `RSMI-F`, and so on, without touching index code.
 
 use crate::timing::timed;
-use elsi_ml::{train_rank_model, Ffn, PwlModel, TrainConfig};
+use elsi_ml::{train_rank_model_in, Ffn, PwlModel, TrainConfig};
 use elsi_spatial::{KeyMapper, Point};
 use std::time::Duration;
 
@@ -390,8 +390,9 @@ impl ModelBuilder for PwlBuilder {
     }
 }
 
-/// Shared tail of every building method: train an FFN on `training_keys`
-/// (sorted) and derive error bounds over `full_keys` (sorted).
+/// Shared tail of every building method: fit an FFN on `training_keys`
+/// (sorted) at their ranks in `full_keys` (sorted), and derive error
+/// bounds over `full_keys`.
 ///
 /// This is lines 5–6 of Algorithm 1, factored out so ELSI's methods and OG
 /// measure their costs identically.
@@ -404,7 +405,8 @@ pub fn build_on_training_set(
     method: &'static str,
     reduce_time: Duration,
 ) -> BuiltModel {
-    let (ffn, train_time) = timed(|| train_rank_model(training_keys, hidden, train, seed));
+    let (ffn, train_time) =
+        timed(|| train_rank_model_in(training_keys, full_keys, hidden, train, seed));
 
     let (model, bound_time) = timed(|| {
         if full_keys.is_empty() {

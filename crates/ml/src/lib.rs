@@ -43,5 +43,7 @@ pub use ffn::{Batch, Ffn};
 pub use forest::{ForestConfig, RandomForest};
 pub use kmeans::{kmeans, KMeansResult};
 pub use pwl::PwlModel;
-pub use train::{train_rank_model, train_regression, TrainConfig, TrainReport};
+pub use train::{
+    train_rank_model, train_rank_model_in, train_regression, TrainConfig, TrainReport,
+};
 pub use tree::{DecisionTree, TreeConfig};

@@ -251,57 +251,120 @@ fn rank_grads_at<const H: usize>(
     }
 }
 
-/// Trains a fresh `[1, hidden, 1]` rank model on a sorted key array: the
-/// workhorse call of every learned spatial index in this repo. Targets are
-/// the normalised ranks `i / (n - 1)`.
-///
-/// The model starts from the CDF, not from noise: the keys are mapped to
-/// `[0, 1]` by their first and last key, the net is set to the
-/// piecewise-linear interpolant of the empirical CDF (`init_cdf_hinges`),
-/// trained there by [`train_regression`], and the map is folded back into
-/// layer 0 (`fold_input_map`), so the returned net takes raw keys. A set
-/// of one key, or whose span is not positive or too narrow to invert,
-/// trains from the random init on the raw keys.
+/// Trains a fresh `[1, hidden, 1]` rank model on a sorted key array that is
+/// its own partition: [`train_rank_model_in`] with `full = keys`, so key
+/// `i` targets the normalised rank `i / (n − 1)`.
 pub fn train_rank_model(keys: &[f64], hidden: usize, cfg: &TrainConfig, seed: u64) -> Ffn {
+    train_rank_model_in(keys, keys, hidden, cfg, seed)
+}
+
+/// Builds a `[1, hidden, 1]` rank model from the sorted training keys of
+/// the sorted partition `full`: the workhorse call of every learned spatial
+/// index in this repo.
+///
+/// A training key's target is its normalised rank in `full`: the number of
+/// keys of `full` below it, plus its place among the equal training keys
+/// before it, over `|full| − 1`. A training set that is `full` itself
+/// targets `i / (n − 1)`; a reduced set targets where its keys sit in the
+/// partition, not where they sit among themselves.
+///
+/// The model is the interpolant of that CDF: the keys are mapped to
+/// `[0, 1]` by their first and last key, the net is set to the
+/// piecewise-linear interpolant through `hidden + 1` knots of the training
+/// keys (`init_cdf_hinges`, one binary search over `full` a knot), and the
+/// map is folded back into layer 0 (`fold_input_map`), so the returned net
+/// takes raw keys. At `cfg.epochs == 0` that is the model. Otherwise it is
+/// trained there by [`train_regression`] before the fold.
+///
+/// A set of no key, one key, or whose span is not positive or too narrow
+/// to invert has no interpolant: at 0 epochs it gets the constant net at
+/// its first key's rank, otherwise it trains from the random init on the
+/// raw keys.
+pub fn train_rank_model_in(
+    keys: &[f64],
+    full: &[f64],
+    hidden: usize,
+    cfg: &TrainConfig,
+    seed: u64,
+) -> Ffn {
     let mut ffn = Ffn::new(&[1, hidden, 1], seed);
-    let (Some(&lo), Some(&hi)) = (keys.first(), keys.last()) else {
-        return ffn;
-    };
-    let denom = (keys.len() - 1).max(1) as f64;
-    let ys: Vec<f64> = (0..keys.len()).map(|i| i as f64 / denom).collect();
-    let span = hi - lo;
+    let denom = full.len().saturating_sub(1).max(1) as f64;
+    let rank = |k: f64| full.partition_point(|&f| f < k) as f64 / denom;
+    let lo = keys.first().copied().unwrap_or(f64::NAN);
+    let span = keys.last().copied().unwrap_or(f64::NAN) - lo;
     // Bounds both factors the fold brings into layer 0, `1 / span` and
-    // `lo / span`; not finite and positive for one key, equal keys, a
-    // subnormal or non-finite span.
+    // `lo / span`; not finite and positive for no key, one key, equal
+    // keys, a subnormal or non-finite span.
     let reach = lo.abs().max(1.0) / span;
     if !reach.is_finite() || reach <= 0.0 {
-        train_regression(&mut ffn, keys, &ys, cfg);
+        if cfg.epochs > 0 && !keys.is_empty() {
+            train_regression(&mut ffn, keys, &true_ranks(keys, full, denom), cfg);
+        } else {
+            // The constant net: every weight and hidden bias 0, the output
+            // bias the first key's rank (no key leaves `lo` NaN: rank 0).
+            let y = rank(lo);
+            let params = ffn.params_mut();
+            params.fill(0.0);
+            if let Some(b1) = params.last_mut() {
+                *b1 = y;
+            }
+        }
         return ffn;
     }
-    let us: Vec<f64> = keys.iter().map(|&k| (k - lo) / span).collect();
-    init_cdf_hinges(ffn.params_mut(), &us);
-    train_regression(&mut ffn, &us, &ys, cfg);
+    init_cdf_hinges(ffn.params_mut(), keys, lo, span, rank);
+    if cfg.epochs > 0 {
+        let us: Vec<f64> = keys.iter().map(|&k| (k - lo) / span).collect();
+        train_regression(&mut ffn, &us, &true_ranks(keys, full, denom), cfg);
+    }
     fold_input_map(ffn.params_mut(), lo, span);
     ffn
 }
 
+/// The target of each sorted training key in the sorted partition `full`:
+/// the keys of `full` below it plus its place in its run of equal training
+/// keys, over `denom`. One merge pass over both, so a set that is `full`
+/// itself pays `O(n)`, not a binary search a key.
+fn true_ranks(keys: &[f64], full: &[f64], denom: f64) -> Vec<f64> {
+    let (mut prev, mut run_start, mut below) = (None, 0, 0);
+    keys.iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            if prev != Some(k) {
+                run_start = i;
+                while full.get(below).is_some_and(|&f| f < k) {
+                    below += 1;
+                }
+            }
+            prev = Some(k);
+            (below + i - run_start) as f64 / denom
+        })
+        .collect()
+}
+
 /// Sets the `[1, h, 1]` network `params` to the `h`-knot piecewise-linear
-/// interpolant of the empirical CDF of `us`, sorted keys in `[0, 1]`.
+/// interpolant through the sorted `keys`, over the normalised keys
+/// `u = (k − lo) / span`.
 ///
 /// Knot `j < h` sits at the key of rank `⌊j (n − 1) / h⌋` and the last key
-/// closes segment `h − 1`. A knot's target is the normalised rank of the
-/// first key equal to it, so a run of equal keys gives its knots one
-/// target. Hidden unit `j` is the hinge `relu(u − q_j)` (`w0_j = 1`,
-/// `b0_j = −q_j`) weighted by the change of slope there
-/// (`w1_j = s_j − s_{j−1}`), over `b1` = the first knot's target. A
-/// zero-width segment (equal keys, or fewer keys than hinges) has slope 0.
-fn init_cdf_hinges(params: &mut [f64], us: &[f64]) {
+/// closes segment `h − 1`. A knot's target is `rank` of its key, the
+/// normalised rank of the first partition key equal to it, so a run of
+/// equal keys gives its knots one target. Hidden unit `j` is the hinge
+/// `relu(u − q_j)` (`w0_j = 1`, `b0_j = −q_j`) weighted by the change of
+/// slope there (`w1_j = s_j − s_{j−1}`), over `b1` = the first knot's
+/// target. A zero-width segment (equal keys, or fewer keys than hinges)
+/// has slope 0.
+fn init_cdf_hinges(
+    params: &mut [f64],
+    keys: &[f64],
+    lo: f64,
+    span: f64,
+    rank: impl Fn(f64) -> f64,
+) {
     let h = params.len() / 3;
-    let last = us.len().saturating_sub(1);
-    let denom = last.max(1) as f64;
+    let last = keys.len().saturating_sub(1);
     let knot = |j: usize| {
-        let q = us.get(j * last / h.max(1)).copied().unwrap_or(1.0);
-        (q, us.partition_point(|&u| u < q) as f64 / denom)
+        let k = keys.get(j * last / h.max(1)).copied().unwrap_or(lo + span);
+        ((k - lo) / span, rank(k))
     };
     let (w0, rest) = params.split_at_mut(h);
     let (b0, rest) = rest.split_at_mut(h);
@@ -370,6 +433,19 @@ mod tests {
             worst = worst.max((ffn.predict1(k) - i as f64 / 299.0).abs());
         }
         assert!(worst < 0.15, "worst rank error {worst}");
+    }
+
+    #[test]
+    fn true_ranks_place_training_keys_in_their_partition() {
+        let full = [0.1, 0.2, 0.2, 0.2, 0.5, 0.7, 0.9];
+        // A set that is its own partition targets i / (n − 1), runs too.
+        let own: Vec<f64> = (0..7).map(|i| f64::from(i) / 6.0).collect();
+        assert_eq!(true_ranks(&full, &full, 6.0), own);
+        // A reduced set: the partition's keys below each key, plus its
+        // place among equal training keys; an absent key sits after the
+        // keys below it.
+        let reduced = true_ranks(&[0.2, 0.2, 0.6, 0.9, 1.0], &full, 6.0);
+        assert_eq!(reduced, [1.0, 2.0, 5.0, 6.0, 7.0].map(|r| r / 6.0));
     }
 
     #[test]

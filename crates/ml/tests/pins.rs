@@ -107,7 +107,8 @@ fn full_batch_training_pins() {
     assert_pinned("[1,16,1] full batch", &ffn, 0xabe7_8cf6_ff56_0354);
 }
 
-/// The training configuration rank models ship with (`ElsiConfig`'s).
+/// The trained regime of the figure runner (`bench_config`'s default
+/// 50 epochs); serving ships the 0-epoch interpolant.
 fn shipped() -> TrainConfig {
     TrainConfig {
         epochs: 50,

@@ -1,8 +1,8 @@
 //! Property tests over the ML substrate.
 
 use elsi_ml::{
-    kmeans, train_rank_model, train_regression, Adam, Batch, DecisionTree, Ffn, PwlModel,
-    TrainConfig, TreeConfig,
+    kmeans, train_rank_model, train_rank_model_in, train_regression, Adam, Batch, DecisionTree,
+    Ffn, PwlModel, TrainConfig, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -170,8 +170,11 @@ proptest! {
     /// net on the raw keys agrees with it within 1e-9 plus the rounding the
     /// fold adds: layer 0 then computes `k / span − lo / span`, terms of
     /// size `max |k| / span` (5e11 at span 1e-12), whose rounding the
-    /// output weights scale. One key, or keys all equal, keep the random
-    /// init.
+    /// output weights scale. One key, or keys all equal, give the constant
+    /// net at rank 0.
+    ///
+    /// A reduced set (every `stride`-th key, and the last) fitted in the
+    /// full normalised set hits each of its knots' ranks in the full set.
     #[test]
     fn zero_epoch_rank_model_is_the_folded_cdf_interpolant(
         small in 0usize..2,
@@ -181,6 +184,7 @@ proptest! {
         span_exp in 0u32..=12,
         levels_code in 0u32..6,
         seed in 0u64..1_000_000,
+        stride in 2usize..40,
     ) {
         let n = if small == 1 { 1 + n % 40 } else { n };
         let levels = [None, Some(1), Some(3), Some(10), Some(100), Some(1000)][levels_code as usize];
@@ -191,7 +195,7 @@ proptest! {
         let (first, last) = (keys[0], keys[n - 1]);
         let span = last - first;
         if n == 1 || span == 0.0 {
-            prop_assert_eq!(folded.params(), Ffn::new(&[1, h, 1], seed).params());
+            prop_assert_eq!(folded.params(), &vec![0.0; 3 * h + 1][..]);
         } else {
             let us: Vec<f64> = keys.iter().map(|&k| (k - first) / span).collect();
             let unfolded = train_rank_model(&us, h, &cfg, seed);
@@ -205,6 +209,17 @@ proptest! {
                 let (at_u, at_k) = (unfolded.predict1(us[r]), folded.predict1(keys[r]));
                 prop_assert!((at_u - target).abs() <= 1e-9, "knot {j}: {at_u} vs {target}");
                 prop_assert!((at_k - at_u).abs() <= fold_tol, "knot {j}: folded {at_k} vs {at_u}");
+            }
+            let mut sub: Vec<f64> = us.iter().copied().step_by(stride).collect();
+            if sub.last() != us.last() {
+                sub.extend(us.last());
+            }
+            let reduced = train_rank_model_in(&sub, &us, h, &cfg, seed);
+            for j in 0..=h {
+                let q = sub[j * (sub.len() - 1) / h];
+                let target = us.partition_point(|&u| u < q) as f64 / denom;
+                let at = reduced.predict1(q);
+                prop_assert!((at - target).abs() <= 1e-9, "reduced knot {j}: {at} vs {target}");
             }
         }
     }

@@ -12,4 +12,6 @@ pub mod hilbert;
 pub mod morton;
 
 pub use hilbert::{hilbert_decode, hilbert_encode, hilbert_of, hilbert_to_unit, HILBERT_ORDER};
-pub use morton::{morton_decode, morton_encode, morton_of, morton_to_unit, MORTON_BITS};
+pub use morton::{
+    morton_cell, morton_decode, morton_encode, morton_of, morton_to_unit, MORTON_BITS,
+};

@@ -71,6 +71,26 @@ pub fn morton_of(x: f64, y: f64) -> u64 {
     morton_encode(quantize(x), quantize(y))
 }
 
+/// The top `2 · bits` bits of [`morton_of`]`(x, y)`, for `bits ≤ 16`: the
+/// cell of `(x, y)` on the `2^bits × 2^bits` grid. Each coordinate is
+/// quantised to `bits` bits and only those are interleaved.
+#[inline]
+pub fn morton_cell(x: f64, y: f64, bits: u32) -> u32 {
+    debug_assert!(bits <= 16, "a {bits}-bit cell does not fit 32 bits");
+    spread16(convert::coord_to_cell(x, bits)) | spread16(convert::coord_to_cell(y, bits)) << 1
+}
+
+/// Spreads the lower 16 bits of `v` so that bit `i` moves to bit `2i`.
+#[inline]
+fn spread16(v: u32) -> u32 {
+    let mut x = v & 0xFFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333;
+    x = (x | (x << 1)) & 0x5555_5555;
+    x
+}
+
 /// Normalises a Morton code to `[0,1)` for use as a model input key.
 #[inline]
 pub fn morton_to_unit(code: u64) -> f64 {
@@ -111,6 +131,38 @@ mod tests {
         assert_eq!(quantize(-0.5), 0);
         assert_eq!(quantize(2.0), u32::MAX);
         assert!(quantize(0.5) >= (u32::MAX / 2) - 1);
+    }
+
+    #[test]
+    fn morton_cell_is_the_top_of_morton_of() {
+        // In-square, out-of-square, signed zeros, subnormals, the closed
+        // end, infinities and NaN, in every pairing.
+        let coords = [
+            0.0,
+            -0.0,
+            5e-324,
+            2.2e-308,
+            1.0 / 2048.0,
+            1.0 / 2048.0 - 1e-17,
+            0.3,
+            0.5,
+            0.7,
+            1.0 - 1e-16,
+            1.0,
+            -0.25,
+            1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let spread = (0..=300u32).map(|i| f64::from(i) / 300.0 + f64::from(i % 7) * 1e-6);
+        let xs: Vec<f64> = coords.into_iter().chain(spread).collect();
+        for &x in &xs {
+            for &y in &xs {
+                let want = morton_of(x, y) >> 42;
+                assert_eq!(u64::from(morton_cell(x, y, 11)), want, "({x}, {y})");
+            }
+        }
     }
 
     #[test]

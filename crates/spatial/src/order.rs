@@ -14,7 +14,7 @@
 //! "the same result set" means "bit-identical vectors" across index
 //! structures, shard layouts and thread counts.
 
-use crate::curve::morton_of;
+use crate::curve::morton_cell;
 use crate::point::Point;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -115,11 +115,12 @@ pub fn last_per_id(mut points: Vec<Point>) -> Vec<Point> {
 }
 
 /// Positions `0..n` of a batch in Z-order of their centres: ascending
-/// top 22 bits of [`morton_of`] — the cell of a 2¹¹ × 2¹¹ grid over the
-/// unit square — with the cell's queries in position order, so the order
-/// is a pure function of the batch. Two stable 11-bit counting passes,
-/// none for a batch already in that order; out-of-square and NaN centres
-/// take the clamped cell `morton_of` gives them.
+/// [`morton_cell`] — the top 22 bits of `morton_of`, the cell of a
+/// 2¹¹ × 2¹¹ grid over the unit square — with the cell's queries in
+/// position order, so the order is a pure function of the batch. Two
+/// stable 11-bit counting passes, none for a batch already in that order;
+/// out-of-square and NaN centres take the clamped cell `morton_of` gives
+/// them.
 pub fn z_order(centres: impl ExactSizeIterator<Item = Point>) -> Vec<usize> {
     // One word per query: its cell in the top 22 bits, its position in the
     // low 42 — more queries than a batch can hold in memory.
@@ -128,7 +129,7 @@ pub fn z_order(centres: impl ExactSizeIterator<Item = Point>) -> Vec<usize> {
     const DIGIT: u64 = (1 << DIGIT_BITS) - 1;
     let mut keys: Vec<u64> = centres
         .zip(0u64..)
-        .map(|(c, i)| morton_of(c.x, c.y) & !POSITION | i & POSITION)
+        .map(|(c, i)| u64::from(morton_cell(c.x, c.y, DIGIT_BITS)) << CELL_SHIFT | i & POSITION)
         .collect();
     // A batch already in Z-order has ascending keys and keeps its order.
     if !keys.is_sorted() {
@@ -196,6 +197,7 @@ pub fn canonical_knn_cmp(q: Point, a: &Point, b: &Point) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::morton_of;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};

@@ -19,6 +19,10 @@ fn main() {
         "method", "param", "|D_S|", "build (ms)", "err span"
     );
 
+    // Fig. 7's trade-off lives in the trained regime (50 epochs here);
+    // `ElsiConfig`'s default of 0 epochs builds no model by training.
+    let mut trained = ElsiConfig::default();
+    trained.train.epochs = 50;
     let sweep = |mut cfg: ElsiConfig, m: Method, label: String| {
         cfg.seed = 3;
         let pool = MrPool::generate(&cfg, 1);
@@ -37,7 +41,7 @@ fn main() {
         sweep(
             ElsiConfig {
                 rho,
-                ..ElsiConfig::default()
+                ..trained.clone()
             },
             Method::Sp,
             format!("rho={rho}"),
@@ -47,7 +51,7 @@ fn main() {
         sweep(
             ElsiConfig {
                 clusters,
-                ..ElsiConfig::default()
+                ..trained.clone()
             },
             Method::Cl,
             format!("C={clusters}"),
@@ -57,7 +61,7 @@ fn main() {
         sweep(
             ElsiConfig {
                 epsilon,
-                ..ElsiConfig::default()
+                ..trained.clone()
             },
             Method::Mr,
             format!("eps={epsilon}"),
@@ -67,7 +71,7 @@ fn main() {
         sweep(
             ElsiConfig {
                 beta,
-                ..ElsiConfig::default()
+                ..trained.clone()
             },
             Method::Rs,
             format!("beta={beta}"),
@@ -77,13 +81,13 @@ fn main() {
         sweep(
             ElsiConfig {
                 eta,
-                ..ElsiConfig::default()
+                ..trained.clone()
             },
             Method::Rl,
             format!("eta={eta}"),
         );
     }
-    sweep(ElsiConfig::default(), Method::Og, "-".to_string());
+    sweep(trained.clone(), Method::Og, "-".to_string());
 
     // The learned selector: λ steers build-time vs query-time priority.
     println!("\nTraining the method scorer (small preparation pass)…");

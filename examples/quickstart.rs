@@ -13,7 +13,13 @@ fn main() {
     println!("Generating {n} OSM-like points…");
     let points = Dataset::Osm1.generate(n, 42);
 
-    let elsi = Elsi::new(ElsiConfig::scaled_for(n));
+    // The paper's regime: every model trains (50 epochs here, 500 in the
+    // paper), so training on less data builds faster. `ElsiConfig`'s
+    // default trains 0 epochs and serves each model's CDF interpolant,
+    // where OG is as cheap as any reduction.
+    let mut cfg = ElsiConfig::scaled_for(n);
+    cfg.train.epochs = 50;
+    let elsi = Elsi::new(cfg);
     let zm_cfg = ZmConfig { fanout: 8 };
 
     // OG: the base index trains every model on its full partition.
