@@ -52,18 +52,19 @@ pub struct ElsiConfig {
     /// its key's rank in the full partition
     /// (`elsi_ml::train_rank_model_in`); training starts from there, and
     /// at this scale buys no span for its cost. 250k OSM1-like points, RS,
-    /// `scaled_for(250 000 / 16)`, 2 vCPUs, both at true ranks:
+    /// `scaled_for(250 000 / 16)`, 2 vCPUs, both at true ranks, with the
+    /// lane-batched `M(n)` passes:
     ///
-    /// | per kind: build ms (best of 5) / summed error span | 50 epochs | 0 epochs |
+    /// | per kind: build ms (best of 7) / summed error span | 50 epochs | 0 epochs |
     /// |---|---|---|
-    /// | ZM | 45.7 / 29 328 | 26.6 / 26 477 |
-    /// | ML-Index | 24.6 / 10 184 | 17.0 / 10 593 |
-    /// | RSMI | 107.0 / 73 275 | 63.7 / 63 862 |
-    /// | LISA | 57.7 / 2 174 | 39.0 / 2 860 |
+    /// | ZM | 28.8 / 29 328 | 20.7 / 26 477 |
+    /// | ML-Index | 20.2 / 10 184 | 16.1 / 10 593 |
+    /// | RSMI | 71.0 / 73 275 | 51.0 / 63 862 |
+    /// | LISA | 42.9 / 2 174 | 34.6 / 2 860 |
     ///
-    /// `build-learned`'s `build_s` went 0.174 → 0.138 s (median of 10
-    /// alternating pairs against 50 epochs at reduced-set ranks, whose
-    /// spans were 30 958 / 16 180 / 104 871 / 7 340).
+    /// Choosing 0 epochs took `build-learned`'s `build_s` 0.174 → 0.138 s
+    /// (median of 10 alternating pairs against 50 epochs at reduced-set
+    /// ranks, whose spans were 30 958 / 16 180 / 104 871 / 7 340).
     pub train: TrainConfig,
     /// Seed for all stochastic building methods.
     pub seed: u64,

@@ -112,15 +112,14 @@ impl LisaIndex {
         let partials: Vec<(i64, i64)> = starts
             .into_par_iter()
             .map(|start| {
-                let end = (start + chunk).min(n);
-                let mut lo = 0i64;
-                let mut hi = 0i64;
-                for (i, &k) in keys[start..end].iter().enumerate() {
-                    let pred = shard_of_prediction(&model, k, cfg.shard_size, num_shards);
+                let span = keys.get(start..(start + chunk).min(n)).unwrap_or(&[]);
+                let (mut lo, mut hi) = (0i64, 0i64);
+                model.predict_each(span, |i, rank| {
+                    let pred = shard_of_rank(rank, cfg.shard_size, num_shards);
                     let actual = ((start + i) / cfg.shard_size) as i64;
                     lo = lo.min(actual - pred);
                     hi = hi.max(actual - pred);
-                }
+                });
                 (lo, hi)
             })
             .collect();
@@ -215,8 +214,13 @@ fn shard_of_prediction(model: &RankModel, key: f64, shard_size: usize, num_shard
     if model.is_empty() {
         return 0;
     }
-    let rank = model.predict(key).max(0);
-    (rank / shard_size as i64).min(num_shards as i64 - 1)
+    shard_of_rank(model.predict(key), shard_size, num_shards)
+}
+
+/// The shard a predicted rank falls in.
+#[inline]
+fn shard_of_rank(rank: i64, shard_size: usize, num_shards: usize) -> i64 {
+    (rank.max(0) / shard_size as i64).min(num_shards as i64 - 1)
 }
 
 impl SpatialIndex for LisaIndex {
@@ -385,8 +389,48 @@ impl SpatialIndex for LisaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::OgBuilder;
+    use crate::model::{osm1_points, OgBuilder};
     use elsi_data::gen::{nyc_like, uniform};
+
+    /// The shard-bound pass as a per-key loop over `shard_of_prediction`.
+    fn shard_bounds_reference(idx: &LisaIndex, keys: &[f64]) -> (i64, i64) {
+        let (mut lo, mut hi) = (0i64, 0i64);
+        for (i, &k) in keys.iter().enumerate() {
+            let pred = shard_of_prediction(&idx.model, k, idx.shard_size, idx.shards.len());
+            let actual = (i / idx.shard_size) as i64;
+            lo = lo.min(actual - pred);
+            hi = hi.max(actual - pred);
+        }
+        (lo, hi)
+    }
+
+    #[test]
+    fn shard_bounds_match_the_per_key_loop() {
+        let stack = vec![Point::at(0.125, 0.5); 900];
+        let inputs = [
+            (osm1_points(20_000, None, 7), 0),
+            (osm1_points(20_000, Some(16.0), 8), 0),
+            (osm1_points(3_000, None, 9), 20),
+            (stack, 0),
+        ];
+        for (pts, epochs) in &inputs {
+            for shard_size in [1, 37, 256] {
+                let cfg = LisaConfig {
+                    grid: 8,
+                    shard_size,
+                    block_size: 16,
+                };
+                let idx = LisaIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(*epochs));
+                let keys = sort_by_key(pts.clone(), &idx.mapper).1;
+                let want = shard_bounds_reference(&idx, &keys);
+                assert_eq!(
+                    (idx.shard_lo, idx.shard_hi),
+                    want,
+                    "shard size {shard_size}"
+                );
+            }
+        }
+    }
 
     fn build_small(n: usize) -> (Vec<Point>, LisaIndex) {
         let pts = uniform(n, 23);

@@ -56,6 +56,14 @@ pub enum RankFn {
     Pwl(PwlModel),
 }
 
+/// The rank an FFN's normalised prediction `y` stands for in a partition
+/// of `n > 0` keys, clamped to `[-n, 2n]`.
+#[inline]
+fn ffn_rank(y: f64, n: usize) -> i64 {
+    let pos = y * (n - 1) as f64;
+    pos.round().clamp(-(n as f64), 2.0 * n as f64) as i64
+}
+
 impl RankFn {
     #[inline]
     fn predict_fraction_or_rank(&self, key: f64, n: usize) -> i64 {
@@ -64,8 +72,7 @@ impl RankFn {
                 if n == 0 {
                     return 0;
                 }
-                let pos = f.predict1(key) * (n - 1) as f64;
-                pos.round().clamp(-(n as f64), 2.0 * n as f64) as i64
+                ffn_rank(f.predict1(key), n)
             }
             RankFn::Pwl(m) => {
                 // The PWL model predicts ranks over its own training set;
@@ -95,21 +102,16 @@ impl RankModel {
     }
 
     fn from_fn(f: RankFn, full_keys: &[f64]) -> Self {
-        let n = full_keys.len();
-        let mut err_lo = 0i64;
-        let mut err_hi = 0i64;
-        for (i, &k) in full_keys.iter().enumerate() {
-            let pred = f.predict_fraction_or_rank(k, n);
+        let mut model = Self::from_parts(f, full_keys.len(), 0, 0);
+        let (mut err_lo, mut err_hi) = (0i64, 0i64);
+        model.predict_each(full_keys, |i, pred| {
             let err = i as i64 - pred;
             err_lo = err_lo.min(err);
             err_hi = err_hi.max(err);
-        }
-        Self {
-            f,
-            n,
-            err_lo,
-            err_hi,
-        }
+        });
+        model.err_lo = err_lo;
+        model.err_hi = err_hi;
+        model
     }
 
     /// Number of points in the partition this model indexes.
@@ -142,16 +144,35 @@ impl RankModel {
         (self.err_hi - self.err_lo) as u64
     }
 
-    /// Predicted position (rank) of `key`, clamped to `[0, n)`.
+    /// Predicted position (rank) of `key`, which may fall outside `[0, n)`
+    /// ([`RankModel::search_range`] clamps).
     ///
-    /// This is the query hot path (model invocation `M(1)`), and it is the
-    /// same code the `M(n)` bound-derivation pass runs over every key at
-    /// build time, so it must stay allocation-free: for FFN models it
-    /// bottoms out in `Ffn::predict1` / `predict_scalar`, whose stack-buffer
-    /// evaluation is pinned by `crates/ml/tests/alloc_free.rs`.
+    /// This is the query hot path (model invocation `M(1)`), so it must
+    /// stay allocation-free: for FFN models it bottoms out in
+    /// `Ffn::predict1` / `predict_scalar`, whose stack-buffer evaluation is
+    /// pinned by `crates/ml/tests/alloc_free.rs`. The build's `M(n)` pass,
+    /// [`RankModel::predict_each`], gives the same ranks.
     #[inline]
     pub fn predict(&self, key: f64) -> i64 {
         self.f.predict_fraction_or_rank(key, self.n)
+    }
+
+    /// Calls `f(i, self.predict(keys[i]))` for every key, in ascending
+    /// `i`: the full-partition prediction pass of a build (`M(n)`). FFN
+    /// models predict through [`Ffn::predict_each`], eight keys at a time
+    /// with `predict1`'s bits; PWL models predict per key.
+    #[inline]
+    pub fn predict_each(&self, keys: &[f64], mut f: impl FnMut(usize, i64)) {
+        match &self.f {
+            RankFn::Ffn(ffn) if self.n > 0 => {
+                ffn.predict_each(keys, |i, y| f(i, ffn_rank(y, self.n)));
+            }
+            _ => {
+                for (i, &k) in keys.iter().enumerate() {
+                    f(i, self.predict(k));
+                }
+            }
+        }
     }
 
     /// The rank range `[lo, hi)` guaranteed to contain any stored point
@@ -430,10 +451,114 @@ pub fn build_on_training_set(
     }
 }
 
+/// `n` OSM1-like points for the bound tests; with `grid` set, the
+/// coordinates snap to a `grid × grid` lattice, so keys repeat.
+#[cfg(test)]
+pub(crate) fn osm1_points(n: usize, grid: Option<f64>, seed: u64) -> Vec<Point> {
+    let mut pts = elsi_data::gen::osm1_like(n, seed);
+    if let Some(g) = grid {
+        for p in &mut pts {
+            *p = Point::new(p.id, (p.x * g).floor() / g, (p.y * g).floor() / g);
+        }
+    }
+    pts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elsi_spatial::MortonMapper;
+    use elsi_spatial::{sort_by_key, MortonMapper};
+
+    /// The `M(n)` pass as a per-key loop over [`RankModel::predict`]: the
+    /// reference [`RankModel::from_fn`]'s lane-batched pass must equal.
+    fn bounds_reference(model: &RankModel, full_keys: &[f64]) -> (i64, i64) {
+        let (mut err_lo, mut err_hi) = (0i64, 0i64);
+        for (i, &k) in full_keys.iter().enumerate() {
+            let err = i as i64 - model.predict(k);
+            err_lo = err_lo.min(err);
+            err_hi = err_hi.max(err);
+        }
+        (err_lo, err_hi)
+    }
+
+    fn osm1_keys(n: usize, grid: Option<f64>, seed: u64) -> Vec<f64> {
+        sort_by_key(osm1_points(n, grid, seed), &MortonMapper).1
+    }
+
+    #[test]
+    fn rank_model_bounds_match_the_per_key_loop() {
+        for (n, grid) in [
+            (1, None),
+            (7, None),
+            (5000, None),
+            (5000, Some(16.0)),
+            (40, Some(2.0)),
+        ] {
+            let keys = osm1_keys(n, grid, n as u64);
+            let sample: Vec<f64> = keys.iter().copied().step_by(9).collect();
+            for (epochs, training) in [(0, &keys), (0, &sample), (30, &sample)] {
+                let train = TrainConfig {
+                    epochs,
+                    ..TrainConfig::default()
+                };
+                let built =
+                    build_on_training_set(training, &keys, 16, &train, 3, "T", Duration::ZERO);
+                let m = &built.model;
+                assert_eq!(
+                    (m.err_lo(), m.err_hi()),
+                    bounds_reference(m, &keys),
+                    "n {n}, grid {grid:?}, epochs {epochs}"
+                );
+            }
+            let pwl = RankModel::from_pwl(PwlModel::fit(&sample, 4), &keys);
+            assert_eq!((pwl.err_lo(), pwl.err_hi()), bounds_reference(&pwl, &keys));
+            let deep = RankModel::from_ffn(Ffn::new(&[1, 4, 4, 1], 2), &keys);
+            assert_eq!(
+                (deep.err_lo(), deep.err_hi()),
+                bounds_reference(&deep, &keys)
+            );
+        }
+    }
+
+    #[test]
+    fn predict_each_is_predict_per_key() {
+        let keys = osm1_keys(300, None, 4);
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            -3.0,
+            7.5,
+        ];
+        probes.extend(keys.iter().step_by(7));
+        let cfg = TrainConfig {
+            epochs: 0,
+            ..TrainConfig::default()
+        };
+        let models = [
+            build_on_training_set(&keys, &keys, 16, &cfg, 1, "T", Duration::ZERO).model,
+            RankModel::from_ffn(Ffn::new(&[1, 16, 1], 5), &keys),
+            RankModel::from_ffn(Ffn::new(&[1, 4, 4, 1], 5), &keys),
+            RankModel::from_pwl(PwlModel::fit(&keys, 8), &keys),
+            RankModel::empty(0),
+        ];
+        for model in &models {
+            for len in (0..=17).chain([probes.len()]) {
+                let xs = &probes[..len];
+                let mut seen = Vec::new();
+                model.predict_each(xs, |i, pred| seen.push((i, pred)));
+                let want: Vec<(usize, i64)> =
+                    xs.iter().map(|&k| model.predict(k)).enumerate().collect();
+                assert_eq!(seen, want, "len {len}");
+            }
+        }
+    }
 
     fn sorted_keys(n: usize, skew: i32) -> Vec<f64> {
         (0..n)

@@ -276,14 +276,12 @@ fn build_node(
     let mut route_lo = 0i64;
     let mut route_hi = 0i64;
     for actual in 0..f {
-        for &k in keys
-            .get(actual * n / f..(actual + 1) * n / f)
-            .unwrap_or(&[])
-        {
-            let err = actual as i64 - route_child(&model, k, n, f) as i64;
+        let slice = keys.get(actual * n / f..(actual + 1) * n / f);
+        model.predict_each(slice.unwrap_or(&[]), |_, pred| {
+            let err = actual as i64 - child_of(pred, n, f) as i64;
             route_lo = route_lo.min(err);
             route_hi = route_hi.max(err);
-        }
+        });
     }
 
     Node::Internal {
@@ -312,7 +310,13 @@ impl KeyMapper for LocalHilbert {
 
 #[inline]
 fn route_child(model: &RankModel, key: f64, n: usize, fanout: usize) -> usize {
-    let pred = model.predict(key).clamp(0, n as i64 - 1) as usize;
+    child_of(model.predict(key), n, fanout)
+}
+
+/// The child a predicted rank `pred` routes to.
+#[inline]
+fn child_of(pred: i64, n: usize, fanout: usize) -> usize {
+    let pred = pred.clamp(0, n as i64 - 1) as usize;
     ((pred * fanout) / n).min(fanout - 1)
 }
 
@@ -629,8 +633,67 @@ impl SpatialIndex for RsmiIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::OgBuilder;
+    use crate::model::{osm1_points, OgBuilder};
     use elsi_data::gen::{skewed, uniform};
+
+    /// The routing-bound pass as a per-key loop over [`route_child`].
+    fn routing_bounds_reference(model: &RankModel, keys: &[f64], f: usize) -> (i64, i64) {
+        let n = keys.len();
+        let (mut lo, mut hi) = (0i64, 0i64);
+        for actual in 0..f {
+            for &k in &keys[actual * n / f..(actual + 1) * n / f] {
+                let err = actual as i64 - route_child(model, k, n, f) as i64;
+                lo = lo.min(err);
+                hi = hi.max(err);
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Checks every internal node of a fresh build against the reference
+    /// over its subtree's keys; returns the subtree's points.
+    fn check_routing_bounds(node: &Node) -> Vec<Point> {
+        match node {
+            Node::Leaf { block, .. } => block.to_points(),
+            Node::Internal {
+                model,
+                bounds,
+                children,
+                route_lo,
+                route_hi,
+                ..
+            } => {
+                let pts: Vec<Point> = children.iter().flat_map(check_routing_bounds).collect();
+                let mut keys: Vec<f64> = pts.iter().map(|&p| local_key(p, bounds)).collect();
+                keys.sort_by(f64::total_cmp);
+                let want = routing_bounds_reference(model, &keys, children.len());
+                assert_eq!((*route_lo, *route_hi), want);
+                pts
+            }
+        }
+    }
+
+    #[test]
+    fn routing_bounds_match_the_per_key_loop() {
+        let stack = vec![Point::at(0.5, 0.5); 900];
+        let inputs = [
+            (osm1_points(20_000, None, 4), 0),
+            (osm1_points(20_000, Some(16.0), 5), 0),
+            (osm1_points(3_000, None, 6), 20),
+            (stack, 0),
+        ];
+        for (pts, epochs) in &inputs {
+            for fanout in [2, 8, 13] {
+                let cfg = RsmiConfig {
+                    leaf_capacity: 256,
+                    fanout,
+                    ..RsmiConfig::default()
+                };
+                let idx = RsmiIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(*epochs));
+                assert_eq!(check_routing_bounds(&idx.root).len(), pts.len());
+            }
+        }
+    }
 
     fn build_small(n: usize) -> (Vec<Point>, RsmiIndex) {
         let pts = uniform(n, 17);

@@ -38,6 +38,9 @@ impl Default for ZmConfig {
     }
 }
 
+/// Keys the root routes at a time while the composed bounds are derived.
+const ROUTE_BLOCK: usize = 256;
+
 struct LeafModel {
     model: RankModel,
     /// Global rank of the leaf's first point.
@@ -146,7 +149,11 @@ impl ZmIndex {
     ///
     /// The O(n · M(1)) prediction scan is chunked across threads; per-leaf
     /// min/max partials merge associatively, so the bounds are independent
-    /// of the chunking and thread count.
+    /// of the chunking and thread count. Within a chunk, the root routes a
+    /// block of keys at a time ([`RankModel::predict_each`]), and each run
+    /// of keys routed to one leaf goes through that leaf's `predict_each`;
+    /// a min/max fold does not depend on order, so the bounds equal a
+    /// per-key loop's.
     fn compute_composed_bounds(&mut self) {
         let n = self.data.len();
         let s = self.leaves.len();
@@ -161,14 +168,9 @@ impl ZmIndex {
             .map(|start| {
                 let mut bounds = vec![(0i64, 0i64); s];
                 let span = this.data.keys().get(start..(start + chunk).min(n));
-                for (off, &key) in span.unwrap_or(&[]).iter().enumerate() {
-                    let i = start + off;
-                    let j = this.route(key);
-                    let err = i as i64 - this.predict_global(j, key);
-                    if let Some(b) = bounds.get_mut(j) {
-                        b.0 = b.0.min(err);
-                        b.1 = b.1.max(err);
-                    }
+                let blocks = span.unwrap_or(&[]).chunks(ROUTE_BLOCK);
+                for (b, block) in blocks.enumerate() {
+                    this.fold_block_bounds(start + b * ROUTE_BLOCK, block, &mut bounds);
                 }
                 bounds
             })
@@ -181,12 +183,44 @@ impl ZmIndex {
         }
     }
 
+    /// Folds the composed errors of `block`, the keys of global ranks
+    /// `first..`, into the per-leaf `bounds`.
+    fn fold_block_bounds(&self, first: usize, block: &[f64], bounds: &mut [(i64, i64)]) {
+        let mut routes = [0usize; ROUTE_BLOCK];
+        self.root.predict_each(block, |i, pred| {
+            if let Some(r) = routes.get_mut(i) {
+                *r = self.route_of(pred);
+            }
+        });
+        let mut lo = 0;
+        let routed = routes.get(..block.len()).unwrap_or(&[]);
+        for run in routed.chunk_by(|a, b| a == b) {
+            let keys = block.get(lo..lo + run.len()).unwrap_or(&[]);
+            let j = run.first().copied().unwrap_or(0);
+            if let (Some(leaf), Some(b)) = (self.leaves.get(j), bounds.get_mut(j)) {
+                let base = (first + lo) as i64 - leaf.offset as i64;
+                leaf.model.predict_each(keys, |off, pred| {
+                    let err = base + off as i64 - pred;
+                    b.0 = b.0.min(err);
+                    b.1 = b.1.max(err);
+                });
+            }
+            lo += run.len();
+        }
+    }
+
     /// Leaf index that `key` routes to.
     #[inline]
     fn route(&self, key: f64) -> usize {
+        self.route_of(self.root.predict(key))
+    }
+
+    /// Leaf index that a root prediction `pred` routes to.
+    #[inline]
+    fn route_of(&self, pred: i64) -> usize {
         let n = self.data.len();
         let s = self.leaves.len();
-        let pred = self.root.predict(key).clamp(0, n as i64 - 1) as usize;
+        let pred = pred.clamp(0, n as i64 - 1) as usize;
         (pred * s / n).min(s - 1)
     }
 
@@ -429,8 +463,42 @@ impl SpatialIndex for ZmIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::OgBuilder;
+    use crate::model::{osm1_points, OgBuilder};
     use crate::persist::encode_points;
+
+    /// The composed-bounds pass as a per-key loop: route, predict through
+    /// the routed leaf, fold.
+    fn composed_bounds_reference(zm: &ZmIndex) -> Vec<(i64, i64)> {
+        let mut bounds = vec![(0i64, 0i64); zm.leaves.len()];
+        for (i, &key) in zm.data.keys().iter().enumerate() {
+            let j = zm.route(key);
+            let err = i as i64 - zm.predict_global(j, key);
+            if let Some(b) = bounds.get_mut(j) {
+                b.0 = b.0.min(err);
+                b.1 = b.1.max(err);
+            }
+        }
+        bounds
+    }
+
+    #[test]
+    fn composed_bounds_match_the_per_key_loop() {
+        let stack = vec![Point::at(0.25, 0.75); 700];
+        let inputs = [
+            (osm1_points(20_000, None, 1), 0),
+            (osm1_points(20_000, Some(16.0), 2), 0),
+            (osm1_points(3_000, None, 3), 20),
+            (stack, 0),
+        ];
+        for (pts, epochs) in &inputs {
+            for fanout in [1, 8, 100] {
+                let builder = OgBuilder::with_epochs(*epochs);
+                let zm = ZmIndex::build(pts.clone(), &ZmConfig { fanout }, &builder);
+                let got: Vec<(i64, i64)> = zm.leaves.iter().map(|l| (l.err_lo, l.err_hi)).collect();
+                assert_eq!(got, composed_bounds_reference(&zm), "fanout {fanout}");
+            }
+        }
+    }
 
     fn build_small(n: usize) -> (Vec<Point>, ZmIndex) {
         let pts: Vec<Point> = (0..n)

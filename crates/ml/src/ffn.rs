@@ -80,6 +80,36 @@ fn axpy4(y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// Keys per lane block of [`Ffn::predict_each`].
+const PREDICT_LANES: usize = 8;
+
+/// The parameters of a `[1, h, 1]` net: hidden weights and biases, output
+/// weights and bias.
+#[derive(Clone, Copy)]
+struct HingeParams<'p> {
+    w0: &'p [f64],
+    b0: &'p [f64],
+    w1: &'p [f64],
+    b1: f64,
+}
+
+/// The one hinge body of every `[1, h, 1]` prediction, over `L` keys:
+/// lane `l` starts at `b1` and adds `w1[j] · relu(w0[j] · x[l] + b0[j])`
+/// for `j` in ascending order. Each lane performs the same IEEE operations
+/// in the same order whatever `L` is, and Rust never contracts a
+/// multiply-add, so the vectorised lanes of `L = 8` give the bits of
+/// `L = 1` ([`Ffn::predict1`]).
+#[inline(always)]
+fn hinge_lanes<const L: usize>(p: HingeParams<'_>, x: [f64; L]) -> [f64; L] {
+    let mut acc = [p.b1; L];
+    for ((&w0, &b0), &w1) in p.w0.iter().zip(p.b0).zip(p.w1) {
+        for (a, &xl) in acc.iter_mut().zip(&x) {
+            *a += w1 * (w0 * xl + b0).max(0.0);
+        }
+    }
+    acc
+}
+
 /// Shape metadata of one dense layer inside the flat parameter vector:
 /// `y = W·x + b` with `W` row-major at `w_off` and `b` at `b_off`.
 #[derive(Debug, Clone, Copy)]
@@ -413,21 +443,64 @@ impl Ffn {
     pub fn predict1(&self, x: f64) -> f64 {
         debug_assert_eq!(self.input_dim(), 1);
         debug_assert_eq!(self.output_dim(), 1);
-        // Unrolled two-layer fast path ([1, H, 1]): one fused loop, no
-        // intermediate activation store.
-        if self.layers.len() == 2 {
-            let h = self.layers[0];
-            let o = self.layers[1];
-            let (hw, hb) = (h.w(&self.params), h.b(&self.params));
-            let ow = o.w(&self.params);
-            let mut acc = self.params[o.b_off];
-            for j in 0..h.fan_out {
-                let a = (hw[j] * x + hb[j]).max(0.0);
-                acc += ow[j] * a;
+        match self.hinge_params() {
+            Some(p) => {
+                let [y] = hinge_lanes(p, [x]);
+                y
             }
-            return acc;
+            None => self.predict_scalar(&[x]),
         }
-        self.predict_scalar(&[x])
+    }
+
+    /// Calls `f(i, self.predict1(xs[i]))` for every key, in ascending `i`,
+    /// with the same bits: the full-partition prediction pass of a build
+    /// (`M(n)`). A `[1, h, 1]` net runs eight keys at a time through the
+    /// hinge body `predict1` runs one at a time; other shapes call
+    /// `predict1` per key. Allocation-free.
+    // lint:hot_path
+    pub fn predict_each(&self, xs: &[f64], mut f: impl FnMut(usize, f64)) {
+        debug_assert_eq!(self.input_dim(), 1);
+        debug_assert_eq!(self.output_dim(), 1);
+        let Some(p) = self.hinge_params() else {
+            for (i, &x) in xs.iter().enumerate() {
+                f(i, self.predict1(x));
+            }
+            return;
+        };
+        let lanes = xs.chunks_exact(PREDICT_LANES);
+        let tail = lanes.remainder();
+        let mut i = 0;
+        for chunk in lanes {
+            let mut x = [0.0; PREDICT_LANES];
+            x.copy_from_slice(chunk);
+            for y in hinge_lanes(p, x) {
+                f(i, y);
+                i += 1;
+            }
+        }
+        for &x in tail {
+            let [y] = hinge_lanes(p, [x]);
+            f(i, y);
+            i += 1;
+        }
+    }
+
+    /// The parameters of a `[1, h, 1]` net as the hinge body reads them,
+    /// or `None` for any other shape.
+    #[inline(always)]
+    fn hinge_params(&self) -> Option<HingeParams<'_>> {
+        let [h, o] = self.layers.as_slice() else {
+            return None;
+        };
+        if h.fan_in != 1 || o.fan_out != 1 {
+            return None;
+        }
+        Some(HingeParams {
+            w0: h.w(&self.params),
+            b0: h.b(&self.params),
+            w1: o.w(&self.params),
+            b1: *o.b(&self.params).first()?,
+        })
     }
 
     /// Runs the forward pass of samples `0..rows`, sample `s` read from

@@ -94,6 +94,15 @@ fn training_kernels_are_allocation_free_in_steady_state() {
     assert!(acc.is_finite());
     assert_eq!(allocs, 0, "deep predict1 allocated {allocs} times");
 
+    // --- predict_each, the build's M(n) pass, over 10k keys: lanes and
+    // tail on the stack.
+    let rank_net = Ffn::new(&[1, 16, 1], 8);
+    let keys: Vec<f64> = (0..10_000).map(|i| i as f64 / 10_000.0).collect();
+    let mut acc = 0.0;
+    let allocs = count_min(|| rank_net.predict_each(&keys, |_, y| acc += y));
+    assert!(acc.is_finite());
+    assert_eq!(allocs, 0, "predict_each allocated {allocs} times");
+
     // --- predict_scalar on a feature-vector network (scorer-shaped input).
     let scorer_net = Ffn::new(&[9, 24, 1], 5);
     let x = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];

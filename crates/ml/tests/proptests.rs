@@ -224,3 +224,86 @@ proptest! {
         }
     }
 }
+
+/// `predict1` of a `[1, h, 1]` net written out over its flat parameters
+/// (hidden weights, hidden biases, output weights, output bias): the
+/// operations, and their order, that the hinge body must reproduce.
+fn hinge_reference(ffn: &Ffn, x: f64) -> f64 {
+    let h = ffn.sizes()[1];
+    let p = ffn.params();
+    let mut acc = p[3 * h];
+    for j in 0..h {
+        let a = (p[j] * x + p[h + j]).max(0.0);
+        acc += p[2 * h + j] * a;
+    }
+    acc
+}
+
+/// `xs.len()` keys cycling through `specials` interleaved with draws from
+/// `[lo, lo + span)` and from ten times that range around it.
+fn probe_keys(len: usize, specials: &[f64], lo: f64, span: f64, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|i| match i % 3 {
+            0 => specials[(i / 3) % specials.len()],
+            1 => lo + span * rng.gen::<f64>(),
+            _ => lo + span * (10.0 * rng.gen::<f64>() - 4.5),
+        })
+        .collect()
+}
+
+#[test]
+fn predict_each_is_predict1_bit_for_bit() {
+    let keys = sorted_keys(2000, 0.25, 0.5, None, 11);
+    let zero = TrainConfig {
+        epochs: 0,
+        ..TrainConfig::default()
+    };
+    let trained = TrainConfig {
+        epochs: 40,
+        ..TrainConfig::default()
+    };
+    let nets = [
+        ("interpolant", train_rank_model(&keys, 16, &zero, 1)),
+        ("constant", train_rank_model(&[0.5; 9], 16, &zero, 2)),
+        ("trained", train_rank_model(&keys, 16, &trained, 3)),
+        ("random init", Ffn::new(&[1, 16, 1], 4)),
+        ("random init, h = 3", Ffn::new(&[1, 3, 1], 5)),
+        ("deep", Ffn::new(&[1, 8, 8, 1], 6)),
+    ];
+    let specials = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 2.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1e300,
+        -1e300,
+        -3.0,
+        7.0,
+        0.25,
+        0.75,
+    ];
+    for (name, net) in &nets {
+        for len in (0..=17).chain([1000]) {
+            let xs = probe_keys(len, &specials, 0.25, 0.5, len as u64);
+            let mut next = 0;
+            net.predict_each(&xs, |i, y| {
+                assert_eq!(i, next, "{name}: keys out of order");
+                next += 1;
+                let x = xs[i];
+                let want = net.predict1(x);
+                assert_eq!(y.to_bits(), want.to_bits(), "{name}, len {len}, key {x}");
+                if net.sizes().len() == 3 {
+                    let r = hinge_reference(net, x);
+                    assert_eq!(want.to_bits(), r.to_bits(), "{name}: predict1 at {x}");
+                }
+            });
+            assert_eq!(next, len, "{name}: every key once");
+        }
+    }
+}
