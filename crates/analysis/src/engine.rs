@@ -149,7 +149,7 @@ impl Policy {
                 ("crates/analysis/".into(), 3),
                 ("crates/bench/".into(), 2),
                 ("crates/cli/".into(), 0),
-                ("crates/core/".into(), 18),
+                ("crates/core/".into(), 12),
                 ("crates/data/".into(), 8),
                 ("crates/indices/".into(), 25),
                 ("crates/ml/".into(), 2),
@@ -165,7 +165,7 @@ impl Policy {
             // save/open/recover). The residue is almost entirely
             // `[]`-indexing in slice kernels and exhaustive fault-matrix
             // unit tests. Ratchets down, never up.
-            panic_path_ceiling: 227,
+            panic_path_ceiling: 220,
         }
     }
 

@@ -49,10 +49,10 @@ fn punct_at(tokens: &[Token], i: usize, text: &str) -> bool {
 /// Rule `determinism`: ambient wall-clock and entropy sources are banned
 /// outside the sanctioned timing module and the bench/CLI crates.
 ///
-/// ELSI's method scorer is trained on measured build costs (paper §IV-B1);
-/// stray clock reads make those measurements unauditable, and ambient RNGs
-/// (`thread_rng`, `from_entropy`) break the bit-identical parallel builds
-/// pinned by `tests/determinism.rs`.
+/// A clock read is a report, never an input: a decision that follows one
+/// changes from run to run, and ambient RNGs (`thread_rng`, `from_entropy`)
+/// break the bit-identical builds and scorer preparations pinned by
+/// `tests/determinism.rs`.
 pub fn determinism(tokens: &[Token]) -> Vec<RuleFinding> {
     const BANNED: [&str; 4] = ["Instant", "SystemTime", "thread_rng", "from_entropy"];
     tokens

@@ -6,16 +6,19 @@
 
 use crate::harness::*;
 use crate::session::{Measured, Session, K, LAMBDAS};
+use crate::stats::{median_of_sorted, sorted};
 use crate::updates::{UpdateStep, INSERT_RATIOS, VARIANTS};
 use elsi::scorer::{
-    ground_truth_best, measure_method_costs, samples_from_costs, AltSelector, MethodScorer,
-    SKEW_GRID,
+    grid_cell, ground_truth_best, measure_method_costs, samples_from_costs, AltSelector,
+    MethodScorer, SKEW_GRID,
 };
-use elsi::{zoo, CostDecomposition, Elsi, ElsiConfig, Method, MethodCosts, MrPool};
+use elsi::{zoo, CostDecomposition, Elsi, ElsiBuilder, ElsiConfig, Method, MethodCosts, MrPool};
 use elsi_data::{gen, Dataset};
+use elsi_indices::{BuildInput, ModelBuilder};
 use elsi_spatial::{sort_by_key, MortonMapper};
 use elsi_store::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// One measured row of a figure: which figure, which row/cell, and its
 /// named readings (`NaN` is written as JSON `null`).
@@ -192,19 +195,80 @@ fn selector_accuracy(
     correct as f64 / (cases.len() * lambdas.len()).max(1) as f64
 }
 
+/// The build-work weights' calibration: each build of the grid `costs`
+/// counted at `grid_seed`, timed against its predicted ns (`build_work`).
+/// Per method: median predicted and measured ms, median ratio, and the
+/// share of cells within ±50 % (Lantern's `is_within_error`).
+fn calibration(
+    sizes: &[usize],
+    cfg: &ElsiConfig,
+    pool: &Arc<MrPool>,
+    costs: &[MethodCosts],
+    grid_seed: u64,
+) -> Vec<Record> {
+    // (predicted, measured) ms per method, in `costs`' grid order.
+    let mut builds = Method::pool().map(|_| Vec::new());
+    let mut rows = costs.iter();
+    for (di, &skew) in SKEW_GRID.iter().enumerate() {
+        for (si, &n) in sizes.iter().enumerate() {
+            let (points, keys) = grid_cell(di, si, skew, n, grid_seed);
+            let input = BuildInput {
+                points: &points,
+                keys: &keys,
+                mapper: &MortonMapper,
+                seed: grid_seed,
+            };
+            for (of_m, c) in builds.iter_mut().zip(rows.by_ref()) {
+                let builder = ElsiBuilder::fixed(c.method, cfg.clone(), Arc::clone(pool));
+                let (_, secs) = timed(|| builder.build_model(&input));
+                of_m.push((c.build_work as f64 / 1e6, secs * 1e3));
+            }
+        }
+    }
+    let mut table = Vec::new();
+    let records: Vec<Record> = Method::pool()
+        .into_iter()
+        .zip(&builds)
+        .map(|(m, of_m)| {
+            let median =
+                |f: fn(&(f64, f64)) -> f64| median_of_sorted(&sorted(of_m.iter().map(f).collect()));
+            let within = of_m
+                .iter()
+                .filter(|&&(p, t)| (t - p).abs() <= 0.5 * p)
+                .count();
+            let values = [
+                ("predicted_ms", median(|p| p.0)),
+                ("measured_ms", median(|p| p.1)),
+                ("ratio", median(|&(p, t)| t / p)),
+                ("within", within as f64 / of_m.len().max(1) as f64),
+            ];
+            let cells = values.iter().map(|(_, v)| format!("{v:.3}"));
+            table.push(std::iter::once(m.to_string()).chain(cells).collect());
+            record("fig06", format!("calibration/{m}"), &values)
+        })
+        .collect();
+    print_table(
+        "Fig. 6 — Build-work calibration: count-predicted vs measured build ms (grid medians)",
+        &["method", "predicted", "measured", "ratio", "within ±50%"],
+        &table,
+    );
+    records
+}
+
 /// (a) Accuracy vs the preparation cardinality exponent `u` (the paper
 /// varies `u` from 4 to 8; here five cardinality levels stand in, scaled to
 /// bench size — see DESIGN.md §3). (b) The FFN scorer vs RFR/RFC/DTR/DTC
-/// selector baselines across λ, on held-out data sets.
+/// selector baselines across λ, on held-out data sets. Then the
+/// calibration of the build-work weights against timed builds.
 fn fig06(s: &mut Session) -> Vec<Record> {
     let n = s.n;
     let cfg = bench_config(n, s.epochs);
-    let pool = MrPool::generate(&cfg, 1);
+    let pool = Arc::new(MrPool::generate(&cfg, 1));
     let methods = Method::pool();
 
     let sizes = [n / 100, n / 30, n / 10, n / 3, n].map(|s| s.max(200));
     eprintln!(
-        "[fig06] measuring method costs on {} x {} data sets, twice…",
+        "[fig06] counting method costs on {} x {} data sets, twice…",
         sizes.len(),
         SKEW_GRID.len()
     );
@@ -239,46 +303,32 @@ fn fig06(s: &mut Session) -> Vec<Record> {
 
     let samples = samples_from_costs(&costs);
     let ffn = MethodScorer::train(&samples, 3);
-    let classifier = |forest| {
-        AltSelector::train_classification_variant(
-            &costs,
-            &SELECTOR_LAMBDAS,
-            1.0,
-            &methods,
-            forest,
-            5,
-        )
-    };
-    let baselines = [
-        (
-            "RFR",
-            AltSelector::train_regression_variant(&samples, true, 5),
-        ),
-        ("RFC", classifier(true)),
-        (
-            "DTR",
-            AltSelector::train_regression_variant(&samples, false, 5),
-        ),
-        ("DTC", classifier(false)),
-    ];
+    let baselines = [true, false].map(|forest| {
+        [
+            AltSelector::train_regression_variant(&samples, forest, 5),
+            AltSelector::train_classification_variant(
+                &costs,
+                &SELECTOR_LAMBDAS,
+                1.0,
+                &methods,
+                forest,
+                5,
+            ),
+        ]
+    });
     let mut rows = Vec::new();
     for &l in &SELECTOR_LAMBDAS {
+        let accuracy = |select: &dyn Fn(usize, f64, f64) -> Method| {
+            selector_accuracy(select, &test_costs, &[l])
+        };
         let mut cells = vec![(
             "FFN",
-            selector_accuracy(
-                |n, d, l| ffn.select(n, d, l, 1.0, &methods),
-                &test_costs,
-                &[l],
-            ),
+            accuracy(&|n, d, l| ffn.select(n, d, l, 1.0, &methods)),
         )];
-        for (name, sel) in &baselines {
-            let acc = selector_accuracy(
-                |n, d, l| sel.select(n, d, l, 1.0, &methods),
-                &test_costs,
-                &[l],
-            );
-            cells.push((name, acc));
-        }
+        cells.extend(baselines.iter().flatten().map(|sel| {
+            let acc = accuracy(&|n, d, l| sel.select(n, d, l, 1.0, &methods));
+            (sel.name(), acc)
+        }));
         let mut row = vec![format!("{l:.1}")];
         for (name, acc) in cells {
             records.push(record(
@@ -295,6 +345,7 @@ fn fig06(s: &mut Session) -> Vec<Record> {
         &["lambda", "FFN", "RFR", "RFC", "DTR", "DTC"],
         &rows,
     );
+    records.extend(calibration(&sizes, &cfg, &pool, &costs, 7));
     records
 }
 

@@ -14,9 +14,7 @@ use crate::config::ElsiConfig;
 use crate::methods::{reduce, Method, MrPool, Reduction};
 use crate::scorer::{MethodScorer, RandomSelector};
 use elsi_data::dist_from_uniform;
-use elsi_indices::{
-    build_on_training_set, timed, BuildInput, BuildStats, BuiltModel, ModelBuilder, RankModel,
-};
+use elsi_indices::{build_on_training_set, timed, BuildInput, BuiltModel, ModelBuilder, RankFn};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,11 +146,11 @@ impl ModelBuilder for ElsiBuilder {
         }
 
         // Line 4: compute D_S.
-        let (reduction, reduce_elapsed) = timed(|| reduce(method, input, &self.cfg, &self.mr_pool));
-        let reduce_time = select_time + reduce_elapsed;
+        let ((reduction, reduce_work), reduce_elapsed) =
+            timed(|| reduce(method, input, &self.cfg, &self.mr_pool));
 
         // Lines 5–6: train on D_S, bound over D.
-        match reduction {
+        let mut built = match reduction {
             Reduction::TrainingSet(keys) => build_on_training_set(
                 &keys,
                 input.keys,
@@ -160,30 +158,15 @@ impl ModelBuilder for ElsiBuilder {
                 &self.cfg.train,
                 self.cfg.seed ^ input.seed,
                 method.name(),
-                reduce_time,
             ),
             Reduction::Pretrained(ffn) => {
-                let (model, bound_time) = timed(|| {
-                    if input.keys.is_empty() {
-                        RankModel::empty(input.seed)
-                    } else {
-                        RankModel::from_ffn(ffn, input.keys)
-                    }
-                });
-                let err_span = model.err_span();
-                BuiltModel {
-                    model,
-                    stats: BuildStats {
-                        method: method.name(),
-                        training_set_size: 0,
-                        reduce_time,
-                        train_time: Duration::ZERO,
-                        bound_time,
-                        err_span,
-                    },
-                }
+                let (name, f) = (method.name(), RankFn::Ffn(ffn));
+                BuiltModel::bound(f, input.keys, input.seed, name, 0, Duration::ZERO)
             }
-        }
+        };
+        built.stats.reduce_time = select_time + reduce_elapsed;
+        built.stats.reduce_work = reduce_work;
+        built
     }
 
     fn name(&self) -> &'static str {

@@ -67,6 +67,7 @@ mod tests {
                 method: "SP",
                 training_set_size: 100,
                 reduce_time: Duration::from_millis(5),
+                reduce_work: 100,
                 train_time: Duration::from_millis(50),
                 bound_time: Duration::from_millis(10),
                 err_span: 42,
@@ -75,6 +76,7 @@ mod tests {
                 method: "SP",
                 training_set_size: 200,
                 reduce_time: Duration::from_millis(3),
+                reduce_work: 200,
                 train_time: Duration::from_millis(30),
                 bound_time: Duration::from_millis(6),
                 err_span: 8,

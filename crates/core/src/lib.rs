@@ -33,7 +33,7 @@
 //!   Def. 2 sense (KS distance between mapped-key CDFs).
 //! * [`scorer`] — the method scorer and selector (§IV-B1, Fig. 4): two
 //!   cost FFNs over (method, cardinality, `dist(D_U, D)`), combined by
-//!   Eq. 2; `measure_method_costs` is its training-data harness.
+//!   Eq. 2; `measure_method_costs` counts its training data.
 //! * [`update`] — the update processor (§IV-B2): the
 //!   [`update::DeltaOverlay`] delta layer and the
 //!   [`update::UpdateProcessor`] lifecycle around a base index.
@@ -135,12 +135,12 @@ impl Elsi {
         Arc::clone(&self.mr_pool)
     }
 
-    /// Runs the remaining ELSI preparation: measures per-method costs over
-    /// generated data sets (`sizes` × the skew grid) and trains the method
-    /// scorer on them. Grid cells are measured in parallel on the rayon
-    /// pool ([`scorer::measure_method_costs`]); per-cell seeds keep every
-    /// cost *feature* bit-identical to the serial reference regardless of
-    /// thread count, so the trained scorer's selections are deterministic.
+    /// Runs the remaining ELSI preparation: counts per-method build and
+    /// query work over generated data sets (`sizes` × `skews`) and trains
+    /// the method scorer on them. Grid cells run in parallel on the rayon
+    /// pool ([`scorer::measure_method_costs`]); every cost is counted from
+    /// a per-cell seed, so the costs, the trained scorer and its
+    /// selections are the same on every run and at any thread count.
     pub fn prepare_scorer(
         &mut self,
         sizes: &[usize],

@@ -13,10 +13,11 @@ use elsi_indices::BuildInput;
 use elsi_ml::kmeans;
 use elsi_spatial::Point;
 
-/// Mapped keys of the `C` k-means centroids of the partition, sorted.
-pub fn centroids(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
+/// Mapped keys of the `C` k-means centroids of the partition, sorted, and
+/// the distance evaluations k-means ran (`iterations × n × C`).
+pub fn centroids(input: &BuildInput<'_>, cfg: &ElsiConfig) -> (Vec<f64>, u64) {
     if input.points.is_empty() {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let pts: Vec<(f64, f64)> = input.points.iter().map(|p| (p.x, p.y)).collect();
     let result = kmeans(&pts, cfg.clusters, cfg.kmeans_iters, cfg.seed ^ input.seed);
@@ -26,7 +27,8 @@ pub fn centroids(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
         .map(|&(x, y)| input.mapper.key(Point::at(x, y)))
         .collect();
     keys.sort_unstable_by(|a, b| a.total_cmp(b));
-    keys
+    let work = result.iterations * pts.len() * result.centroids.len();
+    (keys, work as u64)
 }
 
 #[cfg(test)]
@@ -48,7 +50,8 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        let keys = centroids(&input, &cfg);
+        let (keys, work) = centroids(&input, &cfg);
+        assert!(work >= 2000 * 32, "one iteration at least: {work}");
         assert_eq!(keys.len(), 32);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert!(keys.iter().all(|k| (0.0..=1.0).contains(k)));
@@ -63,6 +66,6 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        assert!(centroids(&input, &cfg).is_empty());
+        assert_eq!(centroids(&input, &cfg), (Vec::new(), 0));
     }
 }

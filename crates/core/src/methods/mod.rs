@@ -118,24 +118,32 @@ pub enum Reduction {
 }
 
 /// Runs a building method over one sorted partition, producing its
-/// reduction. `mr_pool` supplies the pre-trained models for [`Method::Mr`].
+/// reduction and the elementary steps it ran (§VI's `cost_ex`, counted).
+/// `mr_pool` supplies the pre-trained models for [`Method::Mr`].
 pub fn reduce(
     method: Method,
     input: &BuildInput<'_>,
     cfg: &ElsiConfig,
     mr_pool: &MrPool,
-) -> Reduction {
-    match method {
-        Method::Sp => Reduction::TrainingSet(sp::systematic(input.keys, cfg.rho)),
-        Method::Rsp => {
-            Reduction::TrainingSet(sp::random(input.keys, cfg.rho, cfg.seed ^ input.seed))
+) -> (Reduction, u64) {
+    // A drawn set costs one step per key drawn.
+    let drawn = |set: Vec<f64>| {
+        let work = set.len() as u64;
+        (set, work)
+    };
+    let (set, work) = match method {
+        Method::Sp => drawn(sp::systematic(input.keys, cfg.rho)),
+        Method::Rsp => drawn(sp::random(input.keys, cfg.rho, cfg.seed ^ input.seed)),
+        Method::Og => drawn(input.keys.to_vec()),
+        Method::Cl => cl::centroids(input, cfg),
+        Method::Rs => rs::representative_set(input, cfg),
+        Method::Rl => rl::rl_set(input, cfg),
+        Method::Mr => {
+            let (model, work) = mr_pool.best_model(input.keys);
+            return (Reduction::Pretrained(model.clone()), work);
         }
-        Method::Cl => Reduction::TrainingSet(cl::centroids(input, cfg)),
-        Method::Mr => Reduction::Pretrained(mr_pool.best_model(input.keys).clone()),
-        Method::Rs => Reduction::TrainingSet(rs::representative_set(input, cfg)),
-        Method::Rl => Reduction::TrainingSet(rl::rl_set(input, cfg)),
-        Method::Og => Reduction::TrainingSet(input.keys.to_vec()),
-    }
+    };
+    (Reduction::TrainingSet(set), work)
 }
 
 #[cfg(test)]
@@ -185,7 +193,7 @@ mod tests {
             seed: 3,
         };
         for m in Method::all() {
-            let red = reduce(m, &input, &cfg, &mr_pool);
+            let (red, _) = reduce(m, &input, &cfg, &mr_pool);
             match red {
                 Reduction::TrainingSet(keys) => {
                     assert!(!keys.is_empty(), "{m}: empty training set");
@@ -219,7 +227,7 @@ mod tests {
             seed: 5,
         };
         let dist_of = |m: Method| -> f64 {
-            match reduce(m, &input, &cfg, &mr_pool) {
+            match reduce(m, &input, &cfg, &mr_pool).0 {
                 Reduction::TrainingSet(keys) => ks_distance(&keys, &sorted_keys),
                 Reduction::Pretrained(_) => unreachable!(),
             }

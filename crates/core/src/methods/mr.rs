@@ -83,10 +83,12 @@ impl MrPool {
     }
 
     /// The pre-trained model of the synthetic set closest (by KS distance)
-    /// to the sorted input keys.
-    pub fn best_model(&self, input_keys: &[f64]) -> &Ffn {
+    /// to the sorted input keys, and the KS merge steps of the search (the
+    /// input's size plus the set's, once per set).
+    pub fn best_model(&self, input_keys: &[f64]) -> (&Ffn, u64) {
         let (entry, _) = self.best_entry(input_keys);
-        &entry.model
+        let sizes = self.entries.iter().map(|e| e.keys.len() + input_keys.len());
+        (&entry.model, sizes.sum::<usize>() as u64)
     }
 
     /// Closest entry and its KS distance to the input.
@@ -187,7 +189,8 @@ mod tests {
     fn best_model_predicts_ranks_for_matching_distribution() {
         let pool = MrPool::generate(&small_cfg(0.3), 1);
         let input = synthetic_keys(3.0, false, 400);
-        let model = pool.best_model(&input);
+        let (model, work) = pool.best_model(&input);
+        assert_eq!(work, (pool.len() * (400 + 64)) as u64);
         // The reused model should track the input's rank function coarsely.
         let mut worst = 0.0f64;
         for (i, &k) in input.iter().enumerate() {

@@ -17,10 +17,12 @@ use elsi_spatial::{Rect, UniformGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs the RL search and returns the sorted keys of the best `D_S`.
-pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
+/// Runs the RL search and returns the sorted keys of the best `D_S` and
+/// the KS merge steps of the distances it evaluated (`n` plus the
+/// candidate set's size, once per evaluation).
+pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> (Vec<f64>, u64) {
     if input.points.is_empty() {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let eta = cfg.eta.max(2);
     let grid = UniformGrid::square(eta);
@@ -64,7 +66,12 @@ pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
     let mut agent = Dqn::new(n_cells, n_cells, dqn_cfg, cfg.seed ^ input.seed ^ 0x51);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ input.seed ^ 0xF1E1D);
 
-    let mut dist = ks_distance(&keys_of(&state), input.keys);
+    let mut work = 0u64;
+    let mut distance = |set: Vec<f64>| {
+        work += (set.len() + input.keys.len()) as u64;
+        ks_distance(&set, input.keys)
+    };
+    let mut dist = distance(keys_of(&state));
     let mut best_dist = dist;
     let mut best_state = state.clone();
     let mut since_improve = 0usize;
@@ -80,7 +87,7 @@ pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
         if state.iter().all(|&s| s < 0.5) {
             state[action] = 1.0;
         }
-        let new_dist = ks_distance(&keys_of(&state), input.keys);
+        let new_dist = distance(keys_of(&state));
         let reward = dist - new_dist;
         agent.remember(Transition {
             state: prev_state,
@@ -103,7 +110,7 @@ pub fn rl_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
             }
         }
     }
-    keys_of(&best_state)
+    (keys_of(&best_state), work)
 }
 
 #[cfg(test)]
@@ -119,7 +126,7 @@ mod tests {
             mapper: &MortonMapper,
             seed: 1,
         };
-        rl_set(&input, cfg)
+        rl_set(&input, cfg).0
     }
 
     #[test]
@@ -170,7 +177,9 @@ mod tests {
         all_cells.sort_unstable_by(|a, b| a.total_cmp(b));
         let initial = ks_distance(&all_cells, &sorted_keys);
 
-        let keys = rl_set(&input, &cfg);
+        let (keys, work) = rl_set(&input, &cfg);
+        // At least the initial distance and one step's.
+        assert!(work >= 2 * sorted_keys.len() as u64, "{work}");
         let final_d = ks_distance(&keys, &sorted_keys);
         assert!(final_d < initial, "final {final_d} vs initial {initial}");
     }
@@ -196,6 +205,6 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        assert!(rl_set(&input, &cfg).is_empty());
+        assert_eq!(rl_set(&input, &cfg), (Vec::new(), 0));
     }
 }

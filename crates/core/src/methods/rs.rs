@@ -16,7 +16,9 @@ use elsi_spatial::{Point, Rect};
 /// splits cannot separate points and would loop forever on duplicates.
 const MAX_DEPTH: u32 = 48;
 
-/// Sorted mapped keys of the representative set of the partition.
+/// Sorted mapped keys of the representative set of the partition, and the
+/// point visits of the quadtree splits that built it (each split visits
+/// its cell's points once).
 ///
 /// The quadtree is never materialised: the recursion runs over one buffer
 /// of point indices and one scratch buffer of the same length, and each
@@ -24,7 +26,7 @@ const MAX_DEPTH: u32 = 48;
 /// quadrants. A cell's range therefore holds its indices in ascending
 /// order — and `input.points` is sorted by key, so the middle index is the
 /// cell's median point in the mapped space.
-pub fn representative_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> {
+pub fn representative_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> (Vec<f64>, u64) {
     let mut cell: Vec<usize> = (0..input.points.len()).collect();
     let mut scratch = vec![0; cell.len()];
     let quadtree = Quadtree {
@@ -34,9 +36,9 @@ pub fn representative_set(input: &BuildInput<'_>, cfg: &ElsiConfig) -> Vec<f64> 
     };
     let mut keys = Vec::new();
     let bounds = Rect::mbr_of(input.points);
-    quadtree.split(&mut cell, &mut scratch, bounds, 0, &mut keys);
+    let visits = quadtree.split(&mut cell, &mut scratch, bounds, 0, &mut keys);
     keys.sort_unstable_by(f64::total_cmp);
-    keys
+    (keys, visits)
 }
 
 /// Algorithm 2's partitioning loop for d = 2 over one partition.
@@ -50,8 +52,9 @@ impl Quadtree<'_> {
     /// Splits the cell `bounds`, whose points are `cell` (ascending
     /// indices), into 4 equal quadrants until every cell holds at most β
     /// points or the depth cap is reached, and pushes the key of each
-    /// non-empty leaf's median to `out`. `scratch` is as long as `cell`;
-    /// both come back in an unspecified state.
+    /// non-empty leaf's median to `out`; returns the point visits of the
+    /// splits it made. `scratch` is as long as `cell`; both come back in an
+    /// unspecified state.
     fn split(
         &self,
         cell: &mut [usize],
@@ -59,13 +62,14 @@ impl Quadtree<'_> {
         bounds: Rect,
         depth: u32,
         out: &mut Vec<f64>,
-    ) {
+    ) -> u64 {
         if cell.len() <= self.beta || depth >= MAX_DEPTH {
             // An empty cell has no median and is dropped, matching the
             // paper ("a point from each *non-empty* cell is selected").
             out.extend(cell.get(cell.len() / 2).and_then(|&i| self.keys.get(i)));
-            return;
+            return 0;
         }
+        let mut visits = cell.len() as u64;
         let mx = (bounds.lo_x + bounds.hi_x) / 2.0;
         let my = (bounds.lo_y + bounds.hi_y) / 2.0;
         // Quadrants in Z order: (lo,lo), (hi,lo), (lo,hi), (hi,hi).
@@ -106,9 +110,10 @@ impl Quadtree<'_> {
         for (len, b) in lens.into_iter().zip(child_bounds) {
             let (child, rest) = std::mem::take(&mut children).split_at_mut(len);
             let (child_scratch, spare_rest) = std::mem::take(&mut spare).split_at_mut(len);
-            self.split(child, child_scratch, b, depth + 1, out);
+            visits += self.split(child, child_scratch, b, depth + 1, out);
             (children, spare) = (rest, spare_rest);
         }
+        visits
     }
 }
 
@@ -222,7 +227,13 @@ mod tests {
             .map(|leaf| keys[leaf.indices[leaf.indices.len() / 2]])
             .collect();
         medians.sort_unstable_by(f64::total_cmp);
-        (representative_set(&input, &cfg), leaves, medians)
+        let (rs, visits) = representative_set(&input, &cfg);
+        let depths: u64 = leaves
+            .iter()
+            .map(|leaf| leaf.indices.len() as u64 * u64::from(leaf.depth))
+            .sum();
+        assert_eq!(visits, depths);
+        (rs, leaves, medians)
     }
 
     fn key_bits(keys: &[f64]) -> Vec<u64> {
@@ -345,7 +356,7 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        let keys = representative_set(&input, &cfg);
+        let (keys, _) = representative_set(&input, &cfg);
         assert!(keys.len() < sorted.len() / 4, "must reduce: {}", keys.len());
         let d = ks_distance(&keys, &sorted_keys);
         assert!(d < 0.15, "KS distance {d}");
@@ -361,14 +372,14 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        let small_beta = representative_set(
+        let (small_beta, _) = representative_set(
             &input,
             &ElsiConfig {
                 beta: 32,
                 ..ElsiConfig::fast_test()
             },
         );
-        let large_beta = representative_set(
+        let (large_beta, _) = representative_set(
             &input,
             &ElsiConfig {
                 beta: 512,
@@ -392,7 +403,7 @@ mod tests {
             mapper: &MortonMapper,
             seed: 0,
         };
-        for k in representative_set(&input, &cfg) {
+        for k in representative_set(&input, &cfg).0 {
             assert!(sorted_keys.contains(&k), "RS must select points of D");
         }
     }

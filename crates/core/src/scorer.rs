@@ -10,17 +10,18 @@
 //!
 //! The scorer is trained offline ("ELSI preparation", §VII-B2) on generated
 //! data sets spanning cardinalities `10^l..10^u` and distances-from-uniform
-//! 0.0–0.9, with measured per-method build and query times as ground truth.
+//! 0.0–0.9, with counted per-method build and query work as ground truth
+//! (§VI's `cost_ex + T(|D_S|) + M(n)`, and the steps of the bounded key
+//! search), so the preparation is a pure function of its inputs.
 //! This module also provides the decision-tree and random-forest selector
 //! baselines of Fig. 6(b) (DTR/DTC/RFR/RFC) and the random selector of the
 //! Table II ablation.
 
+use crate::build::ElsiBuilder;
 use crate::config::ElsiConfig;
-use crate::methods::{reduce, Method, MrPool, Reduction};
+use crate::methods::{Method, MrPool};
 use elsi_data::{dist_from_uniform, gen};
-use elsi_indices::{
-    build_on_training_set, equal_key_run, timed, timed_secs, BuildInput, BuiltModel,
-};
+use elsi_indices::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use elsi_ml::{
     train_regression, DecisionTree, Ffn, ForestConfig, RandomForest, TrainConfig, TreeConfig,
 };
@@ -28,12 +29,33 @@ use elsi_spatial::{sort_by_key, MortonMapper, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Number of scorer input features: 7 method slots + log-cardinality +
 /// distance from uniform.
 pub const SCORER_FEATURES: usize = 9;
 
-/// Measured ground truth for one `(data set, method)` pair.
+/// Weight of one reduction step (a key drawn, a quadtree point visit, a
+/// k-means distance evaluation, a KS merge step), in ns: CL's 1.09, the
+/// term that dominates wherever it is large.
+///
+/// The three weights were fitted on one release build (`target-cpu =
+/// native`, 2 vCPUs) to the `BuildStats` times (best of 3) of every method
+/// built with `ElsiConfig::scaled_for(30 000)` over 1k–30k points × skews
+/// 1–40, at 0 and 50 epochs. Their sum then predicted 73 % of those 224
+/// builds within ±50 % (median |log10 error| 0.08); at the median it
+/// underpredicts RL 3.9×, MR 2.6× and RS 2.1×, whose steps cost more.
+pub const REDUCE_NS: f64 = 1.0;
+
+/// Weight of one training sample-epoch, in ns (least squares 21.6,
+/// median 17.2; see [`REDUCE_NS`]).
+pub const TRAIN_NS: f64 = 18.0;
+
+/// Weight of one key of the bounds pass `M(n)`, in ns (least squares 4.3,
+/// median 4.6; see [`REDUCE_NS`]).
+pub const BOUND_NS: f64 = 5.0;
+
+/// Counted ground truth for one `(data set, method)` pair.
 #[derive(Debug, Clone, Copy)]
 pub struct MethodCosts {
     /// The building method measured.
@@ -42,10 +64,13 @@ pub struct MethodCosts {
     pub n: usize,
     /// `dist(D_U, D)` of its mapped keys.
     pub dist_u: f64,
-    /// Wall-clock model build time in seconds (reduce + train + bounds).
-    pub build_secs: f64,
-    /// Average point-query time in microseconds.
-    pub query_micros: f64,
+    /// Build work in predicted ns: the reduction's steps, the training
+    /// sample-epochs and the `n` keys of the bounds pass, weighted by
+    /// [`REDUCE_NS`], [`TRAIN_NS`] and [`BOUND_NS`].
+    pub build_work: u64,
+    /// Lookup work over sampled stored keys: per lookup, one model
+    /// invocation plus the key comparisons of the bounded search.
+    pub query_work: u64,
     /// Error span of the built model.
     pub err_span: u64,
 }
@@ -74,6 +99,40 @@ pub fn features(method: Method, n: usize, dist_u: f64) -> [f64; SCORER_FEATURES]
     f
 }
 
+/// The feature matrix of `samples` (row-major) and its build and query
+/// targets.
+fn feature_matrix(samples: &[ScorerSample]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let xs = samples
+        .iter()
+        .flat_map(|s| features(s.method, s.n, s.dist_u))
+        .collect();
+    let build_ys = samples.iter().map(|s| s.build_rel).collect();
+    let query_ys = samples.iter().map(|s| s.query_rel).collect();
+    (xs, build_ys, query_ys)
+}
+
+/// The allowed method of least Eq. 2 score, `λ·build + (1−λ)·w_Q·query`
+/// over the log-relative costs `rel(method)`; a method without costs
+/// never wins. The first wins a tie; OG, the backup option, when
+/// `allowed` is empty.
+fn argmin(
+    allowed: &[Method],
+    lambda: f64,
+    w_q: f64,
+    rel: impl Fn(Method) -> Option<(f64, f64)>,
+) -> Method {
+    let score = |m: Method| {
+        rel(m).map_or(f64::INFINITY, |(b, q)| {
+            lambda * b + (1.0 - lambda) * w_q * q
+        })
+    };
+    allowed
+        .iter()
+        .copied()
+        .min_by(|&a, &b| score(a).total_cmp(&score(b)))
+        .unwrap_or(Method::Og)
+}
+
 /// The FFN method scorer (two cost-estimation networks).
 pub struct MethodScorer {
     build_net: Ffn,
@@ -81,15 +140,10 @@ pub struct MethodScorer {
 }
 
 impl MethodScorer {
-    /// Trains the two cost FFNs on measured samples.
+    /// Trains the two cost FFNs on counted samples.
     pub fn train(samples: &[ScorerSample], seed: u64) -> Self {
         assert!(!samples.is_empty(), "scorer needs training data");
-        let xs: Vec<f64> = samples
-            .iter()
-            .flat_map(|s| features(s.method, s.n, s.dist_u))
-            .collect();
-        let build_ys: Vec<f64> = samples.iter().map(|s| s.build_rel).collect();
-        let query_ys: Vec<f64> = samples.iter().map(|s| s.query_rel).collect();
+        let (xs, build_ys, query_ys) = feature_matrix(samples);
         let cfg = TrainConfig {
             epochs: 400,
             batch_size: 32,
@@ -105,24 +159,8 @@ impl MethodScorer {
         }
     }
 
-    /// Predicted `(build_rel, query_rel)` log-costs of a method.
-    pub fn predict(&self, method: Method, n: usize, dist_u: f64) -> (f64, f64) {
-        let f = features(method, n, dist_u);
-        // Allocation-free scalar path: `select` runs this once per allowed
-        // method on every partition of every build.
-        (
-            self.build_net.predict_scalar(&f),
-            self.query_net.predict_scalar(&f),
-        )
-    }
-
-    /// Combined score of Eq. 2 (lower is better in log-relative costs).
-    pub fn combined(&self, method: Method, n: usize, dist_u: f64, lambda: f64, w_q: f64) -> f64 {
-        let (b, q) = self.predict(method, n, dist_u);
-        lambda * b + (1.0 - lambda) * w_q * q
-    }
-
-    /// Selects the best allowed method for a data set.
+    /// Selects the allowed method of least predicted Eq. 2 cost for a data
+    /// set.
     pub fn select(
         &self,
         n: usize,
@@ -131,27 +169,13 @@ impl MethodScorer {
         w_q: f64,
         allowed: &[Method],
     ) -> Method {
-        assert!(!allowed.is_empty(), "no methods allowed");
-        *allowed
-            .iter()
-            .min_by(|a, b| {
-                let ca = self.combined(**a, n, dist_u, lambda, w_q);
-                let cb = self.combined(**b, n, dist_u, lambda, w_q);
-                ca.total_cmp(&cb)
-            })
-            .expect("non-empty allowed set")
-    }
-}
-
-/// Generates a 2-D data set whose mapped-key distance from uniform is
-/// controlled by the skew exponent (`s = 1` is uniform; larger is more
-/// skewed). The exact distance is measured afterwards, matching the paper's
-/// use of measured `dist(D_U, D)` as the feature.
-pub fn skewed_dataset(n: usize, s: i32, seed: u64) -> Vec<Point> {
-    if s <= 1 {
-        gen::uniform(n, seed)
-    } else {
-        gen::skewed(n, s, seed)
+        // Allocation-free scalar path: this runs once per allowed method on
+        // every partition of every build.
+        argmin(allowed, lambda, w_q, |m| {
+            let f = features(m, n, dist_u);
+            let (b, q) = (&self.build_net, &self.query_net);
+            Some((b.predict_scalar(&f), q.predict_scalar(&f)))
+        })
     }
 }
 
@@ -159,63 +183,106 @@ pub fn skewed_dataset(n: usize, s: i32, seed: u64) -> Vec<Point> {
 /// distribution levels).
 pub const SKEW_GRID: [i32; 10] = [1, 2, 3, 4, 6, 8, 12, 18, 26, 40];
 
-/// Measures one `(skew, size)` grid cell: generates the data set from its
-/// own deterministic seed (`seed ^ (di·131 + si)`, the PR-1 per-partition
-/// scheme) and measures every method on it. Pure in everything except the
-/// wall-clock readings, which go through the sanctioned `timed`/`timed_secs`
-/// helpers — so cells can run on any thread, in any order.
+/// The key-sorted data set of the grid cell at skew index `di`, size index
+/// `si`: `n` points at skew exponent `s` (`s = 1` is uniform; larger is
+/// more skewed), generated from the cell's own seed `seed ^ (di·131 + si)`.
+/// Its exact distance from uniform is measured afterwards, as the paper
+/// uses the measured `dist(D_U, D)` as the feature.
+pub fn grid_cell(di: usize, si: usize, s: i32, n: usize, seed: u64) -> (Vec<Point>, Vec<f64>) {
+    let seed = seed ^ ((di * 131 + si) as u64);
+    let pts = if s <= 1 {
+        gen::uniform(n, seed)
+    } else {
+        gen::skewed(n, s, seed)
+    };
+    sort_by_key(pts, &MortonMapper)
+}
+
+/// §VI's build cost of one model over `n` keys, counted and weighted: the
+/// reduction's steps, `|D_S| × epochs` training sample-epochs and the `n`
+/// predictions of the bounds pass.
+fn build_work(stats: &BuildStats, epochs: usize, n: usize) -> u64 {
+    let sample_epochs = (stats.training_set_size * epochs) as f64;
+    let ns = REDUCE_NS * stats.reduce_work as f64 + TRAIN_NS * sample_epochs + BOUND_NS * n as f64;
+    ns.round() as u64
+}
+
+/// Lookup work over every stored key at a stride giving about `queries`
+/// lookups: per lookup one model invocation plus the comparisons that
+/// [`elsi_indices::equal_key_run`]'s two binary searches make inside the
+/// model's search range — the product's lookup before its leaf scan, so
+/// the count grows with the error span as the lookup does.
+fn query_work(model: &RankModel, keys: &[f64], queries: usize) -> u64 {
+    let n = keys.len();
+    let step = (n / queries.max(1)).max(1);
+    let mut steps = 0u64;
+    for &key in keys.iter().step_by(step) {
+        let (lo, hi) = model.search_range(key);
+        let span = keys.get(lo.min(n)..hi.min(n)).unwrap_or(&[]);
+        let mut compared = 0;
+        let first = span.partition_point(|&k| {
+            compared += 1;
+            k < key
+        });
+        let _run = span.get(first..).unwrap_or(&[]).partition_point(|&k| {
+            compared += 1;
+            k <= key
+        });
+        steps += 1 + compared;
+    }
+    steps
+}
+
+/// Counts one `(skew, size)` grid cell: generates the data set from its
+/// own seed ([`grid_cell`]) and builds every method on it through
+/// [`ElsiBuilder::fixed`]. A pure function of its arguments, so cells can
+/// run on any thread, in any order.
 fn measure_cell(
-    cell: (usize, usize, i32, usize),
+    (di, si, s, n): (usize, usize, i32, usize),
     methods: &[Method],
     cfg: &ElsiConfig,
-    mr_pool: &MrPool,
+    mr_pool: &Arc<MrPool>,
     seed: u64,
 ) -> Vec<MethodCosts> {
-    let (di, si, s, n) = cell;
-    let pts = skewed_dataset(n, s, seed ^ ((di * 131 + si) as u64));
-    let (points, keys) = sort_by_key(pts, &MortonMapper);
+    let (points, keys) = grid_cell(di, si, s, n, seed);
     let dist_u = dist_from_uniform(&keys);
+    let input = BuildInput {
+        points: &points,
+        keys: &keys,
+        mapper: &MortonMapper,
+        seed,
+    };
     methods
         .iter()
         .map(|&m| {
-            let (built, build_secs) = build_with_method(m, &points, &keys, cfg, mr_pool, seed);
-            let query_micros = measure_query_micros(&built, &keys, 512);
+            let built = ElsiBuilder::fixed(m, cfg.clone(), Arc::clone(mr_pool)).build_model(&input);
             MethodCosts {
                 method: m,
                 n,
                 dist_u,
-                build_secs,
-                query_micros,
+                build_work: build_work(&built.stats, cfg.train.epochs, n),
+                query_work: query_work(&built.model, &keys, 512),
                 err_span: built.model.err_span(),
             }
         })
         .collect()
 }
 
-/// Measures ground-truth build and query costs of every method in
-/// `methods` over generated data sets of the given sizes × skews
-/// (the "ELSI preparation" measurement pass).
+/// Counts the build and query work of every method in `methods` over
+/// generated data sets of the given sizes × skews (the "ELSI preparation"
+/// measurement pass).
 ///
 /// Grid cells are independent — each generates its own data set from a
-/// per-cell seed — so they are fanned out on the rayon pool. The map is
-/// order-preserving, so the output order (skews outer, sizes inner, methods
-/// innermost) is identical to a serial loop over the same cells, and so are
-/// all cost-feature fields (`method`, `n`, `dist_u`, `err_span`). Only the
-/// `build_secs` / `query_micros` timing fields can differ: they are honest
-/// wall-clock readings taken on whichever worker ran the cell, and on an
-/// oversubscribed pool concurrent cells contend for cores. Scorer
-/// *decisions* follow those readings wherever methods cost about the same:
-/// at build-dominated λ the build-cost ratios are far apart and the picks
-/// hold (pinned by the serial-vs-parallel equivalence test), but at λ = 0
-/// query costs are method-independent to within noise, so the pick flips
-/// from run to run (fig09's LISA-F and RSMI-F cells). Counts instead of
-/// clocks would settle it (ROADMAP, item 5).
+/// per-cell seed and every field is counted, not timed — so they are
+/// fanned out on the rayon pool, and the result is the same at any thread
+/// count. The map is order-preserving: skews outer, sizes inner, methods
+/// innermost.
 pub fn measure_method_costs(
     sizes: &[usize],
     skews: &[i32],
     methods: &[Method],
     cfg: &ElsiConfig,
-    mr_pool: &MrPool,
+    mr_pool: &Arc<MrPool>,
     seed: u64,
 ) -> Vec<MethodCosts> {
     let cells: Vec<(usize, usize, i32, usize)> = skews
@@ -230,103 +297,47 @@ pub fn measure_method_costs(
     per_cell.into_iter().flatten().collect()
 }
 
-/// Builds one rank model over key-sorted `points` with a fixed method;
-/// returns it and the wall time.
-pub fn build_with_method(
-    method: Method,
-    points: &[Point],
-    keys: &[f64],
-    cfg: &ElsiConfig,
-    mr_pool: &MrPool,
-    seed: u64,
-) -> (BuiltModel, f64) {
-    let input = BuildInput {
-        points,
-        keys,
-        mapper: &MortonMapper,
-        seed,
-    };
-    let (built, build_secs) = timed_secs(|| {
-        let (reduction, reduce_time) = timed(|| reduce(method, &input, cfg, mr_pool));
-        match reduction {
-            Reduction::TrainingSet(set) => build_on_training_set(
-                &set,
-                keys,
-                cfg.hidden,
-                &cfg.train,
-                seed,
-                method.name(),
-                reduce_time,
-            ),
-            Reduction::Pretrained(ffn) => {
-                let model = elsi_indices::RankModel::from_ffn(ffn, keys);
-                let err_span = model.err_span();
-                BuiltModel {
-                    model,
-                    stats: elsi_indices::BuildStats {
-                        method: method.name(),
-                        training_set_size: 0,
-                        reduce_time,
-                        train_time: std::time::Duration::ZERO,
-                        bound_time: std::time::Duration::ZERO,
-                        err_span,
-                    },
-                }
-            }
-        }
-    });
-    (built, build_secs)
+/// `(log10(build / build_og), log10(query / query_og))` of a cost row;
+/// every count is at least 1.
+fn relative(c: &MethodCosts, og: &MethodCosts) -> (f64, f64) {
+    let log_ratio = |work: u64, og: u64| (work as f64 / og as f64).log10();
+    (
+        log_ratio(c.build_work, og.build_work),
+        log_ratio(c.query_work, og.query_work),
+    )
 }
 
-/// Average point-lookup time over sampled stored keys, in µs: predict,
-/// then the bounded key search of the error-bounded range — the operation
-/// the model-backed indices run before their leaf scan
-/// ([`equal_key_run`]), so `C_Q`'s ground truth grows with the error span
-/// exactly as the product's lookup does.
-fn measure_query_micros(built: &BuiltModel, keys: &[f64], queries: usize) -> f64 {
-    let n = keys.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let step = (n / queries.max(1)).max(1);
-    let (found, secs) = timed_secs(|| {
-        let mut found = 0usize;
-        for &key in keys.iter().step_by(step) {
-            let (lo, hi) = equal_key_run(keys, built.model.search_range(key), key);
-            if lo < hi {
-                found += 1;
-            }
-        }
-        found
-    });
-    let count = n.div_ceil(step);
-    std::hint::black_box(found);
-    secs * 1e6 / count as f64
+/// The cost row of `method` on the data set `(n, dist_u)`.
+fn row(costs: &[MethodCosts], method: Method, n: usize, dist_u: f64) -> Option<&MethodCosts> {
+    costs
+        .iter()
+        .find(|c| c.method == method && c.n == n && c.dist_u == dist_u)
 }
 
-/// Converts measured costs into scorer training samples (log-relative to
+/// Converts counted costs into scorer training samples (log-relative to
 /// the OG row of the same data set).
 pub fn samples_from_costs(costs: &[MethodCosts]) -> Vec<ScorerSample> {
     let mut out = Vec::new();
-    // Group by (n, dist_u) via the OG rows.
     for og in costs.iter().filter(|c| c.method == Method::Og) {
         for c in costs
             .iter()
             .filter(|c| c.n == og.n && c.dist_u == og.dist_u)
         {
+            let (build_rel, query_rel) = relative(c, og);
             out.push(ScorerSample {
                 method: c.method,
                 n: c.n,
                 dist_u: c.dist_u,
-                build_rel: (c.build_secs.max(1e-9) / og.build_secs.max(1e-9)).log10(),
-                query_rel: (c.query_micros.max(1e-3) / og.query_micros.max(1e-3)).log10(),
+                build_rel,
+                query_rel,
             });
         }
     }
     out
 }
 
-/// Ground-truth best method for a data set at a given λ.
+/// Ground-truth best method for a data set at a given λ: the allowed
+/// method of least counted Eq. 2 cost.
 pub fn ground_truth_best(
     costs: &[MethodCosts],
     n: usize,
@@ -335,89 +346,68 @@ pub fn ground_truth_best(
     w_q: f64,
     allowed: &[Method],
 ) -> Method {
-    let og = costs
-        .iter()
-        .find(|c| c.method == Method::Og && c.n == n && c.dist_u == dist_u)
-        .expect("OG row present");
-    *allowed
-        .iter()
-        .min_by(|a, b| {
-            let score = |m: Method| {
-                let c = costs
-                    .iter()
-                    .find(|c| c.method == m && c.n == n && c.dist_u == dist_u)
-                    .expect("method row present");
-                let b_rel = (c.build_secs.max(1e-9) / og.build_secs.max(1e-9)).log10();
-                let q_rel = (c.query_micros.max(1e-3) / og.query_micros.max(1e-3)).log10();
-                lambda * b_rel + (1.0 - lambda) * w_q * q_rel
-            };
-            score(**a).total_cmp(&score(**b))
-        })
-        .expect("non-empty allowed set")
+    let og = row(costs, Method::Og, n, dist_u);
+    argmin(allowed, lambda, w_q, |m| {
+        Some(relative(row(costs, m, n, dist_u)?, og?))
+    })
 }
 
-/// The alternative selector models of Fig. 6(b).
-pub enum AltSelector {
-    /// Random-forest regression on (method, n, dist) → costs.
-    Rfr {
-        /// Build-cost regressor.
-        build: RandomForest,
-        /// Query-cost regressor.
-        query: RandomForest,
-    },
-    /// Random-forest classification on (n, dist, λ) → best method.
-    Rfc(RandomForest),
-    /// Decision-tree regression.
-    Dtr {
-        /// Build-cost regressor.
-        build: DecisionTree,
-        /// Query-cost regressor.
-        query: DecisionTree,
-    },
-    /// Decision-tree classification.
-    Dtc(DecisionTree),
+/// The alternative selector models of Fig. 6(b): RFR and DTR regress each
+/// method's costs as the FFN scorer does; RFC and DTC classify
+/// `(n, dist, λ)` into the best method.
+pub struct AltSelector {
+    name: &'static str,
+    pick: Pick,
+}
+
+/// An alternative selector's pick for `(n, dist_u, λ, w_Q, allowed)`.
+type Pick = Box<dyn Fn(usize, f64, f64, f64, &[Method]) -> Method>;
+
+/// A fitted tree or forest: features to prediction.
+type Fitted<T> = Box<dyn Fn(&[f64]) -> T>;
+
+fn forest_config(seed: u64) -> ForestConfig {
+    ForestConfig {
+        n_trees: 30,
+        seed,
+        ..ForestConfig::default()
+    }
 }
 
 impl AltSelector {
     /// Display name matching Fig. 6(b).
     pub fn name(&self) -> &'static str {
-        match self {
-            AltSelector::Rfr { .. } => "RFR",
-            AltSelector::Rfc(_) => "RFC",
-            AltSelector::Dtr { .. } => "DTR",
-            AltSelector::Dtc(_) => "DTC",
-        }
+        self.name
     }
 
     /// Trains a regression variant on the same samples as the FFN scorer.
     pub fn train_regression_variant(samples: &[ScorerSample], forest: bool, seed: u64) -> Self {
-        let xs: Vec<f64> = samples
-            .iter()
-            .flat_map(|s| features(s.method, s.n, s.dist_u))
-            .collect();
-        let build_ys: Vec<f64> = samples.iter().map(|s| s.build_rel).collect();
-        let query_ys: Vec<f64> = samples.iter().map(|s| s.query_rel).collect();
-        if forest {
-            let cfg = ForestConfig {
-                n_trees: 30,
-                seed,
-                ..ForestConfig::default()
-            };
-            AltSelector::Rfr {
-                build: RandomForest::fit_regression(&xs, SCORER_FEATURES, &build_ys, &cfg),
-                query: RandomForest::fit_regression(&xs, SCORER_FEATURES, &query_ys, &cfg),
+        let (xs, build_ys, query_ys) = feature_matrix(samples);
+        let fit = |ys: &[f64]| -> Fitted<f64> {
+            if forest {
+                let f =
+                    RandomForest::fit_regression(&xs, SCORER_FEATURES, ys, &forest_config(seed));
+                Box::new(move |x| f.predict(x))
+            } else {
+                let cfg = TreeConfig::default();
+                let t = DecisionTree::fit_regression(&xs, SCORER_FEATURES, ys, &cfg);
+                Box::new(move |x| t.predict(x))
             }
-        } else {
-            let cfg = TreeConfig::default();
-            AltSelector::Dtr {
-                build: DecisionTree::fit_regression(&xs, SCORER_FEATURES, &build_ys, &cfg),
-                query: DecisionTree::fit_regression(&xs, SCORER_FEATURES, &query_ys, &cfg),
-            }
+        };
+        let (build, query) = (fit(&build_ys), fit(&query_ys));
+        AltSelector {
+            name: if forest { "RFR" } else { "DTR" },
+            pick: Box::new(move |n, dist_u, lambda, w_q, allowed: &[Method]| {
+                argmin(allowed, lambda, w_q, |m| {
+                    let f = features(m, n, dist_u);
+                    Some((build(&f), query(&f)))
+                })
+            }),
         }
     }
 
     /// Trains a classification variant: `(log n, dist, λ)` → best method,
-    /// labelled from measured ground truth over a λ grid.
+    /// labelled from the counted ground truth over a λ grid.
     pub fn train_classification_variant(
         costs: &[MethodCosts],
         lambdas: &[f64],
@@ -439,21 +429,19 @@ impl AltSelector {
                 labels.push(best.one_hot_index());
             }
         }
-        if forest {
-            let cfg = ForestConfig {
-                n_trees: 30,
-                seed,
-                ..ForestConfig::default()
-            };
-            AltSelector::Rfc(RandomForest::fit_classification(&xs, 3, &labels, 7, &cfg))
+        let classify: Fitted<usize> = if forest {
+            let f = RandomForest::fit_classification(&xs, 3, &labels, 7, &forest_config(seed));
+            Box::new(move |x| f.predict_class(x))
         } else {
-            AltSelector::Dtc(DecisionTree::fit_classification(
-                &xs,
-                3,
-                &labels,
-                7,
-                &TreeConfig::default(),
-            ))
+            let t = DecisionTree::fit_classification(&xs, 3, &labels, 7, &TreeConfig::default());
+            Box::new(move |x| t.predict_class(x))
+        };
+        AltSelector {
+            name: if forest { "RFC" } else { "DTC" },
+            pick: Box::new(move |n, dist_u, lambda, _, allowed: &[Method]| {
+                let c = classify(&[(n as f64).log10() / 8.0, dist_u, lambda]);
+                method_from_index(c, allowed)
+            }),
         }
     }
 
@@ -466,38 +454,7 @@ impl AltSelector {
         w_q: f64,
         allowed: &[Method],
     ) -> Method {
-        match self {
-            AltSelector::Rfr { build, query } => *allowed
-                .iter()
-                .min_by(|a, b| {
-                    let s = |m: Method| {
-                        let f = features(m, n, dist_u);
-                        lambda * build.predict(&f) + (1.0 - lambda) * w_q * query.predict(&f)
-                    };
-                    s(**a).total_cmp(&s(**b))
-                })
-                .expect("non-empty"),
-            AltSelector::Dtr { build, query } => *allowed
-                .iter()
-                .min_by(|a, b| {
-                    let s = |m: Method| {
-                        let f = features(m, n, dist_u);
-                        lambda * build.predict(&f) + (1.0 - lambda) * w_q * query.predict(&f)
-                    };
-                    s(**a).total_cmp(&s(**b))
-                })
-                .expect("non-empty"),
-            AltSelector::Rfc(f) => {
-                let x = [(n as f64).log10() / 8.0, dist_u, lambda];
-                let c = f.predict_class(&x);
-                method_from_index(c, allowed)
-            }
-            AltSelector::Dtc(t) => {
-                let x = [(n as f64).log10() / 8.0, dist_u, lambda];
-                let c = t.predict_class(&x);
-                method_from_index(c, allowed)
-            }
-        }
+        (self.pick)(n, dist_u, lambda, w_q, allowed)
     }
 }
 
@@ -533,23 +490,23 @@ mod tests {
     use super::*;
 
     fn tiny_costs() -> Vec<MethodCosts> {
-        // Hand-crafted: SP builds 100× faster, queries 2× slower than OG.
+        // Hand-crafted: SP builds 100× cheaper, queries 2× dearer than OG.
         let mut out = Vec::new();
         for &(n, d) in &[(1000usize, 0.1f64), (1000, 0.5)] {
             out.push(MethodCosts {
                 method: Method::Og,
                 n,
                 dist_u: d,
-                build_secs: 10.0,
-                query_micros: 1.0,
+                build_work: 10_000,
+                query_work: 100,
                 err_span: 10,
             });
             out.push(MethodCosts {
                 method: Method::Sp,
                 n,
                 dist_u: d,
-                build_secs: 0.1,
-                query_micros: 2.0,
+                build_work: 100,
+                query_work: 200,
                 err_span: 20,
             });
         }
@@ -626,97 +583,41 @@ mod tests {
         }
     }
 
-    /// Serial reference for [`measure_method_costs`]: same cells, same
-    /// seeds, same output order, one cell at a time on the calling thread.
-    fn measure_method_costs_serial(
-        sizes: &[usize],
-        skews: &[i32],
-        methods: &[Method],
-        cfg: &ElsiConfig,
-        mr_pool: &MrPool,
-        seed: u64,
-    ) -> Vec<MethodCosts> {
-        let mut out = Vec::new();
-        for (di, &s) in skews.iter().enumerate() {
-            for (si, &n) in sizes.iter().enumerate() {
-                out.extend(measure_cell((di, si, s, n), methods, cfg, mr_pool, seed));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn parallel_grid_matches_serial_reference() {
-        let cfg = ElsiConfig {
-            train: TrainConfig {
-                epochs: 2000,
-                ..Default::default()
-            },
-            ..ElsiConfig::fast_test()
-        };
-        let pool = MrPool::generate(&cfg, 1);
-        let methods = [Method::Sp, Method::Og];
-        let sizes = [300, 500];
-        let skews = [1, 8];
-        let par = measure_method_costs(&sizes, &skews, &methods, &cfg, &pool, 7);
-        let ser = measure_method_costs_serial(&sizes, &skews, &methods, &cfg, &pool, 7);
-
-        // Cost-feature fields must match bit-for-bit, in the same order;
-        // only the wall-clock fields (build_secs, query_micros) may differ.
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.method, s.method);
-            assert_eq!(p.n, s.n);
-            assert_eq!(p.dist_u.to_bits(), s.dist_u.to_bits(), "{}", p.method);
-            assert_eq!(p.err_span, s.err_span, "{}", p.method);
-            assert!(p.build_secs > 0.0 && s.build_secs > 0.0);
-        }
-
-        // The scorers trained from either run must make the same picks at
-        // build-dominated λ, where the SP-vs-OG build ratio dwarfs any
-        // timing jitter between the runs. The epoch count makes training
-        // the bulk of both builds, so SP, on a ρ = 5 % sample, builds about
-        // 15× faster than OG; at 20 epochs the per-key work both do left a
-        // 3× gap that one descheduled thread on a loaded machine could close.
-        let scorer_par = MethodScorer::train(&samples_from_costs(&par), 1);
-        let scorer_ser = MethodScorer::train(&samples_from_costs(&ser), 1);
-        let allowed = [Method::Sp, Method::Og];
-        for c in ser.iter().filter(|c| c.method == Method::Og) {
-            for lambda in [0.8, 1.0] {
-                assert_eq!(
-                    scorer_par.select(c.n, c.dist_u, lambda, 1.0, &allowed),
-                    scorer_ser.select(c.n, c.dist_u, lambda, 1.0, &allowed),
-                    "picks diverge at n={} dist={} λ={lambda}",
-                    c.n,
-                    c.dist_u
-                );
-            }
-        }
-    }
-
     #[test]
     fn measure_costs_smoke() {
-        // Training makes up most of each build at 2000 epochs, so SP, on a
-        // 5 % sample, builds about 20× faster than OG (≈ 2 vs ≈ 35–40 ms);
-        // at 20 epochs the gap was about 3×, which one preemption closes.
-        let cfg = ElsiConfig {
-            train: TrainConfig {
-                epochs: 2000,
-                ..Default::default()
-            },
-            ..ElsiConfig::fast_test()
-        };
-        let pool = MrPool::generate(&cfg, 1);
+        let cfg = ElsiConfig::fast_test();
+        let pool = Arc::new(MrPool::generate(&cfg, 1));
         let costs =
             measure_method_costs(&[500], &[1, 8], &[Method::Sp, Method::Og], &cfg, &pool, 7);
         assert_eq!(costs.len(), 4);
-        assert!(costs.iter().all(|c| c.build_secs > 0.0));
-        // SP must build faster than OG on the same data.
+        assert!(costs.iter().all(|c| c.build_work > 0 && c.query_work > 0));
+        // SP trains on a 5 % sample, so it counts less build work than OG
+        // on the same data.
         for chunk in costs.chunks(2) {
             assert!(
-                chunk[0].build_secs < chunk[1].build_secs,
-                "SP not faster: {chunk:?}"
+                chunk[0].build_work < chunk[1].build_work,
+                "SP not cheaper: {chunk:?}"
             );
         }
+        // Every lookup invokes the model once and compares at least once.
+        let lookups = 500u64;
+        assert!(costs.iter().all(|c| c.query_work >= 2 * lookups));
+    }
+
+    #[test]
+    fn query_work_counts_the_bounded_search() {
+        let keys: Vec<f64> = (0..64).map(|i| f64::from(i) / 64.0).collect();
+        let interpolant = TrainConfig {
+            epochs: 0,
+            ..TrainConfig::default()
+        };
+        let exact =
+            elsi_indices::build_on_training_set(&keys, &keys, 16, &interpolant, 1, "OG").model;
+        let loose = RankModel::from_ffn(Ffn::new(&[1, 4, 1], 3), &keys);
+        assert!(loose.err_span() > exact.err_span());
+        // One model invocation per lookup, and more comparisons over the
+        // wider ranges.
+        let (tight, wide) = (query_work(&exact, &keys, 64), query_work(&loose, &keys, 64));
+        assert!(tight >= 64 && wide > tight, "{tight} vs {wide}");
     }
 }

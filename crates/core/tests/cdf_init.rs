@@ -17,7 +17,6 @@ use elsi_indices::{
 use elsi_ml::TrainConfig;
 use elsi_spatial::{sort_by_key, MortonMapper, Point, Rect};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Points in the deployment's 4 × 4 shards of the unit square: 250k
 /// uniform points, ≈ 15.6k a shard.
@@ -127,7 +126,7 @@ impl Recorder {
 impl ModelBuilder for Recorder {
     fn build_model(&self, input: &BuildInput<'_>) -> BuiltModel {
         let built = self.elsi.fixed_builder(self.method).build_model(input);
-        let set = match reduce(self.method, input, &self.cfg, &self.elsi.mr_pool()) {
+        let set = match reduce(self.method, input, &self.cfg, &self.elsi.mr_pool()).0 {
             Reduction::TrainingSet(set) => set,
             Reduction::Pretrained(_) => Vec::new(),
         };
@@ -203,7 +202,7 @@ fn zero_epoch_fallback_models_are_constant_and_exact() {
     // bounds keep every key's rank inside its search range.
     let subnormal: Vec<f64> = (0..50).map(|i| f64::from(i) * 5e-324).collect();
     for keys in [vec![0.3], vec![0.5; 40], subnormal] {
-        let built = build_on_training_set(&keys, &keys, 16, &cfg, 9, "OG", Duration::ZERO);
+        let built = build_on_training_set(&keys, &keys, 16, &cfg, 9, "OG");
         assert_eq!(check_model(built.model.rank_fn(), &keys, &keys, 16), None);
         for (i, &k) in keys.iter().enumerate() {
             let (lo, hi) = built.model.search_range(k);

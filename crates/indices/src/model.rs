@@ -280,6 +280,10 @@ pub struct BuildStats {
     /// Extra time spent constructing the reduced training set
     /// (`cost_ex` in §VI-B; zero for OG).
     pub reduce_time: Duration,
+    /// `cost_ex` counted: the elementary steps the reduction ran (points
+    /// drawn, quadtree point visits, k-means distance evaluations, KS merge
+    /// steps; zero when no reduction ran).
+    pub reduce_work: u64,
     /// Time spent in `train(·)` (`T(|D_S|)`).
     pub train_time: Duration,
     /// Time spent deriving error bounds over the full partition (`M(n)`).
@@ -295,6 +299,42 @@ pub struct BuiltModel {
     pub model: RankModel,
     /// Cost decomposition for reporting.
     pub stats: BuildStats,
+}
+
+impl BuiltModel {
+    /// Line 6 of Algorithm 1: `f` with its error bounds over `full_keys`
+    /// (a constant model over none), and the statistics of a build by
+    /// `method` that fitted `f` to `training_set_size` keys in
+    /// `train_time`. The reduction's cost reads zero.
+    pub fn bound(
+        f: RankFn,
+        full_keys: &[f64],
+        seed: u64,
+        method: &'static str,
+        training_set_size: usize,
+        train_time: Duration,
+    ) -> Self {
+        let (model, bound_time) = timed(|| {
+            if full_keys.is_empty() {
+                RankModel::empty(seed)
+            } else {
+                RankModel::from_fn(f, full_keys)
+            }
+        });
+        let err_span = model.err_span();
+        BuiltModel {
+            model,
+            stats: BuildStats {
+                method,
+                training_set_size,
+                reduce_time: Duration::ZERO,
+                reduce_work: 0,
+                train_time,
+                bound_time,
+                err_span,
+            },
+        }
+    }
 }
 
 /// Pluggable model construction (the seam where ELSI integrates).
@@ -353,7 +393,6 @@ impl ModelBuilder for OgBuilder {
             &self.train,
             input.seed,
             "OG",
-            Duration::ZERO,
         )
     }
 
@@ -385,25 +424,15 @@ impl Default for PwlBuilder {
 impl ModelBuilder for PwlBuilder {
     fn build_model(&self, input: &BuildInput<'_>) -> BuiltModel {
         let (pwl, train_time) = timed(|| PwlModel::fit(input.keys, self.epsilon));
-        let (model, bound_time) = timed(|| {
-            if input.keys.is_empty() {
-                RankModel::empty(input.seed)
-            } else {
-                RankModel::from_pwl(pwl, input.keys)
-            }
-        });
-        let err_span = model.err_span();
-        BuiltModel {
-            model,
-            stats: BuildStats {
-                method: "PWL",
-                training_set_size: input.keys.len(),
-                reduce_time: Duration::ZERO,
-                train_time,
-                bound_time,
-                err_span,
-            },
-        }
+        let fitted = RankFn::Pwl(pwl);
+        BuiltModel::bound(
+            fitted,
+            input.keys,
+            input.seed,
+            "PWL",
+            input.keys.len(),
+            train_time,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -411,12 +440,9 @@ impl ModelBuilder for PwlBuilder {
     }
 }
 
-/// Shared tail of every building method: fit an FFN on `training_keys`
-/// (sorted) at their ranks in `full_keys` (sorted), and derive error
-/// bounds over `full_keys`.
-///
-/// This is lines 5–6 of Algorithm 1, factored out so ELSI's methods and OG
-/// measure their costs identically.
+/// Lines 5–6 of Algorithm 1, shared by OG and ELSI's methods: fit an FFN
+/// on `training_keys` at their ranks in `full_keys` (both sorted), then
+/// [`BuiltModel::bound`] it over `full_keys`.
 pub fn build_on_training_set(
     training_keys: &[f64],
     full_keys: &[f64],
@@ -424,31 +450,11 @@ pub fn build_on_training_set(
     train: &TrainConfig,
     seed: u64,
     method: &'static str,
-    reduce_time: Duration,
 ) -> BuiltModel {
     let (ffn, train_time) =
         timed(|| train_rank_model_in(training_keys, full_keys, hidden, train, seed));
-
-    let (model, bound_time) = timed(|| {
-        if full_keys.is_empty() {
-            RankModel::empty(seed)
-        } else {
-            RankModel::from_ffn(ffn, full_keys)
-        }
-    });
-
-    let err_span = model.err_span();
-    BuiltModel {
-        model,
-        stats: BuildStats {
-            method,
-            training_set_size: training_keys.len(),
-            reduce_time,
-            train_time,
-            bound_time,
-            err_span,
-        },
-    }
+    let size = training_keys.len();
+    BuiltModel::bound(RankFn::Ffn(ffn), full_keys, seed, method, size, train_time)
 }
 
 /// `n` OSM1-like points for the bound tests; with `grid` set, the
@@ -501,8 +507,7 @@ mod tests {
                     epochs,
                     ..TrainConfig::default()
                 };
-                let built =
-                    build_on_training_set(training, &keys, 16, &train, 3, "T", Duration::ZERO);
+                let built = build_on_training_set(training, &keys, 16, &train, 3, "T");
                 let m = &built.model;
                 assert_eq!(
                     (m.err_lo(), m.err_hi()),
@@ -542,7 +547,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let models = [
-            build_on_training_set(&keys, &keys, 16, &cfg, 1, "T", Duration::ZERO).model,
+            build_on_training_set(&keys, &keys, 16, &cfg, 1, "T").model,
             RankModel::from_ffn(Ffn::new(&[1, 16, 1], 5), &keys),
             RankModel::from_ffn(Ffn::new(&[1, 4, 4, 1], 5), &keys),
             RankModel::from_pwl(PwlModel::fit(&keys, 8), &keys),
@@ -606,7 +611,6 @@ mod tests {
             },
             0,
             "OG",
-            Duration::ZERO,
         );
         assert!(built.model.err_lo() <= 0);
         assert!(built.model.err_hi() >= 0);
@@ -631,7 +635,6 @@ mod tests {
             },
             2,
             "SP",
-            Duration::ZERO,
         );
         for (i, &k) in keys.iter().enumerate() {
             let (lo, hi) = built.model.search_range(k);
@@ -805,7 +808,6 @@ mod tests {
             },
             0,
             "OG",
-            Duration::ZERO,
         );
         let (lo, hi) = built.model.search_range(-5.0);
         assert!(lo <= hi && hi <= 100);

@@ -1,9 +1,9 @@
 //! The workspace's single sanctioned wall-clock access point.
 //!
-//! ELSI's method scorer is trained on *measured* build and query costs
-//! (paper §IV-B1): those measurements are only meaningful if every timing
-//! read is auditable and nothing else in the library consults ambient
-//! clocks. The workspace linter (`crates/analysis`, rule `determinism`)
+//! Clock readings are reports, never inputs: `BuildStats`' times and the
+//! bench/CLI measurements read them, while every decision the library
+//! makes — the method scorer's counted labels included — is a function of
+//! data, configuration and seeds. The workspace linter (`crates/analysis`, rule `determinism`)
 //! bans `Instant`/`SystemTime`/`thread_rng` everywhere except this module
 //! and the bench/CLI crates — library code that needs a duration wraps the
 //! work in [`timed`] or [`timed_secs`] instead of reading the clock inline.

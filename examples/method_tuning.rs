@@ -7,6 +7,7 @@
 
 use elsi::{Elsi, ElsiConfig, Method, MrPool};
 use elsi_data::Dataset;
+use elsi_indices::{timed_secs, BuildInput, ModelBuilder};
 use elsi_spatial::{sort_by_key, MortonMapper};
 use std::sync::Arc;
 
@@ -23,10 +24,20 @@ fn main() {
     // `ElsiConfig`'s default of 0 epochs builds no model by training.
     let mut trained = ElsiConfig::default();
     trained.train.epochs = 50;
-    let sweep = |mut cfg: ElsiConfig, m: Method, label: String| {
-        cfg.seed = 3;
-        let pool = MrPool::generate(&cfg, 1);
-        let (built, secs) = elsi::scorer::build_with_method(m, &points, &keys, &cfg, &pool, 3);
+    // The builder trains at `cfg.seed ^ input.seed`: seed 3 for every
+    // model, and for the seeded reductions (RSP, CL, RL).
+    let input = BuildInput {
+        points: &points,
+        keys: &keys,
+        mapper: &MortonMapper,
+        seed: 3,
+    };
+    let sweep = |m: Method, label: String, tweak: &dyn Fn(&mut ElsiConfig)| {
+        let mut cfg = trained.clone();
+        tweak(&mut cfg);
+        let pool = Arc::new(MrPool::generate(&cfg, 1));
+        let builder = Elsi::with_pool(cfg, pool).fixed_builder(m);
+        let (built, secs) = timed_secs(|| builder.build_model(&input));
         println!(
             "{:6} {:>14} {:>12} {:>12.1} {:>12}",
             m.name(),
@@ -38,56 +49,23 @@ fn main() {
     };
 
     for rho in [0.0005, 0.002, 0.01] {
-        sweep(
-            ElsiConfig {
-                rho,
-                ..trained.clone()
-            },
-            Method::Sp,
-            format!("rho={rho}"),
-        );
+        sweep(Method::Sp, format!("rho={rho}"), &|c| c.rho = rho);
     }
     for clusters in [50, 200, 800] {
-        sweep(
-            ElsiConfig {
-                clusters,
-                ..trained.clone()
-            },
-            Method::Cl,
-            format!("C={clusters}"),
-        );
+        sweep(Method::Cl, format!("C={clusters}"), &|c| {
+            c.clusters = clusters
+        });
     }
-    for epsilon in [0.5, 0.25, 0.1] {
-        sweep(
-            ElsiConfig {
-                epsilon,
-                ..trained.clone()
-            },
-            Method::Mr,
-            format!("eps={epsilon}"),
-        );
+    for eps in [0.5, 0.25, 0.1] {
+        sweep(Method::Mr, format!("eps={eps}"), &|c| c.epsilon = eps);
     }
     for beta in [8_000, 2_000, 500] {
-        sweep(
-            ElsiConfig {
-                beta,
-                ..trained.clone()
-            },
-            Method::Rs,
-            format!("beta={beta}"),
-        );
+        sweep(Method::Rs, format!("beta={beta}"), &|c| c.beta = beta);
     }
     for eta in [8, 16] {
-        sweep(
-            ElsiConfig {
-                eta,
-                ..trained.clone()
-            },
-            Method::Rl,
-            format!("eta={eta}"),
-        );
+        sweep(Method::Rl, format!("eta={eta}"), &|c| c.eta = eta);
     }
-    sweep(trained.clone(), Method::Og, "-".to_string());
+    sweep(Method::Og, "-".to_string(), &|_| {});
 
     // The learned selector: λ steers build-time vs query-time priority.
     println!("\nTraining the method scorer (small preparation pass)…");
@@ -96,7 +74,6 @@ fn main() {
     let mut elsi = Elsi::new(cfg);
     elsi.prepare_scorer(&[2_000, 10_000], &[1, 4, 12], 9);
     let scorer = elsi.scorer().expect("prepared");
-    let _ = Arc::clone(&scorer);
 
     println!("\nSelected method vs lambda (n = {n}, OSM-like skew):");
     let dist_u = elsi_data::dist_from_uniform(&keys);

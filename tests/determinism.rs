@@ -25,8 +25,9 @@ fn reductions_are_reproducible() {
         seed: 17,
     };
     for m in Method::all() {
-        let a = elsi::methods::reduce(m, &input, &cfg, &pool);
-        let b = elsi::methods::reduce(m, &input, &cfg, &pool);
+        let (a, work_a) = elsi::methods::reduce(m, &input, &cfg, &pool);
+        let (b, work_b) = elsi::methods::reduce(m, &input, &cfg, &pool);
+        assert_eq!(work_a, work_b, "{m}");
         match (a, b) {
             (Reduction::TrainingSet(x), Reduction::TrainingSet(y)) => {
                 assert_eq!(x, y, "{m}")
@@ -156,39 +157,79 @@ fn parallel_builds_are_bit_identical_across_thread_counts() {
         .unwrap();
 }
 
+/// Runs `f` on a global pool of each thread count in turn, then restores
+/// auto-detection. The vendored pool is re-callable (last call wins), so
+/// there is nothing to unwrap.
+fn at_thread_counts<T>(counts: &[usize], f: impl Fn() -> T) -> Vec<T> {
+    let out = counts
+        .iter()
+        .map(|&threads| {
+            let _ = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global();
+            f()
+        })
+        .collect();
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(0)
+        .build_global();
+    out
+}
+
 #[test]
 fn scorer_cost_features_are_thread_count_independent() {
     // The scorer preparation grid fans cells out on the rayon pool; every
-    // cell seeds its own data set, so the cost-feature fields (method, n,
-    // dist_u, err_span) must be bit-identical at any thread count. The
-    // wall-clock fields are excluded: they are honest per-run measurements.
-    let run = |threads: usize| {
-        // The vendored pool is re-callable (last call wins); nothing to unwrap.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global();
+    // cell seeds its own data set and every cost is counted, so each field
+    // of every row is bit-identical at any thread count.
+    let run = || {
         let mut cfg = ElsiConfig::fast_test();
         cfg.train.epochs = 15;
         let elsi = Elsi::new(cfg.clone());
         let costs = elsi::scorer::measure_method_costs(
             &[300, 500],
             &[1, 8],
-            &[Method::Sp, Method::Og],
+            &Method::all(),
             &cfg,
             &elsi.mr_pool(),
             21,
         );
         costs
             .iter()
-            .map(|c| (c.method.to_string(), c.n, c.dist_u.to_bits(), c.err_span))
+            .map(|c| {
+                let fields = (c.n, c.dist_u.to_bits(), c.build_work, c.query_work);
+                (c.method.to_string(), fields, c.err_span)
+            })
             .collect::<Vec<_>>()
     };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial, parallel);
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global();
+    let runs = at_thread_counts(&[1, 2, 8], run);
+    assert_eq!(runs[0].len(), 2 * 2 * 7);
+    assert!(runs.iter().all(|r| *r == runs[0]));
+}
+
+#[test]
+fn scorer_picks_are_the_same_on_every_preparation() {
+    // Two preparations of one small scorer, each then building LISA-F and
+    // RSMI-F over one skewed set across λ: every pick must agree between
+    // the preparations and across thread counts.
+    use elsi::IndexKind;
+    let pts = Dataset::Skewed.generate(2000, 5);
+    let picks = || {
+        let mut elsi = Elsi::new(ElsiConfig::fast_test());
+        elsi.prepare_scorer(&[500], &[1, 6], 5);
+        let mut chosen = Vec::new();
+        for lambda in [0.0, 0.2, 0.5, 0.8, 1.0] {
+            let elsi = elsi.with_lambda(lambda);
+            for kind in [IndexKind::Lisa, IndexKind::Rsmi] {
+                let builder = kind.mask(elsi.builder());
+                kind.build(pts.clone(), &builder);
+                chosen.push((lambda.to_bits(), kind.name(), builder.chosen_counts()));
+            }
+        }
+        chosen
+    };
+    let first = at_thread_counts(&[1, 2, 8], picks);
+    let second = at_thread_counts(&[2], picks);
+    assert!(first.iter().chain(&second).all(|p| *p == first[0]));
 }
 
 #[test]

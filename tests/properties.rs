@@ -15,7 +15,6 @@ use elsi_spatial::curve::{hilbert, morton};
 use elsi_spatial::{canonical_knn_cmp, KeyMapper, MortonMapper, Point, Rect};
 use elsi_store::NoCodec;
 use proptest::prelude::*;
-use std::time::Duration;
 use support::*;
 
 /// Drawn coordinates as points `0..n`.
@@ -170,7 +169,7 @@ proptest! {
         // A deliberately under-trained model: bounds must still guarantee
         // containment because they are derived empirically.
         let cfg = TrainConfig { epochs: 3, ..TrainConfig::default() };
-        let built = build_on_training_set(&keys, &keys, 4, &cfg, 1, "OG", Duration::ZERO);
+        let built = build_on_training_set(&keys, &keys, 4, &cfg, 1, "OG");
         for (i, &k) in keys.iter().enumerate() {
             let (lo, hi) = built.model.search_range(k);
             prop_assert!(lo <= i && i < hi, "rank {} outside [{}, {})", i, lo, hi);
