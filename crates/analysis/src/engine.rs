@@ -165,7 +165,7 @@ impl Policy {
             // save/open/recover). The residue is almost entirely
             // `[]`-indexing in slice kernels and exhaustive fault-matrix
             // unit tests. Ratchets down, never up.
-            panic_path_ceiling: 220,
+            panic_path_ceiling: 217,
         }
     }
 

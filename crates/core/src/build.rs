@@ -182,6 +182,7 @@ impl ModelBuilder for ElsiBuilder {
 mod tests {
     use super::*;
     use elsi_data::gen::skewed;
+    use elsi_indices::Bracket;
     use elsi_spatial::{sort_by_key, MortonMapper, Point};
 
     type Sorted = (Vec<Point>, Vec<f64>);
@@ -212,7 +213,7 @@ mod tests {
             // Algorithm 1's error bounds guarantee point-query correctness
             // regardless of the reduction method.
             for (i, &k) in data.1.iter().enumerate().step_by(97) {
-                let (lo, hi) = built.model.search_range(k);
+                let Bracket { lo, hi, .. } = built.model.search_range(k);
                 assert!(lo <= i && i < hi, "{m}: rank {i} outside [{lo},{hi})");
             }
         }

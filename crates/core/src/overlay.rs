@@ -6,7 +6,9 @@
 use elsi_data::stream::Update;
 use elsi_indices::SpatialIndex;
 use elsi_spatial::curve::morton_of;
-use elsi_spatial::{canonical_knn_cmp, Block, Point, Rect, ScanScratch, DEFAULT_BLOCK_SIZE};
+use elsi_spatial::{
+    canonical_knn_cmp, canonical_point_key, Block, Point, Rect, ScanScratch, DEFAULT_BLOCK_SIZE,
+};
 use std::collections::{BTreeMap, HashSet};
 
 /// Default update procedures: a delta layer over a static base index.
@@ -285,6 +287,26 @@ impl<I: SpatialIndex> SpatialIndex for DeltaOverlay<I> {
         out.extend(self.inserted.values());
     }
 
+    /// The untouched base copies and the delta points are each in
+    /// canonical order already, so a merge of the two replaces the
+    /// provided sort of their concatenation.
+    fn live_points(&self) -> Vec<Point> {
+        let untouched = |p: &&Point| !self.deleted.contains(&p.id);
+        let mut base = self.base_by_id.iter().filter(untouched).peekable();
+        let mut delta = self.inserted.values().peekable();
+        let mut out = Vec::with_capacity(self.len());
+        while let (Some(b), Some(d)) = (base.peek(), delta.peek()) {
+            let next = if canonical_point_key(d) < canonical_point_key(b) {
+                delta.next()
+            } else {
+                base.next()
+            };
+            out.extend(next);
+        }
+        out.extend(base.chain(delta));
+        out
+    }
+
     fn insert(&mut self, p: Point) {
         self.apply(Update::Insert(p));
     }
@@ -483,6 +505,36 @@ mod tests {
         assert_eq!(overlay.point_query(pts[9]), Some(pts[9]));
         assert_eq!(overlay.live_points(), pts);
         assert!(overlay.delete(pts[3]) && !overlay.delete(pts[3]));
+    }
+
+    #[test]
+    fn live_points_merge_equals_the_sorted_enumeration() {
+        let pts = uniform(300, 4);
+        let fresh = uniform(400, 5);
+        let mut overlay = DeltaOverlay::new(GridIndex::build(pts.clone(), &GridConfig::default()));
+        let sorted = |overlay: &DeltaOverlay<GridIndex>| {
+            let mut all = Vec::new();
+            overlay.live_points_into(&mut all);
+            elsi_spatial::sort_canonical(&mut all, &mut Vec::new());
+            all
+        };
+        assert_eq!(overlay.live_points(), sorted(&overlay));
+        for (i, f) in fresh.iter().enumerate() {
+            let u = match i % 4 {
+                // Fresh ids follow the base's; overwrites move base ids
+                // into the delta, where the merge interleaves them.
+                0 => Update::Insert(Point::new(1_000 + i as u64, f.x, f.y)),
+                1 => Update::Insert(Point::new((i * 7 % 300) as u64, f.x, f.y)),
+                2 => Update::Delete(pts[i * 13 % 300]),
+                _ => Update::Delete(Point::new(1_000 + (i - 3) as u64, 0.0, 0.0)),
+            };
+            overlay.apply_batch(&[u]);
+            if i % 37 == 0 {
+                assert_eq!(overlay.live_points(), sorted(&overlay), "after {i}");
+            }
+        }
+        assert!(overlay.delta_len() > 100);
+        assert_eq!(overlay.live_points(), sorted(&overlay));
     }
 
     #[test]

@@ -208,17 +208,20 @@ fn build_work(stats: &BuildStats, epochs: usize, n: usize) -> u64 {
 }
 
 /// Lookup work over every stored key at a stride giving about `queries`
-/// lookups: per lookup one model invocation plus the comparisons that
-/// [`elsi_indices::equal_key_run`]'s two binary searches make inside the
-/// model's search range — the product's lookup before its leaf scan, so
-/// the count grows with the error span as the lookup does.
+/// lookups: per lookup one model invocation plus the comparisons of the
+/// paper's bounded search — a lower-bound and an upper-bound binary search
+/// over the whole error-bounded range (§VI's cost model), so the count
+/// grows with the error span. The product's lookup gallops from the
+/// prediction instead ([`elsi_indices::equal_key_run`]) and finds the same
+/// run; the label keeps the paper's count, which the scorer's picks are
+/// pinned to.
 fn query_work(model: &RankModel, keys: &[f64], queries: usize) -> u64 {
     let n = keys.len();
     let step = (n / queries.max(1)).max(1);
     let mut steps = 0u64;
     for &key in keys.iter().step_by(step) {
-        let (lo, hi) = model.search_range(key);
-        let span = keys.get(lo.min(n)..hi.min(n)).unwrap_or(&[]);
+        let range = model.search_range(key);
+        let span = keys.get(range.lo.min(n)..range.hi.min(n)).unwrap_or(&[]);
         let mut compared = 0;
         let first = span.partition_point(|&k| {
             compared += 1;

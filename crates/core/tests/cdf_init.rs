@@ -11,8 +11,8 @@ use elsi::methods::reduce;
 use elsi::{lock_unpoisoned, Elsi, ElsiConfig, IndexKind, Method, Reduction};
 use elsi_data::gen::uniform;
 use elsi_indices::{
-    build_on_training_set, BuildInput, BuiltModel, ModelBuilder, OgBuilder, RankFn, SpatialIndex,
-    ZmConfig, ZmIndex,
+    build_on_training_set, Bracket, BuildInput, BuiltModel, ModelBuilder, OgBuilder, RankFn,
+    SpatialIndex, ZmConfig, ZmIndex,
 };
 use elsi_ml::TrainConfig;
 use elsi_spatial::{sort_by_key, MortonMapper, Point, Rect};
@@ -205,7 +205,7 @@ fn zero_epoch_fallback_models_are_constant_and_exact() {
         let built = build_on_training_set(&keys, &keys, 16, &cfg, 9, "OG");
         assert_eq!(check_model(built.model.rank_fn(), &keys, &keys, 16), None);
         for (i, &k) in keys.iter().enumerate() {
-            let (lo, hi) = built.model.search_range(k);
+            let Bracket { lo, hi, .. } = built.model.search_range(k);
             assert!(lo <= i && i < hi, "rank {i} outside [{lo}, {hi})");
         }
     }

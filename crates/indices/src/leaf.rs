@@ -7,7 +7,7 @@
 //! RSMI's probes) stays in the index and only produces the span.
 //! [`Delta`] is the update side ZM, ML-Index and Flood share.
 
-use crate::model::equal_key_run;
+use crate::model::{equal_key_run, Bracket};
 use elsi_spatial::{scan, Block, KnnHeap, MappedData, Point, Rect, ScanScratch};
 use std::collections::HashSet;
 
@@ -50,13 +50,14 @@ impl<'a> Leaf<'a> {
     }
 
     /// First live stored point at `q`'s coordinates (with id `only`, when
-    /// given): search the model's error-bounded range `hint` by `key`,
-    /// then scan only the equal-key run (`DESIGN.md` §12).
+    /// given): search the model's bracket `hint` outward from its
+    /// prediction by `key`, then scan only the equal-key run (`DESIGN.md`
+    /// §12).
     // lint:hot_path
     #[inline]
     pub(crate) fn find(
         &self,
-        hint: (usize, usize),
+        hint: Bracket,
         key: f64,
         q: Point,
         only: Option<u64>,
@@ -189,7 +190,9 @@ mod tests {
             // Inverted, empty at the end, wholly past the end, inverted
             // past the end.
             for span in [(5, 2), (8, 8), (9, 20), (usize::MAX, 0)] {
-                assert_eq!(leaf.find(span, 0.5, q, None), None, "{span:?}");
+                let (lo, hi) = span;
+                let hint = Bracket { pred: lo, lo, hi };
+                assert_eq!(leaf.find(hint, 0.5, q, None), None, "{span:?}");
                 let mut out = Vec::new();
                 leaf.window_into(span, &Rect::unit(), &mut scratch, &mut out);
                 assert!(out.is_empty(), "{span:?}");
@@ -200,10 +203,12 @@ mod tests {
             }
             // A span reaching past the end is clipped to the page.
             let tail = 8 - 6 - usize::from(deleted.contains(&7));
-            assert_eq!(
-                leaf.find((4, 99), 0.5, q, None),
-                Some(Point::new(4, 0.5, 0.5))
-            );
+            let hint = Bracket {
+                pred: 4,
+                lo: 4,
+                hi: 99,
+            };
+            assert_eq!(leaf.find(hint, 0.5, q, None), Some(Point::new(4, 0.5, 0.5)));
             let mut out = Vec::new();
             leaf.window_into((6, 99), &Rect::unit(), &mut scratch, &mut out);
             assert_eq!(out.len(), tail);

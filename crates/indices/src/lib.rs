@@ -39,8 +39,8 @@ pub use kdb::{KdbConfig, KdbIndex};
 pub use lisa::{LisaConfig, LisaIndex};
 pub use mlindex::{MlConfig, MlIndex};
 pub use model::{
-    build_on_training_set, equal_key_run, locate_lower, BuildInput, BuildStats, BuiltModel,
-    ModelBuilder, OgBuilder, PwlBuilder, RankFn, RankModel,
+    build_on_training_set, equal_key_run, locate_lower, Bracket, BuildInput, BuildStats,
+    BuiltModel, ModelBuilder, OgBuilder, PwlBuilder, RankFn, RankModel,
 };
 pub use rsmi::{RsmiConfig, RsmiIndex};
 pub use rstar::{RStarConfig, RStarIndex};

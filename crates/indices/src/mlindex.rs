@@ -149,8 +149,7 @@ impl MlIndex {
     fn find_stored(&self, q: Point, (i, d): (usize, f64), only: Option<u64>) -> Option<Point> {
         let part = self.partitions.get(i)?;
         let key = self.mapper.key_of(i, d);
-        let (lo, hi) = part.model.search_range(key);
-        let hint = (part.offset + lo, part.offset + hi);
+        let hint = part.model.search_range(key).shifted(part.offset);
         Leaf::over(&self.data, &self.delta).find(hint, key, q, only)
     }
 

@@ -175,14 +175,11 @@ impl RankModel {
         }
     }
 
-    /// The rank range `[lo, hi)` guaranteed to contain any stored point
-    /// with this key.
+    /// The predicted rank of `key` and the rank range `[lo, hi)`
+    /// guaranteed to contain any stored point with this key.
     #[inline]
-    pub fn search_range(&self, key: f64) -> (usize, usize) {
-        let pred = self.predict(key);
-        let lo = (pred + self.err_lo).clamp(0, self.n as i64) as usize;
-        let hi = (pred + self.err_hi + 1).clamp(0, self.n as i64) as usize;
-        (lo, hi)
+    pub fn search_range(&self, key: f64) -> Bracket {
+        Bracket::around(self.predict(key), self.err_lo, self.err_hi, self.n)
     }
 
     /// The underlying model family (model invocation `M(1)`).
@@ -217,21 +214,118 @@ impl RankModel {
     }
 }
 
-/// Exact lower-bound rank of `key` in `keys`, using a predicted range
-/// `hint = (lo, hi)` as the fast path and a full binary search as the
+/// A model's answer for one key: the predicted rank `pred` and the
+/// error-bounded range `[lo, hi)` around it, all clamped into a column of
+/// `n` keys ([`RankModel::search_range`]). The bounded searches
+/// ([`equal_key_run`], [`locate_lower`]) start at `pred` and never leave
+/// `[lo, hi)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bracket {
+    /// The predicted rank, clamped into `[0, n]`.
+    pub pred: usize,
+    /// First rank of the guaranteed range.
+    pub lo: usize,
+    /// One past the last rank of the guaranteed range.
+    pub hi: usize,
+}
+
+impl Bracket {
+    /// The bracket of a raw prediction `pred` under the error bounds
+    /// `err_lo ≤ 0 ≤ err_hi` (Algorithm 1, line 6) in a column of `n` keys:
+    /// `[pred + err_lo, pred + err_hi]`, clamped.
+    #[inline]
+    pub(crate) fn around(pred: i64, err_lo: i64, err_hi: i64, n: usize) -> Self {
+        let n = n as i64;
+        Self {
+            pred: pred.clamp(0, n) as usize,
+            lo: (pred + err_lo).clamp(0, n) as usize,
+            hi: (pred + err_hi + 1).clamp(0, n) as usize,
+        }
+    }
+
+    /// The same bracket `offset` ranks further on: a partition's bracket in
+    /// the rank space of the column the partition is a slice of.
+    #[inline]
+    pub(crate) fn shifted(self, offset: usize) -> Self {
+        Self {
+            pred: self.pred + offset,
+            lo: self.lo + offset,
+            hi: self.hi + offset,
+        }
+    }
+}
+
+/// The one bounded search of the learned indices: the first rank in
+/// `[lo, hi]` at which `is_below` fails (`hi` when it never does), for a
+/// `is_below` that holds on a prefix of the bracket. It gallops from `pred`
+/// (clamped into the bracket) toward the answer with steps 1, 2, 4, …, then
+/// binary-searches the last step, so an answer `d` ranks from `pred` costs
+/// at most `2⌈log2(d + 1)⌉ + 2` calls of `is_below` whatever the bracket's
+/// width. A bracket past the column's end is clipped, an inverted one
+/// yields `lo`.
+#[inline]
+fn gallop(b: Bracket, n: usize, mut is_below: impl FnMut(usize) -> bool) -> usize {
+    let (lo, hi) = (b.lo.min(n), b.hi.min(n));
+    if lo >= hi {
+        return lo;
+    }
+    let p = b.pred.clamp(lo, hi);
+    // Every rank before `left` is below; `right` is not, or is `hi`.
+    let (mut left, mut right) = (lo, p);
+    let mut step = 1;
+    if p < hi && is_below(p) {
+        (left, right) = (p + 1, hi);
+        while p + step < hi {
+            if !is_below(p + step) {
+                right = p + step;
+                break;
+            }
+            left = p + step + 1;
+            step *= 2;
+        }
+    } else {
+        while p >= lo + step {
+            if is_below(p - step) {
+                left = p - step + 1;
+                break;
+            }
+            right = p - step;
+            step *= 2;
+        }
+    }
+    while left < right {
+        let mid = left + (right - left) / 2;
+        if is_below(mid) {
+            left = mid + 1;
+        } else {
+            right = mid;
+        }
+    }
+    left
+}
+
+/// The lower bound of `key` inside `hint`: `lo + keys[lo..hi]
+/// .partition_point(|&k| k < key)`, found by [`gallop`]ing from `pred`.
+#[inline]
+fn lower_bound(keys: &[f64], hint: Bracket, key: f64) -> usize {
+    gallop(hint, keys.len(), |i| keys.get(i).is_some_and(|&k| k < key))
+}
+
+/// Exact lower-bound rank of `key` in `keys`: the lower bound inside the
+/// model's bracket `hint` as the fast path, a full binary search as the
 /// correctness fallback.
 ///
 /// FFN predictions are not monotone, so a model's error-bounded range only
 /// provably brackets *stored* keys; for arbitrary keys (window-query
 /// endpoints) the candidate must be validated: the element before it must
 /// be `< key` and the element at it `≥ key`.
-pub fn locate_lower(keys: &[f64], hint: (usize, usize), key: f64) -> usize {
+pub fn locate_lower(keys: &[f64], hint: Bracket, key: f64) -> usize {
     let n = keys.len();
-    let (lo, hi) = (hint.0.min(n), hint.1.min(n));
-    if lo < hi {
-        let cand = lo + keys[lo..hi].partition_point(|&k| k < key);
-        let ok_left = cand == 0 || keys[cand - 1] < key;
-        let ok_right = cand == n || keys[cand] >= key;
+    if hint.lo.min(n) < hint.hi.min(n) {
+        let cand = lower_bound(keys, hint, key);
+        let before = cand.checked_sub(1).and_then(|i| keys.get(i));
+        let ok_left = before.is_none_or(|&k| k < key);
+        let ok_right = keys.get(cand).is_none_or(|&k| k >= key);
         if ok_left && ok_right {
             return cand;
         }
@@ -240,16 +334,18 @@ pub fn locate_lower(keys: &[f64], hint: (usize, usize), key: f64) -> usize {
 }
 
 /// The rank run `[lo, hi)` of stored keys *equal* to `key` inside the
-/// model's guaranteed range `hint = (lo, hi)`: the point-lookup counterpart
-/// of [`locate_lower`], and the only way the model-backed indices reach
-/// their leaf scan.
+/// model's guaranteed range `hint`: the point-lookup counterpart of
+/// [`locate_lower`], and the only way the model-backed indices reach their
+/// leaf scan.
 ///
-/// Two bounded `partition_point`s over `keys[hint]` — `O(log span)` key
-/// comparisons where handing the whole span to the coordinate scan costs
-/// `O(span)`. Stored points with the query's coordinates have the query's
-/// key, equal keys are contiguous in the sorted column, and the error bounds
-/// cover the rank of every one of them, so the run holds exactly the span's
-/// candidates, in the same order (`DESIGN.md` §12).
+/// The lower bound galloped from the prediction, then a forward walk over
+/// the equal keys, stopping at `hint.hi`: `O(log |rank − pred|)` key
+/// comparisons plus the run, where handing the whole span to the
+/// coordinate scan costs `O(span)`. Stored points with the query's
+/// coordinates have the query's key, equal keys are contiguous in the
+/// sorted column, and the error bounds cover the rank of every one of them,
+/// so the run holds exactly the span's candidates, in the same order
+/// (`DESIGN.md` §12).
 ///
 /// Unlike [`locate_lower`] there is no global fallback: the hint brackets
 /// every *stored* key by construction, so a key found only outside it
@@ -258,16 +354,11 @@ pub fn locate_lower(keys: &[f64], hint: (usize, usize), key: f64) -> usize {
 /// NaN key compares equal to nothing.
 // lint:hot_path
 #[inline]
-pub fn equal_key_run(keys: &[f64], hint: (usize, usize), key: f64) -> (usize, usize) {
-    let n = keys.len();
-    let (lo, hi) = (hint.0.min(n), hint.1.min(n));
-    let span = keys.get(lo..hi).unwrap_or(&[]);
-    let first = span.partition_point(|&k| k < key);
-    let run = span
-        .get(first..)
-        .unwrap_or(&[])
-        .partition_point(|&k| k <= key);
-    (lo + first, lo + first + run)
+pub fn equal_key_run(keys: &[f64], hint: Bracket, key: f64) -> (usize, usize) {
+    let first = lower_bound(keys, hint, key);
+    let tail = keys.get(first..hint.hi.min(keys.len())).unwrap_or(&[]);
+    let run = tail.iter().position(|&k| k != key).unwrap_or(tail.len());
+    (first, first + run)
 }
 
 /// Build-cost decomposition of one model build (Table I's columns).
@@ -474,6 +565,7 @@ pub(crate) fn osm1_points(n: usize, grid: Option<f64>, seed: u64) -> Vec<Point> 
 mod tests {
     use super::*;
     use elsi_spatial::{sort_by_key, MortonMapper};
+    use proptest::prelude::*;
 
     /// The `M(n)` pass as a per-key loop over [`RankModel::predict`]: the
     /// reference [`RankModel::from_fn`]'s lane-batched pass must equal.
@@ -591,7 +683,7 @@ mod tests {
         let built = OgBuilder::with_epochs(150).build_model(&input);
         // Every key must fall inside its own search range.
         for (i, &k) in keys.iter().enumerate() {
-            let (lo, hi) = built.model.search_range(k);
+            let Bracket { lo, hi, .. } = built.model.search_range(k);
             assert!(lo <= i && i < hi, "rank {i} outside [{lo},{hi})");
         }
         assert_eq!(built.stats.method, "OG");
@@ -637,7 +729,7 @@ mod tests {
             "SP",
         );
         for (i, &k) in keys.iter().enumerate() {
-            let (lo, hi) = built.model.search_range(k);
+            let Bracket { lo, hi, .. } = built.model.search_range(k);
             assert!(lo <= i && i < hi, "rank {i} outside [{lo},{hi})");
         }
         assert_eq!(built.stats.training_set_size, 100);
@@ -653,7 +745,7 @@ mod tests {
         };
         let built = OgBuilder::default().build_model(&input);
         assert!(built.model.is_empty());
-        assert_eq!(built.model.search_range(0.5), (0, 0));
+        assert_eq!(built.model.search_range(0.5), Bracket::default());
     }
 
     #[test]
@@ -667,7 +759,7 @@ mod tests {
             seed: 0,
         };
         let built = OgBuilder::with_epochs(50).build_model(&input);
-        let (lo, hi) = built.model.search_range(0.5);
+        let Bracket { lo, hi, .. } = built.model.search_range(0.5);
         assert!(lo == 0 && hi >= 1);
     }
 
@@ -687,7 +779,7 @@ mod tests {
         // provable ±ε guarantee.
         assert!(built.stats.err_span <= 32, "span {}", built.stats.err_span);
         for (i, &k) in keys.iter().enumerate().step_by(37) {
-            let (lo, hi) = built.model.search_range(k);
+            let Bracket { lo, hi, .. } = built.model.search_range(k);
             assert!(lo <= i && i < hi, "rank {i} outside [{lo},{hi})");
         }
     }
@@ -701,35 +793,84 @@ mod tests {
         let pwl = elsi_ml::PwlModel::fit(&sample, 4);
         let model = RankModel::from_pwl(pwl, &keys);
         for (i, &k) in keys.iter().enumerate().step_by(23) {
-            let (lo, hi) = model.search_range(k);
+            let Bracket { lo, hi, .. } = model.search_range(k);
             assert!(lo <= i && i < hi, "rank {i} outside [{lo},{hi})");
         }
+    }
+
+    /// The lower-bound search [`locate_lower`] made before it galloped:
+    /// a binary search over the whole hint.
+    fn locate_lower_reference(keys: &[f64], hint: (usize, usize), key: f64) -> usize {
+        let n = keys.len();
+        let (lo, hi) = (hint.0.min(n), hint.1.min(n));
+        if lo < hi {
+            let cand = lo + keys[lo..hi].partition_point(|&k| k < key);
+            let ok_left = cand == 0 || keys[cand - 1] < key;
+            let ok_right = cand == n || keys[cand] >= key;
+            if ok_left && ok_right {
+                return cand;
+            }
+        }
+        keys.partition_point(|&k| k < key)
+    }
+
+    /// [`equal_key_run`] before it galloped: two binary searches over the
+    /// whole hint.
+    fn equal_key_run_reference(keys: &[f64], hint: (usize, usize), key: f64) -> (usize, usize) {
+        let n = keys.len();
+        let (lo, hi) = (hint.0.min(n), hint.1.min(n));
+        let span = keys.get(lo..hi).unwrap_or(&[]);
+        let first = span.partition_point(|&k| k < key);
+        let run = span
+            .get(first..)
+            .unwrap_or(&[])
+            .partition_point(|&k| k <= key);
+        (lo + first, lo + first + run)
+    }
+
+    /// `f` of the bracket `[lo, hi)`, which must answer the same under
+    /// every prediction, inside the bracket or outside it.
+    fn every_pred<T: PartialEq + std::fmt::Debug>(
+        lo: usize,
+        hi: usize,
+        f: impl Fn(Bracket) -> T,
+    ) -> T {
+        let first = f(Bracket { pred: lo, lo, hi });
+        for pred in 0..lo.max(hi) + 3 {
+            assert_eq!(
+                f(Bracket { pred, lo, hi }),
+                first,
+                "pred {pred} in [{lo}, {hi})"
+            );
+        }
+        first
     }
 
     #[test]
     fn locate_lower_with_adversarial_hints() {
         let keys: Vec<f64> = (0..100).map(|i| i as f64 / 99.0).collect();
+        let at = |lo, hi, key| every_pred(lo, hi, |b| locate_lower(&keys, b, key));
         // Correct hint.
-        assert_eq!(locate_lower(&keys, (40, 60), 0.5), 50);
+        assert_eq!(at(40, 60, 0.5), 50);
         // Hint entirely left of the answer.
-        assert_eq!(locate_lower(&keys, (0, 10), 0.5), 50);
+        assert_eq!(at(0, 10, 0.5), 50);
         // Hint entirely right of the answer.
-        assert_eq!(locate_lower(&keys, (90, 100), 0.5), 50);
+        assert_eq!(at(90, 100, 0.5), 50);
         // Empty hint.
-        assert_eq!(locate_lower(&keys, (50, 50), 0.5), 50);
+        assert_eq!(at(50, 50, 0.5), 50);
         // Out-of-bounds hint is clamped.
-        assert_eq!(locate_lower(&keys, (90, 10_000), 0.999), 99);
+        assert_eq!(at(90, 10_000, 0.999), 99);
         // Keys below/above every element.
-        assert_eq!(locate_lower(&keys, (0, 100), -1.0), 0);
-        assert_eq!(locate_lower(&keys, (0, 100), 2.0), 100);
+        assert_eq!(at(0, 100, -1.0), 0);
+        assert_eq!(at(0, 100, 2.0), 100);
     }
 
     #[test]
     fn locate_lower_with_duplicates() {
         let keys = vec![0.1, 0.5, 0.5, 0.5, 0.9];
-        assert_eq!(locate_lower(&keys, (0, 5), 0.5), 1);
+        assert_eq!(every_pred(0, 5, |b| locate_lower(&keys, b, 0.5)), 1);
         assert_eq!(
-            locate_lower(&keys, (2, 4), 0.5),
+            every_pred(2, 4, |b| locate_lower(&keys, b, 0.5)),
             1,
             "must escape a bad hint"
         );
@@ -738,42 +879,110 @@ mod tests {
     #[test]
     fn equal_key_run_finds_the_run_inside_the_hint() {
         let keys = vec![0.1, 0.2, 0.5, 0.5, 0.5, 0.7, 0.9];
+        let run = |lo, hi, key| every_pred(lo, hi, |b| equal_key_run(&keys, b, key));
         // The whole run, from a hint that brackets it loosely or exactly.
-        assert_eq!(equal_key_run(&keys, (0, 7), 0.5), (2, 5));
-        assert_eq!(equal_key_run(&keys, (2, 5), 0.5), (2, 5));
-        assert_eq!(equal_key_run(&keys, (1, 6), 0.2), (1, 2));
+        assert_eq!(run(0, 7, 0.5), (2, 5));
+        assert_eq!(run(2, 5, 0.5), (2, 5));
+        assert_eq!(run(1, 6, 0.2), (1, 2));
         // A hint that cuts the run returns the part inside it.
-        assert_eq!(equal_key_run(&keys, (3, 7), 0.5), (3, 5));
-        assert_eq!(equal_key_run(&keys, (0, 4), 0.5), (2, 4));
+        assert_eq!(run(3, 7, 0.5), (3, 5));
+        assert_eq!(run(0, 4, 0.5), (2, 4));
         // Absent key between stored ones: empty run at its lower bound.
-        assert_eq!(equal_key_run(&keys, (0, 7), 0.6), (5, 5));
+        assert_eq!(run(0, 7, 0.6), (5, 5));
     }
 
     #[test]
     fn equal_key_run_edge_hints_and_keys() {
         let keys = vec![0.1, 0.2, 0.5, 0.5, 0.5, 0.7, 0.9];
+        let run = |lo, hi, key| every_pred(lo, hi, |b| equal_key_run(&keys, b, key));
         // Empty and inverted hints.
-        assert_eq!(equal_key_run(&keys, (3, 3), 0.5), (3, 3));
-        assert_eq!(equal_key_run(&keys, (5, 2), 0.5), (5, 5));
+        assert_eq!(run(3, 3, 0.5), (3, 3));
+        assert_eq!(run(5, 2, 0.5), (5, 5));
         // Key below / above every key in the span.
-        assert_eq!(equal_key_run(&keys, (2, 6), 0.0), (2, 2));
-        assert_eq!(equal_key_run(&keys, (2, 6), 1.0), (6, 6));
+        assert_eq!(run(2, 6, 0.0), (2, 2));
+        assert_eq!(run(2, 6, 1.0), (6, 6));
         // Hint clipped at the column's end, or wholly past it.
-        assert_eq!(equal_key_run(&keys, (5, 10_000), 0.9), (6, 7));
-        assert_eq!(equal_key_run(&keys, (9, 12), 0.9), (7, 7));
+        assert_eq!(run(5, 10_000, 0.9), (6, 7));
+        assert_eq!(run(9, 12, 0.9), (7, 7));
         // Key stored, but only outside the hint: an empty run, never a
         // global search.
-        assert_eq!(equal_key_run(&keys, (0, 2), 0.5), (2, 2));
-        assert_eq!(equal_key_run(&keys, (5, 7), 0.5), (5, 5));
+        assert_eq!(run(0, 2, 0.5), (2, 2));
+        assert_eq!(run(5, 7, 0.5), (5, 5));
         // NaN equals nothing; an empty column has no runs.
-        let (lo, hi) = equal_key_run(&keys, (0, 7), f64::NAN);
+        let (lo, hi) = run(0, 7, f64::NAN);
         assert_eq!(lo, hi);
-        assert_eq!(equal_key_run(&[], (0, 4), 0.5), (0, 0));
+        assert_eq!(every_pred(0, 4, |b| equal_key_run(&[], b, 0.5)), (0, 0));
         // All-equal keys: the run is the hint.
         let same = vec![0.25; 9];
-        assert_eq!(equal_key_run(&same, (0, 9), 0.25), (0, 9));
-        assert_eq!(equal_key_run(&same, (3, 6), 0.25), (3, 6));
-        assert_eq!(equal_key_run(&same, (0, 9), 0.3), (9, 9));
+        let run = |lo, hi, key| every_pred(lo, hi, |b| equal_key_run(&same, b, key));
+        assert_eq!(run(0, 9, 0.25), (0, 9));
+        assert_eq!(run(3, 6, 0.25), (3, 6));
+        assert_eq!(run(0, 9, 0.3), (9, 9));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The galloping searches answer what the binary searches over the
+        /// whole hint answered: sorted keys over a small alphabet (long
+        /// equal runs) or a wide one, hints empty, inverted or past the
+        /// end, predictions anywhere, and keys stored, below, above,
+        /// between or NaN.
+        #[test]
+        fn gallop_answers_what_the_whole_hint_search_answered(
+            raw in prop::collection::vec(0u32..1000, 0..120),
+            alphabet in 1u32..1000,
+            (pred, lo, hi) in (0usize..130, 0usize..130, 0usize..130),
+            (kind, at) in (0usize..5, 0usize..120),
+        ) {
+            let mut keys: Vec<f64> = raw.iter().map(|&r| f64::from(r % alphabet)).collect();
+            keys.sort_by(f64::total_cmp);
+            let stored = keys.get(at % keys.len().max(1)).copied().unwrap_or(0.0);
+            let key = match kind {
+                0 => stored,
+                1 => -1.0,
+                2 => f64::from(alphabet),
+                3 => stored + 0.5,
+                _ => f64::NAN,
+            };
+            let b = Bracket { pred, lo, hi };
+            prop_assert_eq!(
+                equal_key_run(&keys, b, key),
+                equal_key_run_reference(&keys, (lo, hi), key)
+            );
+            prop_assert_eq!(
+                locate_lower(&keys, b, key),
+                locate_lower_reference(&keys, (lo, hi), key)
+            );
+        }
+    }
+
+    #[test]
+    fn a_stored_key_d_ranks_from_the_prediction_costs_log_d_comparisons() {
+        let unique: Vec<f64> = (0..300).map(f64::from).collect();
+        let runs: Vec<f64> = (0..300).map(|i| f64::from(i / 7)).collect();
+        for keys in [unique, runs] {
+            let n = keys.len();
+            for (lo, hi) in [(0, n), (40, 260), (150, 151)] {
+                for &key in keys.get(lo..hi).unwrap_or(&[]) {
+                    let want = lo.max(keys.partition_point(|&k| k < key));
+                    for pred in lo..=hi {
+                        let mut compared = 0;
+                        let got = gallop(Bracket { pred, lo, hi }, n, |i| {
+                            compared += 1;
+                            keys[i] < key
+                        });
+                        assert_eq!(got, want, "key {key}, pred {pred} in [{lo}, {hi})");
+                        let d = want.abs_diff(pred);
+                        let bound = 2 * (d + 1).next_power_of_two().trailing_zeros() + 2;
+                        assert!(
+                            compared <= bound,
+                            "{compared} comparisons at distance {d}, bound {bound}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -809,9 +1018,9 @@ mod tests {
             0,
             "OG",
         );
-        let (lo, hi) = built.model.search_range(-5.0);
+        let Bracket { lo, hi, .. } = built.model.search_range(-5.0);
         assert!(lo <= hi && hi <= 100);
-        let (lo, hi) = built.model.search_range(7.0);
+        let Bracket { lo, hi, .. } = built.model.search_range(7.0);
         assert!(lo <= hi && hi <= 100);
     }
 }

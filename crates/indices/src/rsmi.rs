@@ -420,9 +420,9 @@ impl RsmiIndex {
                     let mut lo = usize::MAX;
                     let mut hi = 0usize;
                     for p in probes {
-                        let (l, h) = model.search_range(local_key(p, bounds));
-                        lo = lo.min(l);
-                        hi = hi.max(h);
+                        let b = model.search_range(local_key(p, bounds));
+                        lo = lo.min(b.lo);
+                        hi = hi.max(b.hi);
                     }
                     (lo.min(block.len()), hi.min(block.len()))
                 };

@@ -534,6 +534,7 @@ mod tests {
     #[test]
     fn tombstones_are_filtered_on_every_door() {
         use crate::leaf::{Delta, Leaf, Soa};
+        use crate::model::Bracket;
         use elsi_spatial::Block;
         // Ranks 0..30 stored (keyed by rank), the tail on an overflow page.
         let data = lattice(6, 0.1, 0.05);
@@ -553,6 +554,11 @@ mod tests {
                 deleted,
             }
         }
+        let whole = Bracket {
+            pred: 15,
+            lo: 0,
+            hi: 30,
+        };
         let mut delta = Delta::new(vec![Block::new()], Default::default());
         tail.iter().for_each(|p| delta.insert(0, *p));
 
@@ -562,9 +568,9 @@ mod tests {
         let gone = brute_knn(&data, q, 4);
         for p in &gone {
             assert!(!delta.remove(0, *p), "{p:?} is stored, not buffered");
-            let hit = page(&keys, cols, &delta).find((0, 30), p.id as f64, *p, Some(p.id));
+            let hit = page(&keys, cols, &delta).find(whole, p.id as f64, *p, Some(p.id));
             assert!(delta.bury(hit), "{p:?}");
-            let again = page(&keys, cols, &delta).find((0, 30), p.id as f64, *p, Some(p.id));
+            let again = page(&keys, cols, &delta).find(whole, p.id as f64, *p, Some(p.id));
             assert!(!delta.bury(again), "{p:?} tombstoned twice");
         }
         assert!(delta.remove(0, data[35]) && !delta.remove(0, data[35]));
@@ -600,7 +606,7 @@ mod tests {
         // Point: a tombstoned stored point is gone, its re-inserted id is
         // found where it was put, everything live is found once.
         for p in &data {
-            let found = leaf.find((0, 30), p.id as f64, *p, None);
+            let found = leaf.find(whole, p.id as f64, *p, None);
             let found = found.or_else(|| delta.pages[0].find_exact(p.x, p.y));
             assert_eq!(found, live.contains(p).then_some(*p), "{p:?}");
         }

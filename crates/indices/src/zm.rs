@@ -13,7 +13,7 @@
 //! have Z-values between the window corners' Z-values).
 
 use crate::leaf::{Delta, Leaf};
-use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::model::{Bracket, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::persist::{
     decode_columns, decode_points, decode_rank_model, encode_columns, encode_rank_model,
 };
@@ -233,21 +233,18 @@ impl ZmIndex {
         }
     }
 
-    /// Guaranteed search range for a stored point with this key.
-    fn search_range(&self, key: f64) -> (usize, usize) {
+    /// The leaf's predicted global rank of `key` and the range guaranteed
+    /// to hold a stored point with this key.
+    fn search_range(&self, key: f64) -> Bracket {
         if self.data.is_empty() {
-            return (0, 0);
+            return Bracket::default();
         }
         let j = self.route(key);
         let (err_lo, err_hi) = match self.leaves.get(j) {
             Some(leaf) => (leaf.err_lo, leaf.err_hi),
             None => (0, 0),
         };
-        let pred = self.predict_global(j, key);
-        let n = self.data.len() as i64;
-        let lo = (pred + err_lo).clamp(0, n) as usize;
-        let hi = (pred + err_hi + 1).clamp(0, n) as usize;
-        (lo, hi)
+        Bracket::around(self.predict_global(j, key), err_lo, err_hi, self.data.len())
     }
 
     /// Exact lower-bound rank of an arbitrary key: model-predicted range

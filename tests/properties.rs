@@ -9,7 +9,7 @@ mod support;
 
 use elsi::Update;
 use elsi_data::{cdf, sample};
-use elsi_indices::{build_on_training_set, SpatialIndex, ZmStateCodec};
+use elsi_indices::{build_on_training_set, Bracket, SpatialIndex, ZmStateCodec};
 use elsi_ml::TrainConfig;
 use elsi_spatial::curve::{hilbert, morton};
 use elsi_spatial::{canonical_knn_cmp, KeyMapper, MortonMapper, Point, Rect};
@@ -171,7 +171,7 @@ proptest! {
         let cfg = TrainConfig { epochs: 3, ..TrainConfig::default() };
         let built = build_on_training_set(&keys, &keys, 4, &cfg, 1, "OG");
         for (i, &k) in keys.iter().enumerate() {
-            let (lo, hi) = built.model.search_range(k);
+            let Bracket { lo, hi, .. } = built.model.search_range(k);
             prop_assert!(lo <= i && i < hi, "rank {} outside [{}, {})", i, lo, hi);
         }
     }
