@@ -264,7 +264,7 @@ impl Bracket {
 /// width. A bracket past the column's end is clipped, an inverted one
 /// yields `lo`.
 #[inline]
-fn gallop(b: Bracket, n: usize, mut is_below: impl FnMut(usize) -> bool) -> usize {
+pub(crate) fn gallop(b: Bracket, n: usize, mut is_below: impl FnMut(usize) -> bool) -> usize {
     let (lo, hi) = (b.lo.min(n), b.hi.min(n));
     if lo >= hi {
         return lo;

@@ -460,7 +460,7 @@ impl SpatialIndex for ZmIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{osm1_points, OgBuilder};
+    use crate::model::{gallop, osm1_points, OgBuilder};
     use crate::persist::encode_points;
 
     /// The composed-bounds pass as a per-key loop: route, predict through
@@ -763,5 +763,64 @@ mod tests {
         let bytes = IndexCodec::encode(&codec, &idx).expect("ZM always has a fast path");
         let back = IndexCodec::decode(&codec, &bytes).unwrap();
         assert_eq!(back.point_query(pts[3]), idx.point_query(pts[3]));
+    }
+    #[test]
+    fn corner_keys_gallop_within_a_comparison_of_bisecting() {
+        // One deployment shard's worth of OSM1-like points under the
+        // serving model (0 epochs: the CDF interpolant). Each search counts
+        // the gallop's key comparisons from the prediction, and the
+        // comparisons a binary search over the whole bracket would make.
+        // `z_range`'s corner keys are not stored, so they land farther from
+        // their predictions than stored keys and gallop a little longer —
+        // less than one comparison more than bisecting, whose scattered
+        // probes measured slower all the same (EXPERIMENTS, "Window
+        // queries").
+        let pts = osm1_points(15_625, None, 5);
+        let zm = ZmIndex::build(
+            pts.clone(),
+            &ZmConfig { fanout: 8 },
+            &OgBuilder::with_epochs(0),
+        );
+        let keys = zm.data.keys();
+        let n = keys.len();
+        let mean = |keys_searched: &[f64]| {
+            let (mut galloped, mut binary, mut fallbacks) = (0, 0, 0);
+            for &key in keys_searched {
+                let b = zm.search_range(key);
+                let cand = gallop(b, n, |i| {
+                    galloped += 1;
+                    keys.get(i).is_some_and(|&k| k < key)
+                });
+                let width = b.hi.min(n).saturating_sub(b.lo.min(n));
+                binary += (usize::BITS - width.leading_zeros()) as usize;
+                fallbacks += usize::from(zm.locate_lower(key) != cand);
+            }
+            let per = |c: usize| c as f64 / keys_searched.len() as f64;
+            (per(galloped), per(binary), fallbacks)
+        };
+        let corners = |area: f64| -> Vec<f64> {
+            let windows = elsi_data::gen::window_queries(&pts, 2_000, area, 9);
+            let z = |x, y| MortonMapper.key(Point::at(x, y));
+            let corner = |w: &Rect| [z(w.lo_x, w.lo_y), z(w.hi_x, w.hi_y).next_up()];
+            windows.iter().flat_map(corner).collect()
+        };
+        let (stored_gallop, stored_binary, stored_fallbacks) = mean(keys);
+        assert_eq!(stored_fallbacks, 0, "the bracket holds every stored key");
+        for area in [1e-4, 1e-2] {
+            let (galloped, binary, fallbacks) = mean(&corners(area));
+            eprintln!(
+                "area {area}: corner keys {galloped:.2} galloped / {binary:.2} binary \
+                 comparisons, {fallbacks} of 4000 fall back; stored keys \
+                 {stored_gallop:.2} / {stored_binary:.2}"
+            );
+            assert!(
+                galloped < binary + 1.0,
+                "{galloped} vs {binary} at area {area}"
+            );
+            assert!(
+                galloped < stored_gallop + 1.0,
+                "{galloped} vs {stored_gallop}"
+            );
+        }
     }
 }

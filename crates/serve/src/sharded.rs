@@ -335,10 +335,11 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
     /// ([`canonical_point_key`]) order — equal result sets are
     /// bit-identical regardless of the shard layout.
     ///
-    /// Per-shard runs arrive in each shard's own order (Z-rank for ZM), so
-    /// they are concatenated and put in canonical order by
-    /// [`sort_canonical`], which ping-pongs through the staging buffer the
-    /// shard scans have finished with. In steady state the gather itself
+    /// Per-shard runs arrive in each shard's own order (Z-rank for ZM): the
+    /// first non-empty one is written straight into `out`, later ones are
+    /// staged and appended, and [`sort_canonical`] puts the whole in
+    /// canonical order, ping-ponging through the staging buffer the shard
+    /// scans have finished with. In steady state the gather itself
     /// allocates only the `Vec` [`Router::shards_for_window`] returns.
     // lint:serving_root
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
@@ -348,8 +349,12 @@ impl<I: SpatialIndex> SpatialIndex for ShardedIndex<I> {
             let Some(shard) = self.shards.get(s) else {
                 continue;
             };
-            shard.window_query_into(w, scratch, &mut buf);
-            out.extend_from_slice(&buf);
+            if out.is_empty() {
+                shard.window_query_into(w, scratch, out);
+            } else {
+                shard.window_query_into(w, scratch, &mut buf);
+                out.extend_from_slice(&buf);
+            }
         }
         sort_canonical(out, &mut buf);
         scratch.stage_put(buf);

@@ -160,6 +160,42 @@ impl Rect {
             && self.hi_y >= other.hi_y
     }
 
+    /// The whole plane, `[-∞, ∞]²`: the MBR a non-finite coordinate
+    /// poisons a page's MBR to ([`Rect::expand_page`]).
+    pub const ALL: Rect = Rect {
+        lo_x: f64::NEG_INFINITY,
+        lo_y: f64::NEG_INFINITY,
+        hi_x: f64::INFINITY,
+        hi_y: f64::INFINITY,
+    };
+
+    /// Grows a page MBR to include `p` — the MBR rule of [`Block`] pages
+    /// and of sorted pages' stripes. [`Rect::expand`]'s `f64::min`/`max`
+    /// skip NaN, so they would leave such a point outside an MBR that
+    /// claims to bound it; here a point with a non-finite coordinate
+    /// poisons the MBR to [`Rect::ALL`] for good instead, which every
+    /// window intersects and none [covers](Rect::covers): the page's
+    /// points are always tested, never appended unseen.
+    ///
+    /// [`Block`]: crate::Block
+    #[inline]
+    pub fn expand_page(&mut self, p: &Point) {
+        if p.x.is_finite() && p.y.is_finite() {
+            self.expand(p);
+        } else {
+            *self = Rect::ALL;
+        }
+    }
+
+    /// Whether every point of a page whose MBR is `page` (grown by
+    /// [`Rect::expand_page`]) lies in `self`, so the page may be appended
+    /// without testing a point: `page` is finite and inside `self`. A
+    /// poisoned or empty MBR is never covered.
+    #[inline]
+    pub fn covers(&self, page: &Rect) -> bool {
+        page.lo_x.is_finite() && self.contains_rect(page)
+    }
+
     /// Whether the two rectangles overlap (boundary contact counts).
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
