@@ -11,13 +11,21 @@
 //! * `Type::name(…)` / `Self::name(…)` — the definition owned by that
 //!   type when one exists (`Self` = the enclosing impl's type).
 //! * A qualifier that matches no workspace owner (`Vec::new`,
-//!   `module::helper`) — the unique workspace definition of `name` when
-//!   exactly one exists, otherwise no edge (assumed external). This keeps
-//!   std-type constructors from fanning out to every workspace `new`.
-//! * Unqualified and method calls (`helper(…)`, `x.name(…)`) — **every**
-//!   workspace definition of `name`: receiver types are unknown, so the
-//!   graph over-approximates; diagnostics may chase an edge the program
-//!   never takes.
+//!   `module::helper`, `mem::take`) — the unique workspace definition of
+//!   `name` without a `self` receiver when exactly one exists, otherwise
+//!   no edge (assumed external). This keeps std-type constructors from
+//!   fanning out to every workspace `new`.
+//! * Unqualified calls (`helper(…)`) — **every** workspace definition of
+//!   `name` without a `self` receiver; method calls (`x.name(…)`) — every
+//!   one with a receiver that takes as many further parameters as the
+//!   call passes arguments (any, where the parser cannot count them). A
+//!   method is only called through a value or its own type or trait, so
+//!   `.fill(0)` on a slice never reaches a free `fill`, `locate_lower(…)`
+//!   never a method `locate_lower`, and `data.keys()` never a
+//!   `keys(&self, points)`. A call to a closure a `let` binds is not
+//!   recorded at all ([`crate::parse`]). Receiver types are unknown, so
+//!   the graph over-approximates; diagnostics may chase an edge the
+//!   program never takes.
 //! * Function *references* (`map(helper)`) produce no edge — an
 //!   under-approximation the parser documents.
 //! * Test-only definitions (`#[test]` fns, anything inside a
@@ -106,10 +114,21 @@ impl CallGraph {
             // production `.parse()` call.
             let visible =
                 |id: &usize| n.item.test_only || nodes.get(*id).is_some_and(|m| !m.item.test_only);
-            let candidates = |name: &str| -> Vec<usize> {
+            // The definitions of `name` that can answer a call: for a method
+            // call (`Some(args)`), the methods taking that many arguments;
+            // for any other, the fns without a receiver.
+            let candidates = |name: &str, method: Option<Option<usize>>| -> Vec<usize> {
+                let answers = |id: &usize| {
+                    let item = nodes.get(*id).map(|m| &m.item);
+                    let fits = item.is_some_and(|f| match method {
+                        Some(args) => f.receiver && args.is_none_or(|a| a == f.params),
+                        None => !f.receiver,
+                    });
+                    visible(id) && fits
+                };
                 by_name
                     .get(name)
-                    .map(|ids| ids.iter().copied().filter(visible).collect())
+                    .map(|ids| ids.iter().copied().filter(answers).collect())
                     .unwrap_or_default()
             };
             let mut out: Vec<usize> = Vec::new();
@@ -127,14 +146,14 @@ impl CallGraph {
                     Some(q) => match by_owner.get(&(q, call.name.as_str())) {
                         Some(id) if visible(id) => vec![*id],
                         Some(_) => Vec::new(),
-                        None => match candidates(&call.name) {
+                        None => match candidates(&call.name, None) {
                             // Unique name: a module-qualified free fn.
                             ids if ids.len() == 1 => ids,
                             // Ambiguous under an unknown owner: external.
                             _ => Vec::new(),
                         },
                     },
-                    None => candidates(&call.name),
+                    None => candidates(&call.name, call.method.then_some(call.args)),
                 };
                 out.extend(resolved);
             }
@@ -422,14 +441,19 @@ mod tests {
 
     #[test]
     fn unqualified_calls_merge_all_definitions() {
+        // Every definition that can answer: the methods without further
+        // parameters for `x.step()`, the free fn for `step()`.
         let g = graph(&[(
             "a.rs",
-            "fn f(x: &X) { x.step(); }\n\
-             impl B { fn step() {} }\n\
-             impl C { fn step() {} }\n",
+            "fn f(x: &X) { x.step(); step(); }\n\
+             impl B { fn step(&self) {} }\n\
+             impl C { fn step(&mut self) {} }\n\
+             impl D { fn step(&self, n: u8) {} }\n\
+             fn step() {}\n",
         )]);
         let f = node_id(&g, "f");
-        assert_eq!(g.nodes[f].callees.len(), 2);
+        let want = ["B::step", "C::step", "step"].map(|n| node_id(&g, n));
+        assert_eq!(g.nodes[f].callees, want);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   `name::<T>(` and `.name::<T>(` are recorded; bare function
 //!   *references* passed as values (`map(helper)`) are missed
 //!   (under-approximation), and an unqualified name resolves to *every*
-//!   workspace function with that name (over-approximation; see
-//!   [`crate::graph`]).
+//!   workspace function with that name — a method call to every one with
+//!   a `self` receiver (over-approximation; see [`crate::graph`]). A plain
+//!   call to a name a `let` earlier in the same fn binds is a closure call
+//!   and not recorded.
 //! * **Owners are textual.** The `impl` target is the last type-path
 //!   identifier before the impl block opens (after `for` when present);
 //!   generics and where-clauses are skipped by bracket counting.
@@ -45,6 +47,12 @@ pub struct Call {
     /// `Type` in `Type::name(…)` / `Self::name(…)`; `None` for plain and
     /// method calls.
     pub qualifier: Option<String>,
+    /// A method call, `x.name(…)`: only a fn with a `self` receiver can
+    /// answer it.
+    pub method: bool,
+    /// How many arguments it passes (a method call's receiver aside), when
+    /// the tokens tell for certain ([`arg_count`]).
+    pub args: Option<usize>,
     /// 1-based line of the callee token.
     pub line: u32,
     /// Index of the callee token in the file's token stream.
@@ -127,6 +135,10 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl`/`trait` type name, when any.
     pub owner: Option<String>,
+    /// Takes a `self` receiver (`self`, `&self`, `&'a mut self`, …).
+    pub receiver: bool,
+    /// How many parameters it takes besides its receiver, if any.
+    pub params: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Marked `// lint:hot_path`.
@@ -212,6 +224,98 @@ fn is_impl_trait_type(tokens: &[Token], i: usize) -> bool {
             tokens[i - 1].text.as_str(),
             ":" | ">" | "(" | "," | "<" | "&" | "mut" | "="
         )
+}
+
+/// Whether the fn whose generics or parameters start at token `i` takes a
+/// `self` receiver, and how many parameters besides it. Its parameter list
+/// is the first `(` outside the generics' angle brackets (the `>` of an
+/// `->` closes none); a receiver is `self` after any `&`, lifetime and
+/// `mut`; parameters are separated by commas outside every bracket.
+fn signature(tokens: &[Token], mut i: usize) -> (bool, usize) {
+    let mut angle = 0i32;
+    while let Some(t) = tokens.get(i).filter(|t| t.text != "{" && t.text != ";") {
+        if t.kind == TokenKind::Punct {
+            match t.text.as_str() {
+                "<" => angle += 1,
+                ">" if !punct(tokens, i - 1, "-") => angle -= 1,
+                "(" if angle == 0 => break,
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    let params = tokens.get(i + 1..).unwrap_or_default();
+    let mut rest = params
+        .iter()
+        .skip_while(|t| t.kind == TokenKind::Lifetime || t.text == "&" || t.text == "mut");
+    let receiver = rest.next().is_some_and(|t| t.text == "self");
+    let (mut depth, mut count, mut open) = (0i32, 0usize, false);
+    for (k, t) in params.iter().enumerate() {
+        let arrow = k > 0 && params.get(k - 1).is_some_and(|p| p.text == "-");
+        match t.text.as_str() {
+            ")" if depth == 0 => break,
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" => depth -= 1,
+            ">" if !arrow => depth -= 1,
+            "," if depth == 0 => {
+                open = false;
+                continue;
+            }
+            _ => {}
+        }
+        if !open {
+            (count, open) = (count + 1, true);
+        }
+    }
+    (receiver, count - usize::from(receiver && count > 0))
+}
+
+/// How many arguments the call whose `(` is at `open` passes: one more
+/// than the commas outside every bracket, a closure's parameter list
+/// (`|a, b|` where an argument starts) and a turbofish (`::<A, B>`). A `<`
+/// that opens no turbofish — a comparison, or a type after `as` — leaves
+/// the count unknown.
+fn arg_count(tokens: &[Token], open: usize) -> Option<usize> {
+    let (mut depth, mut angle, mut count) = (0usize, 0usize, 0usize);
+    let mut starting = true;
+    let mut j = open + 1;
+    while let Some(t) = tokens.get(j) {
+        j += 1;
+        if t.kind != TokenKind::Punct {
+            if !(starting && t.text == "move") {
+                (count, starting) = (count + usize::from(starting), false);
+            }
+            continue;
+        }
+        match t.text.as_str() {
+            ")" | "]" | "}" if depth == 0 => return Some(count),
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            "<" if punct(tokens, j - 2, ":") => angle += 1,
+            "<" => return None,
+            ">" if angle > 0 && !punct(tokens, j - 2, "-") => angle -= 1,
+            "," if depth == 0 && angle == 0 => {
+                starting = true;
+                continue;
+            }
+            "|" if starting => {
+                // A closure's parameters: up to the next `|` outside brackets.
+                let mut inner = 0usize;
+                while let Some(p) = tokens.get(j) {
+                    j += 1;
+                    match p.text.as_str() {
+                        "(" | "[" => inner += 1,
+                        ")" | "]" => inner = inner.saturating_sub(1),
+                        "|" if inner == 0 => break,
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+        (count, starting) = (count + usize::from(starting), false);
+    }
+    None
 }
 
 /// Index of the `}` matching the `{` at `open`.
@@ -499,9 +603,12 @@ pub fn parse_items(lexed: &Lexed) -> Parsed {
                     (open, close)
                 });
                 let in_test_range = test_ranges.iter().any(|&(s, e)| i > s && i < e);
+                let (receiver, params) = signature(tokens, i + 2);
                 fns.push(FnItem {
                     name: name_tok.text.clone(),
                     owner,
+                    receiver,
+                    params,
                     line: t.line,
                     hot_root: false,
                     serving_root: false,
@@ -584,10 +691,21 @@ fn punct(tokens: &[Token], i: usize, p: &str) -> bool {
         .is_some_and(|t| t.kind == TokenKind::Punct && t.text == p)
 }
 
-/// Whether the generic arguments opening at `tokens[open]` (a `<`) close
-/// right before a `(`: `f::<N>(…)` calls `f`, `Vec::<u8>::new` does not
-/// call `Vec`. A `>` after `-` is an arrow, not a closing bracket.
-fn turbofish_closes_into_call(tokens: &[Token], open: usize) -> bool {
+/// Whether a `let` between tokens `open` and `at` binds `name`: a plain
+/// call through it calls that local (a closure), which shadows every
+/// workspace fn of the name.
+fn let_bound(tokens: &[Token], open: usize, at: usize, name: &str) -> bool {
+    let body = tokens.get(open..at).unwrap_or_default();
+    body.windows(3).any(|w| {
+        matches!(w, [l, n, m] if l.text == "let"
+            && (n.text == name || (n.text == "mut" && m.text == name)))
+    })
+}
+
+/// The `(` the generic arguments opening at `tokens[open]` (a `<`) close
+/// right before, if they do: `f::<N>(…)` calls `f`, `Vec::<u8>::new` does
+/// not call `Vec`. A `>` after `-` is an arrow, not a closing bracket.
+fn turbofish_call_paren(tokens: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     for j in open..tokens.len() {
         if punct(tokens, j, "<") {
@@ -595,13 +713,13 @@ fn turbofish_closes_into_call(tokens: &[Token], open: usize) -> bool {
         } else if punct(tokens, j, ">") && !punct(tokens, j - 1, "-") {
             depth -= 1;
             if depth == 0 {
-                return punct(tokens, j + 1, "(");
+                return punct(tokens, j + 1, "(").then_some(j + 1);
             }
         } else if punct(tokens, j, ";") || punct(tokens, j, "{") {
             break;
         }
     }
-    false
+    None
 }
 
 /// Second pass: walk every token once and record calls, panic sites,
@@ -729,11 +847,20 @@ fn extract_facts(tokens: &[Token], token_owner: &[Option<usize>], fns: &mut [FnI
         }
 
         // Call sites: `f(`, `f::<N>(` and `.m::<T>(`.
-        let turbofish_call = turbofish && turbofish_closes_into_call(tokens, i + 3);
-        if (next_open_paren || turbofish_call) && !is_keyword(name) {
+        let paren = if next_open_paren {
+            Some(i + 1)
+        } else if turbofish {
+            turbofish_call_paren(tokens, i + 3)
+        } else {
+            None
+        };
+        if let Some(paren) = paren.filter(|_| !is_keyword(name)) {
             // The token right after `fn` is a definition, not a call.
             let is_def = i > 0 && ident(tokens, i - 1) == Some("fn");
-            if !is_def {
+            let open = fns[f].body.map_or(i, |(open, _)| open);
+            let pathed = i > 0 && punct(tokens, i - 1, ":");
+            let local = !prev_dot && !pathed && let_bound(tokens, open, i, name);
+            if !is_def && !local {
                 let qualifier = if i >= 3
                     && punct(tokens, i - 1, ":")
                     && punct(tokens, i - 2, ":")
@@ -746,6 +873,8 @@ fn extract_facts(tokens: &[Token], token_owner: &[Option<usize>], fns: &mut [FnI
                 fns[f].calls.push(Call {
                     name: name.to_string(),
                     qualifier,
+                    method: prev_dot,
+                    args: arg_count(tokens, paren),
                     line: t.line,
                     token: i,
                 });
@@ -848,6 +977,45 @@ mod tests {
         let p = parse("fn f() { g::<N>(a); Vec::<u8>::new(); h::<fn() -> u8>(x); }");
         let names: Vec<&str> = p.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["g", "new", "h"]);
+    }
+
+    #[test]
+    fn receivers_and_parameter_counts() {
+        let p = parse(
+            "fn a() {}\n\
+             fn b<F: Fn(u8, u8) -> u8>(f: F, (x, y): (u8, u8), z: Vec<(u8, u8)>,) {}\n\
+             fn c(&self) {}\n\
+             fn d<'a>(&'a mut self, w: &Rect) {}\n\
+             fn e(mut self: Box<Self>, n: HashMap<u8, u8>) {}\n\
+             fn f(selfish: u8) {}\n",
+        );
+        let facts: Vec<(bool, usize)> = p.fns.iter().map(|f| (f.receiver, f.params)).collect();
+        let want = [
+            (false, 0),
+            (false, 3),
+            (true, 0),
+            (true, 1),
+            (true, 1),
+            (false, 1),
+        ];
+        assert_eq!(facts, want);
+    }
+
+    #[test]
+    fn argument_counts_see_through_closures_and_turbofish() {
+        let p = parse(
+            "fn f() {\n\
+               x.a();\n\
+               x.b(g(1, 2), [3, 4], (5, 6),);\n\
+               x.c(|p, q| p + q, move || 1, 0);\n\
+               x.d(Vec::<(u8, u8)>::new(), y.e::<A, B>(z));\n\
+               x.h(a < b, c);\n\
+             }",
+        );
+        let args = |name| call(&p.fns[0], name).args;
+        let got = ["a", "b", "c", "d", "e", "h"].map(args);
+        assert_eq!(got, [Some(0), Some(3), Some(3), Some(2), Some(1), None]);
+        assert!(call(&p.fns[0], "a").method && !call(&p.fns[0], "g").method);
     }
 
     #[test]

@@ -447,6 +447,62 @@ fn slow(&self, x: f64) -> f64 {
 }
 
 #[test]
+fn a_method_call_resolves_to_methods_of_its_arity_only() {
+    // `.fill(0)` on a slice, `locate(…)` and `mem::take(…)` reach no
+    // method, `self.grow(…)` no `grow` of another arity and the closure
+    // `bump` no fn: the one allocation reached is the method
+    // `self.grow(n)` can call.
+    let src = r#"
+// lint:hot_path
+fn reset(&mut self, counts: &mut [u32], n: usize) -> usize {
+    counts.fill(0);
+    let old = mem::take(&mut self.runs);
+    let bump = |n: usize| n + 1;
+    self.grow(bump(n));
+    locate(counts, n)
+}
+
+fn bump(n: usize) -> Vec<usize> {
+    vec![n]
+}
+
+fn fill(n: usize) -> Vec<u32> {
+    vec![0; n]
+}
+
+fn take(&mut self) -> Vec<u32> {
+    self.runs.to_vec()
+}
+
+fn locate(&self, counts: &[u32], n: usize) -> usize {
+    format!("{n}").len()
+}
+
+fn grow(&mut self, n: usize) {
+    self.runs.push(n);
+}
+
+fn grow(&mut self) {
+    self.runs.extend(self.more());
+}
+"#;
+    let r = scan_one("crates/core/src/counts.rs", src);
+    let allocs: Vec<_> = diagnostics(&r)
+        .into_iter()
+        .filter(|d| d.contains(":alloc_hot_path:"))
+        .collect();
+    assert_eq!(
+        allocs,
+        vec![
+            "crates/core/src/counts.rs:28:alloc_hot_path: allocating construct \
+             `push` in `grow`, reachable from hot-path root `reset`: hot paths \
+             must not allocate (hoist the buffer, or mark a genuinely cold \
+             fallback `#[cold]`)"
+        ]
+    );
+}
+
+#[test]
 fn alloc_hot_path_allowed_fixture() {
     let src = r#"
 // lint:hot_path

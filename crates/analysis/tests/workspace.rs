@@ -57,9 +57,9 @@ fn lock_order_reports_no_findings_on_the_real_workspace() {
 fn hot_path_roots_are_annotated_and_checked() {
     let report = scan();
     // The roots the counting-allocator tests exercise: the FFN inference
-    // kernels, the shard router, and the three SoA scan kernels every
-    // leaf-level query funnels through. Losing one silently would hollow
-    // out the alloc_hot_path rule.
+    // kernels, the shard router, the three SoA scan kernels every
+    // leaf-level query funnels through and LISA's window and kNN. Losing
+    // one silently would hollow out the alloc_hot_path rule.
     for root in [
         "Ffn::predict1",
         "Ffn::predict_scalar",
@@ -67,6 +67,8 @@ fn hot_path_roots_are_annotated_and_checked() {
         "contains_scan",
         "knn_scan",
         "range_scan_into",
+        "LisaIndex::window_query_into",
+        "LisaIndex::knn_within_into",
     ] {
         assert!(
             report.hot_paths.roots.iter().any(|r| r == root),

@@ -1,6 +1,7 @@
 //! Pins the "reads allocate nothing in steady state" contract of the dirty
 //! read path — `DeltaOverlay`'s page scans and tombstone probes over a ZM
-//! base — with a counting global allocator.
+//! base — and of a clean LISA's windows and kNN, with a counting global
+//! allocator.
 //!
 //! Everything lives in ONE `#[test]` so the global counter is never read
 //! concurrently by another test thread.
@@ -10,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use elsi::{DeltaOverlay, Update};
 use elsi_data::gen::uniform;
-use elsi_indices::{PwlBuilder, SpatialIndex, ZmConfig, ZmIndex};
+use elsi_indices::{LisaConfig, LisaIndex, PwlBuilder, SpatialIndex, ZmConfig, ZmIndex};
 use elsi_spatial::{Point, Rect, ScanScratch};
 
 struct CountingAlloc;
@@ -48,7 +49,12 @@ fn count_min(mut f: impl FnMut()) -> u64 {
 }
 
 #[test]
-fn dirty_overlay_reads_are_allocation_free_in_steady_state() {
+fn index_reads_are_allocation_free_in_steady_state() {
+    dirty_overlay_reads();
+    clean_lisa_reads();
+}
+
+fn dirty_overlay_reads() {
     // A dirty shard: 4 000 base points, 3 000 fresh inserts clustered
     // around (0.5, 0.5) (many pages, split and straddling both half-lines),
     // 400 overwrites of base ids, 400 exact base deletes and 300 deletes of
@@ -119,4 +125,39 @@ fn dirty_overlay_reads_are_allocation_free_in_steady_state() {
     reads(); // warms the scratch and `out`
     let allocs = count_min(&mut reads);
     assert_eq!(allocs, 0, "dirty overlay reads allocated {allocs} times");
+}
+
+fn clean_lisa_reads() {
+    // Windows from a point's neighbourhood to the unit square (one cell,
+    // many cells, every shard); kNN from one point to thousands, under
+    // radii that cut the answer short.
+    let points = uniform(20_000, 3);
+    let lisa = LisaIndex::build(points, &LisaConfig::default(), &PwlBuilder { epsilon: 8 });
+    let windows = [
+        Rect::new(0.5, 0.5, 0.505, 0.505),
+        Rect::new(0.2, 0.1, 0.45, 0.3),
+        Rect::new(0.0, 0.48, 1.0, 0.52),
+        Rect::unit(),
+    ];
+    let centres = [
+        Point::at(0.5, 0.5),
+        Point::at(0.01, 0.99),
+        Point::at(0.7, 0.2),
+    ];
+    let (mut scratch, mut out) = (ScanScratch::new(), Vec::new());
+    let mut reads = || {
+        for w in &windows {
+            lisa.window_query_into(w, &mut scratch, &mut out);
+            assert!(!out.is_empty());
+        }
+        for &q in &centres {
+            for (k, r2) in [(1, f64::INFINITY), (25, f64::INFINITY), (3_000, 0.02)] {
+                lisa.knn_within_into(q, k, r2, &mut scratch, &mut out);
+                assert!(!out.is_empty());
+            }
+        }
+    };
+    reads(); // warms the scratch and `out`
+    let allocs = count_min(&mut reads);
+    assert_eq!(allocs, 0, "clean LISA reads allocated {allocs} times");
 }

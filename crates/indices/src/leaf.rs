@@ -4,8 +4,9 @@
 //! sorted page; what happens inside the span is the same whatever the
 //! index. [`Leaf`] is that page, borrowed, with one body per query kind.
 //! What differs (ZM's two-stage routing, ML's annuli, Flood's columns,
-//! RSMI's probes) stays in the index and only produces the span.
-//! [`Delta`] is the update side ZM, ML-Index and Flood share.
+//! RSMI's probes, LISA's shards) stays in the index and only produces the
+//! span. [`Delta`] is the update side ZM, ML-Index and Flood share; LISA
+//! and RSMI keep pages of their own under the same update rule.
 
 use crate::model::{equal_key_run, Bracket};
 use elsi_spatial::{
@@ -38,12 +39,6 @@ pub(crate) struct Leaf<'a> {
 }
 
 impl<'a> Leaf<'a> {
-    /// The whole of `data` as one page, under `delta`'s tombstones.
-    #[inline]
-    pub(crate) fn over(data: &'a MappedData, delta: &'a Delta) -> Self {
-        Self::of(data, &delta.deleted)
-    }
-
     /// The whole of `data` as one page, under the tombstones `deleted`.
     #[inline]
     pub(crate) fn of(data: &'a MappedData, deleted: &'a HashSet<u64>) -> Self {

@@ -3,27 +3,36 @@
 //! LISA partitions the data space with a grid derived from the data, maps
 //! each point to a one-dimensional value (cell number + in-cell offset — a
 //! weighted aggregation of the coordinates), and learns a *shard prediction
-//! function* from mapped values to shard ids. Points are stored shard-wise
-//! in data pages; insertions append to the predicted shard's pages, creating
-//! new pages as needed (paper §II).
+//! function* from mapped values to shard ids (paper §II). The bulk-loaded
+//! points are one key-ordered page read through the learned [`Leaf`]:
+//! shard `s` is its rank span `[s·S, (s+1)·S)`.
 //!
 //! Following the paper's experimental setup (§VII-B1), the shard prediction
 //! function is an FFN rather than LISA's original piecewise-linear function;
 //! this "breaks the monotonicity of its shard prediction functions, which
 //! impacts the accuracy of window queries" — window queries are therefore
 //! approximate, while point queries stay exact via shard-level error bounds
-//! and kNN via the data pages' MBRs (the model only chooses where the
-//! search starts).
+//! and kNN via the grid: keys grow with `y` within a grid column, so a
+//! column's points in the ball box are one rank span.
+//!
+//! Insertions keep LISA's own procedure: a point is appended to its
+//! predicted shard's pages, and a page over the paper's `B`
+//! ([`DEFAULT_BLOCK_SIZE`]) splits in key order. Deletes follow `Delta`'s
+//! rule: an inserted copy is removed, a bulk-loaded one tombstoned, and an
+//! insert never touches the tombstones.
 //!
 //! Because the grid is built from `D` itself, building methods that
 //! synthesise points not in `D` (CL, RL) are inapplicable (paper §VII-A);
 //! the `elsi` crate masks them out for LISA.
 
-use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
+use crate::leaf::Leaf;
+use crate::model::{locate_lower, Bracket, BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
-use elsi_spatial::{sort_by_key, Block, KeyMapper, KnnHeap, LisaMapper, Point, Rect, ScanScratch};
-use rayon::prelude::*;
-use std::collections::BTreeSet;
+use elsi_spatial::{
+    sort_by_key, Block, KeyMapper, LisaMapper, MappedData, Point, Rect, ScanScratch,
+    DEFAULT_BLOCK_SIZE,
+};
+use std::collections::HashSet;
 
 /// LISA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -32,8 +41,6 @@ pub struct LisaConfig {
     pub grid: usize,
     /// Target points per shard.
     pub shard_size: usize,
-    /// Points per data page (paper: `B = 100`).
-    pub block_size: usize,
 }
 
 impl Default for LisaConfig {
@@ -41,7 +48,6 @@ impl Default for LisaConfig {
         Self {
             grid: 16,
             shard_size: 400,
-            block_size: 100,
         }
     }
 }
@@ -53,12 +59,16 @@ pub struct LisaIndex {
     /// Shard-level error bounds (actual − predicted shard id).
     shard_lo: i64,
     shard_hi: i64,
-    /// Each shard's data pages (at least one), in key order at bulk load.
-    shards: Vec<Vec<Block>>,
+    /// The bulk-loaded points in key order: shard `s` is ranks
+    /// `[s·S, (s+1)·S)`.
+    data: MappedData,
     shard_size: usize,
-    /// Points per data page; a fuller page splits in half.
-    block_size: usize,
-    n_live: usize,
+    /// Each shard's pages of inserted points.
+    pages: Vec<Vec<Block>>,
+    /// Points in `pages`.
+    inserted: usize,
+    /// Ids of the tombstoned bulk-loaded points.
+    deleted: HashSet<u64>,
     stats: Vec<BuildStats>,
 }
 
@@ -72,73 +82,39 @@ impl LisaIndex {
         if points.is_empty() {
             return Self::empty(cfg);
         }
-        assert!(cfg.grid > 0 && cfg.shard_size > 0 && cfg.block_size > 0);
+        assert!(cfg.grid > 0 && cfg.shard_size > 0);
         let mapper = LisaMapper::fit(&points, cfg.grid);
         let (points, keys) = sort_by_key(points, &mapper);
         let n = points.len();
         let num_shards = n.div_ceil(cfg.shard_size).max(1);
-
-        // The shard pages never read the model: bulk-load them in parallel
-        // beside its training. Shard order follows the chunk order,
-        // independent of thread count.
-        let (built, shards) = rayon::join(
-            || {
-                builder.build_model(&BuildInput {
-                    points: &points,
-                    keys: &keys,
-                    mapper: &mapper,
-                    seed: 0x115A,
-                })
-            },
-            || {
-                let chunks: Vec<&[Point]> = points.chunks(cfg.shard_size).collect();
-                chunks
-                    .into_par_iter()
-                    .map(|shard| {
-                        let pages = shard.chunks(cfg.block_size).map(<[Point]>::to_vec);
-                        pages.map(Block::from_points).collect::<Vec<_>>()
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
+        let built = builder.build_model(&BuildInput {
+            points: &points,
+            keys: &keys,
+            mapper: &mapper,
+            seed: 0x115A,
+        });
         let stats = vec![built.stats];
         let model = built.model;
 
         // Shard-level error bounds: predicted vs actual shard of every
-        // point. The scan is a pure min/max reduction, so chunked partials
-        // merge to the same bounds for any thread count.
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-        let partials: Vec<(i64, i64)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let span = keys.get(start..(start + chunk).min(n)).unwrap_or(&[]);
-                let (mut lo, mut hi) = (0i64, 0i64);
-                model.predict_each(span, |i, rank| {
-                    let pred = shard_of_rank(rank, cfg.shard_size, num_shards);
-                    let actual = ((start + i) / cfg.shard_size) as i64;
-                    lo = lo.min(actual - pred);
-                    hi = hi.max(actual - pred);
-                });
-                (lo, hi)
-            })
-            .collect();
-        let mut shard_lo = 0i64;
-        let mut shard_hi = 0i64;
-        for (lo, hi) in partials {
-            shard_lo = shard_lo.min(lo);
-            shard_hi = shard_hi.max(hi);
-        }
+        // point.
+        let (mut shard_lo, mut shard_hi) = (0i64, 0i64);
+        model.predict_each(&keys, |i, rank| {
+            let err = (i / cfg.shard_size) as i64
+                - shard_of_rank(rank, cfg.shard_size, num_shards) as i64;
+            (shard_lo, shard_hi) = (shard_lo.min(err), shard_hi.max(err));
+        });
 
         Self {
             mapper,
             model,
             shard_lo,
             shard_hi,
-            shards,
+            data: MappedData::from_sorted(&points, keys),
             shard_size: cfg.shard_size,
-            block_size: cfg.block_size,
-            n_live: n,
+            pages: vec![Vec::new(); num_shards],
+            inserted: 0,
+            deleted: HashSet::new(),
             stats,
         }
     }
@@ -152,17 +128,13 @@ impl LisaIndex {
             model: RankModel::empty(0),
             shard_lo: 0,
             shard_hi: 0,
-            shards: vec![vec![Block::new()]],
+            data: MappedData::default(),
             shard_size: cfg.shard_size.max(1),
-            block_size: cfg.block_size.max(1),
-            n_live: 0,
+            pages: vec![Vec::new()],
+            inserted: 0,
+            deleted: HashSet::new(),
             stats: Vec::new(),
         }
-    }
-
-    /// The fitted grid mapper.
-    pub fn mapper(&self) -> &LisaMapper {
-        &self.mapper
     }
 
     /// Build statistics of the shard prediction model.
@@ -172,109 +144,144 @@ impl LisaIndex {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.pages.len()
     }
 
+    /// The stored page under the tombstones.
+    fn leaf(&self) -> Leaf<'_> {
+        Leaf::of(&self.data, &self.deleted)
+    }
+
+    /// The model's shard for `key`, where its inserted copies live.
     #[inline]
-    fn predicted_shard(&self, key: f64) -> i64 {
-        shard_of_prediction(&self.model, key, self.shard_size, self.shards.len())
+    fn home(&self, key: f64) -> usize {
+        shard_of_rank(self.model.predict(key), self.shard_size, self.pages.len())
     }
 
-    /// Shard range guaranteed to contain a bulk-loaded point with this key.
+    /// The shard range guaranteed to hold a bulk-loaded point whose key the
+    /// model predicts at rank `pred`.
     #[inline]
-    fn shard_range(&self, key: f64) -> (usize, usize) {
-        let pred = self.predicted_shard(key);
-        let max = self.shards.len() as i64 - 1;
-        let lo = (pred + self.shard_lo).clamp(0, max) as usize;
-        let hi = (pred + self.shard_hi).clamp(0, max) as usize;
-        (lo, hi)
+    fn shard_range(&self, pred: i64) -> (usize, usize) {
+        let s = shard_of_rank(pred, self.shard_size, self.pages.len()) as i64;
+        let max = self.pages.len() as i64 - 1;
+        let bound = |err: i64| (s + err).clamp(0, max) as usize;
+        (bound(self.shard_lo), bound(self.shard_hi))
     }
 
-    /// Offers the pages of shard `s` that can still beat the heap's k-th
-    /// distance (strict MBR pruning, so ties survive).
-    fn knn_offer_shard(&self, q: Point, s: usize, heap: &mut KnnHeap) {
-        for page in self.shards.get(s).into_iter().flatten() {
-            if page.mbr().min_dist2(&q) <= heap.worst_dist2() {
-                page.knn_into(q.x, q.y, heap);
-            }
+    /// The ranks of the shards [`LisaIndex::shard_range`] allows for
+    /// `key`, searched from its predicted rank.
+    #[inline]
+    fn bracket(&self, key: f64) -> Bracket {
+        let (pred, n, size) = (self.model.predict(key), self.data.len(), self.shard_size);
+        let (lo, hi) = self.shard_range(pred);
+        let (pred, lo, hi) = (pred.clamp(0, n as i64) as usize, lo * size, (hi + 1) * size);
+        Bracket {
+            pred,
+            lo,
+            hi: hi.min(n),
         }
     }
 
-    /// MINDIST from `q` to the nearest page of shard `s`.
-    fn shard_min_dist2(&self, q: Point, s: usize) -> f64 {
-        let pages = self.shards.get(s).into_iter().flatten();
-        pages
-            .map(|b| b.mbr().min_dist2(&q))
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-#[inline]
-fn shard_of_prediction(model: &RankModel, key: f64, shard_size: usize, num_shards: usize) -> i64 {
-    if model.is_empty() {
-        return 0;
-    }
-    shard_of_rank(model.predict(key), shard_size, num_shards)
-}
-
-/// The shard a predicted rank falls in.
-#[inline]
-fn shard_of_rank(rank: i64, shard_size: usize, num_shards: usize) -> i64 {
-    (rank.max(0) / shard_size as i64).min(num_shards as i64 - 1)
-}
-
-impl SpatialIndex for LisaIndex {
-    fn len(&self) -> usize {
-        self.n_live
-    }
-
-    fn point_query(&self, q: Point) -> Option<Point> {
-        if self.n_live == 0 {
-            return None;
-        }
-        let key = self.mapper.key(q);
-        let (lo, hi) = self.shard_range(key);
-        let pages = self.shards[lo..=hi].iter().flatten();
-        pages
-            .filter(|page| page.mbr().contains(&q))
-            .find_map(|page| page.find_exact(q.x, q.y))
+    /// The candidate shards of window `w`, one range per grid cell it
+    /// overlaps: those [`LisaIndex::shard_range`] allows for four keys —
+    /// the window's y-extremes clamped into the cell (keys grow with y
+    /// within a cell) and the ends of the cell's key range.
+    fn candidate_shards<'a>(&'a self, w: &'a Rect) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let m = &self.mapper;
+        let x_mid = (w.lo_x + w.hi_x) / 2.0;
+        let y_lo = m.key(Point::at(x_mid, w.lo_y));
+        let y_hi = m.key(Point::at(x_mid, w.hi_y));
+        let columns = m.columns_overlapping(w.lo_x, w.hi_x);
+        let cells =
+            columns.flat_map(move |c| m.rows_overlapping(c, w.lo_y, w.hi_y).map(move |r| (c, r)));
+        cells.map(move |(c, r)| {
+            let (cell_lo, cell_hi) = m.cell_key_range(c, r);
+            let (k_lo, k_hi) = (y_lo.max(cell_lo), y_hi.min(cell_hi));
+            let probes = [
+                k_lo.min(k_hi),
+                k_lo.max(k_hi).min(cell_hi),
+                cell_lo,
+                cell_hi - 1e-12,
+            ];
+            let ranges = probes.map(|k| self.shard_range(self.model.predict(k)));
+            ranges
+                .into_iter()
+                .fold((usize::MAX, 0), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+        })
     }
 
-    fn window_query_into(&self, w: &Rect, _scratch: &mut ScanScratch, out: &mut Vec<Point>) {
-        out.clear();
-        if self.n_live == 0 {
-            return;
-        }
-        // Candidate shards: per overlapping grid cell, the mapped-key range
-        // of the window's y-extent inside that cell (keys are monotone in y
-        // within a cell), widened by the shard error bounds.
-        let mut candidates: BTreeSet<usize> = BTreeSet::new();
-        for c in self.mapper.columns_overlapping(w.lo_x, w.hi_x) {
-            for r in self.mapper.rows_overlapping(c, w.lo_y, w.hi_y) {
-                let (cell_lo, cell_hi) = self.mapper.cell_key_range(c, r);
-                // Key endpoints of the window's slice of this cell: clamp
-                // the window's y-extremes into the cell's key range using
-                // representative corner points.
-                let x_mid = (w.lo_x + w.hi_x) / 2.0;
-                let k_lo = self.mapper.key(Point::at(x_mid, w.lo_y)).max(cell_lo);
-                let k_hi = self.mapper.key(Point::at(x_mid, w.hi_y)).min(cell_hi);
-                let (lo1, hi1) = self.shard_range(k_lo.min(k_hi));
-                let (lo2, hi2) = self.shard_range(k_lo.max(k_hi).min(cell_hi));
-                // Also probe the cell key-range endpoints for robustness.
-                let (lo3, hi3) = self.shard_range(cell_lo);
-                let (lo4, hi4) = self.shard_range(cell_hi - 1e-12);
-                let lo = lo1.min(lo2).min(lo3).min(lo4);
-                let hi = hi1.max(hi2).max(hi3).max(hi4);
-                candidates.extend(lo..=hi);
-            }
-        }
-        // LISA deletes physically, so every stored point is live and the
-        // kernels compress-store straight into `out`.
-        for page in candidates.into_iter().flat_map(|s| &self.shards[s]) {
+    /// Appends the inserted points of shards `lo..=hi` inside `w`. Cold:
+    /// serving shadows inserts with its overlay, so only an index that took
+    /// inserts through its own procedure holds any.
+    #[cold]
+    fn window_inserted(&self, (lo, hi): (usize, usize), w: &Rect, out: &mut Vec<Point>) {
+        for page in self.pages.get(lo..=hi).into_iter().flatten().flatten() {
             page.window_scan_into(w, out);
         }
     }
 
+    /// The rank span of column `c`'s stored points with `y` in
+    /// `[lo_y, hi_y]`: its keys at those heights bound theirs.
+    fn column_span(&self, c: usize, lo_y: f64, hi_y: f64) -> (usize, usize) {
+        let at = |key: f64| locate_lower(self.data.keys(), self.bracket(key), key);
+        let lo = self.mapper.column_key(c, lo_y);
+        (at(lo), at(self.mapper.column_key(c, hi_y).next_up()))
+    }
+}
+
+/// The shard a predicted rank falls in.
+#[inline]
+fn shard_of_rank(rank: i64, shard_size: usize, num_shards: usize) -> usize {
+    (rank.max(0) as usize / shard_size).min(num_shards - 1)
+}
+
+impl SpatialIndex for LisaIndex {
+    fn len(&self) -> usize {
+        self.data.len() + self.inserted - self.deleted.len()
+    }
+
+    fn point_query(&self, q: Point) -> Option<Point> {
+        let key = self.mapper.key(q);
+        let stored = self.leaf().find(self.bracket(key), key, q, None);
+        stored.or_else(|| {
+            let pages = (self.inserted > 0).then(|| self.pages.get(self.home(key)));
+            let mut pages = pages.flatten().into_iter().flatten();
+            pages.find_map(|page| page.find_exact(q.x, q.y))
+        })
+    }
+
+    /// Reads the candidate shards once each, in ascending order: per run
+    /// of shards its ranks, then its inserted pages.
+    // lint:hot_path
+    fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
+        out.clear();
+        let mut runs = scratch.runs_take(self.mapper.num_cells());
+        let m = runs
+            .iter_mut()
+            .zip(self.candidate_shards(w))
+            .map(|(slot, run)| *slot = run)
+            .count();
+        let found = runs.get_mut(..m).unwrap_or_default();
+        found.sort_unstable();
+        let (leaf, size, mut next) = (self.leaf(), self.shard_size, 0);
+        for &(lo, hi) in found.iter() {
+            let lo = lo.max(next);
+            if lo <= hi {
+                leaf.window_into((lo * size, (hi + 1) * size), w, scratch, out);
+                if self.inserted > 0 {
+                    self.window_inserted((lo, hi), w, out);
+                }
+                next = hi + 1;
+            }
+        }
+        scratch.runs_put(runs);
+    }
+
+    /// Seeds `k` ranks either side of the query's key, then sweeps each
+    /// grid column's rank span in the ball box — the query's own first,
+    /// the box tightening with the pool — less the seeded run, and the
+    /// inserted pages. Columns are disjoint key ranges: no double offers.
+    // lint:hot_path
     fn knn_within_into(
         &self,
         q: Point,
@@ -283,98 +290,84 @@ impl SpatialIndex for LisaIndex {
         scratch: &mut ScanScratch,
         out: &mut Vec<Point>,
     ) {
-        // Data pages keep their MBRs, so the sweep prunes on those rather
-        // than on the shard prediction of the (approximate) window query:
-        // kNN is exact here even though windows are not.
-        let last = self.shards.len().saturating_sub(1);
+        let (leaf, k, m) = (self.leaf(), k.min(self.len()), &self.mapper);
         knn_seeded_into(
             q,
-            k.min(self.n_live),
+            k,
             r2,
             scratch,
             out,
             |heap| {
-                // Of the shards the model's error bounds allow for the
-                // query's key, the one with a page nearest the query; then
-                // its neighbours in key order until `k` points are held.
-                let (lo, hi) = self.shard_range(self.mapper.key(q));
-                let mut home = (lo, f64::INFINITY);
-                for s in lo..=hi {
-                    let d2 = self.shard_min_dist2(q, s);
-                    if d2 < home.1 {
-                        home = (s, d2);
-                    }
-                }
-                let (home, _) = home;
-                let (mut lo, mut hi) = (home, home);
-                self.knn_offer_shard(q, home, heap);
-                while heap.len() < heap.k() && (lo > 0 || hi < last) {
-                    if lo > 0 {
-                        lo -= 1;
-                        self.knn_offer_shard(q, lo, heap);
-                    }
-                    if hi < last {
-                        hi += 1;
-                        self.knn_offer_shard(q, hi, heap);
-                    }
-                }
-                (lo, hi)
+                let key = m.key(q);
+                let pos = locate_lower(self.data.keys(), self.bracket(key), key);
+                let run = (pos.saturating_sub(k), pos + k);
+                leaf.knn_offer_span(q, run, heap);
+                run
             },
-            |(lo, hi), _ball, heap| {
-                for s in (0..lo).chain(hi + 1..=last) {
-                    self.knn_offer_shard(q, s, heap);
+            |run, ball, heap| {
+                let home = m.columns_overlapping(q.x, q.x).start;
+                let rest = m
+                    .columns_overlapping(ball.lo_x, ball.hi_x)
+                    .filter(|&c| c != home);
+                for c in std::iter::once(home).chain(rest) {
+                    let ball = Rect::ball_box(q, heap.worst_dist2());
+                    if m.columns_overlapping(ball.lo_x, ball.hi_x).contains(&c) {
+                        let span = self.column_span(c, ball.lo_y, ball.hi_y);
+                        leaf.knn_offer_around(q, span, run, heap);
+                    }
+                }
+                if self.inserted > 0 {
+                    for page in self.pages.iter().flatten() {
+                        if page.mbr().min_dist2(&q) <= heap.worst_dist2() {
+                            page.knn_into(q.x, q.y, heap);
+                        }
+                    }
                 }
             },
         );
     }
 
-    /// LISA deletes physically: what its pages store is what is live.
     fn live_points_into(&self, out: &mut Vec<Point>) {
-        out.extend(self.shards.iter().flatten().flat_map(Block::iter));
+        let stored = self.data.page().points();
+        out.extend(stored.filter(|p| !self.deleted.contains(&p.id)));
+        out.extend(self.pages.iter().flatten().flat_map(Block::iter));
     }
 
     fn insert(&mut self, p: Point) {
-        let key = self.mapper.key(p);
-        let s = self
-            .predicted_shard(key)
-            .clamp(0, self.shards.len() as i64 - 1) as usize;
-        // Append onto the shard's last page; a page over `block_size` is
-        // sorted by key and cut in half ("new pages are created as needed").
-        let shard = &mut self.shards[s];
-        if let Some(page) = shard.last_mut() {
-            page.push(p);
-            if page.len() > self.block_size {
+        let s = self.home(self.mapper.key(p));
+        let Some(shard) = self.pages.get_mut(s) else {
+            return;
+        };
+        // Append onto the shard's last page; a page over `B` is sorted by
+        // key and cut in half.
+        match shard.last_mut() {
+            Some(page) if page.len() < DEFAULT_BLOCK_SIZE => page.push(p),
+            Some(page) => {
                 let mut left = page.to_points();
+                left.push(p);
                 let mapper = &self.mapper;
                 left.sort_by(|a, b| mapper.key(*a).total_cmp(&mapper.key(*b)));
                 let right = left.split_off(left.len() / 2);
                 *page = Block::from_points(left);
                 shard.push(Block::from_points(right));
             }
+            None => shard.push(Block::from_points(vec![p])),
         }
-        self.n_live += 1;
+        self.inserted += 1;
     }
 
+    /// An inserted copy lives in its predicted shard, which is always one
+    /// the shard bounds allow (`shard_lo ≤ 0 ≤ shard_hi`): it is removed
+    /// there; otherwise the bulk-loaded copy is tombstoned.
     fn delete(&mut self, p: Point) -> bool {
-        if self.n_live == 0 {
-            return false;
+        let (key, s) = (self.mapper.key(p), self.home(self.mapper.key(p)));
+        let mut pages = self.pages.get_mut(s).into_iter().flatten();
+        if pages.any(|page| page.remove_exact(&p)) {
+            self.inserted -= 1;
+            return true;
         }
-        let key = self.mapper.key(p);
-        let (lo, hi) = self.shard_range(key);
-        // Inserted points live exactly at the predicted shard, bulk points
-        // within the error-bounded range; search both.
-        let pred = self
-            .predicted_shard(key)
-            .clamp(0, self.shards.len() as i64 - 1) as usize;
-        let mut order: Vec<usize> = (lo..=hi).collect();
-        if !order.contains(&pred) {
-            order.push(pred);
-        }
-        let removed = order
-            .into_iter()
-            .any(|s| self.shards[s].iter_mut().any(|page| page.remove_exact(&p)));
-        self.n_live -= usize::from(removed);
-        removed
+        let stored = self.leaf().find(self.bracket(key), key, p, Some(p.id));
+        stored.is_some_and(|p| self.deleted.insert(p.id))
     }
 
     fn name(&self) -> &'static str {
@@ -392,11 +385,11 @@ mod tests {
     use crate::model::{osm1_points, OgBuilder};
     use elsi_data::gen::{nyc_like, uniform};
 
-    /// The shard-bound pass as a per-key loop over `shard_of_prediction`.
+    /// The shard-bound pass as a per-key loop over the model's prediction.
     fn shard_bounds_reference(idx: &LisaIndex, keys: &[f64]) -> (i64, i64) {
         let (mut lo, mut hi) = (0i64, 0i64);
         for (i, &k) in keys.iter().enumerate() {
-            let pred = shard_of_prediction(&idx.model, k, idx.shard_size, idx.shards.len());
+            let pred = idx.home(k) as i64;
             let actual = (i / idx.shard_size) as i64;
             lo = lo.min(actual - pred);
             hi = hi.max(actual - pred);
@@ -418,7 +411,6 @@ mod tests {
                 let cfg = LisaConfig {
                     grid: 8,
                     shard_size,
-                    block_size: 16,
                 };
                 let idx = LisaIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(*epochs));
                 let keys = sort_by_key(pts.clone(), &idx.mapper).1;
@@ -437,7 +429,6 @@ mod tests {
         let cfg = LisaConfig {
             grid: 8,
             shard_size: 100,
-            block_size: 25,
         };
         let idx = LisaIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(60));
         (pts, idx)
@@ -476,7 +467,6 @@ mod tests {
         let cfg = LisaConfig {
             grid: 8,
             shard_size: 100,
-            block_size: 25,
         };
         let idx = LisaIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(60));
         for p in pts.iter().step_by(7) {
@@ -487,17 +477,16 @@ mod tests {
     #[test]
     fn insert_creates_pages_and_stays_findable() {
         let (_, mut idx) = build_small(300);
-        let pages = |idx: &LisaIndex| idx.shards.iter().map(Vec::len).collect::<Vec<_>>();
-        let before = pages(&idx);
-        for i in 0..200u64 {
+        let pages = |idx: &LisaIndex| idx.pages.iter().map(Vec::len).collect::<Vec<_>>();
+        for i in 0..600u64 {
             let p = Point::new(50_000 + i, (i as f64 * 0.004_9) % 1.0, 0.5);
             let was = pages(&idx);
             idx.insert(p);
             assert!(idx.point_query(p).is_some(), "inserted point {i} lost");
             // A split leaves its halves last in the shard, in key order: no
             // key of the left half is above one of the right half.
-            for (shard, was) in idx.shards.iter().zip(was) {
-                if shard.len() > was {
+            for (shard, was) in idx.pages.iter().zip(was) {
+                if shard.len() > was.max(1) {
                     let keys = |b: &Block| b.iter().map(|p| idx.mapper.key(p)).collect::<Vec<_>>();
                     let (left, right) = (keys(&shard[was - 1]), keys(&shard[was]));
                     let max_left = left.iter().copied().fold(f64::MIN, f64::max);
@@ -508,13 +497,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!(idx.len(), 500);
-        assert!(pages(&idx).iter().sum::<usize>() > before.iter().sum::<usize>());
-        assert!(idx
-            .shards
-            .iter()
-            .flatten()
-            .all(|b| b.len() <= idx.block_size));
+        assert_eq!(idx.len(), 900);
+        assert!(pages(&idx).iter().any(|&n| n > 1), "no page split");
+        let all = idx.pages.iter().flatten();
+        assert!(all.clone().all(|b| b.len() <= DEFAULT_BLOCK_SIZE));
+        assert_eq!(all.map(Block::len).sum::<usize>(), 600);
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl MlIndex {
         let part = self.partitions.get(i)?;
         let key = self.mapper.key_of(i, d);
         let hint = part.model.search_range(key).shifted(part.offset);
-        Leaf::over(&self.data, &self.delta).find(hint, key, q, only)
+        Leaf::of(&self.data, self.delta.tombstones()).find(hint, key, q, only)
     }
 
     /// The key range of pivot `i`'s annulus around `w`: every point of the
@@ -200,7 +200,7 @@ impl SpatialIndex for MlIndex {
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
-        let leaf = Leaf::over(&self.data, &self.delta);
+        let leaf = Leaf::of(&self.data, self.delta.tombstones());
         for (i, pivot) in self.mapper.pivots().iter().enumerate() {
             let ranks = self.partition_ranks(i, self.pivot_key_range(i, pivot, w));
             leaf.window_into(ranks, w, scratch, out);
@@ -219,7 +219,7 @@ impl SpatialIndex for MlIndex {
         out: &mut Vec<Point>,
     ) {
         let k = k.min(self.len());
-        let leaf = Leaf::over(&self.data, &self.delta);
+        let leaf = Leaf::of(&self.data, self.delta.tombstones());
         knn_seeded_into(
             q,
             k,

@@ -20,8 +20,12 @@
 //! a new point is routed to its leaf and buffered; an overflowing leaf is
 //! locally rebuilt — growing into a deeper subtree when it has outgrown its
 //! capacity, which is exactly the unbalanced deepening of Figure 1.
+//!
+//! Deletes follow the other learned indices' update rule: a buffered copy
+//! is removed, a stored one tombstoned, and tombstones hide stored copies
+//! only, so a re-inserted id never brings its deleted copy back.
 
-use crate::leaf::{live, Leaf};
+use crate::leaf::Leaf;
 use crate::model::{BuildInput, BuildStats, ModelBuilder, RankModel};
 use crate::traits::{knn_seeded_into, SpatialIndex};
 use elsi_spatial::{
@@ -66,6 +70,7 @@ enum Node {
         model: RankModel,
         bounds: Rect,
         mbr: Rect,
+        /// Points routed here since the build: at least the live ones.
         n: usize,
         /// Routing denominator: the node size when its model was trained.
         /// Must stay fixed so inserts and queries route identically.
@@ -116,6 +121,26 @@ impl Node {
                 1 + children.iter().map(Node::count_models).sum::<usize>()
             }
         }
+    }
+
+    /// The child an internal node's model routes `p` to, and the children
+    /// its routing error bounds allow (a leaf routes to child 0).
+    fn route(&self, p: Point) -> (usize, std::ops::RangeInclusive<usize>) {
+        let Node::Internal {
+            model,
+            bounds,
+            n_route,
+            children,
+            route_lo,
+            route_hi,
+            ..
+        } = self
+        else {
+            return (0, 0..=0);
+        };
+        let c = route_child(model, local_key(p, bounds), *n_route, children.len());
+        let bound = |err: i64| (c as i64 + err).clamp(0, children.len() as i64 - 1) as usize;
+        (c, bound(*route_lo)..=bound(*route_hi))
     }
 }
 
@@ -312,11 +337,10 @@ fn child_of(pred: i64, n: usize, fanout: usize) -> usize {
 }
 
 impl RsmiIndex {
-    /// First live point at `q`'s coordinates under `node`, with id `only`
-    /// when given. A leaf searches its stored page ([`Leaf::find`]), then
-    /// its overflow page; an internal node probes the children its routing
-    /// error bounds allow, skipping those whose MBR cannot hold `q` (MBRs
-    /// grow with every insert, so they cover each subtree's points).
+    /// First live point at `q`'s coordinates under `node` — stored, then
+    /// buffered unless a delete asks for the stored copy of id `only`. An
+    /// internal node probes the children its routing bounds allow whose
+    /// MBR can hold `q` (MBRs grow with every insert).
     fn find_in_node(&self, node: &Node, q: Point, only: Option<u64>) -> Option<Point> {
         match node {
             Node::Leaf {
@@ -328,30 +352,16 @@ impl RsmiIndex {
             } => {
                 let key = local_key(q, bounds);
                 let stored = self.leaf(data).find(model.search_range(key), key, q, only);
-                let is_live = live(&self.deleted, only);
-                let at_q = |p: &&Point| p.x == q.x && p.y == q.y && is_live(p.id);
-                stored.or_else(|| overflow.iter().find(at_q).copied())
+                let at_q = |p: &&Point| p.x == q.x && p.y == q.y;
+                let buffered = || overflow.iter().find(at_q).copied();
+                stored.or_else(|| only.map_or_else(buffered, |_| None))
             }
-            Node::Internal {
-                model,
-                bounds,
-                n_route,
-                children,
-                route_lo,
-                route_hi,
-                ..
-            } => {
-                let key = local_key(q, bounds);
-                let c = route_child(model, key, *n_route, children.len()) as i64;
-                let lo = (c + route_lo).clamp(0, children.len() as i64 - 1) as usize;
-                let hi = (c + route_hi).clamp(0, children.len() as i64 - 1) as usize;
-                children
-                    .get(lo..=hi)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter(|child| child.mbr().contains(&q))
-                    .find_map(|child| self.find_in_node(child, q, only))
-            }
+            Node::Internal { children, .. } => children
+                .get(node.route(q).1)
+                .unwrap_or(&[])
+                .iter()
+                .filter(|child| child.mbr().contains(&q))
+                .find_map(|child| self.find_in_node(child, q, only)),
         }
     }
 
@@ -414,8 +424,7 @@ impl RsmiIndex {
                     (lo.min(data.len()), hi.min(data.len()))
                 };
                 self.leaf(data).window_into((lo, hi), w, scratch, out);
-                let is_live = live(&self.deleted, None);
-                out.extend(overflow.iter().filter(|p| w.contains(p) && is_live(p.id)));
+                out.extend(overflow.iter().filter(|p| w.contains(p)));
             }
             Node::Internal { children, .. } => {
                 for child in children {
@@ -433,22 +442,9 @@ impl RsmiIndex {
     /// descending only while the subtree still holds `k` points.
     fn seed_node(&self, q: Point, k: usize) -> &Node {
         let mut node = &self.root;
-        while let Node::Internal {
-            model,
-            bounds,
-            n_route,
-            children,
-            route_lo,
-            route_hi,
-            ..
-        } = node
-        {
-            let c = route_child(model, local_key(q, bounds), *n_route, children.len()) as i64;
-            let last = children.len() as i64 - 1;
-            let lo = (c + route_lo).clamp(0, last) as usize;
-            let hi = (c + route_hi).clamp(0, last) as usize;
+        while let Node::Internal { children, .. } = node {
             let nearest = children
-                .get(lo..=hi)
+                .get(node.route(q).1)
                 .unwrap_or(&[])
                 .iter()
                 .filter(|child| child.n() >= k)
@@ -472,8 +468,7 @@ impl RsmiIndex {
         match node {
             Node::Leaf { data, overflow, .. } => {
                 self.leaf(data).knn_offer_span(q, (0, data.len()), heap);
-                let is_live = live(&self.deleted, None);
-                for p in overflow.iter().filter(|p| is_live(p.id)) {
+                for p in overflow {
                     heap.offer_point(q, *p);
                 }
             }
@@ -490,9 +485,9 @@ impl RsmiIndex {
     fn live_under(&self, node: &Node, out: &mut Vec<Point>) {
         match node {
             Node::Leaf { data, overflow, .. } => {
-                let is_live = live(&self.deleted, None);
-                let all = data.page().points().chain(overflow.iter().copied());
-                out.extend(all.filter(|p| is_live(p.id)));
+                let stored = data.page().points();
+                out.extend(stored.filter(|p| !self.deleted.contains(&p.id)));
+                out.extend_from_slice(overflow);
             }
             Node::Internal { children, .. } => {
                 children.iter().for_each(|c| self.live_under(c, out));
@@ -500,45 +495,71 @@ impl RsmiIndex {
         }
     }
 
-    fn insert_into(node: &mut Node, p: Point, cfg: &RsmiConfig, builder: &dyn ModelBuilder) {
+    /// Routes `p` to its leaf as every insert routes it — growing the
+    /// MBRs and sizes on the way down — buffers it there and hands the leaf
+    /// to `then`.
+    fn buffer(node: &mut Node, p: Point, then: &mut dyn FnMut(&mut Node)) {
+        let (c, _) = node.route(p);
         match node {
-            Node::Leaf {
-                mbr,
-                overflow,
-                data,
-                ..
-            } => {
+            Node::Leaf { mbr, overflow, .. } => {
                 mbr.expand(&p);
                 overflow.push(p);
-                let trigger = ((data.len() as f64 * cfg.overflow_fraction) as usize).max(8);
-                if overflow.len() > trigger {
-                    // Local rebuild (Fig. 1): merge buffered points and
-                    // relearn; an oversized leaf deepens into a subtree.
-                    let mut all: Vec<Point> = data.page().points().collect();
-                    all.append(overflow);
-                    let bounds = Rect::mbr_of(&all);
-                    let mut local_stats = Vec::new();
-                    *node = build_node(all, bounds, cfg, builder, &mut local_stats, 0xF00D, 0);
-                }
+                then(node);
             }
             Node::Internal {
-                model,
-                bounds,
-                mbr,
-                n,
-                n_route,
-                children,
-                ..
+                mbr, n, children, ..
             } => {
                 mbr.expand(&p);
                 *n += 1;
-                let key = local_key(p, bounds);
-                let c = route_child(model, key, *n_route, children.len());
                 if let Some(child) = children.get_mut(c) {
-                    Self::insert_into(child, p, cfg, builder);
+                    Self::buffer(child, p, then);
                 }
             }
         }
+    }
+
+    /// Removes the buffered copy of `p` — id and coordinates — from the
+    /// leaf an insert of `p` was routed to.
+    fn unbuffer(node: &mut Node, p: Point) -> bool {
+        let (c, _) = node.route(p);
+        match node {
+            Node::Leaf { overflow, .. } => {
+                let at = overflow.iter().position(|b| *b == p);
+                at.map(|i| overflow.remove(i)).is_some()
+            }
+            Node::Internal { children, .. } => children
+                .get_mut(c)
+                .is_some_and(|child| Self::unbuffer(child, p)),
+        }
+    }
+
+    /// Rebuilds an overflowing leaf (Fig. 1) from its live stored points
+    /// and buffered ones; an oversized leaf deepens into a subtree. Returns
+    /// how many tombstoned points it dropped with their tombstones. A
+    /// buffered point whose id is still tombstoned stays buffered.
+    fn relearn(node: &mut Node, cfg: &RsmiConfig, deleted: &mut HashSet<u64>) -> usize {
+        let Node::Leaf { overflow, data, .. } = node else {
+            return 0;
+        };
+        let trigger = ((data.len() as f64 * cfg.overflow_fraction) as usize).max(8);
+        if overflow.len() <= trigger {
+            return 0;
+        }
+        let stored = data.page().points();
+        let mut all: Vec<Point> = stored.filter(|s| !deleted.remove(&s.id)).collect();
+        let dropped = data.len() - all.len();
+        let (kept, merged): (Vec<Point>, Vec<Point>) =
+            overflow.drain(..).partition(|b| deleted.contains(&b.id));
+        all.extend(merged);
+        // Local rebuilds retrain with a fast OG pass over the (small) leaf,
+        // matching RSMI's built-in insertion procedure.
+        let builder = crate::model::OgBuilder::with_epochs(30);
+        let bounds = Rect::mbr_of(&all);
+        *node = build_node(all, bounds, cfg, &builder, &mut Vec::new(), 0xF00D, 0);
+        for b in kept {
+            Self::buffer(node, b, &mut |_| {});
+        }
+        dropped
     }
 }
 
@@ -588,15 +609,19 @@ impl SpatialIndex for RsmiIndex {
     }
 
     fn insert(&mut self, p: Point) {
-        self.deleted.remove(&p.id);
-        self.n_total += 1;
-        // Local rebuilds retrain with a fast OG pass over the (small) leaf,
-        // matching RSMI's built-in insertion procedure.
-        let local_builder = crate::model::OgBuilder::with_epochs(30);
-        RsmiIndex::insert_into(&mut self.root, p, &self.cfg, &local_builder);
+        let (cfg, deleted) = (&self.cfg, &mut self.deleted);
+        let mut dropped = 0;
+        Self::buffer(&mut self.root, p, &mut |leaf| {
+            dropped += Self::relearn(leaf, cfg, deleted);
+        });
+        self.n_total = self.n_total + 1 - dropped;
     }
 
     fn delete(&mut self, p: Point) -> bool {
+        if Self::unbuffer(&mut self.root, p) {
+            self.n_total -= 1;
+            return true;
+        }
         let found = self.find_in_node(&self.root, p, Some(p.id));
         found.is_some_and(|stored| self.deleted.insert(stored.id))
     }
@@ -778,6 +803,48 @@ mod tests {
         assert!(idx.delete(pts[7]));
         assert!(idx.point_query(pts[7]).is_none());
         assert_eq!(idx.len(), 299);
+    }
+
+    #[test]
+    fn a_reinserted_id_never_brings_back_its_deleted_copy() {
+        let pts = uniform(4_000, 3);
+        let cfg = RsmiConfig {
+            leaf_capacity: 256,
+            ..RsmiConfig::default()
+        };
+        let mut idx = RsmiIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(5));
+        let (old, moved) = (pts[5], Point::new(pts[5].id, 0.9123, 0.8765));
+        assert!(idx.delete(old));
+        idx.insert(moved);
+        let copies = |idx: &RsmiIndex| {
+            let all = idx.window_query(&Rect::unit());
+            all.iter().filter(|p| p.id == old.id).count()
+        };
+        let check = |idx: &RsmiIndex, len: usize| {
+            assert_eq!((idx.len(), copies(idx)), (len, 1));
+            assert_eq!(idx.point_query(old), None);
+            assert_eq!(idx.point_query(moved), Some(moved));
+            assert_eq!(idx.live_points().len(), len);
+        };
+        check(&idx, 4_000);
+        // Rebuilds around the moved copy keep it buffered while the old
+        // copy's tombstone stands; rebuilds around the old copy drop it
+        // and its tombstone; later ones merge the moved copy.
+        let near = |c: Point, id: u64, i: u64| {
+            let t = (i + 1) as f64 * 1e-5;
+            Point::new(id + i, c.x - t, c.y - t)
+        };
+        for (c, id) in [(moved, 10_000), (old, 20_000), (moved, 30_000)] {
+            let before = idx.len();
+            for i in 0..200 {
+                idx.insert(near(c, id, i));
+            }
+            check(&idx, before + 200);
+        }
+        assert!(idx.deleted.is_empty(), "the old copy's leaf never rebuilt");
+        assert!(idx.delete(moved));
+        assert!(!idx.delete(moved) && !idx.delete(old));
+        assert_eq!((idx.len(), copies(&idx)), (4_599, 0));
     }
 
     #[test]

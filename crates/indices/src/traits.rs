@@ -78,10 +78,8 @@ pub trait SpatialIndex: Send + Sync {
     ///
     /// An id names one point: a bare index expects unique ids over its
     /// lifetime, the serving doors keep each id's last copy, and
-    /// `DeltaOverlay` overwrites a live id. Re-inserting a deleted id also
-    /// un-tombstones the old stored point in RSMI, whose local rebuilds
-    /// merge inserts into the stored pages (both copies visible, both in
-    /// [`SpatialIndex::len`]); every other index keeps the old copy deleted.
+    /// `DeltaOverlay` overwrites a live id. Re-inserting a deleted id
+    /// leaves the old copy deleted in every index.
     fn insert(&mut self, p: Point);
 
     /// Deletes the stored point with the coordinates and id of `p`;
@@ -336,10 +334,11 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 /// leaf enumeration is, whatever the quality of the seed: a poor seed only
 /// widens the box.
 ///
-/// Not a `lint:hot_path` root: sizing the pool and `extend`ing the
-/// caller's `out` are allocation facts to the analyzer (both amortise to
-/// nothing once the buffers reach their high-water marks); the scans the
-/// closures run go through the `knn_scan` root.
+/// Not a `lint:hot_path` root of its own — the scans the closures run go
+/// through the `knn_scan` root — but reached from LISA's kNN, one: growing
+/// the pool and the caller's `out` amortise to nothing once the buffers
+/// reach their high-water marks, so those two sites carry a
+/// `lint:allow(alloc_hot_path)`.
 pub fn knn_seeded_into<T>(
     q: Point,
     k: usize,
@@ -357,6 +356,7 @@ pub fn knn_seeded_into<T>(
     let seeded = seed(heap);
     let ball = Rect::ball_box(q, heap.worst_dist2());
     sweep(seeded, &ball, heap);
+    // lint:allow(alloc_hot_path): the caller's buffer, grown to its high-water mark once
     out.extend(heap.finish().iter().map(KnnEntry::point));
 }
 

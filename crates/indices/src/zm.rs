@@ -283,7 +283,7 @@ impl ZmIndex {
     /// id `only` when given.
     fn find_stored(&self, q: Point, only: Option<u64>) -> Option<Point> {
         let key = MortonMapper.key(q);
-        Leaf::over(&self.data, &self.delta).find(self.search_range(key), key, q, only)
+        Leaf::of(&self.data, self.delta.tombstones()).find(self.search_range(key), key, q, only)
     }
 
     /// Serialises the built state — the sorted points, trained rank
@@ -399,7 +399,7 @@ impl SpatialIndex for ZmIndex {
 
     fn window_query_into(&self, w: &Rect, scratch: &mut ScanScratch, out: &mut Vec<Point>) {
         out.clear();
-        Leaf::over(&self.data, &self.delta).window_into(self.z_range(w), w, scratch, out);
+        Leaf::of(&self.data, self.delta.tombstones()).window_into(self.z_range(w), w, scratch, out);
         for page in &self.delta.pages {
             page.window_scan_into(w, out);
         }
@@ -414,7 +414,7 @@ impl SpatialIndex for ZmIndex {
         out: &mut Vec<Point>,
     ) {
         let k = k.min(self.len());
-        let leaf = Leaf::over(&self.data, &self.delta);
+        let leaf = Leaf::of(&self.data, self.delta.tombstones());
         knn_seeded_into(
             q,
             k,

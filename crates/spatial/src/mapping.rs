@@ -214,23 +214,30 @@ impl LisaMapper {
         let end = locate(&self.rows[c], hi_y) + 1;
         start..end.min(g)
     }
-}
 
-impl KeyMapper for LisaMapper {
-    fn key(&self, p: Point) -> f64 {
+    /// The key of every point of column `c` at height `y`. It never falls
+    /// as `y` grows, so the column's points with `y` in `[lo, hi]` have
+    /// keys in `[column_key(c, lo), column_key(c, hi)]`.
+    pub fn column_key(&self, c: usize, y: f64) -> f64 {
         let g = self.resolution();
-        let (c, r) = self.cell_of(p);
+        let r = locate(&self.rows[c], y);
         let cell_id = (c * g + r) as f64;
         // In-cell offset along y keeps the mapping monotone inside a cell.
         let lo = self.rows[c][r];
         let hi = self.rows[c][r + 1];
         let off = if hi > lo {
-            ((p.y - lo) / (hi - lo)).clamp(0.0, 1.0)
+            ((y - lo) / (hi - lo)).clamp(0.0, 1.0)
         } else {
             0.0
         };
         // Guard against offset exactly 1.0 spilling into the next cell.
         (cell_id + off.min(1.0 - 1e-12)) / self.num_cells() as f64
+    }
+}
+
+impl KeyMapper for LisaMapper {
+    fn key(&self, p: Point) -> f64 {
+        self.column_key(locate(&self.cols, p.x), p.y)
     }
 }
 

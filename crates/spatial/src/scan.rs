@@ -429,6 +429,7 @@ impl KnnHeap {
         }
         let last = kept.saturating_sub(1);
         self.buckets.clear();
+        // lint:allow(alloc_hot_path): a pooled buffer, grown to its high-water k once
         self.buckets.extend(
             held.iter()
                 .map(|e| ((e.dist2 * scale) as usize).min(last) as u32),
@@ -529,8 +530,9 @@ pub fn append_all(xs: &[f64], ys: &[f64], ids: &[u64], out: &mut Vec<Point>) {
 }
 
 /// Reusable per-query buffers: a hit buffer for staged range scans, a
-/// bounded candidate pool for kNN scans, and the two buffers of a merge layer
-/// — a staging run of points and a visit order over its sub-indices.
+/// bounded candidate pool for kNN scans, the two buffers of a merge layer
+/// — a staging run of points and a visit order over its sub-indices — and
+/// a run of index ranges an index collects before it reads them.
 ///
 /// Lifecycle: construct once (or once per worker thread), then thread
 /// through `window_query_into` / `knn_query_into` calls. The buffers grow
@@ -542,6 +544,7 @@ pub struct ScanScratch {
     heap: KnnHeap,
     stage: Vec<Point>,
     order: Vec<(f64, usize)>,
+    runs: Vec<(usize, usize)>,
 }
 
 impl ScanScratch {
@@ -632,6 +635,20 @@ impl ScanScratch {
     #[inline]
     pub fn order_put(&mut self, buf: Vec<(f64, usize)>) {
         self.order = buf;
+    }
+
+    /// Moves the run buffer out, `n` entries long, like
+    /// [`ScanScratch::order_take`]: ranges an index collects (LISA's
+    /// candidate shards) and reads while the kernels borrow the scratch.
+    pub fn runs_take(&mut self, n: usize) -> Vec<(usize, usize)> {
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.resize(n, (0, 0));
+        runs
+    }
+
+    /// Returns a buffer taken with [`ScanScratch::runs_take`].
+    pub fn runs_put(&mut self, buf: Vec<(usize, usize)>) {
+        self.runs = buf;
     }
 }
 

@@ -125,7 +125,6 @@ fn fingerprint_all_indices() -> Vec<Fingerprint> {
         &LisaConfig {
             grid: 8,
             shard_size: 200,
-            block_size: 50,
         },
         &elsi.builder().for_lisa(),
     );
@@ -340,7 +339,6 @@ fn for_all_nine_indices(pts: &[Point], mut f: impl FnMut(&str, bool, &dyn Spatia
             &LisaConfig {
                 grid: 8,
                 shard_size: 200,
-                block_size: 50,
             },
             &elsi.builder().for_lisa(),
         ),

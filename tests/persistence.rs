@@ -169,7 +169,6 @@ fn approximate_index_kinds_round_trip_through_deterministic_rebuilds() {
         let cfg = LisaConfig {
             grid: 8,
             shard_size: 150,
-            block_size: 50,
         };
         Box::new(move |p| DeltaOverlay::new(LisaIndex::build(p, &cfg, b.as_ref())))
     };

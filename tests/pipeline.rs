@@ -43,7 +43,6 @@ fn all_four_f_variants_answer_point_queries_exactly() {
         &LisaConfig {
             grid: 8,
             shard_size: 200,
-            block_size: 50,
         },
         &elsi.builder().for_lisa(),
     );

@@ -241,7 +241,6 @@ impl Zoo {
                 let cfg = LisaConfig {
                     grid: 4,
                     shard_size: 4 * p,
-                    block_size: p,
                 };
                 Box::new(LisaIndex::build(pts, &cfg, m))
             }

@@ -75,11 +75,9 @@ fn delta_overlay_equivalent_to_rebuilt_ground_truth() {
 
 #[test]
 fn built_in_insertions_stay_queryable_across_indices() {
-    // Every index but RSMI — which merges its overflow into the stored page
-    // on a local rebuild, so a re-inserted deleted id resurrects the stored
-    // copy (`SpatialIndex::insert` says so) — takes 300 inserts through its
-    // own insertion procedure, then a deleted id re-inserted elsewhere,
-    // then the re-inserted copy and (a no-op) the deleted one deleted.
+    // Every index takes 300 inserts through its own insertion procedure,
+    // then a deleted id re-inserted elsewhere, then the re-inserted copy
+    // and (a no-op) the deleted one deleted.
     let (zoo, pts) = (elsi_zoo(25), Dataset::Uniform.generate(800, 5));
     let fresh = Dataset::Nyc.generate(300, 9).into_iter().enumerate();
     let fresh = fresh.map(|(i, p)| Point::new(70_000 + i as u64, p.x, p.y));
@@ -87,7 +85,7 @@ fn built_in_insertions_stay_queryable_across_indices() {
     let mut stream: Vec<Update> = fresh.map(Update::Insert).collect();
     stream.extend([Update::Delete(gone), Update::Insert(moved)]);
     let then = [Update::Delete(moved), Update::Delete(gone)];
-    for kind in Kind::ALL.into_iter().filter(|&k| k != Kind::Rsmi) {
+    for kind in Kind::ALL {
         let mut s = zoo.subject(kind, State::Built, &pts, &stream);
         let mut oracle = Oracle::after(&pts, &stream);
         let qs = Queries {
@@ -121,8 +119,7 @@ fn live_points_enumerate_the_model_after_churn_for_all_nine() {
     let churned: Vec<Update> = (inserts.iter().map(|&p| Update::Insert(p)))
         .chain(deletes.map(|&p| Update::Delete(p)))
         .collect();
-    let back = gone.iter().step_by(3);
-    let moved: Vec<Update> = (back.clone())
+    let moved: Vec<Update> = (gone.iter().step_by(3))
         .map(|p| Update::Insert(Point::new(p.id, 1.0 - p.x, 1.0 - p.y)))
         .collect();
     for kind in Kind::ALL {
@@ -132,14 +129,8 @@ fn live_points_enumerate_the_model_after_churn_for_all_nine() {
         assert_eq!(s.index.live_points(), oracle.live(), "{kind:?}");
         s.apply(&moved);
         oracle.drive(&moved);
-        let mut want = oracle.live().to_vec();
-        // The documented exception (`SpatialIndex::insert`): RSMI
-        // un-tombstones the stored copy of a re-inserted id.
-        if kind == Kind::Rsmi {
-            want.extend(back.clone());
-        }
-        assert_eq!(s.index.len(), want.len(), "{kind:?}");
-        assert_eq!(s.index.live_points(), canonical(want), "{kind:?}");
+        assert_eq!(s.index.len(), oracle.len(), "{kind:?}");
+        assert_eq!(s.index.live_points(), oracle.live(), "{kind:?}");
     }
 }
 
