@@ -444,7 +444,7 @@ fn fig07(s: &mut Session) -> Vec<Record> {
 fn table1(s: &mut Session) -> Vec<Record> {
     let n = s.n;
     let pts = Dataset::Osm1.generate(n, 42);
-    let (_, prep_secs) = timed(|| sort_by_key(pts.clone(), &MortonMapper));
+    let (_, prep_secs) = timed(|| sort_by_key(&pts, &MortonMapper));
     println!(
         "Data preparation (map + sort) on OSM1 ({n} points): {prep_secs:.3} s — shared by all methods"
     );

@@ -190,7 +190,7 @@ mod tests {
     fn setup() -> (Sorted, ElsiConfig, Arc<MrPool>) {
         let cfg = ElsiConfig::fast_test();
         let pool = Arc::new(MrPool::generate(&cfg, 1));
-        let data = sort_by_key(skewed(3000, 4, 5), &MortonMapper);
+        let data = sort_by_key(&skewed(3000, 4, 5), &MortonMapper);
         (data, cfg, pool)
     }
 

@@ -39,7 +39,7 @@ mod tests {
     #[test]
     fn centroid_keys_sorted_and_bounded() {
         let pts = elsi_data::gen::uniform(2000, 3);
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let cfg = ElsiConfig {
             clusters: 32,
             ..ElsiConfig::fast_test()

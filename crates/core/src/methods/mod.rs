@@ -154,7 +154,7 @@ mod tests {
     use elsi_spatial::{sort_by_key, MortonMapper};
 
     fn input_data(n: usize) -> (Vec<elsi_spatial::Point>, Vec<f64>) {
-        sort_by_key(skewed(n, 4, 7), &MortonMapper)
+        sort_by_key(&skewed(n, 4, 7), &MortonMapper)
     }
 
     #[test]

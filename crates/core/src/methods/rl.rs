@@ -119,7 +119,7 @@ mod tests {
     use elsi_spatial::{sort_by_key, KeyMapper, MortonMapper};
 
     fn run_on(pts: Vec<elsi_spatial::Point>, cfg: &ElsiConfig) -> Vec<f64> {
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let input = BuildInput {
             points: &sorted,
             keys: &sorted_keys,
@@ -153,7 +153,7 @@ mod tests {
             ..ElsiConfig::fast_test()
         };
         let pts = elsi_data::gen::skewed(4000, 4, 9);
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let input = BuildInput {
             points: &sorted,
             keys: &sorted_keys,

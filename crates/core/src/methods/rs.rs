@@ -209,7 +209,7 @@ mod tests {
     /// the reference's leaves and the sorted keys of their medians. The
     /// leaves are checked with [`assert_partition`].
     fn rs_and_reference(points: Vec<Point>, beta: usize) -> (Vec<f64>, Vec<QuadLeaf>, Vec<f64>) {
-        let (points, keys) = sort_by_key(points, &MortonMapper);
+        let (points, keys) = sort_by_key(&points, &MortonMapper);
         let input = BuildInput {
             points: &points,
             keys: &keys,
@@ -334,7 +334,7 @@ mod tests {
         // Under β nothing splits: the root is the one leaf, and its median
         // is the middle of the key order.
         let pts = elsi_data::gen::uniform(16, 4);
-        let (sorted, keys) = sort_by_key(pts.clone(), &MortonMapper);
+        let (sorted, keys) = sort_by_key(&pts, &MortonMapper);
         let (rs, leaves, medians) = rs_and_reference(pts, 100);
         assert_eq!((leaves.len(), leaves[0].depth), (1, 0));
         assert_eq!(leaves[0].indices.len(), sorted.len());
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn rs_tracks_distribution_closely() {
         let pts = elsi_data::gen::nyc_like(5000, 11);
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let cfg = ElsiConfig {
             beta: 64,
             ..ElsiConfig::fast_test()
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn beta_controls_set_size() {
         let pts = elsi_data::gen::uniform(4000, 2);
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let input = BuildInput {
             points: &sorted,
             keys: &sorted_keys,
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn every_key_is_a_member_of_d() {
         let pts = elsi_data::gen::skewed(1000, 4, 5);
-        let (sorted, sorted_keys) = sort_by_key(pts, &MortonMapper);
+        let (sorted, sorted_keys) = sort_by_key(&pts, &MortonMapper);
         let cfg = ElsiConfig {
             beta: 50,
             ..ElsiConfig::fast_test()

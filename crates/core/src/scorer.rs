@@ -195,7 +195,7 @@ pub fn grid_cell(di: usize, si: usize, s: i32, n: usize, seed: u64) -> (Vec<Poin
     } else {
         gen::skewed(n, s, seed)
     };
-    sort_by_key(pts, &MortonMapper)
+    sort_by_key(&pts, &MortonMapper)
 }
 
 /// §VI's build cost of one model over `n` keys, counted and weighted: the

@@ -5,7 +5,7 @@
 use crate::build::ElsiBuilder;
 use crate::methods::Method;
 use elsi_indices::*;
-use elsi_spatial::Point;
+use elsi_spatial::{last_per_id, Point};
 use IndexKind::*;
 
 /// One of the nine index kinds: four traditional, five learned.
@@ -75,10 +75,12 @@ impl IndexKind {
         }
     }
 
-    /// An index of this kind over `points`, its models trained by `models`
-    /// (the traditional kinds train none). The configuration scales with
-    /// `points.len()`.
+    /// An index of this kind over the last copy of each id in `points`
+    /// ([`last_per_id`], as the serving doors fold them), its models
+    /// trained by `models` (the traditional kinds train none). The
+    /// configuration scales with the number of points.
     pub fn build(self, points: Vec<Point>, models: &dyn ModelBuilder) -> Box<dyn SpatialIndex> {
+        let points = last_per_id(points);
         let n = points.len().max(1);
         match self {
             Grid => Box::new(GridIndex::build(points, &GridConfig::default())),
@@ -120,6 +122,7 @@ pub fn zm(points: Vec<Point>, models: &dyn ModelBuilder) -> ZmIndex {
 mod tests {
     use super::*;
     use crate::{Elsi, ElsiConfig};
+    use elsi_spatial::Rect;
 
     #[test]
     fn lisa_alone_refuses_synthesising_methods() {
@@ -128,6 +131,23 @@ mod tests {
                 let refused = kind == Lisa && matches!(m, Method::Cl | Method::Rl);
                 assert_eq!(kind.check_method(m).is_err(), refused, "{kind:?} {m}");
             }
+        }
+    }
+
+    #[test]
+    fn every_kind_keeps_the_last_copy_of_a_repeated_id() {
+        let elsi = Elsi::new(ElsiConfig::fast_test());
+        let mut pts = elsi_data::gen::uniform(200, 3);
+        let again = Point::new(7, 0.25, 0.75);
+        pts.push(again);
+        for kind in IndexKind::ALL {
+            let builder = kind.mask(elsi.fixed_builder(Method::Sp));
+            let mut idx = kind.build(pts.clone(), &builder);
+            assert_eq!(idx.len(), 200, "{kind:?}");
+            assert_eq!(idx.point_query(again), Some(again), "{kind:?}");
+            assert!(idx.delete(again), "{kind:?}");
+            assert_eq!(idx.len(), 199, "{kind:?}");
+            assert_eq!(idx.window_query(&Rect::unit()).len(), 199, "{kind:?}");
         }
     }
 

@@ -72,7 +72,7 @@ fn learned_kinds_stay_exact_over_keys_narrower_than_1e_9() {
         .into_iter()
         .map(|p| Point::new(p.id, 0.3 + p.x * 1e-5, 0.7 + p.y * 1e-5))
         .collect();
-    let (_, keys) = sort_by_key(points.clone(), &MortonMapper);
+    let (_, keys) = sort_by_key(&points, &MortonMapper);
     let span = keys[keys.len() - 1] - keys[0];
     assert!(span > 0.0 && span < 1e-9, "Morton keys span {span}");
 

@@ -84,7 +84,7 @@ impl LisaIndex {
         }
         assert!(cfg.grid > 0 && cfg.shard_size > 0);
         let mapper = LisaMapper::fit(&points, cfg.grid);
-        let (points, keys) = sort_by_key(points, &mapper);
+        let (points, keys) = sort_by_key(&points, &mapper);
         let n = points.len();
         let num_shards = n.div_ceil(cfg.shard_size).max(1);
         let built = builder.build_model(&BuildInput {
@@ -413,7 +413,7 @@ mod tests {
                     shard_size,
                 };
                 let idx = LisaIndex::build(pts.clone(), &cfg, &OgBuilder::with_epochs(*epochs));
-                let keys = sort_by_key(pts.clone(), &idx.mapper).1;
+                let keys = sort_by_key(pts, &idx.mapper).1;
                 let want = shard_bounds_reference(&idx, &keys);
                 assert_eq!(
                     (idx.shard_lo, idx.shard_hi),

@@ -70,7 +70,7 @@ impl MlIndex {
         assert!(cfg.pivots >= 1, "need at least one pivot");
         let mapper = Self::fit_pivots(&points, cfg);
         let k = mapper.pivots().len();
-        let (points, keys) = sort_by_key(points, &mapper);
+        let (points, keys) = sort_by_key(&points, &mapper);
         let n = points.len();
         let rank_of = |key: f64| keys.partition_point(|&k| k < key);
 

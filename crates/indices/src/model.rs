@@ -580,7 +580,7 @@ mod tests {
     }
 
     fn osm1_keys(n: usize, grid: Option<f64>, seed: u64) -> Vec<f64> {
-        sort_by_key(osm1_points(n, grid, seed), &MortonMapper).1
+        sort_by_key(&osm1_points(n, grid, seed), &MortonMapper).1
     }
 
     #[test]

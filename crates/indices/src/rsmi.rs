@@ -170,7 +170,7 @@ impl RsmiIndex {
         // balances well, and deeper spawning would oversubscribe threads.
         // Every internal node still trains its own model beside its
         // subtrees (`build_node`).
-        let root = build_node(points, bounds, cfg, builder, &mut stats, 0, 1);
+        let root = build_node(&points, bounds, cfg, builder, &mut stats, 0, 1);
         Self {
             root,
             cfg: *cfg,
@@ -196,8 +196,10 @@ impl RsmiIndex {
     }
 }
 
+/// The subtree over `points`, whose MBR every caller passes as `bounds`
+/// (the root's when `points` is empty is the unit square).
 fn build_node(
-    points: Vec<Point>,
+    points: &[Point],
     bounds: Rect,
     cfg: &RsmiConfig,
     builder: &dyn ModelBuilder,
@@ -208,7 +210,7 @@ fn build_node(
     let mbr = if points.is_empty() {
         Rect::empty()
     } else {
-        Rect::mbr_of(&points)
+        bounds
     };
     // Map and sort in the node's local rank space.
     let mapper = LocalHilbert { bounds };
@@ -235,30 +237,29 @@ fn build_node(
         };
     }
 
-    // Partition into `fanout` contiguous rank slices and recurse. The
-    // slices never read this node's model — only the routing bounds below
-    // do — so it trains beside the children's subtrees, as ZM's root trains
-    // beside its leaves. Child seeds are pure functions of the path from
-    // the root, so sequential and parallel builds produce the same
-    // subtrees; each subtree collects its stats separately, appended after
-    // this node's own in child order: the sequential pre-order.
+    // Partition into `fanout` contiguous rank slices, each borrowed from
+    // this node's sorted run, and recurse. The slices never read this
+    // node's model — only the routing bounds below do — so it trains
+    // beside the children's subtrees, as ZM's root trains beside its
+    // leaves. Child seeds are pure functions of the path from the root, so
+    // sequential and parallel builds produce the same subtrees; each
+    // subtree collects its stats separately, appended after this node's
+    // own in child order: the sequential pre-order.
     let f = cfg.fanout;
     let (built, subtrees) = rayon::join(train, || {
-        let slices: Vec<(Vec<Point>, Rect, u64)> = (0..f)
+        let slices: Vec<(&[Point], Rect, u64)> = (0..f)
             .map(|c| {
-                let lo = c * n / f;
-                let hi = (c + 1) * n / f;
-                let slice: Vec<Point> = pts.get(lo..hi).unwrap_or(&[]).to_vec();
+                let slice = pts.get(c * n / f..(c + 1) * n / f).unwrap_or(&[]);
                 let child_bounds = if slice.is_empty() {
                     bounds
                 } else {
-                    Rect::mbr_of(&slice)
+                    Rect::mbr_of(slice)
                 };
                 (slice, child_bounds, seed * 31 + c as u64 + 1)
             })
             .collect();
         let levels = par_levels.saturating_sub(1);
-        let build_child = |(slice, child_bounds, child_seed): (Vec<Point>, Rect, u64)| {
+        let build_child = |(slice, child_bounds, child_seed): (&[Point], Rect, u64)| {
             let mut child_stats = Vec::new();
             let node = build_node(
                 slice,
@@ -555,7 +556,7 @@ impl RsmiIndex {
         // matching RSMI's built-in insertion procedure.
         let builder = crate::model::OgBuilder::with_epochs(30);
         let bounds = Rect::mbr_of(&all);
-        *node = build_node(all, bounds, cfg, &builder, &mut Vec::new(), 0xF00D, 0);
+        *node = build_node(&all, bounds, cfg, &builder, &mut Vec::new(), 0xF00D, 0);
         for b in kept {
             Self::buffer(node, b, &mut |_| {});
         }

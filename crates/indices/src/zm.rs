@@ -74,7 +74,7 @@ impl ZmIndex {
     /// `cfg.fanout` second-stage models but at most one per point (a
     /// fanout of 0 builds one).
     pub fn build(points: Vec<Point>, cfg: &ZmConfig, builder: &dyn ModelBuilder) -> Self {
-        let (points, keys) = sort_by_key(points, &MortonMapper);
+        let (points, keys) = sort_by_key(&points, &MortonMapper);
         let n = points.len();
 
         if n == 0 {
@@ -749,7 +749,7 @@ mod tests {
         // The blob opens with the sorted points in the one point-set
         // layout, and the root model follows: no key column, no prefix.
         let (pts, idx) = build_small(150);
-        let (sorted, _) = sort_by_key(pts, &MortonMapper);
+        let (sorted, _) = sort_by_key(&pts, &MortonMapper);
         let mut w = ByteWriter::new();
         encode_points(&mut w, &sorted);
         encode_rank_model(&mut w, &idx.root);

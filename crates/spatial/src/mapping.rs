@@ -145,8 +145,7 @@ impl LisaMapper {
         assert!(g > 0, "grid resolution must be positive");
         assert!(!points.is_empty(), "LISA grid needs data");
         let mut xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-        xs.sort_unstable_by(|a, b| a.total_cmp(b));
-        let cols = quantile_boundaries(&xs, g);
+        let cols = quantile_boundaries(&mut xs, g);
 
         // Partition points into columns, then fit per-column y boundaries.
         let mut col_ys: Vec<Vec<f64>> = vec![Vec::new(); g];
@@ -161,8 +160,7 @@ impl LisaMapper {
                     // Empty column: fall back to uniform boundaries.
                     (0..=g).map(|i| i as f64 / g as f64).collect()
                 } else {
-                    ys.sort_unstable_by(|a, b| a.total_cmp(b));
-                    quantile_boundaries(&ys, g)
+                    quantile_boundaries(&mut ys, g)
                 }
             })
             .collect();
@@ -241,16 +239,16 @@ impl KeyMapper for LisaMapper {
     }
 }
 
-/// Equal-frequency boundaries over a sorted slice: `g + 1` values starting
-/// at `0.0`-side minimum and ending just above the maximum.
-fn quantile_boundaries(sorted: &[f64], g: usize) -> Vec<f64> {
-    let n = sorted.len();
+/// Equal-frequency boundaries over `values` (non-empty), which it
+/// reorders: `-∞`, the values of ranks `i·n/g` for `0 < i < g` under
+/// [`f64::total_cmp`], then `+∞`. Only those `g − 1` order statistics are
+/// read, so they are selected ([`select_ranks`]), not sorted for.
+fn quantile_boundaries(values: &mut [f64], g: usize) -> Vec<f64> {
+    let n = values.len();
+    let ranks: Vec<usize> = (1..g).map(|i| (i * n / g).min(n - 1)).collect();
     let mut bounds = Vec::with_capacity(g + 1);
     bounds.push(f64::NEG_INFINITY);
-    for i in 1..g {
-        let idx = (i * n / g).min(n - 1);
-        bounds.push(sorted[idx]);
-    }
+    select_ranks(values, 0, &ranks, &mut bounds);
     bounds.push(f64::INFINITY);
     // Enforce monotonicity under duplicate-heavy data.
     for i in 1..bounds.len() {
@@ -259,6 +257,24 @@ fn quantile_boundaries(sorted: &[f64], g: usize) -> Vec<f64> {
         }
     }
     bounds
+}
+
+/// Appends to `out`, in order, the value at each of `ranks` (ascending,
+/// repeats allowed, each in `base..base + values.len()`) of the sorted
+/// order of `values`, where `values` holds ranks `base..` of a larger set.
+/// Selects the middle rank and recurses on either side of it. Values that
+/// [`f64::total_cmp`] calls equal are bit-equal, so each read is the value
+/// a full sort would put at that rank, bit for bit.
+fn select_ranks(values: &mut [f64], base: usize, ranks: &[usize], out: &mut Vec<f64>) {
+    let Some(&mid) = ranks.get(ranks.len() / 2) else {
+        return;
+    };
+    let (left, nth, right) = values.select_nth_unstable_by(mid - base, f64::total_cmp);
+    let (below, rest) = ranks.split_at(ranks.partition_point(|&r| r < mid));
+    let (at, above) = rest.split_at(rest.partition_point(|&r| r == mid));
+    select_ranks(left, base, below, out);
+    out.extend(at.iter().map(|_| *nth));
+    select_ranks(right, mid + 1, above, out);
 }
 
 /// Index of the half-open interval `[bounds[i], bounds[i+1])` containing `v`.
@@ -273,6 +289,7 @@ fn locate(bounds: &[f64], v: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_points(n: usize) -> Vec<Point> {
         let side = (n as f64).sqrt().ceil() as usize;
@@ -363,6 +380,88 @@ mod tests {
         // A degenerate query still maps to exactly one column.
         let cols = m.columns_overlapping(0.5, 0.5);
         assert_eq!(cols.len(), 1);
+    }
+
+    /// The sort-based fit the selecting [`LisaMapper::fit`] replaced: both
+    /// axes sorted in full under `total_cmp`, boundaries read by rank.
+    fn fit_by_sorting(points: &[Point], g: usize) -> LisaMapper {
+        fn boundaries(sorted: &[f64], g: usize) -> Vec<f64> {
+            let n = sorted.len();
+            let mut bounds = vec![f64::NEG_INFINITY];
+            bounds.extend((1..g).map(|i| sorted[(i * n / g).min(n - 1)]));
+            bounds.push(f64::INFINITY);
+            for i in 1..bounds.len() {
+                if bounds[i] < bounds[i - 1] {
+                    bounds[i] = bounds[i - 1];
+                }
+            }
+            bounds
+        }
+        let mut xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+        xs.sort_unstable_by(f64::total_cmp);
+        let cols = boundaries(&xs, g);
+        let mut col_ys: Vec<Vec<f64>> = vec![Vec::new(); g];
+        for p in points {
+            col_ys[locate(&cols, p.x)].push(p.y);
+        }
+        let rows = col_ys
+            .into_iter()
+            .map(|mut ys| {
+                if ys.is_empty() {
+                    (0..=g).map(|i| i as f64 / g as f64).collect()
+                } else {
+                    ys.sort_unstable_by(f64::total_cmp);
+                    boundaries(&ys, g)
+                }
+            })
+            .collect();
+        LisaMapper { cols, rows }
+    }
+
+    /// Coordinates a boundary has to get right: NaNs of both signs and two
+    /// payloads, both infinities, `±0.0`, and a subnormal.
+    const SPECIAL: [f64; 8] = [
+        f64::NAN,
+        f64::from_bits(0xFFF8_0000_0000_0001),
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        -0.0,
+        0.0,
+        f64::from_bits(1),
+        -1.5,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The selecting fit equals the sort-based one bit for bit, on
+        /// every boundary of every column, at `g` ∈ {1, 2, 16, 17}.
+        /// Coordinates come from
+        /// [`SPECIAL`] or `spread` repeated values (one value: every point
+        /// in one column, the others empty), and there are as few as one
+        /// point — fewer than `g`.
+        #[test]
+        fn selecting_fit_equals_the_sorting_fit(
+            raw in prop::collection::vec((0usize..32, 0usize..32), 1..150),
+            spread in 1usize..24,
+        ) {
+            let coord = |c: usize| SPECIAL.get(c).copied().unwrap_or((c % spread) as f64 / 8.0);
+            let points: Vec<Point> = raw
+                .iter()
+                .zip(0..)
+                .map(|(&(x, y), id)| Point::new(id, coord(x), coord(y)))
+                .collect();
+            let bits = |m: &LisaMapper| -> Vec<Vec<u64>> {
+                core::iter::once(&m.cols)
+                    .chain(&m.rows)
+                    .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            for g in [1, 2, 16, 17] {
+                let want = bits(&fit_by_sorting(&points, g));
+                prop_assert_eq!(bits(&LisaMapper::fit(&points, g)), want, "g = {}", g);
+            }
+        }
     }
 
     #[test]

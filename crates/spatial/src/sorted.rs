@@ -20,33 +20,41 @@ use crate::point::{Point, Rect};
 /// the order it arrives in.
 ///
 /// The sort itself runs on integers: (the key's integer image under
-/// [`f64::total_cmp`], input position) pairs, ordered by the image alone,
-/// then one gather of points and keys. Equal images are bit-equal keys, so only inside a run
-/// of them are the points put in (id, x bits, y bits) order — the same
-/// vector, bit for bit, as one comparison sort on (key, id, x bits,
-/// y bits).
-pub fn sort_by_key(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
-    let keys = mapper.keys(&points);
-    let mut order: Vec<(u64, usize)> = keys
-        .iter()
-        .map(|&k| total_order_image(k))
+/// [`f64::total_cmp`], input position) pairs, ordered by the image alone.
+/// The keys are dropped once their images are taken; one pass then gathers
+/// the points into an exact buffer, and each key is rebuilt from its sorted
+/// image. Equal images are bit-equal keys, so only inside a run of them are
+/// the points put in (id, x bits, y bits) order — the same vector, bit for
+/// bit, as one comparison sort on (key, id, x bits, y bits). Positions are
+/// `u32`: `points` holds fewer than 2³² points.
+pub fn sort_by_key(points: &[Point], mapper: &dyn KeyMapper) -> (Vec<Point>, Vec<f64>) {
+    let mut order: Vec<(u64, u32)> = mapper
+        .keys(points)
+        .into_iter()
+        .map(total_order_image)
         .zip(0..)
         .collect();
     order.sort_unstable_by_key(|&(image, _)| image);
+    let mut sorted = Vec::with_capacity(order.len());
     // `order` is a permutation of the input positions: every lookup hits.
-    let (mut points, keys): (Vec<Point>, Vec<f64>) = order
-        .iter()
-        .filter_map(|&(_, i)| points.get(i).copied().zip(keys.get(i).copied()))
-        .unzip();
-    let mut rest = points.as_mut_slice();
-    for run in keys.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+    sorted.extend(
+        order
+            .iter()
+            .filter_map(|&(_, i)| points.get(i as usize).copied()),
+    );
+    let mut rest = sorted.as_mut_slice();
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
         let (ties, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
         if ties.len() > 1 {
             ties.sort_unstable_by_key(canonical_point_key);
         }
         rest = tail;
     }
-    (points, keys)
+    let keys = order
+        .iter()
+        .map(|&(image, _)| key_of_image(image))
+        .collect();
+    (sorted, keys)
 }
 
 /// The integer image of `key` under [`f64::total_cmp`]: `a.total_cmp(&b)`
@@ -58,6 +66,13 @@ pub fn sort_by_key(points: Vec<Point>, mapper: &dyn KeyMapper) -> (Vec<Point>, V
 fn total_order_image(key: f64) -> u64 {
     let b = key.to_bits();
     b ^ ((((b as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The key whose [`total_order_image`] is `image`: an image with its top
+/// bit clear is a negative key, all of whose bits were flipped.
+#[inline]
+fn key_of_image(image: u64) -> f64 {
+    f64::from_bits(image ^ (((((!image) as i64) >> 63) as u64) >> 1) ^ (1 << 63))
 }
 
 /// Key-sorted points in structure-of-arrays columns, so the predict-and-scan
@@ -309,6 +324,7 @@ mod tests {
                     "{a:?} vs {b:?}"
                 );
             }
+            assert_eq!(key_of_image(total_order_image(*a)).to_bits(), a.to_bits());
         }
         assert_eq!(
             total_order_image(f64::from_bits(0x8000_0000_0000_0000)),
@@ -321,7 +337,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Map-and-sort equals the comparison sort bit for bit — keys,
-        /// points and order — and so does a shuffled copy of its input.
+        /// points and order — and so does a shuffled copy of its input and
+        /// a sub-slice of it.
         /// Coordinates come from [`SPECIAL`] or a few repeated values, and
         /// ids from a small range: runs of equal keys, special keys under
         /// [`XKey`], and equal ids at different coordinates.
@@ -335,11 +352,18 @@ mod tests {
                 raw.iter().map(|&(x, y, id)| Point::new(id, coord(x), coord(y))).collect();
             let mut shuffled = points.clone();
             shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+            // A sub-slice borrowed from the middle of the input, as a
+            // recursive build sorts each child's range of its parent's run.
+            let lo = (seed % (points.len() as u64 + 1)) as usize;
+            let hi = lo + ((seed >> 32) % ((points.len() - lo) as u64 + 1)) as usize;
+            let part = points.get(lo..hi).unwrap_or_default();
             let mappers: [&dyn KeyMapper; 2] = [&XKey, &MortonMapper];
             for mapper in mappers {
                 let want = bits(&reference_sort(points.clone(), mapper));
-                prop_assert_eq!(bits(&sort_by_key(points.clone(), mapper)), want.clone());
-                prop_assert_eq!(bits(&sort_by_key(shuffled.clone(), mapper)), want);
+                prop_assert_eq!(bits(&sort_by_key(&points, mapper)), want.clone());
+                prop_assert_eq!(bits(&sort_by_key(&shuffled, mapper)), want);
+                let want = bits(&reference_sort(part.to_vec(), mapper));
+                prop_assert_eq!(bits(&sort_by_key(part, mapper)), want);
             }
         }
     }
@@ -351,7 +375,7 @@ mod tests {
             Point::new(2, 0.5, 0.5),
             Point::new(3, 0.2, 0.8),
         ];
-        sort_by_key(pts, &MortonMapper)
+        sort_by_key(&pts, &MortonMapper)
     }
 
     #[test]
@@ -379,7 +403,7 @@ mod tests {
         let idist = IDistanceMapper::new(vec![Point::at(0.2, 0.3), Point::at(0.8, 0.6)]);
         let mappers: [&dyn KeyMapper; 4] = [&MortonMapper, &HilbertMapper, &lisa, &idist];
         for mapper in mappers {
-            let (pts, keys) = sort_by_key(input.clone(), mapper);
+            let (pts, keys) = sort_by_key(&input, mapper);
             assert!(keys.is_sorted());
             assert_eq!(keys, mapper.keys(&pts), "keys[i] is the key of points[i]");
             let mut ids: Vec<u64> = pts.iter().map(|p| p.id).collect();
@@ -390,9 +414,9 @@ mod tests {
             let mut shuffled = input.clone();
             shuffled.reverse();
             shuffled.rotate_left(41);
-            assert_eq!(sort_by_key(shuffled, mapper), (pts, keys));
+            assert_eq!(sort_by_key(&shuffled, mapper), (pts, keys));
 
-            let (pts, keys) = sort_by_key(Vec::new(), mapper);
+            let (pts, keys) = sort_by_key(&[], mapper);
             assert!(pts.is_empty() && keys.is_empty());
         }
     }

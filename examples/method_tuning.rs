@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 fn main() {
     let n = 60_000;
-    let (points, keys) = sort_by_key(Dataset::Osm1.generate(n, 5), &MortonMapper);
+    let (points, keys) = sort_by_key(&Dataset::Osm1.generate(n, 5), &MortonMapper);
     println!("Sweeping build-method parameters over {n} OSM-like points\n");
     println!(
         "{:6} {:>14} {:>12} {:>12} {:>12}",

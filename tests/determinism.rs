@@ -17,7 +17,7 @@ fn datasets_are_reproducible() {
 fn reductions_are_reproducible() {
     let cfg = ElsiConfig::fast_test();
     let pool = elsi::MrPool::generate(&cfg, 2);
-    let (points, keys) = sort_by_key(Dataset::Skewed.generate(2000, 4), &MortonMapper);
+    let (points, keys) = sort_by_key(&Dataset::Skewed.generate(2000, 4), &MortonMapper);
     let input = BuildInput {
         points: &points,
         keys: &keys,
@@ -547,7 +547,7 @@ fn builder_method_choice_is_reproducible() {
     let make = || {
         let elsi = Elsi::new(ElsiConfig::fast_test());
         let b = elsi.random_builder(99);
-        let (points, keys) = sort_by_key(Dataset::Uniform.generate(500, 1), &MortonMapper);
+        let (points, keys) = sort_by_key(&Dataset::Uniform.generate(500, 1), &MortonMapper);
         for _ in 0..5 {
             b.build_model(&BuildInput {
                 points: &points,

@@ -85,8 +85,8 @@ proptest! {
         let mut zm = Zoo::pwl(8, 4).zm(points.clone());
         let ml_cfg = MlConfig { pivots: 4, ..MlConfig::default() };
         let mut ml = MlIndex::build(points.clone(), &ml_cfg, &PwlBuilder { epsilon: 4 });
-        let (by_z, _) = sort_by_key(points.clone(), &MortonMapper);
-        let (by_dist, _) = sort_by_key(points.clone(), ml.mapper());
+        let (by_z, _) = sort_by_key(&points, &MortonMapper);
+        let (by_dist, _) = sort_by_key(&points, ml.mapper());
         let mut deleted = HashSet::new();
         let mut buffered = Vec::new();
         let lookups = |zm: &ZmIndex, ml: &MlIndex, deleted: &HashSet<u64>, buffered: &[Point]| {
